@@ -74,7 +74,7 @@ fn bench_ablations(c: &mut Criterion) {
         })
     });
 
-    // A8: hash join vs sort-merge join on the big type⋈member relation pair.
+    // A8: the hash join on the big type⋈member relation pair.
     {
         use rdfref_query::ast::Atom;
         use rdfref_query::Var;
@@ -91,9 +91,6 @@ fn bench_ablations(c: &mut Criterion) {
         .unwrap();
         group.bench_function("a8_hash_join", |b| {
             b.iter(|| black_box(left.natural_join(&right).len()))
-        });
-        group.bench_function("a8_sort_merge_join", |b| {
-            b.iter(|| black_box(left.sort_merge_join(&right).len()))
         });
     }
 

@@ -15,6 +15,7 @@ use rdfref_model::dictionary::ID_RDF_TYPE;
 use rdfref_query::ast::{Atom, Cq};
 use rdfref_query::Var;
 use rdfref_storage::evaluator::Evaluator;
+use rdfref_storage::exec::StepLabel;
 use rdfref_storage::store::IdPattern;
 use rdfref_storage::{ExecMetrics, Stats, Store};
 
@@ -40,7 +41,7 @@ fn main() {
                     p: Some(ID_RDF_TYPE),
                     o: None,
                 },
-                &mut |_| n += 1,
+                &mut |_, run| n += run.len(),
             );
             assert_eq!(n, type_rows);
         }
@@ -90,7 +91,7 @@ fn main() {
     let probes: usize = m
         .steps
         .iter()
-        .filter(|s| s.label.starts_with("scan") || s.label.starts_with("bind"))
+        .filter(|s| matches!(s.label, StepLabel::Scan(_) | StepLabel::BindJoin(_)))
         .map(|s| s.rows)
         .sum();
     let (_, probe_time) = time(|| {

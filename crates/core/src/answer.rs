@@ -209,11 +209,15 @@ impl QueryAnswer {
     /// Sorted lazily on the first call and cached; repeated calls return
     /// the same slice without re-materializing or re-sorting.
     pub fn rows(&self) -> &[Vec<TermId>] {
-        self.sorted.get_or_init(|| {
-            let mut rows = self.relation.to_rows();
-            rows.sort_unstable();
-            rows
-        })
+        self.sorted.get_or_init(|| self.sorted_relation().to_rows())
+    }
+
+    /// The relation with its rows sorted (one flat buffer, no per-row
+    /// vectors).
+    fn sorted_relation(&self) -> Relation {
+        let mut sorted = self.relation.clone();
+        sorted.sort();
+        sorted
     }
 
     /// The raw relation.
@@ -222,11 +226,14 @@ impl QueryAnswer {
     }
 
     /// The answers decoded to terms through a dictionary (row-major, sorted).
+    /// Terms are cloned straight from the sorted flat relation — or from
+    /// the cached [`QueryAnswer::rows`] if those were already built.
     pub fn decoded(&self, dict: &rdfref_model::Dictionary) -> Vec<Vec<rdfref_model::Term>> {
-        self.rows()
-            .iter()
-            .map(|row| row.iter().map(|id| dict.term(*id).clone()).collect())
-            .collect()
+        let decode = |row: &[TermId]| row.iter().map(|id| dict.term(*id).clone()).collect();
+        match self.sorted.get() {
+            Some(rows) => rows.iter().map(|row| decode(row)).collect(),
+            None => self.sorted_relation().rows().map(decode).collect(),
+        }
     }
 
     /// Number of answers.
@@ -616,19 +623,6 @@ impl Database {
             strategy: strategy.name().to_string(),
             ..Explain::default()
         };
-        // Render the physical-plan choice for the *user* CQ up front, through
-        // the same arbitration the evaluator dispatch uses — so `explain
-        // analyze` shows exactly what `Auto` decided and why. Datalog
-        // strategies never consult it.
-        if !cq.body.is_empty() && !matches!(strategy, Strategy::Datalog | Strategy::DatalogMagic) {
-            let choice = rdfref_storage::physical_choice(
-                self.store.source(),
-                &self.stats,
-                opts.join_algorithm,
-                &self.encode_cq(cq).body,
-            );
-            explain.physical = Some(crate::explain::PhysicalPlan::from_choice(&choice));
-        }
         let mut metrics = ExecMetrics::default();
 
         let relation = match strategy {
@@ -740,6 +734,9 @@ impl Database {
             (None, _) => relation,
         };
 
+        // What the evaluator dispatched, not what the user's CQ alone would
+        // have: under Ref strategies it arbitrates per reformulated CQ.
+        explain.physical = crate::explain::PhysicalPlan::from_dispatched(&metrics.dispatched);
         explain.metrics = metrics;
         explain.answers = relation.len();
         explain.wall = start.elapsed();

@@ -61,44 +61,61 @@ pub struct Explain {
     /// run went against a plain [`crate::Database`] rather than the
     /// serving layer).
     pub snapshot: Option<SnapshotInfo>,
-    /// The physical operator tree chosen for the *user* CQ body: which join
-    /// algorithm runs, why (cost-model verdict / explicit request /
-    /// fallback), and — for WCOJ — the global variable order and the trie
-    /// permutation each atom binds. `None` for body-less queries and
-    /// Datalog strategies.
+    /// The join operator(s) the evaluator actually dispatched, tallied over
+    /// every CQ body it ran (under Ref strategies those are the CQs of the
+    /// reformulation, not the user's query), with the arbitration — reason,
+    /// and for WCOJ the global variable order and the trie permutation each
+    /// atom binds — of a representative CQ. `None` for body-less queries
+    /// and Datalog strategies.
     pub physical: Option<PhysicalPlan>,
 }
 
-/// The rendered physical-plan choice (see [`Explain::physical`]).
+/// The rendered physical dispatch (see [`Explain::physical`]).
 ///
-/// Non-exhaustive, built by the engine from
-/// [`rdfref_storage::physical_choice`]; readers use the public fields.
+/// Non-exhaustive, built by the engine from the evaluator's
+/// [`rdfref_storage::exec::Dispatched`] tally; readers use the public
+/// fields.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 #[non_exhaustive]
 pub struct PhysicalPlan {
-    /// The algorithm that runs: `"bind join"` or `"wcoj"`.
+    /// The algorithm that ran: `"bind join"` or `"wcoj"`, or both with
+    /// their CQ counts (`"wcoj ×2, bind join ×5"`) when a plan's CQs split.
     pub algorithm: String,
-    /// Why it was chosen (cost-model verdict, explicit request, fallback).
+    /// Why: the arbitration (cost-model verdict, explicit request,
+    /// fallback) of the first CQ run by WCOJ if any was, else of the first
+    /// CQ evaluated.
     pub reason: String,
-    /// WCOJ only: the global variable order, outermost first.
+    /// CQ bodies run by the leapfrog triejoin.
+    pub wcoj_cqs: usize,
+    /// CQ bodies run as bind-join / hash-join chains.
+    pub bind_join_cqs: usize,
+    /// WCOJ only: that CQ's global variable order, outermost first.
     pub var_order: Vec<String>,
-    /// WCOJ only: per body atom, the bound trie permutation and level
-    /// layout, e.g. `"SPO [?x #7 ?y]"`.
+    /// WCOJ only: per body atom of that CQ, the bound trie permutation and
+    /// level layout, e.g. `"SPO [?x #7 ?y]"`.
     pub atoms: Vec<String>,
 }
 
 impl PhysicalPlan {
-    /// Render a storage-layer choice for display.
-    pub fn from_choice(choice: &rdfref_storage::PhysicalChoice) -> PhysicalPlan {
-        PhysicalPlan {
-            algorithm: match choice.algorithm {
-                rdfref_storage::JoinAlgorithm::Wcoj => "wcoj".to_string(),
-                _ => "bind join".to_string(),
+    /// Render what the evaluator dispatched; `None` if it ran no CQ body.
+    pub fn from_dispatched(ran: &rdfref_storage::exec::Dispatched) -> Option<PhysicalPlan> {
+        let algorithm = match (ran.wcoj_cqs, ran.bind_join_cqs) {
+            (0, 0) => return None,
+            (_, 0) => "wcoj".to_string(),
+            (0, _) => "bind join".to_string(),
+            (w, b) => format!("wcoj ×{w}, bind join ×{b}"),
+        };
+        let plan = ran.choice.as_ref().and_then(|c| c.plan.as_ref());
+        Some(PhysicalPlan {
+            algorithm,
+            reason: match &ran.choice {
+                Some(choice) => choice.reason.clone(),
+                // Nothing is arbitrated when bind join is requested outright.
+                None => "bind join requested".to_string(),
             },
-            reason: choice.reason.clone(),
-            var_order: choice
-                .plan
-                .as_ref()
+            wcoj_cqs: ran.wcoj_cqs,
+            bind_join_cqs: ran.bind_join_cqs,
+            var_order: plan
                 .map(|p| {
                     p.var_order()
                         .iter()
@@ -106,12 +123,8 @@ impl PhysicalPlan {
                         .collect()
                 })
                 .unwrap_or_default(),
-            atoms: choice
-                .plan
-                .as_ref()
-                .map(|p| p.atom_renderings())
-                .unwrap_or_default(),
-        }
+            atoms: plan.map(|p| p.atom_renderings()).unwrap_or_default(),
+        })
     }
 }
 
@@ -192,7 +205,7 @@ impl Explain {
         self.cover.as_ref()
     }
 
-    /// The chosen physical operator tree for the user CQ body.
+    /// The join operator(s) the evaluator dispatched.
     pub fn physical(&self) -> Option<&PhysicalPlan> {
         self.physical.as_ref()
     }
@@ -298,7 +311,8 @@ mod tests {
             answers: 7,
             ..Explain::default()
         };
-        e.metrics.record_scan("scan t1", 100);
+        e.metrics
+            .record_scan(rdfref_storage::exec::StepLabel::Scan(1), 100);
         let s = e.to_string();
         assert!(s.contains("Ref/GCov"));
         assert!(s.contains("12 CQ(s)"));

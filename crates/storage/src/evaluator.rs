@@ -17,9 +17,9 @@
 
 use crate::cost::CostModel;
 use crate::error::{Result, StorageError};
-use crate::exec::{scan_atom, ExecMetrics};
+use crate::exec::{scan_atom, ExecMetrics, KeyEmit, StepLabel};
 use crate::morsel;
-use crate::relation::Relation;
+use crate::relation::{ColumnSource, Relation};
 use crate::stats::Stats;
 use crate::store::{IdPattern, TripleSource};
 use rdfref_model::TermId;
@@ -141,11 +141,11 @@ impl<'a> Evaluator<'a> {
         metrics: &mut ExecMetrics,
     ) {
         if atom.has_range() {
-            metrics.record_scan_timed(format!("range-scan t{}", idx + 1), rows, wall);
+            metrics.record_scan_timed(StepLabel::RangeScan(idx + 1), rows, wall);
             self.obs.add("op.range_scan.count", 1);
             self.obs.add("op.range_scan.rows", rows as u64);
         } else {
-            metrics.record_scan_timed(format!("scan t{}", idx + 1), rows, wall);
+            metrics.record_scan_timed(StepLabel::Scan(idx + 1), rows, wall);
             self.obs.add("op.scan.count", 1);
             self.obs.add("op.scan.rows", rows as u64);
         }
@@ -193,35 +193,29 @@ impl<'a> Evaluator<'a> {
         let _span = self.obs.span("eval.cq");
         let model = CostModel::new(self.stats);
         let mut acc = Relation::unit();
-        // Physical dispatch: the arbitration in `wcoj::physical_choice` is
-        // shared with `Explain`, so what runs is what gets rendered. A
-        // `BindJoin` verdict (requested, cost-model, or fallback) keeps the
-        // classic chain below byte-identical to before.
+        // Physical dispatch: the arbitration in `wcoj::physical_choice`
+        // decides, and what actually ran is tallied in
+        // `metrics.dispatched` for `Explain` to render. A `BindJoin`
+        // verdict (requested, cost-model, or fallback) takes the classic
+        // chain below.
         let mut wcoj_done = false;
-        if self.join_algorithm != JoinAlgorithm::BindJoin && !cq.body.is_empty() {
-            let choice =
-                crate::wcoj::physical_choice(self.store, self.stats, self.join_algorithm, &cq.body);
-            if let Some(plan) = &choice.plan {
-                if let Some(tries) = crate::wcoj::tries(self.store, plan) {
-                    let sw = self.obs.stopwatch();
-                    acc = crate::wcoj::eval(
-                        &tries,
-                        plan,
-                        self.parallelism,
-                        self.row_budget,
-                        &self.obs,
-                    )?;
-                    metrics.record_timed(
-                        format!("lfj({} atoms)", plan.atom_count()),
-                        acc.len(),
-                        sw.elapsed(),
-                    );
-                    wcoj_done = true;
-                }
+        if !cq.body.is_empty() {
+            let choice = (self.join_algorithm != JoinAlgorithm::BindJoin).then(|| {
+                crate::wcoj::physical_choice(self.store, self.stats, self.join_algorithm, &cq.body)
+            });
+            let plan = choice.as_ref().and_then(|c| c.plan.as_ref());
+            let tries = plan.and_then(|p| crate::wcoj::tries(self.store, p));
+            if let (Some(plan), Some(tries)) = (plan, tries) {
+                let sw = self.obs.stopwatch();
+                acc =
+                    crate::wcoj::eval(&tries, plan, self.parallelism, self.row_budget, &self.obs)?;
+                metrics.record_timed(StepLabel::Lfj(plan.atom_count()), acc.len(), sw.elapsed());
+                wcoj_done = true;
             }
+            metrics.record_dispatch(wcoj_done, choice);
         }
         if wcoj_done && acc.is_empty() {
-            metrics.record("project+dedup", 0);
+            metrics.record(StepLabel::ProjectDedup, 0);
             return Ok(Relation::empty(out.to_vec()));
         }
         let mut first = true;
@@ -244,13 +238,9 @@ impl<'a> Evaluator<'a> {
                         Parallelism::Morsels { size } => {
                             morsel::bind_join_morsels(self.store, &acc, atom, size, &self.obs)?
                         }
-                        _ => bind_join(self.store, &acc, atom)?,
+                        _ => bind_join(self.store, &acc, atom),
                     };
-                    metrics.record_timed(
-                        format!("bind-join t{}", idx + 1),
-                        acc.len(),
-                        sw.elapsed(),
-                    );
+                    metrics.record_timed(StepLabel::BindJoin(idx + 1), acc.len(), sw.elapsed());
                     self.obs.add("op.bind_join.count", 1);
                     self.obs.add("op.bind_join.rows", acc.len() as u64);
                 } else {
@@ -260,7 +250,7 @@ impl<'a> Evaluator<'a> {
                     self.check_budget(scanned.len())?;
                     let sw = self.obs.stopwatch();
                     acc = acc.natural_join(&scanned);
-                    metrics.record_timed("join", acc.len(), sw.elapsed());
+                    metrics.record_timed(StepLabel::Join, acc.len(), sw.elapsed());
                     self.obs.add("op.join.count", 1);
                     self.obs.add("op.join.rows", acc.len() as u64);
                 }
@@ -269,48 +259,38 @@ impl<'a> Evaluator<'a> {
             if acc.is_empty() {
                 // Annihilated: the result is empty regardless of the
                 // remaining atoms (whose columns were never materialized).
-                metrics.record("project+dedup", 0);
+                metrics.record(StepLabel::ProjectDedup, 0);
                 return Ok(Relation::empty(out.to_vec()));
             }
         }
 
         // Build the output relation from the head.
-        let mut result = Relation::empty(out.to_vec());
         if cq.body.is_empty() {
             // Degenerate constant-only query over an empty body: one row.
             let consts: Option<Vec<TermId>> = cq.head.iter().map(|t| t.as_const()).collect();
             if let Some(row) = consts {
+                let mut result = Relation::empty(out.to_vec());
                 result.push_row(&row)?;
                 return Ok(result);
             }
         }
-        let col_sources: Vec<HeadSource> = cq
+        let sources: Vec<ColumnSource> = cq
             .head
             .iter()
             .map(|t| match t {
-                PTerm::Const(c) => Ok(HeadSource::Const(*c)),
+                PTerm::Const(c) => Ok(ColumnSource::Const(*c)),
                 // Reformulation binds head variables to constants only;
                 // an interval can never reach a head position.
                 PTerm::Range(..) => Err(StorageError::UnknownColumn("[range]".to_string())),
                 PTerm::Var(v) => acc
                     .column_index(v)
-                    .map(HeadSource::Column)
+                    .map(ColumnSource::Column)
                     .ok_or_else(|| StorageError::UnknownColumn(v.name().to_string())),
             })
             .collect::<Result<_>>()?;
-        let mut row: Vec<TermId> = Vec::with_capacity(out.len());
-        for in_row in acc.rows() {
-            row.clear();
-            for src in &col_sources {
-                row.push(match src {
-                    HeadSource::Const(c) => *c,
-                    HeadSource::Column(i) => in_row[*i],
-                });
-            }
-            result.push_row(&row)?;
-        }
+        let mut result = acc.select(out.to_vec(), &sources);
         result.dedup();
-        metrics.record("project+dedup", result.len());
+        metrics.record(StepLabel::ProjectDedup, result.len());
         Ok(result)
     }
 
@@ -357,23 +337,18 @@ impl<'a> Evaluator<'a> {
                 let (rels, local_metrics) = r?;
                 metrics.absorb(local_metrics);
                 for rel in rels {
-                    for row in rel.rows() {
-                        union.push_row(row)?;
-                    }
+                    union.absorb_rows(&rel)?;
                     self.check_budget(union.len())?;
                 }
             }
         } else {
             for cq in &ucq.cqs {
-                let rel = self.eval_cq(cq, out, metrics)?;
-                for row in rel.rows() {
-                    union.push_row(row)?;
-                }
+                union.absorb_rows(&self.eval_cq(cq, out, metrics)?)?;
                 self.check_budget(union.len())?;
             }
         }
         union.dedup();
-        metrics.record("union-dedup", union.len());
+        metrics.record(StepLabel::UnionDedup, union.len());
         self.obs.add("op.union.rows", union.len() as u64);
         Ok(union)
     }
@@ -385,7 +360,7 @@ impl<'a> Evaluator<'a> {
         let mut frag_rels: Vec<Relation> = Vec::with_capacity(jucq.fragments.len());
         for (i, frag) in jucq.fragments.iter().enumerate() {
             let rel = self.eval_ucq(&frag.ucq, &frag.columns, metrics)?;
-            metrics.record(format!("fragment {i}"), rel.len());
+            metrics.record(StepLabel::Fragment(i), rel.len());
             self.obs.add("op.fragment.rows", rel.len() as u64);
             frag_rels.push(rel);
         }
@@ -412,74 +387,70 @@ impl<'a> Evaluator<'a> {
                 .unwrap_or(0);
             let idx = remaining.remove(pos);
             acc = acc.natural_join(&frag_rels[idx]);
-            metrics.record("fragment-join", acc.len());
+            metrics.record(StepLabel::FragmentJoin, acc.len());
             self.check_budget(acc.len())?;
             if acc.is_empty() {
-                metrics.record("project+dedup", 0);
+                metrics.record(StepLabel::ProjectDedup, 0);
                 return Ok(Relation::empty(jucq.head.clone()));
             }
         }
-        let mut result = acc.project(&jucq.head)?;
+        let mut result = if acc.columns() == jucq.head.as_slice() {
+            acc
+        } else {
+            acc.project(&jucq.head)?
+        };
         result.dedup();
-        metrics.record("project+dedup", result.len());
+        metrics.record(StepLabel::ProjectDedup, result.len());
         Ok(result)
     }
 }
 
-enum HeadSource {
-    Const(TermId),
-    Column(usize),
-}
-
-/// Per-position classification for a bind join: constant, bound (acc
-/// column), free output variable (first occurrence), or equality check
-/// (repetition).
+/// How a bind join fixes one triple position of its probe pattern.
 #[derive(Debug, Clone, Copy)]
-enum Pos {
+enum Fixed {
     Const(TermId),
-    InRange(TermId, TermId), // residual interval filter on the probe
-    Bound(usize),            // index into the acc row
-    Out(usize),              // index into the new-columns vector
-    OutEq(usize),            // must equal an earlier Out position
+    Bound(usize), // index into the acc row
+    Free,         // new variable or interval: filtered/emitted per key
 }
 
-/// The compiled shape of one bind join: the position classification and
-/// the output schema. Compiled once per atom and shared by the sequential
-/// probe loop and by every morsel worker.
+/// The compiled shape of one bind join: the probe pattern's fixed
+/// positions, how matching keys extend an acc row, and the output schema.
+/// Compiled once per atom and shared by the sequential probe loop and by
+/// every morsel worker.
 #[derive(Debug, Clone)]
 pub(crate) struct BindShape {
-    spo: [Pos; 3],
-    new_cols: Vec<Var>,
+    spo: [Fixed; 3],
+    emit: KeyEmit,
     out_columns: Vec<Var>,
 }
 
 impl BindShape {
     pub(crate) fn of(acc: &Relation, atom: &rdfref_query::ast::Atom) -> BindShape {
         let mut new_cols: Vec<Var> = Vec::new();
-        let classify = |t: &PTerm, acc: &Relation, new_cols: &mut Vec<Var>| match t {
-            PTerm::Const(c) => Pos::Const(*c),
-            PTerm::Range(lo, hi) => Pos::InRange(*lo, *hi),
-            PTerm::Var(v) => {
-                if let Some(i) = acc.column_index(v) {
-                    Pos::Bound(i)
-                } else if let Some(j) = new_cols.iter().position(|c| c == v) {
-                    Pos::OutEq(j)
-                } else {
-                    new_cols.push(v.clone());
-                    Pos::Out(new_cols.len() - 1)
+        let mut emit = KeyEmit::default();
+        let mut spo = [Fixed::Free; 3];
+        for (pos, t) in atom.positions().into_iter().enumerate() {
+            match t {
+                PTerm::Const(c) => spo[pos] = Fixed::Const(*c),
+                // Residual interval filter on the probe.
+                PTerm::Range(lo, hi) => emit.ranges.push((pos, *lo, *hi)),
+                PTerm::Var(v) => {
+                    if let Some(i) = acc.column_index(v) {
+                        spo[pos] = Fixed::Bound(i);
+                    } else if let Some(j) = new_cols.iter().position(|c| c == v) {
+                        emit.eq.push((emit.cols[j], pos));
+                    } else {
+                        new_cols.push(v.clone());
+                        emit.cols.push(pos);
+                    }
                 }
             }
-        };
-        let spo = [
-            classify(&atom.s, acc, &mut new_cols),
-            classify(&atom.p, acc, &mut new_cols),
-            classify(&atom.o, acc, &mut new_cols),
-        ];
+        }
         let mut out_columns = acc.columns().to_vec();
-        out_columns.extend(new_cols.iter().cloned());
+        out_columns.extend(new_cols);
         BindShape {
             spo,
-            new_cols,
+            emit,
             out_columns,
         }
     }
@@ -490,59 +461,39 @@ impl BindShape {
         &self.out_columns
     }
 
-    /// Caller-provided scratch for [`BindShape::probe`] so the hot loop
-    /// never allocates.
-    pub(crate) fn scratch(&self) -> Vec<TermId> {
-        vec![TermId(0); self.new_cols.len()]
-    }
-
-    /// Probe the source with one acc row's bindings, appending every match
-    /// (acc row ++ new values) to `out`.
+    /// Probe the source with the bindings of each of `acc`'s `rows`,
+    /// appending every match (acc row ++ new values) to `out`. A row that
+    /// carries the same bound key as the one before it copies that probe's
+    /// matches instead of searching the index again.
     pub(crate) fn probe(
         &self,
         source: &dyn TripleSource,
-        row: &[TermId],
-        new_vals: &mut [TermId],
+        acc: &Relation,
+        rows: std::ops::Range<usize>,
         out: &mut Relation,
-    ) -> Result<()> {
-        let fixed = |pos: Pos| -> Option<TermId> {
-            match pos {
-                Pos::Const(c) => Some(c),
-                Pos::Bound(i) => Some(row[i]),
-                Pos::InRange(..) | Pos::Out(_) | Pos::OutEq(_) => None,
-            }
-        };
-        let pattern = IdPattern {
-            s: fixed(self.spo[0]),
-            p: fixed(self.spo[1]),
-            o: fixed(self.spo[2]),
-        };
-        // `scan_into`'s callback cannot propagate errors, so a push failure
-        // is captured here and surfaced after the probe completes.
-        let mut push_err: Option<StorageError> = None;
-        source.scan_into(pattern, &mut |t| {
-            let triple = [t.s, t.p, t.o];
-            let mut ok = push_err.is_none();
-            for (pos, val) in self.spo.iter().zip(triple) {
-                match *pos {
-                    Pos::Out(j) => new_vals[j] = val,
-                    Pos::OutEq(j) if new_vals[j] != val => ok = false,
-                    Pos::InRange(lo, hi) if !(lo <= val && val < hi) => ok = false,
-                    _ => {}
+    ) {
+        let mut last: Option<(IdPattern, std::ops::Range<usize>)> = None;
+        for row in rows.map(|i| acc.row(i)) {
+            let fixed = |pos: Fixed| match pos {
+                Fixed::Const(c) => Some(c),
+                Fixed::Bound(i) => Some(row[i]),
+                Fixed::Free => None,
+            };
+            let pattern = IdPattern {
+                s: fixed(self.spo[0]),
+                p: fixed(self.spo[1]),
+                o: fixed(self.spo[2]),
+            };
+            match &last {
+                Some((same, matches)) if *same == pattern => out.repeat_rows(matches.clone(), row),
+                _ => {
+                    let start = out.len();
+                    source.scan_into(pattern, &mut |order, run| {
+                        self.emit.append(order, run, row, out)
+                    });
+                    last = Some((pattern, start..out.len()));
                 }
             }
-            if ok {
-                let mut full: Vec<TermId> = Vec::with_capacity(row.len() + new_vals.len());
-                full.extend_from_slice(row);
-                full.extend_from_slice(new_vals);
-                if let Err(e) = out.push_row(&full) {
-                    push_err = Some(e);
-                }
-            }
-        });
-        match push_err {
-            Some(e) => Err(e),
-            None => Ok(()),
         }
     }
 }
@@ -554,14 +505,11 @@ fn bind_join(
     source: &dyn TripleSource,
     acc: &Relation,
     atom: &rdfref_query::ast::Atom,
-) -> Result<Relation> {
+) -> Relation {
     let shape = BindShape::of(acc, atom);
     let mut out = Relation::empty(shape.out_columns().to_vec());
-    let mut scratch = shape.scratch();
-    for row in acc.rows() {
-        shape.probe(source, row, &mut scratch, &mut out)?;
-    }
-    Ok(out)
+    shape.probe(source, acc, 0..acc.len(), &mut out);
+    out
 }
 
 /// Convenience: evaluate a CQ whose head is all variables.
@@ -748,7 +696,7 @@ mod tests {
         let mut m = ExecMetrics::default();
         let rel = ev.eval_cq(&cq, &[v("x")], &mut m).unwrap();
         assert_eq!(rel.to_rows(), vec![vec![ids[0]]]);
-        assert!(m.steps.iter().any(|s| s.label.starts_with("lfj(3 atoms)")));
+        assert!(m.steps.iter().any(|s| s.label == StepLabel::Lfj(3)));
         let snap = registry.snapshot();
         assert_eq!(snap.counter("op.lfj.atoms"), 3);
         assert!(snap.counter("op.lfj.seeks") > 0);

@@ -5,24 +5,83 @@
 //! the experiments report (intermediate result sizes — the quantities the
 //! paper quotes for Example 1, e.g. "33,328,108 results each").
 
-use crate::error::{Result, StorageError};
+use crate::error::Result;
+use crate::evaluator::JoinAlgorithm;
 use crate::relation::Relation;
-use crate::store::{Bound, RangePattern, TripleSource};
-use rdfref_model::{EncodedTriple, TermId};
+use crate::store::{Bound, Order, RangePattern, TripleSource};
+use crate::wcoj::PhysicalChoice;
+use rdfref_model::TermId;
 use rdfref_query::ast::{Atom, PTerm};
 use rdfref_query::Var;
+use std::fmt;
 use std::time::Duration;
+
+/// What an [`ExecStep`] ran. Atom numbers are 1-based positions in the CQ
+/// body (`t1`, `t2`, …), as the paper writes them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum StepLabel {
+    /// `scan t{n}`: exact index scan of atom `n`.
+    Scan(usize),
+    /// `range-scan t{n}`: interval scan of atom `n`.
+    RangeScan(usize),
+    /// `bind-join t{n}`: index nested-loop join probing atom `n`.
+    BindJoin(usize),
+    /// `join`: hash join with the preceding scan.
+    Join,
+    /// `lfj({n} atoms)`: leapfrog triejoin over an `n`-atom body.
+    Lfj(usize),
+    /// `project+dedup`: head projection of one CQ.
+    ProjectDedup,
+    /// `union-dedup`: deduplicated union of a UCQ's disjuncts.
+    UnionDedup,
+    /// `fragment {i}`: the evaluated `i`-th (0-based) JUCQ fragment.
+    Fragment(usize),
+    /// `fragment-join`: hash join of two fragment results.
+    FragmentJoin,
+}
+
+impl fmt::Display for StepLabel {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        // `pad` so `{:<22}`-style widths in reports apply to the label.
+        match *self {
+            StepLabel::Scan(n) => f.pad(&format!("scan t{n}")),
+            StepLabel::RangeScan(n) => f.pad(&format!("range-scan t{n}")),
+            StepLabel::BindJoin(n) => f.pad(&format!("bind-join t{n}")),
+            StepLabel::Join => f.pad("join"),
+            StepLabel::Lfj(n) => f.pad(&format!("lfj({n} atoms)")),
+            StepLabel::ProjectDedup => f.pad("project+dedup"),
+            StepLabel::UnionDedup => f.pad("union-dedup"),
+            StepLabel::Fragment(i) => f.pad(&format!("fragment {i}")),
+            StepLabel::FragmentJoin => f.pad("fragment-join"),
+        }
+    }
+}
 
 /// One recorded execution step.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ExecStep {
-    /// Operator label, e.g. `scan(?x type C)` or `join`.
-    pub label: String,
+    /// The operator that ran; renders as e.g. `scan t1` or `join`.
+    pub label: StepLabel,
     /// Rows produced by the operator.
     pub rows: usize,
     /// Operator wall time. `Duration::ZERO` unless a recorder was installed
     /// when the step ran (timing is only measured under observation).
     pub wall: Duration,
+}
+
+/// Which join operator the evaluator dispatched, tallied over every CQ body
+/// it ran — under a UCQ/JUCQ plan that is each reformulated CQ, not the
+/// user's query.
+#[derive(Debug, Clone, Default)]
+pub struct Dispatched {
+    /// CQ bodies run as bind-join / hash-join chains.
+    pub bind_join_cqs: usize,
+    /// CQ bodies run by the leapfrog triejoin.
+    pub wcoj_cqs: usize,
+    /// The arbitration behind the tally: that of the first CQ run by WCOJ
+    /// if any was, else of the first CQ arbitrated at all. `None` when bind
+    /// join was requested outright (nothing is arbitrated).
+    pub choice: Option<PhysicalChoice>,
 }
 
 /// Execution metrics: per-operator row counts and aggregates.
@@ -34,34 +93,42 @@ pub struct ExecMetrics {
     pub rows_scanned: usize,
     /// Largest intermediate relation observed.
     pub peak_intermediate: usize,
+    /// The join operators that actually ran.
+    pub dispatched: Dispatched,
 }
 
 impl ExecMetrics {
     /// Record an operator's output size.
-    pub fn record(&mut self, label: impl Into<String>, rows: usize) {
+    pub fn record(&mut self, label: StepLabel, rows: usize) {
         self.record_timed(label, rows, Duration::ZERO);
     }
 
     /// Record an operator's output size together with its wall time.
-    pub fn record_timed(&mut self, label: impl Into<String>, rows: usize, wall: Duration) {
-        self.steps.push(ExecStep {
-            label: label.into(),
-            rows,
-            wall,
-        });
+    pub fn record_timed(&mut self, label: StepLabel, rows: usize, wall: Duration) {
+        self.steps.push(ExecStep { label, rows, wall });
         self.peak_intermediate = self.peak_intermediate.max(rows);
     }
 
     /// Record a scan specifically (also counted in `rows_scanned`).
-    pub fn record_scan(&mut self, label: impl Into<String>, rows: usize) {
-        self.rows_scanned += rows;
-        self.record(label, rows);
+    pub fn record_scan(&mut self, label: StepLabel, rows: usize) {
+        self.record_scan_timed(label, rows, Duration::ZERO);
     }
 
     /// Record a timed scan (also counted in `rows_scanned`).
-    pub fn record_scan_timed(&mut self, label: impl Into<String>, rows: usize, wall: Duration) {
+    pub fn record_scan_timed(&mut self, label: StepLabel, rows: usize, wall: Duration) {
         self.rows_scanned += rows;
         self.record_timed(label, rows, wall);
+    }
+
+    /// Record which operator ran one CQ body (`choice` = its arbitration,
+    /// if one took place).
+    pub(crate) fn record_dispatch(&mut self, wcoj: bool, choice: Option<PhysicalChoice>) {
+        if wcoj {
+            self.dispatched.wcoj_cqs += 1;
+        } else {
+            self.dispatched.bind_join_cqs += 1;
+        }
+        self.dispatched.prefer(choice);
     }
 
     /// Merge metrics from a sub-evaluation (parallel union branches).
@@ -69,6 +136,25 @@ impl ExecMetrics {
         self.rows_scanned += other.rows_scanned;
         self.peak_intermediate = self.peak_intermediate.max(other.peak_intermediate);
         self.steps.extend(other.steps);
+        self.dispatched.bind_join_cqs += other.dispatched.bind_join_cqs;
+        self.dispatched.wcoj_cqs += other.dispatched.wcoj_cqs;
+        self.dispatched.prefer(other.dispatched.choice);
+    }
+}
+
+impl Dispatched {
+    /// Keep the first WCOJ arbitration seen, else the first of any kind.
+    fn prefer(&mut self, choice: Option<PhysicalChoice>) {
+        let is_wcoj = |c: &PhysicalChoice| c.algorithm == JoinAlgorithm::Wcoj;
+        if let Some(new) = choice {
+            if self
+                .choice
+                .as_ref()
+                .is_none_or(|old| is_wcoj(&new) && !is_wcoj(old))
+            {
+                self.choice = Some(new);
+            }
+        }
     }
 }
 
@@ -81,26 +167,60 @@ fn bound_of(t: &PTerm) -> Bound {
     }
 }
 
+/// How the consumer of a scan turns a run of matching index keys into
+/// output rows: which triple positions (0 = s, 1 = p, 2 = o) become
+/// columns, and the per-key filters the index did not apply.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct KeyEmit {
+    /// Triple position of each emitted column.
+    pub(crate) cols: Vec<usize>,
+    /// Pairs of triple positions that must hold the same id (a repeated
+    /// variable).
+    pub(crate) eq: Vec<(usize, usize)>,
+    /// Triple positions that must lie in `[lo, hi)`.
+    pub(crate) ranges: Vec<(usize, TermId, TermId)>,
+}
+
+impl KeyEmit {
+    /// Append `prefix ++ key[cols]` to `out` for every key of `run` (laid
+    /// out in `order`) that passes the filters.
+    pub(crate) fn append(
+        &self,
+        order: Order,
+        run: &[[TermId; 3]],
+        prefix: &[TermId],
+        out: &mut Relation,
+    ) {
+        let mut idx = [0usize; 3];
+        for (slot, &pos) in idx.iter_mut().zip(&self.cols) {
+            *slot = order.key_position(pos);
+        }
+        let idx = &idx[..self.cols.len()];
+        if self.eq.is_empty() && self.ranges.is_empty() {
+            return out.extend_from_keys(prefix, run.iter(), idx);
+        }
+        let at = |k: &[TermId; 3], pos: usize| k[order.key_position(pos)];
+        let keep = |k: &&[TermId; 3]| {
+            self.eq.iter().all(|&(a, b)| at(k, a) == at(k, b))
+                && self
+                    .ranges
+                    .iter()
+                    .all(|&(pos, lo, hi)| lo <= at(k, pos) && at(k, pos) < hi)
+        };
+        out.extend_from_keys(prefix, run.iter().filter(keep), idx);
+    }
+}
+
 /// The compiled shape of one pattern scan: the index pattern, the output
-/// columns (the atom's distinct variables in `s, p, o` position order)
-/// with their source positions, and the equality filters induced by
-/// repeated variables. Compiled once per atom and shared by the sequential
-/// scan and by every morsel worker.
+/// columns (the atom's distinct variables in `s, p, o` position order) and
+/// how matching keys project onto them (repeated variables become equality
+/// filters). Compiled once per atom and shared by the sequential scan and
+/// by every morsel worker.
 #[derive(Debug, Clone)]
 pub(crate) struct ScanShape {
     pub(crate) pattern: RangePattern,
     pub(crate) columns: Vec<Var>,
-    col_pos: Vec<usize>,
-    eq_checks: Vec<(usize, usize)>, // (pos_a, pos_b) must be equal
-}
-
-#[inline]
-fn position_of(t: &EncodedTriple, pos: usize) -> TermId {
-    match pos {
-        0 => t.s,
-        1 => t.p,
-        _ => t.o,
-    }
+    pub(crate) emit: KeyEmit,
 }
 
 impl ScanShape {
@@ -111,15 +231,14 @@ impl ScanShape {
             o: bound_of(&atom.o),
         };
         let mut columns: Vec<Var> = Vec::new();
-        let mut col_pos: Vec<usize> = Vec::new();
-        let mut eq_checks: Vec<(usize, usize)> = Vec::new();
+        let mut emit = KeyEmit::default();
         for (pos, t) in atom.positions().into_iter().enumerate() {
             if let PTerm::Var(v) = t {
                 match columns.iter().position(|c| c == v) {
-                    Some(existing) => eq_checks.push((col_pos[existing], pos)),
+                    Some(existing) => emit.eq.push((emit.cols[existing], pos)),
                     None => {
                         columns.push(v.clone());
-                        col_pos.push(pos);
+                        emit.cols.push(pos);
                     }
                 }
             }
@@ -127,30 +246,8 @@ impl ScanShape {
         ScanShape {
             pattern,
             columns,
-            col_pos,
-            eq_checks,
+            emit,
         }
-    }
-
-    /// Project one matching triple into `rel` if it passes the
-    /// repeated-variable filters. `row_buf` is caller-provided scratch so
-    /// the hot loop never allocates.
-    pub(crate) fn emit(
-        &self,
-        t: &EncodedTriple,
-        row_buf: &mut Vec<TermId>,
-        rel: &mut Relation,
-    ) -> Result<()> {
-        if self
-            .eq_checks
-            .iter()
-            .all(|&(a, b)| position_of(t, a) == position_of(t, b))
-        {
-            row_buf.clear();
-            row_buf.extend(self.col_pos.iter().map(|&p| position_of(t, p)));
-            rel.push_row(row_buf)?;
-        }
-        Ok(())
     }
 }
 
@@ -161,21 +258,10 @@ impl ScanShape {
 pub fn scan_atom(source: &dyn TripleSource, atom: &Atom) -> Result<Relation> {
     let shape = ScanShape::of(atom);
     let mut rel = Relation::empty(shape.columns.clone());
-    let mut row: Vec<TermId> = Vec::with_capacity(shape.columns.len());
-    // `scan_into`'s callback cannot propagate errors, so a push failure is
-    // captured here and surfaced after the scan completes.
-    let mut push_err: Option<StorageError> = None;
-    source.scan_range_into(&shape.pattern, &mut |t| {
-        if push_err.is_none() {
-            if let Err(e) = shape.emit(&t, &mut row, &mut rel) {
-                push_err = Some(e);
-            }
-        }
+    source.scan_range_into(&shape.pattern, &mut |order, run| {
+        shape.emit.append(order, run, &[], &mut rel)
     });
-    match push_err {
-        Some(e) => Err(e),
-        None => Ok(rel),
-    }
+    Ok(rel)
 }
 
 #[cfg(test)]
@@ -250,11 +336,11 @@ mod tests {
     #[test]
     fn metrics_aggregate() {
         let mut m = ExecMetrics::default();
-        m.record_scan("scan A", 10);
-        m.record("join", 50);
+        m.record_scan(StepLabel::Scan(1), 10);
+        m.record(StepLabel::Join, 50);
         let mut m2 = ExecMetrics::default();
-        m2.record_scan("scan B", 7);
-        m2.record("join", 100);
+        m2.record_scan(StepLabel::Scan(2), 7);
+        m2.record(StepLabel::Join, 100);
         m.absorb(m2);
         assert_eq!(m.rows_scanned, 17);
         assert_eq!(m.peak_intermediate, 100);

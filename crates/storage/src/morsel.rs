@@ -20,8 +20,8 @@ use crate::error::{Result, StorageError};
 use crate::evaluator::BindShape;
 use crate::exec::ScanShape;
 use crate::relation::Relation;
-use crate::store::TripleSource;
-use rdfref_model::{EncodedTriple, TermId};
+use crate::store::{Order, TripleSource};
+use rdfref_model::TermId;
 use rdfref_obs::Obs;
 use rdfref_query::ast::Atom;
 use rdfref_sync::atomic::{AtomicUsize, Ordering};
@@ -82,9 +82,9 @@ where
     Ok(out)
 }
 
-/// Morsel-parallel pattern scan: stage the matching triples from the sorted
-/// runs, then filter/project them in `size`-row morsels. Output equals
-/// [`crate::exec::scan_atom`] exactly, including row order.
+/// Morsel-parallel pattern scan: stage the matching index runs into one
+/// contiguous key buffer, then filter/project it in `size`-key morsels.
+/// Output equals [`crate::exec::scan_atom`] exactly, including row order.
 pub(crate) fn scan_atom_morsels(
     source: &dyn TripleSource,
     atom: &Atom,
@@ -93,34 +93,32 @@ pub(crate) fn scan_atom_morsels(
 ) -> Result<Relation> {
     let size = size.max(1);
     let shape = ScanShape::of(atom);
-    // Staging: one pass over the index run collects candidate triples into
-    // a contiguous buffer morsel workers can slice without coordination.
-    let mut staged: Vec<EncodedTriple> = Vec::new();
-    source.scan_range_into(&shape.pattern, &mut |t| staged.push(t));
+    // Staging: the runs are `memcpy`ed into a buffer morsel workers can
+    // slice without coordination. One scan's runs all share one layout.
+    let mut staged: Vec<[TermId; 3]> = Vec::new();
+    let mut layout = Order::Spo;
+    source.scan_range_into(&shape.pattern, &mut |order, run| {
+        assert!(staged.is_empty() || order == layout, "one scan, one layout");
+        layout = order;
+        staged.extend_from_slice(run);
+    });
     let n_morsels = staged.len().div_ceil(size).max(1);
     obs.add("op.morsel.count", n_morsels as u64);
     obs.add("op.morsel.rows", staged.len() as u64);
+    let (staged, shape) = (&staged, &shape);
+    let work = |m: usize| {
+        let mut rel = Relation::empty(shape.columns.clone());
+        let hi = ((m + 1) * size).min(staged.len());
+        shape
+            .emit
+            .append(layout, &staged[m * size..hi], &[], &mut rel);
+        Ok(rel)
+    };
     if n_morsels == 1 {
         obs.add("op.morsel.workers", 1);
-        let mut rel = Relation::empty(shape.columns.clone());
-        let mut row: Vec<TermId> = Vec::with_capacity(shape.columns.len());
-        for t in &staged {
-            shape.emit(t, &mut row, &mut rel)?;
-        }
-        return Ok(rel);
+        return work(0);
     }
-    let staged = &staged;
-    let shape = &shape;
-    run_morsels(n_morsels, shape.columns.clone(), obs, |m| {
-        let lo = m * size;
-        let hi = (lo + size).min(staged.len());
-        let mut rel = Relation::empty(shape.columns.clone());
-        let mut row: Vec<TermId> = Vec::with_capacity(shape.columns.len());
-        for t in &staged[lo..hi] {
-            shape.emit(t, &mut row, &mut rel)?;
-        }
-        Ok(rel)
-    })
+    run_morsels(n_morsels, shape.columns.clone(), obs, work)
 }
 
 /// Morsel-parallel bind join: chunk the accumulated rows into `size`-row
@@ -134,32 +132,21 @@ pub(crate) fn bind_join_morsels(
     obs: &Obs,
 ) -> Result<Relation> {
     let size = size.max(1);
-    let shape = BindShape::of(acc, atom);
-    let rows: Vec<&[TermId]> = acc.rows().collect();
-    let n_morsels = rows.len().div_ceil(size).max(1);
+    let shape = &BindShape::of(acc, atom);
+    let n_morsels = acc.len().div_ceil(size).max(1);
     obs.add("op.morsel.count", n_morsels as u64);
-    obs.add("op.morsel.rows", rows.len() as u64);
+    obs.add("op.morsel.rows", acc.len() as u64);
+    let work = |m: usize| {
+        let mut out = Relation::empty(shape.out_columns().to_vec());
+        let hi = ((m + 1) * size).min(acc.len());
+        shape.probe(source, acc, m * size..hi, &mut out);
+        Ok(out)
+    };
     if n_morsels == 1 {
         obs.add("op.morsel.workers", 1);
-        let mut out = Relation::empty(shape.out_columns().to_vec());
-        let mut scratch = shape.scratch();
-        for row in rows {
-            shape.probe(source, row, &mut scratch, &mut out)?;
-        }
-        return Ok(out);
+        return work(0);
     }
-    let rows = &rows;
-    let shape = &shape;
-    run_morsels(n_morsels, shape.out_columns().to_vec(), obs, |m| {
-        let lo = m * size;
-        let hi = (lo + size).min(rows.len());
-        let mut out = Relation::empty(shape.out_columns().to_vec());
-        let mut scratch = shape.scratch();
-        for row in &rows[lo..hi] {
-            shape.probe(source, row, &mut scratch, &mut out)?;
-        }
-        Ok(out)
-    })
+    run_morsels(n_morsels, shape.out_columns().to_vec(), obs, work)
 }
 
 #[cfg(test)]
@@ -167,7 +154,7 @@ mod tests {
     use super::*;
     use crate::exec::scan_atom;
     use crate::store::Store;
-    use rdfref_model::{Dictionary, Term};
+    use rdfref_model::{Dictionary, EncodedTriple, Term};
     use rdfref_obs::Obs;
     use rdfref_query::Var;
 
@@ -240,10 +227,7 @@ mod tests {
         let expected = {
             let shape = BindShape::of(&acc, &second);
             let mut out = Relation::empty(shape.out_columns().to_vec());
-            let mut scratch = shape.scratch();
-            for row in acc.rows() {
-                shape.probe(&store, row, &mut scratch, &mut out).unwrap();
-            }
+            shape.probe(&store, &acc, 0..acc.len(), &mut out);
             out
         };
         for size in [1, 7, 64, 4096] {

@@ -3,17 +3,89 @@
 //! A [`Relation`] stores rows flat (`arity`-strided `Vec<TermId>`) with
 //! columns *named* by query variables — natural-join semantics between
 //! fragments of a JUCQ are defined by column names, exactly as in the paper.
+//!
+//! Every operator here walks the flat buffer once and allocates per
+//! *operator*, never per row: joins and deduplication hash key columns
+//! straight from the buffer into an index-chained [`RowTable`].
 
 use crate::error::{Result, StorageError};
-use rdfref_model::fxhash::{FxHashMap, FxHashSet};
+use rdfref_model::fxhash::FxHasher;
 use rdfref_model::TermId;
 use rdfref_query::Var;
+use std::hash::Hasher;
+
+/// A zero-arity relation cannot encode rows in `data`; it holds one of
+/// these markers per (unit) row instead.
+const UNIT_ROW: TermId = TermId(u32::MAX);
 
 /// A named, flat, materialized relation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Relation {
     columns: Vec<Var>,
     data: Vec<TermId>,
+}
+
+/// One output column of [`Relation::select`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum ColumnSource {
+    /// Copy the input column at this index.
+    Column(usize),
+    /// Emit this constant on every row.
+    Const(TermId),
+}
+
+/// End of a [`RowTable`] chain.
+const NIL: u32 = u32::MAX;
+
+/// An index-chained hash table over row numbers: `heads[slot]` is the first
+/// row of a slot's chain, `next[row]` the row after it. Two flat `u32`
+/// vectors whatever the row count — keys are never copied out of the
+/// relation, callers hash and compare them in place.
+struct RowTable {
+    heads: Vec<u32>,
+    next: Vec<u32>,
+    shift: u32,
+}
+
+impl RowTable {
+    fn new(rows: usize) -> RowTable {
+        assert!(rows < NIL as usize, "relation too large to hash-index");
+        let bits = rows.next_power_of_two().trailing_zeros().max(1);
+        RowTable {
+            heads: vec![NIL; 1 << bits],
+            next: vec![NIL; rows],
+            shift: 64 - bits,
+        }
+    }
+
+    /// Link `row` at the front of the chain `hash` selects.
+    #[inline]
+    fn push_front(&mut self, hash: u64, row: usize) {
+        let slot = (hash >> self.shift) as usize;
+        self.next[row] = self.heads[slot];
+        self.heads[slot] = row as u32;
+    }
+
+    /// The rows chained under `hash`, front to back.
+    #[inline]
+    fn chain(&self, hash: u64) -> impl Iterator<Item = usize> + '_ {
+        let first = self.heads[(hash >> self.shift) as usize];
+        std::iter::successors((first != NIL).then_some(first as usize), |&r| {
+            let n = self.next[r];
+            (n != NIL).then_some(n as usize)
+        })
+    }
+}
+
+/// Fx-hash a key; the multiplicative finish leaves its entropy in the high
+/// bits, which is where [`RowTable`] takes its slot from.
+#[inline]
+fn hash_ids(ids: impl Iterator<Item = TermId>) -> u64 {
+    let mut h = FxHasher::default();
+    for id in ids {
+        h.write_u32(id.0);
+    }
+    h.finish()
 }
 
 impl Relation {
@@ -30,17 +102,8 @@ impl Relation {
     pub fn unit() -> Relation {
         Relation {
             columns: Vec::new(),
-            data: Vec::new(),
+            data: vec![UNIT_ROW],
         }
-        .with_unit_row()
-    }
-
-    fn with_unit_row(mut self) -> Relation {
-        debug_assert!(self.columns.is_empty());
-        // A zero-arity relation cannot encode rows in `data`; track the unit
-        // row by a marker: zero-arity relations with `data == [sentinel]`.
-        self.data.push(TermId(u32::MAX));
-        self
     }
 
     /// The column names.
@@ -55,11 +118,8 @@ impl Relation {
 
     /// Number of rows.
     pub fn len(&self) -> usize {
-        if self.columns.is_empty() {
-            self.data.len() // sentinel markers, one per unit row
-        } else {
-            self.data.len() / self.columns.len()
-        }
+        // Zero-arity: one marker per unit row.
+        self.data.len() / self.columns.len().max(1)
     }
 
     /// True iff no rows.
@@ -76,7 +136,7 @@ impl Relation {
             });
         }
         if self.columns.is_empty() {
-            self.data.push(TermId(u32::MAX));
+            self.data.push(UNIT_ROW);
         } else {
             self.data.extend_from_slice(row);
         }
@@ -84,24 +144,16 @@ impl Relation {
     }
 
     /// The `i`-th row.
+    #[inline]
     pub fn row(&self, i: usize) -> &[TermId] {
-        if self.columns.is_empty() {
-            &[]
-        } else {
-            let a = self.columns.len();
-            &self.data[i * a..(i + 1) * a]
-        }
+        let a = self.columns.len();
+        // Zero-arity: the empty slice, whatever `i`.
+        &self.data[i * a..(i + 1) * a]
     }
 
     /// Iterate over rows.
     pub fn rows(&self) -> impl Iterator<Item = &[TermId]> {
-        let a = self.columns.len();
-        RowIter {
-            data: &self.data,
-            arity: a,
-            pos: 0,
-            unit_rows: if a == 0 { self.data.len() } else { 0 },
-        }
+        (0..self.len()).map(|i| self.row(i))
     }
 
     /// Index of a column by name.
@@ -111,7 +163,8 @@ impl Relation {
 
     /// Append every row of `other` (columns must match exactly, in order) —
     /// one columnar `memcpy`, no per-row work. This is how morsel workers'
-    /// partial buffers are stitched back together in morsel order.
+    /// partial buffers are stitched back together in morsel order, and how
+    /// a union absorbs its disjuncts.
     pub fn absorb_rows(&mut self, other: &Relation) -> Result<()> {
         if self.columns != other.columns {
             return Err(StorageError::ArityMismatch {
@@ -123,64 +176,130 @@ impl Relation {
         Ok(())
     }
 
-    /// Deduplicate rows in place (set semantics).
-    pub fn dedup(&mut self) {
+    /// Append one row per key: `prefix` followed by the key's components at
+    /// `idx`. The bulk emit of scans (`prefix` empty) and bind joins
+    /// (`prefix` = the probing row) over a borrowed index run.
+    pub(crate) fn extend_from_keys<'k>(
+        &mut self,
+        prefix: &[TermId],
+        keys: impl Iterator<Item = &'k [TermId; 3]>,
+        idx: &[usize],
+    ) {
+        debug_assert_eq!(prefix.len() + idx.len(), self.columns.len());
         if self.columns.is_empty() {
+            self.data.extend(keys.map(|_| UNIT_ROW));
+            return;
+        }
+        self.data.reserve(keys.size_hint().0 * self.columns.len());
+        for k in keys {
+            self.data.extend_from_slice(prefix);
+            self.data.extend(idx.iter().map(|&i| k[i]));
+        }
+    }
+
+    /// Append a copy of rows `from`, with their first `prefix.len()` values
+    /// replaced by `prefix` — a bind join re-emitting the previous probe's
+    /// matches for a row that carries the same bound key.
+    pub(crate) fn repeat_rows(&mut self, from: std::ops::Range<usize>, prefix: &[TermId]) {
+        let a = self.columns.len();
+        if a == 0 {
+            self.data.extend(from.map(|_| UNIT_ROW));
+            return;
+        }
+        self.data.reserve(from.len() * a);
+        for r in from {
+            self.data.extend_from_slice(prefix);
+            self.data
+                .extend_from_within(r * a + prefix.len()..(r + 1) * a);
+        }
+    }
+
+    /// Deduplicate rows in place (set semantics), keeping first occurrences
+    /// in order: one pass that compacts the buffer as it goes.
+    pub fn dedup(&mut self) {
+        let a = self.columns.len();
+        if a == 0 {
             self.data.truncate(1);
             return;
         }
-        let a = self.columns.len();
-        let mut seen: FxHashSet<&[TermId]> = FxHashSet::default();
-        let mut keep = Vec::with_capacity(self.data.len());
-        // Safety dance avoided: collect kept row ranges first.
-        let mut kept_ranges: Vec<usize> = Vec::new();
-        for i in 0..self.len() {
-            let row = &self.data[i * a..(i + 1) * a];
-            if seen.insert(row) {
-                kept_ranges.push(i);
-            }
-        }
-        if kept_ranges.len() == self.len() {
+        if self.len() < 2 {
             return;
         }
-        drop(seen);
-        for &i in &kept_ranges {
-            keep.extend_from_slice(&self.data[i * a..(i + 1) * a]);
+        let mut table = RowTable::new(self.len());
+        let mut kept = 0usize;
+        for i in 0..self.len() {
+            let hash = hash_ids(self.row(i).iter().copied());
+            if table.chain(hash).any(|k| self.row(k) == self.row(i)) {
+                continue;
+            }
+            self.data.copy_within(i * a..(i + 1) * a, kept * a);
+            table.push_front(hash, kept);
+            kept += 1;
         }
-        self.data = keep;
+        self.data.truncate(kept * a);
     }
 
     /// Project onto `cols` (by name), producing a new relation. Columns may
     /// be repeated or reordered. Does **not** deduplicate; call
     /// [`Relation::dedup`] for set semantics.
     pub fn project(&self, cols: &[Var]) -> Result<Relation> {
-        let idx: Vec<usize> = cols
+        let sources: Vec<ColumnSource> = cols
             .iter()
             .map(|v| {
                 self.column_index(v)
+                    .map(ColumnSource::Column)
                     .ok_or_else(|| StorageError::UnknownColumn(v.name().to_string()))
             })
             .collect::<Result<_>>()?;
-        let mut out = Relation::empty(cols.to_vec());
-        if cols.is_empty() {
+        Ok(self.gather(cols.to_vec(), &sources))
+    }
+
+    /// [`Relation::project`] generalized to constant columns, consuming the
+    /// input: selecting every column in place only renames the buffer.
+    pub(crate) fn select(self, columns: Vec<Var>, sources: &[ColumnSource]) -> Relation {
+        // (Zero columns is the boolean projection, not a rename.)
+        let identity = !sources.is_empty()
+            && sources.len() == self.columns.len()
+            && sources
+                .iter()
+                .enumerate()
+                .all(|(i, s)| *s == ColumnSource::Column(i));
+        if identity {
+            Relation {
+                columns,
+                data: self.data,
+            }
+        } else {
+            self.gather(columns, sources)
+        }
+    }
+
+    fn gather(&self, columns: Vec<Var>, sources: &[ColumnSource]) -> Relation {
+        let mut out = Relation::empty(columns);
+        if sources.is_empty() {
             // Boolean projection: one unit row iff self non-empty.
             if !self.is_empty() {
-                out.data.push(TermId(u32::MAX));
+                out.data.push(UNIT_ROW);
             }
-            return Ok(out);
+            return out;
         }
-        out.data.reserve(self.len() * cols.len());
+        out.data.reserve(self.len() * sources.len());
         for row in self.rows() {
-            for &i in &idx {
-                out.data.push(row[i]);
-            }
+            out.data.extend(sources.iter().map(|s| match *s {
+                ColumnSource::Column(i) => row[i],
+                ColumnSource::Const(c) => c,
+            }));
         }
-        Ok(out)
+        out
     }
 
     /// Natural hash join on the columns shared (by name) with `other`.
     /// With no shared columns this is the cross product. Zero-column unit
     /// relations behave as the join identity; empty relations annihilate.
+    ///
+    /// The smaller side is indexed by a [`RowTable`] filled last row first,
+    /// so every chain lists its rows ascending: output order is probe order
+    /// × ascending build row.
     pub fn natural_join(&self, other: &Relation) -> Relation {
         // Output columns: all of self's, then other's non-shared ones.
         let shared: Vec<(usize, usize)> = self
@@ -196,139 +315,67 @@ impl Relation {
         out_cols.extend(other_extra.iter().map(|&j| other.columns[j].clone()));
         let mut out = Relation::empty(out_cols);
 
-        // Build on the smaller side.
-        let (build, probe, build_is_self) = if self.len() <= other.len() {
-            (self, other, true)
+        // Build on the smaller side; key columns relative to that choice.
+        let build_is_self = self.len() <= other.len();
+        let (build, probe) = if build_is_self {
+            (self, other)
         } else {
-            (other, self, false)
+            (other, self)
         };
-        // Key extractors relative to build/probe orientation.
-        let build_key_idx: Vec<usize> = if build_is_self {
-            shared.iter().map(|&(i, _)| i).collect()
-        } else {
-            shared.iter().map(|&(_, j)| j).collect()
-        };
-        let probe_key_idx: Vec<usize> = if build_is_self {
-            shared.iter().map(|&(_, j)| j).collect()
-        } else {
-            shared.iter().map(|&(i, _)| i).collect()
-        };
-
-        let mut table: FxHashMap<Vec<TermId>, Vec<usize>> = FxHashMap::default();
-        for bi in 0..build.len() {
-            let row = build.row(bi);
-            let key: Vec<TermId> = build_key_idx.iter().map(|&k| row[k]).collect();
-            table.entry(key).or_default().push(bi);
-        }
-
-        for pi in 0..probe.len() {
-            let prow = probe.row(pi);
-            let key: Vec<TermId> = probe_key_idx.iter().map(|&k| prow[k]).collect();
-            if let Some(matches) = table.get(&key) {
-                for &bi in matches {
-                    let brow = build.row(bi);
-                    let (srow, orow) = if build_is_self {
-                        (brow, prow)
-                    } else {
-                        (prow, brow)
-                    };
-                    if out.columns.is_empty() {
-                        out.data.push(TermId(u32::MAX));
-                        continue;
-                    }
-                    out.data.extend_from_slice(srow);
-                    for &j in &other_extra {
-                        out.data.push(orow[j]);
-                    }
-                }
-            }
-        }
-        out
-    }
-
-    /// Sort-merge natural join — the alternative physical operator to
-    /// [`Relation::natural_join`] (ablation A8: hash vs merge). Both inputs
-    /// are sorted on the shared key, then merged with duplicate-group
-    /// handling. Output rows and columns are identical to the hash join's
-    /// (property-tested); only the access pattern differs.
-    pub fn sort_merge_join(&self, other: &Relation) -> Relation {
-        let shared: Vec<(usize, usize)> = self
-            .columns
+        let (build_key, probe_key): (Vec<usize>, Vec<usize>) = shared
             .iter()
-            .enumerate()
-            .filter_map(|(i, v)| other.column_index(v).map(|j| (i, j)))
-            .collect();
-        if shared.is_empty() {
-            // Cross product: delegate (merge join needs a key).
-            return self.natural_join(other);
+            .map(|&(i, j)| if build_is_self { (i, j) } else { (j, i) })
+            .unzip();
+        let key_hash = |row: &[TermId], key: &[usize]| hash_ids(key.iter().map(|&k| row[k]));
+
+        if build.is_empty() {
+            return out;
         }
-        let other_extra: Vec<usize> = (0..other.arity())
-            .filter(|j| !shared.iter().any(|&(_, sj)| sj == *j))
-            .collect();
-        let mut out_cols = self.columns.clone();
-        out_cols.extend(other_extra.iter().map(|&j| other.columns[j].clone()));
-        let mut out = Relation::empty(out_cols);
-
-        // Sorted row-index permutations keyed by the shared columns.
-        let key_of = |rel: &Relation, idx: &[usize], row: usize| -> Vec<TermId> {
-            idx.iter().map(|&k| rel.row(row)[k]).collect()
-        };
-        let left_keys: Vec<usize> = shared.iter().map(|&(i, _)| i).collect();
-        let right_keys: Vec<usize> = shared.iter().map(|&(_, j)| j).collect();
-        let mut left_order: Vec<usize> = (0..self.len()).collect();
-        left_order.sort_by_key(|&r| key_of(self, &left_keys, r));
-        let mut right_order: Vec<usize> = (0..other.len()).collect();
-        right_order.sort_by_key(|&r| key_of(other, &right_keys, r));
-
-        let (mut li, mut ri) = (0usize, 0usize);
-        while li < left_order.len() && ri < right_order.len() {
-            let lk = key_of(self, &left_keys, left_order[li]);
-            let rk = key_of(other, &right_keys, right_order[ri]);
-            match lk.cmp(&rk) {
-                std::cmp::Ordering::Less => li += 1,
-                std::cmp::Ordering::Greater => ri += 1,
-                std::cmp::Ordering::Equal => {
-                    // Delimit the duplicate groups on both sides.
-                    let l_end = (li..left_order.len())
-                        .find(|&x| key_of(self, &left_keys, left_order[x]) != lk)
-                        .unwrap_or(left_order.len());
-                    let r_end = (ri..right_order.len())
-                        .find(|&x| key_of(other, &right_keys, right_order[x]) != rk)
-                        .unwrap_or(right_order.len());
-                    for &l in &left_order[li..l_end] {
-                        for &r in &right_order[ri..r_end] {
-                            if out.columns.is_empty() {
-                                out.data.push(TermId(u32::MAX));
-                                continue;
-                            }
-                            out.data.extend_from_slice(self.row(l));
-                            for &j in &other_extra {
-                                out.data.push(other.row(r)[j]);
-                            }
-                        }
-                    }
-                    li = l_end;
-                    ri = r_end;
+        let mut table = RowTable::new(build.len());
+        for bi in (0..build.len()).rev() {
+            table.push_front(key_hash(build.row(bi), &build_key), bi);
+        }
+        for prow in probe.rows() {
+            for bi in table.chain(key_hash(prow, &probe_key)) {
+                let brow = build.row(bi);
+                if build_key
+                    .iter()
+                    .zip(&probe_key)
+                    .any(|(&b, &p)| brow[b] != prow[p])
+                {
+                    continue;
                 }
+                if out.columns.is_empty() {
+                    out.data.push(UNIT_ROW);
+                    continue;
+                }
+                let (srow, orow) = if build_is_self {
+                    (brow, prow)
+                } else {
+                    (prow, brow)
+                };
+                out.data.extend_from_slice(srow);
+                out.data.extend(other_extra.iter().map(|&j| orow[j]));
             }
         }
         out
     }
 
     /// Sort rows lexicographically (for deterministic output in tests and
-    /// experiment reports).
+    /// experiment reports): a row-index permutation is sorted over the flat
+    /// buffer, then the rows are gathered once.
     pub fn sort(&mut self) {
-        if self.columns.is_empty() {
+        let a = self.columns.len();
+        if a == 0 {
             return;
         }
-        let a = self.columns.len();
-        let mut rows: Vec<Vec<TermId>> = (0..self.len()).map(|i| self.row(i).to_vec()).collect();
-        rows.sort_unstable();
-        self.data.clear();
-        for r in rows {
-            self.data.extend_from_slice(&r);
+        let mut order: Vec<usize> = (0..self.len()).collect();
+        order.sort_unstable_by(|&x, &y| self.row(x).cmp(self.row(y)));
+        let mut sorted = Vec::with_capacity(self.data.len());
+        for i in order {
+            sorted.extend_from_slice(self.row(i));
         }
-        let _ = a;
+        self.data = sorted;
     }
 
     /// Map every value through `f`, preserving columns and row order
@@ -348,33 +395,6 @@ impl Relation {
     /// Collect rows as vectors (test helper).
     pub fn to_rows(&self) -> Vec<Vec<TermId>> {
         self.rows().map(|r| r.to_vec()).collect()
-    }
-}
-
-struct RowIter<'a> {
-    data: &'a [TermId],
-    arity: usize,
-    pos: usize,
-    unit_rows: usize,
-}
-
-impl<'a> Iterator for RowIter<'a> {
-    type Item = &'a [TermId];
-
-    fn next(&mut self) -> Option<&'a [TermId]> {
-        if self.arity == 0 {
-            if self.unit_rows > 0 {
-                self.unit_rows -= 1;
-                return Some(&[]);
-            }
-            return None;
-        }
-        let start = self.pos * self.arity;
-        if start >= self.data.len() {
-            return None;
-        }
-        self.pos += 1;
-        Some(&self.data[start..start + self.arity])
     }
 }
 

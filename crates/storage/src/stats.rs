@@ -54,7 +54,7 @@ impl Stats {
 
         // Per-property pass over the POS index: triples arrive grouped by
         // (p, o), so distinct objects are run-length counted; subjects need
-        // a per-property set.
+        // a per-property set. The objects of `rdf:type` are the classes.
         let mut all_subjects: FxHashSet<TermId> = FxHashSet::default();
         let mut all_objects: FxHashSet<TermId> = FxHashSet::default();
         for (p, count) in store.property_counts() {
@@ -67,40 +67,23 @@ impl Stats {
                     p: Some(p),
                     o: None,
                 },
-                &mut |t| {
-                    subjects.insert(t.s);
-                    if prev_object != Some(t.o) {
-                        distinct_objects += 1;
-                        prev_object = Some(t.o);
+                &mut |order, run| {
+                    for t in run.iter().map(|k| order.unkey(k)) {
+                        subjects.insert(t.s);
+                        if prev_object != Some(t.o) {
+                            distinct_objects += 1;
+                            prev_object = Some(t.o);
+                            all_objects.insert(t.o);
+                        }
+                        if p == ID_RDF_TYPE {
+                            *stats.classes.entry(t.o).or_default() += 1;
+                        }
                     }
-                    all_objects.insert(t.o);
                 },
             );
             all_subjects.extend(subjects.iter().copied());
             if p == ID_RDF_TYPE {
                 stats.type_triples = count;
-                // Class instance counts: objects of rdf:type with their
-                // frequencies; POS order groups them.
-                let mut current: Option<(TermId, usize)> = None;
-                store.scan_into(
-                    IdPattern {
-                        s: None,
-                        p: Some(p),
-                        o: None,
-                    },
-                    &mut |t| match &mut current {
-                        Some((c, n)) if *c == t.o => *n += 1,
-                        _ => {
-                            if let Some((c, n)) = current.take() {
-                                stats.classes.insert(c, n);
-                            }
-                            current = Some((t.o, 1));
-                        }
-                    },
-                );
-                if let Some((c, n)) = current {
-                    stats.classes.insert(c, n);
-                }
             }
             stats.properties.insert(
                 p,
@@ -259,12 +242,14 @@ impl StatsMaintainer {
                     p: Some(p),
                     o: None,
                 },
-                &mut |t| {
-                    count += 1;
-                    subjects.insert(t.s);
-                    if prev_object != Some(t.o) {
-                        distinct_objects += 1;
-                        prev_object = Some(t.o);
+                &mut |order, run| {
+                    count += run.len();
+                    for t in run.iter().map(|k| order.unkey(k)) {
+                        subjects.insert(t.s);
+                        if prev_object != Some(t.o) {
+                            distinct_objects += 1;
+                            prev_object = Some(t.o);
+                        }
                     }
                 },
             );
@@ -373,9 +358,7 @@ impl PairStats {
                         p: Some(p),
                         o: None,
                     },
-                    &mut |t| {
-                        set.insert(t.s);
-                    },
+                    &mut |order, run| set.extend(run.iter().map(|k| order.unkey(k).s)),
                 );
                 set
             })

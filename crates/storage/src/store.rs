@@ -12,7 +12,7 @@
 //! | ? p o           | POS   | range on (p, o) |
 //! | ? p ?           | POS   | range on (p) |
 //! | ? ? o           | OSP   | range on (o) |
-//! | s ? o           | SPO   | range on (s), residual filter on o |
+//! | s ? o           | OSP   | range on (o, s) |
 //! | ? ? ?           | SPO   | full scan |
 //!
 //! ## Snapshots and copy-on-write deltas
@@ -59,7 +59,7 @@ impl Order {
 
     /// Recover the SPO triple from this order's key layout.
     #[inline]
-    pub(crate) fn unkey(self, k: &[TermId; 3]) -> EncodedTriple {
+    pub fn unkey(self, k: &[TermId; 3]) -> EncodedTriple {
         match self {
             Order::Spo => EncodedTriple::new(k[0], k[1], k[2]),
             Order::Pos => EncodedTriple::new(k[2], k[0], k[1]),
@@ -70,7 +70,7 @@ impl Order {
     /// The key position (0–2) a triple position occupies in this layout,
     /// where `pos` is 0 = subject, 1 = property, 2 = object.
     #[inline]
-    pub(crate) fn key_position(self, pos: usize) -> usize {
+    pub fn key_position(self, pos: usize) -> usize {
         match self {
             Order::Spo => pos,
             Order::Pos => [2, 0, 1][pos],
@@ -90,6 +90,10 @@ impl Order {
     /// All three orderings, in a fixed tie-break order.
     pub(crate) const ALL: [Order; 3] = [Order::Spo, Order::Pos, Order::Osp];
 }
+
+/// The consumer of a scan: called once per borrowed run of matching keys,
+/// all laid out in the given [`Order`] (see [`Store::scan_into`]).
+pub type RunFn<'f> = dyn FnMut(Order, &[[TermId; 3]]) + 'f;
 
 /// Compare a key against a search prefix (first `prefix.len()` components).
 #[inline]
@@ -128,9 +132,9 @@ impl SortedIndex {
         }
     }
 
-    /// Invoke `f` on every key whose first `prefix.len()` components equal
-    /// `prefix`, in sorted order.
-    fn for_prefix(&self, prefix: &[TermId], f: &mut dyn FnMut(&[TermId; 3])) {
+    /// Hand `f` the keys whose first `prefix.len()` components equal
+    /// `prefix`, in sorted order, as one borrowed slice per spanned bucket.
+    fn for_prefix(&self, prefix: &[TermId], f: &mut dyn FnMut(&[[TermId; 3]])) {
         let start = self
             .buckets
             .partition_point(|b| b.last().is_some_and(|l| cmp_prefix(l, prefix).is_lt()));
@@ -140,18 +144,18 @@ impl SortedIndex {
             }
             let lo = b.partition_point(|k| cmp_prefix(k, prefix).is_lt());
             let hi = b.partition_point(|k| !cmp_prefix(k, prefix).is_gt());
-            for k in &b[lo..hi] {
-                f(k);
+            if lo < hi {
+                f(&b[lo..hi]);
             }
         }
     }
 
-    /// Invoke `f` on every key `k` with `k[..lo.len()] >= lo` and
-    /// `k[..hi.len()] < hi`, in sorted order — the contiguous run an
-    /// interval-encoded subtree occupies. With `lo = [p, c_lo]`,
-    /// `hi = [p, c_hi]` this is exactly `p`-triples whose object falls in
-    /// `[c_lo, c_hi)`.
-    fn for_bounds(&self, lo: &[TermId], hi: &[TermId], f: &mut dyn FnMut(&[TermId; 3])) {
+    /// Hand `f` the keys `k` with `k[..lo.len()] >= lo` and
+    /// `k[..hi.len()] < hi`, in sorted order, one slice per spanned bucket —
+    /// the contiguous run an interval-encoded subtree occupies. With
+    /// `lo = [p, c_lo]`, `hi = [p, c_hi]` this is exactly `p`-triples whose
+    /// object falls in `[c_lo, c_hi)`.
+    fn for_bounds(&self, lo: &[TermId], hi: &[TermId], f: &mut dyn FnMut(&[[TermId; 3]])) {
         let start = self
             .buckets
             .partition_point(|b| b.last().is_some_and(|l| cmp_prefix(l, lo).is_lt()));
@@ -161,8 +165,8 @@ impl SortedIndex {
             }
             let i0 = b.partition_point(|k| cmp_prefix(k, lo).is_lt());
             let i1 = b.partition_point(|k| cmp_prefix(k, hi).is_lt());
-            for k in &b[i0..i1] {
-                f(k);
+            if i0 < i1 {
+                f(&b[i0..i1]);
             }
         }
     }
@@ -184,12 +188,10 @@ impl SortedIndex {
         n
     }
 
-    /// Invoke `f` on every key, in sorted order.
-    fn for_each(&self, f: &mut dyn FnMut(&[TermId; 3])) {
+    /// Hand `f` every key, in sorted order, one slice per bucket.
+    fn for_each(&self, f: &mut dyn FnMut(&[[TermId; 3]])) {
         for b in &self.buckets {
-            for k in b.iter() {
-                f(k);
-            }
+            f(b);
         }
     }
 
@@ -407,15 +409,6 @@ pub struct RangePattern {
     pub o: Bound,
 }
 
-impl RangePattern {
-    /// Does any position hold an interval?
-    pub fn has_range(&self) -> bool {
-        matches!(self.s, Bound::Range(..))
-            || matches!(self.p, Bound::Range(..))
-            || matches!(self.o, Bound::Range(..))
-    }
-}
-
 /// The immutable store: a snapshot of a graph's triples, indexed three ways.
 ///
 /// The store is deliberately decoupled from the [`Graph`] that produced it
@@ -504,142 +497,109 @@ impl Store {
         self.spo.contains(&[t.s, t.p, t.o])
     }
 
-    /// All triples matching a pattern, in SPO terms. Uses the best index for
-    /// the pattern shape; the `s ? o` shape picks the smaller of the two
-    /// candidate ranges and filters the residual position.
+    /// All triples matching a pattern, in SPO terms.
     pub fn scan(&self, pat: IdPattern) -> Vec<EncodedTriple> {
         let mut out = Vec::new();
-        self.scan_into(pat, &mut |t| out.push(t));
+        self.scan_into(pat, &mut |order, run| {
+            out.extend(run.iter().map(|k| order.unkey(k)))
+        });
         out
     }
 
-    /// Streaming variant of [`Store::scan`]: invokes `f` per matching triple,
-    /// avoiding materialization in the hot paths of the executor.
-    pub fn scan_into(&self, pat: IdPattern, f: &mut dyn FnMut(EncodedTriple)) {
-        match (pat.s, pat.p, pat.o) {
-            (Some(s), Some(p), Some(o)) => {
-                let t = EncodedTriple::new(s, p, o);
-                if self.contains(&t) {
-                    f(t);
-                }
-            }
-            (Some(s), Some(p), None) => {
-                self.spo
-                    .for_prefix(&[s, p], &mut |k| f(Order::Spo.unkey(k)));
-            }
-            (Some(s), None, None) => {
-                self.spo.for_prefix(&[s], &mut |k| f(Order::Spo.unkey(k)));
-            }
-            (None, Some(p), Some(o)) => {
-                self.pos
-                    .for_prefix(&[p, o], &mut |k| f(Order::Pos.unkey(k)));
-            }
-            (None, Some(p), None) => {
-                self.pos.for_prefix(&[p], &mut |k| f(Order::Pos.unkey(k)));
-            }
-            (None, None, Some(o)) => {
-                self.osp.for_prefix(&[o], &mut |k| f(Order::Osp.unkey(k)));
-            }
-            (Some(s), None, Some(o)) => {
-                // Pick the smaller range: subject slice of SPO vs object
-                // slice of OSP.
-                if self.spo.count_prefix(&[s]) <= self.osp.count_prefix(&[o]) {
-                    self.spo.for_prefix(&[s], &mut |k| {
-                        if k[2] == o {
-                            f(Order::Spo.unkey(k));
-                        }
-                    });
-                } else {
-                    self.osp.for_prefix(&[o], &mut |k| {
-                        if k[1] == s {
-                            f(Order::Osp.unkey(k));
-                        }
-                    });
-                }
-            }
-            (None, None, None) => {
-                self.spo.for_each(&mut |k| f(Order::Spo.unkey(k)));
-            }
-        }
+    /// Stream the triples matching a pattern as borrowed *runs*: `f` gets
+    /// contiguous sorted slices of the one permutation index that answers
+    /// the pattern's shape, each tagged with that index's [`Order`] (key
+    /// component `order.key_position(pos)` holds triple position `pos`).
+    /// Every key of every run matches; every match appears in exactly one
+    /// run; runs arrive in index order, at most one per ≤[`BUCKET_TARGET`]-
+    /// key bucket; and — the shape alone picks the index — all runs of one
+    /// call carry the same `Order`.
+    pub fn scan_into(&self, pat: IdPattern, f: &mut RunFn<'_>) {
+        let (order, prefix): (Order, &[TermId]) = match (pat.s, pat.p, pat.o) {
+            (Some(s), Some(p), Some(o)) => (Order::Spo, &[s, p, o]),
+            (Some(s), Some(p), None) => (Order::Spo, &[s, p]),
+            (Some(s), None, None) => (Order::Spo, &[s]),
+            (None, Some(p), Some(o)) => (Order::Pos, &[p, o]),
+            (None, Some(p), None) => (Order::Pos, &[p]),
+            (None, None, Some(o)) => (Order::Osp, &[o]),
+            (Some(s), None, Some(o)) => (Order::Osp, &[o, s]),
+            (None, None, None) => (Order::Spo, &[]),
+        };
+        self.index(order)
+            .for_prefix(prefix, &mut |run| f(order, run));
     }
 
-    /// The `RangeScan` leaf: stream all triples matching a pattern whose
-    /// positions may be id intervals. Interval positions that align with an
-    /// index ordering become one contiguous key range (a `p`-constant
-    /// object interval and a bare property interval are both contiguous in
-    /// POS); misaligned positions fall back to residual filters. Patterns
-    /// without intervals delegate to [`Store::scan_into`].
-    pub fn scan_range_into(&self, pat: &RangePattern, f: &mut dyn FnMut(EncodedTriple)) {
-        if !pat.has_range() {
-            return self.scan_into(
+    /// The `RangeScan` leaf: [`Store::scan_into`] for a pattern whose
+    /// positions may be id intervals, under the same run contract. Interval
+    /// positions that align with an index ordering become one contiguous
+    /// key range (a `p`-constant object interval and a bare property
+    /// interval are both contiguous in POS); misaligned positions are
+    /// residual filters that split a run into its maximal matching
+    /// sub-slices. Patterns without intervals are [`Store::scan_into`]'s.
+    pub fn scan_range_into(&self, pat: &RangePattern, f: &mut RunFn<'_>) {
+        // Hand on the maximal sub-slices of `run` whose keys pass `keep`.
+        fn kept(
+            order: Order,
+            run: &[[TermId; 3]],
+            keep: impl Fn(&[TermId; 3]) -> bool,
+            f: &mut RunFn<'_>,
+        ) {
+            run.split(|k| !keep(k))
+                .filter(|piece| !piece.is_empty())
+                .for_each(|piece| f(order, piece))
+        }
+        match (pat.s, pat.p, pat.o) {
+            // Type-interval shape `(?x, p, o ∈ [lo, hi))`: one POS run.
+            (Bound::Any, Bound::Const(p), Bound::Range(lo, hi)) => {
+                self.pos
+                    .for_bounds(&[p, lo], &[p, hi], &mut |run| f(Order::Pos, run));
+            }
+            (Bound::Const(s), Bound::Const(p), Bound::Range(lo, hi)) => {
+                self.spo
+                    .for_bounds(&[s, p, lo], &[s, p, hi], &mut |run| f(Order::Spo, run));
+            }
+            // Property-interval shape `(?x, p ∈ [lo, hi), ?y)`: one POS run,
+            // with any object constraint as a residual filter.
+            (Bound::Any, Bound::Range(plo, phi), o) => {
+                let keep = move |k: &[TermId; 3]| o.admits(k[1]);
+                self.pos
+                    .for_bounds(&[plo], &[phi], &mut |run| kept(Order::Pos, run, keep, f));
+            }
+            (Bound::Const(s), Bound::Range(plo, phi), o) => {
+                let keep = move |k: &[TermId; 3]| o.admits(k[2]);
+                self.spo.for_bounds(&[s, plo], &[s, phi], &mut |run| {
+                    kept(Order::Spo, run, keep, f)
+                });
+            }
+            (Bound::Const(s), Bound::Any, o @ Bound::Range(..)) => {
+                let keep = move |k: &[TermId; 3]| o.admits(k[2]);
+                self.spo
+                    .for_prefix(&[s], &mut |run| kept(Order::Spo, run, keep, f));
+            }
+            (Bound::Any, Bound::Any, Bound::Range(olo, ohi)) => {
+                self.osp
+                    .for_bounds(&[olo], &[ohi], &mut |run| f(Order::Osp, run));
+            }
+            // Subject intervals (not produced by reformulation, but legal):
+            // one SPO run with residual property/object filters.
+            (Bound::Range(slo, shi), p, o) => {
+                let keep = move |k: &[TermId; 3]| p.admits(k[1]) && o.admits(k[2]);
+                self.spo
+                    .for_bounds(&[slo], &[shi], &mut |run| kept(Order::Spo, run, keep, f));
+            }
+            // No interval position: the exact dispatch.
+            _ => self.scan_into(
                 IdPattern {
                     s: pat.s.as_const(),
                     p: pat.p.as_const(),
                     o: pat.o.as_const(),
                 },
                 f,
-            );
-        }
-        match (pat.s, pat.p, pat.o) {
-            // Type-interval shape `(?x, p, o ∈ [lo, hi))`: one POS run.
-            (Bound::Any, Bound::Const(p), Bound::Range(lo, hi)) => {
-                self.pos
-                    .for_bounds(&[p, lo], &[p, hi], &mut |k| f(Order::Pos.unkey(k)));
-            }
-            (Bound::Const(s), Bound::Const(p), Bound::Range(lo, hi)) => {
-                self.spo
-                    .for_bounds(&[s, p, lo], &[s, p, hi], &mut |k| f(Order::Spo.unkey(k)));
-            }
-            // Property-interval shape `(?x, p ∈ [lo, hi), ?y)`: one POS run,
-            // with any object constraint as a residual filter.
-            (Bound::Any, Bound::Range(plo, phi), o) => {
-                self.pos.for_bounds(&[plo], &[phi], &mut |k| {
-                    if o.admits(k[1]) {
-                        f(Order::Pos.unkey(k));
-                    }
-                });
-            }
-            (Bound::Const(s), Bound::Range(plo, phi), o) => {
-                self.spo.for_bounds(&[s, plo], &[s, phi], &mut |k| {
-                    if o.admits(k[2]) {
-                        f(Order::Spo.unkey(k));
-                    }
-                });
-            }
-            (Bound::Const(s), Bound::Any, Bound::Range(olo, ohi)) => {
-                self.spo.for_prefix(&[s], &mut |k| {
-                    if olo <= k[2] && k[2] < ohi {
-                        f(Order::Spo.unkey(k));
-                    }
-                });
-            }
-            (Bound::Any, Bound::Any, Bound::Range(olo, ohi)) => {
-                self.osp
-                    .for_bounds(&[olo], &[ohi], &mut |k| f(Order::Osp.unkey(k)));
-            }
-            // Subject intervals (not produced by reformulation, but legal):
-            // one SPO run with residual property/object filters.
-            (Bound::Range(slo, shi), p, o) => {
-                self.spo.for_bounds(&[slo], &[shi], &mut |k| {
-                    if p.admits(k[1]) && o.admits(k[2]) {
-                        f(Order::Spo.unkey(k));
-                    }
-                });
-            }
-            // Interval-free shapes were delegated above.
-            _ => {
-                debug_assert!(false, "non-interval pattern reached interval dispatch");
-                self.spo.for_each(&mut |k| {
-                    if pat.s.admits(k[0]) && pat.p.admits(k[1]) && pat.o.admits(k[2]) {
-                        f(Order::Spo.unkey(k));
-                    }
-                });
-            }
+            ),
         }
     }
 
-    /// Exact number of matches for a pattern — O(log n) per spanned bucket
-    /// for all shapes except `s ? o`, which is linear in the smaller range.
+    /// Exact number of matches for a pattern — O(log n) per spanned bucket.
     /// Used by exact statistics and by experiment reports.
     pub fn count(&self, pat: IdPattern) -> usize {
         match (pat.s, pat.p, pat.o) {
@@ -649,17 +609,7 @@ impl Store {
             (None, Some(p), Some(o)) => self.pos.count_prefix(&[p, o]),
             (None, Some(p), None) => self.pos.count_prefix(&[p]),
             (None, None, Some(o)) => self.osp.count_prefix(&[o]),
-            (Some(s), None, Some(o)) => {
-                let mut n = 0;
-                if self.spo.count_prefix(&[s]) <= self.osp.count_prefix(&[o]) {
-                    self.spo
-                        .for_prefix(&[s], &mut |k| n += usize::from(k[2] == o));
-                } else {
-                    self.osp
-                        .for_prefix(&[o], &mut |k| n += usize::from(k[1] == s));
-                }
-                n
-            }
+            (Some(s), None, Some(o)) => self.osp.count_prefix(&[o, s]),
             (None, None, None) => self.len,
         }
     }
@@ -683,9 +633,13 @@ impl Store {
     /// ascending property-id order — one grouped pass over the POS index.
     pub fn property_counts(&self) -> Vec<(TermId, usize)> {
         let mut out: Vec<(TermId, usize)> = Vec::new();
-        self.pos.for_each(&mut |k| match out.last_mut() {
-            Some((p, n)) if *p == k[0] => *n += 1,
-            _ => out.push((k[0], 1)),
+        self.pos.for_each(&mut |run| {
+            for k in run {
+                match out.last_mut() {
+                    Some((p, n)) if *p == k[0] => *n += 1,
+                    _ => out.push((k[0], 1)),
+                }
+            }
         });
         out
     }
@@ -709,11 +663,13 @@ pub trait TripleSource: std::fmt::Debug + Sync {
     /// Point membership.
     fn contains(&self, t: &EncodedTriple) -> bool;
 
-    /// Invoke `f` on every triple matching the pattern.
-    fn scan_into(&self, pat: IdPattern, f: &mut dyn FnMut(EncodedTriple));
+    /// Hand `f` the matches of the pattern as borrowed index runs (the
+    /// contract of [`Store::scan_into`], per contributing store).
+    fn scan_into(&self, pat: IdPattern, f: &mut RunFn<'_>);
 
-    /// Invoke `f` on every triple matching the (possibly interval) pattern.
-    fn scan_range_into(&self, pat: &RangePattern, f: &mut dyn FnMut(EncodedTriple));
+    /// Hand `f` the matches of the (possibly interval) pattern as borrowed
+    /// index runs.
+    fn scan_range_into(&self, pat: &RangePattern, f: &mut RunFn<'_>);
 
     /// Exact number of matches for a pattern.
     fn count(&self, pat: IdPattern) -> usize;
@@ -740,11 +696,11 @@ impl TripleSource for Store {
         Store::contains(self, t)
     }
 
-    fn scan_into(&self, pat: IdPattern, f: &mut dyn FnMut(EncodedTriple)) {
+    fn scan_into(&self, pat: IdPattern, f: &mut RunFn<'_>) {
         Store::scan_into(self, pat, f)
     }
 
-    fn scan_range_into(&self, pat: &RangePattern, f: &mut dyn FnMut(EncodedTriple)) {
+    fn scan_range_into(&self, pat: &RangePattern, f: &mut RunFn<'_>) {
         Store::scan_range_into(self, pat, f)
     }
 
@@ -856,7 +812,7 @@ impl TripleSource for ShardedStore {
         self.shards[self.route(t.p)].contains(t)
     }
 
-    fn scan_into(&self, pat: IdPattern, f: &mut dyn FnMut(EncodedTriple)) {
+    fn scan_into(&self, pat: IdPattern, f: &mut RunFn<'_>) {
         match pat.p {
             Some(p) => self.shards[self.route(p)].scan_into(pat, f),
             None => {
@@ -867,7 +823,7 @@ impl TripleSource for ShardedStore {
         }
     }
 
-    fn scan_range_into(&self, pat: &RangePattern, f: &mut dyn FnMut(EncodedTriple)) {
+    fn scan_range_into(&self, pat: &RangePattern, f: &mut RunFn<'_>) {
         match pat.p {
             // Constant predicate: the partition function names the one
             // shard that can match.
@@ -932,6 +888,25 @@ mod tests {
         (0..n)
             .map(|i| EncodedTriple::new(TermId(i % 37), TermId(i % 11), TermId(i % 53)))
             .collect()
+    }
+
+    /// The triples a scan hands out, in emission order — checking the run
+    /// contract on the way: no empty run, every run strictly ascending, one
+    /// `Order` per call.
+    fn collect_runs(scan: impl FnOnce(&mut RunFn<'_>)) -> Vec<EncodedTriple> {
+        let mut out = Vec::new();
+        let mut layout = None;
+        scan(&mut |order, run| {
+            assert!(!run.is_empty(), "empty run");
+            assert!(run.windows(2).all(|w| w[0] < w[1]), "unsorted run");
+            assert_eq!(*layout.get_or_insert(order), order, "mixed layouts");
+            out.extend(run.iter().map(|k| order.unkey(k)))
+        });
+        out
+    }
+
+    fn range_scan(src: &dyn TripleSource, pat: &RangePattern) -> Vec<EncodedTriple> {
+        collect_runs(|f| src.scan_range_into(pat, f))
     }
 
     #[test]
@@ -1134,8 +1109,7 @@ mod tests {
                 for &p in &bounds {
                     for &o in &bounds {
                         let pat = RangePattern { s, p, o };
-                        let mut got = Vec::new();
-                        store.scan_range_into(&pat, &mut |t| got.push(t));
+                        let mut got = range_scan(&store, &pat);
                         got.sort_by_key(|t| t.as_array());
                         let mut want: Vec<EncodedTriple> = store
                             .iter()
@@ -1157,10 +1131,8 @@ mod tests {
             p: Bound::Const(ids[3]),
             o: Bound::Any,
         };
-        let mut got = Vec::new();
-        store.scan_range_into(&pat, &mut |t| got.push(t));
         assert_eq!(
-            got,
+            range_scan(&store, &pat),
             store.scan(IdPattern {
                 s: None,
                 p: Some(ids[3]),
@@ -1180,11 +1152,10 @@ mod tests {
         assert!(out2.is_empty());
     }
 
-    /// Sorted-and-deduplicated triples of a scan, for order-insensitive
+    /// Sorted triples of a scan, for order-insensitive (multiset)
     /// comparison between single and sharded sources.
     fn sorted_scan(src: &dyn TripleSource, pat: IdPattern) -> Vec<EncodedTriple> {
-        let mut out = Vec::new();
-        src.scan_into(pat, &mut |t| out.push(t));
+        let mut out = collect_runs(|f| src.scan_into(pat, f));
         out.sort_by_key(|t| t.as_array());
         out
     }
@@ -1193,7 +1164,7 @@ mod tests {
     fn sharded_store_answers_every_shape_like_single() {
         let triples = dense_triples(3000);
         let single = Store::from_triples(&triples);
-        for n in [1, 3, 8] {
+        for n in [1, 2, 3, 4, 8] {
             let sharded = ShardedStore::from_triples(&triples, n);
             assert_eq!(TripleSource::len(&sharded), single.len());
             let ids = [None, Some(TermId(0)), Some(TermId(5)), Some(TermId(36))];
@@ -1224,25 +1195,26 @@ mod tests {
     fn sharded_range_scans_match_filtered_full_scans() {
         let triples = dense_triples(2000);
         let single = Store::from_triples(&triples);
-        let sharded = ShardedStore::from_triples(&triples, 4);
         let bounds = [
             Bound::Any,
             Bound::Const(TermId(5)),
             Bound::Range(TermId(3), TermId(9)),
         ];
-        for &s in &bounds {
-            for &p in &bounds {
-                for &o in &bounds {
-                    let pat = RangePattern { s, p, o };
-                    let mut got = Vec::new();
-                    sharded.scan_range_into(&pat, &mut |t| got.push(t));
-                    got.sort_by_key(|t| t.as_array());
-                    let mut want: Vec<EncodedTriple> = single
-                        .iter()
-                        .filter(|t| s.admits(t.s) && p.admits(t.p) && o.admits(t.o))
-                        .collect();
-                    want.sort_by_key(|t| t.as_array());
-                    assert_eq!(got, want, "pattern {pat:?}");
+        for n in [1, 2, 4] {
+            let sharded = ShardedStore::from_triples(&triples, n);
+            for &s in &bounds {
+                for &p in &bounds {
+                    for &o in &bounds {
+                        let pat = RangePattern { s, p, o };
+                        let mut got = range_scan(&sharded, &pat);
+                        got.sort_by_key(|t| t.as_array());
+                        let mut want: Vec<EncodedTriple> = single
+                            .iter()
+                            .filter(|t| s.admits(t.s) && p.admits(t.p) && o.admits(t.o))
+                            .collect();
+                        want.sort_by_key(|t| t.as_array());
+                        assert_eq!(got, want, "pattern {pat:?} shards {n}");
+                    }
                 }
             }
         }

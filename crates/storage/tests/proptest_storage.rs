@@ -20,6 +20,119 @@ fn triples_strategy() -> impl Strategy<Value = Vec<EncodedTriple>> {
     )
 }
 
+/// Sort-merge natural join — the independent reference the library's hash
+/// join is checked against (same rows and columns, other access pattern).
+/// Both inputs are sorted on the shared key, then merged with
+/// duplicate-group handling; needs at least one shared column.
+fn sort_merge_join(left: &Relation, right: &Relation) -> Relation {
+    let shared: Vec<(usize, usize)> = left
+        .columns()
+        .iter()
+        .enumerate()
+        .filter_map(|(i, v)| right.column_index(v).map(|j| (i, j)))
+        .collect();
+    assert!(!shared.is_empty(), "merge join needs a key");
+    let right_extra: Vec<usize> = (0..right.arity())
+        .filter(|j| !shared.iter().any(|&(_, sj)| sj == *j))
+        .collect();
+    let mut out_cols = left.columns().to_vec();
+    out_cols.extend(right_extra.iter().map(|&j| right.columns()[j].clone()));
+    let mut out = Relation::empty(out_cols);
+
+    let sorted_keys = |rel: &Relation, idx: Vec<usize>| -> Vec<(Vec<TermId>, usize)> {
+        let mut keys: Vec<(Vec<TermId>, usize)> = (0..rel.len())
+            .map(|r| (idx.iter().map(|&k| rel.row(r)[k]).collect(), r))
+            .collect();
+        keys.sort();
+        keys
+    };
+    let lk = sorted_keys(left, shared.iter().map(|&(i, _)| i).collect());
+    let rk = sorted_keys(right, shared.iter().map(|&(_, j)| j).collect());
+    let (mut li, mut ri) = (0usize, 0usize);
+    while li < lk.len() && ri < rk.len() {
+        match lk[li].0.cmp(&rk[ri].0) {
+            std::cmp::Ordering::Less => li += 1,
+            std::cmp::Ordering::Greater => ri += 1,
+            std::cmp::Ordering::Equal => {
+                // Delimit the duplicate groups on both sides.
+                let l_end = li + lk[li..].partition_point(|(k, _)| *k == lk[li].0);
+                let r_end = ri + rk[ri..].partition_point(|(k, _)| *k == rk[ri].0);
+                for (_, l) in &lk[li..l_end] {
+                    for (_, r) in &rk[ri..r_end] {
+                        let mut row = left.row(*l).to_vec();
+                        row.extend(right_extra.iter().map(|&j| right.row(*r)[j]));
+                        out.push_row(&row).unwrap();
+                    }
+                }
+                li = l_end;
+                ri = r_end;
+            }
+        }
+    }
+    out
+}
+
+/// A relation over a random ≤3-column subset of `pool` (optionally
+/// reversed, so shared columns sit at different indices on the two sides)
+/// with 0–12 rows over a 3-value domain: duplicates, empty sides and
+/// zero-arity relations (whose rows are unit rows) all occur.
+fn relation_strategy(pool: [&'static str; 4]) -> impl Strategy<Value = Relation> {
+    (
+        0usize..16,
+        any::<bool>(),
+        proptest::collection::vec(proptest::collection::vec(0u32..3, 3), 0..12),
+    )
+        .prop_map(move |(mask, reversed, rows)| {
+            let mut cols: Vec<&str> = (0..4)
+                .filter(|i| mask & (1 << i) != 0)
+                .map(|i| pool[i])
+                .take(3)
+                .collect();
+            if reversed {
+                cols.reverse();
+            }
+            let mut rel = Relation::empty(cols.iter().map(|c| Var::new(*c)).collect());
+            for row in rows {
+                let ids: Vec<TermId> = row[..cols.len()].iter().map(|&v| TermId(v)).collect();
+                rel.push_row(&ids).unwrap();
+            }
+            rel
+        })
+}
+
+/// Nested-loop natural join in the hash join's documented row order: the
+/// larger side (the right one on a tie) is the outer loop, the smaller the
+/// inner, both in row order.
+fn nested_loop_join(left: &Relation, right: &Relation) -> Vec<Vec<TermId>> {
+    let shared: Vec<(usize, usize)> = left
+        .columns()
+        .iter()
+        .enumerate()
+        .filter_map(|(i, v)| right.column_index(v).map(|j| (i, j)))
+        .collect();
+    let emit = |l: &[TermId], r: &[TermId]| -> Option<Vec<TermId>> {
+        shared.iter().all(|&(i, j)| l[i] == r[j]).then(|| {
+            let mut row = l.to_vec();
+            row.extend(
+                (0..r.len())
+                    .filter(|j| !shared.iter().any(|&(_, sj)| sj == *j))
+                    .map(|j| r[j]),
+            );
+            row
+        })
+    };
+    if left.len() <= right.len() {
+        right
+            .rows()
+            .flat_map(|r| left.rows().filter_map(move |l| emit(l, r)))
+            .collect()
+    } else {
+        left.rows()
+            .flat_map(|l| right.rows().filter_map(move |r| emit(l, r)))
+            .collect()
+    }
+}
+
 fn naive_scan(triples: &[EncodedTriple], pat: IdPattern) -> Vec<EncodedTriple> {
     let mut out: Vec<EncodedTriple> = triples
         .iter()
@@ -187,7 +300,24 @@ proptest! {
         prop_assert_eq!(selfjoin.to_rows(), l_sorted.to_rows());
     }
 
-    /// Sort-merge join computes exactly the hash join's result.
+    /// The hash join emits exactly the nested-loop oracle's rows, in its
+    /// order, over 0–3 shared columns, duplicate rows, unit/zero-arity
+    /// relations and empty sides.
+    #[test]
+    fn natural_join_matches_nested_loop_in_order(
+        left in relation_strategy(["a", "b", "c", "d"]),
+        right in relation_strategy(["a", "b", "c", "e"]),
+    ) {
+        let joined = left.natural_join(&right);
+        let mut cols = left.columns().to_vec();
+        cols.extend(
+            right.columns().iter().filter(|c| left.column_index(c).is_none()).cloned(),
+        );
+        prop_assert_eq!(joined.columns(), &cols[..]);
+        prop_assert_eq!(joined.to_rows(), nested_loop_join(&left, &right));
+    }
+
+    /// The sort-merge reference computes exactly the hash join's result.
     #[test]
     fn merge_join_matches_hash_join(
         left_rows in proptest::collection::vec((0u32..6, 0u32..6), 0..25),
@@ -203,7 +333,7 @@ proptest! {
         let l = mk(["x", "y"], &left_rows);
         let r = mk(["y", "z"], &right_rows);
         let mut hash = l.natural_join(&r);
-        let mut merge = l.sort_merge_join(&r);
+        let mut merge = sort_merge_join(&l, &r);
         hash.sort();
         merge.sort();
         prop_assert_eq!(hash.columns(), merge.columns());
@@ -211,7 +341,7 @@ proptest! {
         // Two shared columns too.
         let r2 = mk(["x", "y"], &right_rows);
         let mut hash2 = l.natural_join(&r2);
-        let mut merge2 = l.sort_merge_join(&r2);
+        let mut merge2 = sort_merge_join(&l, &r2);
         hash2.sort();
         merge2.sort();
         prop_assert_eq!(hash2.to_rows(), merge2.to_rows());

@@ -334,6 +334,60 @@ fn stressor_triangle_and_auto_verdicts() {
     }
 }
 
+/// `Explain::physical` reports the operator the evaluator dispatched, not
+/// the one the user's CQ alone would get: under Ref/GCov the evaluator
+/// arbitrates per CQ of the chosen JUCQ. The W02 hub star is cyclic-free
+/// but big enough for `Auto` to want WCOJ on the whole body, while every
+/// fragment CQ of its cover is bind-joined — `Explain` used to say "wcoj"
+/// there with `op.lfj.seeks` at zero.
+#[test]
+fn explain_physical_reports_what_ran_under_jucq() {
+    use rdfref::core::{MetricsRegistry, Obs};
+    use rdfref::datagen::wcoj::{generate, wcoj_mix, WcojConfig};
+    let ds = generate(&WcojConfig {
+        hubs: 16,
+        spokes: 48,
+        likes_per_hub: 10,
+        triangles: 12,
+    });
+    let mix = wcoj_mix(&ds).unwrap();
+    let w02 = &mix[1];
+    assert_eq!(w02.name, "W02");
+    let db = Database::builder().build(ds.graph.clone());
+    // The premise: on the user's CQ alone, `Auto` picks WCOJ.
+    let whole = rdfref::storage::physical_choice(
+        db.source(),
+        db.stats(),
+        JoinAlgorithm::Auto,
+        &w02.cq.body,
+    );
+    assert_eq!(whole.algorithm, JoinAlgorithm::Wcoj, "{}", whole.reason);
+
+    for strategy in [QStrategy::RefGCov, QStrategy::RefScq, QStrategy::RefUcq] {
+        let registry = std::sync::Arc::new(MetricsRegistry::default());
+        let opts = AnswerOptions::default()
+            .with_join_algorithm(JoinAlgorithm::Auto)
+            .with_obs(Obs::collecting(registry.clone()));
+        let answer = db.run_query(&w02.cq, &strategy, &opts).unwrap();
+        let phys = answer.explain.physical.as_ref().expect("physical plan");
+        let leapfrogged = registry.snapshot().counter("op.lfj.seeks") > 0;
+        assert_eq!(phys.wcoj_cqs > 0, leapfrogged, "{}", strategy.name());
+        assert_eq!(
+            phys.algorithm.contains("wcoj"),
+            leapfrogged,
+            "{}: {}",
+            strategy.name(),
+            phys.algorithm
+        );
+        assert!(phys.wcoj_cqs + phys.bind_join_cqs >= 1);
+        if strategy == QStrategy::RefGCov {
+            // The recorded case: every fragment CQ is bind-joined.
+            assert_eq!(phys.algorithm, "bind join");
+            assert!(phys.var_order.is_empty() && phys.atoms.is_empty());
+        }
+    }
+}
+
 /// Plan-cache isolation: the same query answered under both algorithms on
 /// one database (cache on) must not serve one algorithm's cached plan to
 /// the other — the algorithm tag is part of the cache key.
