@@ -21,10 +21,7 @@
 use rdfref_bench::report::Table;
 use rdfref_bench::MetricsSink;
 use rdfref_core::answer::{Database, Strategy};
-use rdfref_core::serving::{
-    BatchTicket, ServingDatabase, ShardedServingDatabase, Snapshot, UpdateBatch,
-};
-use rdfref_core::Result as CoreResult;
+use rdfref_core::serving::{ServingDatabase, UpdateBatch};
 use rdfref_datagen::lubm::{generate, LubmConfig};
 use rdfref_datagen::queries::{self, zipfian_schedule};
 use rdfref_model::{vocab, Term, Triple};
@@ -123,36 +120,6 @@ fn arg_threads() -> Option<usize> {
     None
 }
 
-/// Either serving façade, so one cell runner measures both the single-cell
-/// and the predicate-hash-sharded pipelines.
-enum Serving {
-    Single(ServingDatabase),
-    Sharded(ShardedServingDatabase),
-}
-
-impl Serving {
-    fn snapshot(&self) -> Arc<Snapshot> {
-        match self {
-            Serving::Single(db) => db.snapshot(),
-            Serving::Sharded(db) => db.snapshot(),
-        }
-    }
-
-    fn submit(&self, batch: UpdateBatch) -> CoreResult<BatchTicket> {
-        match self {
-            Serving::Single(db) => db.submit(batch),
-            Serving::Sharded(db) => db.submit(batch),
-        }
-    }
-
-    fn published_seq(&self) -> u64 {
-        match self {
-            Serving::Single(db) => db.published_seq(),
-            Serving::Sharded(db) => db.published_seq(),
-        }
-    }
-}
-
 /// Data triples (no RDFS constraints) eligible for churn: deleting one is a
 /// DRed maintenance step, not a schema change, so the plan cache's schema
 /// epoch stays put while the data epoch advances.
@@ -176,7 +143,7 @@ fn churn_pool(graph: &rdfref_model::Graph, pct: usize) -> Vec<Triple> {
 /// batches, pacing itself on tickets so the queue stays bounded. Returns
 /// (total answered queries, observed qps, batches applied).
 fn run_cell(
-    db: &Arc<Serving>,
+    db: &Arc<ServingDatabase>,
     queries: &[(String, Cq)],
     threads: usize,
     pool: &[Triple],
@@ -325,7 +292,7 @@ fn record_modelcheck_coverage(sink: &MetricsSink) {
 fn main() {
     let scale = env_usize("EXP_SCALE", 1);
     let window = Duration::from_millis(env_usize("EXP_SERVING_MS", 400) as u64);
-    let shards = env_usize("EXP_SERVING_SHARDS", 1);
+    let shards = env_usize("EXP_SERVING_SHARDS", 1).max(1);
     let morsels = env_usize("EXP_SERVING_MORSELS", 0);
     let reader_threads: Vec<usize> = match arg_threads() {
         Some(1) => vec![1],
@@ -355,25 +322,24 @@ fn main() {
     eprintln!(
         "serving database: saturating {} explicit triples ({} shard(s))…",
         ds.graph.len(),
-        shards.max(1),
+        shards,
     );
-    let builder = Database::builder()
-        .obs(sink.obs())
-        .parallelism(if morsels > 0 {
-            Parallelism::Morsels { size: morsels }
-        } else {
-            Parallelism::Off
-        });
-    let db = Arc::new(if shards > 1 {
-        Serving::Sharded(builder.shards(shards).build_sharded(ds.graph.clone()))
-    } else {
-        Serving::Single(builder.build_serving(ds.graph.clone()))
-    });
+    let db = Arc::new(
+        Database::builder()
+            .obs(sink.obs())
+            .parallelism(if morsels > 0 {
+                Parallelism::Morsels { size: morsels }
+            } else {
+                Parallelism::Off
+            })
+            .shards(shards)
+            .build_serving(ds.graph.clone()),
+    );
 
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     sink.registry.gauge_set("bench.serving.cores", cores as u64);
     sink.registry
-        .gauge_set("bench.serving.shards", shards.max(1) as u64);
+        .gauge_set("bench.serving.shards", shards as u64);
     record_modelcheck_coverage(&sink);
 
     let mut table = Table::new(
@@ -382,7 +348,7 @@ fn main() {
             ds.graph.len(),
             CHURN_BATCH,
             window,
-            shards.max(1),
+            shards,
             cores,
         ),
         &[

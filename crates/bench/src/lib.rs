@@ -1,9 +1,10 @@
 //! # rdfref-bench — the experiment harness
 //!
 //! One binary per experiment of `DESIGN.md` §4 (run them with
-//! `cargo run -p rdfref-bench --release --bin exp_<name>`), plus Criterion
-//! micro-benchmarks (`cargo bench`). `EXPERIMENTS.md` records the outputs
-//! against the numbers the paper reports.
+//! `cargo run -p rdfref-bench --release --bin exp_<name>`), plus the
+//! reference benchmark (`src/bin/benchmark/`, declared by `BENCHMARK.json`).
+//! `EXPERIMENTS.md` records the outputs against the numbers the paper
+//! reports.
 //!
 //! | binary | experiment |
 //! |--------|------------|

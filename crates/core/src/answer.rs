@@ -1,8 +1,8 @@
 //! The query answering facade: one entry point, seven strategies.
 //!
 //! A [`Database`] is a prepared RDF graph: schema extracted and closed,
-//! store and statistics built. [`Database::answer`] then answers a BGP query
-//! with any [`Strategy`]:
+//! store and statistics built. [`Database::run_query`] then answers a BGP
+//! query with any [`Strategy`]:
 //!
 //! | strategy | technique |
 //! |----------|-----------|
@@ -194,8 +194,7 @@ impl Clone for QueryAnswer {
 }
 
 impl QueryAnswer {
-    /// Assemble an answer from its parts (used by
-    /// [`crate::maintained::MaintainedDatabase`]).
+    /// Assemble an answer from a relation and its explanation.
     pub fn from_parts(relation: Relation, explain: Explain) -> QueryAnswer {
         QueryAnswer {
             relation,
@@ -286,6 +285,54 @@ impl DataSource {
     }
 }
 
+/// The interval encoder for `encoding` over a schema closure and a dictionary
+/// of `universe` terms; `None` for the classic encoding.
+pub(crate) fn build_encoder(
+    encoding: DictEncoding,
+    schema: &Schema,
+    closure: &SchemaClosure,
+    universe: usize,
+) -> Option<Arc<HierarchyEncoder>> {
+    match encoding {
+        DictEncoding::Classic => None,
+        DictEncoding::Interval => {
+            Some(Arc::new(HierarchyEncoder::build(schema, closure, universe)))
+        }
+    }
+}
+
+/// A store over `graph`'s triples, transported into `encoder`'s id space
+/// when there is one. Graphs (and the reasoner, dictionary and Datalog
+/// paths) stay in base space; this is the one place triples cross over.
+pub(crate) fn encode_store(graph: &Graph, encoder: Option<&HierarchyEncoder>) -> Store {
+    match encoder {
+        Some(enc) => {
+            let triples: Vec<rdfref_model::EncodedTriple> = graph
+                .triples()
+                .iter()
+                .map(|t| enc.encode_triple(t))
+                .collect();
+            Store::from_triples(&triples)
+        }
+        None => Store::from_graph(graph),
+    }
+}
+
+/// The evaluator every Sat/Ref arm runs: `source` and its statistics under
+/// the request's row budget, parallelism and join-algorithm policy.
+fn evaluator<'a>(
+    source: &'a DataSource,
+    stats: &'a Stats,
+    opts: &AnswerOptions,
+    obs: &Obs,
+) -> Evaluator<'a> {
+    let mut ev = Evaluator::new(source.source(), stats).with_obs(obs.clone());
+    ev.row_budget = opts.row_budget;
+    ev.parallelism = opts.parallelism;
+    ev.join_algorithm = opts.join_algorithm;
+    ev
+}
+
 /// Saturation artifacts: store + statistics over `G∞` and the number of
 /// derived triples. Materialized lazily on the first `Saturation` answer,
 /// or installed up front by the serving layer (which maintains `G∞`
@@ -342,11 +389,9 @@ pub struct Database {
 
 impl Database {
     /// Start configuring an engine: `Database::builder()` is the sole way
-    /// to construct every database flavour — in-memory
-    /// ([`crate::EngineBuilder::build`]), serving
-    /// ([`crate::EngineBuilder::build_serving`]), predicate-sharded serving
-    /// ([`crate::EngineBuilder::build_sharded`]) and maintained
-    /// ([`crate::EngineBuilder::build_maintained`]).
+    /// to construct both engines — the static read side
+    /// ([`crate::EngineBuilder::build`]) and the maintained, concurrently
+    /// servable write side ([`crate::EngineBuilder::build_serving`]).
     pub fn builder() -> crate::builder::EngineBuilder {
         crate::builder::EngineBuilder::new()
     }
@@ -363,25 +408,8 @@ impl Database {
         let schema = Schema::from_graph(&graph);
         let closure = schema.closure();
         let dict = Arc::new(graph.dictionary().clone());
-        let encoder = match encoding {
-            DictEncoding::Classic => None,
-            DictEncoding::Interval => Some(Arc::new(HierarchyEncoder::build(
-                &schema,
-                &closure,
-                dict.len(),
-            ))),
-        };
-        let store = match &encoder {
-            Some(enc) => {
-                let triples: Vec<rdfref_model::EncodedTriple> = graph
-                    .triples()
-                    .iter()
-                    .map(|t| enc.encode_triple(t))
-                    .collect();
-                Store::from_triples(&triples)
-            }
-            None => Store::from_graph(&graph),
-        };
+        let encoder = build_encoder(encoding, &schema, &closure, dict.len());
+        let store = encode_store(&graph, encoder.as_deref());
         let stats = Stats::compute(&store);
         let cell = OnceLock::new();
         let _ = cell.set(Arc::new(graph));
@@ -502,8 +530,8 @@ impl Database {
     }
 
     /// The store over explicit triples, when the database reads a single
-    /// source. Sharded scatter-gather databases (global snapshots of
-    /// [`crate::serving::ShardedServingDatabase`]) return `None`.
+    /// source. Sharded scatter-gather databases (global snapshots of a
+    /// [`crate::ServingDatabase`] built with `shards > 1`) return `None`.
     pub fn store(&self) -> Option<&Store> {
         self.store.as_single()
     }
@@ -555,14 +583,7 @@ impl Database {
             let added = saturate_in_place_obs(&mut g, obs);
             // Saturation runs in base space (the graph's); the saturated
             // store must live in the same id space as the explicit one.
-            let store = match &self.encoder {
-                Some(enc) => {
-                    let triples: Vec<rdfref_model::EncodedTriple> =
-                        g.triples().iter().map(|t| enc.encode_triple(t)).collect();
-                    Store::from_triples(&triples)
-                }
-                None => Store::from_graph(&g),
-            };
+            let store = encode_store(&g, self.encoder.as_deref());
             let stats = Stats::compute(&store);
             SaturatedPart {
                 store: DataSource::Single(store),
@@ -629,12 +650,11 @@ impl Database {
             Strategy::Saturation => {
                 let sat = self.saturated_with(&obs);
                 explain.saturation_added = sat.added;
-                let mut ev =
-                    Evaluator::new(sat.store.source(), sat.stats.as_ref()).with_obs(obs.clone());
-                ev.row_budget = opts.row_budget;
-                ev.parallelism = opts.parallelism;
-                ev.join_algorithm = opts.join_algorithm;
-                ev.eval_cq(&self.encode_cq(cq), &out, &mut metrics)?
+                evaluator(&sat.store, &sat.stats, opts, &obs).eval_cq(
+                    &self.encode_cq(cq),
+                    &out,
+                    &mut metrics,
+                )?
             }
             Strategy::RefUcq => {
                 let plan = self.ref_plan(cq, PlanRequest::Ucq, opts, &mut explain, &obs)?;
@@ -646,11 +666,11 @@ impl Database {
                 explain.reformulation_atoms = ucq.total_atoms();
                 let model = rdfref_storage::CostModel::new(&self.stats);
                 explain.estimate = Some(model.ucq_estimate(&ucq));
-                let mut ev = Evaluator::new(self.store.source(), &self.stats).with_obs(obs.clone());
-                ev.row_budget = opts.row_budget;
-                ev.parallelism = opts.parallelism;
-                ev.join_algorithm = opts.join_algorithm;
-                ev.eval_ucq(&ucq, &out, &mut metrics)?
+                evaluator(&self.store, &self.stats, opts, &obs).eval_ucq(
+                    &ucq,
+                    &out,
+                    &mut metrics,
+                )?
             }
             Strategy::RefScq => {
                 let plan = self.ref_plan(cq, PlanRequest::Scq, opts, &mut explain, &obs)?;
@@ -686,11 +706,8 @@ impl Database {
                     .iter()
                     .map(|f| f.ucq.total_atoms())
                     .sum();
-                let mut ev = Evaluator::new(self.store.source(), &self.stats).with_obs(obs.clone());
-                ev.row_budget = opts.row_budget;
-                ev.parallelism = opts.parallelism;
-                ev.join_algorithm = opts.join_algorithm;
-                ev.eval_jucq(&result.jucq, &mut metrics)?
+                evaluator(&self.store, &self.stats, opts, &obs)
+                    .eval_jucq(&result.jucq, &mut metrics)?
             }
             Strategy::RefIncomplete(profile) => {
                 let filtered = profile.filter_schema(&self.schema);
@@ -705,11 +722,11 @@ impl Database {
                 };
                 explain.reformulation_cqs = ucq.len();
                 explain.reformulation_atoms = ucq.total_atoms();
-                let mut ev = Evaluator::new(self.store.source(), &self.stats).with_obs(obs.clone());
-                ev.row_budget = opts.row_budget;
-                ev.parallelism = opts.parallelism;
-                ev.join_algorithm = opts.join_algorithm;
-                ev.eval_ucq(&ucq, &out, &mut metrics)?
+                evaluator(&self.store, &self.stats, opts, &obs).eval_ucq(
+                    &ucq,
+                    &out,
+                    &mut metrics,
+                )?
             }
             Strategy::Datalog | Strategy::DatalogMagic => {
                 let (rows, engine) = if matches!(strategy, Strategy::DatalogMagic) {
@@ -913,11 +930,7 @@ impl Database {
         explain.reformulation_atoms = jucq.fragments.iter().map(|f| f.ucq.total_atoms()).sum();
         let model = rdfref_storage::CostModel::new(&self.stats);
         explain.estimate = Some(model.jucq_estimate(jucq));
-        let mut ev = Evaluator::new(self.store.source(), &self.stats).with_obs(obs.clone());
-        ev.row_budget = opts.row_budget;
-        ev.parallelism = opts.parallelism;
-        ev.join_algorithm = opts.join_algorithm;
-        Ok(ev.eval_jucq(jucq, metrics)?)
+        Ok(evaluator(&self.store, &self.stats, opts, obs).eval_jucq(jucq, metrics)?)
     }
 }
 

@@ -1,12 +1,12 @@
-//! The unified engine builder — the single construction surface for every
-//! database flavour.
+//! The unified engine builder — the single construction surface for both
+//! engines.
 //!
-//! Before this module, each flavour grew its own constructor zoo
-//! (`Database::new` / `with_encoding` / `with_cache...`,
-//! `ServingDatabase::new` / `with_obs...`) and new knobs forced new
-//! constructors. [`EngineBuilder`] replaces them all: one `#[non_exhaustive]`
-//! builder carrying the dictionary encoding, plan-cache capacity, shard
-//! count and intra-query parallelism policy, with one terminal per flavour:
+//! [`EngineBuilder`] is one `#[non_exhaustive]` builder carrying the
+//! dictionary encoding, plan-cache capacity, shard count, intra-query
+//! parallelism policy and join algorithm, with one terminal per side:
+//! [`EngineBuilder::build`] for the static read side ([`Database`]) and
+//! [`EngineBuilder::build_serving`] for the maintained, concurrently
+//! servable write side ([`ServingDatabase`]).
 //!
 //! ```
 //! use rdfref_core::{Database, Strategy};
@@ -29,23 +29,21 @@
 //! assert_eq!(db.query(&q).run().unwrap().len(), 1);
 //! ```
 //!
-//! Knobs compose freely with every terminal; a knob a flavour does not use
-//! (e.g. `shards` on [`EngineBuilder::build`]) is simply ignored by it.
+//! Knobs compose freely with both terminals; the one knob a static database
+//! has no use for (`shards` on [`EngineBuilder::build`]) is ignored by it.
 
 use crate::answer::Database;
 use crate::cache::PlanCache;
-use crate::maintained::MaintainedDatabase;
-use crate::serving::{ServingDatabase, ShardConfig, ShardedServingDatabase};
+use crate::serving::ServingDatabase;
 use rdfref_model::{DictEncoding, Graph};
 use rdfref_obs::Obs;
 use rdfref_storage::{JoinAlgorithm, Parallelism};
 use rdfref_sync::Arc;
 
 /// Configures and constructs an engine. Obtain one via
-/// [`Database::builder`]; finish with [`EngineBuilder::build`] (in-memory),
-/// [`EngineBuilder::build_serving`] (single-writer serving),
-/// [`EngineBuilder::build_sharded`] (predicate-hash-sharded serving) or
-/// [`EngineBuilder::build_maintained`] (incrementally maintained).
+/// [`Database::builder`]; finish with [`EngineBuilder::build`] (static,
+/// in-memory) or [`EngineBuilder::build_serving`] (incrementally maintained,
+/// snapshot-isolated serving over `shards` predicate-hash partitions).
 #[derive(Debug, Clone)]
 #[non_exhaustive]
 pub struct EngineBuilder {
@@ -91,8 +89,9 @@ impl EngineBuilder {
         self
     }
 
-    /// Number of predicate-hash data shards ([`EngineBuilder::build_sharded`]
-    /// only; clamped to at least 1).
+    /// Number of predicate-hash data shards of
+    /// [`EngineBuilder::build_serving`] (clamped to at least 1; 1 keeps a
+    /// single store pair and no partitions).
     pub fn shards(mut self, shards: usize) -> Self {
         self.shards = shards.max(1);
         self
@@ -123,10 +122,6 @@ impl EngineBuilder {
         Arc::new(PlanCache::new(self.plan_cache_capacity))
     }
 
-    pub(crate) fn shard_config(&self) -> ShardConfig {
-        ShardConfig::new(self.shards)
-    }
-
     /// Build an in-memory [`Database`] over `graph`.
     pub fn build(self, graph: Graph) -> Database {
         let cache = self.plan_cache();
@@ -140,21 +135,13 @@ impl EngineBuilder {
         .with_obs(self.obs)
     }
 
-    /// Build a snapshot-isolated, single-writer [`ServingDatabase`].
+    /// Build a [`ServingDatabase`]: the saturation is maintained
+    /// incrementally by a single background writer, readers take lock-free
+    /// snapshots. With `shards > 1` the data is split into predicate-hash
+    /// partitions with per-shard snapshot cells and a global scatter-gather
+    /// cell, all published in epoch lockstep.
     pub fn build_serving(self, graph: Graph) -> ServingDatabase {
         ServingDatabase::from_builder(graph, &self)
-    }
-
-    /// Build a [`ShardedServingDatabase`]: serving over `shards`
-    /// predicate-hash partitions with per-shard snapshot cells and a global
-    /// scatter-gather cell, all published in epoch lockstep.
-    pub fn build_sharded(self, graph: Graph) -> ShardedServingDatabase {
-        ShardedServingDatabase::from_builder(graph, &self)
-    }
-
-    /// Build an incrementally maintained [`MaintainedDatabase`].
-    pub fn build_maintained(self, graph: Graph) -> MaintainedDatabase {
-        MaintainedDatabase::from_builder(graph, &self)
     }
 }
 
@@ -176,8 +163,8 @@ ex:doi2 a ex:Publication .
     const QUERY: &str = r#"PREFIX ex: <http://example.org/>
         SELECT ?x WHERE { ?x a ex:Publication }"#;
 
-    /// Every knob × every terminal constructs a working engine that
-    /// answers the schema query correctly.
+    /// Every knob × both terminals × `shards ∈ {1, 4}` constructs a working
+    /// engine that answers the schema query correctly.
     #[test]
     fn builder_terminals_all_answer_identically() {
         let mut g = parse_turtle(DOC).unwrap();
@@ -191,30 +178,21 @@ ex:doi2 a ex:Publication .
             .to_vec();
         assert_eq!(reference.len(), 2);
 
-        let configured = Database::builder()
-            .encoding(DictEncoding::Interval)
-            .plan_cache_capacity(16)
-            .parallelism(Parallelism::morsels())
-            .build(g.clone());
-        let got = configured
-            .run_query(&q, &Strategy::RefGCov, &Default::default())
-            .unwrap()
-            .rows()
-            .to_vec();
-        assert_eq!(got, reference);
+        for shards in [1, 4] {
+            let configured = Database::builder()
+                .encoding(DictEncoding::Interval)
+                .plan_cache_capacity(16)
+                .parallelism(Parallelism::morsels())
+                .shards(shards);
+            let got = configured.clone().build(g.clone());
+            assert_eq!(got.query(&q).run().unwrap().rows(), &reference[..]);
+            let serving = configured.build_serving(g.clone());
+            assert_eq!(serving.query(&q).run().unwrap().rows(), &reference[..]);
 
-        let serving = Database::builder().build_serving(g.clone());
-        let snap = serving.snapshot();
-        assert_eq!(snap.query(&q).run().unwrap().rows(), &reference[..]);
-        drop(serving);
-
-        let sharded = Database::builder().shards(4).build_sharded(g.clone());
-        let snap = sharded.snapshot();
-        assert_eq!(snap.query(&q).run().unwrap().rows(), &reference[..]);
-        drop(sharded);
-
-        let mut maintained = Database::builder().build_maintained(g);
-        assert_eq!(maintained.query(&q).run().unwrap().rows(), &reference[..]);
+            let serving = Database::builder().shards(shards).build_serving(g.clone());
+            let snap = serving.snapshot();
+            assert_eq!(snap.query(&q).run().unwrap().rows(), &reference[..]);
+        }
     }
 
     /// The builder's parallelism knob becomes the engine default the

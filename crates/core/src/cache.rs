@@ -1,5 +1,5 @@
 //! A thread-safe, epoch-versioned plan cache shared across concurrent
-//! [`Database::answer`](crate::answer::Database::answer) calls.
+//! [`Database::run_query`](crate::answer::Database::run_query) calls.
 //!
 //! Reformulation is the dominant planning cost of the Ref strategies: the
 //! 13-rule fixpoint can produce hundreds of CQs, and GCov re-reformulates a

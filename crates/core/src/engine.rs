@@ -1,12 +1,12 @@
 //! The unified request API: the [`QueryEngine`] trait and the
 //! [`QueryRequest`] builder.
 //!
-//! Historically [`Database::answer`] and `MaintainedDatabase::answer` had
-//! drifted signatures (`&self` vs `&mut self`, strategy by value), so code
-//! that wanted to run the same workload against both — the CLI shell, the
-//! `exp_*` binaries, the cross-strategy completeness tests — had to be
-//! written twice. [`QueryEngine`] is the common surface; both database
-//! types (and their references) implement it, so harness code is generic:
+//! Everything that answers queries — the static [`Database`], a published
+//! [`Snapshot`](crate::Snapshot) and the live
+//! [`ServingDatabase`](crate::ServingDatabase) — does so through `&self`,
+//! so [`QueryEngine`] is the one surface harness code (the CLI shell, the
+//! `exp_*` binaries, the cross-strategy completeness tests) is generic
+//! over, and any engine can be shared across threads by reference:
 //!
 //! ```
 //! use rdfref_core::answer::{AnswerOptions, Database, Strategy};
@@ -14,7 +14,7 @@
 //! use rdfref_model::parser::parse_turtle;
 //! use rdfref_query::parse_select;
 //!
-//! fn run<E: QueryEngine>(engine: &mut E, q: &rdfref_query::Cq) -> usize {
+//! fn run<E: QueryEngine>(engine: &E, q: &rdfref_query::Cq) -> usize {
 //!     engine
 //!         .run_query(q, &Strategy::RefGCov, &AnswerOptions::default())
 //!         .unwrap()
@@ -31,8 +31,11 @@
 //!     "PREFIX ex: <http://example.org/> SELECT ?x WHERE { ?x a ex:Publication }",
 //!     graph.dictionary_mut(),
 //! ).unwrap();
-//! let mut db = Database::builder().build(graph);
-//! assert_eq!(run(&mut db, &q), 1);
+//! let db = Database::builder().build(graph.clone());
+//! assert_eq!(run(&db, &q), 1);
+//! let serving = Database::builder().build_serving(graph);
+//! assert_eq!(run(&serving, &q), 1);
+//! assert_eq!(run(&*serving.snapshot(), &q), 1);
 //! ```
 //!
 //! For application code the ergonomic entry point is the builder:
@@ -50,7 +53,6 @@
 use crate::answer::{AnswerOptions, Database, QueryAnswer, Strategy};
 use crate::error::Result;
 use crate::gcov::GcovOptions;
-use crate::maintained::MaintainedDatabase;
 use crate::reformulate::ucq::ReformulationLimits;
 use rdfref_obs::{MetricsRegistry, Obs};
 use rdfref_query::Cq;
@@ -59,18 +61,13 @@ use rdfref_sync::Arc;
 
 /// Anything that can answer a BGP query with a [`Strategy`].
 ///
-/// Implemented by [`Database`] (and `&Database`, which is how concurrent
-/// harnesses share one database across threads) and by
-/// [`MaintainedDatabase`]. The receiver is `&mut self` — the lowest common
-/// denominator, since maintained databases rebuild stores lazily.
+/// Implemented by [`Database`], [`Snapshot`](crate::Snapshot) and
+/// [`ServingDatabase`](crate::ServingDatabase), and by `&E` for any engine
+/// `E` — which is what lets `Arc<Database>` be queried from many threads
+/// at once and what [`QueryRequest`] holds.
 pub trait QueryEngine {
     /// Answer `cq` with `strategy` under `opts`.
-    fn run_query(
-        &mut self,
-        cq: &Cq,
-        strategy: &Strategy,
-        opts: &AnswerOptions,
-    ) -> Result<QueryAnswer>;
+    fn run_query(&self, cq: &Cq, strategy: &Strategy, opts: &AnswerOptions) -> Result<QueryAnswer>;
 
     /// The options a fresh [`QueryRequest`] starts from. Engines built with
     /// a non-default parallelism policy (see
@@ -81,7 +78,7 @@ pub trait QueryEngine {
     }
 
     /// Start a request for `cq` against this engine (builder style).
-    fn query<'q>(&mut self, cq: &'q Cq) -> QueryRequest<'q, &mut Self>
+    fn query<'q>(&self, cq: &'q Cq) -> QueryRequest<'q, &Self>
     where
         Self: Sized,
     {
@@ -90,12 +87,7 @@ pub trait QueryEngine {
 }
 
 impl QueryEngine for Database {
-    fn run_query(
-        &mut self,
-        cq: &Cq,
-        strategy: &Strategy,
-        opts: &AnswerOptions,
-    ) -> Result<QueryAnswer> {
+    fn run_query(&self, cq: &Cq, strategy: &Strategy, opts: &AnswerOptions) -> Result<QueryAnswer> {
         Database::run_query(self, cq, strategy, opts)
     }
 
@@ -106,49 +98,8 @@ impl QueryEngine for Database {
     }
 }
 
-/// A shared database answers through `&Database` — this is what lets
-/// `Arc<Database>` be queried from many threads at once.
-impl QueryEngine for &Database {
-    fn run_query(
-        &mut self,
-        cq: &Cq,
-        strategy: &Strategy,
-        opts: &AnswerOptions,
-    ) -> Result<QueryAnswer> {
-        Database::run_query(self, cq, strategy, opts)
-    }
-
-    fn default_options(&self) -> AnswerOptions {
-        AnswerOptions::default()
-            .with_parallelism(self.default_parallelism())
-            .with_join_algorithm(self.default_join_algorithm())
-    }
-}
-
-impl QueryEngine for MaintainedDatabase {
-    fn run_query(
-        &mut self,
-        cq: &Cq,
-        strategy: &Strategy,
-        opts: &AnswerOptions,
-    ) -> Result<QueryAnswer> {
-        MaintainedDatabase::run_query(self, cq, strategy, opts)
-    }
-
-    fn default_options(&self) -> AnswerOptions {
-        AnswerOptions::default()
-            .with_parallelism(self.default_parallelism())
-            .with_join_algorithm(self.default_join_algorithm())
-    }
-}
-
-impl<E: QueryEngine> QueryEngine for &mut E {
-    fn run_query(
-        &mut self,
-        cq: &Cq,
-        strategy: &Strategy,
-        opts: &AnswerOptions,
-    ) -> Result<QueryAnswer> {
+impl<E: QueryEngine> QueryEngine for &E {
+    fn run_query(&self, cq: &Cq, strategy: &Strategy, opts: &AnswerOptions) -> Result<QueryAnswer> {
         (**self).run_query(cq, strategy, opts)
     }
 
@@ -159,8 +110,9 @@ impl<E: QueryEngine> QueryEngine for &mut E {
 
 /// A fluent, single-use request against a [`QueryEngine`].
 ///
-/// Build with [`Database::query`], [`MaintainedDatabase::query`], or
-/// [`QueryEngine::query`]; finish with [`QueryRequest::run`]. Defaults:
+/// Build with [`Database::query`] (or the same method on a snapshot or
+/// serving database — [`QueryEngine::query`] generically); finish with
+/// [`QueryRequest::run`]. Defaults:
 /// `Strategy::RefGCov` (the paper's recommended strategy) and
 /// [`AnswerOptions::default`].
 #[must_use = "a QueryRequest does nothing until .run()"]
@@ -254,7 +206,7 @@ impl<'q, E: QueryEngine> QueryRequest<'q, E> {
     }
 
     /// Execute the request.
-    pub fn run(mut self) -> Result<QueryAnswer> {
+    pub fn run(self) -> Result<QueryAnswer> {
         self.engine.run_query(self.cq, &self.strategy, &self.opts)
     }
 }
@@ -265,13 +217,6 @@ impl Database {
     /// Takes `&self`: a plain database answers without mutation, so shared
     /// handles (`&Database`, `Arc<Database>`) can build requests directly.
     pub fn query<'q>(&self, cq: &'q Cq) -> QueryRequest<'q, &Database> {
-        QueryRequest::new(self, cq)
-    }
-}
-
-impl MaintainedDatabase {
-    /// Start a request for `cq` (builder style); see [`QueryRequest`].
-    pub fn query<'q>(&mut self, cq: &'q Cq) -> QueryRequest<'q, &mut MaintainedDatabase> {
         QueryRequest::new(self, cq)
     }
 }
@@ -331,35 +276,25 @@ ex:doi2 ex:writtenBy ex:someone .
     }
 
     #[test]
-    fn generic_harness_runs_both_database_kinds() {
-        fn harness<E: QueryEngine>(engine: &mut E, cq: &Cq) -> usize {
+    fn generic_harness_runs_every_engine() {
+        fn harness<E: QueryEngine>(engine: &E, cq: &Cq) -> usize {
             engine
                 .run_query(cq, &Strategy::Saturation, &AnswerOptions::default())
                 .unwrap()
                 .len()
         }
         let (db, q) = setup();
-        let mut shared = &db; // &Database implements QueryEngine
-        assert_eq!(harness(&mut shared, &q), 2);
-        let mut maintained = MaintainedDatabase::new(db.graph().clone());
-        assert_eq!(harness(&mut maintained, &q), 2);
-    }
-
-    #[test]
-    fn builder_works_on_maintained_database() {
-        let (db, q) = setup();
-        let mut maintained = MaintainedDatabase::new(db.graph().clone());
-        let a = maintained
-            .query(&q)
+        assert_eq!(harness(&db, &q), 2);
+        assert_eq!(harness(&&db, &q), 2, "&Database is an engine too");
+        let serving = Database::builder().build_serving(db.graph().clone());
+        assert_eq!(harness(&serving, &q), 2);
+        assert_eq!(harness(&*serving.snapshot(), &q), 2);
+        // The trait's own request builder agrees with the inherent ones.
+        let a = QueryEngine::query(&serving, &q)
             .strategy(Strategy::Saturation)
             .run()
             .unwrap();
-        assert_eq!(a.len(), 2);
-        let b = maintained
-            .query(&q)
-            .strategy(Strategy::RefUcq)
-            .run()
-            .unwrap();
+        let b = serving.query(&q).strategy(Strategy::RefUcq).run().unwrap();
         assert_eq!(a.rows(), b.rows());
     }
 

@@ -65,7 +65,6 @@ pub mod error;
 pub mod explain;
 pub mod gcov;
 pub mod incomplete;
-pub mod maintained;
 pub(crate) mod pubcell;
 pub mod reformulate;
 pub mod serving;
@@ -81,13 +80,9 @@ pub use error::{CoreError, Result};
 pub use explain::{Explain, PhysicalPlan, SnapshotInfo};
 pub use gcov::{gcov, gcov_with_obs, GcovOptions, GcovResult};
 pub use incomplete::IncompletenessProfile;
-pub use maintained::MaintainedDatabase;
 pub use rdfref_obs::{MetricsRegistry, Obs};
 pub use rdfref_storage::{JoinAlgorithm, Parallelism, DEFAULT_MORSEL_SIZE};
 pub use reformulate::{
     reformulate_jucq, reformulate_scq, reformulate_ucq, ReformulationLimits, RewriteContext,
 };
-pub use serving::{
-    BatchReport, BatchTicket, ServingDatabase, ShardConfig, ShardedServingDatabase, Snapshot,
-    UpdateBatch,
-};
+pub use serving::{BatchReport, BatchTicket, ServingDatabase, ShardConfig, Snapshot, UpdateBatch};

@@ -1,12 +1,11 @@
 //! Snapshot-isolated concurrent serving: lock-free readers under live
-//! maintenance.
+//! maintenance — the one write-side engine.
 //!
-//! The static [`Database`](crate::Database) answers queries over a frozen
-//! graph; [`MaintainedDatabase`](crate::MaintainedDatabase) keeps the
-//! saturation consistent under updates but serializes everything behind
-//! `&mut self`. This module closes the gap for server settings — the
-//! dynamic-RDF scenario of the paper's introduction where updates arrive
-//! *while* queries are being answered:
+//! The static [`Database`] answers queries over a frozen
+//! graph. This module is everything that changes: the dynamic-RDF scenario
+//! of the paper's introduction (Goasdoué, Manolescu & Roatiş, EDBT'13),
+//! where updates arrive *while* queries are being answered and the
+//! saturation is kept current incrementally instead of being recomputed.
 //!
 //! * **[`Snapshot`]** — an immutable, `Arc`-shared quadruple of (explicit
 //!   store, maintained saturation, statistics, plan-cache epochs), tagged
@@ -14,25 +13,26 @@
 //!   are shared copy-on-write with the writer's working state (the store's
 //!   index buckets, the dictionary, schema closure and statistics), so a
 //!   snapshot costs a handful of `Arc` bumps.
-//! * **[`SnapshotCell`]** (private) — the publication point: an atomic
+//! * **`SnapshotCell`** (private) — the publication point: an atomic
 //!   version counter plus a mutex-protected slot and a per-thread cache.
 //!   The reader fast path is one atomic load and a thread-local lookup; the
 //!   slot mutex is touched only in the publication instant and on the first
 //!   read after a publish. Readers never block behind the writer.
-//! * **[`WriterCore`]** (crate-private) — the single-writer maintenance
-//!   pipeline: interns terms, applies insert/delete batches through
+//! * **`WriterCore`** (private) — the single-writer maintenance pipeline:
+//!   interns terms, applies insert/delete batches through
 //!   [`rdfref_reasoning::IncrementalReasoner`] (semi-naive insertion, DRed
 //!   deletion, schema changes via resaturation-with-diff), folds the exact
 //!   [`MaintenanceDelta`] into the copy-on-write stores and incremental
-//!   statistics, and bumps the plan cache's epochs. Also the engine behind
-//!   [`MaintainedDatabase`](crate::MaintainedDatabase).
+//!   statistics — the global pair and, with `shards > 1`, every
+//!   predicate-hash partition — and bumps the plan cache's epochs.
 //! * **[`ServingDatabase`]** — the concurrent façade: `&self` reads via
 //!   [`ServingDatabase::snapshot`] / the request builder, `&self` writes via
 //!   [`ServingDatabase::submit`] which enqueues an [`UpdateBatch`] to a
 //!   background maintenance thread and returns a [`BatchTicket`]; the
 //!   ticket resolves to a [`BatchReport`] of per-batch maintenance metrics
 //!   *after* the containing snapshot is published (read-your-writes for
-//!   anyone who waits on the ticket).
+//!   anyone who waits on the ticket). A synchronous caller is simply one
+//!   that waits on every ticket.
 //!
 //! Consistency contract: every answer is computed against exactly one
 //! snapshot — one `(graph, saturation, stats, cache-epoch)` state — and
@@ -42,11 +42,14 @@
 //!
 //! Memory reclamation is pure `Arc` reference counting: a retired snapshot
 //! survives exactly as long as some reader still holds it (plus at most
-//! [`TLS_CACHE_CAP`] slots per thread in the thread-local cache), then its
+//! `TLS_CACHE_CAP` (8) slots per thread in the thread-local cache), then its
 //! unshared index buckets are freed. There is no epoch-based reclamation
 //! machinery to misuse and no unsafe code.
 
-use crate::answer::{AnswerOptions, DataSource, Database, QueryAnswer, SaturatedPart, Strategy};
+use crate::answer::{
+    build_encoder, encode_store, AnswerOptions, DataSource, Database, QueryAnswer, SaturatedPart,
+    Strategy,
+};
 use crate::builder::EngineBuilder;
 use crate::cache::PlanCache;
 use crate::engine::{QueryEngine, QueryRequest};
@@ -54,8 +57,7 @@ use crate::error::{CoreError, Result};
 use crate::explain::SnapshotInfo;
 use crate::pubcell::{publish_all, PubCell, Published};
 use rdfref_model::{
-    vocab, DictEncoding, EncodedTriple, Graph, HierarchyEncoder, Schema, SchemaClosure, Term,
-    TermId, Triple,
+    vocab, DictEncoding, EncodedTriple, Graph, HierarchyEncoder, Schema, SchemaClosure, Triple,
 };
 use rdfref_obs::Obs;
 use rdfref_query::Cq;
@@ -115,9 +117,9 @@ impl Snapshot {
     }
 
     /// The dictionary this snapshot's triples are encoded against. Parse
-    /// queries against it with
-    /// [`rdfref_query::parse_select_with`]-style helpers that do not intern
-    /// new terms, or intern via write batches.
+    /// queries against a clone of it ([`rdfref_query::parse_select`] interns
+    /// new constants); terms reach the engine's own dictionary only through
+    /// write batches.
     pub fn dictionary(&self) -> &rdfref_model::Dictionary {
         self.db.dictionary()
     }
@@ -157,13 +159,8 @@ impl Snapshot {
     }
 }
 
-impl QueryEngine for &Snapshot {
-    fn run_query(
-        &mut self,
-        cq: &Cq,
-        strategy: &Strategy,
-        opts: &AnswerOptions,
-    ) -> Result<QueryAnswer> {
+impl QueryEngine for Snapshot {
+    fn run_query(&self, cq: &Cq, strategy: &Strategy, opts: &AnswerOptions) -> Result<QueryAnswer> {
         Snapshot::run_query(self, cq, strategy, opts)
     }
 
@@ -253,85 +250,95 @@ impl BatchReport {
         self.apply_wall
     }
 
-    /// Time the batch spent queued before the writer picked it up (zero
-    /// for synchronous application).
+    /// Time the batch spent queued before the writer picked it up.
     pub fn queue_wait(&self) -> Duration {
         self.queue_wait
     }
 }
 
-/// One predicate-hash partition's working state: copy-on-write explicit
-/// and saturation stores restricted to the triples whose predicate routes
-/// to this shard, plus their incrementally maintained statistics. Kept in
-/// lockstep with the global working stores by [`WriterCore::fold_delta`].
+/// One working store with its incrementally maintained statistics: the
+/// unit every delta is folded into. The store evolves via
+/// [`Store::apply_delta`] (bucket-level copy-on-write) and the statistics
+/// via [`StatsMaintainer`] — no full rebuild on the data path.
 #[derive(Debug)]
-struct ShardState {
-    explicit: Store,
-    explicit_stats: Arc<Stats>,
-    explicit_maintainer: StatsMaintainer,
-    sat: Store,
-    sat_stats: Arc<Stats>,
-    sat_maintainer: StatsMaintainer,
+struct MaintainedStore {
+    store: Store,
+    stats: Arc<Stats>,
+    maintainer: StatsMaintainer,
 }
 
-impl ShardState {
-    fn from_stores(explicit: Store, sat: Store) -> ShardState {
-        let explicit_stats = Arc::new(Stats::compute(&explicit));
-        let explicit_maintainer = StatsMaintainer::from_store(&explicit);
-        let sat_stats = Arc::new(Stats::compute(&sat));
-        let sat_maintainer = StatsMaintainer::from_store(&sat);
-        ShardState {
-            explicit,
-            explicit_stats,
-            explicit_maintainer,
-            sat,
-            sat_stats,
-            sat_maintainer,
+impl MaintainedStore {
+    fn from_store(store: Store) -> MaintainedStore {
+        MaintainedStore {
+            stats: Arc::new(Stats::compute(&store)),
+            maintainer: StatsMaintainer::from_store(&store),
+            store,
+        }
+    }
+
+    /// Fold an exact delta (already in store id space) into the store and
+    /// its statistics.
+    fn apply(&mut self, added: &[EncodedTriple], removed: &[EncodedTriple]) {
+        if added.is_empty() && removed.is_empty() {
+            return;
+        }
+        let next = self.store.apply_delta(added, removed);
+        self.stats = Arc::new(self.maintainer.apply(&self.stats, &next, added, removed));
+        self.store = next;
+    }
+}
+
+/// The explicit triples and their saturation, side by side: the writer
+/// keeps one global pair and, when sharded, one pair per predicate-hash
+/// partition restricted to the triples whose predicate routes there.
+#[derive(Debug)]
+struct Partition {
+    explicit: MaintainedStore,
+    sat: MaintainedStore,
+}
+
+impl Partition {
+    fn from_stores(explicit: Store, sat: Store) -> Partition {
+        Partition {
+            explicit: MaintainedStore::from_store(explicit),
+            sat: MaintainedStore::from_store(sat),
         }
     }
 }
 
-/// Partition `store`'s triples by `shard_of_predicate` into `n` stores.
-/// Every triple — explicit and derived alike — is routed by its *own*
+/// Split `triples` by `shard_of_predicate` into `n` lists. Every triple —
+/// explicit and derived alike — is routed by its *own* (store-space)
 /// predicate id, so constant-predicate scans hit exactly one shard.
-fn partition_store(store: &Store, n: usize) -> Vec<Store> {
+fn route(triples: impl Iterator<Item = EncodedTriple>, n: usize) -> Vec<Vec<EncodedTriple>> {
     let mut parts: Vec<Vec<EncodedTriple>> = vec![Vec::new(); n];
-    for t in store.iter() {
+    for t in triples {
         parts[shard_of_predicate(t.p, n)].push(t);
     }
-    parts.iter().map(|p| Store::from_triples(p)).collect()
+    parts
 }
 
 /// The single-writer maintenance state: the incremental reasoner plus
-/// copy-on-write working copies of everything a snapshot shares.
+/// copy-on-write working copies of everything a snapshot shares. Owned by
+/// the [`ServingDatabase`] background maintenance thread.
 ///
-/// Used in two modes: synchronously behind `&mut self` by
-/// [`MaintainedDatabase`](crate::MaintainedDatabase), and behind a mutex by
-/// the [`ServingDatabase`] background maintenance thread. The working
-/// stores evolve via [`Store::apply_delta`] (bucket-level copy-on-write)
-/// driven by the exact [`MaintenanceDelta`]s the reasoner reports, and the
-/// statistics via [`StatsMaintainer`] — no full rebuild on the data path.
-///
-/// With `shards > 1` the writer additionally maintains one [`ShardState`]
-/// per predicate-hash partition, folding each delta triple into the shard
-/// its predicate routes to. All shards advance inside the same `apply`
-/// call, share the single plan cache and epoch pair, and are published at
-/// the same sequence number — the cross-shard batch protocol that keeps
-/// epoch-pinned plan-cache lookups valid on every shard.
+/// With `shards > 1` the writer additionally maintains one [`Partition`]
+/// per predicate-hash shard, folding each delta triple into the shard its
+/// predicate routes to. All shards advance inside the same `apply` call,
+/// share the single plan cache and epoch pair, and are published at the
+/// same sequence number — the cross-shard batch protocol that keeps
+/// epoch-pinned plan-cache lookups valid on every shard. With one shard
+/// the global pair *is* the shard: no second copy is kept.
 #[derive(Debug)]
-pub(crate) struct WriterCore {
+struct WriterCore {
     reasoner: IncrementalReasoner,
     /// Published dictionary snapshot; refreshed (one clone) whenever the
     /// reasoner's dictionary has grown since the last snapshot.
     dict: Arc<rdfref_model::Dictionary>,
     schema: Arc<Schema>,
     closure: Arc<SchemaClosure>,
-    explicit_store: Store,
-    explicit_stats: Arc<Stats>,
-    explicit_maintainer: StatsMaintainer,
-    sat_store: Store,
-    sat_stats: Arc<Stats>,
-    sat_maintainer: StatsMaintainer,
+    global: Partition,
+    /// Predicate-hash partitions (empty when unsharded).
+    shards: Vec<Partition>,
     /// Saturation triples touched by the last batch (added + removed);
     /// surfaces as `Explain::saturation_added` on Sat answers.
     last_delta: usize,
@@ -339,10 +346,10 @@ pub(crate) struct WriterCore {
     seq: u64,
     cache: Arc<PlanCache>,
     obs: Obs,
-    /// Which id space the working stores live in. The reasoner, dictionary
-    /// and deltas always speak base ids; interval mode remaps deltas on the
-    /// way into the stores and re-encodes wholesale on schema changes.
-    encoding: DictEncoding,
+    /// The interval encoder, when the working stores live in interval id
+    /// space. The reasoner, dictionary and deltas always speak base ids;
+    /// interval mode remaps deltas on the way into the stores and
+    /// re-encodes wholesale on schema changes.
     encoder: Option<Arc<HierarchyEncoder>>,
     /// Engine-default intra-query parallelism, stamped onto every snapshot
     /// database this writer assembles.
@@ -350,115 +357,59 @@ pub(crate) struct WriterCore {
     /// Engine-default physical join algorithm, stamped onto every snapshot
     /// database this writer assembles.
     join_algorithm: JoinAlgorithm,
-    /// Predicate-hash partitions (empty when unsharded).
-    shard_states: Vec<ShardState>,
+}
+
+/// Encode the reasoner's (base-space) graphs into fresh working stores: the
+/// global pair plus, for `shards > 1`, its predicate-hash partitions.
+fn encode_partitions(
+    reasoner: &IncrementalReasoner,
+    encoder: Option<&HierarchyEncoder>,
+    shards: usize,
+) -> (Partition, Vec<Partition>) {
+    let explicit = encode_store(reasoner.explicit(), encoder);
+    let sat = encode_store(reasoner.saturated(), encoder);
+    let parts = if shards > 1 {
+        route(explicit.iter(), shards)
+            .iter()
+            .zip(route(sat.iter(), shards))
+            .map(|(e, s)| Partition::from_stores(Store::from_triples(e), Store::from_triples(&s)))
+            .collect()
+    } else {
+        Vec::new()
+    };
+    (Partition::from_stores(explicit, sat), parts)
 }
 
 impl WriterCore {
-    pub(crate) fn from_graph(graph: Graph, cache: Arc<PlanCache>, obs: Obs) -> WriterCore {
-        WriterCore::new(
-            graph,
-            cache,
-            obs,
-            DictEncoding::Classic,
-            Parallelism::Off,
-            JoinAlgorithm::BindJoin,
-            1,
-        )
-    }
-
-    pub(crate) fn new(
-        graph: Graph,
-        cache: Arc<PlanCache>,
-        obs: Obs,
-        encoding: DictEncoding,
-        parallelism: Parallelism,
-        join_algorithm: JoinAlgorithm,
-        shards: usize,
-    ) -> WriterCore {
+    /// Saturate `graph` once and build the working stores `b` asks for.
+    fn new(graph: Graph, cache: Arc<PlanCache>, b: &EngineBuilder) -> WriterCore {
         let mut reasoner = IncrementalReasoner::new(graph);
-        reasoner.set_obs(obs.clone());
+        reasoner.set_obs(b.obs.clone());
         let schema = Arc::new(Schema::from_graph(reasoner.explicit()));
         let closure = Arc::new(schema.closure());
         let dict = Arc::new(reasoner.explicit().dictionary().clone());
-        let encoder = match encoding {
-            DictEncoding::Classic => None,
-            DictEncoding::Interval => Some(Arc::new(HierarchyEncoder::build(
-                &schema,
-                &closure,
-                dict.len(),
-            ))),
-        };
-        let build_store = |g: &Graph| match &encoder {
-            Some(enc) => {
-                let triples: Vec<EncodedTriple> =
-                    g.triples().iter().map(|t| enc.encode_triple(t)).collect();
-                Store::from_triples(&triples)
-            }
-            None => Store::from_graph(g),
-        };
-        let explicit_store = build_store(reasoner.explicit());
-        let explicit_stats = Arc::new(Stats::compute(&explicit_store));
-        let explicit_maintainer = StatsMaintainer::from_store(&explicit_store);
-        let sat_store = build_store(reasoner.saturated());
-        let sat_stats = Arc::new(Stats::compute(&sat_store));
-        let sat_maintainer = StatsMaintainer::from_store(&sat_store);
-        let last_delta = sat_store.len().saturating_sub(explicit_store.len());
-        let shard_states = if shards > 1 {
-            partition_store(&explicit_store, shards)
-                .into_iter()
-                .zip(partition_store(&sat_store, shards))
-                .map(|(e, s)| ShardState::from_stores(e, s))
-                .collect()
-        } else {
-            Vec::new()
-        };
+        let encoder = build_encoder(b.encoding, &schema, &closure, dict.len());
+        let (global, shards) = encode_partitions(&reasoner, encoder.as_deref(), b.shards);
+        let last_delta = global
+            .sat
+            .store
+            .len()
+            .saturating_sub(global.explicit.store.len());
         WriterCore {
             reasoner,
             dict,
             schema,
             closure,
-            explicit_store,
-            explicit_stats,
-            explicit_maintainer,
-            sat_store,
-            sat_stats,
-            sat_maintainer,
+            global,
+            shards,
             last_delta,
             seq: 0,
             cache,
-            obs,
-            encoding,
+            obs: b.obs.clone(),
             encoder,
-            parallelism,
-            join_algorithm,
-            shard_states,
+            parallelism: b.parallelism,
+            join_algorithm: b.join_algorithm,
         }
-    }
-
-    pub(crate) fn set_obs(&mut self, obs: Obs) {
-        self.reasoner.set_obs(obs.clone());
-        self.obs = obs;
-    }
-
-    pub(crate) fn obs(&self) -> &Obs {
-        &self.obs
-    }
-
-    pub(crate) fn plan_cache(&self) -> &Arc<PlanCache> {
-        &self.cache
-    }
-
-    pub(crate) fn reasoner(&self) -> &IncrementalReasoner {
-        &self.reasoner
-    }
-
-    pub(crate) fn intern(&mut self, term: &Term) -> TermId {
-        self.reasoner.intern(term)
-    }
-
-    pub(crate) fn intern_triple(&mut self, s: &Term, p: &Term, o: &Term) -> EncodedTriple {
-        self.reasoner.intern_triple(s, p, o)
     }
 
     /// Intern a term-level batch against the reasoner's dictionaries.
@@ -490,11 +441,7 @@ impl WriterCore {
     /// copy-on-write stores and statistics. Bumps the plan cache's data
     /// epoch (and schema epoch on constraint changes) and advances the
     /// snapshot sequence number.
-    pub(crate) fn apply(
-        &mut self,
-        inserts: &[EncodedTriple],
-        deletes: &[EncodedTriple],
-    ) -> BatchReport {
+    fn apply(&mut self, inserts: &[EncodedTriple], deletes: &[EncodedTriple]) -> BatchReport {
         // Clone the handle so the span guard doesn't pin `self.obs` across
         // the `&mut self` calls below.
         let obs = self.obs.clone();
@@ -514,7 +461,12 @@ impl WriterCore {
         };
 
         for delta in [&ins_delta, &del_delta] {
-            self.fold_delta(delta);
+            self.fold(&delta.explicit_added, &delta.explicit_removed, |p| {
+                &mut p.explicit
+            });
+            self.fold(&delta.saturation_added, &delta.saturation_removed, |p| {
+                &mut p.sat
+            });
         }
         if schema_changed {
             // Constraints changed: the Ref strategies' rewrite context must
@@ -524,22 +476,28 @@ impl WriterCore {
             self.schema = Arc::new(Schema::from_graph(self.reasoner.explicit()));
             self.closure = Arc::new(self.schema.closure());
             // Interval mode: the hierarchy changed, so the id clustering is
-            // stale — rebuild the encoder and re-encode both stores from
-            // the reasoner's (base-space) graphs. The schema-epoch bump
-            // below strands every plan cached against the old encoding.
+            // stale — rebuild the encoder and re-encode the stores from the
+            // reasoner's (base-space) graphs. The schema-epoch bump below
+            // strands every plan cached against the old encoding.
             self.reencode();
         }
-        self.sync_dict();
+        // Refresh the published dictionary if the reasoner's has grown (one
+        // clone per term-adding batch; term ids are stable, so all
+        // previously published snapshots stay valid).
+        let live = self.reasoner.explicit().dictionary();
+        if live.len() != self.dict.len() {
+            self.dict = Arc::new(live.clone());
+        }
 
         #[cfg(feature = "strict-invariants")]
         {
             assert_eq!(
-                self.explicit_store.len(),
+                self.global.explicit.store.len(),
                 self.reasoner.explicit().len(),
                 "explicit COW store diverged from the reasoner's graph"
             );
             assert_eq!(
-                self.sat_store.len(),
+                self.global.sat.store.len(),
                 self.reasoner.saturated().len(),
                 "saturation COW store diverged from the reasoner's graph"
             );
@@ -583,135 +541,61 @@ impl WriterCore {
         }
     }
 
-    /// Fold one exact maintenance delta into the working stores and stats.
-    /// Deltas arrive in base id space (the reasoner's); interval mode
-    /// remaps them here, at the store boundary. Sharded writers also route
-    /// every delta triple into its predicate's partition, keeping the
-    /// shards in lockstep with the global stores inside one `apply`.
-    fn fold_delta(&mut self, delta: &MaintenanceDelta) {
-        if !delta.explicit_added.is_empty() || !delta.explicit_removed.is_empty() {
-            let added = self.encode_triples(&delta.explicit_added);
-            let removed = self.encode_triples(&delta.explicit_removed);
-            let next = self.explicit_store.apply_delta(&added, &removed);
-            let stats =
-                self.explicit_maintainer
-                    .apply(&self.explicit_stats, &next, &added, &removed);
-            self.explicit_store = next;
-            self.explicit_stats = Arc::new(stats);
-            self.fold_shard_deltas(&added, &removed, true);
-        }
-        if !delta.saturation_added.is_empty() || !delta.saturation_removed.is_empty() {
-            let added = self.encode_triples(&delta.saturation_added);
-            let removed = self.encode_triples(&delta.saturation_removed);
-            let next = self.sat_store.apply_delta(&added, &removed);
-            let stats = self
-                .sat_maintainer
-                .apply(&self.sat_stats, &next, &added, &removed);
-            self.sat_store = next;
-            self.sat_stats = Arc::new(stats);
-            self.fold_shard_deltas(&added, &removed, false);
-        }
-    }
-
-    /// Route one (already encoded) delta into the per-shard stores and
-    /// statistics. `explicit` selects which side of each shard to fold.
-    fn fold_shard_deltas(
+    /// Fold one side (`side` picks explicit or saturation) of an exact
+    /// maintenance delta into the working stores and stats. Deltas arrive
+    /// in base id space (the reasoner's); interval mode remaps them here,
+    /// at the store boundary. Sharded writers also route every delta triple
+    /// into its predicate's partition, keeping the shards in lockstep with
+    /// the global stores inside one `apply`.
+    fn fold(
         &mut self,
         added: &[EncodedTriple],
         removed: &[EncodedTriple],
-        explicit: bool,
+        side: fn(&mut Partition) -> &mut MaintainedStore,
     ) {
-        let n = self.shard_states.len();
-        if n == 0 {
+        if added.is_empty() && removed.is_empty() {
             return;
         }
-        let route = |ts: &[EncodedTriple]| {
-            let mut parts: Vec<Vec<EncodedTriple>> = vec![Vec::new(); n];
-            for t in ts {
-                parts[shard_of_predicate(t.p, n)].push(*t);
-            }
-            parts
-        };
-        let added_parts = route(added);
-        let removed_parts = route(removed);
-        for (shard, (a, r)) in self
-            .shard_states
-            .iter_mut()
-            .zip(added_parts.iter().zip(removed_parts.iter()))
-        {
-            if a.is_empty() && r.is_empty() {
-                continue;
-            }
-            if explicit {
-                let next = shard.explicit.apply_delta(a, r);
-                let stats = shard
-                    .explicit_maintainer
-                    .apply(&shard.explicit_stats, &next, a, r);
-                shard.explicit = next;
-                shard.explicit_stats = Arc::new(stats);
-            } else {
-                let next = shard.sat.apply_delta(a, r);
-                let stats = shard.sat_maintainer.apply(&shard.sat_stats, &next, a, r);
-                shard.sat = next;
-                shard.sat_stats = Arc::new(stats);
-            }
+        let added = self.encode_triples(added);
+        let removed = self.encode_triples(removed);
+        side(&mut self.global).apply(&added, &removed);
+        if self.shards.is_empty() {
+            return;
+        }
+        let n = self.shards.len();
+        let added = route(added.iter().copied(), n);
+        let removed = route(removed.iter().copied(), n);
+        for (shard, (a, r)) in self.shards.iter_mut().zip(added.iter().zip(&removed)) {
+            side(shard).apply(a, r);
         }
     }
 
     /// Interval mode only: rebuild the encoder against the current schema
-    /// closure and re-encode both working stores (and their statistics)
-    /// from the reasoner's base-space graphs. Classic mode is a no-op.
+    /// closure and re-encode every working store (global and shards, whose
+    /// routing follows the new predicate ids) from the reasoner's
+    /// base-space graphs. Classic mode is a no-op.
     fn reencode(&mut self) {
-        if self.encoding != DictEncoding::Interval {
+        if self.encoder.is_none() {
             return;
         }
         let universe = self.reasoner.explicit().dictionary().len();
-        let enc = Arc::new(HierarchyEncoder::build(
+        self.encoder = build_encoder(
+            DictEncoding::Interval,
             &self.schema,
             &self.closure,
             universe,
-        ));
-        let build_store = |g: &Graph| {
-            let triples: Vec<EncodedTriple> =
-                g.triples().iter().map(|t| enc.encode_triple(t)).collect();
-            Store::from_triples(&triples)
-        };
-        self.explicit_store = build_store(self.reasoner.explicit());
-        self.sat_store = build_store(self.reasoner.saturated());
-        self.explicit_stats = Arc::new(Stats::compute(&self.explicit_store));
-        self.sat_stats = Arc::new(Stats::compute(&self.sat_store));
-        self.explicit_maintainer = StatsMaintainer::from_store(&self.explicit_store);
-        self.sat_maintainer = StatsMaintainer::from_store(&self.sat_store);
-        self.encoder = Some(enc);
+        );
+        (self.global, self.shards) =
+            encode_partitions(&self.reasoner, self.encoder.as_deref(), self.shards.len());
     }
 
-    /// Refresh the published dictionary if the reasoner's has grown (one
-    /// dictionary clone per term-adding batch; term ids are stable, so all
-    /// previously published snapshots stay valid).
-    pub(crate) fn sync_dict(&mut self) {
-        let live = self.reasoner.explicit().dictionary();
-        if live.len() != self.dict.len() {
-            self.dict = Arc::new(live.clone());
-        }
-    }
-
-    /// The engine-default intra-query parallelism policy.
-    pub(crate) fn parallelism(&self) -> Parallelism {
-        self.parallelism
-    }
-
-    /// The engine-default physical join algorithm.
-    pub(crate) fn join_algorithm(&self) -> JoinAlgorithm {
-        self.join_algorithm
-    }
-
-    /// Wrap pre-built parts into a snapshot at the current seq/epochs.
+    /// Wrap a pair of sources into a snapshot at the current seq/epochs,
+    /// planned against `part`'s statistics.
     fn snapshot_from(
         &self,
         explicit: DataSource,
         sat: DataSource,
-        stats: Arc<Stats>,
-        sat_stats: Arc<Stats>,
+        part: &Partition,
     ) -> Arc<Snapshot> {
         let explicit_len = explicit.len();
         let saturation_len = sat.len();
@@ -720,10 +604,10 @@ impl WriterCore {
             Arc::clone(&self.schema),
             Arc::clone(&self.closure),
             explicit,
-            stats,
+            Arc::clone(&part.explicit.stats),
             Some(SaturatedPart {
                 store: sat,
-                stats: sat_stats,
+                stats: Arc::clone(&part.sat.stats),
                 added: self.last_delta,
             }),
             Arc::clone(&self.cache),
@@ -744,64 +628,40 @@ impl WriterCore {
         })
     }
 
-    /// Assemble an immutable snapshot of the current working state: a few
-    /// `Arc` clones plus store handle copies (bucket-shared). Sharded
-    /// writers hand out the scatter-gather view ([`ShardedStore`]) so
-    /// constant-predicate scans hit exactly one partition.
-    pub(crate) fn snapshot(&self) -> Arc<Snapshot> {
-        let (explicit, sat) = if self.shard_states.is_empty() {
-            (
-                DataSource::Single(self.explicit_store.clone()),
-                DataSource::Single(self.sat_store.clone()),
-            )
-        } else {
-            (
-                DataSource::Sharded(ShardedStore::from_shards(
-                    self.shard_states
-                        .iter()
-                        .map(|s| Arc::new(s.explicit.clone()))
-                        .collect(),
-                )),
-                DataSource::Sharded(ShardedStore::from_shards(
-                    self.shard_states
-                        .iter()
-                        .map(|s| Arc::new(s.sat.clone()))
-                        .collect(),
-                )),
-            )
-        };
+    /// A snapshot over exactly `part`'s stores: a few `Arc` clones plus
+    /// store handle copies (bucket-shared).
+    fn snapshot_of(&self, part: &Partition) -> Arc<Snapshot> {
         self.snapshot_from(
-            explicit,
-            sat,
-            Arc::clone(&self.explicit_stats),
-            Arc::clone(&self.sat_stats),
+            DataSource::Single(part.explicit.store.clone()),
+            DataSource::Single(part.sat.store.clone()),
+            part,
         )
     }
 
-    /// One snapshot per shard, each a fully answerable database restricted
-    /// to its partition's triples (with per-shard statistics). All carry
-    /// the same seq and epochs as the global snapshot built in the same
-    /// publication — the epoch-lockstep contract.
-    pub(crate) fn shard_snapshots(&self) -> Vec<Arc<Snapshot>> {
-        self.shard_states
-            .iter()
-            .map(|s| {
-                self.snapshot_from(
-                    DataSource::Single(s.explicit.clone()),
-                    DataSource::Single(s.sat.clone()),
-                    Arc::clone(&s.explicit_stats),
-                    Arc::clone(&s.sat_stats),
-                )
-            })
-            .collect()
-    }
-
-    /// The global snapshot followed by the per-shard snapshots (empty tail
-    /// when unsharded) — everything one publication installs, built under
-    /// one `&self` borrow so no batch can interleave.
-    pub(crate) fn all_snapshots(&self) -> Vec<Arc<Snapshot>> {
-        let mut snaps = vec![self.snapshot()];
-        snaps.extend(self.shard_snapshots());
+    /// Everything one publication installs, built under one `&self` borrow
+    /// so no batch can interleave: the global snapshot, then one per shard
+    /// (empty tail when unsharded). Sharded writers hand out the global
+    /// view as a scatter-gather [`ShardedStore`] so constant-predicate
+    /// scans hit exactly one partition; each shard snapshot is a fully
+    /// answerable database restricted to its partition's triples (with
+    /// per-shard statistics). All carry the same seq and epochs — the
+    /// epoch-lockstep contract.
+    fn all_snapshots(&self) -> Vec<Arc<Snapshot>> {
+        let global = if self.shards.is_empty() {
+            self.snapshot_of(&self.global)
+        } else {
+            let gather = |side: fn(&Partition) -> &MaintainedStore| {
+                DataSource::Sharded(ShardedStore::from_shards(
+                    self.shards
+                        .iter()
+                        .map(|p| Arc::new(side(p).store.clone()))
+                        .collect(),
+                ))
+            };
+            self.snapshot_from(gather(|p| &p.explicit), gather(|p| &p.sat), &self.global)
+        };
+        let mut snaps = vec![global];
+        snaps.extend(self.shards.iter().map(|p| self.snapshot_of(p)));
         #[cfg(feature = "strict-invariants")]
         {
             let global = &snaps[0];
@@ -816,7 +676,8 @@ impl WriterCore {
             }
             if snaps.len() > 1 {
                 assert_eq!(
-                    shard_explicit, global.explicit_len,
+                    shard_explicit,
+                    self.global.explicit.store.len(),
                     "shard partitions do not cover the explicit store"
                 );
             }
@@ -971,10 +832,14 @@ const MAX_COALESCED_BATCHES: usize = 64;
 /// ```
 #[derive(Debug)]
 pub struct ServingDatabase {
+    /// The global publication cell: the whole graph, read scatter-gather
+    /// over the shards when there are several.
     cell: Arc<SnapshotCell>,
-    /// The writer state, locked only by the maintenance thread (and by
-    /// `Drop` via join). Kept here so diagnostics could inspect it; readers
-    /// never touch it.
+    /// One cell per predicate-hash shard, in shard order. With one shard
+    /// this is the global cell itself.
+    shard_cells: Vec<Arc<SnapshotCell>>,
+    /// The batch queue feeding the maintenance thread; `None` once `Drop`
+    /// has closed it.
     queue: Option<mpsc::Sender<PendingBatch>>,
     worker: Option<thread::JoinHandle<()>>,
     /// Sequence number of the latest published snapshot (reader-lag
@@ -988,102 +853,93 @@ pub struct ServingDatabase {
     join_algorithm: JoinAlgorithm,
 }
 
-/// Everything `start_serving` wires up: the publication cells (index 0 =
-/// global), the batch queue, the writer thread and the published-seq gauge.
-struct ServingParts {
-    cells: Vec<Arc<SnapshotCell>>,
-    queue: mpsc::Sender<PendingBatch>,
-    worker: thread::JoinHandle<()>,
-    published_seq: Arc<AtomicU64>,
+/// Shard layout of a [`ServingDatabase`].
+///
+/// Non-exhaustive with private fields: constructed by the
+/// [`EngineBuilder`], read through accessors, so new layout knobs (e.g. a
+/// replication factor) can be added without breaking readers.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[non_exhaustive]
+pub struct ShardConfig {
+    shards: usize,
 }
 
-/// Publish the initial snapshots, spawn the background maintenance thread
-/// and hand back the wiring — shared by [`ServingDatabase`] and
-/// [`ShardedServingDatabase`].
-fn start_serving(writer: WriterCore, obs: &Obs) -> ServingParts {
-    let initial = writer.all_snapshots();
-    let published_seq = Arc::new(AtomicU64::new(initial[0].seq));
-    let cells: Vec<Arc<SnapshotCell>> = initial
-        .into_iter()
-        .map(|s| Arc::new(SnapshotCell::new(s)))
-        .collect();
-    let (tx, rx) = mpsc::channel::<PendingBatch>();
-    let worker = {
-        let cells = cells.clone();
-        let published_seq = Arc::clone(&published_seq);
-        let obs = obs.clone();
-        let spawned = thread::Builder::new()
-            .name("rdfref-serving-writer".into())
-            .spawn(move || writer_loop(writer, rx, cells, published_seq, obs));
-        match spawned {
-            Ok(handle) => handle,
-            // Spawn fails only on resource exhaustion (EAGAIN); like
-            // OOM that is not a recoverable condition, and a Result
-            // constructor would push an un-actionable error onto every
-            // caller — abort instead of panicking through a poisoned
-            // half-built database.
-            Err(_) => std::process::abort(),
-        }
-    };
-    ServingParts {
-        cells,
-        queue: tx,
-        worker,
-        published_seq,
+impl ShardConfig {
+    /// Number of predicate-hash partitions.
+    pub fn shards(&self) -> usize {
+        self.shards
     }
-}
-
-/// Enqueue `batch` on a serving queue, shared by both façades.
-fn submit_to(
-    queue: Option<&mpsc::Sender<PendingBatch>>,
-    batch: UpdateBatch,
-) -> Result<BatchTicket> {
-    let (reply_tx, reply_rx) = mpsc::channel();
-    let pending = PendingBatch {
-        batch,
-        enqueued: Instant::now(),
-        reply: reply_tx,
-    };
-    queue
-        .ok_or(CoreError::ServingStopped)?
-        .send(pending)
-        .map_err(|_| CoreError::ServingStopped)?;
-    Ok(BatchTicket { reply: reply_rx })
 }
 
 impl ServingDatabase {
-    /// Build from an [`EngineBuilder`] (saturates once) and start the
-    /// background maintenance thread. Reached via
-    /// [`Database::builder`]`().build_serving(graph)`.
+    /// Build from an [`EngineBuilder`] (saturates once), publish the
+    /// initial snapshots and start the background maintenance thread.
+    /// Reached via [`Database::builder`]`().build_serving(graph)`.
     pub(crate) fn from_builder(graph: Graph, b: &EngineBuilder) -> ServingDatabase {
         let cache = b.plan_cache();
-        let writer = WriterCore::new(
-            graph,
-            Arc::clone(&cache),
-            b.obs.clone(),
-            b.encoding,
-            b.parallelism,
-            b.join_algorithm,
-            1,
-        );
-        let parallelism = writer.parallelism();
-        let join_algorithm = writer.join_algorithm();
-        let obs = writer.obs().clone();
-        let parts = start_serving(writer, &obs);
+        let writer = WriterCore::new(graph, Arc::clone(&cache), b);
+        let obs = b.obs.clone();
+        obs.gauge("serving.shards", b.shards as u64);
+        let initial = writer.all_snapshots();
+        let published_seq = Arc::new(AtomicU64::new(initial[0].seq));
+        // Publication order: index 0 is the global cell, then one per shard.
+        let cells: Vec<Arc<SnapshotCell>> = initial
+            .into_iter()
+            .map(|s| Arc::new(SnapshotCell::new(s)))
+            .collect();
+        let (queue, rx) = mpsc::channel::<PendingBatch>();
+        let worker = {
+            let cells = cells.clone();
+            let published_seq = Arc::clone(&published_seq);
+            let spawned = thread::Builder::new()
+                .name("rdfref-serving-writer".into())
+                .spawn(move || writer_loop(writer, rx, cells, published_seq));
+            match spawned {
+                Ok(handle) => handle,
+                // Spawn fails only on resource exhaustion (EAGAIN); like
+                // OOM that is not a recoverable condition, and a Result
+                // constructor would push an un-actionable error onto every
+                // caller — abort instead of panicking through a poisoned
+                // half-built database.
+                Err(_) => std::process::abort(),
+            }
+        };
+        let shard_cells = match cells.len() {
+            // One shard keeps no partition of its own: the global cell *is*
+            // the single shard.
+            1 => cells.clone(),
+            _ => cells[1..].to_vec(),
+        };
         ServingDatabase {
-            cell: Arc::clone(&parts.cells[0]),
-            queue: Some(parts.queue),
-            worker: Some(parts.worker),
-            published_seq: parts.published_seq,
+            cell: Arc::clone(&cells[0]),
+            shard_cells,
+            queue: Some(queue),
+            worker: Some(worker),
+            published_seq,
             cache,
             obs,
-            parallelism,
-            join_algorithm,
+            parallelism: b.parallelism,
+            join_algorithm: b.join_algorithm,
         }
     }
 
-    /// The current snapshot — one `Acquire` load and a thread-local lookup
-    /// on the fast path; never blocks behind the writer.
+    /// Shard layout.
+    pub fn config(&self) -> ShardConfig {
+        ShardConfig {
+            shards: self.shard_count(),
+        }
+    }
+
+    /// Number of predicate-hash partitions (1 when unsharded).
+    pub fn shard_count(&self) -> usize {
+        self.shard_cells.len()
+    }
+
+    /// The current global snapshot — one `Acquire` load and a thread-local
+    /// lookup on the fast path; never blocks behind the writer. With
+    /// several shards its scans run scatter-gather: a constant-predicate
+    /// scan touches exactly the one shard its predicate hashes to; wildcard
+    /// and interval-predicate scans fan out and union.
     pub fn snapshot(&self) -> Arc<Snapshot> {
         let snap = self.cell.current();
         if self.obs.enabled() {
@@ -1096,12 +952,23 @@ impl ServingDatabase {
         snap
     }
 
+    /// Shard `i`'s current snapshot: a fully answerable database restricted
+    /// to the triples whose predicate hashes to `i`, carrying the same seq
+    /// and epochs as the global snapshot published with it (shard cells are
+    /// published before the global cell, so a reader at global seq `s`
+    /// finds every shard at `s` or later). With one shard this is the
+    /// global snapshot.
+    pub fn shard_snapshot(&self, i: usize) -> Arc<Snapshot> {
+        self.shard_cells[i].current()
+    }
+
     /// Sequence number of the latest published snapshot.
     pub fn published_seq(&self) -> u64 {
         self.published_seq.load(Ordering::Acquire)
     }
 
-    /// The shared plan cache (snapshot-pinned lookups; see
+    /// The plan cache shared by the global view and every shard (one epoch
+    /// pair — the lockstep invariant; snapshot-pinned lookups, see
     /// [`crate::cache`]).
     pub fn plan_cache(&self) -> &Arc<PlanCache> {
         &self.cache
@@ -1114,9 +981,21 @@ impl ServingDatabase {
 
     /// Enqueue a write batch for the maintenance pipeline. Returns
     /// immediately with a [`BatchTicket`]; wait on it for the per-batch
-    /// [`BatchReport`] (delivered after publication — read-your-writes).
+    /// [`BatchReport`], delivered after the global *and* all shard
+    /// snapshots containing the batch are published (read-your-writes).
     pub fn submit(&self, batch: UpdateBatch) -> Result<BatchTicket> {
-        submit_to(self.queue.as_ref(), batch)
+        let (reply_tx, reply_rx) = mpsc::channel();
+        let pending = PendingBatch {
+            batch,
+            enqueued: Instant::now(),
+            reply: reply_tx,
+        };
+        self.queue
+            .as_ref()
+            .ok_or(CoreError::ServingStopped)?
+            .send(pending)
+            .map_err(|_| CoreError::ServingStopped)?;
+        Ok(BatchTicket { reply: reply_rx })
     }
 
     /// Convenience: submit a pure insertion batch.
@@ -1136,14 +1015,9 @@ impl ServingDatabase {
     }
 }
 
-impl QueryEngine for &ServingDatabase {
-    fn run_query(
-        &mut self,
-        cq: &Cq,
-        strategy: &Strategy,
-        opts: &AnswerOptions,
-    ) -> Result<QueryAnswer> {
-        ServingDatabase::snapshot(self).run_query(cq, strategy, opts)
+impl QueryEngine for ServingDatabase {
+    fn run_query(&self, cq: &Cq, strategy: &Strategy, opts: &AnswerOptions) -> Result<QueryAnswer> {
+        self.snapshot().run_query(cq, strategy, opts)
     }
 
     fn default_options(&self) -> AnswerOptions {
@@ -1164,204 +1038,6 @@ impl Drop for ServingDatabase {
     }
 }
 
-// ---------------------------------------------------------------------------
-// ShardedServingDatabase: predicate-hash-partitioned serving
-// ---------------------------------------------------------------------------
-
-/// Shard layout of a [`ShardedServingDatabase`].
-///
-/// Non-exhaustive with private fields: constructed by the
-/// [`EngineBuilder`], read through accessors, so new layout knobs (e.g. a
-/// replication factor) can be added without breaking readers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[non_exhaustive]
-pub struct ShardConfig {
-    shards: usize,
-}
-
-impl ShardConfig {
-    pub(crate) fn new(shards: usize) -> ShardConfig {
-        ShardConfig {
-            shards: shards.max(1),
-        }
-    }
-
-    /// Number of predicate-hash partitions.
-    pub fn shards(&self) -> usize {
-        self.shards
-    }
-}
-
-/// A [`ServingDatabase`] over N predicate-hash partitions: one snapshot
-/// cell per shard plus a global scatter-gather cell, all fed by one writer.
-///
-/// The cross-shard batch protocol: the single writer folds every
-/// [`UpdateBatch`] into the global stores *and* each affected shard inside
-/// one `apply` call, then publishes the global snapshot and all shard
-/// snapshots carrying the **same** sequence number and plan-cache epoch
-/// pair. Readers therefore see shards in lockstep — an epoch-pinned
-/// plan-cache entry valid on one shard is valid on all of them, and
-/// [`ShardedServingDatabase::shard_snapshot`]s taken after a ticket resolves
-/// all contain the batch.
-///
-/// Global queries ([`ShardedServingDatabase::snapshot`] /
-/// [`ShardedServingDatabase::query`]) run scatter-gather: a
-/// constant-predicate scan touches exactly the one shard its predicate
-/// hashes to; wildcard and interval-predicate scans fan out and union.
-#[derive(Debug)]
-pub struct ShardedServingDatabase {
-    config: ShardConfig,
-    parallelism: Parallelism,
-    join_algorithm: JoinAlgorithm,
-    /// Scatter-gather cell over all partitions (publication index 0).
-    global: Arc<SnapshotCell>,
-    /// One cell per shard, in shard order.
-    shard_cells: Vec<Arc<SnapshotCell>>,
-    queue: Option<mpsc::Sender<PendingBatch>>,
-    worker: Option<thread::JoinHandle<()>>,
-    published_seq: Arc<AtomicU64>,
-    cache: Arc<PlanCache>,
-    obs: Obs,
-}
-
-impl ShardedServingDatabase {
-    /// Build from an [`EngineBuilder`] and start the maintenance thread.
-    /// Reached via [`Database::builder`]`().shards(n).build_sharded(graph)`.
-    pub(crate) fn from_builder(graph: Graph, b: &EngineBuilder) -> ShardedServingDatabase {
-        let config = b.shard_config();
-        let cache = b.plan_cache();
-        let writer = WriterCore::new(
-            graph,
-            Arc::clone(&cache),
-            b.obs.clone(),
-            b.encoding,
-            b.parallelism,
-            b.join_algorithm,
-            config.shards(),
-        );
-        let parallelism = writer.parallelism();
-        let join_algorithm = writer.join_algorithm();
-        let obs = writer.obs().clone();
-        obs.gauge("serving.shards", config.shards() as u64);
-        let parts = start_serving(writer, &obs);
-        let global = Arc::clone(&parts.cells[0]);
-        let shard_cells = if parts.cells.len() > 1 {
-            parts.cells[1..].to_vec()
-        } else {
-            // `shards == 1` builds no ShardState; the global cell *is* the
-            // single shard.
-            vec![Arc::clone(&global)]
-        };
-        ShardedServingDatabase {
-            config,
-            parallelism,
-            join_algorithm,
-            global,
-            shard_cells,
-            queue: Some(parts.queue),
-            worker: Some(parts.worker),
-            published_seq: parts.published_seq,
-            cache,
-            obs,
-        }
-    }
-
-    /// Shard layout.
-    pub fn config(&self) -> ShardConfig {
-        self.config
-    }
-
-    /// Number of predicate-hash partitions.
-    pub fn shard_count(&self) -> usize {
-        self.shard_cells.len()
-    }
-
-    /// The current global (scatter-gather) snapshot — lock-free fast path,
-    /// exactly like [`ServingDatabase::snapshot`].
-    pub fn snapshot(&self) -> Arc<Snapshot> {
-        let snap = self.global.current();
-        if self.obs.enabled() {
-            let published = self.published_seq.load(Ordering::Acquire);
-            self.obs.observe(
-                "serving.reader.epoch_lag",
-                published.saturating_sub(snap.seq),
-            );
-        }
-        snap
-    }
-
-    /// Shard `i`'s current snapshot: a fully answerable database restricted
-    /// to the triples whose predicate hashes to `i`, carrying the same seq
-    /// and epochs as the global snapshot published with it.
-    pub fn shard_snapshot(&self, i: usize) -> Arc<Snapshot> {
-        self.shard_cells[i].current()
-    }
-
-    /// Sequence number of the latest published snapshot.
-    pub fn published_seq(&self) -> u64 {
-        self.published_seq.load(Ordering::Acquire)
-    }
-
-    /// The plan cache shared by the global view and every shard (one epoch
-    /// pair — the lockstep invariant).
-    pub fn plan_cache(&self) -> &Arc<PlanCache> {
-        &self.cache
-    }
-
-    /// The observability sink.
-    pub fn obs(&self) -> &Obs {
-        &self.obs
-    }
-
-    /// Enqueue a write batch; see [`ServingDatabase::submit`]. The ticket
-    /// resolves after the global *and* all shard snapshots containing the
-    /// batch are published.
-    pub fn submit(&self, batch: UpdateBatch) -> Result<BatchTicket> {
-        submit_to(self.queue.as_ref(), batch)
-    }
-
-    /// Convenience: submit a pure insertion batch.
-    pub fn insert(&self, triples: Vec<Triple>) -> Result<BatchTicket> {
-        self.submit(UpdateBatch::inserting(triples))
-    }
-
-    /// Convenience: submit a pure deletion batch.
-    pub fn delete(&self, triples: Vec<Triple>) -> Result<BatchTicket> {
-        self.submit(UpdateBatch::deleting(triples))
-    }
-
-    /// Start building a query request against the current global snapshot.
-    pub fn query<'q>(&self, cq: &'q Cq) -> QueryRequest<'q, &ShardedServingDatabase> {
-        QueryRequest::new(self, cq)
-    }
-}
-
-impl QueryEngine for &ShardedServingDatabase {
-    fn run_query(
-        &mut self,
-        cq: &Cq,
-        strategy: &Strategy,
-        opts: &AnswerOptions,
-    ) -> Result<QueryAnswer> {
-        ShardedServingDatabase::snapshot(self).run_query(cq, strategy, opts)
-    }
-
-    fn default_options(&self) -> AnswerOptions {
-        AnswerOptions::default()
-            .with_parallelism(self.parallelism)
-            .with_join_algorithm(self.join_algorithm)
-    }
-}
-
-impl Drop for ShardedServingDatabase {
-    fn drop(&mut self) {
-        self.queue = None;
-        if let Some(worker) = self.worker.take() {
-            let _ = worker.join();
-        }
-    }
-}
-
 /// The background maintenance loop: drain pending batches (coalescing up
 /// to [`MAX_COALESCED_BATCHES`] per publication), apply them against the
 /// writer state, build one snapshot set (global + shards, one consistent
@@ -1371,8 +1047,8 @@ fn writer_loop(
     rx: mpsc::Receiver<PendingBatch>,
     cells: Vec<Arc<SnapshotCell>>,
     published_seq: Arc<AtomicU64>,
-    obs: Obs,
 ) {
+    let obs = writer.obs.clone();
     while let Ok(first) = rx.recv() {
         let mut pending = vec![first];
         while pending.len() < MAX_COALESCED_BATCHES {
@@ -1429,6 +1105,7 @@ fn writer_loop(
 mod tests {
     use super::*;
     use rdfref_model::parser::parse_turtle;
+    use rdfref_model::Term;
     use rdfref_query::parse_select;
 
     const DOC: &str = r#"
@@ -1440,23 +1117,17 @@ ex:doi1 a ex:Book .
 "#;
 
     fn setup() -> (ServingDatabase, Cq) {
-        let mut g = parse_turtle(DOC).unwrap();
-        let q = parse_select(
-            "PREFIX ex: <http://example.org/> SELECT ?x WHERE { ?x a ex:Publication }",
-            g.dictionary_mut(),
-        )
-        .unwrap();
-        (Database::builder().build_serving(g), q)
+        setup_with(Database::builder())
     }
 
-    fn setup_sharded(shards: usize) -> (ShardedServingDatabase, Cq) {
+    fn setup_with(builder: EngineBuilder) -> (ServingDatabase, Cq) {
         let mut g = parse_turtle(DOC).unwrap();
         let q = parse_select(
             "PREFIX ex: <http://example.org/> SELECT ?x WHERE { ?x a ex:Publication }",
             g.dictionary_mut(),
         )
         .unwrap();
-        (Database::builder().shards(shards).build_sharded(g), q)
+        (builder.build_serving(g), q)
     }
 
     fn iri(s: &str) -> Term {
@@ -1499,13 +1170,19 @@ ex:doi1 a ex:Book .
     fn all_complete_strategies_agree_on_a_snapshot() {
         let (db, q) = setup();
         let rdf_type = Term::iri(rdfref_model::vocab::RDF_TYPE);
-        db.insert(vec![triple("doi5", &rdf_type, "Book")])
-            .unwrap()
-            .wait()
-            .unwrap();
+        // One explicitly typed Book, one typed only through writtenBy's
+        // domain constraint.
+        db.insert(vec![
+            triple("doi5", &rdf_type, "Book"),
+            triple("doi9", &iri("writtenBy"), "someone"),
+        ])
+        .unwrap()
+        .wait()
+        .unwrap();
         let snap = db.snapshot();
         let opts = AnswerOptions::default();
         let reference = snap.run_query(&q, &Strategy::Saturation, &opts).unwrap();
+        assert_eq!(reference.len(), 3);
         for s in [
             Strategy::RefUcq,
             Strategy::RefScq,
@@ -1555,6 +1232,11 @@ ex:doi1 a ex:Book .
         assert!(report.resaturated());
         assert_eq!(db.plan_cache().schema_epoch(), before + 1);
         let after = db.query(&q).strategy(Strategy::RefUcq).run().unwrap();
+        assert_eq!(
+            after.explain.cache.map(|c| c.hit),
+            Some(false),
+            "the pre-bump reformulation is stranded"
+        );
         assert_eq!(after.len(), 2, "new Novel instance reached via new ⊑");
         let sat = db.query(&q).strategy(Strategy::Saturation).run().unwrap();
         assert_eq!(after.rows(), sat.rows());
@@ -1604,7 +1286,7 @@ ex:doi1 a ex:Book .
 
     #[test]
     fn sharded_answers_match_single_across_strategies() {
-        let (sharded, q) = setup_sharded(4);
+        let (sharded, q) = setup_with(Database::builder().shards(4));
         let (single, _) = setup();
         let rdf_type = Term::iri(rdfref_model::vocab::RDF_TYPE);
         for i in 0..6 {
@@ -1630,7 +1312,7 @@ ex:doi1 a ex:Book .
 
     #[test]
     fn shard_snapshots_stay_in_epoch_lockstep_across_schema_bump() {
-        let (db, _q) = setup_sharded(3);
+        let (db, _q) = setup_with(Database::builder().shards(3));
         // A schema batch forces resaturation and a schema-epoch bump; every
         // shard must republish at the same seq and epochs.
         let batch = UpdateBatch::new()
@@ -1664,31 +1346,129 @@ ex:doi1 a ex:Book .
         assert_eq!(shard_explicit, global.explicit_len());
     }
 
+    /// Regression: `.shards(n)` used to be honoured only by a separate
+    /// sharded terminal and silently ignored by `build_serving`.
     #[test]
-    fn sharded_database_reports_its_layout() {
-        let (db, q) = setup_sharded(4);
-        assert_eq!(db.shard_count(), 4);
-        assert_eq!(db.config().shards(), 4);
-        assert_eq!(db.snapshot().database().shard_count(), 4);
-        // Deletes route to the same shard as the insert that created them.
-        let rdf_type = Term::iri(rdfref_model::vocab::RDF_TYPE);
-        let t = triple("sdel", &rdf_type, "Book");
-        db.insert(vec![t.clone()]).unwrap().wait().unwrap();
-        let report = db.delete(vec![t]).unwrap().wait().unwrap();
-        assert_eq!(report.explicit_removed(), 1);
-        let after = db.query(&q).strategy(Strategy::Saturation).run().unwrap();
-        assert_eq!(after.len(), 1);
+    fn build_serving_honours_the_shard_count() {
+        for n in [1, 2, 4] {
+            let (db, q) = setup_with(Database::builder().shards(n));
+            assert_eq!(db.shard_count(), n);
+            assert_eq!(db.config().shards(), n);
+            assert_eq!(db.snapshot().database().shard_count(), n);
+            // Deletes route to the same shard as the insert that created
+            // them, and every shard republishes in lockstep.
+            let rdf_type = Term::iri(rdfref_model::vocab::RDF_TYPE);
+            let t = triple("sdel", &rdf_type, "Book");
+            db.insert(vec![t.clone()]).unwrap().wait().unwrap();
+            let report = db.delete(vec![t]).unwrap().wait().unwrap();
+            assert_eq!(report.explicit_removed(), 1);
+            let global = db.snapshot();
+            for i in 0..n {
+                assert_eq!(db.shard_snapshot(i).info(), global.info(), "shard {i}");
+            }
+            let after = db.query(&q).strategy(Strategy::Saturation).run().unwrap();
+            assert_eq!(after.len(), 1);
+        }
+        // One shard keeps no partition: the global cell is the shard.
+        let (db, _q) = setup();
+        assert!(Arc::ptr_eq(&db.shard_snapshot(0), &db.snapshot()));
+    }
+
+    /// Interval ids are re-clustered on every schema change, and shard
+    /// routing hashes the (interval) predicate id: the partitions must be
+    /// rebuilt along with the global stores.
+    #[test]
+    fn sharded_interval_stores_are_reencoded_on_schema_change() {
+        let builder = Database::builder().encoding(DictEncoding::Interval);
+        let (db, q) = setup_with(builder.clone().shards(3));
+        let (oracle, _) = setup_with(builder);
+        let batch = || {
+            UpdateBatch::new()
+                .insert(
+                    Triple::new(
+                        iri("Novel"),
+                        Term::iri(rdfref_model::vocab::RDFS_SUBCLASSOF),
+                        iri("Book"),
+                    )
+                    .unwrap(),
+                )
+                .insert(triple(
+                    "doi7",
+                    &Term::iri(rdfref_model::vocab::RDF_TYPE),
+                    "Novel",
+                ))
+                .insert(triple("doi8", &iri("writtenBy"), "someone"))
+        };
+        db.submit(batch()).unwrap().wait().unwrap();
+        oracle.submit(batch()).unwrap().wait().unwrap();
+        let (snap, want) = (db.snapshot(), oracle.snapshot());
+        let shard_explicit: usize = (0..db.shard_count())
+            .map(|i| db.shard_snapshot(i).explicit_len())
+            .sum();
+        assert_eq!(shard_explicit, snap.explicit_len());
+        for s in [Strategy::Saturation, Strategy::RefUcq, Strategy::RefGCov] {
+            let got = snap.query(&q).strategy(s.clone()).run().unwrap();
+            let reference = want.query(&q).strategy(s.clone()).run().unwrap();
+            assert_eq!(got.len(), 3, "strategy {}", s.name());
+            assert_eq!(got.rows(), reference.rows(), "strategy {}", s.name());
+        }
     }
 
     #[test]
-    fn one_shard_sharded_database_degenerates_to_global_cell() {
-        let (db, q) = setup_sharded(1);
-        assert_eq!(db.shard_count(), 1);
-        let global = db.snapshot();
-        let shard = db.shard_snapshot(0);
-        assert_eq!(global.seq(), shard.seq());
-        assert_eq!(global.explicit_len(), shard.explicit_len());
-        assert_eq!(db.query(&q).run().unwrap().len(), 1);
+    fn data_updates_invalidate_only_cost_based_plans() {
+        let (db, q) = setup();
+        // Warm both a pure reformulation and a cost-based GCov plan.
+        let cold = db.query(&q).strategy(Strategy::RefUcq).run().unwrap();
+        assert_eq!(cold.explain.cache.map(|c| c.hit), Some(false));
+        db.query(&q).strategy(Strategy::RefGCov).run().unwrap();
+
+        // A data-only insert: the UCQ reformulation is still valid, the
+        // GCov plan (cost-based) is not.
+        let rdf_type = Term::iri(rdfref_model::vocab::RDF_TYPE);
+        db.insert(vec![triple("doi9", &rdf_type, "Book")])
+            .unwrap()
+            .wait()
+            .unwrap();
+        let ucq = db.query(&q).strategy(Strategy::RefUcq).run().unwrap();
+        assert_eq!(ucq.explain.cache.map(|c| c.hit), Some(true));
+        let gcv = db.query(&q).strategy(Strategy::RefGCov).run().unwrap();
+        assert_eq!(gcv.explain.cache.map(|c| c.hit), Some(false));
+        assert_eq!(db.plan_cache().counters().invalidations, 1);
+        assert_eq!(ucq.rows(), gcv.rows());
+    }
+
+    #[test]
+    fn explain_reports_maintenance_delta() {
+        let (db, q) = setup();
+        let rdf_type = Term::iri(rdfref_model::vocab::RDF_TYPE);
+        let report = db
+            .insert(vec![triple("doi4", &rdf_type, "Book")])
+            .unwrap()
+            .wait()
+            .unwrap();
+        let a = db.query(&q).strategy(Strategy::Saturation).run().unwrap();
+        assert_eq!(a.explain.saturation_added, report.saturation_added());
+        assert_eq!(a.explain.strategy, "Sat");
+    }
+
+    /// Datalog materializes the snapshot's graph lazily against the
+    /// snapshot's dictionary: terms first interned by the last batch must
+    /// already be in it.
+    #[test]
+    fn datalog_sees_terms_introduced_by_the_last_batch() {
+        let (db, q) = setup();
+        let terms_before = db.snapshot().dictionary().len();
+        let rdf_type = Term::iri(rdfref_model::vocab::RDF_TYPE);
+        db.insert(vec![triple("brand-new-term", &rdf_type, "Book")])
+            .unwrap()
+            .wait()
+            .unwrap();
+        let snap = db.snapshot();
+        assert_eq!(snap.dictionary().len(), terms_before + 1);
+        let a = snap.query(&q).strategy(Strategy::Datalog).run().unwrap();
+        assert_eq!(a.len(), 2);
+        let decoded = a.decoded(snap.dictionary());
+        assert!(decoded.contains(&vec![iri("brand-new-term")]));
     }
 
     #[test]
@@ -1727,7 +1507,7 @@ ex:doi1 a ex:Book .
 
     #[test]
     fn generic_engine_harness_accepts_serving_database() {
-        fn run<E: QueryEngine>(mut engine: E, cq: &Cq) -> usize {
+        fn run<E: QueryEngine>(engine: E, cq: &Cq) -> usize {
             engine
                 .run_query(cq, &Strategy::RefUcq, &AnswerOptions::default())
                 .unwrap()

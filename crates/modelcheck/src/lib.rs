@@ -13,7 +13,7 @@
 //!   `thread::spawn`/`join`. Outside a model execution they pass straight
 //!   through to the real primitives, so the same binary can run normal
 //!   tests and model tests.
-//! * [`explore`] — the drivers: bounded-exhaustive DFS over schedules with
+//! * [`mod@explore`] — the drivers: bounded-exhaustive DFS over schedules with
 //!   a preemption bound, seeded-random deep runs, and single-schedule
 //!   replay from a recorded choice vector.
 //!

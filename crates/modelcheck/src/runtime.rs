@@ -5,7 +5,7 @@
 //! operation first calls into the scheduler, which may hand the single
 //! execution token to another runnable thread. The sequence of scheduling
 //! (and stale-read) decisions is recorded as a choice vector; the DFS
-//! driver in [`crate::explore`] enumerates those vectors.
+//! driver in [`mod@crate::explore`] enumerates those vectors.
 //!
 //! Memory model approximation (documented in DESIGN.md §5d):
 //!

@@ -6,7 +6,7 @@
 //!
 //! Every operator here walks the flat buffer once and allocates per
 //! *operator*, never per row: joins and deduplication hash key columns
-//! straight from the buffer into an index-chained [`RowTable`].
+//! straight from the buffer into an index-chained `RowTable`.
 
 use crate::error::{Result, StorageError};
 use rdfref_model::fxhash::FxHasher;
@@ -297,7 +297,7 @@ impl Relation {
     /// With no shared columns this is the cross product. Zero-column unit
     /// relations behave as the join identity; empty relations annihilate.
     ///
-    /// The smaller side is indexed by a [`RowTable`] filled last row first,
+    /// The smaller side is indexed by a `RowTable` filled last row first,
     /// so every chain lists its rows ascending: output order is probe order
     /// × ascending build row.
     pub fn natural_join(&self, other: &Relation) -> Relation {

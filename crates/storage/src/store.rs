@@ -18,7 +18,7 @@
 //! ## Snapshots and copy-on-write deltas
 //!
 //! Each index stores its sorted keys as a sequence of `Arc`-shared
-//! *buckets* (runs of ~[`BUCKET_TARGET`] keys). [`Store::apply_delta`]
+//! *buckets* (runs of ~`BUCKET_TARGET` keys). [`Store::apply_delta`]
 //! produces a new store that shares every bucket the delta does not touch
 //! and rebuilds only the touched ones — so a store is cheap to snapshot
 //! (`Clone` is a handful of `Arc` bumps) and cheap to evolve under small
@@ -511,7 +511,7 @@ impl Store {
     /// the pattern's shape, each tagged with that index's [`Order`] (key
     /// component `order.key_position(pos)` holds triple position `pos`).
     /// Every key of every run matches; every match appears in exactly one
-    /// run; runs arrive in index order, at most one per ≤[`BUCKET_TARGET`]-
+    /// run; runs arrive in index order, at most one per ≤`BUCKET_TARGET`-
     /// key bucket; and — the shape alone picks the index — all runs of one
     /// call carry the same `Order`.
     pub fn scan_into(&self, pat: IdPattern, f: &mut RunFn<'_>) {

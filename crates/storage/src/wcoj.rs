@@ -5,7 +5,7 @@
 //! / OSP permutations whose key order lists the atom's variables compatibly
 //! with one *global* variable order, and the sorted bucket runs of that
 //! permutation are read as a trie (each key position = one trie level).
-//! [`plan`] performs the binding; [`eval`] runs the leapfrog driver over the
+//! [`plan`] performs the binding; `eval` runs the leapfrog driver over the
 //! bound tries, optionally morsel-parallel; [`physical_choice`] is the
 //! single arbitration point — evaluator dispatch and `Explain` both go
 //! through it so the executed plan and the rendered plan can never drift.

@@ -43,7 +43,7 @@ impl ParsedFile {
 #[derive(Debug, Clone)]
 pub struct LockAcq {
     /// Lock class, e.g. `core::PlanCache.shard_of` — see
-    /// [`ItemGraph::lock_class`] for the naming rule.
+    /// `lock_class` in this module for the naming rule.
     pub class: String,
     /// Token index of the acquiring call (`lock`/`read`/`write`/wrapper).
     pub tok: usize,

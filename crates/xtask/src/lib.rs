@@ -9,7 +9,7 @@
 //! crate-wide item graph ([`graph`]) drive the semantic lints
 //! (L007 lock-order cycles, L008 cross-crate error discipline, L009 span
 //! hygiene, L010 blocking-in-worker, L011 forbid(unsafe_code)), and a
-//! dataflow layer — per-fn CFGs ([`cfg`]) plus a fixpoint engine
+//! dataflow layer — per-fn CFGs ([`mod@cfg`]) plus a fixpoint engine
 //! ([`dataflow`]) — drives the flow lints ([`flowlints`]: L012 id-space
 //! taint, L013 atomics publication protocol, L014 epoch-pinned cache
 //! discipline), with SARIF

@@ -11,7 +11,7 @@
 //!
 //! Test-only code (`#[cfg(test)]`, `mod tests`) is exempt throughout, as
 //! for the token lints. All rules resolve names through
-//! [`ItemGraph`](crate::graph::ItemGraph) and stay silent on anything the
+//! [`ItemGraph`] and stay silent on anything the
 //! conservative resolver cannot pin down — a finding is always backed by a
 //! positively-resolved structure, never a guess.
 

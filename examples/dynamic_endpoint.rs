@@ -29,8 +29,22 @@ fn main() {
     )
     .expect("query parses");
 
-    let mut db = MaintainedDatabase::new(q_graph);
+    let explicit_at_start = q_graph.len();
+    let db = Database::builder().build_serving(q_graph);
     let opts = AnswerOptions::default();
+    let member = |round: usize| {
+        let person = Term::iri(format!("http://dynamic.example.org/member{round}"));
+        let triple = |p: String, o: String| {
+            Triple::new(person.clone(), Term::iri(p), Term::iri(o)).expect("well-formed triple")
+        };
+        vec![
+            triple(format!("{UB}memberOf"), LubmDataset::department_iri(0, 0)),
+            triple(
+                rdfref::model::vocab::RDF_TYPE.to_string(),
+                format!("{UB}GraduateStudent"),
+            ),
+        ]
+    };
 
     // Interleave: 20 rounds of (insert a few members, ask the query twice —
     // once via maintained Sat, once via Ref/GCov). Track cumulative costs.
@@ -39,20 +53,12 @@ fn main() {
     let mut maintenance_time = Duration::ZERO;
     let mut last_counts = (0usize, 0usize);
     for round in 0..20 {
-        // A new person joins department (0,0) every round.
-        let person = Term::iri(format!("http://dynamic.example.org/member{round}"));
-        let t1 = db.intern_triple(
-            &person,
-            &Term::iri(format!("{UB}memberOf")),
-            &Term::iri(LubmDataset::department_iri(0, 0)),
-        );
-        let t2 = db.intern_triple(
-            &person,
-            &Term::iri(rdfref::model::vocab::RDF_TYPE),
-            &Term::iri(format!("{UB}GraduateStudent")),
-        );
+        // A new person joins department (0,0) every round. Waiting on the
+        // ticket makes the write synchronous: the next snapshot contains it.
         let start = Instant::now();
-        db.insert(&[t1, t2]);
+        db.insert(member(round))
+            .and_then(|ticket| ticket.wait())
+            .expect("maintenance pipeline alive");
         maintenance_time += start.elapsed();
 
         let start = Instant::now();
@@ -83,30 +89,26 @@ fn main() {
         last_counts.0
     );
     println!("  Sat: incremental maintenance: {maintenance_time:?} total");
-    println!("  Sat: query evaluation       : {sat_time:?} total (includes store rebuilds)");
+    println!("  Sat: query evaluation       : {sat_time:?} total");
     println!("  Ref: query answering        : {ref_time:?} total (no maintenance ever)");
 
     // Deleting everything we added brings the endpoint back exactly.
-    let mut to_delete = Vec::new();
-    for round in 0..20 {
-        let person = Term::iri(format!("http://dynamic.example.org/member{round}"));
-        to_delete.push(db.intern_triple(
-            &person,
-            &Term::iri(format!("{UB}memberOf")),
-            &Term::iri(LubmDataset::department_iri(0, 0)),
-        ));
-        to_delete.push(db.intern_triple(
-            &person,
-            &Term::iri(rdfref::model::vocab::RDF_TYPE),
-            &Term::iri(format!("{UB}GraduateStudent")),
-        ));
-    }
+    let to_delete: Vec<Triple> = (0..20).flat_map(member).collect();
     let start = Instant::now();
-    let removed = db.delete(&to_delete);
+    let report = db
+        .delete(to_delete)
+        .and_then(|ticket| ticket.wait())
+        .expect("maintenance pipeline alive");
     println!(
-        "\nDRed deletion of all 40 update triples removed {removed} triples in {:?}",
+        "\nDRed deletion of all 40 update triples removed {} triples in {:?}",
+        report.saturation_removed(),
         start.elapsed()
     );
-    assert_eq!(db.saturated(), &saturate(db.explicit()));
+    let snapshot = db.snapshot();
+    assert_eq!(snapshot.explicit_len(), explicit_at_start);
+    assert_eq!(
+        snapshot.saturation_len(),
+        saturate(snapshot.database().graph()).len()
+    );
     println!("maintained saturation verified against from-scratch saturation ✓");
 }

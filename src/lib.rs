@@ -72,13 +72,11 @@ pub mod prelude {
     pub use rdfref_core::engine::{QueryEngine, QueryRequest};
     pub use rdfref_core::gcov::{gcov, GcovOptions};
     pub use rdfref_core::incomplete::IncompletenessProfile;
-    pub use rdfref_core::maintained::MaintainedDatabase;
     pub use rdfref_core::reformulate::{
         reformulate_jucq, reformulate_scq, reformulate_ucq, ReformulationLimits, RewriteContext,
     };
     pub use rdfref_core::serving::{
-        BatchReport, BatchTicket, ServingDatabase, ShardConfig, ShardedServingDatabase, Snapshot,
-        UpdateBatch,
+        BatchReport, BatchTicket, ServingDatabase, ShardConfig, Snapshot, UpdateBatch,
     };
     pub use rdfref_core::SnapshotInfo;
     pub use rdfref_core::{EngineBuilder, MetricsRegistry, Obs};

@@ -10,10 +10,10 @@
 
 use proptest::prelude::*;
 use rdfref::core::answer::{AnswerOptions, Database, Strategy as AnswerStrategy};
-use rdfref::core::maintained::MaintainedDatabase;
+use rdfref::core::engine::QueryEngine;
 use rdfref::core::reformulate::{reformulate_ucq, ReformulationLimits, RewriteContext};
 use rdfref::model::dictionary::ID_RDF_TYPE;
-use rdfref::model::{EncodedTriple, Graph, Term, TermId};
+use rdfref::model::{EncodedTriple, Graph, Term, TermId, Triple};
 use rdfref::query::ast::{Atom, Cq, PTerm};
 use rdfref::query::{Cover, Var};
 use rdfref::reasoning::{saturate, IncrementalReasoner};
@@ -318,8 +318,8 @@ proptest! {
         ),
     ) {
         let (graph, cq) = build(&scenario);
-        let all: Vec<EncodedTriple> = graph.triples().to_vec();
-        let mut db = MaintainedDatabase::new(graph);
+        let all: Vec<Triple> = graph.iter_decoded().collect();
+        let db = Database::builder().build_serving(graph);
         let cached = AnswerOptions::default();
         let uncached = AnswerOptions::new().with_use_cache(false);
         let strategies = [AnswerStrategy::RefUcq, AnswerStrategy::RefGCov];
@@ -330,25 +330,20 @@ proptest! {
         }
 
         for (is_insert, sel) in &ops {
-            if *is_insert {
-                let batch: Vec<EncodedTriple> = all
-                    .iter()
-                    .zip(sel.iter().cycle())
-                    .filter(|(_, &keep)| keep)
-                    .map(|(t, _)| *t)
-                    .collect();
-                db.insert(&batch);
+            let pool: Vec<Triple> = if *is_insert {
+                all.clone()
             } else {
-                let batch: Vec<EncodedTriple> = db
-                    .explicit()
-                    .triples()
-                    .iter()
-                    .zip(sel.iter().cycle())
-                    .filter(|(_, &del)| del)
-                    .map(|(t, _)| *t)
-                    .collect();
-                db.delete(&batch);
-            }
+                db.snapshot().database().graph().iter_decoded().collect()
+            };
+            let batch: Vec<Triple> = pool
+                .into_iter()
+                .zip(sel.iter().cycle())
+                .filter(|(_, &pick)| pick)
+                .map(|(t, _)| t)
+                .collect();
+            // Waiting on the ticket makes the write synchronous.
+            let ticket = if *is_insert { db.insert(batch) } else { db.delete(batch) };
+            ticket.unwrap().wait().unwrap();
             let reference = db.run_query(&cq, &AnswerStrategy::Saturation, &cached).unwrap().rows().to_vec();
             for strategy in &strategies {
                 // Twice cached (miss-then-hit path) plus once uncached.

@@ -399,7 +399,7 @@ proptest! {
             graph.dictionary_mut(),
         )
         .unwrap();
-        let sharded = Database::builder().shards(shards).build_sharded(graph.clone());
+        let sharded = Database::builder().shards(shards).build_serving(graph.clone());
         let oracle = Database::builder().build_serving(graph);
         prop_assert_eq!(sharded.shard_count(), shards);
 
