@@ -16,9 +16,12 @@ use rdfref_bench::report::Table;
 use rdfref_bench::{fmt_duration, time, MetricsSink};
 use rdfref_core::answer::{AnswerOptions, Database, Strategy};
 use rdfref_core::gcov::{gcov, GcovOptions};
-use rdfref_core::reformulate::{ucq_size_product, ReformulationLimits, RewriteContext};
+use rdfref_core::reformulate::{
+    reformulate_ucq_raw, ucq_size_product, ReformulationLimits, RewriteContext,
+};
 use rdfref_datagen::lubm::{generate, LubmConfig};
 use rdfref_datagen::queries;
+use rdfref_query::Cover;
 use rdfref_storage::CostModel;
 
 fn main() {
@@ -36,8 +39,9 @@ fn main() {
         &[
             "scale",
             "triples",
-            "|UCQ| (product)",
+            "|UCQ| (product, raw)",
             "UCQ",
+            "|SCQ| raw → evaluated",
             "SCQ",
             "JUCQ paper cover",
             "GCov search",
@@ -83,6 +87,14 @@ fn main() {
             .run_query(&q, &Strategy::RefScq, &opts)
             .expect("SCQ runs");
 
+        // Its fragments' raw fixpoints, next to what was evaluated.
+        let columns = Cover::singletons(q.size()).fragment_columns(&q);
+        let fragments = columns.iter().enumerate();
+        let scq_raw: usize = fragments
+            .map(|(i, cols)| q.project_fragment(&[i], cols))
+            .map(|fragment| reformulate_ucq_raw(&fragment, &ctx, limit).map_or(0, |u| u.len()))
+            .sum();
+
         // (iii) the paper's cover.
         let paper = db
             .run_query(
@@ -111,6 +123,7 @@ fn main() {
             ds.graph.len().to_string(),
             ucq_size.to_string(),
             ucq_cell,
+            format!("{scq_raw} → {}", scq.explain.reformulation_cqs),
             fmt_duration(scq.explain.wall),
             fmt_duration(paper.explain.wall),
             fmt_duration(search_time),

@@ -63,14 +63,14 @@ rdfref demo shell — the attendee experience of §5 of the paper
   strategy incomplete none|subclass|hierarchies          deliberately partial Ref
   strategy cover {1,3} {2,4} …                           a user-chosen cover (1-based atoms)
   algo bind|wcoj|auto                                    physical join algorithm (auto = cost model)
-  limit <n>                                              max CQs per reformulation
-  prune <n>|off                                          subsumption-prune unions up to n CQs
+  limit <n>                                              max CQs per raw reformulation
   budget <n>                                             abort above n intermediate rows
   run                                                    step 2/3: answer + full explanation
   explain analyze [SPARQL SELECT …]                      instrumented run: span tree, operator
                                                          timings, cache status (current query
                                                          if none given)
-  show ucq|scq|gcov                                      print the reformulation itself
+  show ucq|scq|gcov                                      print the reformulation itself (minimised;
+                                                         ucq also reports the raw fixpoint size)
   plan                                                   operator-level trace of the last run
   compare                                                step 2: all systems side by side
   covers                                                 step 3: GCov's explored covers & costs
@@ -125,7 +125,6 @@ impl Shell {
             "strategy" => self.cmd_strategy(rest),
             "algo" => self.cmd_algo(rest),
             "limit" => self.cmd_limit(rest),
-            "prune" => self.cmd_prune(rest),
             "budget" => self.cmd_budget(rest),
             "run" => self.cmd_run(),
             "show" => self.cmd_show(rest),
@@ -369,20 +368,6 @@ impl Shell {
         Ok(Response::text(format!("reformulation limit: {n} CQs")))
     }
 
-    fn cmd_prune(&mut self, rest: &str) -> Result<Response, String> {
-        if rest == "off" {
-            self.limits.prune_subsumed_below = 0;
-            return Ok(Response::text("subsumption pruning: off"));
-        }
-        let n: usize = rest
-            .parse()
-            .map_err(|_| "usage: prune <n>|off".to_string())?;
-        self.limits.prune_subsumed_below = n;
-        Ok(Response::text(format!(
-            "subsumption pruning: unions up to {n} CQs"
-        )))
-    }
-
     fn cmd_budget(&mut self, rest: &str) -> Result<Response, String> {
         if rest == "off" {
             self.row_budget = None;
@@ -551,9 +536,14 @@ impl Shell {
         let dict = db.graph().dictionary();
         match rest.trim() {
             "ucq" | "" => {
-                let ucq =
-                    rdfref_core::reformulate_ucq(&cq, &ctx, limits).map_err(|e| e.to_string())?;
-                let mut out = format!("UCQ reformulation: {} CQ(s)\n", ucq.len());
+                let raw = rdfref_core::reformulate_ucq_raw(&cq, &ctx, limits)
+                    .map_err(|e| e.to_string())?;
+                let raw_cqs = raw.len();
+                let ucq = rdfref_query::containment::minimize_union(raw);
+                let mut out = format!(
+                    "UCQ reformulation: {} CQ(s) (raw fixpoint: {raw_cqs})\n",
+                    ucq.len()
+                );
                 for cq in ucq.cqs.iter().take(30) {
                     out.push_str("  ");
                     out.push_str(&rdfref_query::display::cq_to_string(cq, dict));
@@ -927,7 +917,10 @@ mod tests {
         run(&mut s, "assert ex:doi1 a ex:Book");
         run(&mut s, "query SELECT ?x WHERE { ?x a ex:Publication }");
         let ucq = run(&mut s, "show ucq");
-        assert!(ucq.contains("UCQ reformulation: 2 CQ(s)"), "{ucq}");
+        assert!(
+            ucq.contains("UCQ reformulation: 2 CQ(s) (raw fixpoint: 2)"),
+            "{ucq}"
+        );
         assert!(ucq.contains("Book"), "{ucq}");
         let scq = run(&mut s, "show scq");
         assert!(scq.contains("F0["), "{scq}");

@@ -666,11 +666,14 @@ impl Database {
                 explain.reformulation_atoms = ucq.total_atoms();
                 let model = rdfref_storage::CostModel::new(&self.stats);
                 explain.estimate = Some(model.ucq_estimate(&ucq));
-                evaluator(&self.store, &self.stats, opts, &obs).eval_ucq(
+                let relation = evaluator(&self.store, &self.stats, opts, &obs).eval_ucq(
                     &ucq,
                     &out,
                     &mut metrics,
-                )?
+                )?;
+                #[cfg(feature = "strict-invariants")]
+                self.check_against_raw_fixpoint(cq, opts, &out, &relation);
+                relation
             }
             Strategy::RefScq => {
                 let plan = self.ref_plan(cq, PlanRequest::Scq, opts, &mut explain, &obs)?;
@@ -869,6 +872,16 @@ impl Database {
         self.cache.lookup(key)
     }
 
+    /// The rewriting context of this database's schema (and interval
+    /// encoder, if it has one).
+    fn rewrite_context(&self) -> RewriteContext<'_> {
+        let ctx = RewriteContext::new(&self.schema, &self.closure);
+        match &self.encoder {
+            Some(enc) => ctx.with_encoder(enc),
+            None => ctx,
+        }
+    }
+
     /// Plan `cq` from scratch (no cache involvement).
     fn compute_plan(
         &self,
@@ -877,10 +890,7 @@ impl Database {
         opts: &AnswerOptions,
         obs: &Obs,
     ) -> Result<CachedPlan> {
-        let mut ctx = RewriteContext::new(&self.schema, &self.closure);
-        if let Some(enc) = &self.encoder {
-            ctx = ctx.with_encoder(enc);
-        }
+        let ctx = self.rewrite_context();
         // Plans are transported into store id space *here*, so the cache
         // holds encoded plans. That is safe: re-encoding only happens on a
         // schema change, which bumps the cache's schema epoch and strands
@@ -908,6 +918,42 @@ impl Database {
                 CachedPlan::Gcov(gcov_with_obs(cq, &ctx, &model, &gcov_opts, obs)?)
             }
         })
+    }
+
+    /// The minimised plan answers exactly what the raw rule fixpoint answers
+    /// on this store: evaluate the fixpoint too (outside the request's
+    /// metrics and row budget) and compare row sets. Skipped when the
+    /// fixpoint does not fit the request's limits.
+    #[cfg(feature = "strict-invariants")]
+    fn check_against_raw_fixpoint(
+        &self,
+        cq: &Cq,
+        opts: &AnswerOptions,
+        out: &[Var],
+        minimised: &Relation,
+    ) {
+        let ctx = self.rewrite_context();
+        let Ok(raw) = crate::reformulate::reformulate_ucq_raw(cq, &ctx, opts.limits) else {
+            return;
+        };
+        let raw = self.encode_ucq(raw);
+        let fixpoint = Evaluator::new(self.store.source(), &self.stats).eval_ucq(
+            &raw,
+            out,
+            &mut ExecMetrics::default(),
+        );
+        let Ok(mut fixpoint) = fixpoint else { return };
+        let mut minimised = minimised.clone();
+        fixpoint.sort();
+        minimised.sort();
+        // Arming the feature is asking for the check: it holds in release
+        // builds too, where a `debug_assert` would pay for the fixpoint and
+        // compare nothing.
+        assert_eq!(
+            minimised.to_rows(),
+            fixpoint.to_rows(),
+            "the minimised union of {cq:?} answers differently from its raw fixpoint"
+        );
     }
 
     fn cache_report(&self, hit: bool) -> CacheReport {

@@ -49,17 +49,14 @@ use std::hash::{Hash, Hasher};
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum StrategyTag {
     /// A classic UCQ reformulation.
-    Ucq { limits: (usize, usize) },
+    Ucq { max_cqs: usize },
     /// A cover-induced JUCQ reformulation. SCQ plans are keyed here too,
     /// with the singleton cover — `reformulate_scq` *is* the singleton-cover
     /// JUCQ, so the two strategies share entries.
-    Jucq {
-        cover: Cover,
-        limits: (usize, usize),
-    },
+    Jucq { cover: Cover, max_cqs: usize },
     /// A GCov search result (cover choice + JUCQ + estimates).
     Gcov {
-        limits: (usize, usize),
+        max_cqs: usize,
         /// `GcovOptions::min_improvement` as raw bits (f64 is not `Hash`).
         min_improvement_bits: u64,
         max_steps: usize,
@@ -67,15 +64,11 @@ pub enum StrategyTag {
     },
 }
 
-fn limits_fp(l: &ReformulationLimits) -> (usize, usize) {
-    (l.max_cqs, l.prune_subsumed_below)
-}
-
 impl StrategyTag {
     /// Tag for a `RefUcq` plan.
     pub fn ucq(limits: &ReformulationLimits) -> StrategyTag {
         StrategyTag::Ucq {
-            limits: limits_fp(limits),
+            max_cqs: limits.max_cqs,
         }
     }
 
@@ -84,14 +77,14 @@ impl StrategyTag {
     pub fn jucq(cover: Cover, limits: &ReformulationLimits) -> StrategyTag {
         StrategyTag::Jucq {
             cover,
-            limits: limits_fp(limits),
+            max_cqs: limits.max_cqs,
         }
     }
 
     /// Tag for a `RefGCov` plan (all search options fingerprinted).
     pub fn gcov(opts: &GcovOptions) -> StrategyTag {
         StrategyTag::Gcov {
-            limits: limits_fp(&opts.limits),
+            max_cqs: opts.limits.max_cqs,
             min_improvement_bits: opts.min_improvement.to_bits(),
             max_steps: opts.max_steps,
             connected_moves_only: opts.connected_moves_only,

@@ -32,7 +32,8 @@ pub struct CacheReport {
 pub struct Explain {
     /// Human-readable strategy name.
     pub strategy: String,
-    /// Total CQ disjuncts in the reformulation (0 for Sat/Dat).
+    /// Total CQ disjuncts in the reformulation as evaluated, i.e. minimised
+    /// (0 for Sat/Dat).
     pub reformulation_cqs: usize,
     /// Total atoms across the reformulation (query-text size proxy).
     pub reformulation_atoms: usize,

@@ -83,6 +83,7 @@ pub use incomplete::IncompletenessProfile;
 pub use rdfref_obs::{MetricsRegistry, Obs};
 pub use rdfref_storage::{JoinAlgorithm, Parallelism, DEFAULT_MORSEL_SIZE};
 pub use reformulate::{
-    reformulate_jucq, reformulate_scq, reformulate_ucq, ReformulationLimits, RewriteContext,
+    reformulate_jucq, reformulate_scq, reformulate_ucq, reformulate_ucq_raw, ReformulationLimits,
+    RewriteContext,
 };
 pub use serving::{BatchReport, BatchTicket, ServingDatabase, ShardConfig, Snapshot, UpdateBatch};

@@ -7,7 +7,8 @@
 //! * [`rules`] — the 13 single-step rewriting rules w.r.t. the schema
 //!   closure;
 //! * [`ucq`] — the exhaustive fixpoint producing the classic UCQ
-//!   reformulation, with canonical deduplication and a size limit;
+//!   reformulation, with canonical deduplication and a size limit, then
+//!   minimised (subsumed disjuncts dropped, survivors cored);
 //! * [`jucq`] — cover-induced JUCQ reformulations, including the SCQ special
 //!   case ([`reformulate_scq`]) and the one-fragment case (≡ UCQ).
 
@@ -17,4 +18,4 @@ pub mod ucq;
 
 pub use jucq::{reformulate_jucq, reformulate_scq};
 pub use rules::{RewriteContext, RuleId};
-pub use ucq::{reformulate_ucq, ucq_size_product, ReformulationLimits};
+pub use ucq::{reformulate_ucq, reformulate_ucq_raw, ucq_size_product, ReformulationLimits};

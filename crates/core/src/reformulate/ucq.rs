@@ -1,15 +1,20 @@
-//! The CQ → UCQ fixpoint (the reformulation algorithm of [EDBT'13]).
+//! The CQ → UCQ reformulation (the algorithm of [EDBT'13]).
 //!
 //! "Starting from a CQ query q to answer against db, it produces a UCQ
 //! reformulation qref using the constraints in a backward-chaining fashion,
 //! which retrieves the complete answer to q out of the (non-saturated) db:
 //! q(db∞) = qref(db)" (§3.1 of the paper).
 //!
-//! The driver applies the 13 rules of [`super::rules`] exhaustively: a
-//! worklist of CQs, each rewritten at every atom position, with canonical
-//! deduplication ([`rdfref_query::canonical`]) guaranteeing termination.
-//! A configurable size limit aborts pathological reformulations gracefully
-//! (the paper's 318,096-CQ Example 1 "could not even be parsed").
+//! Two steps. [`reformulate_ucq_raw`] applies the 13 rules of
+//! [`super::rules`] exhaustively: a worklist of CQs, each rewritten at every
+//! atom position, with canonical deduplication
+//! ([`rdfref_query::canonical`]) guaranteeing termination. A configurable
+//! size limit aborts pathological reformulations gracefully (the paper's
+//! 318,096-CQ Example 1 "could not even be parsed"). [`reformulate_ucq`]
+//! then minimises that union ([`rdfref_query::containment::minimize_union`]):
+//! disjuncts another disjunct subsumes go, the rest shrink to their cores.
+//! Every union the engine costs, caches or evaluates went through both; the
+//! raw fixpoint is public for the paper's size reports.
 
 use crate::error::{CoreError, Result};
 use crate::reformulate::rules::RewriteContext;
@@ -17,6 +22,7 @@ use rdfref_model::dictionary::ID_RDF_TYPE;
 use rdfref_model::HierarchyEncoder;
 use rdfref_query::ast::{Cq, PTerm, Substitution, Ucq};
 use rdfref_query::canonical::CanonicalSet;
+use rdfref_query::containment::{minimize_union, minimize_union_with};
 use rdfref_query::var::FreshVars;
 
 /// Limits for the reformulation fixpoint.
@@ -28,14 +34,9 @@ use rdfref_query::var::FreshVars;
 #[derive(Debug, Clone, Copy)]
 #[non_exhaustive]
 pub struct ReformulationLimits {
-    /// Maximum number of CQs in the union before aborting with
+    /// Maximum number of CQs in the raw fixpoint before aborting with
     /// [`CoreError::ReformulationTooLarge`].
     pub max_cqs: usize,
-    /// Apply subsumption pruning ([`rdfref_query::containment`]) to the
-    /// produced union when it has at most this many disjuncts (the check is
-    /// quadratic). `0` disables pruning — the default, matching the paper's
-    /// unpruned reformulation sizes.
-    pub prune_subsumed_below: usize,
 }
 
 impl Default for ReformulationLimits {
@@ -44,13 +45,12 @@ impl Default for ReformulationLimits {
             // Generous enough for every workload in this repository except
             // the deliberately pathological UCQ cases (Example 1 at scale).
             max_cqs: 500_000,
-            prune_subsumed_below: 0,
         }
     }
 }
 
 impl ReformulationLimits {
-    /// The default limits (500 000 CQs, no subsumption pruning).
+    /// The default limits (500 000 CQs).
     pub fn new() -> Self {
         ReformulationLimits::default()
     }
@@ -61,20 +61,9 @@ impl ReformulationLimits {
         self
     }
 
-    /// Set the subsumption-pruning threshold (`0` disables pruning).
-    pub fn with_prune_subsumed_below(mut self, below: usize) -> Self {
-        self.prune_subsumed_below = below;
-        self
-    }
-
     /// Maximum number of CQs in the union before aborting.
     pub fn max_cqs(&self) -> usize {
         self.max_cqs
-    }
-
-    /// Subsumption-pruning threshold (`0` = pruning disabled).
-    pub fn prune_subsumed_below(&self) -> usize {
-        self.prune_subsumed_below
     }
 }
 
@@ -105,8 +94,28 @@ fn compress_input(cq: &Cq, enc: &HierarchyEncoder) -> Cq {
     Cq::new_unchecked(cq.head.clone(), body)
 }
 
-/// Reformulate a CQ into its UCQ reformulation w.r.t. the context's schema.
+/// Reformulate a CQ into its UCQ reformulation w.r.t. the context's schema:
+/// the raw fixpoint ([`reformulate_ucq_raw`], to which `limits` apply),
+/// minimised. This is the union the engine evaluates.
+///
+/// With an interval encoder the union's constants are dictionary ids still
+/// (the caller transports them) while its intervals are store ids: the
+/// minimisation compares the two in store ids.
 pub fn reformulate_ucq(
+    cq: &Cq,
+    ctx: &RewriteContext<'_>,
+    limits: ReformulationLimits,
+) -> Result<Ucq> {
+    let raw = reformulate_ucq_raw(cq, ctx, limits)?;
+    Ok(match ctx.encoder {
+        Some(enc) => minimize_union_with(raw, &|c| enc.encode(c)),
+        None => minimize_union(raw),
+    })
+}
+
+/// The raw rule fixpoint: every CQ the 13 rules derive from `cq`, redundant
+/// ones included — the reformulation whose size the paper reports.
+pub fn reformulate_ucq_raw(
     cq: &Cq,
     ctx: &RewriteContext<'_>,
     limits: ReformulationLimits,
@@ -122,10 +131,12 @@ pub fn reformulate_ucq(
     let mut seen = CanonicalSet::new();
     seen.insert(cq);
     let mut result: Vec<Cq> = vec![cq.clone()];
-    let mut frontier: Vec<Cq> = vec![cq.clone()];
-    while let Some(q) = frontier.pop() {
-        for idx in 0..q.body.len() {
-            for rw in ctx.rewrite_atom(&q.body[idx], &mut fresh) {
+    // Indices into `result` still to rewrite.
+    let mut frontier: Vec<usize> = vec![0];
+    while let Some(qi) = frontier.pop() {
+        for idx in 0..result[qi].body.len() {
+            for rw in ctx.rewrite_atom(&result[qi].body[idx], &mut fresh) {
+                let q = &result[qi];
                 let new_cq = if rw.bindings.is_empty() {
                     q.with_atom(idx, rw.atom)
                 } else {
@@ -143,21 +154,16 @@ pub fn reformulate_ucq(
                             limit: limits.max_cqs,
                         });
                     }
-                    result.push(new_cq.clone());
-                    frontier.push(new_cq);
+                    frontier.push(result.len());
+                    result.push(new_cq);
                 }
             }
         }
     }
-    let ucq = Ucq::new(result).map_err(CoreError::from)?;
-    if limits.prune_subsumed_below > 0 && ucq.len() <= limits.prune_subsumed_below {
-        Ok(rdfref_query::containment::prune_subsumed(ucq))
-    } else {
-        Ok(ucq)
-    }
+    Ucq::new(result).map_err(CoreError::from)
 }
 
-/// The size the UCQ reformulation *would* have, computed as the product of
+/// The size the raw UCQ reformulation *would* have, computed as the product of
 /// the per-atom reformulation sizes — without materializing the union.
 ///
 /// Exact when no two atoms share a variable that reformulation binds
@@ -172,14 +178,8 @@ pub fn ucq_size_product(cq: &Cq, ctx: &RewriteContext<'_>) -> u128 {
         // where bound variables appear in the head or other atoms).
         let head: Vec<PTerm> = atom.vars().cloned().map(PTerm::Var).collect();
         let single = Cq::new_unchecked(head, vec![atom.clone()]);
-        let count = match reformulate_ucq(
-            &single,
-            ctx,
-            ReformulationLimits {
-                max_cqs: 2_000_000,
-                ..Default::default()
-            },
-        ) {
+        let limits = ReformulationLimits::new().with_max_cqs(2_000_000);
+        let count = match reformulate_ucq_raw(&single, ctx, limits) {
             Ok(ucq) => ucq.len() as u128,
             Err(_) => u128::MAX / cq.body.len().max(1) as u128, // saturating sentinel
         };
@@ -268,16 +268,25 @@ mod tests {
             ],
         )
         .unwrap();
-        let ucq = reformulate_ucq(&q, &ctx, ReformulationLimits::default()).unwrap();
-        assert!(ucq.len() > 1);
-        let bound_heads = ucq
-            .cqs
-            .iter()
-            .filter(|cq| matches!(cq.head[1], PTerm::Const(_)))
-            .count();
-        assert!(bound_heads >= 4, "rules 9–11 bind u in ≥4 disjuncts");
+        let raw = reformulate_ucq_raw(&q, &ctx, ReformulationLimits::default()).unwrap();
+        let bound_heads = |ucq: &Ucq| {
+            let bound = |cq: &&Cq| matches!(cq.head[1], PTerm::Const(_));
+            ucq.cqs.iter().filter(bound).count()
+        };
+        assert!(bound_heads(&raw) >= 4, "rules 9–11 bind u in ≥4 disjuncts");
         // Every disjunct keeps arity 2.
-        assert!(ucq.cqs.iter().all(|cq| cq.arity() == 2));
+        assert!(raw.cqs.iter().all(|cq| cq.arity() == 2));
+
+        // Minimised: the query itself, plus one disjunct per type the
+        // writtenBy atom implies for x — (x writtenBy y) alone with u bound
+        // to Book and to Publication (domain), and (f writtenBy x) joined in
+        // for Person (range). The explicit (x τ Book) → Publication disjunct
+        // is subsumed by the domain one.
+        let ucq = reformulate_ucq(&q, &ctx, ReformulationLimits::default()).unwrap();
+        assert_eq!(ucq.len(), 4);
+        assert_eq!(bound_heads(&ucq), 3);
+        assert_eq!(ucq.total_atoms(), 2 + 1 + 1 + 2);
+        assert!(raw.len() > ucq.len());
     }
 
     #[test]

@@ -1,12 +1,144 @@
 //! Property tests of the query layer: canonicalization, covers,
-//! containment laws, parser/display round trips.
+//! containment laws (and the kernel against a reference), parser/display
+//! round trips.
 
 use proptest::prelude::*;
 use rdfref_model::{Dictionary, Term, TermId};
-use rdfref_query::ast::{Atom, Cq, PTerm};
+use rdfref_query::ast::{Atom, Cq, PTerm, Ucq};
 use rdfref_query::canonical::canonicalize;
-use rdfref_query::containment::{equivalent, minimize, subsumes};
+use rdfref_query::containment::{
+    equivalent, minimize, minimize_union, minimize_union_with, subsumes,
+};
 use rdfref_query::{parse_select, Cover, Var};
+use std::collections::HashMap;
+
+/// The backtracking containment test the kernel replaced, kept as its
+/// reference: a partial homomorphism in a hash map, cloned per atom attempt,
+/// atoms in body order. It decides the same relation — constants onto
+/// themselves, an interval onto what lies inside it, every occurrence of a
+/// variable onto the same term and, if that is an interval, the same
+/// occurrence of it.
+mod reference {
+    use super::*;
+
+    /// Image of a variable, and the (atom, position) it was found at.
+    type Hom = HashMap<Var, (PTerm, (usize, usize))>;
+
+    fn unify(from: &PTerm, to: &PTerm, at: (usize, usize), hom: &mut Hom) -> bool {
+        match (from, to) {
+            (PTerm::Const(c), PTerm::Const(d)) => c == d,
+            (PTerm::Const(_), _) => false,
+            (PTerm::Range(lo, hi), PTerm::Const(c)) => lo <= c && c < hi,
+            (PTerm::Range(lo, hi), PTerm::Range(l, h)) => lo <= l && h <= hi,
+            (PTerm::Range(..), PTerm::Var(_)) => false,
+            (PTerm::Var(v), _) => match hom.get(v) {
+                Some((image, place)) => image == to && (!to.is_range() || *place == at),
+                None => {
+                    hom.insert(v.clone(), (to.clone(), at));
+                    true
+                }
+            },
+        }
+    }
+
+    fn search(body: &[Atom], target: &[Atom], hom: &Hom) -> bool {
+        let Some((first, rest)) = body.split_first() else {
+            return true;
+        };
+        target.iter().enumerate().any(|(i, atom)| {
+            let mut extended = hom.clone();
+            unify(&first.s, &atom.s, (i, 0), &mut extended)
+                && unify(&first.p, &atom.p, (i, 1), &mut extended)
+                && unify(&first.o, &atom.o, (i, 2), &mut extended)
+                && search(rest, target, &extended)
+        })
+    }
+
+    pub fn subsumes(general: &Cq, specific: &Cq) -> bool {
+        if general.arity() != specific.arity() {
+            return false;
+        }
+        let mut hom = Hom::new();
+        let mut heads = general.head.iter().zip(&specific.head).enumerate();
+        heads.all(|(k, (g, s))| unify(g, s, (usize::MAX, k), &mut hom))
+            && search(&general.body, &specific.body, &hom)
+    }
+
+    /// Drop atoms one at a time while the rest stays equivalent.
+    pub fn core_size(cq: &Cq) -> usize {
+        let mut current = cq.clone();
+        'shrink: loop {
+            for i in 0..current.body.len() {
+                let mut body = current.body.clone();
+                body.remove(i);
+                let candidate = Cq::new_unchecked(current.head.clone(), body);
+                if subsumes(&current, &candidate) {
+                    current = candidate;
+                    continue 'shrink;
+                }
+            }
+            return current.size();
+        }
+    }
+}
+
+/// Terms for the kernel-vs-reference tests: few constants and variables, so
+/// that atoms collide, and intervals over the constants.
+fn dense_pterm() -> impl Strategy<Value = PTerm> {
+    prop_oneof![
+        3 => (0u32..4).prop_map(|i| PTerm::Const(TermId(50 + i))),
+        4 => (0u8..4).prop_map(|i| PTerm::Var(Var::new(format!("v{i}")))),
+        1 => (0u32..3, 1u32..4).prop_map(|(lo, len)| PTerm::Range(TermId(50 + lo), TermId(50 + lo + len))),
+    ]
+}
+
+/// Up to six atoms; a head of up to two variables or constants (constant
+/// heads are what rules 9–13 produce).
+fn dense_cq(arity: usize) -> impl Strategy<Value = Cq> {
+    let atom = (dense_pterm(), dense_pterm(), dense_pterm()).prop_map(|(s, p, o)| Atom { s, p, o });
+    let head = prop_oneof![
+        (0u32..2).prop_map(|i| PTerm::Const(TermId(50 + i))),
+        (0u8..4).prop_map(|i| PTerm::Var(Var::new(format!("v{i}")))),
+    ];
+    (
+        proptest::collection::vec(head, arity..arity + 1),
+        proptest::collection::vec(atom, 1..7),
+    )
+        .prop_map(|(head, body)| Cq::new_unchecked(head, body))
+}
+
+/// A CQ and a near-specialisation of it: its variables substituted, atoms
+/// added, and (two times in three) one position overwritten — so that
+/// containment holds often, and fails by little when it fails.
+fn related_cqs() -> impl Strategy<Value = (Cq, Cq)> {
+    let atom =
+        || (dense_pterm(), dense_pterm(), dense_pterm()).prop_map(|(s, p, o)| Atom { s, p, o });
+    (
+        dense_cq(2),
+        proptest::collection::vec(proptest::option::of(dense_pterm()), 4..5),
+        proptest::collection::vec(atom(), 0..3),
+        (0usize..3, 0usize..64, dense_pterm()),
+    )
+        .prop_map(|(general, images, extra, (overwrite, at, with))| {
+            let mut subst = rdfref_query::ast::Substitution::default();
+            for (i, image) in images.into_iter().enumerate() {
+                if let Some(image) = image {
+                    subst.insert(Var::new(format!("v{i}")), image);
+                }
+            }
+            let mut specific = general.apply(&subst);
+            specific.body.extend(extra);
+            if overwrite > 0 {
+                let atom = &mut specific.body[at % general.size()];
+                match at % 3 {
+                    0 => atom.s = with,
+                    1 => atom.p = with,
+                    _ => atom.o = with,
+                }
+            }
+            (general, specific)
+        })
+}
 
 fn pterm_strategy() -> impl Strategy<Value = PTerm> {
     prop_oneof![
@@ -185,5 +317,70 @@ fn parse_display_round_trip() {
         // Dictionaries are built in the same order, so ids align.
         assert_eq!(canonicalize(&cq1), canonicalize(&cq2), "{q} → {rendered}");
         let _ = Term::iri("keep-import");
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 1024, ..ProptestConfig::default() })]
+
+    /// The kernel decides what the reference decides, in both directions, and
+    /// computes cores of the same size.
+    #[test]
+    fn kernel_matches_the_reference(
+        related in related_cqs(),
+        c in dense_cq(2),
+        unary in dense_cq(1),
+    ) {
+        let (a, b) = related;
+        for (g, s) in [(&a, &b), (&b, &a), (&a, &c), (&c, &a), (&b, &c)] {
+            prop_assert_eq!(subsumes(g, s), reference::subsumes(g, s), "{:?} ⊒ {:?}", g, s);
+        }
+        prop_assert!(!subsumes(&a, &unary), "arities differ");
+        let core = minimize(&a);
+        prop_assert_eq!(core.size(), reference::core_size(&a), "{:?}", a);
+        prop_assert!(reference::subsumes(&core, &a) && reference::subsumes(&a, &core));
+        prop_assert!(core.body.iter().all(|atom| a.body.contains(atom)));
+    }
+
+    /// A minimised union is what the reference says a minimal one is: every
+    /// input disjunct is subsumed by a survivor, no survivor by another, and
+    /// every survivor is a core.
+    #[test]
+    fn minimized_union_is_minimal(
+        pairs in proptest::collection::vec(related_cqs(), 1..4),
+        unrelated in proptest::collection::vec(dense_cq(2), 0..4),
+    ) {
+        let pairs = pairs.into_iter().flat_map(|(a, b)| [b, a]);
+        let input = Ucq::new(pairs.chain(unrelated).collect()).unwrap();
+        let minimal = minimize_union(input.clone());
+        for cq in &input.cqs {
+            prop_assert!(minimal.cqs.iter().any(|kept| reference::subsumes(kept, cq)), "{:?} lost", cq);
+        }
+        for (i, kept) in minimal.cqs.iter().enumerate() {
+            prop_assert_eq!(reference::core_size(kept), kept.size(), "{:?} is no core", kept);
+            for (j, other) in minimal.cqs.iter().enumerate() {
+                prop_assert!(i == j || !reference::subsumes(other, kept), "{:?} ⊒ {:?}", other, kept);
+            }
+        }
+        prop_assert_eq!(&minimize_union(minimal.clone()), &minimal, "idempotence");
+    }
+
+    /// Handing the pass a transport of the constants is transporting them,
+    /// minimising, and transporting them back (intervals stay where they are).
+    #[test]
+    fn constants_are_minimised_where_they_are_transported_to(
+        pairs in proptest::collection::vec(related_cqs(), 1..4),
+        unrelated in proptest::collection::vec(dense_cq(2), 0..4),
+        mask in 0u32..16,
+    ) {
+        // A bijection of the ids that is its own inverse.
+        let mut transport = |id: TermId| TermId(id.0 ^ mask);
+        let pairs = pairs.into_iter().flat_map(|(a, b)| [b, a]);
+        let input = Ucq::new(pairs.chain(unrelated).collect()).unwrap();
+        let there = minimize_union(input.map_consts(&mut transport));
+        prop_assert_eq!(
+            minimize_union_with(input, &|id| TermId(id.0 ^ mask)),
+            there.map_consts(&mut transport)
+        );
     }
 }

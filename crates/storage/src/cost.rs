@@ -203,7 +203,8 @@ impl<'a> CostModel<'a> {
 
     /// Greedy join order for a CQ body: start from the lowest-cardinality
     /// atom, repeatedly add the lowest-cardinality atom connected (by a
-    /// shared variable) to what has been joined so far, falling back to a
+    /// shared variable) to what has been joined so far — of equally large
+    /// ones the one sharing more variables — falling back to a
     /// cross product only when the remainder is disconnected. Returns atom
     /// indices. Shared by the estimator and the executor so the estimate
     /// models the plan that actually runs.
@@ -240,9 +241,15 @@ impl<'a> CostModel<'a> {
             } else {
                 &connected
             };
+            // On a cardinality tie the atom sharing more variables with what
+            // is joined so far: it filters where the other one fans out.
+            let joined = |i: usize| body[i].vars().filter(|v| bound.contains(v)).count();
             let Some(next) = pool
                 .iter()
-                .min_by(|&&a, &&b| cards[a].total_cmp(&cards[b]))
+                .min_by(|&&a, &&b| {
+                    let by_card = cards[a].total_cmp(&cards[b]);
+                    by_card.then_with(|| joined(b).cmp(&joined(a)))
+                })
                 .copied()
             else {
                 debug_assert!(false, "pool falls back to non-empty remaining");
@@ -659,6 +666,28 @@ mod tests {
         let order = m.order_atoms(&body);
         assert_eq!(order[0], 2);
         assert_eq!(order[1], 1, "connected atom joins before cross product");
+    }
+
+    #[test]
+    fn order_atoms_breaks_cardinality_ties_by_bound_variables() {
+        // The shape of a raw Q09 disjunct: once (x advisor z) has bound x and
+        // z, the two takesCourse atoms are equally large and both connected.
+        // (x takes z) only filters; (f takes z) fans out to everyone taking
+        // z, and used to win by standing first.
+        let (advisor, takes) = (TermId(100), TermId(101));
+        let mut triples = vec![EncodedTriple::new(TermId(1), advisor, TermId(50))];
+        for student in 1..=10 {
+            triples.push(EncodedTriple::new(TermId(student), takes, TermId(50)));
+        }
+        let stats = Stats::compute(&Store::from_triples(&triples));
+        let m = CostModel::new(&stats);
+        let body = vec![
+            Atom::new(v("f"), takes, v("z")),
+            Atom::new(v("x"), takes, v("z")),
+            Atom::new(v("x"), advisor, v("z")),
+        ];
+        assert_eq!(m.atom_cardinality(&body[0]), m.atom_cardinality(&body[1]));
+        assert_eq!(m.order_atoms(&body), vec![2, 1, 0]);
     }
 
     #[test]

@@ -1,9 +1,12 @@
 //! Property tests of the storage layer: index scans vs a naive reference,
-//! statistics consistency, relation algebra laws.
+//! statistics consistency, relation algebra laws, and union minimisation
+//! against evaluation.
 
 use proptest::prelude::*;
 use rdfref_model::dictionary::ID_RDF_TYPE;
 use rdfref_model::{EncodedTriple, TermId};
+use rdfref_query::ast::{Atom, Cq, PTerm, Substitution, Ucq};
+use rdfref_query::containment::minimize_union;
 use rdfref_query::Var;
 use rdfref_storage::relation::Relation;
 use rdfref_storage::store::{IdPattern, Store};
@@ -18,6 +21,55 @@ fn triples_strategy() -> impl Strategy<Value = Vec<EncodedTriple>> {
         }),
         0..60,
     )
+}
+
+/// Pattern positions over the ids `triples_strategy` draws from, intervals
+/// included; `pool` picks subject/object ids or property ids.
+fn position(pool: std::ops::Range<u32>) -> impl Strategy<Value = PTerm> {
+    let (lo, hi) = (pool.start, pool.end);
+    prop_oneof![
+        3 => (lo..hi).prop_map(|c| PTerm::Const(TermId(c))),
+        4 => (0u8..4).prop_map(|i| PTerm::Var(Var::new(format!("v{i}")))),
+        1 => (lo..hi, 1u32..6).prop_map(|(from, len)| PTerm::Range(TermId(from), TermId(from + len))),
+    ]
+}
+
+fn atom_strategy() -> impl Strategy<Value = Atom> {
+    let property = prop_oneof![
+        1 => (0u32..1).prop_map(|_| PTerm::Const(ID_RDF_TYPE)),
+        4 => position(101..108),
+    ];
+    (position(5..20), property, position(5..20)).prop_map(|(s, p, o)| Atom { s, p, o })
+}
+
+/// A safe unary CQ and a near-specialisation of it (variables substituted,
+/// an atom added), so that unions of them hold redundant disjuncts. The head
+/// is a body variable, or a constant when the body has none.
+fn related_cqs() -> impl Strategy<Value = [Cq; 2]> {
+    (
+        proptest::collection::vec(atom_strategy(), 1..4),
+        0usize..12,
+        proptest::collection::vec(proptest::option::of(position(5..20)), 4..5),
+        proptest::option::of(atom_strategy()),
+    )
+        .prop_map(|(body, pick, images, extra)| {
+            let vars: Vec<Var> = body.iter().flat_map(|a| a.vars().cloned()).collect();
+            let head = match vars.get(pick % vars.len().max(1)) {
+                Some(v) => PTerm::Var(v.clone()),
+                None => PTerm::Const(TermId(5)),
+            };
+            let general = Cq::new_unchecked(vec![head], body);
+            let mut subst = Substitution::default();
+            for (i, image) in images.into_iter().enumerate() {
+                // An interval cannot stand in a head.
+                if let Some(image) = image.filter(|t| !t.is_range()) {
+                    subst.insert(Var::new(format!("v{i}")), image);
+                }
+            }
+            let mut specific = general.apply(&subst);
+            specific.body.extend(extra);
+            [specific, general]
+        })
 }
 
 /// Sort-merge natural join — the independent reference the library's hash
@@ -363,5 +415,30 @@ proptest! {
         for row in p.rows() {
             prop_assert!(r.rows().any(|orig| orig[2] == row[0] && orig[0] == row[1]));
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 512, ..ProptestConfig::default() })]
+
+    /// A minimised union returns the rows of the union it came from, on any
+    /// store; minimising again changes nothing.
+    #[test]
+    fn minimized_unions_answer_like_their_input(
+        triples in triples_strategy(),
+        pairs in proptest::collection::vec(related_cqs(), 1..4),
+    ) {
+        let store = Store::from_triples(&triples);
+        let stats = Stats::compute(&store);
+        let input = Ucq::new(pairs.into_iter().flatten().collect()).unwrap();
+        let rows = |ucq: &Ucq| {
+            let (mut rel, _) = rdfref_storage::eval_ucq(&store, &stats, ucq).unwrap();
+            rel.sort();
+            rel.to_rows()
+        };
+        let minimal = minimize_union(input.clone());
+        prop_assert!(minimal.len() <= input.len() && minimal.total_atoms() <= input.total_atoms());
+        prop_assert_eq!(rows(&minimal), rows(&input), "{:?} minimised to {:?}", input, minimal);
+        prop_assert_eq!(&minimize_union(minimal.clone()), &minimal);
     }
 }

@@ -73,7 +73,8 @@ pub mod prelude {
     pub use rdfref_core::gcov::{gcov, GcovOptions};
     pub use rdfref_core::incomplete::IncompletenessProfile;
     pub use rdfref_core::reformulate::{
-        reformulate_jucq, reformulate_scq, reformulate_ucq, ReformulationLimits, RewriteContext,
+        reformulate_jucq, reformulate_scq, reformulate_ucq, reformulate_ucq_raw,
+        ReformulationLimits, RewriteContext,
     };
     pub use rdfref_core::serving::{
         BatchReport, BatchTicket, ServingDatabase, ShardConfig, Snapshot, UpdateBatch,

@@ -438,3 +438,157 @@ fn subproperty_chain_equivalent() {
     check(graph.clone(), &prop_q, "subprop-chain/prop").unwrap();
     check(graph, &type_q, "subprop-chain/type").unwrap();
 }
+
+/// Minimisation sees through interval atoms as it does through constants: a
+/// type atom implied by a domain disappears whether it is spelled as eleven
+/// classic disjuncts or as one id interval, and answers stay equal.
+#[test]
+fn interval_unions_minimise_like_classic_ones() {
+    let mut graph = Graph::new();
+    let d = graph.dictionary_mut();
+    let classes: Vec<TermId> = (0..10)
+        .map(|i| d.intern(&Term::iri(format!("http://t/K{i}"))))
+        .collect();
+    let [q, r] = ["q", "r"].map(|n| d.intern(&Term::iri(format!("http://t/{n}"))));
+    let inds: Vec<TermId> = (0..6)
+        .map(|i| d.intern(&Term::iri(format!("http://t/w{i}"))))
+        .collect();
+    let sc = d.intern(&Term::iri(rdfref::model::vocab::RDFS_SUBCLASSOF));
+    let dom = d.intern(&Term::iri(rdfref::model::vocab::RDFS_DOMAIN));
+    for w in classes.windows(2) {
+        graph.insert_encoded(EncodedTriple::new(w[0], sc, w[1]));
+    }
+    graph.insert_encoded(EncodedTriple::new(q, dom, classes[4]));
+    for (i, w) in inds.windows(2).enumerate() {
+        graph.insert_encoded(EncodedTriple::new(
+            w[0],
+            if i % 2 == 0 { q } else { r },
+            w[1],
+        ));
+        graph.insert_encoded(EncodedTriple::new(w[0], ID_RDF_TYPE, classes[i]));
+    }
+    let root = classes[9];
+    let (x, y) = (|| PTerm::Var(Var::new("x")), || PTerm::Var(Var::new("y")));
+    let typed = |p: TermId| {
+        let type_atom = Atom {
+            s: x(),
+            p: PTerm::Const(ID_RDF_TYPE),
+            o: PTerm::Const(root),
+        };
+        let edge = Atom {
+            s: x(),
+            p: PTerm::Const(p),
+            o: y(),
+        };
+        Cq::new_unchecked(vec![x(), y()], vec![type_atom, edge])
+    };
+    // (class disjuncts, the domain disjunct) per encoding; `q`'s domain
+    // implies the type atom, `r` implies nothing.
+    for (p, label, classic, interval) in [(q, "implied", 1, 1), (r, "kept", 11, 2)] {
+        let cq = typed(p);
+        for (encoding, expected) in [
+            (DictEncoding::Classic, classic),
+            (DictEncoding::Interval, interval),
+        ] {
+            let db = Database::builder().encoding(encoding).build(graph.clone());
+            let answer = db
+                .run_query(&cq, &QStrategy::RefUcq, &AnswerOptions::default())
+                .unwrap();
+            assert_eq!(
+                answer.explain.reformulation_cqs, expected,
+                "{label}/{encoding:?}"
+            );
+            if expected == 1 {
+                assert_eq!(
+                    answer.explain.reformulation_atoms, 1,
+                    "{label}/{encoding:?}"
+                );
+            }
+        }
+        check(graph.clone(), &cq, label).unwrap();
+    }
+}
+
+/// Minimisation compares an interval with a constant in one id space. The
+/// reformulated union carries constants as base ids and intervals as encoded
+/// ids: with an uncovered superclass (`A`: `X` has a second parent) over a
+/// covered subclass (`B ⊒ B1`), a sibling class whose *base* id happens to
+/// fall inside `B`'s *encoded* interval must not be dropped as subsumed.
+/// Which id falls where depends on the intern order, so try them all.
+#[test]
+fn minimisation_compares_intervals_and_constants_in_one_id_space() {
+    const NAMES: [&str; 6] = ["A", "A2", "X", "B", "B1", "D"];
+    let mut order: Vec<usize> = (0..NAMES.len()).collect();
+    let mut orders = vec![order.clone()];
+    // Heap's algorithm, iteratively.
+    let mut counters = vec![0; order.len()];
+    let mut i = 0;
+    while i < order.len() {
+        if counters[i] < i {
+            order.swap(if i % 2 == 0 { 0 } else { counters[i] }, i);
+            orders.push(order.clone());
+            counters[i] += 1;
+            i = 0;
+        } else {
+            counters[i] = 0;
+            i += 1;
+        }
+    }
+    assert_eq!(orders.len(), 720);
+
+    let mut exposed = 0;
+    for order in orders {
+        let mut graph = Graph::new();
+        let d = graph.dictionary_mut();
+        let mut id = [TermId(0); 6];
+        for &k in &order {
+            id[k] = d.intern(&Term::iri(format!("http://t/{}", NAMES[k])));
+        }
+        let [a, a2, x, b, b1, dd] = id;
+        let inds: Vec<TermId> = (0..6)
+            .map(|i| d.intern(&Term::iri(format!("http://t/i{i}"))))
+            .collect();
+        let sc = d.intern(&Term::iri(rdfref::model::vocab::RDFS_SUBCLASSOF));
+        for (sub, sup) in [(x, a), (x, a2), (b, a), (b1, b), (dd, a)] {
+            graph.insert_encoded(EncodedTriple::new(sub, sc, sup));
+        }
+        for (&ind, cls) in inds.iter().zip(id) {
+            graph.insert_encoded(EncodedTriple::new(ind, ID_RDF_TYPE, cls));
+        }
+        let var = || PTerm::Var(Var::new("x"));
+        let cq = Cq::new_unchecked(
+            vec![var()],
+            vec![Atom {
+                s: var(),
+                p: PTerm::Const(ID_RDF_TYPE),
+                o: PTerm::Const(a),
+            }],
+        );
+
+        let interval = Database::builder()
+            .encoding(DictEncoding::Interval)
+            .build(graph);
+        // `X` hangs under the parent interned first: when that is `A2`, `A`
+        // stays a union of constants next to `B`'s interval.
+        let enc = interval.encoder().unwrap();
+        assert!(enc.class_range(b).is_some(), "B is covered: {order:?}");
+        exposed += usize::from(enc.class_range(a).is_none());
+        let opts = AnswerOptions::default();
+        let rows = |strategy: &QStrategy| {
+            let answer = interval.run_query(&cq, strategy, &opts).unwrap();
+            answer.rows().to_vec()
+        };
+        let want = rows(&QStrategy::Saturation);
+        assert_eq!(want.len(), 5, "{order:?}");
+        for strategy in [
+            QStrategy::RefUcq,
+            QStrategy::RefScq,
+            QStrategy::RefGCov,
+            QStrategy::RefIncomplete(IncompletenessProfile::complete()),
+        ] {
+            let name = strategy.name();
+            assert_eq!(rows(&strategy), want, "{name}, intern order {order:?}");
+        }
+    }
+    assert_eq!(exposed, 360, "half the orders leave A uncovered");
+}

@@ -344,6 +344,52 @@ fn morsel_ref_ucq_counters_account_every_scan_without_row_loss() {
     assert_eq!(snap.counter("op.union.rows"), 3);
 }
 
+/// Q09 in miniature: the three type atoms are implied by the domains and
+/// ranges of the three properties the query joins, so the 24-CQ fixpoint
+/// (4 rewritings of `?x a Student` × 2 of `?y a Faculty` × 3 of
+/// `?z a Course`) plans as exactly its 3-atom core.
+#[test]
+fn a_triangle_with_implied_type_atoms_plans_as_one_cq() {
+    let doc = "@prefix rdfs: <http://www.w3.org/2000/01/rdf-schema#> .\n\
+               @prefix ex: <http://example.org/> .\n\
+               ex:Grad rdfs:subClassOf ex:Student .\n\
+               ex:advisor rdfs:domain ex:Student .\n\
+               ex:takes rdfs:domain ex:Student ; rdfs:range ex:Course .\n\
+               ex:teaches rdfs:domain ex:Faculty ; rdfs:range ex:Course .\n\
+               ex:s1 ex:advisor ex:p1 .\nex:s2 ex:advisor ex:p1 .\n\
+               ex:p1 ex:teaches ex:c1 .\nex:p1 ex:teaches ex:c2 .\n\
+               ex:s1 ex:takes ex:c1 .\nex:s2 ex:takes ex:c2 .\nex:s3 ex:takes ex:c1 .\n";
+    let mut g = parse_turtle(doc).unwrap();
+    let q = parse_select(
+        "PREFIX ex: <http://example.org/> SELECT ?x ?y ?z WHERE { \
+         ?x ex:advisor ?y . ?y ex:teaches ?z . ?x ex:takes ?z . \
+         ?x a ex:Student . ?y a ex:Faculty . ?z a ex:Course }",
+        g.dictionary_mut(),
+    )
+    .unwrap();
+    let db = Database::builder().build(g);
+    let registry = Arc::new(MetricsRegistry::new());
+    let answer = db
+        .query(&q)
+        .strategy(Strategy::RefUcq)
+        .collect_metrics(&registry)
+        .run()
+        .unwrap();
+    assert_eq!(answer.len(), 2, "(s1, p1, c1) and (s2, p1, c2)");
+    assert_eq!(answer.explain.reformulation_cqs, 1);
+    assert_eq!(answer.explain.reformulation_atoms, 3);
+    let snap = registry.snapshot();
+    assert_eq!(snap.span_count("eval.cq"), 1, "one disjunct evaluated");
+    // One scan per property atom: 2 advisor + 2 teaches + 3 takes triples;
+    // the raw fixpoint scanned 24 × 6 atoms.
+    assert_eq!(snap.counter("op.scan.count"), 3);
+    assert_eq!(snap.counter("op.scan.rows"), 7);
+    // advisor ⋈ teaches on ?y: 2 × 2 rows; ⋈ takes on (?x, ?z): the 2 answers.
+    assert_eq!(snap.counter("op.join.count"), 2);
+    assert_eq!(snap.counter("op.join.rows"), 4 + 2);
+    assert_eq!(snap.counter("op.union.rows"), 2);
+}
+
 /// One planted triangle plus an open wedge. The leapfrog triejoin must
 /// report *exact* operator counters for this fixed shape.
 fn triangle_setup() -> (Database, Cq) {
