@@ -95,8 +95,6 @@ pub struct AnswerOptions {
     /// Physical join algorithm for CQ bodies: bind join, worst-case-optimal
     /// leapfrog triejoin, or cost-model choice (see [`JoinAlgorithm`]).
     pub join_algorithm: JoinAlgorithm,
-    /// GCov search options (`RefGCov` only).
-    pub gcov: GcovOptions,
     /// Reuse plans through the database's [`PlanCache`] (Ref strategies).
     /// On by default; disable to force fresh planning on every call.
     pub use_cache: bool,
@@ -112,7 +110,6 @@ impl Default for AnswerOptions {
             row_budget: None,
             parallelism: Parallelism::Off,
             join_algorithm: JoinAlgorithm::BindJoin,
-            gcov: GcovOptions::default(),
             use_cache: true,
             obs: Obs::disabled(),
         }
@@ -146,12 +143,6 @@ impl AnswerOptions {
     /// Set the physical join algorithm policy.
     pub fn with_join_algorithm(mut self, algorithm: JoinAlgorithm) -> Self {
         self.join_algorithm = algorithm;
-        self
-    }
-
-    /// Set the GCov search options.
-    pub fn with_gcov(mut self, gcov: GcovOptions) -> Self {
-        self.gcov = gcov;
         self
     }
 
@@ -799,11 +790,7 @@ impl Database {
                 // original query reports the precise error.
                 None => return self.compute_plan(cq, &req, opts, obs),
             },
-            PlanRequest::Gcov => {
-                let mut gcov_opts = opts.gcov;
-                gcov_opts.limits = opts.limits;
-                StrategyTag::gcov(&gcov_opts)
-            }
+            PlanRequest::Gcov => StrategyTag::gcov(&GcovOptions::new().with_limits(opts.limits)),
         };
         let key = CacheKey {
             query: canon.query.clone(),
@@ -865,8 +852,7 @@ impl Database {
     /// validates against the cache's *live* epochs instead of the pinned
     /// snapshot epochs, so a concurrent writer's insertions leak across
     /// the snapshot boundary. The `cache_pinned` model scenario catches
-    /// this, and L014 flags it statically (an unpinned cache call
-    /// reachable from the serving read path).
+    /// this.
     #[cfg(modelcheck_mutation = "unpinned_lookup")]
     pub(crate) fn pinned_cache_lookup(&self, key: &CacheKey) -> Option<Arc<CachedPlan>> {
         self.cache.lookup(key)
@@ -911,8 +897,7 @@ impl Database {
             PlanRequest::Gcov => {
                 let _span = obs.span("answer.plan.gcov");
                 let model = rdfref_storage::CostModel::new(&self.stats);
-                let mut gcov_opts = opts.gcov;
-                gcov_opts.limits = opts.limits;
+                let gcov_opts = GcovOptions::new().with_limits(opts.limits);
                 // GCov prices candidate covers against the (encoded) store
                 // statistics, so its JUCQs are encoded inside the search.
                 CachedPlan::Gcov(gcov_with_obs(cq, &ctx, &model, &gcov_opts, obs)?)
@@ -1424,7 +1409,6 @@ ex:bioy ex:hasName "A. Bioy Casares" .
                 max_cqs: 9,
                 ..Default::default()
             })
-            .with_gcov(GcovOptions::default())
             .with_obs(Obs::disabled());
         assert_eq!(opts.row_budget, Some(7));
         assert_eq!(opts.parallelism, Parallelism::Unions);

@@ -55,13 +55,7 @@ pub enum StrategyTag {
     /// JUCQ, so the two strategies share entries.
     Jucq { cover: Cover, max_cqs: usize },
     /// A GCov search result (cover choice + JUCQ + estimates).
-    Gcov {
-        max_cqs: usize,
-        /// `GcovOptions::min_improvement` as raw bits (f64 is not `Hash`).
-        min_improvement_bits: u64,
-        max_steps: usize,
-        connected_moves_only: bool,
-    },
+    Gcov { max_cqs: usize },
 }
 
 impl StrategyTag {
@@ -81,13 +75,10 @@ impl StrategyTag {
         }
     }
 
-    /// Tag for a `RefGCov` plan (all search options fingerprinted).
+    /// Tag for a `RefGCov` plan.
     pub fn gcov(opts: &GcovOptions) -> StrategyTag {
         StrategyTag::Gcov {
             max_cqs: opts.limits.max_cqs,
-            min_improvement_bits: opts.min_improvement.to_bits(),
-            max_steps: opts.max_steps,
-            connected_moves_only: opts.connected_moves_only,
         }
     }
 
@@ -444,7 +435,8 @@ mod tests {
 
     #[test]
     fn data_epoch_invalidates_exactly_gcov_entries() {
-        let cache = PlanCache::new(8);
+        // One shard: both keys must be resident whichever shard they hash to.
+        let cache = PlanCache::with_shards(8, 1);
         cache.insert(key(1), plan());
         cache.insert(gcov_key(1), CachedPlan::Ucq(Ucq { cqs: vec![] }));
         cache.bump_data_epoch();
@@ -457,7 +449,7 @@ mod tests {
 
     #[test]
     fn schema_epoch_invalidates_everything() {
-        let cache = PlanCache::new(8);
+        let cache = PlanCache::with_shards(8, 1);
         cache.insert(key(1), plan());
         cache.insert(gcov_key(1), plan());
         cache.bump_schema_epoch();

@@ -52,7 +52,6 @@
 
 use crate::answer::{AnswerOptions, Database, QueryAnswer, Strategy};
 use crate::error::Result;
-use crate::gcov::GcovOptions;
 use crate::reformulate::ucq::ReformulationLimits;
 use rdfref_obs::{MetricsRegistry, Obs};
 use rdfref_query::Cq;
@@ -176,12 +175,6 @@ impl<'q, E: QueryEngine> QueryRequest<'q, E> {
     /// Set the reformulation size limits.
     pub fn limits(mut self, limits: ReformulationLimits) -> Self {
         self.opts.limits = limits;
-        self
-    }
-
-    /// Set the GCov search options (`RefGCov` only).
-    pub fn gcov_options(mut self, gcov: GcovOptions) -> Self {
-        self.opts.gcov = gcov;
         self
     }
 

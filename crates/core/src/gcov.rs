@@ -26,41 +26,30 @@ use rdfref_query::ast::{Cq, Fragment, Jucq, Ucq};
 use rdfref_query::{Cover, Var};
 use rdfref_storage::{CostEstimate, CostModel};
 
+/// A candidate cover replaces the current one when it is cheaper by at least
+/// this factor (1.0 = any improvement).
+const MIN_IMPROVEMENT: f64 = 1.0;
+/// Cap on search steps (each step evaluates all moves from the current cover).
+const MAX_STEPS: usize = 32;
+/// Only add an atom to a fragment it shares a variable with, and only merge
+/// fragments that share one — the moves that can change join behaviour.
+const CONNECTED_MOVES_ONLY: bool = true;
+
 /// Options controlling the greedy search.
 ///
 /// Non-exhaustive (like [`crate::answer::AnswerOptions`]): construct via
-/// [`GcovOptions::new`] (or `default()`) and the `with_*` builder methods.
-/// See DESIGN.md §"Configuration knobs" for every knob and its default.
-#[derive(Debug, Clone, Copy)]
+/// [`GcovOptions::new`] (or `default()`) and [`GcovOptions::with_limits`].
+/// The search policy itself (any improvement accepted, 32 steps, connected
+/// moves only) is fixed.
+#[derive(Debug, Clone, Copy, Default)]
 #[non_exhaustive]
 pub struct GcovOptions {
     /// Per-fragment reformulation limits.
     pub limits: ReformulationLimits,
-    /// Require a candidate to be at least this factor cheaper to accept
-    /// (1.0 = any improvement).
-    pub min_improvement: f64,
-    /// Cap on search steps (each step evaluates all moves from the current
-    /// cover).
-    pub max_steps: usize,
-    /// Only consider adding an atom to a fragment it shares a variable with
-    /// (the connected moves that can actually change join behaviour).
-    pub connected_moves_only: bool,
-}
-
-impl Default for GcovOptions {
-    fn default() -> Self {
-        GcovOptions {
-            limits: ReformulationLimits::default(),
-            min_improvement: 1.0,
-            max_steps: 32,
-            connected_moves_only: true,
-        }
-    }
 }
 
 impl GcovOptions {
-    /// The default search options (any improvement accepted, 32 steps,
-    /// connected moves only).
+    /// The default options.
     pub fn new() -> Self {
         GcovOptions::default()
     }
@@ -71,44 +60,9 @@ impl GcovOptions {
         self
     }
 
-    /// Set the minimum improvement factor for accepting a candidate
-    /// (1.0 = any improvement).
-    pub fn with_min_improvement(mut self, factor: f64) -> Self {
-        self.min_improvement = factor;
-        self
-    }
-
-    /// Set the cap on search steps.
-    pub fn with_max_steps(mut self, steps: usize) -> Self {
-        self.max_steps = steps;
-        self
-    }
-
-    /// Restrict (or not) candidate moves to variable-connected additions.
-    pub fn with_connected_moves_only(mut self, on: bool) -> Self {
-        self.connected_moves_only = on;
-        self
-    }
-
     /// The per-fragment reformulation limits.
     pub fn limits(&self) -> &ReformulationLimits {
         &self.limits
-    }
-
-    /// Minimum improvement factor for accepting a candidate.
-    pub fn min_improvement(&self) -> f64 {
-        self.min_improvement
-    }
-
-    /// Cap on search steps.
-    pub fn max_steps(&self) -> usize {
-        self.max_steps
-    }
-
-    /// Whether candidate moves are restricted to variable-connected
-    /// additions.
-    pub fn connected_moves_only(&self) -> bool {
-        self.connected_moves_only
     }
 }
 
@@ -213,14 +167,13 @@ fn gcov_search(
         }
     };
 
-    for _step in 0..opts.max_steps {
+    for _step in 0..MAX_STEPS {
         // Generate candidate moves.
         let mut candidates: Vec<Cover> = Vec::new();
         for fi in 0..current_cover.len() {
             for atom in 0..n {
                 if let Some(next) = current_cover.with_atom_in_fragment(fi, atom) {
-                    if opts.connected_moves_only && !move_is_connected(cq, &current_cover, fi, atom)
-                    {
+                    if CONNECTED_MOVES_ONLY && !move_is_connected(cq, &current_cover, fi, atom) {
                         continue;
                     }
                     candidates.push(next);
@@ -229,7 +182,7 @@ fn gcov_search(
         }
         for a in 0..current_cover.len() {
             for b in (a + 1)..current_cover.len() {
-                if opts.connected_moves_only && !fragments_connected(cq, &current_cover, a, b) {
+                if CONNECTED_MOVES_ONLY && !fragments_connected(cq, &current_cover, a, b) {
                     // Merging variable-disjoint fragments only turns a join
                     // into a cross product inside a union — never cheaper.
                     continue;
@@ -258,7 +211,7 @@ fn gcov_search(
             }
         }
         match best {
-            Some((cover, jucq, est)) if est.cost * opts.min_improvement < current_est.cost => {
+            Some((cover, jucq, est)) if est.cost * MIN_IMPROVEMENT < current_est.cost => {
                 current_cover = cover;
                 current_jucq = jucq;
                 current_est = est;
@@ -456,13 +409,7 @@ mod tests {
         .unwrap();
         // Limit chosen so singletons fit but the merged cover does not:
         // the type fragment alone has 1 + |sc| + |dom| = a few CQs.
-        let opts = GcovOptions {
-            limits: ReformulationLimits {
-                max_cqs: 4,
-                ..Default::default()
-            },
-            ..GcovOptions::default()
-        };
+        let opts = GcovOptions::new().with_limits(ReformulationLimits::new().with_max_cqs(4));
         let result = gcov(&q, &ctx, &model, &opts).unwrap();
         // Search completes; infeasible candidates appear in `explored` with
         // cost None.

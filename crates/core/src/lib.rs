@@ -56,6 +56,17 @@
 //! [`rdfref_obs::MetricsRegistry::to_json`].
 
 #![forbid(unsafe_code)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::print_stdout,
+    clippy::print_stderr,
+    clippy::dbg_macro
+)]
 
 pub mod answer;
 pub mod builder;
@@ -69,7 +80,11 @@ pub(crate) mod pubcell;
 pub mod reformulate;
 pub mod serving;
 
+// The scenarios signal a protocol violation by panicking under the scheduler
+// and replay traces by unwrapping impossible states: the panics are the
+// product. Compiled only under `--features model-check`.
 #[cfg(feature = "model-check")]
+#[allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 pub mod protocol_models;
 
 pub use answer::{AnswerOptions, Database, QueryAnswer, Strategy};

@@ -11,8 +11,8 @@
 //! The three `modelcheck_mutation` twins in this file and `answer.rs`
 //! re-introduce seeded protocol bugs for checker self-tests; they are
 //! compiled only under `--cfg modelcheck_mutation="..."` (never in normal
-//! or release builds) and exist so CI can prove the checker — and lints
-//! L013/L014 — still catch them.
+//! or release builds) and exist so CI can prove the checker still catches
+//! them.
 
 use rdfref_sync::atomic::{AtomicU64, Ordering};
 use rdfref_sync::{Arc, Mutex};
@@ -110,9 +110,8 @@ impl<T: Published> PubCell<T> {
     /// values are cumulative states, so the newer value already contains
     /// the older one's changes). Returns whether the value was installed.
     ///
-    /// Must be called with no writer/shard lock held (lint L005 checks the
-    /// call sites): the slot mutex here is the publication mechanism
-    /// itself, held for two pointer writes.
+    /// Must be called with no writer/shard lock held: the slot mutex here
+    /// is the publication mechanism itself, held for two pointer writes.
     #[cfg(not(modelcheck_mutation = "relaxed_version"))]
     pub(crate) fn publish(&self, value: Arc<T>) -> bool {
         let mut slot = self.slot.lock();
@@ -133,8 +132,7 @@ impl<T: Published> PubCell<T> {
     /// Seeded bug twin of [`PubCell::publish`]: the `version` store is
     /// downgraded to `Relaxed`, so readers that trust the Acquire load to
     /// have synchronized may act on an unsynchronized version value. The
-    /// `publish_synchronizes` model scenario catches this, and L013 flags
-    /// it statically (a publication-atomic store that is not Release).
+    /// `publish_synchronizes` model scenario catches this.
     #[cfg(modelcheck_mutation = "relaxed_version")]
     pub(crate) fn publish(&self, value: Arc<T>) -> bool {
         let mut slot = self.slot.lock();

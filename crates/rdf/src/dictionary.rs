@@ -88,6 +88,11 @@ impl Dictionary {
         if let Some(&id) = self.ids.get(term) {
             return id;
         }
+        // Interning more than 2^32 terms exhausts the `TermId` space. Capacity
+        // exhaustion is treated like OOM (abort): a `Result` would thread an
+        // error through every `encode_term` caller for a condition with no
+        // recovery short of a wider id type.
+        #[allow(clippy::expect_used)]
         let id = TermId(
             u32::try_from(self.terms.len()).expect("dictionary overflow: more than 2^32 terms"),
         );

@@ -94,8 +94,7 @@ impl<'a> Cursor<'a> {
     }
 
     /// Consume exactly `c` or fail with a positioned error. (Named to stay
-    /// clear of `Option::expect` — library code must not shadow the names
-    /// the L001 lint matches on.)
+    /// clear of `Option::expect`, which library code is denied.)
     pub(crate) fn expect_char(&mut self, c: char) -> Result<()> {
         match self.bump() {
             Some(found) if found == c => Ok(()),

@@ -20,6 +20,17 @@
 //! (`(G∞)∞ = G∞`), monotonicity, and incremental ≡ from-scratch.
 
 #![forbid(unsafe_code)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::print_stdout,
+    clippy::print_stderr,
+    clippy::dbg_macro
+)]
 
 pub mod incremental;
 pub mod rules;

@@ -10,10 +10,10 @@
 //!   instrumented shims from `rdfref-modelcheck`, making every atomic,
 //!   lock, channel and spawn/join a deterministic-scheduler yield point.
 //!
-//! xtask lint **L015** (`raw-sync-primitive-outside-facade`) enforces that
-//! `core`/`storage`/`obs` code reaches sync primitives only through this
-//! facade (or a reviewed allowlist entry), so nothing the model checker
-//! cannot see creeps back in.
+//! `tests/modelcheck_isolation.rs`
+//! (`engine_crates_reach_sync_primitives_through_the_facade`) enforces that
+//! `core`/`storage` code reaches sync primitives only through this facade,
+//! so nothing the model checker cannot see creeps back in.
 //!
 //! Deliberately *not* shimmed, in both modes: [`Arc`] (refcounts carry no
 //! protocol state), [`OnceLock`] (init-once, no ordering choice to

@@ -8,6 +8,11 @@
 //! the workspace bottoms out in `rdfref-sync`'s. If any of this drifts, a
 //! release binary would silently carry (and possibly route sync ops
 //! through) the model-checking runtime.
+//!
+//! The converse is pinned textually: `core` and `storage` name no
+//! schedulable primitive of `std::sync`/`std::thread`/`parking_lot`
+//! directly, so nothing the model checker cannot see takes part in the
+//! protocol it explores.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -155,5 +160,86 @@ fn scheduler_symbols_are_absent_from_the_normal_dep_graph() {
         facade_edge_seen,
         "Cargo.lock: expected the optional rdfref-sync → rdfref-modelcheck edge"
     );
-    let _ = Path::new("");
+}
+
+/// Every `.rs` file under `dir`, recursively.
+fn rust_sources(dir: &Path, out: &mut Vec<PathBuf>) {
+    for entry in fs::read_dir(dir).expect("read source dir") {
+        let path = entry.expect("dir entry").path();
+        if path.is_dir() {
+            rust_sources(&path, out);
+        } else if path.extension().is_some_and(|e| e == "rs") {
+            out.push(path);
+        }
+    }
+}
+
+/// The identifiers a path names right after `root` (`std::sync::` or
+/// `std::thread::`): the next segment, or everything inside a `{…}` group.
+fn named_after(rest: &str) -> Vec<&str> {
+    let is_ident = |c: char| c.is_alphanumeric() || c == '_';
+    let group = match rest.strip_prefix('{') {
+        Some(inner) => inner.split('}').next().unwrap_or(inner),
+        None => rest.split(|c: char| !is_ident(c)).next().unwrap_or(""),
+    };
+    group
+        .split(|c: char| !is_ident(c))
+        .filter(|s| !s.is_empty())
+        .collect()
+}
+
+/// The engine crates take every primitive the scheduler instruments from the
+/// `rdfref_sync` facade. `Arc`, `OnceLock`, `thread::scope` and
+/// `available_parallelism` are deliberately not shimmed (see
+/// `crates/sync/src/lib.rs`) and stay legal; `#[cfg(test)]` tails and
+/// comments are skipped. `obs` is out of scope: a protocol-free leaf crate
+/// kept free of workspace dependencies.
+#[test]
+fn engine_crates_reach_sync_primitives_through_the_facade() {
+    const BANNED: [(&str, &[&str]); 2] = [
+        (
+            "std::sync::",
+            &["Mutex", "RwLock", "Condvar", "mpsc", "atomic"],
+        ),
+        ("std::thread::", &["spawn", "Builder"]),
+    ];
+    let mut files = Vec::new();
+    for krate in ["core", "storage"] {
+        rust_sources(
+            &workspace_root().join("crates").join(krate).join("src"),
+            &mut files,
+        );
+    }
+    assert!(files.len() > 20, "source walk found too few files");
+    let mut offences = Vec::new();
+    for file in files {
+        let text = fs::read_to_string(&file).expect("read source");
+        let code: String = text
+            .lines()
+            .take_while(|l| l.trim() != "#[cfg(test)]")
+            .flat_map(|l| [l.split("//").next().unwrap_or(""), "\n"])
+            .collect();
+        let mut hits: Vec<usize> = code
+            .match_indices("parking_lot")
+            .map(|(at, _)| at)
+            .collect();
+        for (root, names) in BANNED {
+            for (at, _) in code.match_indices(root) {
+                let used = named_after(&code[at + root.len()..]);
+                if used.iter().any(|u| names.contains(u)) {
+                    hits.push(at);
+                }
+            }
+        }
+        for at in hits {
+            let line = code[..at].matches('\n').count();
+            let shown = code.lines().nth(line).unwrap_or("").trim();
+            offences.push(format!("{}:{}: {shown}", file.display(), line + 1));
+        }
+    }
+    assert!(
+        offences.is_empty(),
+        "raw sync primitive outside the rdfref_sync facade (invisible to the model checker):\n{}",
+        offences.join("\n")
+    );
 }
