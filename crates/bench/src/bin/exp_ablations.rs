@@ -1,11 +1,11 @@
-//! A1–A5 — ablations of the design decisions called out in `DESIGN.md` §2.
+//! A1–A6 — ablations of the design decisions called out in `DESIGN.md` §2.
 //!
 //! * A1: dictionary encoding vs term-level scanning;
 //! * A2: precomputed schema closure vs per-reformulation closure;
 //! * A3: full cost model vs cardinality-only vs size-only cost for GCov;
 //! * A4: GCov vs exhaustive partition enumeration (optimality gap);
 //! * A5: semi-naive vs naive saturation;
-//! * A6: subsumption pruning of reformulated unions (off by default).
+//! * A6: minimisation of reformulated unions (part of every reformulation).
 
 use rdfref_bench::report::Table;
 use rdfref_bench::{fmt_duration, time};
@@ -29,7 +29,7 @@ fn main() {
 
     let limits = ReformulationLimits::default();
     let mut table = Table::new(
-        "A1–A5 — design-decision ablations",
+        "A1–A6 — design-decision ablations",
         &["ablation", "variant", "result"],
     );
 

@@ -22,10 +22,6 @@ const EXPERIMENTS: &[&str] = &[
     "exp_dataset_stats",
     "exp_completeness",
     "exp_ablations",
-    "exp_cache",
-    "exp_serving",
-    "exp_intervals",
-    "exp_wcoj",
 ];
 
 fn main() {

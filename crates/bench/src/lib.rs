@@ -1,31 +1,33 @@
 //! # rdfref-bench — the experiment harness
 //!
 //! One binary per experiment of `DESIGN.md` §4 (run them with
-//! `cargo run -p rdfref-bench --release --bin exp_<name>`), plus the
-//! reference benchmark (`src/bin/benchmark/`, declared by `BENCHMARK.json`).
-//! `EXPERIMENTS.md` records the outputs against the numbers the paper
-//! reports.
+//! `cargo run -p rdfref-bench --release --bin exp_<name>`, or all of the
+//! `EXPERIMENTS.md` rows at once with `--bin exp_all`), plus the reference
+//! benchmark (`src/bin/benchmark/`, declared by `BENCHMARK.json`), which is
+//! the one harness behind E9–E14. `EXPERIMENTS.md` records the outputs
+//! against the numbers the paper reports.
 //!
 //! | binary | experiment |
 //! |--------|------------|
 //! | `exp_example1` | E1 — §4 Example 1: UCQ vs SCQ vs JUCQ vs GCov |
 //! | `exp_strategies` | E2 — all techniques over the LUBM query mix |
+//! | `exp_datasets` | E2b — the same strategies across the dataset families |
 //! | `exp_cover_space` | E3 — explored covers: estimated vs actual cost |
 //! | `exp_constraints` | E4 — ontology depth/fan-out sweeps |
 //! | `exp_data_sweep` | E5 — data scale sweeps |
 //! | `exp_maintenance` | E6 — Sat maintenance vs Ref |
 //! | `exp_dataset_stats` | E7 — dataset statistics screens |
 //! | `exp_completeness` | E8 — incomplete Ref profiles |
-//! | `exp_ablations` | A1–A5 — design-decision ablations |
-//! | `exp_serving` | E10 — serving throughput + per-thread allocations under churn |
-//! | `exp_intervals` | E11 — interval dictionary encoding vs classic on deep hierarchies |
+//! | `exp_ablations` | A1–A6 — design-decision ablations |
+//! | `exp_calibrate` | cost-model constants for this machine (no `EXPERIMENTS.md` row) |
+//! | `benchmark` | E9–E14 — plan cache, serving under churn, interval encoding, WCOJ, and every before/after claim |
 
 pub mod report;
 
 use rdfref_core::answer::{AnswerOptions, Database, Strategy};
 use rdfref_core::CoreError;
 use rdfref_obs::{MetricsRegistry, Obs, Recorder};
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -76,20 +78,13 @@ impl MetricsSink {
         let Some(json_path) = &self.out else {
             return Ok(None);
         };
-        let prom_path = write_metrics(&self.registry, json_path)?;
+        std::fs::write(json_path, self.registry.to_json())?;
+        let mut prom_path = json_path.as_os_str().to_owned();
+        prom_path.push(".prom");
+        let prom_path = PathBuf::from(prom_path);
+        std::fs::write(&prom_path, self.registry.to_prometheus_text())?;
         Ok(Some((json_path.clone(), prom_path)))
     }
-}
-
-/// Write `registry` as JSON to `path` and as Prometheus text exposition to
-/// the sibling `<path>.prom`; returns the Prometheus path.
-pub fn write_metrics(registry: &MetricsRegistry, path: &Path) -> std::io::Result<PathBuf> {
-    std::fs::write(path, registry.to_json())?;
-    let mut prom_path = path.as_os_str().to_owned();
-    prom_path.push(".prom");
-    let prom_path = PathBuf::from(prom_path);
-    std::fs::write(&prom_path, registry.to_prometheus_text())?;
-    Ok(prom_path)
 }
 
 /// Time a closure.

@@ -56,9 +56,6 @@ pub enum Strategy {
     RefIncomplete(IncompletenessProfile),
     /// Dat: Datalog encoding evaluated bottom-up.
     Datalog,
-    /// Dat with the magic-set demand transformation (what a production
-    /// Datalog engine would actually run).
-    DatalogMagic,
 }
 
 impl Strategy {
@@ -72,7 +69,6 @@ impl Strategy {
             Strategy::RefGCov => "Ref/GCov",
             Strategy::RefIncomplete(_) => "Ref/incomplete",
             Strategy::Datalog => "Dat",
-            Strategy::DatalogMagic => "Dat/magic",
         }
     }
 }
@@ -89,8 +85,8 @@ pub struct AnswerOptions {
     pub limits: ReformulationLimits,
     /// Abort evaluation when an intermediate relation exceeds this many rows.
     pub row_budget: Option<usize>,
-    /// Intra-query parallelism policy: off, parallel unions, or
-    /// morsel-driven scans and bind-joins (see [`Parallelism`]).
+    /// Intra-query parallelism policy: off, or morsel-driven scans and
+    /// bind-joins (see [`Parallelism`]).
     pub parallelism: Parallelism,
     /// Physical join algorithm for CQ bodies: bind join, worst-case-optimal
     /// leapfrog triejoin, or cost-model choice (see [`JoinAlgorithm`]).
@@ -722,12 +718,8 @@ impl Database {
                     &mut metrics,
                 )?
             }
-            Strategy::Datalog | Strategy::DatalogMagic => {
-                let (rows, engine) = if matches!(strategy, Strategy::DatalogMagic) {
-                    rdfref_datalog::answer_datalog_magic_obs(self.graph(), cq, &obs)?
-                } else {
-                    rdfref_datalog::answer_datalog_obs(self.graph(), cq, &obs)?
-                };
+            Strategy::Datalog => {
+                let (rows, engine) = rdfref_datalog::answer_datalog_obs(self.graph(), cq, &obs)?;
                 explain.datalog_derived = engine.derived_count;
                 let mut rel = Relation::empty(out.clone());
                 for row in rows {
@@ -740,7 +732,7 @@ impl Database {
         // Sat/Ref evaluate in store id space: decode the answers back to
         // base ids. Datalog answers are already in base space (the graph's).
         let relation = match (&self.encoder, strategy) {
-            (Some(_), Strategy::Datalog | Strategy::DatalogMagic) => relation,
+            (Some(_), Strategy::Datalog) => relation,
             (Some(enc), _) => relation.map_values(&mut |id| enc.decode(id)),
             (None, _) => relation,
         };
@@ -1403,7 +1395,7 @@ ex:bioy ex:hasName "A. Bioy Casares" .
     fn answer_options_builder_roundtrip() {
         let opts = AnswerOptions::new()
             .with_row_budget(Some(7))
-            .with_parallelism(Parallelism::Unions)
+            .with_parallelism(Parallelism::morsels())
             .with_use_cache(false)
             .with_limits(ReformulationLimits {
                 max_cqs: 9,
@@ -1411,7 +1403,7 @@ ex:bioy ex:hasName "A. Bioy Casares" .
             })
             .with_obs(Obs::disabled());
         assert_eq!(opts.row_budget, Some(7));
-        assert_eq!(opts.parallelism, Parallelism::Unions);
+        assert_eq!(opts.parallelism, Parallelism::morsels());
         assert!(!opts.use_cache);
         assert_eq!(opts.limits.max_cqs, 9);
         assert!(!opts.obs.enabled());

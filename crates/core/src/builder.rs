@@ -202,9 +202,9 @@ ex:doi2 a ex:Publication .
         let mut g = parse_turtle(DOC).unwrap();
         let q = parse_select(QUERY, g.dictionary_mut()).unwrap();
         let db = Database::builder()
-            .parallelism(Parallelism::Unions)
+            .parallelism(Parallelism::morsels())
             .build(g);
-        assert_eq!(db.default_parallelism(), Parallelism::Unions);
+        assert_eq!(db.default_parallelism(), Parallelism::morsels());
         let a = db.query(&q).run().unwrap();
         let b = db.query(&q).parallelism(Parallelism::Off).run().unwrap();
         assert_eq!(a.rows(), b.rows());

@@ -12,11 +12,12 @@
 //!
 //! * **Keying.** Entries are keyed by the *α-canonical* form of the query
 //!   ([`rdfref_query::canonical::alpha_canonicalize`]) plus a [`StrategyTag`]
-//!   fingerprinting everything else the plan depends on: the strategy, its
-//!   [`ReformulationLimits`], the cover for JUCQ plans, and the
-//!   [`GcovOptions`] for GCov plans. α-canonicalization means two queries
-//!   differing only in variable names or atom order share one entry; the
-//!   cached plan is transported back through the inverse renaming.
+//!   fingerprinting everything else the plan depends on: the strategy, the
+//!   `max_cqs` of its [`ReformulationLimits`], and the cover for JUCQ plans
+//!   (GCov has no other option that changes its output).
+//!   α-canonicalization means two queries differing only in variable names
+//!   or atom order share one entry; the cached plan is transported back
+//!   through the inverse renaming.
 //! * **Sharding.** The key space is split across `N` shards, each a
 //!   `parking_lot::Mutex` around a small hash map, so concurrent answering
 //!   threads rarely contend on the same lock.
@@ -241,9 +242,12 @@ impl PlanCache {
     /// are stale relative to the *current* epochs (stale for everyone), not
     /// merely mismatched with a lagging reader's pinned epochs.
     pub fn lookup_at(&self, key: &CacheKey, schema: u64, data: u64) -> Option<Arc<CachedPlan>> {
+        let mut shard = self.shard_of(key).lock();
+        // Read the epochs under the shard lock: an entry of this shard was
+        // inserted under the same lock at epochs that were current then, so
+        // it can never be ahead of what is read here.
         let cur_schema = self.schema_epoch();
         let cur_data = self.data_epoch();
-        let mut shard = self.shard_of(key).lock();
         if let Some(entry) = shard.map.get_mut(key) {
             #[cfg(feature = "strict-invariants")]
             {

@@ -45,7 +45,7 @@
 //!     .query(&cq)
 //!     .strategy(Strategy::RefGCov)
 //!     .row_budget(1_000_000)
-//!     .parallelism(Parallelism::Unions)
+//!     .parallelism(Parallelism::morsels())
 //!     .collect_metrics(&registry)
 //!     .run()?;
 //! ```
@@ -154,8 +154,7 @@ impl<'q, E: QueryEngine> QueryRequest<'q, E> {
         self
     }
 
-    /// Set the intra-query parallelism policy: `Parallelism::Off`,
-    /// `Parallelism::Unions` (large unions fan out across threads) or
+    /// Set the intra-query parallelism policy: `Parallelism::Off` or
     /// `Parallelism::Morsels { size }` (scans and bind-joins split into
     /// fixed-size morsels claimed by a self-scheduling worker pool).
     pub fn parallelism(mut self, parallelism: Parallelism) -> Self {
@@ -255,7 +254,7 @@ ex:doi2 ex:writtenBy ex:someone .
             .query(&q)
             .strategy(Strategy::RefUcq)
             .row_budget(1_000_000)
-            .parallelism(Parallelism::Unions)
+            .parallelism(Parallelism::morsels())
             .limits(ReformulationLimits::default())
             .use_cache(false)
             .collect_metrics(&registry)

@@ -340,83 +340,10 @@ pub fn insee_mix(ds: &crate::insee::InseeDataset) -> Result<Vec<NamedQuery>> {
     ])
 }
 
-/// A Zipfian-skewed query schedule: `n` draws over `k` query slots, where
-/// slot `r` (0-based popularity rank) is drawn with probability
-/// ∝ `1/(r+1)^skew`. `skew = 0` is uniform; `skew ≈ 1` matches the
-/// head-heavy mixes real SPARQL endpoints log, which is what makes plan
-/// caching and per-shard scatter-gather pay off — the serving benchmark
-/// replays this schedule instead of round-robin.
-///
-/// Deterministic in `seed` (xorshift64*), so concurrent readers can slice
-/// one schedule and benchmark runs stay reproducible.
-pub fn zipfian_schedule(k: usize, n: usize, skew: f64, seed: u64) -> Vec<usize> {
-    assert!(k > 0, "need at least one query slot");
-    // Cumulative unnormalized mass per rank.
-    let mut cumulative = Vec::with_capacity(k);
-    let mut total = 0.0f64;
-    for r in 0..k {
-        total += 1.0 / ((r + 1) as f64).powf(skew);
-        cumulative.push(total);
-    }
-    // Scramble the seed (splitmix64 step) so adjacent seeds diverge, and
-    // keep the xorshift state nonzero.
-    let mut state = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    state = (state ^ (state >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    state = (state ^ (state >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    state ^= state >> 31;
-    state |= 1;
-    let mut next = move || {
-        state ^= state >> 12;
-        state ^= state << 25;
-        state ^= state >> 27;
-        state.wrapping_mul(0x2545_F491_4F6C_DD1D)
-    };
-    (0..n)
-        .map(|_| {
-            // 53-bit uniform in [0, 1).
-            let u = (next() >> 11) as f64 / (1u64 << 53) as f64;
-            let target = u * total;
-            cumulative.partition_point(|&c| c <= target).min(k - 1)
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::lubm::{generate, LubmConfig};
-
-    #[test]
-    fn zipfian_schedule_is_skewed_deterministic_and_in_range() {
-        let k = 8;
-        let n = 20_000;
-        let a = zipfian_schedule(k, n, 1.0, 42);
-        let b = zipfian_schedule(k, n, 1.0, 42);
-        assert_eq!(a, b, "same seed, same schedule");
-        assert_eq!(a.len(), n);
-        assert!(a.iter().all(|&i| i < k));
-        let mut counts = vec![0usize; k];
-        for &i in &a {
-            counts[i] += 1;
-        }
-        // Head-heavy: rank 0 strictly dominates the tail rank, and the
-        // counts roughly follow 1/(r+1): rank0/rank7 ≈ 8 for skew 1.
-        assert!(counts[0] > counts[k - 1] * 4, "{counts:?}");
-        assert!(
-            counts.iter().all(|&c| c > 0),
-            "every rank drawn: {counts:?}"
-        );
-        // Skew 0 degenerates to uniform-ish: no rank dominates 2×.
-        let u = zipfian_schedule(k, n, 0.0, 7);
-        let mut uc = vec![0usize; k];
-        for &i in &u {
-            uc[i] += 1;
-        }
-        let (min, max) = (uc.iter().min().unwrap(), uc.iter().max().unwrap());
-        assert!(max / min.max(&1) < 2, "{uc:?}");
-        // Different seeds give different schedules.
-        assert_ne!(a, zipfian_schedule(k, n, 1.0, 43));
-    }
 
     #[test]
     fn example1_has_the_paper_shape() {

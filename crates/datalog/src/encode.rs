@@ -201,54 +201,6 @@ pub fn answer_datalog_obs(
     Ok((rows, engine))
 }
 
-/// Answer a CQ via Dat **with the magic-set demand transformation**.
-/// Answers are identical to [`answer_datalog`] (property-tested). On this
-/// RDFS meta-encoding the demand usually degenerates to the full closure
-/// (see [`crate::magic`] — an instructive negative result); the variant
-/// exists to make that comparison measurable.
-pub fn answer_datalog_magic(
-    graph: &Graph,
-    cq: &Cq,
-) -> Result<(Vec<Vec<TermId>>, Engine), DatalogError> {
-    answer_datalog_magic_obs(graph, cq, &Obs::disabled())
-}
-
-/// [`answer_datalog_magic`] recording into `obs`. Besides the engine
-/// metrics, counts the distinct magic (`m__…`) predicates of the
-/// transformed program in `datalog.magic.predicates` — the size of the
-/// demand side the transformation introduced.
-pub fn answer_datalog_magic_obs(
-    graph: &Graph,
-    cq: &Cq,
-    obs: &Obs,
-) -> Result<(Vec<Vec<TermId>>, Engine), DatalogError> {
-    let mut prog = encode_graph(graph)?;
-    prog.rule(encode_query(cq)?);
-    let (magic_prog, adorned_query) = {
-        let _span = obs.span("datalog.magic.transform");
-        crate::magic::magic_transform(&prog, &Pred::new(QUERY))?
-    };
-    if obs.enabled() {
-        let mut magic_preds: Vec<&Pred> = magic_prog
-            .rules
-            .iter()
-            .map(|r| &r.head.pred)
-            .chain(magic_prog.facts.iter().map(|(p, _)| p))
-            .filter(|p| p.to_string().starts_with("m__"))
-            .collect();
-        magic_preds.sort_unstable_by_key(|p| p.to_string());
-        magic_preds.dedup();
-        obs.add("datalog.magic.predicates", magic_preds.len() as u64);
-    }
-    let mut engine = Engine::load(&magic_prog)?;
-    engine.obs = obs.clone();
-    engine.run();
-    let mut rows: Vec<Vec<TermId>> = engine.tuples(&adorned_query).to_vec();
-    rows.sort_unstable();
-    rows.dedup();
-    Ok((rows, engine))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -268,52 +220,6 @@ ex:doi1 ex:writtenBy _:b1 .
 _:b1 ex:hasName "J. L. Borges" .
 ex:doi1 ex:publishedIn "1949" .
 "#;
-
-    #[test]
-    fn magic_dat_matches_plain_dat() {
-        // A free-subject query: demand degenerates to (adorned copies of)
-        // the full closure — correctness must still hold.
-        let mut g = parse_turtle(DOC).unwrap();
-        let q = parse_select(
-            r#"PREFIX ex: <http://example.org/>
-               PREFIX rdf: <http://www.w3.org/1999/02/22-rdf-syntax-ns#>
-               SELECT ?x WHERE { ?x rdf:type ex:Publication }"#,
-            g.dictionary_mut(),
-        )
-        .unwrap();
-        let (plain, _) = answer_datalog(&g, &q).unwrap();
-        let (magic, _) = answer_datalog_magic(&g, &q).unwrap();
-        assert_eq!(plain, magic);
-    }
-
-    #[test]
-    fn magic_dat_correct_on_bound_subject_queries() {
-        // Everything about doi1, with unrelated padding triples. NOTE: on
-        // the RDFS *meta-encoding* (classes and properties are data), the
-        // rdfs2/3 rules spread demand from any bound position back to fully
-        // free patterns (`tc^ffb → tc^fff`), so magic does NOT reduce
-        // derivations here — see the module docs of [`crate::magic`]. This
-        // is precisely why reformulation beats query-driven Datalog for
-        // RDFS; the test pins correctness, not a (nonexistent) win.
-        let mut g = parse_turtle(DOC).unwrap();
-        for i in 0..50 {
-            g.insert(
-                rdfref_model::Term::iri(format!("http://example.org/other{i}")),
-                rdfref_model::Term::iri("http://example.org/writtenBy"),
-                rdfref_model::Term::iri(format!("http://example.org/ghost{i}")),
-            )
-            .unwrap();
-        }
-        let q = parse_select(
-            r#"PREFIX ex: <http://example.org/>
-               SELECT ?p ?o WHERE { ex:doi1 ?p ?o }"#,
-            g.dictionary_mut(),
-        )
-        .unwrap();
-        let (plain, _) = answer_datalog(&g, &q).unwrap();
-        let (magic, _) = answer_datalog_magic(&g, &q).unwrap();
-        assert_eq!(plain, magic);
-    }
 
     #[test]
     fn dat_answers_the_paper_query() {

@@ -18,9 +18,6 @@
 //! The encoding makes Dat's cost structure visible: the engine derives the
 //! full closure of the *reachable* facts at query time — it pays a
 //! saturation-like cost per query, without Sat's storage or maintenance.
-//! The [`magic`] module implements the classic magic-set demand
-//! transformation that production engines (LogicBlox included) apply to
-//! avoid exactly that full-closure cost.
 
 #![forbid(unsafe_code)]
 #![deny(
@@ -38,12 +35,7 @@
 pub mod ast;
 pub mod encode;
 pub mod engine;
-pub mod magic;
 
 pub use ast::{DatalogError, Pred, Program, Rule};
-pub use encode::{
-    answer_datalog, answer_datalog_magic, answer_datalog_magic_obs, answer_datalog_obs,
-    encode_graph, encode_query,
-};
+pub use encode::{answer_datalog, answer_datalog_obs, encode_graph, encode_query};
 pub use engine::Engine;
-pub use magic::magic_transform;

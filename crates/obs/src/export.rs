@@ -249,8 +249,8 @@ mod tests {
         obs.gauge("serving.snapshot.seq", 17);
         reg.span_end("answer.plan", Duration::from_micros(250));
         reg.span_end("answer.plan", Duration::from_micros(750));
-        obs.observe("union.worker.busy_us", 9);
-        obs.observe("union.worker.busy_us", 1000);
+        obs.observe("serving.batch.apply_us", 9);
+        obs.observe("serving.batch.apply_us", 1000);
         reg
     }
 
@@ -282,12 +282,12 @@ mod tests {
         assert!((find("rdfref_span_seconds_sum").value - 0.001).abs() < 1e-9);
         let bucket_total: f64 = samples
             .iter()
-            .filter(|s| s.name == "rdfref_union_worker_busy_us_bucket")
+            .filter(|s| s.name == "rdfref_serving_batch_apply_us_bucket")
             .filter(|s| s.labels.iter().any(|(_, v)| v == "+Inf"))
             .map(|s| s.value)
             .sum();
         assert_eq!(bucket_total, 2.0, "+Inf bucket must be cumulative total");
-        assert_eq!(find("rdfref_union_worker_busy_us_count").value, 2.0);
+        assert_eq!(find("rdfref_serving_batch_apply_us_count").value, 2.0);
     }
 
     #[test]
@@ -316,7 +316,7 @@ mod tests {
             Some(1_000_000.0)
         );
         let hists = doc.get("histograms").unwrap();
-        let h = hists.get("union.worker.busy_us").unwrap();
+        let h = hists.get("serving.batch.apply_us").unwrap();
         assert_eq!(h.get("count").and_then(|v| v.as_f64()), Some(2.0));
         assert_eq!(
             h.get("buckets").and_then(|v| v.as_array()).map(|a| a.len()),

@@ -1,9 +1,9 @@
 //! Minimal JSON value and parser.
 //!
-//! Exists so exported profiles (`--metrics-out`, `BENCH_*.json`) can be
-//! validated and round-tripped in tests without a serde dependency. Supports
-//! the full JSON grammar with `f64` numbers and BMP `\uXXXX` escapes, which
-//! covers everything this workspace emits.
+//! Exists so exported profiles (`--metrics-out`) and the benchmark's result
+//! files can be validated and round-tripped in tests without a serde
+//! dependency. Supports the full JSON grammar with `f64` numbers and BMP
+//! `\uXXXX` escapes, which covers everything this workspace emits.
 
 use std::collections::BTreeMap;
 

@@ -16,7 +16,7 @@
 //!   ([`MetricsRegistry::to_prometheus_text`]) or JSON
 //!   ([`MetricsRegistry::to_json`]).
 //! * [`json`] — a minimal JSON value/parser used to round-trip exported
-//!   profiles in tests and to validate `BENCH_*.json` artifacts.
+//!   profiles in tests and to read the benchmark's result files.
 //!
 //! Span names are dotted paths (`answer.plan.gcov`); consumers such as the
 //! CLI `EXPLAIN ANALYZE` command rebuild the stage tree from the dots.

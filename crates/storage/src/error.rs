@@ -31,7 +31,7 @@ pub enum StorageError {
         /// The configured budget.
         budget: usize,
     },
-    /// A parallel union worker thread panicked; its results are lost.
+    /// A morsel worker thread panicked; its results are lost.
     WorkerPanicked,
 }
 
@@ -53,7 +53,7 @@ impl fmt::Display for StorageError {
                 write!(f, "evaluation exceeded the row budget of {budget} rows")
             }
             StorageError::WorkerPanicked => {
-                write!(f, "a parallel union worker thread panicked")
+                write!(f, "a morsel worker thread panicked")
             }
         }
     }

@@ -4,8 +4,7 @@
 //! * a CQ runs as a left-deep chain of hash joins over index scans, in the
 //!   greedy order chosen by the cost model (so estimates model the actual
 //!   plan);
-//! * a UCQ is the deduplicated union of its disjuncts, optionally evaluated
-//!   on parallel threads (the RDBMSs the paper uses parallelize unions);
+//! * a UCQ is the deduplicated union of its disjuncts;
 //! * a JUCQ joins its fragments' UCQ results on shared column names and
 //!   projects the query head — the "query answering strategy" induced by a
 //!   cover (§4).
@@ -35,8 +34,6 @@ pub const DEFAULT_MORSEL_SIZE: usize = 4096;
 /// Intra-query parallelism policy.
 ///
 /// * `Off` — fully sequential evaluation (the default).
-/// * `Unions` — large UCQ unions fan their disjuncts out over a worker
-///   pool (the RDBMSs the paper benchmarks parallelize unions).
 /// * `Morsels { size }` — scans and bind-joins split their input into
 ///   fixed-size morsels that workers claim off a shared counter
 ///   (work-stealing self-scheduling); output order is preserved by
@@ -47,8 +44,6 @@ pub enum Parallelism {
     /// Sequential evaluation.
     #[default]
     Off,
-    /// Parallelize large UCQ unions across disjuncts.
-    Unions,
     /// Morsel-driven parallel scans and bind-joins.
     Morsels {
         /// Rows per morsel (clamped to at least 1).
@@ -106,10 +101,6 @@ pub struct Evaluator<'a> {
     /// Observability sink; disabled by default (one branch per event).
     pub obs: Obs,
 }
-
-/// Unions with at least this many disjuncts are parallelized when
-/// [`Evaluator::parallelism`] is [`Parallelism::Unions`].
-const PARALLEL_UNION_THRESHOLD: usize = 16;
 
 impl<'a> Evaluator<'a> {
     /// A sequential evaluator without a row budget.
@@ -298,54 +289,9 @@ impl<'a> Evaluator<'a> {
     pub fn eval_ucq(&self, ucq: &Ucq, out: &[Var], metrics: &mut ExecMetrics) -> Result<Relation> {
         let _span = self.obs.span("eval.ucq");
         let mut union = Relation::empty(out.to_vec());
-        if self.parallelism == Parallelism::Unions && ucq.len() >= PARALLEL_UNION_THRESHOLD {
-            let n_threads = rdfref_sync::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(4)
-                .min(ucq.len());
-            let chunks: Vec<&[Cq]> = ucq.cqs.chunks(ucq.len().div_ceil(n_threads)).collect();
-            self.obs.add("union.parallel.unions", 1);
-            self.obs.add("union.parallel.workers", chunks.len() as u64);
-            let results: Vec<Result<(Vec<Relation>, ExecMetrics)>> =
-                rdfref_sync::thread::scope(|scope| {
-                    let handles: Vec<_> = chunks
-                        .into_iter()
-                        .map(|chunk| {
-                            scope.spawn(move || {
-                                // Per-worker busy time feeds the utilization
-                                // histogram; uneven chunks show up as spread.
-                                let sw = self.obs.stopwatch();
-                                let mut local_metrics = ExecMetrics::default();
-                                let mut rels = Vec::with_capacity(chunk.len());
-                                for cq in chunk {
-                                    rels.push(self.eval_cq(cq, out, &mut local_metrics)?);
-                                }
-                                self.obs.observe(
-                                    "union.worker.busy_us",
-                                    sw.elapsed().as_micros().min(u128::from(u64::MAX)) as u64,
-                                );
-                                Ok((rels, local_metrics))
-                            })
-                        })
-                        .collect();
-                    handles
-                        .into_iter()
-                        .map(|h| h.join().unwrap_or(Err(StorageError::WorkerPanicked)))
-                        .collect()
-                });
-            for r in results {
-                let (rels, local_metrics) = r?;
-                metrics.absorb(local_metrics);
-                for rel in rels {
-                    union.absorb_rows(&rel)?;
-                    self.check_budget(union.len())?;
-                }
-            }
-        } else {
-            for cq in &ucq.cqs {
-                union.absorb_rows(&self.eval_cq(cq, out, metrics)?)?;
-                self.check_budget(union.len())?;
-            }
+        for cq in &ucq.cqs {
+            union.absorb_rows(&self.eval_cq(cq, out, metrics)?)?;
+            self.check_budget(union.len())?;
         }
         union.dedup();
         metrics.record(StepLabel::UnionDedup, union.len());
@@ -822,32 +768,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_union_matches_sequential() {
-        let (store, stats, ids) = fixture();
-        let mk = |class: TermId| {
-            Cq::new(vec![v("x")], vec![Atom::new(v("x"), ID_RDF_TYPE, class)]).unwrap()
-        };
-        // 20 disjuncts alternating Person/Robot to cross the parallel
-        // threshold.
-        let cqs: Vec<Cq> = (0..20)
-            .map(|i| mk(if i % 2 == 0 { ids[4] } else { ids[5] }))
-            .collect();
-        let ucq = Ucq::new(cqs).unwrap();
-        let mut seq_ev = Evaluator::new(&store, &stats);
-        seq_ev.parallelism = Parallelism::Off;
-        let mut par_ev = Evaluator::new(&store, &stats);
-        par_ev.parallelism = Parallelism::Unions;
-        let mut m1 = ExecMetrics::default();
-        let mut m2 = ExecMetrics::default();
-        let mut a = seq_ev.eval_ucq(&ucq, &[v("x")], &mut m1).unwrap();
-        let mut b = par_ev.eval_ucq(&ucq, &[v("x")], &mut m2).unwrap();
-        a.sort();
-        b.sort();
-        assert_eq!(a.to_rows(), b.to_rows());
-        assert_eq!(m1.rows_scanned, m2.rows_scanned);
-    }
-
-    #[test]
     fn morsel_evaluation_matches_sequential() {
         // Tiny morsels (size 1) force the maximum number of work units;
         // results and row order must be identical to sequential evaluation
@@ -965,7 +885,7 @@ mod tests {
 
     #[test]
     fn worker_panic_error_displays() {
-        // The parallel union maps a panicked worker to a typed error rather
+        // Morsel dispatch maps a panicked worker to a typed error rather
         // than propagating the panic; pin the variant and its message.
         let err = StorageError::WorkerPanicked;
         assert!(err.to_string().contains("worker thread panicked"));

@@ -130,16 +130,6 @@ impl ExecMetrics {
         }
         self.dispatched.prefer(choice);
     }
-
-    /// Merge metrics from a sub-evaluation (parallel union branches).
-    pub fn absorb(&mut self, other: ExecMetrics) {
-        self.rows_scanned += other.rows_scanned;
-        self.peak_intermediate = self.peak_intermediate.max(other.peak_intermediate);
-        self.steps.extend(other.steps);
-        self.dispatched.bind_join_cqs += other.dispatched.bind_join_cqs;
-        self.dispatched.wcoj_cqs += other.dispatched.wcoj_cqs;
-        self.dispatched.prefer(other.dispatched.choice);
-    }
 }
 
 impl Dispatched {
@@ -338,10 +328,8 @@ mod tests {
         let mut m = ExecMetrics::default();
         m.record_scan(StepLabel::Scan(1), 10);
         m.record(StepLabel::Join, 50);
-        let mut m2 = ExecMetrics::default();
-        m2.record_scan(StepLabel::Scan(2), 7);
-        m2.record(StepLabel::Join, 100);
-        m.absorb(m2);
+        m.record_scan(StepLabel::Scan(2), 7);
+        m.record(StepLabel::Join, 100);
         assert_eq!(m.rows_scanned, 17);
         assert_eq!(m.peak_intermediate, 100);
         assert_eq!(m.steps.len(), 4);

@@ -233,7 +233,6 @@ fn all_strategies(cq: &Cq) -> Vec<QStrategy> {
         QStrategy::RefGCov,
         QStrategy::RefIncomplete(IncompletenessProfile::complete()),
         QStrategy::Datalog,
-        QStrategy::DatalogMagic,
     ];
     if cq.size() >= 2 {
         let n = cq.size();

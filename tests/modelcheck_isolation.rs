@@ -104,12 +104,11 @@ fn downstream_model_check_features_bottom_out_in_the_facade() {
         for line in manifest.lines() {
             let t = line.trim_start();
             if t.starts_with("model-check") && t.contains('=') {
-                // Forwarding through another workspace crate's model-check
-                // feature (e.g. bench → core → sync) is fine: every chain
-                // terminates in the facade's `dep:rdfref-modelcheck`.
+                // Only `core` has one, and it forwards straight to the
+                // facade's `dep:rdfref-modelcheck`.
                 assert!(
-                    t.contains("rdfref-sync/model-check") || t.contains("rdfref-core/model-check"),
-                    "crates/{name}: a model-check feature must forward toward \
+                    t.contains("rdfref-sync/model-check"),
+                    "crates/{name}: a model-check feature must forward to \
                      rdfref-sync/model-check, got: {t}"
                 );
             }

@@ -223,7 +223,6 @@ proptest! {
             AnswerStrategy::RefScq,
             AnswerStrategy::RefGCov,
             AnswerStrategy::Datalog,
-            AnswerStrategy::DatalogMagic,
         ] {
             let got = db.run_query(&cq, &strategy, &opts).unwrap().rows().to_vec();
             prop_assert_eq!(
