@@ -239,10 +239,7 @@ impl Shell {
         let label = self.dataset_label.clone();
         let db = self.db();
         let stats = db.stats();
-        let store = db
-            .store()
-            .expect("builder-built databases are single-store");
-        let dist = ValueDistribution::compute(store, 5);
+        let dist = ValueDistribution::compute(db.store(), 5);
         let dict = db.graph().dictionary();
         let mut out = String::new();
         let _ = writeln!(out, "dataset          : {label}");

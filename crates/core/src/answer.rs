@@ -33,9 +33,7 @@ use rdfref_query::canonical::{alpha_canonicalize, AlphaCanonical};
 use rdfref_query::{Cover, Var};
 use rdfref_reasoning::saturate_in_place_obs;
 use rdfref_storage::evaluator::{head_names, Evaluator};
-use rdfref_storage::{
-    ExecMetrics, JoinAlgorithm, Parallelism, Relation, ShardedStore, Stats, Store, TripleSource,
-};
+use rdfref_storage::{ExecMetrics, JoinAlgorithm, Parallelism, Relation, Stats, Store};
 use rdfref_sync::{Arc, OnceLock};
 use std::time::Instant;
 
@@ -233,45 +231,6 @@ impl QueryAnswer {
     }
 }
 
-/// The physical source a database evaluates against: one store, or a
-/// predicate-hash-partitioned family of shards read scatter-gather (each
-/// scan routes to the shards whose predicate partition can match and the
-/// partial runs are merged back in sort order).
-#[derive(Debug, Clone)]
-pub(crate) enum DataSource {
-    Single(Store),
-    Sharded(ShardedStore),
-}
-
-impl DataSource {
-    /// The evaluator-facing view.
-    pub(crate) fn source(&self) -> &dyn TripleSource {
-        match self {
-            DataSource::Single(s) => s,
-            DataSource::Sharded(s) => s,
-        }
-    }
-
-    /// The single underlying store, when not sharded.
-    pub(crate) fn as_single(&self) -> Option<&Store> {
-        match self {
-            DataSource::Single(s) => Some(s),
-            DataSource::Sharded(_) => None,
-        }
-    }
-
-    pub(crate) fn len(&self) -> usize {
-        self.source().len()
-    }
-
-    pub(crate) fn iter(&self) -> Box<dyn Iterator<Item = rdfref_model::EncodedTriple> + '_> {
-        match self {
-            DataSource::Single(s) => Box::new(s.iter()),
-            DataSource::Sharded(s) => Box::new(s.iter()),
-        }
-    }
-}
-
 /// The interval encoder for `encoding` over a schema closure and a dictionary
 /// of `universe` terms; `None` for the classic encoding.
 pub(crate) fn build_encoder(
@@ -305,15 +264,15 @@ pub(crate) fn encode_store(graph: &Graph, encoder: Option<&HierarchyEncoder>) ->
     }
 }
 
-/// The evaluator every Sat/Ref arm runs: `source` and its statistics under
+/// The evaluator every Sat/Ref arm runs: `store` and its statistics under
 /// the request's row budget, parallelism and join-algorithm policy.
 fn evaluator<'a>(
-    source: &'a DataSource,
+    store: &'a Store,
     stats: &'a Stats,
     opts: &AnswerOptions,
     obs: &Obs,
 ) -> Evaluator<'a> {
-    let mut ev = Evaluator::new(source.source(), stats).with_obs(obs.clone());
+    let mut ev = Evaluator::new(store, stats).with_obs(obs.clone());
     ev.row_budget = opts.row_budget;
     ev.parallelism = opts.parallelism;
     ev.join_algorithm = opts.join_algorithm;
@@ -326,7 +285,7 @@ fn evaluator<'a>(
 /// incrementally and never wants the from-scratch path).
 #[derive(Debug, Clone)]
 pub(crate) struct SaturatedPart {
-    pub(crate) store: DataSource,
+    pub(crate) store: Store,
     pub(crate) stats: Arc<Stats>,
     pub(crate) added: usize,
 }
@@ -345,7 +304,7 @@ pub struct Database {
     graph: OnceLock<Arc<Graph>>,
     schema: Arc<Schema>,
     closure: Arc<SchemaClosure>,
-    store: DataSource,
+    store: Store,
     stats: Arc<Stats>,
     saturated: OnceLock<SaturatedPart>,
     /// Shared reformulation/plan cache (see [`crate::cache`]).
@@ -405,7 +364,7 @@ impl Database {
             graph: cell,
             schema: Arc::new(schema),
             closure: Arc::new(closure),
-            store: DataSource::Single(store),
+            store,
             stats: Arc::new(stats),
             saturated: OnceLock::new(),
             cache,
@@ -427,7 +386,7 @@ impl Database {
         dict: Arc<rdfref_model::Dictionary>,
         schema: Arc<Schema>,
         closure: Arc<SchemaClosure>,
-        store: DataSource,
+        store: Store,
         stats: Arc<Stats>,
         saturated: Option<SaturatedPart>,
         cache: Arc<PlanCache>,
@@ -516,25 +475,15 @@ impl Database {
         &self.closure
     }
 
-    /// The store over explicit triples, when the database reads a single
-    /// source. Sharded scatter-gather databases (global snapshots of a
-    /// [`crate::ServingDatabase`] built with `shards > 1`) return `None`.
-    pub fn store(&self) -> Option<&Store> {
-        self.store.as_single()
+    /// The store over explicit triples.
+    pub fn store(&self) -> &Store {
+        &self.store
     }
 
-    /// The explicit triple source the evaluator reads — one store, or the
-    /// scatter-gather view over predicate-hash shards.
-    pub fn source(&self) -> &dyn TripleSource {
-        self.store.source()
-    }
-
-    /// How many predicate-hash shards back this database (1 when single).
-    pub fn shard_count(&self) -> usize {
-        match &self.store {
-            DataSource::Single(_) => 1,
-            DataSource::Sharded(s) => s.shard_count(),
-        }
+    /// The store over explicit triples, as handed to an [`Evaluator`] —
+    /// [`Database::store`] under the name the benchmark replay calls.
+    pub fn source(&self) -> &Store {
+        &self.store
     }
 
     /// The engine-level default parallelism policy (set by the builder).
@@ -573,7 +522,7 @@ impl Database {
             let store = encode_store(&g, self.encoder.as_deref());
             let stats = Stats::compute(&store);
             SaturatedPart {
-                store: DataSource::Single(store),
+                store,
                 stats: Arc::new(stats),
                 added,
             }
@@ -914,7 +863,7 @@ impl Database {
             return;
         };
         let raw = self.encode_ucq(raw);
-        let fixpoint = Evaluator::new(self.store.source(), &self.stats).eval_ucq(
+        let fixpoint = Evaluator::new(&self.store, &self.stats).eval_ucq(
             &raw,
             out,
             &mut ExecMetrics::default(),

@@ -2,8 +2,8 @@
 //! engines.
 //!
 //! [`EngineBuilder`] is one `#[non_exhaustive]` builder carrying the
-//! dictionary encoding, plan-cache capacity, shard count, intra-query
-//! parallelism policy and join algorithm, with one terminal per side:
+//! dictionary encoding, plan-cache capacity, intra-query parallelism
+//! policy and join algorithm, with one terminal per side:
 //! [`EngineBuilder::build`] for the static read side ([`Database`]) and
 //! [`EngineBuilder::build_serving`] for the maintained, concurrently
 //! servable write side ([`ServingDatabase`]).
@@ -29,8 +29,7 @@
 //! assert_eq!(db.query(&q).run().unwrap().len(), 1);
 //! ```
 //!
-//! Knobs compose freely with both terminals; the one knob a static database
-//! has no use for (`shards` on [`EngineBuilder::build`]) is ignored by it.
+//! Knobs compose freely with both terminals.
 
 use crate::answer::Database;
 use crate::cache::PlanCache;
@@ -43,13 +42,12 @@ use rdfref_sync::Arc;
 /// Configures and constructs an engine. Obtain one via
 /// [`Database::builder`]; finish with [`EngineBuilder::build`] (static,
 /// in-memory) or [`EngineBuilder::build_serving`] (incrementally maintained,
-/// snapshot-isolated serving over `shards` predicate-hash partitions).
+/// snapshot-isolated serving).
 #[derive(Debug, Clone)]
 #[non_exhaustive]
 pub struct EngineBuilder {
     pub(crate) encoding: DictEncoding,
     pub(crate) plan_cache_capacity: usize,
-    pub(crate) shards: usize,
     pub(crate) parallelism: Parallelism,
     pub(crate) join_algorithm: JoinAlgorithm,
     pub(crate) obs: Obs,
@@ -60,7 +58,6 @@ impl Default for EngineBuilder {
         EngineBuilder {
             encoding: DictEncoding::Classic,
             plan_cache_capacity: 1024,
-            shards: 1,
             parallelism: Parallelism::Off,
             join_algorithm: JoinAlgorithm::BindJoin,
             obs: Obs::disabled(),
@@ -70,7 +67,7 @@ impl Default for EngineBuilder {
 
 impl EngineBuilder {
     /// A builder with the defaults: classic encoding, a 1024-plan cache,
-    /// one shard, no intra-query parallelism, observability disabled.
+    /// no intra-query parallelism, observability disabled.
     pub fn new() -> EngineBuilder {
         EngineBuilder::default()
     }
@@ -86,14 +83,6 @@ impl EngineBuilder {
     /// Plan-cache capacity (total cached plans across all cache shards).
     pub fn plan_cache_capacity(mut self, capacity: usize) -> Self {
         self.plan_cache_capacity = capacity;
-        self
-    }
-
-    /// Number of predicate-hash data shards of
-    /// [`EngineBuilder::build_serving`] (clamped to at least 1; 1 keeps a
-    /// single store pair and no partitions).
-    pub fn shards(mut self, shards: usize) -> Self {
-        self.shards = shards.max(1);
         self
     }
 
@@ -137,9 +126,7 @@ impl EngineBuilder {
 
     /// Build a [`ServingDatabase`]: the saturation is maintained
     /// incrementally by a single background writer, readers take lock-free
-    /// snapshots. With `shards > 1` the data is split into predicate-hash
-    /// partitions with per-shard snapshot cells and a global scatter-gather
-    /// cell, all published in epoch lockstep.
+    /// snapshots.
     pub fn build_serving(self, graph: Graph) -> ServingDatabase {
         ServingDatabase::from_builder(graph, &self)
     }
@@ -163,8 +150,8 @@ ex:doi2 a ex:Publication .
     const QUERY: &str = r#"PREFIX ex: <http://example.org/>
         SELECT ?x WHERE { ?x a ex:Publication }"#;
 
-    /// Every knob × both terminals × `shards ∈ {1, 4}` constructs a working
-    /// engine that answers the schema query correctly.
+    /// Every knob × both terminals constructs a working engine that answers
+    /// the schema query correctly.
     #[test]
     fn builder_terminals_all_answer_identically() {
         let mut g = parse_turtle(DOC).unwrap();
@@ -178,21 +165,18 @@ ex:doi2 a ex:Publication .
             .to_vec();
         assert_eq!(reference.len(), 2);
 
-        for shards in [1, 4] {
-            let configured = Database::builder()
-                .encoding(DictEncoding::Interval)
-                .plan_cache_capacity(16)
-                .parallelism(Parallelism::morsels())
-                .shards(shards);
-            let got = configured.clone().build(g.clone());
-            assert_eq!(got.query(&q).run().unwrap().rows(), &reference[..]);
-            let serving = configured.build_serving(g.clone());
-            assert_eq!(serving.query(&q).run().unwrap().rows(), &reference[..]);
+        let configured = Database::builder()
+            .encoding(DictEncoding::Interval)
+            .plan_cache_capacity(16)
+            .parallelism(Parallelism::morsels());
+        let got = configured.clone().build(g.clone());
+        assert_eq!(got.query(&q).run().unwrap().rows(), &reference[..]);
+        let serving = configured.build_serving(g.clone());
+        assert_eq!(serving.query(&q).run().unwrap().rows(), &reference[..]);
 
-            let serving = Database::builder().shards(shards).build_serving(g.clone());
-            let snap = serving.snapshot();
-            assert_eq!(snap.query(&q).run().unwrap().rows(), &reference[..]);
-        }
+        let serving = Database::builder().build_serving(g);
+        let snap = serving.snapshot();
+        assert_eq!(snap.query(&q).run().unwrap().rows(), &reference[..]);
     }
 
     /// The builder's parallelism knob becomes the engine default the

@@ -135,8 +135,8 @@ impl PhysicalPlan {
 /// (graph, saturation, stats) state.
 ///
 /// Non-exhaustive with private fields: constructed only by the serving
-/// layer, read through the accessors — new identity facets (e.g. a shard
-/// id) can be added without breaking readers.
+/// layer, read through the accessors — new identity facets can be added
+/// without breaking readers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[non_exhaustive]
 pub struct SnapshotInfo {

@@ -101,4 +101,4 @@ pub use reformulate::{
     reformulate_jucq, reformulate_scq, reformulate_ucq, reformulate_ucq_raw, ReformulationLimits,
     RewriteContext,
 };
-pub use serving::{BatchReport, BatchTicket, ServingDatabase, ShardConfig, Snapshot, UpdateBatch};
+pub use serving::{BatchReport, BatchTicket, ServingDatabase, Snapshot, UpdateBatch};

@@ -1,6 +1,5 @@
 //! The generic **publication cell**: the lock-free snapshot publication
-//! point extracted from `serving.rs` so the same protocol serves the
-//! global cell and every shard cell, and so the model checker
+//! point extracted from `serving.rs` so the model checker
 //! (`protocol_models`, behind the `model-check` feature) can drive it
 //! directly.
 //!
@@ -8,7 +7,7 @@
 //! normal builds that is exactly `std::sync::atomic` + `parking_lot`; under
 //! model-check each operation is a deterministic-scheduler yield point.
 //!
-//! The three `modelcheck_mutation` twins in this file and `answer.rs`
+//! The two `modelcheck_mutation` twins in this file and `answer.rs`
 //! re-introduce seeded protocol bugs for checker self-tests; they are
 //! compiled only under `--cfg modelcheck_mutation="..."` (never in normal
 //! or release builds) and exist so CI can prove the checker still catches
@@ -110,7 +109,7 @@ impl<T: Published> PubCell<T> {
     /// values are cumulative states, so the newer value already contains
     /// the older one's changes). Returns whether the value was installed.
     ///
-    /// Must be called with no writer/shard lock held: the slot mutex here
+    /// Must be called with no writer lock held: the slot mutex here
     /// is the publication mechanism itself, held for two pointer writes.
     #[cfg(not(modelcheck_mutation = "relaxed_version"))]
     pub(crate) fn publish(&self, value: Arc<T>) -> bool {
@@ -157,33 +156,6 @@ impl<T: Published> PubCell<T> {
     }
 }
 
-/// Publish one writer round across a cell family: **shard cells first,
-/// global cell last**. A reader that sees the new global seq is then
-/// guaranteed to find every shard at least as new (the monotonic-publish
-/// rule makes stragglers harmless either way). Returns whether the global
-/// publish installed its value.
-#[cfg(not(modelcheck_mutation = "publish_order"))]
-pub(crate) fn publish_all<T: Published>(cells: &[Arc<PubCell<T>>], values: &[Arc<T>]) -> bool {
-    for (cell, value) in cells.iter().zip(values).skip(1) {
-        cell.publish(Arc::clone(value));
-    }
-    cells[0].publish(Arc::clone(&values[0]))
-}
-
-/// Seeded bug twin of [`publish_all`]: global first, shards after — a
-/// scatter-gather reader can observe the new global seq while a shard
-/// still serves the previous epoch. The `shard_lockstep` model scenario
-/// catches this (it is a pure ordering-of-operations bug, invisible to
-/// the static lints).
-#[cfg(modelcheck_mutation = "publish_order")]
-pub(crate) fn publish_all<T: Published>(cells: &[Arc<PubCell<T>>], values: &[Arc<T>]) -> bool {
-    let installed = cells[0].publish(Arc::clone(&values[0]));
-    for (cell, value) in cells.iter().zip(values).skip(1) {
-        cell.publish(Arc::clone(value));
-    }
-    installed
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -215,18 +187,5 @@ mod tests {
         assert!(a.publish(Arc::new(V(11))));
         assert_eq!(a.current().seq(), 11);
         assert_eq!(b.current().seq(), 20);
-    }
-
-    #[test]
-    fn publish_all_reports_global_install() {
-        let cells = vec![
-            Arc::new(PubCell::new(Arc::new(V(0)))),
-            Arc::new(PubCell::new(Arc::new(V(0)))),
-        ];
-        let next = vec![Arc::new(V(1)), Arc::new(V(1))];
-        assert!(publish_all(&cells, &next));
-        assert_eq!(cells[0].current().seq(), 1);
-        assert_eq!(cells[1].current().seq(), 1);
-        assert!(!publish_all(&cells, &next), "re-publish is a no-op");
     }
 }

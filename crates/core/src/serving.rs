@@ -23,8 +23,7 @@
 //!   [`rdfref_reasoning::IncrementalReasoner`] (semi-naive insertion, DRed
 //!   deletion, schema changes via resaturation-with-diff), folds the exact
 //!   [`MaintenanceDelta`] into the copy-on-write stores and incremental
-//!   statistics — the global pair and, with `shards > 1`, every
-//!   predicate-hash partition — and bumps the plan cache's epochs.
+//!   statistics, and bumps the plan cache's epochs.
 //! * **[`ServingDatabase`]** — the concurrent façade: `&self` reads via
 //!   [`ServingDatabase::snapshot`] / the request builder, `&self` writes via
 //!   [`ServingDatabase::submit`] which enqueues an [`UpdateBatch`] to a
@@ -47,24 +46,21 @@
 //! machinery to misuse and no unsafe code.
 
 use crate::answer::{
-    build_encoder, encode_store, AnswerOptions, DataSource, Database, QueryAnswer, SaturatedPart,
-    Strategy,
+    build_encoder, encode_store, AnswerOptions, Database, QueryAnswer, SaturatedPart, Strategy,
 };
 use crate::builder::EngineBuilder;
 use crate::cache::PlanCache;
 use crate::engine::{QueryEngine, QueryRequest};
 use crate::error::{CoreError, Result};
 use crate::explain::SnapshotInfo;
-use crate::pubcell::{publish_all, PubCell, Published};
+use crate::pubcell::{PubCell, Published};
 use rdfref_model::{
     vocab, DictEncoding, EncodedTriple, Graph, HierarchyEncoder, Schema, SchemaClosure, Triple,
 };
 use rdfref_obs::Obs;
 use rdfref_query::Cq;
 use rdfref_reasoning::{IncrementalReasoner, MaintenanceDelta};
-use rdfref_storage::{
-    shard_of_predicate, JoinAlgorithm, Parallelism, ShardedStore, Stats, StatsMaintainer, Store,
-};
+use rdfref_storage::{JoinAlgorithm, Parallelism, Stats, StatsMaintainer, Store};
 use rdfref_sync::atomic::{AtomicU64, Ordering};
 use rdfref_sync::{mpsc, thread, Arc};
 use std::time::{Duration, Instant};
@@ -288,9 +284,7 @@ impl MaintainedStore {
     }
 }
 
-/// The explicit triples and their saturation, side by side: the writer
-/// keeps one global pair and, when sharded, one pair per predicate-hash
-/// partition restricted to the triples whose predicate routes there.
+/// The explicit triples and their saturation, side by side.
 #[derive(Debug)]
 struct Partition {
     explicit: MaintainedStore,
@@ -298,36 +292,32 @@ struct Partition {
 }
 
 impl Partition {
-    fn from_stores(explicit: Store, sat: Store) -> Partition {
+    /// Encode the reasoner's (base-space) graphs into fresh working stores.
+    fn encode(reasoner: &IncrementalReasoner, encoder: Option<&HierarchyEncoder>) -> Partition {
         Partition {
-            explicit: MaintainedStore::from_store(explicit),
-            sat: MaintainedStore::from_store(sat),
+            explicit: MaintainedStore::from_store(encode_store(reasoner.explicit(), encoder)),
+            sat: MaintainedStore::from_store(encode_store(reasoner.saturated(), encoder)),
         }
     }
 }
 
-/// Split `triples` by `shard_of_predicate` into `n` lists. Every triple —
-/// explicit and derived alike — is routed by its *own* (store-space)
-/// predicate id, so constant-predicate scans hit exactly one shard.
-fn route(triples: impl Iterator<Item = EncodedTriple>, n: usize) -> Vec<Vec<EncodedTriple>> {
-    let mut parts: Vec<Vec<EncodedTriple>> = vec![Vec::new(); n];
-    for t in triples {
-        parts[shard_of_predicate(t.p, n)].push(t);
+/// A delta's triples transported into store id space (no-op slices stay
+/// borrowed for the classic path).
+fn encode_triples<'t>(
+    encoder: Option<&HierarchyEncoder>,
+    triples: &'t [EncodedTriple],
+) -> std::borrow::Cow<'t, [EncodedTriple]> {
+    match encoder {
+        Some(enc) => {
+            std::borrow::Cow::Owned(triples.iter().map(|t| enc.encode_triple(t)).collect())
+        }
+        None => std::borrow::Cow::Borrowed(triples),
     }
-    parts
 }
 
 /// The single-writer maintenance state: the incremental reasoner plus
 /// copy-on-write working copies of everything a snapshot shares. Owned by
 /// the [`ServingDatabase`] background maintenance thread.
-///
-/// With `shards > 1` the writer additionally maintains one [`Partition`]
-/// per predicate-hash shard, folding each delta triple into the shard its
-/// predicate routes to. All shards advance inside the same `apply` call,
-/// share the single plan cache and epoch pair, and are published at the
-/// same sequence number — the cross-shard batch protocol that keeps
-/// epoch-pinned plan-cache lookups valid on every shard. With one shard
-/// the global pair *is* the shard: no second copy is kept.
 #[derive(Debug)]
 struct WriterCore {
     reasoner: IncrementalReasoner,
@@ -336,9 +326,7 @@ struct WriterCore {
     dict: Arc<rdfref_model::Dictionary>,
     schema: Arc<Schema>,
     closure: Arc<SchemaClosure>,
-    global: Partition,
-    /// Predicate-hash partitions (empty when unsharded).
-    shards: Vec<Partition>,
+    stores: Partition,
     /// Saturation triples touched by the last batch (added + removed);
     /// surfaces as `Explain::saturation_added` on Sat answers.
     last_delta: usize,
@@ -359,29 +347,8 @@ struct WriterCore {
     join_algorithm: JoinAlgorithm,
 }
 
-/// Encode the reasoner's (base-space) graphs into fresh working stores: the
-/// global pair plus, for `shards > 1`, its predicate-hash partitions.
-fn encode_partitions(
-    reasoner: &IncrementalReasoner,
-    encoder: Option<&HierarchyEncoder>,
-    shards: usize,
-) -> (Partition, Vec<Partition>) {
-    let explicit = encode_store(reasoner.explicit(), encoder);
-    let sat = encode_store(reasoner.saturated(), encoder);
-    let parts = if shards > 1 {
-        route(explicit.iter(), shards)
-            .iter()
-            .zip(route(sat.iter(), shards))
-            .map(|(e, s)| Partition::from_stores(Store::from_triples(e), Store::from_triples(&s)))
-            .collect()
-    } else {
-        Vec::new()
-    };
-    (Partition::from_stores(explicit, sat), parts)
-}
-
 impl WriterCore {
-    /// Saturate `graph` once and build the working stores `b` asks for.
+    /// Saturate `graph` once and build the working stores.
     fn new(graph: Graph, cache: Arc<PlanCache>, b: &EngineBuilder) -> WriterCore {
         let mut reasoner = IncrementalReasoner::new(graph);
         reasoner.set_obs(b.obs.clone());
@@ -389,19 +356,18 @@ impl WriterCore {
         let closure = Arc::new(schema.closure());
         let dict = Arc::new(reasoner.explicit().dictionary().clone());
         let encoder = build_encoder(b.encoding, &schema, &closure, dict.len());
-        let (global, shards) = encode_partitions(&reasoner, encoder.as_deref(), b.shards);
-        let last_delta = global
+        let stores = Partition::encode(&reasoner, encoder.as_deref());
+        let last_delta = stores
             .sat
             .store
             .len()
-            .saturating_sub(global.explicit.store.len());
+            .saturating_sub(stores.explicit.store.len());
         WriterCore {
             reasoner,
             dict,
             schema,
             closure,
-            global,
-            shards,
+            stores,
             last_delta,
             seq: 0,
             cache,
@@ -460,13 +426,18 @@ impl WriterCore {
             self.reasoner.delete_batch(deletes)
         };
 
+        // Deltas arrive in base id space (the reasoner's); interval mode
+        // remaps them here, at the store boundary.
+        let enc = self.encoder.as_deref();
         for delta in [&ins_delta, &del_delta] {
-            self.fold(&delta.explicit_added, &delta.explicit_removed, |p| {
-                &mut p.explicit
-            });
-            self.fold(&delta.saturation_added, &delta.saturation_removed, |p| {
-                &mut p.sat
-            });
+            self.stores.explicit.apply(
+                &encode_triples(enc, &delta.explicit_added),
+                &encode_triples(enc, &delta.explicit_removed),
+            );
+            self.stores.sat.apply(
+                &encode_triples(enc, &delta.saturation_added),
+                &encode_triples(enc, &delta.saturation_removed),
+            );
         }
         if schema_changed {
             // Constraints changed: the Ref strategies' rewrite context must
@@ -492,12 +463,12 @@ impl WriterCore {
         #[cfg(feature = "strict-invariants")]
         {
             assert_eq!(
-                self.global.explicit.store.len(),
+                self.stores.explicit.store.len(),
                 self.reasoner.explicit().len(),
                 "explicit COW store diverged from the reasoner's graph"
             );
             assert_eq!(
-                self.global.sat.store.len(),
+                self.stores.sat.store.len(),
                 self.reasoner.saturated().len(),
                 "saturation COW store diverged from the reasoner's graph"
             );
@@ -527,52 +498,8 @@ impl WriterCore {
         }
     }
 
-    /// The delta's triples transported into store id space (no-op slices
-    /// stay borrowed for the classic path).
-    fn encode_triples<'t>(
-        &self,
-        triples: &'t [EncodedTriple],
-    ) -> std::borrow::Cow<'t, [EncodedTriple]> {
-        match &self.encoder {
-            Some(enc) => {
-                std::borrow::Cow::Owned(triples.iter().map(|t| enc.encode_triple(t)).collect())
-            }
-            None => std::borrow::Cow::Borrowed(triples),
-        }
-    }
-
-    /// Fold one side (`side` picks explicit or saturation) of an exact
-    /// maintenance delta into the working stores and stats. Deltas arrive
-    /// in base id space (the reasoner's); interval mode remaps them here,
-    /// at the store boundary. Sharded writers also route every delta triple
-    /// into its predicate's partition, keeping the shards in lockstep with
-    /// the global stores inside one `apply`.
-    fn fold(
-        &mut self,
-        added: &[EncodedTriple],
-        removed: &[EncodedTriple],
-        side: fn(&mut Partition) -> &mut MaintainedStore,
-    ) {
-        if added.is_empty() && removed.is_empty() {
-            return;
-        }
-        let added = self.encode_triples(added);
-        let removed = self.encode_triples(removed);
-        side(&mut self.global).apply(&added, &removed);
-        if self.shards.is_empty() {
-            return;
-        }
-        let n = self.shards.len();
-        let added = route(added.iter().copied(), n);
-        let removed = route(removed.iter().copied(), n);
-        for (shard, (a, r)) in self.shards.iter_mut().zip(added.iter().zip(&removed)) {
-            side(shard).apply(a, r);
-        }
-    }
-
     /// Interval mode only: rebuild the encoder against the current schema
-    /// closure and re-encode every working store (global and shards, whose
-    /// routing follows the new predicate ids) from the reasoner's
+    /// closure and re-encode the working stores from the reasoner's
     /// base-space graphs. Classic mode is a no-op.
     fn reencode(&mut self) {
         if self.encoder.is_none() {
@@ -585,29 +512,23 @@ impl WriterCore {
             &self.closure,
             universe,
         );
-        (self.global, self.shards) =
-            encode_partitions(&self.reasoner, self.encoder.as_deref(), self.shards.len());
+        self.stores = Partition::encode(&self.reasoner, self.encoder.as_deref());
     }
 
-    /// Wrap a pair of sources into a snapshot at the current seq/epochs,
-    /// planned against `part`'s statistics.
-    fn snapshot_from(
-        &self,
-        explicit: DataSource,
-        sat: DataSource,
-        part: &Partition,
-    ) -> Arc<Snapshot> {
-        let explicit_len = explicit.len();
-        let saturation_len = sat.len();
+    /// A snapshot of the working stores at the current seq/epochs: a few
+    /// `Arc` clones plus store handle copies (bucket-shared).
+    fn snapshot(&self) -> Arc<Snapshot> {
+        let explicit = &self.stores.explicit;
+        let sat = &self.stores.sat;
         let db = Database::from_parts(
             Arc::clone(&self.dict),
             Arc::clone(&self.schema),
             Arc::clone(&self.closure),
-            explicit,
-            Arc::clone(&part.explicit.stats),
+            explicit.store.clone(),
+            Arc::clone(&explicit.stats),
             Some(SaturatedPart {
-                store: sat,
-                stats: Arc::clone(&part.sat.stats),
+                store: sat.store.clone(),
+                stats: Arc::clone(&sat.stats),
                 added: self.last_delta,
             }),
             Arc::clone(&self.cache),
@@ -621,68 +542,11 @@ impl WriterCore {
             seq: self.seq,
             schema_epoch: self.cache.schema_epoch(),
             data_epoch: self.cache.data_epoch(),
-            explicit_len,
-            saturation_len,
+            explicit_len: explicit.store.len(),
+            saturation_len: sat.store.len(),
             db,
             created: Instant::now(),
         })
-    }
-
-    /// A snapshot over exactly `part`'s stores: a few `Arc` clones plus
-    /// store handle copies (bucket-shared).
-    fn snapshot_of(&self, part: &Partition) -> Arc<Snapshot> {
-        self.snapshot_from(
-            DataSource::Single(part.explicit.store.clone()),
-            DataSource::Single(part.sat.store.clone()),
-            part,
-        )
-    }
-
-    /// Everything one publication installs, built under one `&self` borrow
-    /// so no batch can interleave: the global snapshot, then one per shard
-    /// (empty tail when unsharded). Sharded writers hand out the global
-    /// view as a scatter-gather [`ShardedStore`] so constant-predicate
-    /// scans hit exactly one partition; each shard snapshot is a fully
-    /// answerable database restricted to its partition's triples (with
-    /// per-shard statistics). All carry the same seq and epochs — the
-    /// epoch-lockstep contract.
-    fn all_snapshots(&self) -> Vec<Arc<Snapshot>> {
-        let global = if self.shards.is_empty() {
-            self.snapshot_of(&self.global)
-        } else {
-            let gather = |side: fn(&Partition) -> &MaintainedStore| {
-                DataSource::Sharded(ShardedStore::from_shards(
-                    self.shards
-                        .iter()
-                        .map(|p| Arc::new(side(p).store.clone()))
-                        .collect(),
-                ))
-            };
-            self.snapshot_from(gather(|p| &p.explicit), gather(|p| &p.sat), &self.global)
-        };
-        let mut snaps = vec![global];
-        snaps.extend(self.shards.iter().map(|p| self.snapshot_of(p)));
-        #[cfg(feature = "strict-invariants")]
-        {
-            let global = &snaps[0];
-            let mut shard_explicit = 0;
-            for s in &snaps[1..] {
-                assert_eq!(
-                    (s.seq, s.schema_epoch, s.data_epoch),
-                    (global.seq, global.schema_epoch, global.data_epoch),
-                    "shard snapshot broke epoch lockstep"
-                );
-                shard_explicit += s.explicit_len;
-            }
-            if snaps.len() > 1 {
-                assert_eq!(
-                    shard_explicit,
-                    self.global.explicit.store.len(),
-                    "shard partitions do not cover the explicit store"
-                );
-            }
-        }
-        snaps
     }
 }
 
@@ -832,12 +696,8 @@ const MAX_COALESCED_BATCHES: usize = 64;
 /// ```
 #[derive(Debug)]
 pub struct ServingDatabase {
-    /// The global publication cell: the whole graph, read scatter-gather
-    /// over the shards when there are several.
+    /// The publication cell readers resolve the current snapshot from.
     cell: Arc<SnapshotCell>,
-    /// One cell per predicate-hash shard, in shard order. With one shard
-    /// this is the global cell itself.
-    shard_cells: Vec<Arc<SnapshotCell>>,
     /// The batch queue feeding the maintenance thread; `None` once `Drop`
     /// has closed it.
     queue: Option<mpsc::Sender<PendingBatch>>,
@@ -853,47 +713,24 @@ pub struct ServingDatabase {
     join_algorithm: JoinAlgorithm,
 }
 
-/// Shard layout of a [`ServingDatabase`].
-///
-/// Non-exhaustive with private fields: constructed by the
-/// [`EngineBuilder`], read through accessors, so new layout knobs (e.g. a
-/// replication factor) can be added without breaking readers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[non_exhaustive]
-pub struct ShardConfig {
-    shards: usize,
-}
-
-impl ShardConfig {
-    /// Number of predicate-hash partitions.
-    pub fn shards(&self) -> usize {
-        self.shards
-    }
-}
-
 impl ServingDatabase {
     /// Build from an [`EngineBuilder`] (saturates once), publish the
-    /// initial snapshots and start the background maintenance thread.
+    /// initial snapshot and start the background maintenance thread.
     /// Reached via [`Database::builder`]`().build_serving(graph)`.
     pub(crate) fn from_builder(graph: Graph, b: &EngineBuilder) -> ServingDatabase {
         let cache = b.plan_cache();
         let writer = WriterCore::new(graph, Arc::clone(&cache), b);
         let obs = b.obs.clone();
-        obs.gauge("serving.shards", b.shards as u64);
-        let initial = writer.all_snapshots();
-        let published_seq = Arc::new(AtomicU64::new(initial[0].seq));
-        // Publication order: index 0 is the global cell, then one per shard.
-        let cells: Vec<Arc<SnapshotCell>> = initial
-            .into_iter()
-            .map(|s| Arc::new(SnapshotCell::new(s)))
-            .collect();
+        let initial = writer.snapshot();
+        let published_seq = Arc::new(AtomicU64::new(initial.seq));
+        let cell = Arc::new(SnapshotCell::new(initial));
         let (queue, rx) = mpsc::channel::<PendingBatch>();
         let worker = {
-            let cells = cells.clone();
+            let cell = Arc::clone(&cell);
             let published_seq = Arc::clone(&published_seq);
             let spawned = thread::Builder::new()
                 .name("rdfref-serving-writer".into())
-                .spawn(move || writer_loop(writer, rx, cells, published_seq));
+                .spawn(move || writer_loop(writer, rx, cell, published_seq));
             match spawned {
                 Ok(handle) => handle,
                 // Spawn fails only on resource exhaustion (EAGAIN); like
@@ -904,15 +741,8 @@ impl ServingDatabase {
                 Err(_) => std::process::abort(),
             }
         };
-        let shard_cells = match cells.len() {
-            // One shard keeps no partition of its own: the global cell *is*
-            // the single shard.
-            1 => cells.clone(),
-            _ => cells[1..].to_vec(),
-        };
         ServingDatabase {
-            cell: Arc::clone(&cells[0]),
-            shard_cells,
+            cell,
             queue: Some(queue),
             worker: Some(worker),
             published_seq,
@@ -923,23 +753,8 @@ impl ServingDatabase {
         }
     }
 
-    /// Shard layout.
-    pub fn config(&self) -> ShardConfig {
-        ShardConfig {
-            shards: self.shard_count(),
-        }
-    }
-
-    /// Number of predicate-hash partitions (1 when unsharded).
-    pub fn shard_count(&self) -> usize {
-        self.shard_cells.len()
-    }
-
-    /// The current global snapshot — one `Acquire` load and a thread-local
-    /// lookup on the fast path; never blocks behind the writer. With
-    /// several shards its scans run scatter-gather: a constant-predicate
-    /// scan touches exactly the one shard its predicate hashes to; wildcard
-    /// and interval-predicate scans fan out and union.
+    /// The current snapshot — one `Acquire` load and a thread-local lookup
+    /// on the fast path; never blocks behind the writer.
     pub fn snapshot(&self) -> Arc<Snapshot> {
         let snap = self.cell.current();
         if self.obs.enabled() {
@@ -952,23 +767,12 @@ impl ServingDatabase {
         snap
     }
 
-    /// Shard `i`'s current snapshot: a fully answerable database restricted
-    /// to the triples whose predicate hashes to `i`, carrying the same seq
-    /// and epochs as the global snapshot published with it (shard cells are
-    /// published before the global cell, so a reader at global seq `s`
-    /// finds every shard at `s` or later). With one shard this is the
-    /// global snapshot.
-    pub fn shard_snapshot(&self, i: usize) -> Arc<Snapshot> {
-        self.shard_cells[i].current()
-    }
-
     /// Sequence number of the latest published snapshot.
     pub fn published_seq(&self) -> u64 {
         self.published_seq.load(Ordering::Acquire)
     }
 
-    /// The plan cache shared by the global view and every shard (one epoch
-    /// pair — the lockstep invariant; snapshot-pinned lookups, see
+    /// The plan cache every snapshot shares (snapshot-pinned lookups, see
     /// [`crate::cache`]).
     pub fn plan_cache(&self) -> &Arc<PlanCache> {
         &self.cache
@@ -981,8 +785,8 @@ impl ServingDatabase {
 
     /// Enqueue a write batch for the maintenance pipeline. Returns
     /// immediately with a [`BatchTicket`]; wait on it for the per-batch
-    /// [`BatchReport`], delivered after the global *and* all shard
-    /// snapshots containing the batch are published (read-your-writes).
+    /// [`BatchReport`], delivered after the snapshot containing the batch
+    /// is published (read-your-writes).
     pub fn submit(&self, batch: UpdateBatch) -> Result<BatchTicket> {
         let (reply_tx, reply_rx) = mpsc::channel();
         let pending = PendingBatch {
@@ -1040,12 +844,12 @@ impl Drop for ServingDatabase {
 
 /// The background maintenance loop: drain pending batches (coalescing up
 /// to [`MAX_COALESCED_BATCHES`] per publication), apply them against the
-/// writer state, build one snapshot set (global + shards, one consistent
-/// seq/epoch), publish it cell by cell, then deliver the per-batch reports.
+/// writer state, build and publish one snapshot, then deliver the per-batch
+/// reports.
 fn writer_loop(
     mut writer: WriterCore,
     rx: mpsc::Receiver<PendingBatch>,
-    cells: Vec<Arc<SnapshotCell>>,
+    cell: Arc<SnapshotCell>,
     published_seq: Arc<AtomicU64>,
 ) {
     let obs = writer.obs.clone();
@@ -1059,26 +863,24 @@ fn writer_loop(
         }
         let mut reports = Vec::with_capacity(pending.len());
         for p in &pending {
+            // Read before applying: the wait ends when the writer picks the
+            // batch up (earlier batches of the same round count as waiting).
+            let queue_wait = p.enqueued.elapsed();
             let (inserts, deletes) = writer.intern_batch(&p.batch);
             let mut report = writer.apply(&inserts, &deletes);
-            report.queue_wait = p.enqueued.elapsed();
+            report.queue_wait = queue_wait;
             reports.push(report);
         }
-        let snaps = writer.all_snapshots();
-        // Publish the previous global snapshot's lifetime before replacing
-        // it.
+        let snap = writer.snapshot();
+        // Publish the previous snapshot's lifetime before replacing it.
         if obs.enabled() {
             obs.observe(
                 "serving.snapshot.age_us",
-                cells[0].current().age().as_micros() as u64,
+                cell.current().age().as_micros() as u64,
             );
         }
-        // Shard cells first, global last (`publish_all`): a reader that
-        // sees the new global seq is guaranteed to find every shard at
-        // least as new (the monotonic-publish rule makes stragglers
-        // harmless either way).
-        let seq = snaps[0].seq;
-        if publish_all(&cells, &snaps) {
+        let seq = snap.seq;
+        if cell.publish(snap) {
             obs.add("serving.publish", 1);
         } else {
             obs.add("serving.publish.skipped_stale", 1);
@@ -1284,37 +1086,12 @@ ex:doi1 a ex:Book .
         assert!(!report.schema_changed());
     }
 
+    /// Interval ids are re-clustered on every schema change: the working
+    /// stores must be re-encoded along with the encoder, and answer like a
+    /// database built from scratch over the same triples.
     #[test]
-    fn sharded_answers_match_single_across_strategies() {
-        let (sharded, q) = setup_with(Database::builder().shards(4));
-        let (single, _) = setup();
-        let rdf_type = Term::iri(rdfref_model::vocab::RDF_TYPE);
-        for i in 0..6 {
-            let t = triple(&format!("sdoi{i}"), &rdf_type, "Book");
-            sharded.insert(vec![t.clone()]).unwrap().wait().unwrap();
-            single.insert(vec![t]).unwrap().wait().unwrap();
-        }
-        let a = sharded.snapshot();
-        let b = single.snapshot();
-        assert_eq!(a.explicit_len(), b.explicit_len());
-        let opts = AnswerOptions::default();
-        for s in [
-            Strategy::Saturation,
-            Strategy::RefUcq,
-            Strategy::RefScq,
-            Strategy::RefGCov,
-        ] {
-            let got = a.run_query(&q, &s, &opts).unwrap();
-            let want = b.run_query(&q, &s, &opts).unwrap();
-            assert_eq!(got.rows(), want.rows(), "strategy {}", s.name());
-        }
-    }
-
-    #[test]
-    fn shard_snapshots_stay_in_epoch_lockstep_across_schema_bump() {
-        let (db, _q) = setup_with(Database::builder().shards(3));
-        // A schema batch forces resaturation and a schema-epoch bump; every
-        // shard must republish at the same seq and epochs.
+    fn interval_stores_are_reencoded_on_schema_change() {
+        let (db, q) = setup_with(Database::builder().encoding(DictEncoding::Interval));
         let batch = UpdateBatch::new()
             .insert(
                 Triple::new(
@@ -1325,93 +1102,43 @@ ex:doi1 a ex:Book .
                 .unwrap(),
             )
             .insert(triple(
-                "sdoi9",
+                "doi7",
                 &Term::iri(rdfref_model::vocab::RDF_TYPE),
                 "Novel",
-            ));
-        let report = db.submit(batch).unwrap().wait().unwrap();
-        assert!(report.schema_changed());
-        let global = db.snapshot();
-        let mut shard_explicit = 0;
-        for i in 0..db.shard_count() {
-            let shard = db.shard_snapshot(i);
-            assert_eq!(shard.seq(), global.seq(), "shard {i} seq out of lockstep");
-            assert_eq!(
-                shard.info(),
-                global.info(),
-                "shard {i} epochs out of lockstep"
-            );
-            shard_explicit += shard.explicit_len();
-        }
-        assert_eq!(shard_explicit, global.explicit_len());
-    }
-
-    /// Regression: `.shards(n)` used to be honoured only by a separate
-    /// sharded terminal and silently ignored by `build_serving`.
-    #[test]
-    fn build_serving_honours_the_shard_count() {
-        for n in [1, 2, 4] {
-            let (db, q) = setup_with(Database::builder().shards(n));
-            assert_eq!(db.shard_count(), n);
-            assert_eq!(db.config().shards(), n);
-            assert_eq!(db.snapshot().database().shard_count(), n);
-            // Deletes route to the same shard as the insert that created
-            // them, and every shard republishes in lockstep.
-            let rdf_type = Term::iri(rdfref_model::vocab::RDF_TYPE);
-            let t = triple("sdel", &rdf_type, "Book");
-            db.insert(vec![t.clone()]).unwrap().wait().unwrap();
-            let report = db.delete(vec![t]).unwrap().wait().unwrap();
-            assert_eq!(report.explicit_removed(), 1);
-            let global = db.snapshot();
-            for i in 0..n {
-                assert_eq!(db.shard_snapshot(i).info(), global.info(), "shard {i}");
-            }
-            let after = db.query(&q).strategy(Strategy::Saturation).run().unwrap();
-            assert_eq!(after.len(), 1);
-        }
-        // One shard keeps no partition: the global cell is the shard.
-        let (db, _q) = setup();
-        assert!(Arc::ptr_eq(&db.shard_snapshot(0), &db.snapshot()));
-    }
-
-    /// Interval ids are re-clustered on every schema change, and shard
-    /// routing hashes the (interval) predicate id: the partitions must be
-    /// rebuilt along with the global stores.
-    #[test]
-    fn sharded_interval_stores_are_reencoded_on_schema_change() {
-        let builder = Database::builder().encoding(DictEncoding::Interval);
-        let (db, q) = setup_with(builder.clone().shards(3));
-        let (oracle, _) = setup_with(builder);
-        let batch = || {
-            UpdateBatch::new()
-                .insert(
-                    Triple::new(
-                        iri("Novel"),
-                        Term::iri(rdfref_model::vocab::RDFS_SUBCLASSOF),
-                        iri("Book"),
-                    )
-                    .unwrap(),
-                )
-                .insert(triple(
-                    "doi7",
-                    &Term::iri(rdfref_model::vocab::RDF_TYPE),
-                    "Novel",
-                ))
-                .insert(triple("doi8", &iri("writtenBy"), "someone"))
-        };
-        db.submit(batch()).unwrap().wait().unwrap();
-        oracle.submit(batch()).unwrap().wait().unwrap();
-        let (snap, want) = (db.snapshot(), oracle.snapshot());
-        let shard_explicit: usize = (0..db.shard_count())
-            .map(|i| db.shard_snapshot(i).explicit_len())
-            .sum();
-        assert_eq!(shard_explicit, snap.explicit_len());
+            ))
+            .insert(triple("doi8", &iri("writtenBy"), "someone"));
+        db.submit(batch).unwrap().wait().unwrap();
+        let snap = db.snapshot();
+        let rebuilt = Database::builder()
+            .encoding(DictEncoding::Interval)
+            .build(snap.database().graph().clone());
         for s in [Strategy::Saturation, Strategy::RefUcq, Strategy::RefGCov] {
             let got = snap.query(&q).strategy(s.clone()).run().unwrap();
-            let reference = want.query(&q).strategy(s.clone()).run().unwrap();
+            let reference = rebuilt.query(&q).strategy(s.clone()).run().unwrap();
             assert_eq!(got.len(), 3, "strategy {}", s.name());
             assert_eq!(got.rows(), reference.rows(), "strategy {}", s.name());
         }
+    }
+
+    /// Regression: `queue_wait` used to be read after the batch was
+    /// applied, so it contained the batch's own `apply_wall`.
+    #[test]
+    fn queue_wait_excludes_the_batch_s_own_apply_time() {
+        let (db, _q) = setup();
+        let rdf_type = Term::iri(rdfref_model::vocab::RDF_TYPE);
+        let batch: Vec<Triple> = (0..20_000)
+            .map(|i| triple(&format!("big{i}"), &rdf_type, "Book"))
+            .collect();
+        let start = Instant::now();
+        let report = db.insert(batch).unwrap().wait().unwrap();
+        let wall = start.elapsed();
+        assert_eq!(report.explicit_added(), 20_000);
+        assert!(
+            report.queue_wait() + report.apply_wall() <= wall,
+            "queue_wait {:?} + apply_wall {:?} exceeds the {wall:?} the round trip took",
+            report.queue_wait(),
+            report.apply_wall()
+        );
     }
 
     #[test]

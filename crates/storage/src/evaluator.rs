@@ -20,7 +20,7 @@ use crate::exec::{scan_atom, ExecMetrics, KeyEmit, StepLabel};
 use crate::morsel;
 use crate::relation::{ColumnSource, Relation};
 use crate::stats::Stats;
-use crate::store::{IdPattern, TripleSource};
+use crate::store::{IdPattern, Store};
 use rdfref_model::TermId;
 use rdfref_obs::Obs;
 use rdfref_query::ast::{Cq, Jucq, PTerm, Ucq};
@@ -66,8 +66,7 @@ impl Parallelism {
 ///   hash joins (the default; what the paper's RDBMS back-ends run).
 /// * `Wcoj` — the worst-case-optimal leapfrog triejoin of
 ///   [`crate::wcoj`]; falls back to bind join per-CQ when no feasible
-///   trie binding exists (repeated-variable atoms, atoms spanning
-///   shards).
+///   trie binding exists (repeated-variable atoms).
 /// * `Auto` — the cost model picks per CQ: WCOJ for cyclic and big-star
 ///   bodies, bind join otherwise
 ///   ([`crate::cost::CostModel::choose_join_algorithm`]).
@@ -83,13 +82,11 @@ pub enum JoinAlgorithm {
     Auto,
 }
 
-/// The evaluation engine: a triple source, its statistics, and execution
-/// limits.
+/// The evaluation engine: a store, its statistics, and execution limits.
 #[derive(Debug, Clone)]
 pub struct Evaluator<'a> {
-    /// The triple source to evaluate against (a single [`crate::Store`] or
-    /// a sharded union view).
-    pub store: &'a dyn TripleSource,
+    /// The store to evaluate against.
+    pub store: &'a Store,
     /// Statistics driving join ordering.
     pub stats: &'a Stats,
     /// Abort when any intermediate relation exceeds this many rows.
@@ -104,7 +101,7 @@ pub struct Evaluator<'a> {
 
 impl<'a> Evaluator<'a> {
     /// A sequential evaluator without a row budget.
-    pub fn new(store: &'a dyn TripleSource, stats: &'a Stats) -> Self {
+    pub fn new(store: &'a Store, stats: &'a Stats) -> Self {
         Evaluator {
             store,
             stats,
@@ -191,12 +188,10 @@ impl<'a> Evaluator<'a> {
         // chain below.
         let mut wcoj_done = false;
         if !cq.body.is_empty() {
-            let choice = (self.join_algorithm != JoinAlgorithm::BindJoin).then(|| {
-                crate::wcoj::physical_choice(self.store, self.stats, self.join_algorithm, &cq.body)
-            });
-            let plan = choice.as_ref().and_then(|c| c.plan.as_ref());
-            let tries = plan.and_then(|p| crate::wcoj::tries(self.store, p));
-            if let (Some(plan), Some(tries)) = (plan, tries) {
+            let choice = (self.join_algorithm != JoinAlgorithm::BindJoin)
+                .then(|| crate::wcoj::physical_choice(self.stats, self.join_algorithm, &cq.body));
+            if let Some(plan) = choice.as_ref().and_then(|c| c.plan.as_ref()) {
+                let tries = crate::wcoj::tries(self.store, plan);
                 let sw = self.obs.stopwatch();
                 acc =
                     crate::wcoj::eval(&tries, plan, self.parallelism, self.row_budget, &self.obs)?;
@@ -407,13 +402,13 @@ impl BindShape {
         &self.out_columns
     }
 
-    /// Probe the source with the bindings of each of `acc`'s `rows`,
+    /// Probe the store with the bindings of each of `acc`'s `rows`,
     /// appending every match (acc row ++ new values) to `out`. A row that
     /// carries the same bound key as the one before it copies that probe's
     /// matches instead of searching the index again.
     pub(crate) fn probe(
         &self,
-        source: &dyn TripleSource,
+        store: &Store,
         acc: &Relation,
         rows: std::ops::Range<usize>,
         out: &mut Relation,
@@ -434,7 +429,7 @@ impl BindShape {
                 Some((same, matches)) if *same == pattern => out.repeat_rows(matches.clone(), row),
                 _ => {
                     let start = out.len();
-                    source.scan_into(pattern, &mut |order, run| {
+                    store.scan_into(pattern, &mut |order, run| {
                         self.emit.append(order, run, row, out)
                     });
                     last = Some((pattern, start..out.len()));
@@ -447,23 +442,15 @@ impl BindShape {
 /// Index nested-loop join: for every row of `acc`, probe the store with the
 /// atom's pattern under that row's bindings. Output columns: `acc`'s columns
 /// followed by the atom's new variables (position order).
-fn bind_join(
-    source: &dyn TripleSource,
-    acc: &Relation,
-    atom: &rdfref_query::ast::Atom,
-) -> Relation {
+fn bind_join(store: &Store, acc: &Relation, atom: &rdfref_query::ast::Atom) -> Relation {
     let shape = BindShape::of(acc, atom);
     let mut out = Relation::empty(shape.out_columns().to_vec());
-    shape.probe(source, acc, 0..acc.len(), &mut out);
+    shape.probe(store, acc, 0..acc.len(), &mut out);
     out
 }
 
 /// Convenience: evaluate a CQ whose head is all variables.
-pub fn eval_cq(
-    store: &dyn TripleSource,
-    stats: &Stats,
-    cq: &Cq,
-) -> Result<(Relation, ExecMetrics)> {
+pub fn eval_cq(store: &Store, stats: &Stats, cq: &Cq) -> Result<(Relation, ExecMetrics)> {
     let out = head_names(cq);
     let mut metrics = ExecMetrics::default();
     let rel = Evaluator::new(store, stats).eval_cq(cq, &out, &mut metrics)?;
@@ -471,11 +458,7 @@ pub fn eval_cq(
 }
 
 /// Convenience: evaluate a UCQ using the first member's head names.
-pub fn eval_ucq(
-    store: &dyn TripleSource,
-    stats: &Stats,
-    ucq: &Ucq,
-) -> Result<(Relation, ExecMetrics)> {
+pub fn eval_ucq(store: &Store, stats: &Stats, ucq: &Ucq) -> Result<(Relation, ExecMetrics)> {
     let out = ucq.cqs.first().map(head_names).unwrap_or_default();
     let mut metrics = ExecMetrics::default();
     let rel = Evaluator::new(store, stats).eval_ucq(ucq, &out, &mut metrics)?;
@@ -483,11 +466,7 @@ pub fn eval_ucq(
 }
 
 /// Convenience: evaluate a JUCQ.
-pub fn eval_jucq(
-    store: &dyn TripleSource,
-    stats: &Stats,
-    jucq: &Jucq,
-) -> Result<(Relation, ExecMetrics)> {
+pub fn eval_jucq(store: &Store, stats: &Stats, jucq: &Jucq) -> Result<(Relation, ExecMetrics)> {
     let mut metrics = ExecMetrics::default();
     let rel = Evaluator::new(store, stats).eval_jucq(jucq, &mut metrics)?;
     Ok((rel, metrics))

@@ -8,7 +8,7 @@
 use crate::error::Result;
 use crate::evaluator::JoinAlgorithm;
 use crate::relation::Relation;
-use crate::store::{Bound, Order, RangePattern, TripleSource};
+use crate::store::{Bound, Order, RangePattern, Store};
 use crate::wcoj::PhysicalChoice;
 use rdfref_model::TermId;
 use rdfref_query::ast::{Atom, PTerm};
@@ -245,10 +245,10 @@ impl ScanShape {
 /// distinct variables in `s, p, o` position order. Constants and id
 /// intervals constrain the index scan (intervals bind no column); repeated
 /// variables become equality filters.
-pub fn scan_atom(source: &dyn TripleSource, atom: &Atom) -> Result<Relation> {
+pub fn scan_atom(store: &Store, atom: &Atom) -> Result<Relation> {
     let shape = ScanShape::of(atom);
     let mut rel = Relation::empty(shape.columns.clone());
-    source.scan_range_into(&shape.pattern, &mut |order, run| {
+    store.scan_range_into(&shape.pattern, &mut |order, run| {
         shape.emit.append(order, run, &[], &mut rel)
     });
     Ok(rel)

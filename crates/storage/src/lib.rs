@@ -58,5 +58,5 @@ pub use evaluator::{
 pub use exec::ExecMetrics;
 pub use relation::Relation;
 pub use stats::{Stats, StatsMaintainer};
-pub use store::{shard_of_predicate, Bound, RangePattern, ShardedStore, Store, TripleSource};
+pub use store::{Bound, RangePattern, Store};
 pub use wcoj::{physical_choice, PhysicalChoice, WcojPlan};

@@ -20,7 +20,7 @@ use crate::error::{Result, StorageError};
 use crate::evaluator::BindShape;
 use crate::exec::ScanShape;
 use crate::relation::Relation;
-use crate::store::{Order, TripleSource};
+use crate::store::{Order, Store};
 use rdfref_model::TermId;
 use rdfref_obs::Obs;
 use rdfref_query::ast::Atom;
@@ -86,7 +86,7 @@ where
 /// contiguous key buffer, then filter/project it in `size`-key morsels.
 /// Output equals [`crate::exec::scan_atom`] exactly, including row order.
 pub(crate) fn scan_atom_morsels(
-    source: &dyn TripleSource,
+    store: &Store,
     atom: &Atom,
     size: usize,
     obs: &Obs,
@@ -97,7 +97,7 @@ pub(crate) fn scan_atom_morsels(
     // slice without coordination. One scan's runs all share one layout.
     let mut staged: Vec<[TermId; 3]> = Vec::new();
     let mut layout = Order::Spo;
-    source.scan_range_into(&shape.pattern, &mut |order, run| {
+    store.scan_range_into(&shape.pattern, &mut |order, run| {
         assert!(staged.is_empty() || order == layout, "one scan, one layout");
         layout = order;
         staged.extend_from_slice(run);
@@ -122,10 +122,10 @@ pub(crate) fn scan_atom_morsels(
 }
 
 /// Morsel-parallel bind join: chunk the accumulated rows into `size`-row
-/// morsels; each worker probes the source per row of its morsel. Output
+/// morsels; each worker probes the store per row of its morsel. Output
 /// equals the sequential bind join exactly, including row order.
 pub(crate) fn bind_join_morsels(
-    source: &dyn TripleSource,
+    store: &Store,
     acc: &Relation,
     atom: &Atom,
     size: usize,
@@ -139,7 +139,7 @@ pub(crate) fn bind_join_morsels(
     let work = |m: usize| {
         let mut out = Relation::empty(shape.out_columns().to_vec());
         let hi = ((m + 1) * size).min(acc.len());
-        shape.probe(source, acc, m * size..hi, &mut out);
+        shape.probe(store, acc, m * size..hi, &mut out);
         Ok(out)
     };
     if n_morsels == 1 {

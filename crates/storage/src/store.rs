@@ -645,220 +645,6 @@ impl Store {
     }
 }
 
-/// A read-only provider of encoded triples — the abstraction the executor
-/// scans through, so a query plan runs identically over one [`Store`] or a
-/// predicate-partitioned [`ShardedStore`]. Implementations must answer
-/// every pattern shape with the *complete* match set (sorted emission is
-/// **not** part of the contract: a sharded source interleaves per-shard
-/// runs; consumers that need order sort or deduplicate downstream).
-pub trait TripleSource: std::fmt::Debug + Sync {
-    /// Number of (distinct) triples.
-    fn len(&self) -> usize;
-
-    /// True iff the source holds no triples.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Point membership.
-    fn contains(&self, t: &EncodedTriple) -> bool;
-
-    /// Hand `f` the matches of the pattern as borrowed index runs (the
-    /// contract of [`Store::scan_into`], per contributing store).
-    fn scan_into(&self, pat: IdPattern, f: &mut RunFn<'_>);
-
-    /// Hand `f` the matches of the (possibly interval) pattern as borrowed
-    /// index runs.
-    fn scan_range_into(&self, pat: &RangePattern, f: &mut RunFn<'_>);
-
-    /// Exact number of matches for a pattern.
-    fn count(&self, pat: IdPattern) -> usize;
-
-    /// The single [`Store`] whose sorted permutation runs can serve as trie
-    /// views for an atom whose predicate constraint is `p` (`None` =
-    /// variable or interval predicate). The default — and any source that
-    /// cannot name one store for the atom — returns `None`, in which case
-    /// the executor falls back to bind joins. A plain store always answers;
-    /// a predicate-partitioned source answers for constant predicates by
-    /// routing to the owning shard.
-    fn trie_view(&self, p: Option<TermId>) -> Option<&Store> {
-        let _ = p;
-        None
-    }
-}
-
-impl TripleSource for Store {
-    fn len(&self) -> usize {
-        Store::len(self)
-    }
-
-    fn contains(&self, t: &EncodedTriple) -> bool {
-        Store::contains(self, t)
-    }
-
-    fn scan_into(&self, pat: IdPattern, f: &mut RunFn<'_>) {
-        Store::scan_into(self, pat, f)
-    }
-
-    fn scan_range_into(&self, pat: &RangePattern, f: &mut RunFn<'_>) {
-        Store::scan_range_into(self, pat, f)
-    }
-
-    fn count(&self, pat: IdPattern) -> usize {
-        Store::count(self, pat)
-    }
-
-    fn trie_view(&self, _p: Option<TermId>) -> Option<&Store> {
-        Some(self)
-    }
-}
-
-/// The shard a predicate id routes to, out of `shards`. A multiplicative
-/// (Fibonacci) hash spreads consecutive dictionary ids — which is what
-/// schema vocabularies produce — across shards instead of clustering them.
-/// This is the single routing function shared by the writer (partitioning
-/// deltas) and the readers (routing scans); both sides agreeing on it is
-/// what makes per-atom scatter-gather exact.
-#[inline]
-pub fn shard_of_predicate(p: TermId, shards: usize) -> usize {
-    debug_assert!(shards > 0, "shard count must be positive");
-    (((p.0 as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) % shards.max(1) as u64) as usize
-}
-
-/// A predicate-hash-partitioned family of stores presenting as one
-/// [`TripleSource`]. Every triple lives in exactly the shard
-/// [`shard_of_predicate`] names for its predicate, so:
-///
-/// * a pattern with a **constant predicate** scans exactly one shard;
-/// * a wildcard or interval predicate **fans out** over all shards and the
-///   executor unions the partial results (scatter-gather);
-/// * joins run above this layer and therefore see the complete match set
-///   regardless of how atoms routed.
-///
-/// `Clone` is cheap (`Arc` bumps per shard).
-#[derive(Debug, Clone)]
-pub struct ShardedStore {
-    shards: Vec<Arc<Store>>,
-    len: usize,
-}
-
-impl ShardedStore {
-    /// Assemble from per-shard stores (shard `i` must only hold triples
-    /// whose predicate routes to `i`; debug-asserted under
-    /// `strict-invariants`).
-    pub fn from_shards(shards: Vec<Arc<Store>>) -> ShardedStore {
-        #[cfg(feature = "strict-invariants")]
-        for (i, s) in shards.iter().enumerate() {
-            for t in s.iter() {
-                debug_assert_eq!(
-                    shard_of_predicate(t.p, shards.len()),
-                    i,
-                    "triple {t:?} misrouted to shard {i}"
-                );
-            }
-        }
-        let len = shards.iter().map(|s| s.len()).sum();
-        ShardedStore { shards, len }
-    }
-
-    /// Partition triples by predicate hash and build the shard stores.
-    pub fn from_triples(triples: &[EncodedTriple], shards: usize) -> ShardedStore {
-        let n = shards.max(1);
-        let mut parts: Vec<Vec<EncodedTriple>> = vec![Vec::new(); n];
-        for t in triples {
-            parts[shard_of_predicate(t.p, n)].push(*t);
-        }
-        ShardedStore::from_shards(
-            parts
-                .into_iter()
-                .map(|p| Arc::new(Store::from_triples(&p)))
-                .collect(),
-        )
-    }
-
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// The shard a predicate routes to.
-    pub fn route(&self, p: TermId) -> usize {
-        shard_of_predicate(p, self.shards.len())
-    }
-
-    /// Shard `i`'s store.
-    pub fn shard(&self, i: usize) -> &Arc<Store> {
-        &self.shards[i]
-    }
-
-    /// All shard stores, in shard order.
-    pub fn shards(&self) -> &[Arc<Store>] {
-        &self.shards
-    }
-
-    /// Iterate all triples, shard by shard (SPO order within a shard, not
-    /// globally).
-    pub fn iter(&self) -> impl Iterator<Item = EncodedTriple> + '_ {
-        self.shards.iter().flat_map(|s| s.iter())
-    }
-}
-
-impl TripleSource for ShardedStore {
-    fn len(&self) -> usize {
-        self.len
-    }
-
-    fn contains(&self, t: &EncodedTriple) -> bool {
-        self.shards[self.route(t.p)].contains(t)
-    }
-
-    fn scan_into(&self, pat: IdPattern, f: &mut RunFn<'_>) {
-        match pat.p {
-            Some(p) => self.shards[self.route(p)].scan_into(pat, f),
-            None => {
-                for s in &self.shards {
-                    s.scan_into(pat, f);
-                }
-            }
-        }
-    }
-
-    fn scan_range_into(&self, pat: &RangePattern, f: &mut RunFn<'_>) {
-        match pat.p {
-            // Constant predicate: the partition function names the one
-            // shard that can match.
-            Bound::Const(p) => self.shards[self.route(p)].scan_range_into(pat, f),
-            // Interval or wildcard predicate: the hash partition gives no
-            // contiguity guarantee over the interval, so gather from every
-            // shard (each shard applies the bound locally).
-            Bound::Any | Bound::Range(..) => {
-                for s in &self.shards {
-                    s.scan_range_into(pat, f);
-                }
-            }
-        }
-    }
-
-    fn count(&self, pat: IdPattern) -> usize {
-        match pat.p {
-            Some(p) => self.shards[self.route(p)].count(pat),
-            None => self.shards.iter().map(|s| s.count(pat)).sum(),
-        }
-    }
-
-    fn trie_view(&self, p: Option<TermId>) -> Option<&Store> {
-        match p {
-            // A constant predicate routes to exactly one shard, whose
-            // permutation runs are complete for the atom.
-            Some(p) => Some(&self.shards[self.route(p)]),
-            // Variable/interval predicates span shards — no single trie —
-            // unless the "sharded" source is degenerate with one shard.
-            None if self.shards.len() == 1 => Some(&self.shards[0]),
-            None => None,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -905,8 +691,8 @@ mod tests {
         out
     }
 
-    fn range_scan(src: &dyn TripleSource, pat: &RangePattern) -> Vec<EncodedTriple> {
-        collect_runs(|f| src.scan_range_into(pat, f))
+    fn range_scan(store: &Store, pat: &RangePattern) -> Vec<EncodedTriple> {
+        collect_runs(|f| store.scan_range_into(pat, f))
     }
 
     #[test]
@@ -1152,74 +938,6 @@ mod tests {
         assert!(out2.is_empty());
     }
 
-    /// Sorted triples of a scan, for order-insensitive (multiset)
-    /// comparison between single and sharded sources.
-    fn sorted_scan(src: &dyn TripleSource, pat: IdPattern) -> Vec<EncodedTriple> {
-        let mut out = collect_runs(|f| src.scan_into(pat, f));
-        out.sort_by_key(|t| t.as_array());
-        out
-    }
-
-    #[test]
-    fn sharded_store_answers_every_shape_like_single() {
-        let triples = dense_triples(3000);
-        let single = Store::from_triples(&triples);
-        for n in [1, 2, 3, 4, 8] {
-            let sharded = ShardedStore::from_triples(&triples, n);
-            assert_eq!(TripleSource::len(&sharded), single.len());
-            let ids = [None, Some(TermId(0)), Some(TermId(5)), Some(TermId(36))];
-            for &s in &ids {
-                for &p in &ids {
-                    for &o in &ids {
-                        let pat = IdPattern { s, p, o };
-                        assert_eq!(
-                            sorted_scan(&sharded, pat),
-                            sorted_scan(&single, pat),
-                            "pattern {pat:?} shards {n}"
-                        );
-                        assert_eq!(
-                            TripleSource::count(&sharded, pat),
-                            single.count(pat),
-                            "count {pat:?} shards {n}"
-                        );
-                    }
-                }
-            }
-            for t in single.iter() {
-                assert!(TripleSource::contains(&sharded, &t));
-            }
-        }
-    }
-
-    #[test]
-    fn sharded_range_scans_match_filtered_full_scans() {
-        let triples = dense_triples(2000);
-        let single = Store::from_triples(&triples);
-        let bounds = [
-            Bound::Any,
-            Bound::Const(TermId(5)),
-            Bound::Range(TermId(3), TermId(9)),
-        ];
-        for n in [1, 2, 4] {
-            let sharded = ShardedStore::from_triples(&triples, n);
-            for &s in &bounds {
-                for &p in &bounds {
-                    for &o in &bounds {
-                        let pat = RangePattern { s, p, o };
-                        let mut got = range_scan(&sharded, &pat);
-                        got.sort_by_key(|t| t.as_array());
-                        let mut want: Vec<EncodedTriple> = single
-                            .iter()
-                            .filter(|t| s.admits(t.s) && p.admits(t.p) && o.admits(t.o))
-                            .collect();
-                        want.sort_by_key(|t| t.as_array());
-                        assert_eq!(got, want, "pattern {pat:?} shards {n}");
-                    }
-                }
-            }
-        }
-    }
-
     #[test]
     fn seek_from_finds_least_key_at_or_after_probe() {
         let triples = dense_triples(3000);
@@ -1242,54 +960,5 @@ mod tests {
                 assert_eq!(idx.seek_from(&[TermId(u32::MAX); 3]), None);
             }
         }
-    }
-
-    #[test]
-    fn trie_view_routing() {
-        let triples = dense_triples(500);
-        let single = Store::from_triples(&triples);
-        assert!(TripleSource::trie_view(&single, None).is_some());
-        assert!(TripleSource::trie_view(&single, Some(TermId(3))).is_some());
-
-        let sharded = ShardedStore::from_triples(&triples, 4);
-        // Constant predicate: the routed shard holds all its triples.
-        let p = TermId(3);
-        let view = sharded.trie_view(Some(p)).expect("routed shard");
-        assert_eq!(
-            view.count(IdPattern {
-                s: None,
-                p: Some(p),
-                o: None
-            }),
-            single.count(IdPattern {
-                s: None,
-                p: Some(p),
-                o: None
-            })
-        );
-        // Wildcard predicate spans shards: no single trie.
-        assert!(sharded.trie_view(None).is_none());
-        let one = ShardedStore::from_triples(&triples, 1);
-        assert!(one.trie_view(None).is_some());
-    }
-
-    #[test]
-    fn predicate_routing_is_total_and_stable() {
-        for shards in [1, 2, 7, 16] {
-            for p in 0..200u32 {
-                let a = shard_of_predicate(TermId(p), shards);
-                let b = shard_of_predicate(TermId(p), shards);
-                assert_eq!(a, b);
-                assert!(a < shards);
-            }
-        }
-        // The hash must actually spread consecutive ids (vocabulary ids are
-        // dense) — with 8 shards and 64 consecutive predicates, every shard
-        // sees at least one.
-        let mut hit = [false; 8];
-        for p in 0..64u32 {
-            hit[shard_of_predicate(TermId(p), 8)] = true;
-        }
-        assert!(hit.iter().all(|&h| h), "routing clusters: {hit:?}");
     }
 }

@@ -46,7 +46,7 @@ use crate::evaluator::JoinAlgorithm;
 use crate::morsel::run_morsels;
 use crate::relation::Relation;
 use crate::stats::Stats;
-use crate::store::{Order, SortedIndex, TripleSource};
+use crate::store::{Order, SortedIndex, Store};
 use crate::Parallelism;
 use rdfref_model::TermId;
 use rdfref_obs::Obs;
@@ -94,9 +94,6 @@ enum LevelBinding {
 pub struct AtomPlan {
     order: Order,
     levels: [LevelBinding; 3],
-    /// Constant property, when present — used to route to the owning shard
-    /// of a predicate-partitioned source.
-    p_route: Option<TermId>,
 }
 
 /// A complete leapfrog-triejoin physical plan for a CQ body.
@@ -331,9 +328,8 @@ fn assemble(body: &[Atom], var_order: Vec<Var>, bindings: Vec<(Order, [KeyInfo; 
 
     let atoms: Vec<AtomPlan> = bindings
         .iter()
-        .zip(body)
         .enumerate()
-        .map(|(a, ((order, infos), atom))| {
+        .map(|(a, (order, infos))| {
             let mut levels = [LevelBinding::Fixed(TermId(0)); 3];
             for (kp, info) in infos.iter().enumerate() {
                 levels[kp] = match info {
@@ -350,7 +346,6 @@ fn assemble(body: &[Atom], var_order: Vec<Var>, bindings: Vec<(Order, [KeyInfo; 
             AtomPlan {
                 order: *order,
                 levels,
-                p_route: atom.p.as_const(),
             }
         })
         .collect();
@@ -374,18 +369,9 @@ fn assemble(body: &[Atom], var_order: Vec<Var>, bindings: Vec<(Order, [KeyInfo; 
     }
 }
 
-/// Resolve the trie view (sorted permutation index) each atom reads, or
-/// `None` when the source cannot expose one for some atom (e.g. a
-/// wildcard-predicate atom over a multi-shard store — the atoms span
-/// shards).
-pub(crate) fn tries<'a>(
-    source: &'a dyn TripleSource,
-    plan: &WcojPlan,
-) -> Option<Vec<&'a SortedIndex>> {
-    plan.atoms
-        .iter()
-        .map(|ap| source.trie_view(ap.p_route).map(|s| s.index(ap.order)))
-        .collect()
+/// The trie view (sorted permutation index) each atom reads.
+pub(crate) fn tries<'a>(store: &'a Store, plan: &WcojPlan) -> Vec<&'a SortedIndex> {
+    plan.atoms.iter().map(|ap| store.index(ap.order)).collect()
 }
 
 /// Exact `op.lfj.*` counters, accumulated locally and flushed once —
@@ -757,18 +743,12 @@ pub struct PhysicalChoice {
     pub plan: Option<WcojPlan>,
 }
 
-/// Resolve the physical join algorithm for `body` on `source`: the single
-/// source of truth shared by evaluator dispatch and `Explain`, so the
-/// rendered plan always matches the executed one. `requested == Auto`
-/// consults the cost model; a WCOJ verdict (requested or auto) still falls
-/// back to bind join when no feasible trie binding exists or the source
-/// cannot expose per-atom trie views.
-pub fn physical_choice(
-    source: &dyn TripleSource,
-    stats: &Stats,
-    requested: JoinAlgorithm,
-    body: &[Atom],
-) -> PhysicalChoice {
+/// Resolve the physical join algorithm for `body`: the single source of
+/// truth shared by evaluator dispatch and `Explain`, so the rendered plan
+/// always matches the executed one. `requested == Auto` consults the cost
+/// model; a WCOJ verdict (requested or auto) still falls back to bind join
+/// when no feasible trie binding exists.
+pub fn physical_choice(stats: &Stats, requested: JoinAlgorithm, body: &[Atom]) -> PhysicalChoice {
     let (want_wcoj, reason) = match requested {
         JoinAlgorithm::BindJoin => {
             return PhysicalChoice {
@@ -797,13 +777,6 @@ pub fn physical_choice(
             plan: None,
         };
     };
-    if tries(source, &p).is_none() {
-        return PhysicalChoice {
-            algorithm: JoinAlgorithm::BindJoin,
-            reason: format!("{reason}; fell back to bind join (atoms span shards)"),
-            plan: None,
-        };
-    }
     PhysicalChoice {
         algorithm: JoinAlgorithm::Wcoj,
         reason,
@@ -815,7 +788,6 @@ pub fn physical_choice(
 mod tests {
     use super::*;
     use crate::evaluator::Evaluator;
-    use crate::store::{ShardedStore, Store};
     use rdfref_model::EncodedTriple;
 
     fn v(n: &str) -> Var {
@@ -833,7 +805,7 @@ mod tests {
 
     fn run_wcoj(store: &Store, body: &[Atom], parallelism: Parallelism) -> (Relation, WcojPlan) {
         let p = plan(body).expect("plan");
-        let t = tries(store, &p).expect("tries");
+        let t = tries(store, &p);
         let rel = eval(&t, &p, parallelism, None, &Obs::disabled()).expect("eval");
         (rel, p)
     }
@@ -928,7 +900,7 @@ mod tests {
             Atom::new(v("x"), TermId(7), v("y")),
         ];
         let p = plan(&body).expect("range body plans");
-        let tr = tries(&store, &p).expect("tries");
+        let tr = tries(&store, &p);
         let registry = std::sync::Arc::new(rdfref_obs::MetricsRegistry::default());
         let obs = Obs::collecting(registry.clone());
         let rel = eval(&tr, &p, Parallelism::Off, None, &obs).unwrap();
@@ -958,7 +930,7 @@ mod tests {
             let registry = std::sync::Arc::new(rdfref_obs::MetricsRegistry::default());
             let obs = Obs::collecting(registry.clone());
             let pl = plan(&body).unwrap();
-            let tr = tries(&store, &pl).unwrap();
+            let tr = tries(&store, &pl);
             let rel = eval(&tr, &pl, par, None, &obs).unwrap();
             let snap = registry.snapshot();
             (
@@ -973,50 +945,6 @@ mod tests {
             let par = run(Parallelism::Morsels { size });
             assert_eq!(seq, par, "morsel size {size}");
         }
-    }
-
-    #[test]
-    fn sharded_wildcard_predicate_has_no_trie_view() {
-        let triples: Vec<EncodedTriple> = (0..40u32)
-            .map(|i| EncodedTriple::new(TermId(i), TermId(5 + i % 4), TermId(100 + i)))
-            .collect();
-        let sharded = ShardedStore::from_triples(&triples, 4);
-        // Wildcard predicate: structurally feasible (SPO for every atom
-        // under the order x, p, y, z, w) but unroutable on a multi-shard
-        // store — trie_view(None) has no single shard to answer from.
-        let body = vec![
-            Atom::new(v("x"), v("p"), v("y")),
-            Atom::new(v("x"), v("p"), v("z")),
-            Atom::new(v("x"), v("p"), v("w")),
-        ];
-        let pl = plan(&body).expect("plans structurally");
-        assert!(tries(&sharded, &pl).is_none(), "atoms span shards");
-        // physical_choice degrades gracefully even when Wcoj is forced.
-        let stats = Stats::compute(&Store::from_triples(&triples));
-        let choice = physical_choice(&sharded, &stats, JoinAlgorithm::Wcoj, &body);
-        assert_eq!(choice.algorithm, JoinAlgorithm::BindJoin);
-        assert!(choice.reason.contains("span shards"), "{}", choice.reason);
-    }
-
-    #[test]
-    fn constant_predicate_body_routes_on_sharded_store() {
-        let triples: Vec<EncodedTriple> = (0..40u32)
-            .map(|i| EncodedTriple::new(TermId(1000 + i % 8), TermId(7), TermId(1000 + i % 5)))
-            .collect();
-        let sharded = ShardedStore::from_triples(&triples, 4);
-        let single = Store::from_triples(&triples);
-        let p = TermId(7);
-        let body = vec![
-            Atom::new(v("x"), p, v("y")),
-            Atom::new(v("y"), p, v("z")),
-            Atom::new(v("x"), p, v("z")),
-        ];
-        let pl = plan(&body).unwrap();
-        let tr_sharded = tries(&sharded, &pl).expect("constant p routes");
-        let tr_single = tries(&single, &pl).expect("single trie");
-        let a = eval(&tr_sharded, &pl, Parallelism::Off, None, &Obs::disabled()).unwrap();
-        let b = eval(&tr_single, &pl, Parallelism::Off, None, &Obs::disabled()).unwrap();
-        assert_eq!(a.to_rows(), b.to_rows());
     }
 
     #[test]
@@ -1052,7 +980,7 @@ mod tests {
         let p = TermId(7);
         let body = vec![Atom::new(v("x"), p, v("y")), Atom::new(v("y"), p, v("z"))];
         let pl = plan(&body).unwrap();
-        let tr = tries(&store, &pl).unwrap();
+        let tr = tries(&store, &pl);
         let registry = std::sync::Arc::new(rdfref_obs::MetricsRegistry::default());
         let obs = Obs::collecting(registry.clone());
         let err = eval(&tr, &pl, Parallelism::Off, Some(3), &obs).unwrap_err();

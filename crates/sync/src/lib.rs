@@ -1,6 +1,6 @@
 //! The workspace's **sync facade**.
 //!
-//! Every sync primitive that participates in the snapshot/shard
+//! Every sync primitive that participates in the snapshot
 //! publication protocol (and everything near it in `core`/`storage`) is
 //! imported from here instead of from `std::sync`/`parking_lot`:
 //!

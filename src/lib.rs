@@ -88,7 +88,7 @@ pub mod prelude {
         ReformulationLimits, RewriteContext,
     };
     pub use rdfref_core::serving::{
-        BatchReport, BatchTicket, ServingDatabase, ShardConfig, Snapshot, UpdateBatch,
+        BatchReport, BatchTicket, ServingDatabase, Snapshot, UpdateBatch,
     };
     pub use rdfref_core::SnapshotInfo;
     pub use rdfref_core::{EngineBuilder, MetricsRegistry, Obs};

@@ -354,12 +354,7 @@ fn explain_physical_reports_what_ran_under_jucq() {
     assert_eq!(w02.name, "W02");
     let db = Database::builder().build(ds.graph.clone());
     // The premise: on the user's CQ alone, `Auto` picks WCOJ.
-    let whole = rdfref::storage::physical_choice(
-        db.source(),
-        db.stats(),
-        JoinAlgorithm::Auto,
-        &w02.cq.body,
-    );
+    let whole = rdfref::storage::physical_choice(db.stats(), JoinAlgorithm::Auto, &w02.cq.body);
     assert_eq!(whole.algorithm, JoinAlgorithm::Wcoj, "{}", whole.reason);
 
     for strategy in [QStrategy::RefGCov, QStrategy::RefScq, QStrategy::RefUcq] {
