@@ -764,10 +764,10 @@ impl Database {
     }
 
     /// Pin this database to an epoch pair as the serving layer does when
-    /// assembling a snapshot-owned database; model-check scenarios use it
-    /// to stage a lagging reader against a live cache.
-    #[cfg(feature = "model-check")]
-    pub(crate) fn with_pinned_epochs(mut self, epochs: (u64, u64)) -> Database {
+    /// assembling a snapshot-owned database; tests use it to stage a
+    /// lagging reader against a live cache.
+    #[cfg(test)]
+    fn with_pinned_epochs(mut self, epochs: (u64, u64)) -> Database {
         self.epochs = Some(epochs);
         self
     }
@@ -783,20 +783,9 @@ impl Database {
     /// Cache lookup pinned at this database's epochs: a snapshot-owned
     /// database must never see a plan tagged for a different epoch pair,
     /// no matter what the writer is doing to the shared cache concurrently.
-    #[cfg(not(modelcheck_mutation = "unpinned_lookup"))]
-    pub(crate) fn pinned_cache_lookup(&self, key: &CacheKey) -> Option<Arc<CachedPlan>> {
+    fn pinned_cache_lookup(&self, key: &CacheKey) -> Option<Arc<CachedPlan>> {
         let (schema_epoch, data_epoch) = self.cache_epochs();
         self.cache.lookup_at(key, schema_epoch, data_epoch)
-    }
-
-    /// Seeded bug twin of [`Database::pinned_cache_lookup`]: `lookup`
-    /// validates against the cache's *live* epochs instead of the pinned
-    /// snapshot epochs, so a concurrent writer's insertions leak across
-    /// the snapshot boundary. The `cache_pinned` model scenario catches
-    /// this.
-    #[cfg(modelcheck_mutation = "unpinned_lookup")]
-    pub(crate) fn pinned_cache_lookup(&self, key: &CacheKey) -> Option<Arc<CachedPlan>> {
-        self.cache.lookup(key)
     }
 
     /// The rewriting context of this database's schema (and interval
@@ -1356,5 +1345,44 @@ ex:bioy ex:hasName "A. Bioy Casares" .
         assert!(!opts.use_cache);
         assert_eq!(opts.limits.max_cqs, 9);
         assert!(!opts.obs.enabled());
+    }
+
+    /// A snapshot-owned database pinned at `(0, 0)` keeps seeing the plan
+    /// of its own epochs and is never handed the one a writer inserted at
+    /// `(0, 1)` after a data bump, although the cache's live epochs now
+    /// validate that newer plan. A lookup against the live epochs
+    /// (`self.cache.lookup(key)`) fails this test.
+    #[test]
+    fn a_pinned_database_is_never_handed_a_plan_from_a_newer_data_epoch() {
+        let (db, q) = setup(PUBLICATIONS);
+        let db = db.with_pinned_epochs((0, 0));
+        let cache = Arc::clone(db.plan_cache());
+        // GCov-tagged, so the entry carries a data epoch.
+        let key = CacheKey {
+            query: q.clone(),
+            tag: StrategyTag::gcov(&GcovOptions::default()),
+            algo: JoinAlgorithm::BindJoin,
+        };
+        // A plan's identity is its CQ count.
+        let plan = |n: usize| {
+            CachedPlan::Ucq(Ucq {
+                cqs: vec![q.clone(); n],
+            })
+        };
+        let mark = |p: &CachedPlan| match p {
+            CachedPlan::Ucq(u) => u.cqs.len(),
+            _ => usize::MAX,
+        };
+
+        cache.insert_at(key.clone(), plan(1), 0, 0);
+        assert_eq!(db.pinned_cache_lookup(&key).as_deref().map(mark), Some(1));
+
+        cache.bump_data_epoch();
+        cache.insert_at(key.clone(), plan(2), 0, 1);
+        assert_eq!(cache.lookup(&key).as_deref().map(mark), Some(2));
+        assert!(
+            db.pinned_cache_lookup(&key).is_none(),
+            "database pinned to (0, 0) was served a plan inserted at (0, 1)"
+        );
     }
 }

@@ -125,7 +125,7 @@ impl EngineBuilder {
     }
 
     /// Build a [`ServingDatabase`]: the saturation is maintained
-    /// incrementally by a single background writer, readers take lock-free
+    /// incrementally by a single background writer, readers take immutable
     /// snapshots.
     pub fn build_serving(self, graph: Graph) -> ServingDatabase {
         ServingDatabase::from_builder(graph, &self)

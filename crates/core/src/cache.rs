@@ -474,6 +474,45 @@ mod tests {
     }
 
     #[test]
+    fn lookup_at_serves_only_the_exact_stamped_epoch_pair() {
+        let cache = PlanCache::with_shards(8, 1);
+        cache.bump_schema_epoch();
+        cache.bump_data_epoch();
+        cache.insert_at(gcov_key(1), plan(), 1, 1);
+        cache.insert_at(key(1), plan(), 1, 1);
+        // A cost-based plan is valid under exactly its (schema, data) pair…
+        assert!(cache.lookup_at(&gcov_key(1), 1, 1).is_some());
+        for (schema, data) in [(0, 0), (0, 1), (1, 0)] {
+            assert!(
+                cache.lookup_at(&gcov_key(1), schema, data).is_none(),
+                "GCov plan stamped (1, 1) served at ({schema}, {data})"
+            );
+        }
+        // …a pure reformulation under its schema epoch, at any data epoch.
+        assert!(cache.lookup_at(&key(1), 1, 0).is_some());
+        assert!(cache.lookup_at(&key(1), 1, 1).is_some());
+        assert!(cache.lookup_at(&key(1), 0, 1).is_none());
+    }
+
+    #[test]
+    fn a_lagging_reader_s_miss_never_evicts_a_current_entry() {
+        let cache = PlanCache::with_shards(8, 1);
+        cache.bump_schema_epoch();
+        cache.bump_data_epoch();
+        cache.insert(key(1), plan());
+        cache.insert(gcov_key(1), plan());
+        // Readers pinned behind the current (1, 1) miss…
+        assert!(cache.lookup_at(&key(1), 0, 1).is_none());
+        assert!(cache.lookup_at(&gcov_key(1), 1, 0).is_none());
+        assert!(cache.lookup_at(&gcov_key(1), 0, 0).is_none());
+        // …without dropping what is valid for everyone else.
+        assert_eq!(cache.counters().invalidations, 0);
+        assert_eq!(cache.len(), 2);
+        assert!(cache.lookup(&key(1)).is_some());
+        assert!(cache.lookup(&gcov_key(1)).is_some());
+    }
+
+    #[test]
     fn concurrent_hammering_is_consistent() {
         let cache = Arc::new(PlanCache::new(64));
         let threads: Vec<_> = (0..4)

@@ -76,16 +76,8 @@ pub mod error;
 pub mod explain;
 pub mod gcov;
 pub mod incomplete;
-pub(crate) mod pubcell;
 pub mod reformulate;
 pub mod serving;
-
-// The scenarios signal a protocol violation by panicking under the scheduler
-// and replay traces by unwrapping impossible states: the panics are the
-// product. Compiled only under `--features model-check`.
-#[cfg(feature = "model-check")]
-#[allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
-pub mod protocol_models;
 
 pub use answer::{AnswerOptions, Database, QueryAnswer, Strategy};
 pub use builder::EngineBuilder;

@@ -1,4 +1,4 @@
-//! Snapshot-isolated concurrent serving: lock-free readers under live
+//! Snapshot-isolated concurrent serving: readers never wait on
 //! maintenance — the one write-side engine.
 //!
 //! The static [`Database`] answers queries over a frozen
@@ -13,11 +13,11 @@
 //!   are shared copy-on-write with the writer's working state (the store's
 //!   index buckets, the dictionary, schema closure and statistics), so a
 //!   snapshot costs a handful of `Arc` bumps.
-//! * **`SnapshotCell`** (private) — the publication point: an atomic
-//!   version counter plus a mutex-protected slot and a per-thread cache.
-//!   The reader fast path is one atomic load and a thread-local lookup; the
-//!   slot mutex is touched only in the publication instant and on the first
-//!   read after a publish. Readers never block behind the writer.
+//! * **`SnapshotCell`** (private) — the publication point: one mutex
+//!   around the current `Arc<Snapshot>`. A reader holds it for one `Arc`
+//!   clone, the writer for one pointer swap; nobody holds it while
+//!   applying a batch, building a snapshot or answering a query, so
+//!   readers never block behind maintenance.
 //! * **`WriterCore`** (private) — the single-writer maintenance pipeline:
 //!   interns terms, applies insert/delete batches through
 //!   [`rdfref_reasoning::IncrementalReasoner`] (semi-naive insertion, DRed
@@ -40,8 +40,7 @@
 //! equals the answer over *some* prefix of the applied batches.
 //!
 //! Memory reclamation is pure `Arc` reference counting: a retired snapshot
-//! survives exactly as long as some reader still holds it (plus at most
-//! `TLS_CACHE_CAP` (8) slots per thread in the thread-local cache), then its
+//! survives exactly as long as some reader still holds it, then its
 //! unshared index buckets are freed. There is no epoch-based reclamation
 //! machinery to misuse and no unsafe code.
 
@@ -53,7 +52,6 @@ use crate::cache::PlanCache;
 use crate::engine::{QueryEngine, QueryRequest};
 use crate::error::{CoreError, Result};
 use crate::explain::SnapshotInfo;
-use crate::pubcell::{PubCell, Published};
 use rdfref_model::{
     vocab, DictEncoding, EncodedTriple, Graph, HierarchyEncoder, Schema, SchemaClosure, Triple,
 };
@@ -61,8 +59,7 @@ use rdfref_obs::Obs;
 use rdfref_query::Cq;
 use rdfref_reasoning::{IncrementalReasoner, MaintenanceDelta};
 use rdfref_storage::{JoinAlgorithm, Parallelism, Stats, StatsMaintainer, Store};
-use rdfref_sync::atomic::{AtomicU64, Ordering};
-use rdfref_sync::{mpsc, thread, Arc};
+use rdfref_sync::{mpsc, thread, Arc, Mutex};
 use std::time::{Duration, Instant};
 
 // ---------------------------------------------------------------------------
@@ -73,7 +70,7 @@ use std::time::{Duration, Instant};
 /// maintained saturation, statistics and plan-cache epochs, all consistent
 /// with one prefix of the applied update batches.
 ///
-/// A snapshot is obtained from [`ServingDatabase::snapshot`] (lock-free) and
+/// A snapshot is obtained from [`ServingDatabase::snapshot`] and
 /// stays valid — and byte-identical — for as long as the `Arc` is held,
 /// regardless of concurrent maintenance. Queries run with `&self`.
 #[derive(Debug)]
@@ -165,23 +162,10 @@ impl QueryEngine for Snapshot {
     }
 }
 
-// ---------------------------------------------------------------------------
-// SnapshotCell: the lock-free publication point
-// ---------------------------------------------------------------------------
-
-/// The snapshot publication point: the generic [`PubCell`] protocol
-/// (`pubcell.rs`) instantiated for [`Snapshot`]. Readers resolve the
-/// current snapshot with one `Acquire` load plus a thread-local lookup;
-/// the protocol itself — monotonic publish, Release/Acquire version
-/// handshake, TLS staleness bound — is model-checked in
-/// `protocol_models.rs` (feature `model-check`).
-type SnapshotCell = PubCell<Snapshot>;
-
-impl Published for Snapshot {
-    fn seq(&self) -> u64 {
-        self.seq
-    }
-}
+/// The snapshot publication point. Only `writer_loop` replaces the
+/// snapshot, and its lock hold is one pointer swap; readers hold it for
+/// one `Arc` clone.
+type SnapshotCell = Mutex<Arc<Snapshot>>;
 
 // ---------------------------------------------------------------------------
 // WriterCore: the single-writer maintenance pipeline
@@ -623,13 +607,6 @@ pub struct BatchTicket {
 }
 
 impl BatchTicket {
-    /// Assemble a ticket around a bare reply channel: the model checker
-    /// (`protocol_models`) drives `wait` against a scripted writer loop.
-    #[cfg(feature = "model-check")]
-    pub(crate) fn from_reply(reply: mpsc::Receiver<BatchReport>) -> BatchTicket {
-        BatchTicket { reply }
-    }
-
     /// Block until the batch is applied and published.
     pub fn wait(self) -> Result<BatchReport> {
         self.reply.recv().map_err(|_| CoreError::ServingStopped)
@@ -650,10 +627,10 @@ struct PendingBatch {
 
 /// Maximum batches coalesced into one snapshot publication. Bounds both
 /// publication latency (a reader sees at most this many batches land at
-/// once) and the per-iteration writer lock hold time.
+/// once) and the maintenance work between two publications.
 const MAX_COALESCED_BATCHES: usize = 64;
 
-/// A concurrently servable database: lock-free snapshot readers, a
+/// A concurrently servable database: snapshot readers, a
 /// single-writer background maintenance pipeline, everything through
 /// `&self`.
 ///
@@ -677,7 +654,7 @@ const MAX_COALESCED_BATCHES: usize = 64;
 /// .unwrap();
 /// let db = Database::builder().build_serving(g);
 ///
-/// // Reads are `&self` and lock-free; each answer is snapshot-consistent.
+/// // Reads are `&self`; each answer is snapshot-consistent.
 /// let before = db.query(&q).strategy(Strategy::RefUcq).run().unwrap();
 /// assert_eq!(before.len(), 1);
 ///
@@ -702,9 +679,6 @@ pub struct ServingDatabase {
     /// has closed it.
     queue: Option<mpsc::Sender<PendingBatch>>,
     worker: Option<thread::JoinHandle<()>>,
-    /// Sequence number of the latest published snapshot (reader-lag
-    /// metrics).
-    published_seq: Arc<AtomicU64>,
     cache: Arc<PlanCache>,
     obs: Obs,
     /// Engine-default intra-query parallelism (request-builder default).
@@ -721,16 +695,13 @@ impl ServingDatabase {
         let cache = b.plan_cache();
         let writer = WriterCore::new(graph, Arc::clone(&cache), b);
         let obs = b.obs.clone();
-        let initial = writer.snapshot();
-        let published_seq = Arc::new(AtomicU64::new(initial.seq));
-        let cell = Arc::new(SnapshotCell::new(initial));
+        let cell = Arc::new(SnapshotCell::new(writer.snapshot()));
         let (queue, rx) = mpsc::channel::<PendingBatch>();
         let worker = {
             let cell = Arc::clone(&cell);
-            let published_seq = Arc::clone(&published_seq);
             let spawned = thread::Builder::new()
                 .name("rdfref-serving-writer".into())
-                .spawn(move || writer_loop(writer, rx, cell, published_seq));
+                .spawn(move || writer_loop(writer, rx, cell));
             match spawned {
                 Ok(handle) => handle,
                 // Spawn fails only on resource exhaustion (EAGAIN); like
@@ -745,7 +716,6 @@ impl ServingDatabase {
             cell,
             queue: Some(queue),
             worker: Some(worker),
-            published_seq,
             cache,
             obs,
             parallelism: b.parallelism,
@@ -753,23 +723,15 @@ impl ServingDatabase {
         }
     }
 
-    /// The current snapshot — one `Acquire` load and a thread-local lookup
-    /// on the fast path; never blocks behind the writer.
+    /// The current snapshot: one `Arc` clone under the cell's lock, which
+    /// the writer only ever holds for a pointer swap.
     pub fn snapshot(&self) -> Arc<Snapshot> {
-        let snap = self.cell.current();
-        if self.obs.enabled() {
-            let published = self.published_seq.load(Ordering::Acquire);
-            self.obs.observe(
-                "serving.reader.epoch_lag",
-                published.saturating_sub(snap.seq),
-            );
-        }
-        snap
+        Arc::clone(&self.cell.lock())
     }
 
     /// Sequence number of the latest published snapshot.
     pub fn published_seq(&self) -> u64 {
-        self.published_seq.load(Ordering::Acquire)
+        self.cell.lock().seq
     }
 
     /// The plan cache every snapshot shares (snapshot-pinned lookups, see
@@ -846,12 +808,7 @@ impl Drop for ServingDatabase {
 /// to [`MAX_COALESCED_BATCHES`] per publication), apply them against the
 /// writer state, build and publish one snapshot, then deliver the per-batch
 /// reports.
-fn writer_loop(
-    mut writer: WriterCore,
-    rx: mpsc::Receiver<PendingBatch>,
-    cell: Arc<SnapshotCell>,
-    published_seq: Arc<AtomicU64>,
-) {
+fn writer_loop(mut writer: WriterCore, rx: mpsc::Receiver<PendingBatch>, cell: Arc<SnapshotCell>) {
     let obs = writer.obs.clone();
     while let Ok(first) = rx.recv() {
         let mut pending = vec![first];
@@ -871,21 +828,25 @@ fn writer_loop(
             report.queue_wait = queue_wait;
             reports.push(report);
         }
+        // Build outside the lock; hold it only for the swap.
         let snap = writer.snapshot();
-        // Publish the previous snapshot's lifetime before replacing it.
-        if obs.enabled() {
-            obs.observe(
-                "serving.snapshot.age_us",
-                cell.current().age().as_micros() as u64,
-            );
-        }
         let seq = snap.seq;
-        if cell.publish(snap) {
-            obs.add("serving.publish", 1);
-        } else {
-            obs.add("serving.publish.skipped_stale", 1);
+        let retired = {
+            let mut current = cell.lock();
+            // This loop is the only publisher and `WriterCore::apply` bumps
+            // `seq` once per batch, so publication is monotonic.
+            #[cfg(feature = "strict-invariants")]
+            assert!(seq > current.seq, "snapshot publication must be monotonic");
+            std::mem::replace(&mut *current, snap)
+        };
+        obs.add("serving.publish", 1);
+        if obs.enabled() {
+            obs.observe("serving.snapshot.age_us", retired.age().as_micros() as u64);
         }
-        published_seq.store(seq, Ordering::Release);
+        // Free the retired snapshot (if no reader still holds it) outside
+        // the lock, so readers never wait on it, and before the tickets
+        // resolve, so an acknowledged write has released it.
+        drop(retired);
         obs.gauge("serving.snapshot.seq", seq);
         obs.observe("serving.batch.coalesced", pending.len() as u64);
         for (p, report) in pending.into_iter().zip(reports) {
@@ -1198,10 +1159,15 @@ ex:doi1 a ex:Book .
         assert!(decoded.contains(&vec![iri("brand-new-term")]));
     }
 
+    /// Regression: a per-thread snapshot cache used to keep up to eight
+    /// retired snapshots (and their unshared index buckets) alive until the
+    /// reading thread read again.
     #[test]
-    fn snapshot_cell_skips_stale_publications() {
+    fn retired_snapshot_is_freed_once_its_last_reader_drops_it() {
         let (db, _q) = setup();
-        let old = db.snapshot();
+        let snap = db.snapshot();
+        let weak = Arc::downgrade(&snap);
+        drop(snap);
         db.insert(vec![triple(
             "doiX",
             &Term::iri(rdfref_model::vocab::RDF_TYPE),
@@ -1210,9 +1176,10 @@ ex:doi1 a ex:Book .
         .unwrap()
         .wait()
         .unwrap();
-        // Re-publishing the old snapshot must be refused (monotonicity).
-        assert!(!db.cell.publish(old));
-        assert_eq!(db.snapshot().seq(), 1);
+        assert!(
+            weak.upgrade().is_none(),
+            "retired snapshot outlived its last reader"
+        );
     }
 
     #[test]

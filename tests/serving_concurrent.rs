@@ -10,7 +10,7 @@
 //!   prefix of applied batches (the churn is designed so that every seq
 //!   has a distinct answer set);
 //! * per reader thread, observed seqs never go backwards (publication is
-//!   monotonic and the thread-local snapshot cache only moves forward);
+//!   monotonic);
 //! * readers never block on the writer: they run to completion even while
 //!   batches are continuously applied.
 
