@@ -1,8 +1,6 @@
 //! Run every experiment binary in sequence (the full EXPERIMENTS.md
 //! regeneration). Each experiment is spawned as a child process so a
 //! pathological configuration cannot take the whole sweep down.
-//! `exp_calibrate` is not in the list: it is a calibration aid for the cost
-//! model's constants, not an EXPERIMENTS.md row.
 //!
 //! ```sh
 //! cargo run --release -p rdfref-bench --bin exp_all

@@ -19,7 +19,6 @@
 //! | `exp_dataset_stats` | E7 — dataset statistics screens |
 //! | `exp_completeness` | E8 — incomplete Ref profiles |
 //! | `exp_ablations` | A1–A6 — design-decision ablations |
-//! | `exp_calibrate` | cost-model constants for this machine (no `EXPERIMENTS.md` row) |
 //! | `benchmark` | E9–E14 — plan cache, serving under churn, interval encoding, WCOJ, and every before/after claim |
 
 pub mod report;

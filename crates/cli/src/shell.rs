@@ -240,7 +240,7 @@ impl Shell {
         let db = self.db();
         let stats = db.stats();
         let dist = ValueDistribution::compute(db.store(), 5);
-        let dict = db.graph().dictionary();
+        let dict = db.dictionary();
         let mut out = String::new();
         let _ = writeln!(out, "dataset          : {label}");
         let _ = writeln!(out, "triples          : {}", stats.total);
@@ -388,7 +388,7 @@ impl Shell {
             .options(opts)
             .run()
             .map_err(|e| e.to_string())?;
-        let dict = db.graph().dictionary();
+        let dict = db.dictionary();
         let mut out = String::new();
         let shown = answer.rows().len().min(20);
         for row in answer.rows().iter().take(20) {
@@ -530,7 +530,7 @@ impl Shell {
         let limits = self.limits;
         let db = self.db();
         let ctx = RewriteContext::new(db.schema(), db.closure());
-        let dict = db.graph().dictionary();
+        let dict = db.dictionary();
         match rest.trim() {
             "ucq" | "" => {
                 let raw = rdfref_core::reformulate_ucq_raw(&cq, &ctx, limits)

@@ -290,18 +290,20 @@ pub(crate) struct SaturatedPart {
     pub(crate) added: usize,
 }
 
-/// A prepared database: graph + schema closure + store + statistics.
+/// A prepared database: store + statistics + schema closure + one shared
+/// dictionary.
 ///
 /// All heavyweight parts are `Arc`-shared (and the store's indexes are
 /// `Arc`-shared buckets), so a database assembled by the serving layer from
-/// an existing snapshot costs a handful of reference bumps — the graph
-/// itself is only materialized if a Datalog strategy asks for it.
+/// an existing snapshot costs a handful of reference bumps. The dictionary
+/// is the input graph's own; the triple-level graph is only materialized
+/// if a Datalog strategy asks for it.
 #[derive(Debug)]
 pub struct Database {
     dict: Arc<rdfref_model::Dictionary>,
-    /// The triple-level graph. Eager for builder-built databases; snapshot
-    /// databases materialize it lazily from the store (Datalog only).
-    graph: OnceLock<Arc<Graph>>,
+    /// The triple-level graph, materialized from the store on first use
+    /// (Datalog only).
+    graph: OnceLock<Graph>,
     schema: Arc<Schema>,
     closure: Arc<SchemaClosure>,
     store: Store,
@@ -317,8 +319,6 @@ pub struct Database {
     /// Database-wide observability sink (disabled by default); a request
     /// can override it via [`AnswerOptions::with_obs`].
     obs: Obs,
-    /// Which id space the store (and its statistics) live in.
-    encoding: DictEncoding,
     /// The interval encoder ([`DictEncoding::Interval`] only): bijection
     /// between base dictionary ids and hierarchy-clustered store ids. The
     /// dictionary, parser, reasoner and Datalog paths stay in base space;
@@ -343,7 +343,8 @@ impl Database {
     }
 
     /// Prepare a database from a graph (schema triples are recognized
-    /// in-line, as in the DB fragment). Builder terminal.
+    /// in-line, as in the DB fragment). Builder terminal. The graph is
+    /// dropped once its store is built; its dictionary is kept, not copied.
     pub(crate) fn build(
         graph: Graph,
         cache: Arc<PlanCache>,
@@ -353,34 +354,29 @@ impl Database {
     ) -> Database {
         let schema = Schema::from_graph(&graph);
         let closure = schema.closure();
-        let dict = Arc::new(graph.dictionary().clone());
-        let encoder = build_encoder(encoding, &schema, &closure, dict.len());
+        let encoder = build_encoder(encoding, &schema, &closure, graph.dictionary().len());
         let store = encode_store(&graph, encoder.as_deref());
         let stats = Stats::compute(&store);
-        let cell = OnceLock::new();
-        let _ = cell.set(Arc::new(graph));
-        Database {
-            dict,
-            graph: cell,
-            schema: Arc::new(schema),
-            closure: Arc::new(closure),
+        Database::from_parts(
+            Arc::clone(graph.shared_dictionary()),
+            Arc::new(schema),
+            Arc::new(closure),
             store,
-            stats: Arc::new(stats),
-            saturated: OnceLock::new(),
+            Arc::new(stats),
+            None,
             cache,
-            epochs: None,
-            obs: Obs::disabled(),
-            encoding,
+            None,
+            Obs::disabled(),
             encoder,
-            default_parallelism: parallelism,
-            default_join_algorithm: join_algorithm,
-        }
+            parallelism,
+            join_algorithm,
+        )
     }
 
-    /// Assemble a database from pre-built, `Arc`-shared parts — the serving
-    /// layer's constructor. No triple is copied: the store shares its index
-    /// buckets with the writer's working copy, and the graph is left
-    /// unmaterialized until a Datalog strategy needs it.
+    /// Assemble a database from pre-built, `Arc`-shared parts — the one
+    /// constructor. No triple is copied: a serving snapshot's store shares
+    /// its index buckets with the writer's working copy. `epochs` is `None`
+    /// for a live database and the snapshot's pair for a pinned one.
     #[allow(clippy::too_many_arguments)] // crate-internal; one arg per Database field
     pub(crate) fn from_parts(
         dict: Arc<rdfref_model::Dictionary>,
@@ -390,16 +386,12 @@ impl Database {
         stats: Arc<Stats>,
         saturated: Option<SaturatedPart>,
         cache: Arc<PlanCache>,
-        epochs: (u64, u64),
+        epochs: Option<(u64, u64)>,
         obs: Obs,
         encoder: Option<Arc<HierarchyEncoder>>,
         parallelism: Parallelism,
         join_algorithm: JoinAlgorithm,
     ) -> Database {
-        let sat_cell = OnceLock::new();
-        if let Some(sat) = saturated {
-            let _ = sat_cell.set(sat);
-        }
         Database {
             dict,
             graph: OnceLock::new(),
@@ -407,15 +399,10 @@ impl Database {
             closure,
             store,
             stats,
-            saturated: sat_cell,
+            saturated: saturated.map_or_else(OnceLock::new, OnceLock::from),
             cache,
-            epochs: Some(epochs),
+            epochs,
             obs,
-            encoding: if encoder.is_some() {
-                DictEncoding::Interval
-            } else {
-                DictEncoding::Classic
-            },
             encoder,
             default_parallelism: parallelism,
             default_join_algorithm: join_algorithm,
@@ -428,11 +415,6 @@ impl Database {
         self
     }
 
-    /// Install a database-wide observability sink.
-    pub fn set_obs(&mut self, obs: Obs) {
-        self.obs = obs;
-    }
-
     /// The database-wide observability sink.
     pub fn obs(&self) -> &Obs {
         &self.obs
@@ -443,21 +425,22 @@ impl Database {
         &self.cache
     }
 
-    /// The underlying graph. For snapshot-assembled databases this
-    /// materializes it on first use (one pass over the store plus a
-    /// dictionary clone); databases built from a graph return it directly.
+    /// The underlying graph, materialized from the store on first use (one
+    /// pass over the store; the dictionary is shared, not copied). Only the
+    /// Datalog strategy needs it: read the dictionary through
+    /// [`Database::dictionary`].
     pub fn graph(&self) -> &Graph {
-        self.graph
-            .get_or_init(|| {
-                // The graph lives in base id space: decode interval-encoded
-                // store triples on the way out.
-                let triples: Vec<rdfref_model::EncodedTriple> = match &self.encoder {
-                    Some(enc) => self.store.iter().map(|t| enc.decode_triple(&t)).collect(),
-                    None => self.store.iter().collect(),
-                };
-                Arc::new(Graph::from_encoded((*self.dict).clone(), triples))
-            })
-            .as_ref()
+        self.graph.get_or_init(|| self.materialize_graph())
+    }
+
+    /// A fresh graph over the store's triples, in base id space (interval-
+    /// encoded store triples are decoded on the way out).
+    fn materialize_graph(&self) -> Graph {
+        let triples: Vec<rdfref_model::EncodedTriple> = match &self.encoder {
+            Some(enc) => self.store.iter().map(|t| enc.decode_triple(&t)).collect(),
+            None => self.store.iter().collect(),
+        };
+        Graph::from_encoded(Arc::clone(&self.dict), triples)
     }
 
     /// The dictionary the database's triples are encoded against.
@@ -504,7 +487,11 @@ impl Database {
 
     /// Which id space the store lives in.
     pub fn encoding(&self) -> DictEncoding {
-        self.encoding
+        if self.encoder.is_some() {
+            DictEncoding::Interval
+        } else {
+            DictEncoding::Classic
+        }
     }
 
     /// The interval encoder, when [`DictEncoding::Interval`] is active.
@@ -512,10 +499,16 @@ impl Database {
         self.encoder.as_ref()
     }
 
+    /// The saturation, if it has been built or installed.
+    pub(crate) fn installed_saturation(&self) -> Option<&SaturatedPart> {
+        self.saturated.get()
+    }
+
     fn saturated_with(&self, obs: &Obs) -> &SaturatedPart {
         self.saturated.get_or_init(|| {
             let _span = obs.span("answer.saturate_init");
-            let mut g = self.graph().clone();
+            // A temporary graph: dropped once `G∞` is in its store.
+            let mut g = self.materialize_graph();
             let added = saturate_in_place_obs(&mut g, obs);
             // Saturation runs in base space (the graph's); the saturated
             // store must live in the same id space as the explicit one.
@@ -775,7 +768,7 @@ impl Database {
     /// The epochs plans are validated and tagged against: the pinned
     /// snapshot epochs for serving-layer databases, the cache's live epochs
     /// otherwise.
-    fn cache_epochs(&self) -> (u64, u64) {
+    pub(crate) fn cache_epochs(&self) -> (u64, u64) {
         self.epochs
             .unwrap_or_else(|| (self.cache.schema_epoch(), self.cache.data_epoch()))
     }
@@ -1040,6 +1033,34 @@ ex:bioy ex:hasName "A. Bioy Casares" .
     }
 
     #[test]
+    fn only_a_datalog_answer_materializes_the_graph() {
+        let (db, q) = setup(PUBLICATIONS);
+        let opts = AnswerOptions::default();
+        assert!(db.graph.get().is_none(), "build left a graph resident");
+        let sat = db.run_query(&q, &Strategy::Saturation, &opts).unwrap();
+        assert_eq!(sat.len(), 3);
+        assert!(db.graph.get().is_none(), "Sat left its graph resident");
+        let dat = db.run_query(&q, &Strategy::Datalog, &opts).unwrap();
+        assert!(db.graph.get().is_some(), "Datalog runs over the graph");
+        assert_eq!(dat.rows(), sat.rows());
+        for strategy in all_complete_strategies() {
+            let got = db.run_query(&q, &strategy, &opts).unwrap();
+            assert_eq!(got.rows(), sat.rows(), "strategy {}", strategy.name());
+        }
+    }
+
+    #[test]
+    fn every_engine_shares_the_input_graph_s_dictionary() {
+        let g = parse_turtle(DOC).unwrap();
+        for encoding in [DictEncoding::Classic, DictEncoding::Interval] {
+            let db = Database::builder().encoding(encoding).build(g.clone());
+            assert!(std::ptr::eq(g.dictionary(), db.dictionary()));
+        }
+        let snap = Database::builder().build_serving(g.clone()).snapshot();
+        assert!(std::ptr::eq(g.dictionary(), snap.dictionary()));
+    }
+
+    #[test]
     fn user_cover_strategy_agrees_too() {
         let (db, q) = setup(
             r#"PREFIX ex: <http://example.org/>
@@ -1188,11 +1209,10 @@ ex:bioy ex:hasName "A. Bioy Casares" .
         assert_eq!(again.rows(), first.rows());
 
         // An α-renamed variant (?y for ?x) hits the same entry.
-        let mut g = db.graph().clone();
         let renamed = rdfref_query::parse_select(
             r#"PREFIX ex: <http://example.org/>
                SELECT ?y WHERE { ?y a ex:Publication }"#,
-            g.dictionary_mut(),
+            &mut db.dictionary().clone(),
         )
         .unwrap();
         let hit = db.run_query(&renamed, &Strategy::RefUcq, &opts).unwrap();

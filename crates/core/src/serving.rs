@@ -53,7 +53,8 @@ use crate::engine::{QueryEngine, QueryRequest};
 use crate::error::{CoreError, Result};
 use crate::explain::SnapshotInfo;
 use rdfref_model::{
-    vocab, DictEncoding, EncodedTriple, Graph, HierarchyEncoder, Schema, SchemaClosure, Triple,
+    schema::ConstraintKind, DictEncoding, EncodedTriple, Graph, HierarchyEncoder, Schema,
+    SchemaClosure, Triple,
 };
 use rdfref_obs::Obs;
 use rdfref_query::Cq;
@@ -77,18 +78,11 @@ use std::time::{Duration, Instant};
 pub struct Snapshot {
     /// Monotonic publication sequence number (0 = the initial snapshot).
     seq: u64,
-    /// Plan-cache schema epoch the snapshot is pinned to.
-    schema_epoch: u64,
-    /// Plan-cache data epoch the snapshot is pinned to.
-    data_epoch: u64,
     /// Pre-assembled database over the snapshot's parts: explicit store,
-    /// stats, schema closure, and the maintained saturation installed as
-    /// [`SaturatedPart`] so `Sat` never saturates from scratch.
+    /// stats, schema closure, the maintained saturation installed as
+    /// [`SaturatedPart`] so `Sat` never saturates from scratch, and the
+    /// plan-cache epochs it is pinned to.
     db: Database,
-    /// Explicit triple count (the store's length, recorded for reporting).
-    explicit_len: usize,
-    /// Saturated triple count.
-    saturation_len: usize,
     /// When this snapshot was built (snapshot-age metrics).
     created: Instant,
 }
@@ -101,7 +95,8 @@ impl Snapshot {
 
     /// Identity of this snapshot for [`crate::Explain::snapshot`].
     pub fn info(&self) -> SnapshotInfo {
-        SnapshotInfo::new(self.seq, self.schema_epoch, self.data_epoch)
+        let (schema_epoch, data_epoch) = self.db.cache_epochs();
+        SnapshotInfo::new(self.seq, schema_epoch, data_epoch)
     }
 
     /// The underlying prepared database (store, stats, schema accessors).
@@ -119,12 +114,14 @@ impl Snapshot {
 
     /// Number of explicit triples.
     pub fn explicit_len(&self) -> usize {
-        self.explicit_len
+        self.db.store().len()
     }
 
     /// Number of triples in the maintained saturation.
     pub fn saturation_len(&self) -> usize {
-        self.saturation_len
+        self.db
+            .installed_saturation()
+            .map_or(0, |sat| sat.store.len())
     }
 
     /// Time since this snapshot was built.
@@ -304,10 +301,9 @@ fn encode_triples<'t>(
 /// the [`ServingDatabase`] background maintenance thread.
 #[derive(Debug)]
 struct WriterCore {
+    /// The reasoner. Every snapshot publishes its dictionary, which a batch
+    /// adding a term copies only while an older snapshot still holds it.
     reasoner: IncrementalReasoner,
-    /// Published dictionary snapshot; refreshed (one clone) whenever the
-    /// reasoner's dictionary has grown since the last snapshot.
-    dict: Arc<rdfref_model::Dictionary>,
     schema: Arc<Schema>,
     closure: Arc<SchemaClosure>,
     stores: Partition,
@@ -338,8 +334,8 @@ impl WriterCore {
         reasoner.set_obs(b.obs.clone());
         let schema = Arc::new(Schema::from_graph(reasoner.explicit()));
         let closure = Arc::new(schema.closure());
-        let dict = Arc::new(reasoner.explicit().dictionary().clone());
-        let encoder = build_encoder(b.encoding, &schema, &closure, dict.len());
+        let universe = reasoner.explicit().dictionary().len();
+        let encoder = build_encoder(b.encoding, &schema, &closure, universe);
         let stores = Partition::encode(&reasoner, encoder.as_deref());
         let last_delta = stores
             .sat
@@ -348,7 +344,6 @@ impl WriterCore {
             .saturating_sub(stores.explicit.store.len());
         WriterCore {
             reasoner,
-            dict,
             schema,
             closure,
             stores,
@@ -362,7 +357,7 @@ impl WriterCore {
         }
     }
 
-    /// Intern a term-level batch against the reasoner's dictionaries.
+    /// Intern a term-level batch against the reasoner's dictionary.
     fn intern_batch(&mut self, batch: &UpdateBatch) -> (Vec<EncodedTriple>, Vec<EncodedTriple>) {
         let encode = |r: &mut IncrementalReasoner, ts: &[Triple]| {
             ts.iter()
@@ -377,13 +372,10 @@ impl WriterCore {
     /// Does this batch change the RDFS constraints (as opposed to data
     /// only)? Decides whether the whole plan cache goes stale or just the
     /// cost-based entries.
-    fn touches_schema(&self, triples: &[EncodedTriple]) -> bool {
-        let dict = self.reasoner.explicit().dictionary();
-        triples.iter().any(|t| {
-            dict.term(t.p)
-                .as_iri()
-                .is_some_and(vocab::is_rdfs_constraint_property)
-        })
+    fn touches_schema(triples: &[EncodedTriple]) -> bool {
+        triples
+            .iter()
+            .any(|t| ConstraintKind::from_property_id(t.p).is_some())
     }
 
     /// Apply one batch: inserts first, then deletes, maintaining the
@@ -397,7 +389,7 @@ impl WriterCore {
         let obs = self.obs.clone();
         let _span = obs.span("maintain.batch");
         let start = Instant::now();
-        let schema_changed = self.touches_schema(inserts) || self.touches_schema(deletes);
+        let schema_changed = Self::touches_schema(inserts) || Self::touches_schema(deletes);
 
         let ins_delta = if inserts.is_empty() {
             MaintenanceDelta::default()
@@ -436,16 +428,11 @@ impl WriterCore {
             // strands every plan cached against the old encoding.
             self.reencode();
         }
-        // Refresh the published dictionary if the reasoner's has grown (one
-        // clone per term-adding batch; term ids are stable, so all
-        // previously published snapshots stay valid).
-        let live = self.reasoner.explicit().dictionary();
-        if live.len() != self.dict.len() {
-            self.dict = Arc::new(live.clone());
-        }
-
         #[cfg(feature = "strict-invariants")]
         {
+            let dict = self.reasoner.explicit().shared_dictionary();
+            let sat = self.reasoner.saturated().shared_dictionary();
+            assert!(Arc::ptr_eq(dict, sat), "the reasoner's graphs diverged");
             assert_eq!(
                 self.stores.explicit.store.len(),
                 self.reasoner.explicit().len(),
@@ -505,7 +492,7 @@ impl WriterCore {
         let explicit = &self.stores.explicit;
         let sat = &self.stores.sat;
         let db = Database::from_parts(
-            Arc::clone(&self.dict),
+            Arc::clone(self.reasoner.explicit().shared_dictionary()),
             Arc::clone(&self.schema),
             Arc::clone(&self.closure),
             explicit.store.clone(),
@@ -516,7 +503,7 @@ impl WriterCore {
                 added: self.last_delta,
             }),
             Arc::clone(&self.cache),
-            (self.cache.schema_epoch(), self.cache.data_epoch()),
+            Some((self.cache.schema_epoch(), self.cache.data_epoch())),
             self.obs.clone(),
             self.encoder.clone(),
             self.parallelism,
@@ -524,10 +511,6 @@ impl WriterCore {
         );
         Arc::new(Snapshot {
             seq: self.seq,
-            schema_epoch: self.cache.schema_epoch(),
-            data_epoch: self.cache.data_epoch(),
-            explicit_len: explicit.store.len(),
-            saturation_len: sat.store.len(),
             db,
             created: Instant::now(),
         })
@@ -830,6 +813,11 @@ fn writer_loop(mut writer: WriterCore, rx: mpsc::Receiver<PendingBatch>, cell: A
         }
         // Build outside the lock; hold it only for the swap.
         let snap = writer.snapshot();
+        #[cfg(feature = "strict-invariants")]
+        assert!(
+            std::ptr::eq(snap.dictionary(), writer.reasoner.explicit().dictionary()),
+            "the published dictionary is not the reasoner's"
+        );
         let seq = snap.seq;
         let retired = {
             let mut current = cell.lock();
@@ -1139,24 +1127,44 @@ ex:doi1 a ex:Book .
         assert_eq!(a.explain.strategy, "Sat");
     }
 
-    /// Datalog materializes the snapshot's graph lazily against the
-    /// snapshot's dictionary: terms first interned by the last batch must
-    /// already be in it.
+    /// The engine shares the input graph's dictionary until a batch adds a
+    /// term; that batch copies it, and a snapshot held from before it keeps
+    /// the old one and decodes every answer through it. Datalog's lazy graph
+    /// sees the terms the last batch introduced.
     #[test]
-    fn datalog_sees_terms_introduced_by_the_last_batch() {
-        let (db, q) = setup();
-        let terms_before = db.snapshot().dictionary().len();
+    fn a_term_adding_batch_copies_the_dictionary_a_held_snapshot_keeps() {
+        let mut g = parse_turtle(DOC).unwrap();
+        let q = parse_select(
+            "PREFIX ex: <http://example.org/> SELECT ?x WHERE { ?x a ex:Publication }",
+            g.dictionary_mut(),
+        )
+        .unwrap();
+        let db = Database::builder().build_serving(g.clone());
+        let old = db.snapshot();
+        assert!(std::ptr::eq(g.dictionary(), old.dictionary()));
         let rdf_type = Term::iri(rdfref_model::vocab::RDF_TYPE);
-        db.insert(vec![triple("brand-new-term", &rdf_type, "Book")])
-            .unwrap()
-            .wait()
-            .unwrap();
-        let snap = db.snapshot();
-        assert_eq!(snap.dictionary().len(), terms_before + 1);
-        let a = snap.query(&q).strategy(Strategy::Datalog).run().unwrap();
-        assert_eq!(a.len(), 2);
-        let decoded = a.decoded(snap.dictionary());
-        assert!(decoded.contains(&vec![iri("brand-new-term")]));
+        let t = triple("brand-new-term", &rdf_type, "Book");
+        db.insert(vec![t.clone()]).unwrap().wait().unwrap();
+        let new = db.snapshot();
+        assert!(!std::ptr::eq(old.dictionary(), new.dictionary()));
+        assert_eq!(new.dictionary().len(), g.dictionary().len() + 1);
+        assert_eq!(old.dictionary().len(), g.dictionary().len());
+        for s in [
+            Strategy::Saturation,
+            Strategy::RefUcq,
+            Strategy::RefGCov,
+            Strategy::Datalog,
+        ] {
+            let a = old.query(&q).strategy(s.clone()).run().unwrap();
+            assert_eq!(a.decoded(old.dictionary()), vec![vec![iri("doi1")]]);
+            let b = new.query(&q).strategy(s.clone()).run().unwrap();
+            let decoded = b.decoded(new.dictionary());
+            assert_eq!(decoded.len(), 2, "{}", s.name());
+            assert!(decoded.contains(&vec![iri("brand-new-term")]));
+        }
+        // A batch that adds no term publishes the same dictionary.
+        db.delete(vec![t]).unwrap().wait().unwrap();
+        assert!(std::ptr::eq(new.dictionary(), db.snapshot().dictionary()));
     }
 
     /// Regression: a per-thread snapshot cache used to keep up to eight

@@ -155,20 +155,6 @@ impl Dictionary {
             .enumerate()
             .map(|(i, t)| (TermId(i as u32), t))
     }
-
-    /// Mint a fresh blank node guaranteed not to collide with any interned
-    /// term, interning and returning it. Used by saturation when RDFS
-    /// semantics require existential witnesses.
-    pub fn fresh_blank(&mut self) -> TermId {
-        let mut n = self.terms.len();
-        loop {
-            let candidate = Term::blank(format!("gen{n}"));
-            if self.id_of(&candidate).is_none() {
-                return self.intern(&candidate);
-            }
-            n += 1;
-        }
-    }
 }
 
 #[cfg(test)]
@@ -227,17 +213,6 @@ mod tests {
         assert_ne!(a, b);
         assert_ne!(b, c);
         assert_ne!(a, c);
-    }
-
-    #[test]
-    fn fresh_blank_never_collides() {
-        let mut d = Dictionary::new();
-        d.intern(&Term::blank("gen5"));
-        let mut seen = std::collections::HashSet::new();
-        for _ in 0..10 {
-            let id = d.fresh_blank();
-            assert!(seen.insert(id), "fresh blank id reused");
-        }
     }
 
     #[test]

@@ -1,16 +1,18 @@
 //! RDF graphs: a set of triples together with their dictionary.
 
-use crate::dictionary::{Dictionary, TermId};
+use crate::dictionary::Dictionary;
 use crate::error::Result;
 use crate::fxhash::FxHashSet;
 use crate::schema::Schema;
 use crate::term::Term;
 use crate::triple::{EncodedTriple, Triple};
-use crate::vocab;
+use std::sync::Arc;
 
 /// An RDF graph: a set of well-formed triples.
 ///
-/// The graph owns its [`Dictionary`]; triples are stored encoded, both in a
+/// The graph holds its [`Dictionary`] behind an `Arc`: clones of a graph
+/// (and the engines built from it) share one dictionary until one of them
+/// interns a term, which copies it first. Triples are stored encoded, both in a
 /// hash set (O(1) membership, deduplication) and in an insertion-ordered
 /// vector (deterministic iteration, cheap snapshots for the storage layer).
 ///
@@ -33,7 +35,7 @@ use crate::vocab;
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct Graph {
-    dict: Dictionary,
+    dict: Arc<Dictionary>,
     triples: Vec<EncodedTriple>,
     set: FxHashSet<EncodedTriple>,
 }
@@ -42,17 +44,17 @@ impl Graph {
     /// An empty graph.
     pub fn new() -> Self {
         Graph {
-            dict: Dictionary::new(),
+            dict: Arc::new(Dictionary::new()),
             triples: Vec::new(),
             set: FxHashSet::default(),
         }
     }
 
-    /// Assemble a graph from a dictionary and encoded triples (deduplicating
-    /// while preserving first-occurrence order). Used by the serving layer to
-    /// materialize a graph lazily from an immutable store snapshot; the ids
-    /// in `triples` must come from `dict`.
-    pub fn from_encoded(dict: Dictionary, triples: Vec<EncodedTriple>) -> Graph {
+    /// Assemble a graph from a shared dictionary and encoded triples
+    /// (deduplicating while preserving first-occurrence order). Used by a
+    /// database to materialize a graph from its store; the ids in `triples`
+    /// must come from `dict`.
+    pub fn from_encoded(dict: Arc<Dictionary>, triples: Vec<EncodedTriple>) -> Graph {
         let mut g = Graph {
             dict,
             triples: Vec::with_capacity(triples.len()),
@@ -69,10 +71,22 @@ impl Graph {
         &self.dict
     }
 
+    /// The dictionary's shared handle.
+    pub fn shared_dictionary(&self) -> &Arc<Dictionary> {
+        &self.dict
+    }
+
+    /// Share `other`'s dictionary. Its ids must extend this graph's (as they
+    /// do when `other` interned on from the same dictionary).
+    pub fn share_dictionary(&mut self, other: &Graph) {
+        debug_assert!(other.dict.len() >= self.dict.len(), "dictionary shrank");
+        self.dict = Arc::clone(&other.dict);
+    }
+
     /// Mutable access to the dictionary (interning terms for queries against
-    /// this graph).
+    /// this graph). Copies it first if it is shared.
     pub fn dictionary_mut(&mut self) -> &mut Dictionary {
-        &mut self.dict
+        Arc::make_mut(&mut self.dict)
     }
 
     /// Number of triples.
@@ -94,10 +108,11 @@ impl Graph {
 
     /// Insert an already-validated triple. Returns `true` if new.
     pub fn insert_triple(&mut self, triple: &Triple) -> bool {
+        let dict = self.dictionary_mut();
         let enc = EncodedTriple::new(
-            self.dict.intern(&triple.subject),
-            self.dict.intern(&triple.property),
-            self.dict.intern(&triple.object),
+            dict.intern(&triple.subject),
+            dict.intern(&triple.property),
+            dict.intern(&triple.object),
         );
         self.insert_encoded(enc)
     }
@@ -176,42 +191,10 @@ impl Graph {
         self.triples.iter().map(|t| self.decode(t))
     }
 
-    /// `Val(G)`: the set of values (term ids) actually occurring in triples.
-    pub fn values(&self) -> FxHashSet<TermId> {
-        let mut vals = FxHashSet::default();
-        for t in &self.triples {
-            vals.insert(t.s);
-            vals.insert(t.p);
-            vals.insert(t.o);
-        }
-        vals
-    }
-
     /// Extract the RDFS schema (the four constraint kinds) declared in this
     /// graph.
     pub fn schema(&self) -> Schema {
         Schema::from_graph(self)
-    }
-
-    /// Split the graph's triples into (data, schema) encoded triples, where
-    /// schema triples are those whose property is one of the four RDFS
-    /// constraint properties.
-    pub fn partition_schema(&self) -> (Vec<EncodedTriple>, Vec<EncodedTriple>) {
-        let mut data = Vec::new();
-        let mut schema = Vec::new();
-        for t in &self.triples {
-            let p = self.dict.term(t.p);
-            let is_schema = p
-                .as_iri()
-                .map(vocab::is_rdfs_constraint_property)
-                .unwrap_or(false);
-            if is_schema {
-                schema.push(*t);
-            } else {
-                data.push(*t);
-            }
-        }
-        (data, schema)
     }
 }
 
@@ -262,11 +245,15 @@ mod tests {
     }
 
     #[test]
-    fn values_collects_all_positions() {
+    fn interning_into_a_clone_leaves_the_original_dictionary_alone() {
         let mut g = Graph::new();
-        g.insert(iri("s"), iri("p"), iri("o")).unwrap();
-        let vals = g.values();
-        assert_eq!(vals.len(), 3);
+        g.insert(iri("a"), iri("p"), iri("b")).unwrap();
+        let mut c = g.clone();
+        let (len, a) = (g.dictionary().len(), g.dictionary().id_of(&iri("a")));
+        c.insert(iri("new"), iri("p"), iri("a")).unwrap();
+        assert_eq!(g.dictionary().len(), len);
+        assert_eq!(g.dictionary().id_of(&iri("a")), a);
+        assert_eq!(c.dictionary().id_of(&iri("a")), a);
     }
 
     #[test]
@@ -276,20 +263,6 @@ mod tests {
         g.insert_triple(&t);
         let enc = *g.triples().first().unwrap();
         assert_eq!(g.decode(&enc), t);
-    }
-
-    #[test]
-    fn partition_separates_schema() {
-        let mut g = Graph::new();
-        g.insert(iri("doi1"), iri(vocab::RDF_TYPE), iri("Book"))
-            .unwrap();
-        g.insert(iri("Book"), iri(vocab::RDFS_SUBCLASSOF), iri("Publication"))
-            .unwrap();
-        g.insert(iri("writtenBy"), iri(vocab::RDFS_DOMAIN), iri("Book"))
-            .unwrap();
-        let (data, schema) = g.partition_schema();
-        assert_eq!(data.len(), 1);
-        assert_eq!(schema.len(), 2);
     }
 
     #[test]

@@ -59,6 +59,8 @@ impl MaintenanceDelta {
 ///
 /// Invariant (checked by `debug_assert` in tests and by property tests):
 /// `self.saturated == saturate(self.explicit)` after every operation.
+/// Both graphs share one dictionary: terms are interned into `explicit`'s,
+/// and every batch starts by handing it to `saturated`.
 #[derive(Debug, Clone)]
 pub struct IncrementalReasoner {
     explicit: Graph,
@@ -93,14 +95,14 @@ impl IncrementalReasoner {
         &self.saturated
     }
 
-    /// Intern a term consistently into both underlying graphs (their
-    /// dictionaries assign identical ids because both grew from the same
-    /// origin and are only extended through this method).
+    /// Intern a term into the explicit graph's dictionary, copying it only
+    /// if the term is new and the dictionary is shared. The saturated graph
+    /// picks the grown dictionary up at the start of the next batch.
     pub fn intern(&mut self, term: &rdfref_model::Term) -> rdfref_model::TermId {
-        let id = self.explicit.dictionary_mut().intern(term);
-        let id2 = self.saturated.dictionary_mut().intern(term);
-        debug_assert_eq!(id, id2, "reasoner dictionaries diverged");
-        id
+        match self.explicit.dictionary().id_of(term) {
+            Some(id) => id,
+            None => self.explicit.dictionary_mut().intern(term),
+        }
     }
 
     /// Intern a full triple (convenience for building update batches).
@@ -130,6 +132,7 @@ impl IncrementalReasoner {
         // the `&mut self` resaturation call below.
         let obs = self.obs.clone();
         let _span = obs.span("maintain.insert");
+        self.saturated.share_dictionary(&self.explicit);
         let mut out = MaintenanceDelta::default();
         let mut schema_changed = false;
         for &t in triples {
@@ -197,6 +200,7 @@ impl IncrementalReasoner {
     pub fn delete_batch(&mut self, triples: &[EncodedTriple]) -> MaintenanceDelta {
         let obs = self.obs.clone();
         let _span = obs.span("maintain.delete");
+        self.saturated.share_dictionary(&self.explicit);
         let mut out = MaintenanceDelta::default();
         let mut schema_changed = false;
         for &t in triples {
@@ -331,6 +335,16 @@ ex:doi1 rdf:type ex:Book .
         let mut r = IncrementalReasoner::new(g);
         let t = r.intern_triple(&iri("doi2"), &iri("writtenBy"), &Term::blank("b9"));
         r.insert(&[t]);
+        // One dictionary, holding the new blank node, behind both graphs.
+        assert!(std::ptr::eq(
+            r.explicit().dictionary(),
+            r.saturated().dictionary()
+        ));
+        assert!(r
+            .saturated()
+            .dictionary()
+            .id_of(&Term::blank("b9"))
+            .is_some());
         // doi2 gets typed Book and Publication via domain + subclass.
         assert!(r
             .saturated()

@@ -55,7 +55,7 @@ fn main() {
     println!("=== query ===");
     println!(
         "{}\n",
-        rdfref::query::display::cq_to_string(&q, db.graph().dictionary())
+        rdfref::query::display::cq_to_string(&q, db.dictionary())
     );
 
     for strategy in [
@@ -72,7 +72,7 @@ fn main() {
             .run()
             .expect("answering succeeds");
         println!("=== {} ===", strategy.name());
-        for row in answer.decoded(db.graph().dictionary()) {
+        for row in answer.decoded(db.dictionary()) {
             let rendered: Vec<String> = row.iter().map(|t| t.to_string()).collect();
             println!("  answer: {}", rendered.join(", "));
         }

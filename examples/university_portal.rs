@@ -28,7 +28,7 @@ fn main() {
     println!("=== the paper's Example 1 query ===");
     println!(
         "{}\n",
-        rdfref::query::display::cq_to_string(&example1, db.graph().dictionary())
+        rdfref::query::display::cq_to_string(&example1, db.dictionary())
     );
 
     // Reference answer via saturation.

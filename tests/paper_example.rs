@@ -48,7 +48,7 @@ fn section_3_query_answering() {
         let a = db.run_query(&q, &strategy, &opts).unwrap();
         assert_eq!(a.len(), 1, "{} found wrong count", strategy.name());
         let row = &a.rows()[0];
-        assert_eq!(db.graph().dictionary().term(row[0]), &expected_name);
+        assert_eq!(db.dictionary().term(row[0]), &expected_name);
     }
 
     // Evaluating only the explicit triples gives the empty (incomplete)
