@@ -12,7 +12,6 @@ use std::time::Instant;
 const EXPERIMENTS: &[&str] = &[
     "exp_example1",
     "exp_strategies",
-    "exp_datasets",
     "exp_cover_space",
     "exp_constraints",
     "exp_data_sweep",

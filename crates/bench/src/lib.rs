@@ -11,7 +11,6 @@
 //! |--------|------------|
 //! | `exp_example1` | E1 — §4 Example 1: UCQ vs SCQ vs JUCQ vs GCov |
 //! | `exp_strategies` | E2 — all techniques over the LUBM query mix |
-//! | `exp_datasets` | E2b — the same strategies across the dataset families |
 //! | `exp_cover_space` | E3 — explored covers: estimated vs actual cost |
 //! | `exp_constraints` | E4 — ontology depth/fan-out sweeps |
 //! | `exp_data_sweep` | E5 — data scale sweeps |

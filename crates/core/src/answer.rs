@@ -156,10 +156,11 @@ impl AnswerOptions {
 /// The answer to a query plus its explanation.
 #[derive(Debug)]
 pub struct QueryAnswer {
+    /// The answer rows in base id space, sorted once at construction;
+    /// afterwards only read.
     relation: Relation,
-    /// Sorted rows, materialized once on the first [`QueryAnswer::rows`]
-    /// call. Re-sorting on every call used to dominate comparison-heavy
-    /// harnesses (each call re-materialized and re-sorted the relation).
+    /// `relation`'s rows as vectors (already in order), materialized on the
+    /// first [`QueryAnswer::rows`] call and kept for the next.
     sorted: OnceLock<Vec<Vec<TermId>>>,
     /// How the answer was computed.
     pub explain: Explain,
@@ -179,8 +180,20 @@ impl Clone for QueryAnswer {
 }
 
 impl QueryAnswer {
-    /// Assemble an answer from a relation and its explanation.
-    pub fn from_parts(relation: Relation, explain: Explain) -> QueryAnswer {
+    /// Assemble an answer from a relation (a set, in base id space) and its
+    /// explanation. The rows are sorted here, in place, unless they already
+    /// are — leapfrog output and single-scan answers usually are.
+    pub fn from_parts(mut relation: Relation, explain: Explain) -> QueryAnswer {
+        if !relation.is_sorted() {
+            relation.sort();
+        }
+        // Strictly ascending: no two neighbours equal, so the evaluator's
+        // skipped dedups really were no-ops.
+        #[cfg(feature = "strict-invariants")]
+        assert!(
+            (1..relation.len()).all(|i| relation.row(i - 1) < relation.row(i)),
+            "an answer holds a duplicate row"
+        );
         QueryAnswer {
             relation,
             sorted: OnceLock::new(),
@@ -190,34 +203,25 @@ impl QueryAnswer {
 
     /// The answer tuples, sorted (canonical for cross-strategy comparison).
     ///
-    /// Sorted lazily on the first call and cached; repeated calls return
-    /// the same slice without re-materializing or re-sorting.
+    /// Built on the first call by copying the already sorted relation, and
+    /// cached; repeated calls return the same slice.
     pub fn rows(&self) -> &[Vec<TermId>] {
-        self.sorted.get_or_init(|| self.sorted_relation().to_rows())
+        self.sorted.get_or_init(|| self.relation.to_rows())
     }
 
-    /// The relation with its rows sorted (one flat buffer, no per-row
-    /// vectors).
-    fn sorted_relation(&self) -> Relation {
-        let mut sorted = self.relation.clone();
-        sorted.sort();
-        sorted
-    }
-
-    /// The raw relation.
+    /// The answer relation, rows sorted.
     pub fn relation(&self) -> &Relation {
         &self.relation
     }
 
     /// The answers decoded to terms through a dictionary (row-major, sorted).
-    /// Terms are cloned straight from the sorted flat relation — or from
-    /// the cached [`QueryAnswer::rows`] if those were already built.
+    /// Terms are cloned straight from the sorted flat relation: one `Vec`
+    /// for the answer and one per row, nothing else.
     pub fn decoded(&self, dict: &rdfref_model::Dictionary) -> Vec<Vec<rdfref_model::Term>> {
-        let decode = |row: &[TermId]| row.iter().map(|id| dict.term(*id).clone()).collect();
-        match self.sorted.get() {
-            Some(rows) => rows.iter().map(|row| decode(row)).collect(),
-            None => self.sorted_relation().rows().map(decode).collect(),
-        }
+        self.relation
+            .rows()
+            .map(|row| row.iter().map(|id| dict.term(*id).clone()).collect())
+            .collect()
     }
 
     /// Number of answers.
@@ -684,12 +688,9 @@ impl Database {
         explain.physical = crate::explain::PhysicalPlan::from_dispatched(&metrics.dispatched);
         explain.metrics = metrics;
         explain.answers = relation.len();
-        explain.wall = start.elapsed();
-        Ok(QueryAnswer {
-            relation,
-            sorted: OnceLock::new(),
-            explain,
-        })
+        let mut answer = QueryAnswer::from_parts(relation, explain);
+        answer.explain.wall = start.elapsed();
+        Ok(answer)
     }
 
     /// Produce the Ref plan for `cq`, through the plan cache when enabled.
@@ -1327,9 +1328,9 @@ ex:bioy ex:hasName "A. Bioy Casares" .
         }
     }
 
-    /// `rows()` materializes and sorts once; the second call returns the
-    /// same cached allocation (pointer-stable), so comparison-heavy callers
-    /// no longer pay a re-sort per call.
+    /// `rows()` materializes once; the second call returns the same cached
+    /// allocation (pointer-stable), so comparison-heavy callers pay for the
+    /// per-row vectors once.
     #[test]
     fn rows_are_cached_after_first_call() {
         let (db, q) = setup(PUBLICATIONS);

@@ -271,75 +271,6 @@ pub fn biblio_mix(ds: &crate::biblio::BiblioDataset) -> Result<Vec<NamedQuery>> 
     ])
 }
 
-/// Query mix for the IGN-like dataset: depth stressors.
-pub fn geo_mix(ds: &crate::geo::GeoDataset) -> Result<Vec<NamedQuery>> {
-    Ok(vec![
-        NamedQuery {
-            name: "G01",
-            description: "all administrative areas (deep subclass chain)",
-            cq: Cq::new(
-                vec![v("x")],
-                vec![Atom::new(v("x"), ID_RDF_TYPE, ds.root_class)],
-            )?,
-        },
-        NamedQuery {
-            name: "G02",
-            description: "areas with their parents (locatedIn ⊒ directlyLocatedIn)",
-            cq: Cq::new(
-                vec![v("x"), v("y")],
-                vec![
-                    Atom::new(v("x"), ID_RDF_TYPE, ds.root_class),
-                    Atom::new(v("x"), ds.located_in, v("y")),
-                ],
-            )?,
-        },
-        NamedQuery {
-            name: "G03",
-            description: "schema: the subdivision levels below the root",
-            cq: Cq::new(
-                vec![v("c")],
-                vec![Atom::new(v("c"), ID_RDFS_SUBCLASSOF, ds.root_class)],
-            )?,
-        },
-    ])
-}
-
-/// Query mix for the INSEE-like dataset: width stressors.
-pub fn insee_mix(ds: &crate::insee::InseeDataset) -> Result<Vec<NamedQuery>> {
-    Ok(vec![
-        NamedQuery {
-            name: "I01",
-            description: "all observations (wide flat union over every code list)",
-            cq: Cq::new(
-                vec![v("x")],
-                vec![Atom::new(v("x"), ID_RDF_TYPE, ds.observation)],
-            )?,
-        },
-        NamedQuery {
-            name: "I02",
-            description: "measures of observations under the first concept",
-            cq: Cq::new(
-                vec![v("x"), v("m")],
-                vec![
-                    Atom::new(v("x"), ID_RDF_TYPE, ds.concept_classes[0]),
-                    Atom::new(v("x"), ds.measure, v("m")),
-                ],
-            )?,
-        },
-        NamedQuery {
-            name: "I03",
-            description: "observation classes per area (class variable × join)",
-            cq: Cq::new(
-                vec![v("t"), v("a")],
-                vec![
-                    Atom::new(v("x"), ID_RDF_TYPE, v("t")),
-                    Atom::new(v("x"), ds.ref_area, v("a")),
-                ],
-            )?,
-        },
-    ])
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -385,25 +316,7 @@ mod tests {
             ..crate::biblio::BiblioConfig::default()
         });
         assert_eq!(biblio_mix(&b).unwrap().len(), 4);
-        let g = crate::geo::generate(&crate::geo::GeoConfig {
-            hierarchy_depth: 3,
-            areas_per_level: 5,
-            seed: 1,
-        });
-        assert_eq!(geo_mix(&g).unwrap().len(), 3);
-        let i = crate::insee::generate(&crate::insee::InseeConfig {
-            concepts: 2,
-            codes_per_concept: 4,
-            observations_per_code: 2,
-            seed: 1,
-        });
-        assert_eq!(insee_mix(&i).unwrap().len(), 3);
-        for nq in biblio_mix(&b)
-            .unwrap()
-            .into_iter()
-            .chain(geo_mix(&g).unwrap())
-            .chain(insee_mix(&i).unwrap())
-        {
+        for nq in biblio_mix(&b).unwrap() {
             assert!(nq.cq.size() >= 1, "{}", nq.name);
             assert!(!nq.description.is_empty());
         }

@@ -283,12 +283,20 @@ impl<'a> Evaluator<'a> {
     /// Evaluate a UCQ as the deduplicated union of its disjuncts.
     pub fn eval_ucq(&self, ucq: &Ucq, out: &[Var], metrics: &mut ExecMetrics) -> Result<Relation> {
         let _span = self.obs.span("eval.ucq");
-        let mut union = Relation::empty(out.to_vec());
-        for cq in &ucq.cqs {
+        let mut cqs = ucq.cqs.iter();
+        let mut union = match cqs.next() {
+            Some(cq) => self.eval_cq(cq, out, metrics)?,
+            None => Relation::empty(out.to_vec()),
+        };
+        self.check_budget(union.len())?;
+        for cq in cqs {
             union.absorb_rows(&self.eval_cq(cq, out, metrics)?)?;
             self.check_budget(union.len())?;
         }
-        union.dedup();
+        // One disjunct is already a set: `eval_cq` deduplicates.
+        if ucq.cqs.len() > 1 {
+            union.dedup();
+        }
         metrics.record(StepLabel::UnionDedup, union.len());
         self.obs.add("op.union.rows", union.len() as u64);
         Ok(union)
@@ -315,7 +323,7 @@ impl<'a> Evaluator<'a> {
         order.sort_by_key(|&i| frag_rels[i].len());
         let mut remaining = order;
         let first = remaining.remove(0);
-        let mut acc = frag_rels[first].clone();
+        let mut acc = std::mem::replace(&mut frag_rels[first], Relation::empty(Vec::new()));
         while !remaining.is_empty() {
             let pos = remaining
                 .iter()
@@ -335,12 +343,22 @@ impl<'a> Evaluator<'a> {
                 return Ok(Relation::empty(jucq.head.clone()));
             }
         }
+        // Fragments are sets, and a natural join keeps every column of both
+        // sides, so `acc` is a set: only a projection that drops a column
+        // (one no head variable selects) can make two rows equal.
+        let drops_a_column = acc
+            .columns()
+            .iter()
+            .enumerate()
+            .any(|(i, c)| acc.column_index(c) != Some(i) || !jucq.head.contains(c));
         let mut result = if acc.columns() == jucq.head.as_slice() {
             acc
         } else {
             acc.project(&jucq.head)?
         };
-        result.dedup();
+        if drops_a_column {
+            result.dedup();
+        }
         metrics.record(StepLabel::ProjectDedup, result.len());
         Ok(result)
     }
@@ -707,6 +725,95 @@ mod tests {
         e.sort();
         g.sort();
         assert_eq!(e.to_rows(), g.to_rows());
+    }
+
+    /// `rel` is exactly what a forced extra `dedup()` would leave.
+    fn assert_set(rel: &Relation) {
+        let mut forced = rel.clone();
+        forced.dedup();
+        assert_eq!(&forced, rel, "the skipped dedup would have removed a row");
+    }
+
+    #[test]
+    fn one_disjunct_union_is_its_cq_without_a_second_dedup() {
+        let (store, stats, ids) = fixture();
+        // q(x) :- x knows y: `a` knows two, so the projection deduplicates.
+        let cq = Cq::new(vec![v("x")], vec![Atom::new(v("x"), ids[3], v("y"))]).unwrap();
+        let out = [v("x")];
+        let ev = Evaluator::new(&store, &stats);
+        let mut cq_metrics = ExecMetrics::default();
+        let alone = ev.eval_cq(&cq, &out, &mut cq_metrics).unwrap();
+        let mut metrics = ExecMetrics::default();
+        let union = ev.eval_ucq(&Ucq::single(cq), &out, &mut metrics).unwrap();
+        assert_set(&union);
+        assert_eq!(union, alone);
+        assert_eq!(union.to_rows(), vec![vec![ids[0]], vec![ids[1]]]);
+        cq_metrics.record(StepLabel::UnionDedup, union.len());
+        assert_eq!(metrics.steps, cq_metrics.steps);
+    }
+
+    #[test]
+    fn a_join_keeping_every_column_needs_no_dedup() {
+        let (store, stats, ids) = fixture();
+        // q(x, y) :- (x knows y), (y type Person) as two fragments.
+        let f0 = Fragment::new(
+            vec![v("x"), v("y")],
+            Ucq::single(
+                Cq::new(
+                    vec![v("x"), v("y")],
+                    vec![Atom::new(v("x"), ids[3], v("y"))],
+                )
+                .unwrap(),
+            ),
+        )
+        .unwrap();
+        let f1 = Fragment::new(
+            vec![v("y")],
+            Ucq::single(
+                Cq::new(vec![v("y")], vec![Atom::new(v("y"), ID_RDF_TYPE, ids[4])]).unwrap(),
+            ),
+        )
+        .unwrap();
+        let jucq = Jucq::new(vec![v("x"), v("y")], vec![f0, f1]).unwrap();
+        let (rel, metrics) = eval_jucq(&store, &stats, &jucq).unwrap();
+        assert_set(&rel);
+        assert_eq!(rel.to_rows(), vec![vec![ids[0], ids[1]]]);
+        let steps: Vec<_> = metrics.steps.iter().map(|s| (s.label, s.rows)).collect();
+        assert_eq!(
+            steps[steps.len() - 2..],
+            [(StepLabel::FragmentJoin, 1), (StepLabel::ProjectDedup, 1)]
+        );
+    }
+
+    #[test]
+    fn a_projection_dropping_the_middle_of_a_path_still_deduplicates() {
+        // Two `y`s between the same `(x, z)`: a→b→c and a→d→c.
+        let mut d = Dictionary::new();
+        let [a, b, c, dd, knows] = ["a", "b", "c", "d", "knows"].map(|n| d.intern(&Term::iri(n)));
+        let store = Store::from_triples(&[
+            EncodedTriple::new(a, knows, b),
+            EncodedTriple::new(a, knows, dd),
+            EncodedTriple::new(b, knows, c),
+            EncodedTriple::new(dd, knows, c),
+        ]);
+        let stats = Stats::compute(&store);
+        let edge = |from: &str, to: &str| {
+            Fragment::new(
+                vec![v(from), v(to)],
+                Ucq::single(
+                    Cq::new(vec![v(from), v(to)], vec![Atom::new(v(from), knows, v(to))]).unwrap(),
+                ),
+            )
+            .unwrap()
+        };
+        let jucq = Jucq::new(vec![v("x"), v("z")], vec![edge("x", "y"), edge("y", "z")]).unwrap();
+        let (rel, metrics) = eval_jucq(&store, &stats, &jucq).unwrap();
+        assert_eq!(rel.to_rows(), vec![vec![a, c]]);
+        let steps: Vec<_> = metrics.steps.iter().map(|s| (s.label, s.rows)).collect();
+        assert_eq!(
+            steps[steps.len() - 2..],
+            [(StepLabel::FragmentJoin, 2), (StepLabel::ProjectDedup, 1)]
+        );
     }
 
     #[test]

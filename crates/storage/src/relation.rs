@@ -361,14 +361,43 @@ impl Relation {
         out
     }
 
-    /// Sort rows lexicographically (for deterministic output in tests and
-    /// experiment reports): a row-index permutation is sorted over the flat
-    /// buffer, then the rows are gathered once.
+    /// True iff the rows are in lexicographic order (equal neighbours
+    /// allowed). One pass, no allocation.
+    pub fn is_sorted(&self) -> bool {
+        match self.columns.len() {
+            0 => true,
+            a => self.data.chunks_exact(a).is_sorted(),
+        }
+    }
+
+    /// Sort rows lexicographically, in place. Every answer is sorted once at
+    /// the answer boundary, so this runs on each request:
+    ///
+    /// * arity 1 sorts the ids themselves;
+    /// * when a whole row fits in 64 bits (`arity × bit-width of the largest
+    ///   id ≤ 64`), rows are packed into `u64` keys whose integer order is
+    ///   the rows' lexicographic order, sorted, and unpacked in place — one
+    ///   allocation;
+    /// * otherwise (arity ≥ 3 with large ids) a row-index permutation is
+    ///   sorted over the flat buffer and the rows are gathered once.
+    ///
+    /// Zero-arity (unit) rows are left as they are.
     pub fn sort(&mut self) {
         let a = self.columns.len();
-        if a == 0 {
+        if a == 0 || self.len() < 2 {
             return;
         }
+        if a == 1 {
+            self.data.sort_unstable();
+            return;
+        }
+        let max = self.data.iter().max().map_or(0, |id| id.0);
+        let bits = u32::BITS - max.leading_zeros();
+        if a as u32 * bits <= u64::BITS {
+            sort_packed(&mut self.data, a, bits);
+            return;
+        }
+        // Arity 2 always packs (ids are 32 bits wide).
         let mut order: Vec<usize> = (0..self.len()).collect();
         order.sort_unstable_by(|&x, &y| self.row(x).cmp(self.row(y)));
         let mut sorted = Vec::with_capacity(self.data.len());
@@ -392,9 +421,30 @@ impl Relation {
         }
     }
 
-    /// Collect rows as vectors (test helper).
+    /// Collect rows as vectors, in the relation's row order (one `Vec` per
+    /// row — what `QueryAnswer::rows` hands out).
     pub fn to_rows(&self) -> Vec<Vec<TermId>> {
         self.rows().map(|r| r.to_vec()).collect()
+    }
+}
+
+/// [`Relation::sort`]'s packed kernel: each `arity`-id row of `data` becomes
+/// one `u64` whose fields, `bits` wide, hold the ids first column highest,
+/// so integer order is lexicographic row order. The caller guarantees
+/// `arity × bits ≤ 64`, and `arity ≥ 2` (so `bits ≤ 32`).
+#[inline(never)]
+fn sort_packed(data: &mut [TermId], arity: usize, bits: u32) {
+    let mut keys: Vec<u64> = data
+        .chunks_exact(arity)
+        .map(|row| row.iter().fold(0u64, |k, id| (k << bits) | u64::from(id.0)))
+        .collect();
+    keys.sort_unstable();
+    let mask = (1u64 << bits) - 1;
+    for (row, mut key) in data.chunks_exact_mut(arity).zip(keys) {
+        for id in row.iter_mut().rev() {
+            *id = TermId((key & mask) as u32);
+            key >>= bits;
+        }
     }
 }
 

@@ -1,9 +1,12 @@
 //! Allocation budgets of the evaluator kernels: a hash join, a bind join and
 //! a scan allocate per *operator* (output buffer growth, one hash table),
 //! never per row. Each kernel runs ≥ 10 000 rows under a counting global
-//! allocator and must stay under [`BUDGET`] allocations.
+//! allocator and must stay under [`BUDGET`] allocations. The answer
+//! boundary is pinned exactly: sorting packs keys into one buffer, and
+//! decoding a sorted answer allocates only the rows it returns.
 
-use rdfref_model::{EncodedTriple, TermId};
+use rdfref_core::{Explain, QueryAnswer};
+use rdfref_model::{Dictionary, EncodedTriple, Term, TermId};
 use rdfref_query::ast::{Atom, Cq};
 use rdfref_query::Var;
 use rdfref_storage::evaluator::Evaluator;
@@ -120,6 +123,36 @@ fn bind_join_of_10k_probes() {
         metrics.steps
     );
     assert!(n < BUDGET, "scan + bind join + dedup made {n} allocations");
+}
+
+#[test]
+fn sort_of_50k_pairs_packs_in_place() {
+    let mut rel = Relation::empty(vec![v("x"), v("y")]);
+    for i in 0..50_000u32 {
+        rel.push_row(&[TermId(i.wrapping_mul(7_919) % 50_000), TermId(i % 97)])
+            .unwrap();
+    }
+    let ((), n) = allocations(|| rel.sort());
+    assert!(rel.is_sorted());
+    // The key buffer; a row-index permutation plus a gathered copy is 2.
+    assert!(n <= 1, "sorting 50 000 pairs made {n} allocations");
+}
+
+#[test]
+fn decoding_an_answer_allocates_its_rows_and_nothing_else() {
+    let mut dict = Dictionary::new();
+    let terms: Vec<TermId> = (0..100)
+        .map(|i| dict.intern(&Term::iri(format!("t{i}"))))
+        .collect();
+    let mut rel = Relation::empty(vec![v("x"), v("y")]);
+    for i in (0..1_000usize).rev() {
+        rel.push_row(&[terms[i % 100], terms[i / 100]]).unwrap();
+    }
+    let answer = QueryAnswer::from_parts(rel, Explain::default());
+    let (rows, n) = allocations(|| answer.decoded(&dict));
+    assert_eq!(rows.len(), 1_000);
+    assert!(rows.is_sorted_by_key(|row| [dict.id_of(&row[0]), dict.id_of(&row[1])]));
+    assert_eq!(n, 1_000 + 1, "one Vec per row and one for the answer");
 }
 
 #[test]

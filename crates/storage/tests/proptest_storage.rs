@@ -399,6 +399,38 @@ proptest! {
         prop_assert_eq!(hash2.to_rows(), merge2.to_rows());
     }
 
+    /// `Relation::sort` is `Vec::sort` over its rows for arities 0–5, on
+    /// whichever kernel runs: ids below 2¹⁰ pack into `u64` keys at every
+    /// arity ≥ 2; ids near `u32::MAX` pack only at arity 2 (2 × 32 bits)
+    /// and otherwise take the row-index permutation (arity 3–5).
+    /// Zero-arity unit rows stay as they are.
+    /// `is_sorted` tells a sorted input apart.
+    #[test]
+    fn sort_matches_vec_sort_on_every_kernel(
+        arity in 0usize..6,
+        wide in any::<bool>(),
+        rows in proptest::collection::vec(
+            proptest::collection::vec(prop_oneof![0u32..3, 0u32..1024], 5),
+            0..40,
+        ),
+    ) {
+        let id = |x: u32| TermId(if wide { u32::MAX - 1 - x } else { x });
+        let cols: Vec<Var> = (0..arity).map(|i| Var::new(format!("c{i}"))).collect();
+        let mut rel = Relation::empty(cols);
+        for row in &rows {
+            let ids: Vec<TermId> = row[..arity].iter().map(|&x| id(x)).collect();
+            rel.push_row(&ids).unwrap();
+        }
+        let mut expected = rel.to_rows();
+        let was_sorted = expected.is_sorted();
+        expected.sort();
+        prop_assert_eq!(rel.is_sorted(), was_sorted);
+        rel.sort();
+        prop_assert_eq!(rel.len(), rows.len());
+        prop_assert_eq!(rel.to_rows(), expected);
+        prop_assert!(rel.is_sorted());
+    }
+
     /// Projection then dedup never grows a relation and keeps only listed
     /// columns.
     #[test]
