@@ -312,8 +312,11 @@ mod tests {
             answers: 7,
             ..Explain::default()
         };
-        e.metrics
-            .record_scan(rdfref_storage::exec::StepLabel::Scan(1), 100);
+        e.metrics.record_scan_timed(
+            rdfref_storage::exec::StepLabel::Scan(1),
+            100,
+            std::time::Duration::ZERO,
+        );
         let s = e.to_string();
         assert!(s.contains("Ref/GCov"));
         assert!(s.contains("12 CQ(s)"));

@@ -16,7 +16,7 @@
 
 use crate::cost::CostModel;
 use crate::error::{Result, StorageError};
-use crate::exec::{scan_atom, ExecMetrics, KeyEmit, StepLabel};
+use crate::exec::{ExecMetrics, KeyEmit, StepLabel};
 use crate::morsel;
 use crate::relation::{ColumnSource, Relation};
 use crate::stats::Stats;
@@ -31,20 +31,22 @@ use rdfref_query::Var;
 /// many work units.
 pub const DEFAULT_MORSEL_SIZE: usize = 4096;
 
-/// Intra-query parallelism policy.
+/// Intra-query parallelism policy: how scans, bind joins and leapfrog
+/// joins cut their input into morsels.
 ///
-/// * `Off` — fully sequential evaluation (the default).
-/// * `Morsels { size }` — scans and bind-joins split their input into
-///   fixed-size morsels that workers claim off a shared counter
-///   (work-stealing self-scheduling); output order is preserved by
-///   stitching partial buffers back in morsel order.
+/// * `Off` — the whole input is one morsel, run on the calling thread (the
+///   default); no `op.morsel.*` counter is reported.
+/// * `Morsels { size }` — `size`-row morsels; two or more are claimed off a
+///   shared counter by a worker pool (work-stealing self-scheduling), and
+///   output order is preserved by stitching partial buffers back in morsel
+///   order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 #[non_exhaustive]
 pub enum Parallelism {
-    /// Sequential evaluation.
+    /// One morsel per operator, run sequentially.
     #[default]
     Off,
-    /// Morsel-driven parallel scans and bind-joins.
+    /// Morsel-driven parallel scans, bind joins and leapfrog joins.
     Morsels {
         /// Rows per morsel (clamped to at least 1).
         size: usize,
@@ -56,6 +58,15 @@ impl Parallelism {
     pub fn morsels() -> Self {
         Parallelism::Morsels {
             size: DEFAULT_MORSEL_SIZE,
+        }
+    }
+
+    /// The morsel size operators run with: [`morsel::UNSPLIT`] (one
+    /// morsel) for `Off`, `size` clamped to at least 1 for `Morsels`.
+    pub(crate) fn morsel_size(self) -> usize {
+        match self {
+            Parallelism::Off => morsel::UNSPLIT,
+            Parallelism::Morsels { size } => size.max(1),
         }
     }
 }
@@ -149,16 +160,6 @@ impl<'a> Evaluator<'a> {
         }
     }
 
-    /// Leaf scan dispatch: morsel-parallel when the policy asks for it.
-    fn scan(&self, atom: &rdfref_query::ast::Atom) -> Result<Relation> {
-        match self.parallelism {
-            Parallelism::Morsels { size } => {
-                morsel::scan_atom_morsels(self.store, atom, size, &self.obs)
-            }
-            _ => scan_atom(self.store, atom),
-        }
-    }
-
     /// Evaluate a CQ, naming the output columns `out` (aligned with the CQ
     /// head, which may contain bound constants). Output is deduplicated
     /// (set semantics).
@@ -180,6 +181,7 @@ impl<'a> Evaluator<'a> {
         }
         let _span = self.obs.span("eval.cq");
         let model = CostModel::new(self.stats);
+        let size = self.parallelism.morsel_size();
         let mut acc = Relation::unit();
         // Physical dispatch: the arbitration in `wcoj::physical_choice`
         // decides, and what actually ran is tallied in
@@ -212,7 +214,7 @@ impl<'a> Evaluator<'a> {
             let atom = &cq.body[idx];
             if first {
                 let sw = self.obs.stopwatch();
-                acc = self.scan(atom)?;
+                acc = morsel::scan_atom_morsels(self.store, atom, size, &self.obs)?;
                 self.record_scan(atom, idx, acc.len(), sw.elapsed(), metrics);
                 first = false;
             } else {
@@ -220,18 +222,13 @@ impl<'a> Evaluator<'a> {
                 let shares = atom.vars().any(|v| acc.column_index(v).is_some());
                 if shares && (acc.len() as f64) * model.params.probe_cost_per_row < atom_card {
                     let sw = self.obs.stopwatch();
-                    acc = match self.parallelism {
-                        Parallelism::Morsels { size } => {
-                            morsel::bind_join_morsels(self.store, &acc, atom, size, &self.obs)?
-                        }
-                        _ => bind_join(self.store, &acc, atom),
-                    };
+                    acc = morsel::bind_join_morsels(self.store, &acc, atom, size, &self.obs)?;
                     metrics.record_timed(StepLabel::BindJoin(idx + 1), acc.len(), sw.elapsed());
                     self.obs.add("op.bind_join.count", 1);
                     self.obs.add("op.bind_join.rows", acc.len() as u64);
                 } else {
                     let sw = self.obs.stopwatch();
-                    let scanned = self.scan(atom)?;
+                    let scanned = morsel::scan_atom_morsels(self.store, atom, size, &self.obs)?;
                     self.record_scan(atom, idx, scanned.len(), sw.elapsed(), metrics);
                     self.check_budget(scanned.len())?;
                     let sw = self.obs.stopwatch();
@@ -374,8 +371,7 @@ enum Fixed {
 
 /// The compiled shape of one bind join: the probe pattern's fixed
 /// positions, how matching keys extend an acc row, and the output schema.
-/// Compiled once per atom and shared by the sequential probe loop and by
-/// every morsel worker.
+/// Compiled once per atom and shared by every morsel of the join.
 #[derive(Debug, Clone)]
 pub(crate) struct BindShape {
     spo: [Fixed; 3],
@@ -455,16 +451,6 @@ impl BindShape {
             }
         }
     }
-}
-
-/// Index nested-loop join: for every row of `acc`, probe the store with the
-/// atom's pattern under that row's bindings. Output columns: `acc`'s columns
-/// followed by the atom's new variables (position order).
-fn bind_join(store: &Store, acc: &Relation, atom: &rdfref_query::ast::Atom) -> Relation {
-    let shape = BindShape::of(acc, atom);
-    let mut out = Relation::empty(shape.out_columns().to_vec());
-    shape.probe(store, acc, 0..acc.len(), &mut out);
-    out
 }
 
 /// Convenience: evaluate a CQ whose head is all variables.

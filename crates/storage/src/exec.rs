@@ -7,10 +7,12 @@
 
 use crate::error::Result;
 use crate::evaluator::JoinAlgorithm;
+use crate::morsel;
 use crate::relation::Relation;
 use crate::store::{Bound, Order, RangePattern, Store};
 use crate::wcoj::PhysicalChoice;
 use rdfref_model::TermId;
+use rdfref_obs::Obs;
 use rdfref_query::ast::{Atom, PTerm};
 use rdfref_query::Var;
 use std::fmt;
@@ -109,11 +111,6 @@ impl ExecMetrics {
         self.peak_intermediate = self.peak_intermediate.max(rows);
     }
 
-    /// Record a scan specifically (also counted in `rows_scanned`).
-    pub fn record_scan(&mut self, label: StepLabel, rows: usize) {
-        self.record_scan_timed(label, rows, Duration::ZERO);
-    }
-
     /// Record a timed scan (also counted in `rows_scanned`).
     pub fn record_scan_timed(&mut self, label: StepLabel, rows: usize, wall: Duration) {
         self.rows_scanned += rows;
@@ -204,8 +201,7 @@ impl KeyEmit {
 /// The compiled shape of one pattern scan: the index pattern, the output
 /// columns (the atom's distinct variables in `s, p, o` position order) and
 /// how matching keys project onto them (repeated variables become equality
-/// filters). Compiled once per atom and shared by the sequential scan and
-/// by every morsel worker.
+/// filters). Compiled once per atom and shared by every morsel of the scan.
 #[derive(Debug, Clone)]
 pub(crate) struct ScanShape {
     pub(crate) pattern: RangePattern,
@@ -244,14 +240,9 @@ impl ScanShape {
 /// Scan one triple pattern into a relation whose columns are the atom's
 /// distinct variables in `s, p, o` position order. Constants and id
 /// intervals constrain the index scan (intervals bind no column); repeated
-/// variables become equality filters.
+/// variables become equality filters. One morsel: the whole scan.
 pub fn scan_atom(store: &Store, atom: &Atom) -> Result<Relation> {
-    let shape = ScanShape::of(atom);
-    let mut rel = Relation::empty(shape.columns.clone());
-    store.scan_range_into(&shape.pattern, &mut |order, run| {
-        shape.emit.append(order, run, &[], &mut rel)
-    });
-    Ok(rel)
+    morsel::scan_atom_morsels(store, atom, morsel::UNSPLIT, &Obs::disabled())
 }
 
 #[cfg(test)]
@@ -326,9 +317,9 @@ mod tests {
     #[test]
     fn metrics_aggregate() {
         let mut m = ExecMetrics::default();
-        m.record_scan(StepLabel::Scan(1), 10);
+        m.record_scan_timed(StepLabel::Scan(1), 10, Duration::ZERO);
         m.record(StepLabel::Join, 50);
-        m.record_scan(StepLabel::Scan(2), 7);
+        m.record_scan_timed(StepLabel::Scan(2), 7, Duration::ZERO);
         m.record(StepLabel::Join, 100);
         assert_eq!(m.rows_scanned, 17);
         assert_eq!(m.peak_intermediate, 100);

@@ -1,20 +1,26 @@
-//! Morsel-driven intra-query parallelism.
+//! Morsel-driven execution: the one body of every scan and bind join.
 //!
-//! Scans and bind-joins split their input into fixed-size *morsels* that
-//! worker threads claim off a shared atomic counter (self-scheduling: fast
-//! workers steal more morsels, so skewed morsels never straggle a static
+//! An operator's input — a scan's matching index keys, a bind join's
+//! accumulated rows, a leapfrog's slot-0 values — is cut into fixed-size
+//! *morsels*, and one body turns a morsel's range of the input into rows.
+//! [`Parallelism::Off`](crate::Parallelism::Off) is the one-morsel case: the
+//! whole input is a single morsel run inline on the calling thread. Under
+//! `Morsels { size }` one morsel still runs inline; two or more are claimed
+//! off a shared atomic counter by a scoped worker pool (self-scheduling:
+//! fast workers take more morsels, so skewed morsels never straggle a static
 //! partition). Each worker materializes its morsel into a private columnar
 //! [`Relation`]; partials are stitched back **in morsel order** with
 //! [`Relation::absorb_rows`], so the output is byte-identical to the
-//! sequential evaluation — parallelism is observable only through the
+//! one-morsel run — parallelism is observable only through the
 //! `op.morsel.*` counters and wall time.
 //!
-//! Counters:
+//! Counters (none under `Off`):
 //! * `op.morsel.count`   — morsels claimed (⌈input/size⌉, min 1; exact and
 //!   deterministic, pinned by `tests/metrics_exactness.rs`);
-//! * `op.morsel.rows`    — input rows staged into morsels;
-//! * `op.morsel.workers` — worker threads used (≤ available parallelism,
-//!   hardware-dependent, so never pinned exactly in tests).
+//! * `op.morsel.rows`    — input rows split into morsels;
+//! * `op.morsel.workers` — worker threads used: min(available cores, morsel
+//!   count), and 1 when the core count is unknown (hardware-dependent, so
+//!   never pinned exactly in tests).
 
 use crate::error::{Result, StorageError};
 use crate::evaluator::BindShape;
@@ -24,32 +30,54 @@ use crate::store::{Order, Store};
 use rdfref_model::TermId;
 use rdfref_obs::Obs;
 use rdfref_query::ast::Atom;
+use rdfref_query::Var;
 use rdfref_sync::atomic::{AtomicUsize, Ordering};
 use rdfref_sync::Mutex;
+use std::ops::Range;
 
-/// How many workers to use for `n_morsels` units of work.
+/// The morsel size [`Parallelism::Off`](crate::Parallelism::Off) maps to:
+/// the whole input is one morsel, and no `op.morsel.*` counter is reported.
+pub(crate) const UNSPLIT: usize = 0;
+
+/// How many workers to use for `n_morsels` units of work: one per available
+/// core, at most one per morsel, and one when the core count is unknown.
 fn worker_count(n_morsels: usize) -> usize {
     rdfref_sync::thread::available_parallelism()
         .map(|n| n.get())
-        .unwrap_or(4)
+        .unwrap_or(1)
         .min(n_morsels)
         .max(1)
 }
 
-/// Run `n_morsels` work units through a self-scheduling worker pool.
-/// `work(m)` produces the partial relation for morsel `m`; partials are
-/// assembled in morsel order into a relation with `columns`.
-pub(crate) fn run_morsels<F>(
-    n_morsels: usize,
-    columns: Vec<rdfref_query::Var>,
-    obs: &Obs,
-    work: F,
-) -> Result<Relation>
+/// Run an operator over `n` input items cut into `size`-item morsels
+/// ([`UNSPLIT`]: one morsel). `work(range, out)` appends the rows of the
+/// items in `range` to `out`; the result has `columns` and holds the
+/// morsels' rows in morsel order. One morsel runs inline; more go to a
+/// self-scheduling scoped pool, where a panicked worker becomes
+/// [`StorageError::WorkerPanicked`].
+pub(crate) fn run<F>(n: usize, size: usize, columns: &[Var], obs: &Obs, work: F) -> Result<Relation>
 where
-    F: Fn(usize) -> Result<Relation> + Sync,
+    F: Fn(Range<usize>, &mut Relation) -> Result<()> + Sync,
 {
-    let workers = worker_count(n_morsels);
-    obs.add("op.morsel.workers", workers as u64);
+    let n_morsels = match size {
+        UNSPLIT => 1,
+        size => n.div_ceil(size).max(1),
+    };
+    let workers = if n_morsels == 1 {
+        1
+    } else {
+        worker_count(n_morsels)
+    };
+    if size != UNSPLIT {
+        obs.add("op.morsel.count", n_morsels as u64);
+        obs.add("op.morsel.rows", n as u64);
+        obs.add("op.morsel.workers", workers as u64);
+    }
+    let mut out = Relation::empty(columns.to_vec());
+    if n_morsels == 1 {
+        work(0..n, &mut out)?;
+        return Ok(out);
+    }
     let next = AtomicUsize::new(0);
     let partials: Mutex<Vec<Option<Relation>>> = Mutex::new(vec![None; n_morsels]);
     let results: Vec<Result<()>> = rdfref_sync::thread::scope(|scope| {
@@ -60,8 +88,9 @@ where
                     if m >= n_morsels {
                         return Ok(());
                     }
-                    let rel = work(m)?;
-                    partials.lock()[m] = Some(rel);
+                    let mut part = Relation::empty(columns.to_vec());
+                    work(m * size..((m + 1) * size).min(n), &mut part)?;
+                    partials.lock()[m] = Some(part);
                 })
             })
             .collect();
@@ -73,57 +102,49 @@ where
     for r in results {
         r?;
     }
-    let slots = partials.into_inner();
-    let mut out = Relation::empty(columns);
-    for slot in slots {
-        let part = slot.ok_or(StorageError::WorkerPanicked)?;
-        out.absorb_rows(&part)?;
+    for slot in partials.into_inner() {
+        out.absorb_rows(&slot.ok_or(StorageError::WorkerPanicked)?)?;
     }
     Ok(out)
 }
 
-/// Morsel-parallel pattern scan: stage the matching index runs into one
-/// contiguous key buffer, then filter/project it in `size`-key morsels.
-/// Output equals [`crate::exec::scan_atom`] exactly, including row order.
+/// Pattern scan: the matching index runs, borrowed from the store, are
+/// filtered and projected in `size`-key morsels (each a range of positions
+/// in the runs' concatenation). [`crate::exec::scan_atom`] is the
+/// [`UNSPLIT`] case.
 pub(crate) fn scan_atom_morsels(
     store: &Store,
     atom: &Atom,
     size: usize,
     obs: &Obs,
 ) -> Result<Relation> {
-    let size = size.max(1);
     let shape = ScanShape::of(atom);
-    // Staging: the runs are `memcpy`ed into a buffer morsel workers can
-    // slice without coordination. One scan's runs all share one layout.
-    let mut staged: Vec<[TermId; 3]> = Vec::new();
-    let mut layout = Order::Spo;
+    let mut runs: Vec<(Order, &[[TermId; 3]])> = Vec::new();
+    let mut len = 0;
     store.scan_range_into(&shape.pattern, &mut |order, run| {
-        assert!(staged.is_empty() || order == layout, "one scan, one layout");
-        layout = order;
-        staged.extend_from_slice(run);
+        len += run.len();
+        runs.push((order, run));
     });
-    let n_morsels = staged.len().div_ceil(size).max(1);
-    obs.add("op.morsel.count", n_morsels as u64);
-    obs.add("op.morsel.rows", staged.len() as u64);
-    let (staged, shape) = (&staged, &shape);
-    let work = |m: usize| {
-        let mut rel = Relation::empty(shape.columns.clone());
-        let hi = ((m + 1) * size).min(staged.len());
-        shape
-            .emit
-            .append(layout, &staged[m * size..hi], &[], &mut rel);
-        Ok(rel)
-    };
-    if n_morsels == 1 {
-        obs.add("op.morsel.workers", 1);
-        return work(0);
-    }
-    run_morsels(n_morsels, shape.columns.clone(), obs, work)
+    run(len, size, &shape.columns, obs, |keys, out| {
+        let mut start = 0;
+        for &(order, run) in runs.iter() {
+            if start >= keys.end {
+                break;
+            }
+            let end = start + run.len();
+            if end > keys.start {
+                let lo = keys.start.saturating_sub(start);
+                let hi = (keys.end - start).min(run.len());
+                shape.emit.append(order, &run[lo..hi], &[], out);
+            }
+            start = end;
+        }
+        Ok(())
+    })
 }
 
-/// Morsel-parallel bind join: chunk the accumulated rows into `size`-row
-/// morsels; each worker probes the store per row of its morsel. Output
-/// equals the sequential bind join exactly, including row order.
+/// Bind join: the accumulated rows are probed in `size`-row morsels; each
+/// row of a morsel probes the store with its bindings.
 pub(crate) fn bind_join_morsels(
     store: &Store,
     acc: &Relation,
@@ -131,22 +152,11 @@ pub(crate) fn bind_join_morsels(
     size: usize,
     obs: &Obs,
 ) -> Result<Relation> {
-    let size = size.max(1);
-    let shape = &BindShape::of(acc, atom);
-    let n_morsels = acc.len().div_ceil(size).max(1);
-    obs.add("op.morsel.count", n_morsels as u64);
-    obs.add("op.morsel.rows", acc.len() as u64);
-    let work = |m: usize| {
-        let mut out = Relation::empty(shape.out_columns().to_vec());
-        let hi = ((m + 1) * size).min(acc.len());
-        shape.probe(store, acc, m * size..hi, &mut out);
-        Ok(out)
-    };
-    if n_morsels == 1 {
-        obs.add("op.morsel.workers", 1);
-        return work(0);
-    }
-    run_morsels(n_morsels, shape.out_columns().to_vec(), obs, work)
+    let shape = BindShape::of(acc, atom);
+    run(acc.len(), size, shape.out_columns(), obs, |rows, out| {
+        shape.probe(store, acc, rows, out);
+        Ok(())
+    })
 }
 
 #[cfg(test)]

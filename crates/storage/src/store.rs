@@ -92,8 +92,9 @@ impl Order {
 }
 
 /// The consumer of a scan: called once per borrowed run of matching keys,
-/// all laid out in the given [`Order`] (see [`Store::scan_into`]).
-pub type RunFn<'f> = dyn FnMut(Order, &[[TermId; 3]]) + 'f;
+/// all laid out in the given [`Order`] (see [`Store::scan_into`]). Runs
+/// borrow the store (`'s`), so a consumer may keep them without copying.
+pub type RunFn<'s, 'f> = dyn FnMut(Order, &'s [[TermId; 3]]) + 'f;
 
 /// Compare a key against a search prefix (first `prefix.len()` components).
 #[inline]
@@ -134,7 +135,7 @@ impl SortedIndex {
 
     /// Hand `f` the keys whose first `prefix.len()` components equal
     /// `prefix`, in sorted order, as one borrowed slice per spanned bucket.
-    fn for_prefix(&self, prefix: &[TermId], f: &mut dyn FnMut(&[[TermId; 3]])) {
+    fn for_prefix<'s>(&'s self, prefix: &[TermId], f: &mut dyn FnMut(&'s [[TermId; 3]])) {
         let start = self
             .buckets
             .partition_point(|b| b.last().is_some_and(|l| cmp_prefix(l, prefix).is_lt()));
@@ -155,7 +156,12 @@ impl SortedIndex {
     /// the contiguous run an interval-encoded subtree occupies. With
     /// `lo = [p, c_lo]`, `hi = [p, c_hi]` this is exactly `p`-triples whose
     /// object falls in `[c_lo, c_hi)`.
-    fn for_bounds(&self, lo: &[TermId], hi: &[TermId], f: &mut dyn FnMut(&[[TermId; 3]])) {
+    fn for_bounds<'s>(
+        &'s self,
+        lo: &[TermId],
+        hi: &[TermId],
+        f: &mut dyn FnMut(&'s [[TermId; 3]]),
+    ) {
         let start = self
             .buckets
             .partition_point(|b| b.last().is_some_and(|l| cmp_prefix(l, lo).is_lt()));
@@ -514,7 +520,7 @@ impl Store {
     /// run; runs arrive in index order, at most one per ≤`BUCKET_TARGET`-
     /// key bucket; and — the shape alone picks the index — all runs of one
     /// call carry the same `Order`.
-    pub fn scan_into(&self, pat: IdPattern, f: &mut RunFn<'_>) {
+    pub fn scan_into<'s>(&'s self, pat: IdPattern, f: &mut RunFn<'s, '_>) {
         let (order, prefix): (Order, &[TermId]) = match (pat.s, pat.p, pat.o) {
             (Some(s), Some(p), Some(o)) => (Order::Spo, &[s, p, o]),
             (Some(s), Some(p), None) => (Order::Spo, &[s, p]),
@@ -536,13 +542,13 @@ impl Store {
     /// interval are both contiguous in POS); misaligned positions are
     /// residual filters that split a run into its maximal matching
     /// sub-slices. Patterns without intervals are [`Store::scan_into`]'s.
-    pub fn scan_range_into(&self, pat: &RangePattern, f: &mut RunFn<'_>) {
+    pub fn scan_range_into<'s>(&'s self, pat: &RangePattern, f: &mut RunFn<'s, '_>) {
         // Hand on the maximal sub-slices of `run` whose keys pass `keep`.
-        fn kept(
+        fn kept<'s>(
             order: Order,
-            run: &[[TermId; 3]],
+            run: &'s [[TermId; 3]],
             keep: impl Fn(&[TermId; 3]) -> bool,
-            f: &mut RunFn<'_>,
+            f: &mut RunFn<'s, '_>,
         ) {
             run.split(|k| !keep(k))
                 .filter(|piece| !piece.is_empty())
@@ -679,7 +685,7 @@ mod tests {
     /// The triples a scan hands out, in emission order — checking the run
     /// contract on the way: no empty run, every run strictly ascending, one
     /// `Order` per call.
-    fn collect_runs(scan: impl FnOnce(&mut RunFn<'_>)) -> Vec<EncodedTriple> {
+    fn collect_runs<'s>(scan: impl FnOnce(&mut RunFn<'s, '_>)) -> Vec<EncodedTriple> {
         let mut out = Vec::new();
         let mut layout = None;
         scan(&mut |order, run| {

@@ -43,7 +43,7 @@
 use crate::cost::CostModel;
 use crate::error::{Result, StorageError};
 use crate::evaluator::JoinAlgorithm;
-use crate::morsel::run_morsels;
+use crate::morsel::{self, UNSPLIT};
 use crate::relation::Relation;
 use crate::stats::Stats;
 use crate::store::{Order, SortedIndex, Store};
@@ -52,6 +52,7 @@ use rdfref_model::TermId;
 use rdfref_obs::Obs;
 use rdfref_query::ast::{Atom, PTerm};
 use rdfref_query::{varorder, Var};
+use rdfref_sync::Mutex;
 
 /// What a leapfrog slot binds: a query variable, or an anonymous
 /// interval-dictionary range some atom iterates without exporting.
@@ -384,6 +385,12 @@ struct LfjCounters {
 }
 
 impl LfjCounters {
+    fn add(&mut self, other: LfjCounters) {
+        self.seeks += other.seeks;
+        self.next += other.next;
+        self.rows += other.rows;
+    }
+
     fn flush(self, obs: &Obs) {
         obs.add("op.lfj.seeks", self.seeks);
         obs.add("op.lfj.next", self.next);
@@ -552,9 +559,9 @@ impl<'a> Driver<'a> {
         }
     }
 
-    /// All matching values of slot 0, for morsel staging. Counts the same
-    /// seeks the sequential run would spend finding them, and one `next`
-    /// per value (the sequential driver's descend count for slot 0).
+    /// All matching values of `slot`, for morsel staging. Counts the same
+    /// seeks `recurse` would spend finding them; the caller adds the one
+    /// `next` per value that `recurse` counts when it descends.
     fn slot_values(&mut self, slot: usize) -> Vec<TermId> {
         let (start, clamp) = self.slot_bounds(slot);
         let mut out = Vec::new();
@@ -608,6 +615,13 @@ fn fixed_atoms_present(
 /// are the plan's variable order; rows come out in lexicographic binding
 /// order (sorted, duplicate-free per binding, but a final [`Relation::dedup`]
 /// upstream still collapses projection duplicates).
+///
+/// `Off` runs the driver from slot 0. `Morsels` stages the slot-0 values
+/// first, then gives each morsel of them a private driver that re-binds
+/// each value and descends. Value-based splitting makes morsel outputs
+/// disjoint and order-stitchable, and staging spends exactly the slot-0
+/// seeks the driver would, so output and `op.lfj.*` counters are identical
+/// under both policies.
 pub(crate) fn eval(
     tries: &[&SortedIndex],
     plan: &WcojPlan,
@@ -616,118 +630,39 @@ pub(crate) fn eval(
     obs: &Obs,
 ) -> Result<Relation> {
     obs.add("op.lfj.atoms", plan.atoms.len() as u64);
-    let mut counters = LfjCounters::default();
-    if !fixed_atoms_present(plan, tries, &mut counters) {
-        counters.flush(obs);
-        return Ok(Relation::empty(plan.var_order.clone()));
-    }
-    if plan.slots.is_empty() {
-        // All atoms fully Fixed and present: one unit-ish row of no columns
-        // cannot happen (plan() rejects var-free bodies), but stay total.
-        counters.flush(obs);
-        return Ok(Relation::empty(plan.var_order.clone()));
-    }
-    if let Parallelism::Morsels { size } = parallelism {
-        return eval_morsels(tries, plan, size, counters, row_budget, obs);
-    }
     let mut driver = Driver::new(plan, tries);
-    driver.counters = counters;
-    let mut out = Relation::empty(plan.var_order.clone());
-    let res = driver.recurse(0, &mut out, row_budget);
+    let size = parallelism.morsel_size();
+    // `plan()` rejects var-free bodies, so `slots` is never empty; stay total.
+    let res = if !fixed_atoms_present(plan, tries, &mut driver.counters) || plan.slots.is_empty() {
+        Ok(Relation::empty(plan.var_order.clone()))
+    } else if size == UNSPLIT {
+        let mut out = Relation::empty(plan.var_order.clone());
+        driver.recurse(0, &mut out, row_budget).map(|()| out)
+    } else {
+        let values = driver.slot_values(0);
+        driver.counters.next += values.len() as u64;
+        let descended = Mutex::new(LfjCounters::default());
+        let res = morsel::run(values.len(), size, &plan.var_order, obs, |range, out| {
+            let mut worker = Driver::new(plan, tries);
+            let res = values[range]
+                .iter()
+                .try_for_each(|&v| worker.bind_and_descend(0, v, out, row_budget));
+            descended.lock().add(worker.counters);
+            res
+        });
+        driver.counters.add(descended.into_inner());
+        res
+    };
+    // Each morsel checks the budget against its own rows; check the union.
+    let res = res.and_then(|out| match row_budget {
+        Some(budget) if out.len() > budget => Err(StorageError::RowBudgetExceeded { budget }),
+        _ => Ok(out),
+    });
     driver.counters.flush(obs);
     if let Err(StorageError::RowBudgetExceeded { .. }) = &res {
         obs.add("op.budget_abort", 1);
     }
-    res?;
-    Ok(out)
-}
-
-/// Morsel-parallel leapfrog: stage slot-0 values sequentially, chunk them,
-/// and give each worker a private driver that re-binds each chunk value and
-/// descends. Value-based splitting makes worker outputs disjoint and
-/// order-stitchable — output and `op.lfj.*` counters are byte-identical to
-/// the sequential run.
-fn eval_morsels(
-    tries: &[&SortedIndex],
-    plan: &WcojPlan,
-    size: usize,
-    staged_counters: LfjCounters,
-    row_budget: Option<usize>,
-    obs: &Obs,
-) -> Result<Relation> {
-    let size = size.max(1);
-    let mut stager = Driver::new(plan, tries);
-    stager.counters = staged_counters;
-    let values = stager.slot_values(0);
-    // The staging pass spends the slot-0 seeks; record one `next` per value
-    // to match the sequential driver's slot-0 descend count.
-    stager.counters.next += values.len() as u64;
-    let n_morsels = values.len().div_ceil(size).max(1);
-    obs.add("op.morsel.count", n_morsels as u64);
-    obs.add("op.morsel.rows", values.len() as u64);
-    if n_morsels == 1 {
-        obs.add("op.morsel.workers", 1);
-        let mut driver = Driver::new(plan, tries);
-        let mut out = Relation::empty(plan.var_order.clone());
-        let mut res = Ok(());
-        for &v in &values {
-            res = driver.bind_and_descend(0, v, &mut out, row_budget);
-            if res.is_err() {
-                break;
-            }
-        }
-        // Descend seeks/rows from the worker pass + staging seeks/next.
-        let mut c = stager.counters;
-        c.seeks += driver.counters.seeks;
-        c.next += driver.counters.next;
-        c.rows += driver.counters.rows;
-        c.flush(obs);
-        if let Err(StorageError::RowBudgetExceeded { .. }) = &res {
-            obs.add("op.budget_abort", 1);
-        }
-        res?;
-        return Ok(out);
-    }
-    let values = &values;
-    let worker_counters: rdfref_sync::Mutex<LfjCounters> =
-        rdfref_sync::Mutex::new(LfjCounters::default());
-    let res = run_morsels(n_morsels, plan.var_order.clone(), obs, |m| {
-        let lo = m * size;
-        let hi = (lo + size).min(values.len());
-        let mut driver = Driver::new(plan, tries);
-        let mut out = Relation::empty(plan.var_order.clone());
-        let mut res = Ok(());
-        for &v in &values[lo..hi] {
-            res = driver.bind_and_descend(0, v, &mut out, row_budget);
-            if res.is_err() {
-                break;
-            }
-        }
-        {
-            let mut c = worker_counters.lock();
-            c.seeks += driver.counters.seeks;
-            c.next += driver.counters.next;
-            c.rows += driver.counters.rows;
-        }
-        res.map(|()| out)
-    });
-    let mut c = stager.counters;
-    let wc = *worker_counters.lock();
-    c.seeks += wc.seeks;
-    c.next += wc.next;
-    c.rows += wc.rows;
-    c.flush(obs);
-    if let Err(StorageError::RowBudgetExceeded { .. }) = &res {
-        obs.add("op.budget_abort", 1);
-    }
-    let out = res?;
-    if let Some(b) = row_budget {
-        if out.len() > b {
-            obs.add("op.budget_abort", 1);
-            return Err(StorageError::RowBudgetExceeded { budget: b });
-        }
-    }
-    Ok(out)
+    res
 }
 
 /// The arbitrated physical choice for a CQ body: the algorithm that will
@@ -981,13 +916,20 @@ mod tests {
         let body = vec![Atom::new(v("x"), p, v("y")), Atom::new(v("y"), p, v("z"))];
         let pl = plan(&body).unwrap();
         let tr = tries(&store, &pl);
-        let registry = std::sync::Arc::new(rdfref_obs::MetricsRegistry::default());
-        let obs = Obs::collecting(registry.clone());
-        let err = eval(&tr, &pl, Parallelism::Off, Some(3), &obs).unwrap_err();
-        assert_eq!(err, StorageError::RowBudgetExceeded { budget: 3 });
-        let snap = registry.snapshot();
-        assert!(snap.counter("op.lfj.rows") >= 4);
-        assert!(snap.counter("op.lfj.seeks") > 0);
+        for par in [Parallelism::Off, Parallelism::Morsels { size: 1 }] {
+            let registry = std::sync::Arc::new(rdfref_obs::MetricsRegistry::default());
+            let obs = Obs::collecting(registry.clone());
+            let err = eval(&tr, &pl, par, Some(3), &obs).unwrap_err();
+            assert_eq!(
+                err,
+                StorageError::RowBudgetExceeded { budget: 3 },
+                "{par:?}"
+            );
+            let snap = registry.snapshot();
+            assert_eq!(snap.counter("op.budget_abort"), 1, "{par:?}");
+            assert!(snap.counter("op.lfj.rows") >= 4, "{par:?}");
+            assert!(snap.counter("op.lfj.seeks") > 0, "{par:?}");
+        }
     }
 
     #[test]

@@ -279,6 +279,21 @@ fn morsel_scan_counters_are_exact_for_saturation() {
 }
 
 #[test]
+fn a_sequential_answer_runs_one_unreported_morsel_per_operator() {
+    let (db, q) = setup();
+    for strategy in [Strategy::Saturation, Strategy::RefUcq, Strategy::RefGCov] {
+        let name = strategy.name().to_string();
+        let (n, registry) = run_with_registry(&db, &q, strategy);
+        assert_eq!(n, 3, "{name}: answer count");
+        let snap = registry.snapshot();
+        assert!(snap.counter("op.scan.count") >= 1, "{name}: scans ran");
+        for counter in ["op.morsel.count", "op.morsel.rows", "op.morsel.workers"] {
+            assert_eq!(snap.counter(counter), 0, "{name}: {counter}");
+        }
+    }
+}
+
+#[test]
 fn morsel_ref_ucq_counters_account_every_scan_without_row_loss() {
     let (db, q) = setup();
     let sequential = db.query(&q).strategy(Strategy::RefUcq).run().unwrap();
