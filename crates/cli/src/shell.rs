@@ -708,21 +708,18 @@ impl Shell {
 
     fn cmd_retract(&mut self, rest: &str) -> Result<Response, String> {
         let removals = self.parse_update_triple(rest)?;
-        let mut removed = 0;
-        for t in removals.iter_decoded() {
-            if let (Some(s), Some(p), Some(o)) = (
-                self.graph.dictionary().id_of(&t.subject),
-                self.graph.dictionary().id_of(&t.property),
-                self.graph.dictionary().id_of(&t.object),
-            ) {
-                if self
-                    .graph
-                    .remove_encoded(rdfref_model::EncodedTriple::new(s, p, o))
-                {
-                    removed += 1;
-                }
-            }
-        }
+        let dict = self.graph.dictionary();
+        let doomed = removals
+            .iter_decoded()
+            .filter_map(|t| {
+                Some(rdfref_model::EncodedTriple::new(
+                    dict.id_of(&t.subject)?,
+                    dict.id_of(&t.property)?,
+                    dict.id_of(&t.object)?,
+                ))
+            })
+            .collect();
+        let removed = self.graph.remove_all(&doomed);
         self.invalidate();
         Ok(Response::text(format!(
             "retracted {removed} triple(s) — graph now {} triples",

@@ -20,8 +20,9 @@
 //!   readers never block behind maintenance.
 //! * **`WriterCore`** (private) — the single-writer maintenance pipeline:
 //!   interns terms, applies insert/delete batches through
-//!   [`rdfref_reasoning::IncrementalReasoner`] (semi-naive insertion, DRed
-//!   deletion, schema changes via resaturation-with-diff), folds the exact
+//!   [`rdfref_reasoning::IncrementalReasoner`] (one-step insertion, a
+//!   one-step support check on deletion, schema changes via
+//!   resaturation-with-diff), folds the exact
 //!   [`MaintenanceDelta`] into the copy-on-write stores and incremental
 //!   statistics, and bumps the plan cache's epochs.
 //! * **[`ServingDatabase`]** — the concurrent façade: `&self` reads via
@@ -206,7 +207,8 @@ impl BatchReport {
         self.saturation_added
     }
 
-    /// Triples removed from the saturation (DRed net removal).
+    /// Triples removed from the saturation (the deletion candidates no
+    /// remaining explicit triple still derives).
     pub fn saturation_removed(&self) -> usize {
         self.saturation_removed
     }

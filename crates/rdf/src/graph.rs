@@ -134,20 +134,20 @@ impl Graph {
         }
     }
 
-    /// Remove an encoded triple. Returns `true` if it was present.
-    /// O(n) on the ordered vector; bulk deletions should go through the
-    /// storage layer instead.
-    pub fn remove_encoded(&mut self, t: EncodedTriple) -> bool {
-        if self.set.remove(&t) {
-            if let Some(pos) = self.triples.iter().position(|x| *x == t) {
-                self.triples.remove(pos);
-            } else {
-                debug_assert!(false, "set and vec out of sync");
-            }
-            true
-        } else {
-            false
+    /// Remove every triple of `doomed`; returns how many were present. One
+    /// `retain` over the ordered vector (skipped when none was present), so
+    /// the survivors keep their order.
+    pub fn remove_all(&mut self, doomed: &FxHashSet<EncodedTriple>) -> usize {
+        let present = doomed.iter().filter(|t| self.set.remove(t)).count();
+        if present > 0 {
+            self.triples.retain(|t| !doomed.contains(t));
         }
+        debug_assert_eq!(
+            self.set.len(),
+            self.triples.len(),
+            "set and vec out of sync"
+        );
+        present
     }
 
     /// Membership test on encoded triples.
@@ -237,11 +237,14 @@ mod tests {
         let mut g = Graph::new();
         g.insert(iri("a"), iri("p"), iri("b")).unwrap();
         g.insert(iri("c"), iri("p"), iri("d")).unwrap();
-        let t = *g.triples().first().unwrap();
-        assert!(g.remove_encoded(t));
-        assert!(!g.remove_encoded(t));
-        assert_eq!(g.len(), 1);
-        assert!(!g.contains_encoded(&t));
+        g.insert(iri("e"), iri("p"), iri("f")).unwrap();
+        let (first, middle, last) = (g.triples()[0], g.triples()[1], g.triples()[2]);
+        let doomed: FxHashSet<EncodedTriple> = [middle].into_iter().collect();
+        assert_eq!(g.remove_all(&doomed), 1);
+        assert_eq!(g.remove_all(&doomed), 0);
+        assert_eq!(g.triples(), &[first, last], "survivors keep their order");
+        assert!(!g.contains_encoded(&middle));
+        assert_eq!(g.remove_all(&FxHashSet::default()), 0);
     }
 
     #[test]

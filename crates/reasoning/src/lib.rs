@@ -8,16 +8,17 @@
 //!   propagation of `domain`/`range` along both hierarchies — computed via
 //!   [`rdfref_model::SchemaClosure`]) and data-level rules (rdfs2, rdfs3,
 //!   rdfs7, rdfs9);
-//! * [`mod@saturate`] — fixpoint computation: the production semi-naive
-//!   (delta-driven) engine and a naive reference implementation (ablation
-//!   A5);
+//! * [`mod@saturate`] — `G∞` as one derivation step against the closed
+//!   schema, with a re-closing fixpoint only for schemas that constrain the
+//!   RDFS vocabulary itself;
 //! * [`incremental`] — maintenance after updates, the cost the paper's
-//!   introduction holds against Sat: delta insertion and DRed
-//!   (delete-and-rederive) deletion.
+//!   introduction holds against Sat: one-step insertion and a one-step
+//!   support check on deletion.
 //!
 //! The workspace-wide invariant `q(G∞) = qref(G)` is tested from the core
-//! crate; here, unit and property tests establish idempotence
-//! (`(G∞)∞ = G∞`), monotonicity, and incremental ≡ from-scratch.
+//! crate; here, unit tests establish idempotence (`(G∞)∞ = G∞`),
+//! monotonicity, and incremental ≡ from-scratch, and the root property
+//! tests check both against a raw-rule oracle.
 
 #![forbid(unsafe_code)]
 #![deny(
@@ -37,4 +38,4 @@ pub mod rules;
 pub mod saturate;
 
 pub use incremental::{IncrementalReasoner, MaintenanceDelta};
-pub use saturate::{naive_saturate, saturate, saturate_in_place, saturate_in_place_obs};
+pub use saturate::{saturate, saturate_in_place, saturate_in_place_obs};

@@ -15,8 +15,8 @@
 //! | ext-d↑ | `p ←d c1`, `c1 ≺sc c2`   | `p ←d c2` |
 //! | ext-r↑ | `p ↪r c1`, `c1 ≺sc c2`   | `p ↪r c2` |
 //!
-//! **Data tier** (rules deriving assertions; applied delta-at-a-time by the
-//! semi-naive engine):
+//! **Data tier** (rules deriving assertions; applied once per triple by
+//! [`RuleTables::derive_from`]):
 //!
 //! | rule | premise | conclusion |
 //! |------|---------|------------|
@@ -25,12 +25,21 @@
 //! | rdfs2 | `s p o`, `p ←d c`     | `s τ c` |
 //! | rdfs3 | `s p o`, `p ↪r c`     | `o τ c` |
 //!
-//! Because the data tier consults the *closed* schema, one application per
-//! fact suffices per chain link, and the conclusions of rdfs2/3 feed rdfs9
-//! through the delta loop.
+//! The data tier consults the *closed* schema, so one step is the whole
+//! derivation. `≺sc` and `≺sp` are transitive, and effective domains and
+//! ranges are closed up `≺sc` and down `≺sp`. Every conclusion of a
+//! conclusion of `t` is therefore already a conclusion of `t`: the rdfs9 image
+//! of an rdfs2 conclusion `s τ c` is the domains above `c`, which are `p`'s
+//! domains too. The one exception is a schema that constrains the RDFS
+//! vocabulary itself ([`RuleTables::constrains_rdfs_vocabulary`]). There a
+//! conclusion can be an `rdf:type` triple that rdfs7/2/3 fire on again, or a
+//! schema triple that grows the closure.
 
-use rdfref_model::dictionary::ID_RDF_TYPE;
+use rdfref_model::dictionary::{
+    ID_RDFS_DOMAIN, ID_RDFS_RANGE, ID_RDFS_SUBCLASSOF, ID_RDFS_SUBPROPERTYOF, ID_RDF_TYPE,
+};
 use rdfref_model::fxhash::FxHashMap;
+use rdfref_model::schema::ConstraintKind;
 use rdfref_model::{EncodedTriple, SchemaClosure, TermId};
 
 /// Closed-schema lookup tables used by the data-tier rules.
@@ -65,6 +74,39 @@ impl RuleTables {
             dom: to_map(&cl.domains),
             rng: to_map(&cl.ranges),
         }
+    }
+
+    /// The closed schema as triples: every `c ≺sc c′`, `p ≺sp p′`, `p ←d c`
+    /// and `p ↪r c` of the closure. `G∞` holds all of them.
+    pub fn schema_triples(&self) -> impl Iterator<Item = EncodedTriple> + '_ {
+        [
+            (&self.sc_up, ID_RDFS_SUBCLASSOF),
+            (&self.sp_up, ID_RDFS_SUBPROPERTYOF),
+            (&self.dom, ID_RDFS_DOMAIN),
+            (&self.rng, ID_RDFS_RANGE),
+        ]
+        .into_iter()
+        .flat_map(|(table, p)| {
+            table
+                .iter()
+                .flat_map(move |(&s, os)| os.iter().map(move |&o| EncodedTriple::new(s, p, o)))
+        })
+    }
+
+    /// Does the closed schema constrain the RDFS vocabulary itself? That is
+    /// `rdf:type` or a constraint property with a super-property, domain or
+    /// range, or a property declared below one of them (`p ≺sp
+    /// rdfs:subClassOf`). Only then is one derivation step not the whole
+    /// saturation (see the module docs), so saturation and maintenance fall
+    /// back to a re-closing fixpoint.
+    pub fn constrains_rdfs_vocabulary(&self) -> bool {
+        let rdfs = |t: &TermId| *t == ID_RDF_TYPE || ConstraintKind::from_property_id(*t).is_some();
+        let mut constrained = self
+            .sp_up
+            .keys()
+            .chain(self.dom.keys())
+            .chain(self.rng.keys());
+        constrained.any(rdfs) || self.sp_up.values().flatten().any(rdfs)
     }
 
     /// Apply every data-tier rule with `t` as the data premise, feeding each
@@ -167,6 +209,17 @@ mod tests {
         // hasAuthor has no super-property, domain or range declared.
         let derived = derive_all(&tables, EncodedTriple::new(ids[5], ids[3], ids[6]));
         assert!(derived.is_empty());
+    }
+
+    #[test]
+    fn constraints_on_the_rdfs_vocabulary_are_detected() {
+        let (_, mut s, ids) = setup();
+        assert!(!RuleTables::from_closure(&s.closure()).constrains_rdfs_vocabulary());
+        let mut below_sc = s.clone();
+        below_sc.add_subproperty(ids[3], ID_RDFS_SUBCLASSOF);
+        assert!(RuleTables::from_closure(&below_sc.closure()).constrains_rdfs_vocabulary());
+        s.add_domain(ID_RDF_TYPE, ids[0]);
+        assert!(RuleTables::from_closure(&s.closure()).constrains_rdfs_vocabulary());
     }
 
     #[test]

@@ -1,19 +1,15 @@
-//! Fixpoint saturation: `G ↦ G∞`.
+//! Saturation: `G ↦ G∞` in one derivation step.
 //!
-//! The production engine is **semi-naive** (design decision D5): each round
-//! applies the data-tier rules only to the previous round's *delta*, against
-//! the closed schema. An outer loop re-closes the schema in the (rare,
-//! pathological) case where data-tier conclusions are themselves schema
-//! triples — e.g. a schema declaring a super-property of
-//! `rdfs:subClassOf`.
-//!
-//! [`naive_saturate`] is the reference implementation (re-derives from the
-//! whole set every round); ablation A5 benchmarks one against the other and
-//! the test suite checks they agree.
+//! Against the closed schema, every entailed triple follows in one step from
+//! one triple of `G` (see [`crate::rules`]). So `G∞` is `G`, plus the closed
+//! schema as triples, plus the one-step image of `G`: one
+//! [`RuleTables::derive_from`] pass (design decision D5). A schema that
+//! constrains the RDFS vocabulary itself is detected up front
+//! ([`RuleTables::constrains_rdfs_vocabulary`]). Only then is the step
+//! repeated, re-closing the schema each round, until nothing changes.
 
 use crate::rules::RuleTables;
-use rdfref_model::schema::ConstraintKind;
-use rdfref_model::{EncodedTriple, Graph, Schema};
+use rdfref_model::{Graph, Schema};
 use rdfref_obs::Obs;
 
 /// Saturate a graph in place; returns the number of triples added.
@@ -25,107 +21,39 @@ pub fn saturate_in_place(graph: &mut Graph) -> usize {
     saturate_in_place_obs(graph, &Obs::disabled())
 }
 
-/// [`saturate_in_place`] with observability: records the `saturate.fixpoint`
-/// span, a `saturate.rounds` counter (semi-naive rounds across outer
-/// re-closures), a `saturate.derived` counter, and per-round delta sizes in
-/// the `saturate.delta` histogram.
+/// [`saturate_in_place`] with observability: records the `saturate` span, a
+/// `saturate.rounds` counter (1 unless the schema constrains the RDFS
+/// vocabulary) and a `saturate.derived` counter.
 pub fn saturate_in_place_obs(graph: &mut Graph, obs: &Obs) -> usize {
-    let _span = obs.span("saturate.fixpoint");
     let before = graph.len();
-    loop {
-        // Close the schema and materialize the closure as triples.
-        let schema = Schema::from_graph(graph);
-        let closure = schema.closure();
-        let tables = RuleTables::from_closure(&closure);
-        for (sub, sups) in &closure.superclasses {
-            for &sup in sups {
-                graph.insert_encoded(EncodedTriple::new(
-                    *sub,
-                    ConstraintKind::SubClass.property_id(),
-                    sup,
-                ));
-            }
-        }
-        for (sub, sups) in &closure.superproperties {
-            for &sup in sups {
-                graph.insert_encoded(EncodedTriple::new(
-                    *sub,
-                    ConstraintKind::SubProperty.property_id(),
-                    sup,
-                ));
-            }
-        }
-        for (p, cs) in &closure.domains {
-            for &c in cs {
-                graph.insert_encoded(EncodedTriple::new(
-                    *p,
-                    ConstraintKind::Domain.property_id(),
-                    c,
-                ));
-            }
-        }
-        for (p, cs) in &closure.ranges {
-            for &c in cs {
-                graph.insert_encoded(EncodedTriple::new(
-                    *p,
-                    ConstraintKind::Range.property_id(),
-                    c,
-                ));
-            }
-        }
+    saturate_with_tables(graph, obs);
+    graph.len() - before
+}
 
-        // Semi-naive data saturation against the closed schema.
-        let mut delta: Vec<EncodedTriple> = graph.triples().to_vec();
-        let mut derived_schema_triple = false;
-        while !delta.is_empty() {
-            let mut next: Vec<EncodedTriple> = Vec::new();
-            for t in &delta {
-                tables.derive_from(t, &mut |nt| {
-                    if !graph.contains_encoded(&nt) {
-                        next.push(nt);
-                    }
-                });
-            }
-            next.sort_unstable();
-            next.dedup();
-            delta.clear();
-            for nt in next {
-                if graph.insert_encoded(nt) {
-                    derived_schema_triple |= ConstraintKind::from_property_id(nt.p).is_some();
-                    delta.push(nt);
-                }
-            }
-            obs.add("saturate.rounds", 1);
-            if obs.enabled() {
-                obs.observe("saturate.delta", delta.len() as u64);
-            }
+/// Saturate `graph` in place and return the rule tables of its closed
+/// schema, which the incremental reasoner keeps until the schema changes.
+pub(crate) fn saturate_with_tables(graph: &mut Graph, obs: &Obs) -> RuleTables {
+    let _span = obs.span("saturate");
+    let before = graph.len();
+    let tables = loop {
+        let tables = RuleTables::from_closure(&Schema::from_graph(graph).closure());
+        let len = graph.len();
+        for t in tables.schema_triples() {
+            graph.insert_encoded(t);
         }
-
-        // Re-close only if the data tier produced schema triples beyond the
-        // already-materialized closure (pathological schemas constraining
-        // the RDFS vocabulary itself).
-        if !derived_schema_triple {
-            break;
-        }
-    }
-    #[cfg(feature = "strict-invariants")]
-    {
-        // Fixpoint stability: one more full rule application over the result
-        // must derive nothing new. O(|G∞|), so gated behind the feature.
-        let schema = Schema::from_graph(graph);
-        let tables = RuleTables::from_closure(&schema.closure());
-        for t in graph.triples() {
-            tables.derive_from(t, &mut |nt| {
-                debug_assert!(
-                    graph.contains_encoded(&nt),
-                    "saturation fixpoint unstable: {nt:?} derivable from {t:?} but absent"
-                );
+        for i in 0..graph.len() {
+            let t = graph.triples()[i];
+            tables.derive_from(&t, &mut |nt| {
+                graph.insert_encoded(nt);
             });
         }
-    }
-    let added = graph.len() - before;
-    obs.add("saturate.derived", added as u64);
-    added
+        obs.add("saturate.rounds", 1);
+        if !tables.constrains_rdfs_vocabulary() || graph.len() == len {
+            break tables;
+        }
+    };
+    obs.add("saturate.derived", (graph.len() - before) as u64);
+    tables
 }
 
 /// Saturate, returning a new graph (`G∞`). The dictionary is shared
@@ -146,47 +74,6 @@ pub fn saturate(graph: &Graph) -> Graph {
     let mut g = graph.clone();
     saturate_in_place(&mut g);
     g
-}
-
-/// Reference naive saturation: every round applies every data-tier rule to
-/// every triple. Quadratically slower; exists to validate the semi-naive
-/// engine (tests) and quantify D5 (ablation A5).
-pub fn naive_saturate(graph: &Graph) -> Graph {
-    let mut g = graph.clone();
-    loop {
-        let schema = Schema::from_graph(&g);
-        let closure = schema.closure();
-        let tables = RuleTables::from_closure(&closure);
-        let mut additions: Vec<EncodedTriple> =
-            closure
-                .all_subclass_pairs()
-                .into_iter()
-                .map(|(a, b)| EncodedTriple::new(a, ConstraintKind::SubClass.property_id(), b))
-                .chain(closure.all_subproperty_pairs().into_iter().map(|(a, b)| {
-                    EncodedTriple::new(a, ConstraintKind::SubProperty.property_id(), b)
-                }))
-                .chain(
-                    closure.all_domain_pairs().into_iter().map(|(p, c)| {
-                        EncodedTriple::new(p, ConstraintKind::Domain.property_id(), c)
-                    }),
-                )
-                .chain(
-                    closure.all_range_pairs().into_iter().map(|(p, c)| {
-                        EncodedTriple::new(p, ConstraintKind::Range.property_id(), c)
-                    }),
-                )
-                .collect();
-        for t in g.triples() {
-            tables.derive_from(t, &mut |nt| additions.push(nt));
-        }
-        let mut changed = false;
-        for t in additions {
-            changed |= g.insert_encoded(t);
-        }
-        if !changed {
-            return g;
-        }
-    }
 }
 
 #[cfg(test)]
@@ -249,12 +136,6 @@ ex:writtenBy rdfs:range ex:Person .
         for t in g.iter_decoded() {
             assert!(sat.contains(&t));
         }
-    }
-
-    #[test]
-    fn semi_naive_agrees_with_naive() {
-        let g = parse_turtle(FIGURE_2).unwrap();
-        assert_eq!(saturate(&g), naive_saturate(&g));
     }
 
     #[test]
@@ -336,7 +217,7 @@ ex:B rdfs:subClassOf ex:C .
     #[test]
     fn pathological_schema_about_schema() {
         // A super-property of rdfs:subClassOf: derived sc triples must feed
-        // back into the schema closure (outer loop).
+        // back into the schema closure (the re-closing fallback).
         let doc = r#"
 @prefix rdf: <http://www.w3.org/1999/02/22-rdf-syntax-ns#> .
 @prefix rdfs: <http://www.w3.org/2000/01/rdf-schema#> .

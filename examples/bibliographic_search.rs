@@ -122,7 +122,7 @@ fn main() {
     let start = std::time::Instant::now();
     let removed = reasoner.delete(&[t_type, t_author]);
     println!(
-        "deleted them again → DRed removed {removed} triples in {:?}",
+        "deleted them again → maintenance removed {removed} triples in {:?}",
         start.elapsed()
     );
     assert_eq!(reasoner.saturated(), &saturate(reasoner.explicit()));

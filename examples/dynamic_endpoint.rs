@@ -100,7 +100,7 @@ fn main() {
         .and_then(|ticket| ticket.wait())
         .expect("maintenance pipeline alive");
     println!(
-        "\nDRed deletion of all 40 update triples removed {} triples in {:?}",
+        "\nDeleting all 40 update triples removed {} triples in {:?}",
         report.saturation_removed(),
         start.elapsed()
     );

@@ -566,3 +566,75 @@ fn concurrent_requests_against_one_registry_account_every_call() {
     assert_eq!(snap.counter("answer.calls"), expected);
     assert_eq!(snap.span_count("answer"), expected);
 }
+
+const FIGURE_2: &str = r#"
+@prefix rdfs: <http://www.w3.org/2000/01/rdf-schema#> .
+@prefix ex: <http://example.org/> .
+ex:doi1 a ex:Book ; ex:writtenBy _:b1 ; ex:hasTitle "El Aleph" ; ex:publishedIn "1949" .
+_:b1 ex:hasName "J. L. Borges" .
+ex:Book rdfs:subClassOf ex:Publication .
+ex:writtenBy rdfs:subPropertyOf ex:hasAuthor .
+ex:writtenBy rdfs:domain ex:Book .
+ex:writtenBy rdfs:range ex:Person .
+"#;
+
+/// Sat is one derivation step against the closed schema: saturation and a
+/// data insert each take one round on LUBM and on the paper's Figure 2, a
+/// data batch never resaturates, and a schema batch resaturates once.
+#[test]
+fn saturation_and_maintenance_take_one_derivation_step() {
+    use rdfref_model::dictionary::{ID_RDFS_SUBCLASSOF, ID_RDF_TYPE};
+    use rdfref_model::EncodedTriple;
+    let lubm = rdfref::datagen::lubm::generate(&rdfref::datagen::lubm::LubmConfig::scale(1));
+    for (name, graph) in [
+        ("lubm", lubm.graph),
+        ("figure 2", parse_turtle(FIGURE_2).unwrap()),
+    ] {
+        let registry = Arc::new(MetricsRegistry::new());
+        let obs = Obs::collecting(Arc::clone(&registry) as _);
+        let counter = |c: &str| registry.snapshot().counter(c);
+        rdfref_reasoning::saturate_in_place_obs(&mut graph.clone(), &obs);
+        assert_eq!(counter("saturate.rounds"), 1, "{name}: saturate.rounds");
+
+        // A fresh instance of an asserted class, inserted then deleted.
+        let typed = *graph.iter().find(|t| t.p == ID_RDF_TYPE).unwrap();
+        let mut reasoner = IncrementalReasoner::new(graph);
+        reasoner.set_obs(obs);
+        let fresh = reasoner.intern(&Term::iri("http://example.org/fresh"));
+        let data = EncodedTriple::new(fresh, ID_RDF_TYPE, typed.o);
+        assert!(!reasoner.insert_batch(&[data]).resaturated);
+        assert!(!reasoner.delete_batch(&[data]).resaturated);
+        assert_eq!(
+            counter("maintain.insert.rounds"),
+            1,
+            "{name}: insert rounds"
+        );
+        assert_eq!(counter("maintain.resaturate"), 0, "{name}: data batches");
+
+        let schema = EncodedTriple::new(typed.o, ID_RDFS_SUBCLASSOF, fresh);
+        assert!(reasoner.insert_batch(&[schema]).resaturated);
+        assert_eq!(counter("maintain.resaturate"), 1, "{name}: schema batch");
+        assert_eq!(
+            counter("maintain.insert.rounds"),
+            1,
+            "{name}: insert rounds"
+        );
+    }
+
+    // Figure 2's one-step delete of `doi1 writtenBy _:b1`: five candidates
+    // (the triple, hasAuthor, doi1 τ Book/Publication, b1 τ Person), two of
+    // them still derived from the explicit `doi1 τ Book`.
+    let registry = Arc::new(MetricsRegistry::new());
+    let mut reasoner = IncrementalReasoner::new(parse_turtle(FIGURE_2).unwrap());
+    reasoner.set_obs(Obs::collecting(Arc::clone(&registry) as _));
+    let written_by = reasoner.intern(&Term::iri("http://example.org/writtenBy"));
+    let doomed = *reasoner
+        .explicit()
+        .iter()
+        .find(|t| t.p == written_by)
+        .unwrap();
+    assert_eq!(reasoner.delete_batch(&[doomed]).saturation_removed.len(), 3);
+    let snap = registry.snapshot();
+    assert_eq!(snap.counter("dred.overdeleted"), 5);
+    assert_eq!(snap.counter("dred.rederived"), 2);
+}
