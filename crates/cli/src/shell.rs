@@ -533,10 +533,11 @@ impl Shell {
         let dict = db.dictionary();
         match rest.trim() {
             "ucq" | "" => {
-                let raw = rdfref_core::reformulate_ucq_raw(&cq, &ctx, limits)
-                    .map_err(|e| e.to_string())?;
-                let raw_cqs = raw.len();
-                let ucq = rdfref_query::containment::minimize_union(raw);
+                let ucq =
+                    rdfref_core::reformulate_ucq(&cq, &ctx, limits).map_err(|e| e.to_string())?;
+                let raw_cqs = rdfref_core::reformulate_ucq_raw(&cq, &ctx, limits)
+                    .map_err(|e| e.to_string())?
+                    .len();
                 let mut out = format!(
                     "UCQ reformulation: {} CQ(s) (raw fixpoint: {raw_cqs})\n",
                     ucq.len()

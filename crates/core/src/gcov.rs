@@ -9,21 +9,25 @@
 //! From the current cover, the candidate moves are (a) *add* one atom to one
 //! fragment it is not in (yielding overlapping covers like the paper's
 //! winning `{{t1,t3},{t3,t5},{t2,t4},{t4,t6}}`), and (b) *merge* two
-//! fragments. Each candidate is reformulated (per-fragment UCQs are cached
-//! by atom set) and priced with the storage cost model; the cheapest
-//! candidate replaces the current cover while it improves on it.
+//! fragments. Each candidate is reformulated through one per-search
+//! `FragmentCache`: every atom's union is computed once, every fragment's
+//! once (in store id space, as the cost model prices it), and a fragment a
+//! move grows extends the cached union of the fragment it grew from. Each
+//! candidate is priced with the storage cost model; the cheapest replaces
+//! the current cover while it improves on it.
 //!
 //! Covers whose reformulation exceeds the size limit get infinite cost —
 //! this is how GCov "makes Ref feasible in cases when the reformulated
 //! queries built by previous reformulation algorithms simply fail".
 
 use crate::error::{CoreError, Result};
+use crate::reformulate::jucq::FragmentCache;
 use crate::reformulate::rules::RewriteContext;
-use crate::reformulate::ucq::{reformulate_ucq, ReformulationLimits};
+use crate::reformulate::ucq::ReformulationLimits;
 use rdfref_model::fxhash::FxHashMap;
 use rdfref_obs::Obs;
-use rdfref_query::ast::{Cq, Fragment, Jucq, Ucq};
-use rdfref_query::{Cover, Var};
+use rdfref_query::ast::{Cq, Jucq};
+use rdfref_query::Cover;
 use rdfref_storage::{CostEstimate, CostModel};
 
 /// A candidate cover replaces the current one when it is cheaper by at least
@@ -119,7 +123,9 @@ fn gcov_search(
     opts: &GcovOptions,
 ) -> Result<GcovResult> {
     let n = cq.size();
-    let mut cache = FragmentCache::default();
+    // The cost model's statistics describe the (possibly interval-encoded)
+    // store, so both the estimates and the returned plan speak its ids.
+    let mut cache = FragmentCache::new(cq, ctx, opts.limits).encoded();
     let mut explored: Vec<(Cover, Option<CostEstimate>)> = Vec::new();
     let mut seen: FxHashMap<Cover, Option<f64>> = FxHashMap::default();
 
@@ -133,7 +139,7 @@ fn gcov_search(
             // needed again (callers only re-request the winner).
             known.as_ref()?;
         }
-        match build_jucq(cq, cover, ctx, opts.limits, cache) {
+        match cache.jucq(cover) {
             Ok(jucq) => {
                 let est = model.jucq_estimate(&jucq);
                 if seen.insert(cover.clone(), Some(est.cost)).is_none() {
@@ -244,59 +250,13 @@ fn fragments_connected(cq: &Cq, cover: &Cover, a: usize, b: usize) -> bool {
     })
 }
 
-/// Cache of per-fragment reformulations, keyed by the fragment's atom-index
-/// set and exported columns (both determine the fragment CQ up to nothing).
-#[derive(Default)]
-struct FragmentCache {
-    map: FxHashMap<(Vec<usize>, Vec<Var>), std::result::Result<Ucq, ()>>,
-}
-
-fn build_jucq(
-    cq: &Cq,
-    cover: &Cover,
-    ctx: &RewriteContext<'_>,
-    limits: ReformulationLimits,
-    cache: &mut FragmentCache,
-) -> Result<Jucq> {
-    let columns = cover.fragment_columns(cq);
-    let mut fragments = Vec::with_capacity(cover.len());
-    for (frag_atoms, cols) in cover.fragments().iter().zip(&columns) {
-        let key = (frag_atoms.clone(), cols.clone());
-        let cached = match cache.map.get(&key) {
-            Some(hit) => hit.clone(),
-            None => {
-                let frag_cq = cq.project_fragment(frag_atoms, cols);
-                let computed = reformulate_ucq(&frag_cq, ctx, limits).map_err(|_| ());
-                cache.map.insert(key.clone(), computed.clone());
-                computed
-            }
-        };
-        match cached {
-            Ok(ucq) => fragments.push(Fragment::new(cols.clone(), ucq)?),
-            Err(()) => {
-                return Err(CoreError::ReformulationTooLarge {
-                    size: 0,
-                    limit: limits.max_cqs,
-                })
-            }
-        }
-    }
-    let jucq = Jucq::new(cq.head_vars(), fragments)?;
-    // Transport into store id space before pricing: the cost model's
-    // statistics describe the (possibly interval-encoded) store, so both
-    // the estimates and the returned plan must speak its ids.
-    Ok(match ctx.encoder {
-        Some(enc) => jucq.map_consts(&mut |c| enc.encode(c)),
-        None => jucq,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use rdfref_model::dictionary::ID_RDF_TYPE;
     use rdfref_model::{Dictionary, EncodedTriple, Schema, Term, TermId};
     use rdfref_query::ast::Atom;
+    use rdfref_query::Var;
     use rdfref_storage::{Stats, Store};
 
     fn v(n: &str) -> Var {
@@ -366,14 +326,9 @@ mod tests {
             result.cover
         );
         // And the estimate must beat the SCQ cover's estimate.
-        let scq = build_jucq(
-            &q,
-            &Cover::singletons(3),
-            &ctx,
-            ReformulationLimits::default(),
-            &mut FragmentCache::default(),
-        )
-        .unwrap();
+        let scq = FragmentCache::new(&q, &ctx, ReformulationLimits::default())
+            .jucq(&Cover::singletons(3))
+            .unwrap();
         assert!(result.estimate.cost < model.jucq_estimate(&scq).cost);
         // The search recorded its exploration.
         assert!(result.explored.len() >= 2);

@@ -6,16 +6,22 @@
 //! query" (§4 of the paper).
 //!
 //! [`reformulate_jucq`] implements exactly that: slice the query along the
-//! cover, reformulate each fragment with the same 13-rule engine, and
-//! package the result as a [`Jucq`] whose fragments join on shared column
-//! names. [`reformulate_scq`] is the singleton-cover special case — the SCQ
-//! reformulation of Thomazo [IJCAI'13].
+//! cover, reformulate each fragment as the product of its atoms' unions
+//! ([`super::ucq`]), and package the result as a [`Jucq`] whose fragments
+//! join on shared column names. [`reformulate_scq`] is the singleton-cover
+//! special case — the SCQ reformulation of Thomazo [IJCAI'13].
+//!
+//! Both go through `FragmentCache`, the per-request state GCov's search
+//! shares: every atom's union is computed once, every fragment's once, and a
+//! fragment extends the cached union of a sub-fragment when one keeps the
+//! variables the rest of it needs.
 
 use crate::error::Result;
 use crate::reformulate::rules::RewriteContext;
-use crate::reformulate::ucq::{reformulate_ucq, ReformulationLimits};
-use rdfref_query::ast::{Cq, Fragment, Jucq};
-use rdfref_query::Cover;
+use crate::reformulate::ucq::{join, AtomUnion, Factor, ReformulationLimits};
+use rdfref_model::fxhash::FxHashMap;
+use rdfref_query::ast::{Cq, Fragment, Jucq, PTerm, Ucq};
+use rdfref_query::{Cover, Var};
 
 /// Reformulate `cq` along `cover` into a JUCQ.
 ///
@@ -28,47 +34,7 @@ pub fn reformulate_jucq(
     ctx: &RewriteContext<'_>,
     limits: ReformulationLimits,
 ) -> Result<Jucq> {
-    let columns = cover.fragment_columns(cq);
-    let mut fragments = Vec::with_capacity(cover.len());
-    for (frag_atoms, cols) in cover.fragments().iter().zip(&columns) {
-        let frag_cq = cq.project_fragment(frag_atoms, cols);
-        let ucq = reformulate_ucq(&frag_cq, ctx, limits)?;
-        fragments.push(Fragment::new(cols.clone(), ucq)?);
-    }
-    #[cfg(feature = "strict-invariants")]
-    {
-        // Atom coverage: every atom of the query belongs to at least one
-        // cover fragment (fragments may overlap — §4 allows it), otherwise
-        // the JUCQ join would silently drop a conjunct.
-        let mut covered = vec![false; cq.size()];
-        for frag_atoms in cover.fragments() {
-            for &a in frag_atoms {
-                if let Some(slot) = covered.get_mut(a) {
-                    *slot = true;
-                }
-            }
-        }
-        debug_assert!(
-            covered.iter().all(|&c| c),
-            "cover leaves atoms of the query uncovered: {covered:?}"
-        );
-        // Column consistency: each fragment exports exactly the columns its
-        // UCQ members produce.
-        for (frag, cols) in fragments.iter().zip(&columns) {
-            debug_assert_eq!(
-                &frag.columns, cols,
-                "fragment exports drifted from cover columns"
-            );
-            for member in &frag.ucq.cqs {
-                debug_assert_eq!(
-                    member.arity(),
-                    cols.len(),
-                    "fragment UCQ member arity diverges from its column list"
-                );
-            }
-        }
-    }
-    Ok(Jucq::new(cq.head_vars(), fragments)?)
+    FragmentCache::new(cq, ctx, limits).jucq(cover)
 }
 
 /// The SCQ reformulation: one fragment per atom.
@@ -80,9 +46,172 @@ pub fn reformulate_scq(
     reformulate_jucq(cq, &Cover::singletons(cq.size()), ctx, limits)
 }
 
+/// The reformulations of one query's atoms and fragments, each computed
+/// once (see the module docs).
+pub(crate) struct FragmentCache<'q, 'c> {
+    cq: &'q Cq,
+    ctx: &'q RewriteContext<'c>,
+    limits: ReformulationLimits,
+    /// Serve fragments in store id space (what the cost model prices).
+    encoded: bool,
+    atoms: Vec<Option<AtomUnion>>,
+    /// Fragment unions by atom set and columns (or the error of one over the
+    /// limit).
+    fragments: FxHashMap<(Vec<usize>, Vec<Var>), Result<Union>>,
+}
+
+/// A fragment's union, and the same in store id space when the cache serves
+/// it encoded (transported once, when it enters the cache).
+struct Union {
+    plain: Ucq,
+    encoded: Option<Ucq>,
+}
+
+impl<'q, 'c> FragmentCache<'q, 'c> {
+    pub(crate) fn new(
+        cq: &'q Cq,
+        ctx: &'q RewriteContext<'c>,
+        limits: ReformulationLimits,
+    ) -> Self {
+        FragmentCache {
+            cq,
+            ctx,
+            limits,
+            encoded: false,
+            atoms: (0..cq.size()).map(|_| None).collect(),
+            fragments: FxHashMap::default(),
+        }
+    }
+
+    /// Serve fragments with their constants in store id space.
+    pub(crate) fn encoded(mut self) -> Self {
+        self.encoded = true;
+        self
+    }
+
+    /// Slice the query along `cover`, one cached fragment union each.
+    pub(crate) fn jucq(&mut self, cover: &Cover) -> Result<Jucq> {
+        let columns = cover.fragment_columns(self.cq);
+        let mut fragments = Vec::with_capacity(cover.len());
+        for (atoms, cols) in cover.fragments().iter().zip(&columns) {
+            fragments.push(self.fragment(atoms, cols)?);
+        }
+        #[cfg(feature = "strict-invariants")]
+        {
+            // Atom coverage: every atom of the query belongs to at least one
+            // cover fragment (fragments may overlap — §4 allows it), otherwise
+            // the JUCQ join would silently drop a conjunct.
+            let mut covered = vec![false; self.cq.size()];
+            for atoms in cover.fragments() {
+                for &a in atoms {
+                    if let Some(slot) = covered.get_mut(a) {
+                        *slot = true;
+                    }
+                }
+            }
+            debug_assert!(
+                covered.iter().all(|&c| c),
+                "cover leaves atoms of the query uncovered: {covered:?}"
+            );
+            // Column consistency: each fragment exports exactly the columns its
+            // UCQ members produce.
+            for (frag, cols) in fragments.iter().zip(&columns) {
+                debug_assert_eq!(
+                    &frag.columns, cols,
+                    "fragment exports drifted from cover columns"
+                );
+                for member in &frag.ucq.cqs {
+                    debug_assert_eq!(
+                        member.arity(),
+                        cols.len(),
+                        "fragment UCQ member arity diverges from its column list"
+                    );
+                }
+            }
+        }
+        Ok(Jucq::new(self.cq.head_vars(), fragments)?)
+    }
+
+    /// The union of the fragment `atoms` (sorted) exporting `columns`.
+    fn fragment(&mut self, atoms: &[usize], columns: &[Var]) -> Result<Fragment> {
+        let key = (atoms.to_vec(), columns.to_vec());
+        let union = match self.fragments.get(&key) {
+            Some(union) => served(union),
+            None => {
+                let union = self.compute(atoms, columns);
+                let served = served(&union);
+                self.fragments.insert(key, union);
+                served
+            }
+        };
+        Ok(Fragment::new(columns.to_vec(), union?)?)
+    }
+
+    fn compute(&mut self, atoms: &[usize], columns: &[Var]) -> Result<Union> {
+        for &i in atoms {
+            if self.atoms[i].is_none() {
+                self.atoms[i] = Some(AtomUnion::new(self.ctx, self.cq, i));
+            }
+        }
+        let atom = |i: usize| self.atoms[i].as_ref();
+        self.limits
+            .check(atoms.iter().filter_map(|&i| atom(i)).map(|a| a.raw))?;
+        // Extend the largest cached sub-fragment that exports every variable
+        // the rest of the fragment and its columns need; the remaining atoms
+        // join it one union each.
+        let needed = |sub: &[usize], v: &Var| {
+            columns.contains(v)
+                || atoms
+                    .iter()
+                    .any(|i| !sub.contains(i) && self.cq.body[*i].vars().any(|w| w == v))
+        };
+        let mut base: Option<(&[usize], Factor<'_>)> = None;
+        for ((sub, cols), union) in &self.fragments {
+            let proper = sub.len() < atoms.len() && sub.iter().all(|i| atoms.contains(i));
+            let wider = base.is_none_or(|(b, _)| b.len() < sub.len());
+            let Ok(union) = union else { continue };
+            if !proper || !wider {
+                continue;
+            }
+            let mut vars = sub.iter().flat_map(|&i| self.cq.body[i].vars());
+            if vars.all(|v| cols.contains(v) || !needed(sub, v)) {
+                let factor = Factor {
+                    vars: cols,
+                    ucq: &union.plain,
+                };
+                base = Some((sub, factor));
+            }
+        }
+        let rest = atoms
+            .iter()
+            .filter(|i| base.is_none_or(|(sub, _)| !sub.contains(i)));
+        let factors: Vec<Factor<'_>> = base
+            .map(|(_, f)| f)
+            .into_iter()
+            .chain(rest.filter_map(|&i| atom(i)).map(AtomUnion::factor))
+            .collect();
+        let head: Vec<PTerm> = columns.iter().cloned().map(PTerm::Var).collect();
+        let plain = join(self.ctx, &factors, &head);
+        let encoded = match self.ctx.encoder {
+            Some(enc) if self.encoded => Some(plain.map_consts(&mut |c| enc.encode(c))),
+            _ => None,
+        };
+        Ok(Union { plain, encoded })
+    }
+}
+
+/// A copy of a cached union, in store id space when it was encoded.
+fn served(union: &Result<Union>) -> Result<Ucq> {
+    union
+        .as_ref()
+        .map(|u| u.encoded.as_ref().unwrap_or(&u.plain).clone())
+        .map_err(Clone::clone)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reformulate::ucq::reformulate_ucq;
     use rdfref_model::dictionary::ID_RDF_TYPE;
     use rdfref_model::{Dictionary, Schema, Term, TermId};
     use rdfref_query::ast::Atom;
@@ -223,5 +352,24 @@ mod tests {
             }
         )
         .is_ok());
+    }
+
+    #[test]
+    fn a_fragment_extended_from_a_cached_one_is_the_product_of_its_atoms() {
+        let (_, s, ids) = setup();
+        let cl = s.closure();
+        let ctx = RewriteContext::new(&s, &cl);
+        let q = example_query(&ids);
+        let limits = ReformulationLimits::default();
+        let grown = Cover::new(vec![vec![0, 1], vec![2], vec![3]], 4).unwrap();
+        let whole = Cover::new(vec![vec![0, 1, 2], vec![3]], 4).unwrap();
+        let mut cache = FragmentCache::new(&q, &ctx, limits);
+        cache.jucq(&grown).unwrap();
+        let extended = cache.jucq(&whole).unwrap();
+        let direct = FragmentCache::new(&q, &ctx, limits).jucq(&whole).unwrap();
+        assert_eq!(extended, direct);
+        // The fragment {0, 1} exports `a`, which atom 2 joins on.
+        let key = (vec![0, 1], vec![v("x"), v("a")]);
+        assert!(cache.fragments.contains_key(&key));
     }
 }

@@ -6,11 +6,13 @@
 //!
 //! * [`rules`] — the 13 single-step rewriting rules w.r.t. the schema
 //!   closure;
-//! * [`ucq`] — the exhaustive fixpoint producing the classic UCQ
-//!   reformulation, with canonical deduplication and a size limit, then
-//!   minimised (subsumed disjuncts dropped, survivors cored);
+//! * [`ucq`] — the classic UCQ reformulation, built as the product of
+//!   one-step atom unions under a size limit and then minimised (subsumed
+//!   disjuncts dropped, survivors cored); the exhaustive rule fixpoint stays
+//!   as the paper's size and the oracle;
 //! * [`jucq`] — cover-induced JUCQ reformulations, including the SCQ special
-//!   case ([`reformulate_scq`]) and the one-fragment case (≡ UCQ).
+//!   case ([`reformulate_scq`]) and the one-fragment case (≡ UCQ), through a
+//!   per-request cache of atom and fragment unions that GCov shares.
 
 pub mod jucq;
 pub mod rules;

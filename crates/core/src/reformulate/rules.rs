@@ -2,8 +2,14 @@
 //!
 //! Each rule rewrites **one atom** of a CQ w.r.t. the schema closure
 //! `cl(S)`, optionally binding a variable of the atom to a schema constant
-//! (§3 of `DESIGN.md`). The fixpoint driver in [`super::ucq`] applies them
-//! exhaustively with canonical deduplication.
+//! (§3 of `DESIGN.md`). Because `cl(S)` is closed, one application reaches
+//! everything repeated application would: the subclasses, subproperties and
+//! effective domains/ranges a rule enumerates are already transitive. Only a
+//! rule-13 output (a property variable bound to a built-in) is an atom of a
+//! new kind, so [`super::ucq`] rewrites an atom once and a rule-13 output once
+//! more. The raw fixpoint ([`super::ucq::reformulate_ucq_raw`]) still applies
+//! the rules exhaustively: it is the paper's size and the oracle the one step
+//! is tested against.
 //!
 //! Writing `τ` = `rdf:type` and `≺sc`, `≺sp`, `←d`, `↪r` for the four
 //! constraints, with `c, p` constants and `x` a variable:
@@ -30,14 +36,20 @@
 //! constraint as witness atom. Rules 9–13 drive the UCQ blow-up of the
 //! paper's Example 1: a variable in class/property position multiplies the
 //! union by the closure size.
+//!
+//! With an interval encoder, every rule that enumerates a set of classes or
+//! properties (1, 2, 3, 4, 9, 10, 11, 12) emits each *maximal covered
+//! subtree* of the set as one id-interval term and the rest one by one, so
+//! the one step already holds the range atoms a second step would compress
+//! the enumeration into.
 
 use rdfref_model::dictionary::{
     ID_RDFS_DOMAIN, ID_RDFS_RANGE, ID_RDFS_SUBCLASSOF, ID_RDFS_SUBPROPERTYOF, ID_RDF_TYPE,
 };
-use rdfref_model::fxhash::FxHashSet;
+use rdfref_model::fxhash::{FxHashMap, FxHashSet};
+use rdfref_model::intervals::IdRange;
 use rdfref_model::{HierarchyEncoder, Schema, SchemaClosure, TermId};
 use rdfref_query::ast::{Atom, PTerm};
-use rdfref_query::var::FreshVars;
 use rdfref_query::Var;
 
 /// Which rule produced a rewrite (for explanation and tests).
@@ -96,6 +108,16 @@ pub struct RewriteContext<'a> {
     pub encoder: Option<&'a HierarchyEncoder>,
 }
 
+/// A hierarchy as the closure stores it: element → strict descendants.
+type Descendants = FxHashMap<TermId, FxHashSet<TermId>>;
+
+/// The two hierarchies whose subtrees an interval encoder can cover.
+#[derive(Debug, Clone, Copy)]
+enum Hierarchy {
+    Class,
+    Property,
+}
+
 impl<'a> RewriteContext<'a> {
     /// Build a context.
     pub fn new(schema: &'a Schema, closure: &'a SchemaClosure) -> Self {
@@ -112,16 +134,18 @@ impl<'a> RewriteContext<'a> {
         self
     }
 
-    /// All single-step rewrites of `atom`.
-    pub fn rewrite_atom(&self, atom: &Atom, fresh: &mut FreshVars) -> Vec<Rewrite> {
+    /// All single-step rewrites of `atom`. `fresh` is the existential
+    /// variable rules 2/3/10/11 introduce: a rewrite holds at most one, so
+    /// one name per atom position is enough.
+    pub fn rewrite_atom(&self, atom: &Atom, fresh: &Var) -> Vec<Rewrite> {
         let mut out = Vec::new();
         match &atom.p {
             PTerm::Const(p) if *p == ID_RDF_TYPE => self.rewrite_type_atom(atom, fresh, &mut out),
             PTerm::Const(p) if *p == ID_RDFS_SUBCLASSOF => {
-                self.rewrite_hierarchy_atom(atom, ID_RDFS_SUBCLASSOF, RuleId::R5, &mut out)
+                self.rewrite_hierarchy_atom(atom, Hierarchy::Class, &mut out)
             }
             PTerm::Const(p) if *p == ID_RDFS_SUBPROPERTYOF => {
-                self.rewrite_hierarchy_atom(atom, ID_RDFS_SUBPROPERTYOF, RuleId::R6, &mut out)
+                self.rewrite_hierarchy_atom(atom, Hierarchy::Property, &mut out)
             }
             PTerm::Const(p) if *p == ID_RDFS_DOMAIN => {
                 self.rewrite_typing_constraint_atom(atom, true, &mut out)
@@ -129,27 +153,14 @@ impl<'a> RewriteContext<'a> {
             PTerm::Const(p) if *p == ID_RDFS_RANGE => {
                 self.rewrite_typing_constraint_atom(atom, false, &mut out)
             }
-            PTerm::Const(p) => {
-                // Rule 4: ordinary property assertion. A covered property
-                // subtree compresses to one id-interval atom instead of a
-                // CQ per subproperty (the interval is exactly
-                // {p} ∪ subproperties, so the union is preserved).
-                if let Some((lo, hi)) = self.encoder.and_then(|e| e.prop_range(*p)) {
-                    out.push(Rewrite {
-                        atom: Atom::new(atom.s.clone(), PTerm::Range(lo, hi), atom.o.clone()),
-                        bindings: vec![],
-                        rule: RuleId::R4,
-                    });
-                } else {
-                    for sub in self.closure.subproperties_of(*p) {
-                        out.push(Rewrite {
-                            atom: Atom::new(atom.s.clone(), sub, atom.o.clone()),
-                            bindings: vec![],
-                            rule: RuleId::R4,
-                        });
-                    }
-                }
-            }
+            // Rule 4: ordinary property assertion.
+            PTerm::Const(p) => self.emit_descendants(Hierarchy::Property, *p, |q| {
+                out.push(Rewrite {
+                    atom: Atom::new(atom.s.clone(), q, atom.o.clone()),
+                    bindings: vec![],
+                    rule: RuleId::R4,
+                })
+            }),
             // An id-interval in property position already absorbs all
             // subproperty unfolding of the property it stands for; no rule
             // applies on top of it.
@@ -159,70 +170,85 @@ impl<'a> RewriteContext<'a> {
         out
     }
 
-    /// Emit one property term per member of `props`, compressing maximal
-    /// covered subtrees (greedy, widest first) into id-interval terms.
-    /// The emitted terms cover exactly the input set: an interval replaces
-    /// `{p} ∪ subproperties_of(p)` only when all of them are in `props`.
-    fn emit_property_family(
+    fn descendants(&self, h: Hierarchy) -> &'a Descendants {
+        match h {
+            Hierarchy::Class => &self.closure.subclasses,
+            Hierarchy::Property => &self.closure.subproperties,
+        }
+    }
+
+    /// The interval of `top`'s subtree, when the encoder covers it.
+    fn covered(&self, h: Hierarchy, top: TermId) -> Option<IdRange> {
+        let enc = self.encoder?;
+        match h {
+            Hierarchy::Class => enc.class_range(top),
+            Hierarchy::Property => enc.prop_range(top),
+        }
+    }
+
+    /// Emit the strict descendants of `top`: its own interval when its
+    /// subtree is covered (the interval also matches `top` itself, which the
+    /// atom being rewritten already does — harmless under set semantics),
+    /// else their family.
+    fn emit_descendants(&self, h: Hierarchy, top: TermId, mut emit: impl FnMut(PTerm)) {
+        if let Some((lo, hi)) = self.covered(h, top) {
+            emit(PTerm::Range(lo, hi));
+        } else if let Some(below) = self.descendants(h).get(&top) {
+            self.emit_family(h, below.iter().copied(), emit);
+        }
+    }
+
+    /// Emit one term per member of `members`, compressing maximal covered
+    /// subtrees (greedy, widest first) into id-interval terms. The emitted
+    /// terms cover exactly the input set: an interval replaces an element and
+    /// its descendants only when all of them are members.
+    fn emit_family(
         &self,
-        props: impl Iterator<Item = TermId>,
+        h: Hierarchy,
+        members: impl Iterator<Item = TermId>,
         mut emit: impl FnMut(PTerm),
     ) {
-        let Some(enc) = self.encoder else {
-            for p in props {
-                emit(PTerm::Const(p));
-            }
+        if self.encoder.is_none() {
+            members.for_each(|m| emit(PTerm::Const(m)));
             return;
-        };
-        let set: FxHashSet<TermId> = props.collect();
-        let mut ordered: Vec<(usize, TermId)> = set
-            .iter()
-            .map(|&p| (self.closure.subproperties_of(p).count(), p))
-            .collect();
+        }
+        let below = self.descendants(h);
+        let set: FxHashSet<TermId> = members.collect();
+        let width = |m: &TermId| below.get(m).map_or(0, |d| d.len());
+        let mut ordered: Vec<TermId> = set.iter().copied().collect();
         // Widest subtree first; id order as deterministic tiebreak.
-        ordered.sort_unstable_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
+        ordered.sort_unstable_by(|a, b| width(b).cmp(&width(a)).then(a.cmp(b)));
         let mut handled: FxHashSet<TermId> = FxHashSet::default();
-        for (_, p) in ordered {
-            if handled.contains(&p) {
+        for m in ordered {
+            if !handled.insert(m) {
                 continue;
             }
-            handled.insert(p);
-            if let Some((lo, hi)) = enc.prop_range(p) {
-                let subs: Vec<TermId> = self.closure.subproperties_of(p).collect();
-                if subs.iter().all(|q| set.contains(q)) {
+            if let Some((lo, hi)) = self.covered(h, m) {
+                let subtree = below.get(&m).into_iter().flatten();
+                if subtree.clone().all(|d| set.contains(d)) {
                     emit(PTerm::Range(lo, hi));
-                    handled.extend(subs);
+                    handled.extend(subtree);
                     continue;
                 }
             }
-            emit(PTerm::Const(p));
+            emit(PTerm::Const(m));
         }
     }
 
     /// Rules 1–3 (constant class) and 9–11 (variable class).
-    fn rewrite_type_atom(&self, atom: &Atom, fresh: &mut FreshVars, out: &mut Vec<Rewrite>) {
+    fn rewrite_type_atom(&self, atom: &Atom, fresh: &Var, out: &mut Vec<Rewrite>) {
+        let typed = |o: PTerm| Atom::new(atom.s.clone(), ID_RDF_TYPE, o);
         match &atom.o {
             PTerm::Const(c) => {
-                // Rule 1: a covered subtree compresses to a single
-                // id-interval atom (the interval is {c} ∪ subclasses, so the
-                // union of the enumerated rewrites is preserved; the
-                // pre-rewrite CQ stays in the union regardless).
-                if let Some((lo, hi)) = self.encoder.and_then(|e| e.class_range(*c)) {
+                self.emit_descendants(Hierarchy::Class, *c, |o| {
                     out.push(Rewrite {
-                        atom: Atom::new(atom.s.clone(), ID_RDF_TYPE, PTerm::Range(lo, hi)),
+                        atom: typed(o),
                         bindings: vec![],
                         rule: RuleId::R1,
-                    });
-                } else {
-                    for sub in self.closure.subclasses_of(*c) {
-                        out.push(Rewrite {
-                            atom: Atom::new(atom.s.clone(), ID_RDF_TYPE, sub),
-                            bindings: vec![],
-                            rule: RuleId::R1,
-                        });
-                    }
-                }
-                self.emit_domain_range_rewrites(atom, *c, fresh, out);
+                    })
+                });
+                self.emit_typing(atom, *c, true, None, fresh, out);
+                self.emit_typing(atom, *c, false, None, fresh, out);
             }
             // An interval stands for a class C and its whole subtree. Rule 1
             // is already absorbed; rules 2/3 still apply because the
@@ -231,73 +257,67 @@ impl<'a> RewriteContext<'a> {
             // C alone is sound, and it is complete for C itself.
             PTerm::Range(lo, hi) => {
                 if let Some(c) = self.encoder.and_then(|e| e.class_of_range((*lo, *hi))) {
-                    self.emit_domain_range_rewrites(atom, c, fresh, out);
+                    self.emit_typing(atom, c, true, None, fresh, out);
+                    self.emit_typing(atom, c, false, None, fresh, out);
                 }
             }
+            // Rules 9–11: bind x to every class the closure can entail a
+            // type of, and rewrite as rules 1–3 would rewrite `s τ c`.
             PTerm::Var(x) => {
-                // Rule 9: one rewrite per (sub, sup) closure pair; for a
-                // covered sup the per-sub enumeration compresses to a single
-                // interval rewrite (the interval also matches sup itself,
-                // which duplicates answers of the pre-rewrite CQ — harmless
-                // under set semantics).
-                let mut covered_sups: FxHashSet<TermId> = FxHashSet::default();
-                for (sub, sup) in self.closure.all_subclass_pairs() {
-                    if let Some((lo, hi)) = self.encoder.and_then(|e| e.class_range(sup)) {
-                        if covered_sups.insert(sup) {
-                            out.push(Rewrite {
-                                atom: Atom::new(atom.s.clone(), ID_RDF_TYPE, PTerm::Range(lo, hi)),
-                                bindings: vec![(x.clone(), sup)],
-                                rule: RuleId::R9,
-                            });
-                        }
-                        continue;
-                    }
-                    out.push(Rewrite {
-                        atom: Atom::new(atom.s.clone(), ID_RDF_TYPE, sub),
-                        bindings: vec![(x.clone(), sup)],
-                        rule: RuleId::R9,
+                for &sup in self.closure.subclasses.keys() {
+                    self.emit_descendants(Hierarchy::Class, sup, |o| {
+                        out.push(Rewrite {
+                            atom: typed(o),
+                            bindings: vec![(x.clone(), sup)],
+                            rule: RuleId::R9,
+                        })
                     });
                 }
-                for (p, c) in self.closure.all_domain_pairs() {
-                    out.push(Rewrite {
-                        atom: Atom::new(atom.s.clone(), p, fresh.next()),
-                        bindings: vec![(x.clone(), c)],
-                        rule: RuleId::R10,
-                    });
+                for &c in self.closure.domain_of.keys() {
+                    self.emit_typing(atom, c, true, Some(x), fresh, out);
                 }
-                for (p, c) in self.closure.all_range_pairs() {
-                    out.push(Rewrite {
-                        atom: Atom::new(fresh.next(), p, atom.s.clone()),
-                        bindings: vec![(x.clone(), c)],
-                        rule: RuleId::R11,
-                    });
+                for &c in self.closure.range_of.keys() {
+                    self.emit_typing(atom, c, false, Some(x), fresh, out);
                 }
             }
         }
     }
 
-    /// Rules 2/3 for a class constant `c`: unfold into the properties whose
-    /// effective domain (resp. range) is `c`, compressing covered property
-    /// subtrees into interval terms.
-    fn emit_domain_range_rewrites(
+    /// Rules 2/3 for class `c` (rules 10/11 when `bound` is the class
+    /// variable bound to `c`): unfold into the properties whose effective
+    /// domain (`domain`) or range is `c`, covered property subtrees as
+    /// intervals.
+    fn emit_typing(
         &self,
         atom: &Atom,
         c: TermId,
-        fresh: &mut FreshVars,
+        domain: bool,
+        bound: Option<&Var>,
+        fresh: &Var,
         out: &mut Vec<Rewrite>,
     ) {
-        self.emit_property_family(self.closure.properties_with_domain(c), |pt| {
+        let of = if domain {
+            &self.closure.domain_of
+        } else {
+            &self.closure.range_of
+        };
+        let Some(props) = of.get(&c) else { return };
+        let rule = match (domain, bound.is_some()) {
+            (true, false) => RuleId::R2,
+            (false, false) => RuleId::R3,
+            (true, true) => RuleId::R10,
+            (false, true) => RuleId::R11,
+        };
+        self.emit_family(Hierarchy::Property, props.iter().copied(), |p| {
+            let atom = if domain {
+                Atom::new(atom.s.clone(), p, fresh.clone())
+            } else {
+                Atom::new(fresh.clone(), p, atom.s.clone())
+            };
             out.push(Rewrite {
-                atom: Atom::new(atom.s.clone(), pt, fresh.next()),
-                bindings: vec![],
-                rule: RuleId::R2,
-            });
-        });
-        self.emit_property_family(self.closure.properties_with_range(c), |pt| {
-            out.push(Rewrite {
-                atom: Atom::new(fresh.next(), pt, atom.s.clone()),
-                bindings: vec![],
-                rule: RuleId::R3,
+                atom,
+                bindings: bound.map(|x| vec![(x.clone(), c)]).unwrap_or_default(),
+                rule,
             });
         });
     }
@@ -305,23 +325,15 @@ impl<'a> RewriteContext<'a> {
     /// Rules 5/6: queries over the `subClassOf`/`subPropertyOf` hierarchy.
     /// An entailed pair decomposes as one explicit first hop into `mid`,
     /// whose closure tail reaches the (constant or bound) super element.
-    fn rewrite_hierarchy_atom(
-        &self,
-        atom: &Atom,
-        pred: TermId,
-        rule: RuleId,
-        out: &mut Vec<Rewrite>,
-    ) {
-        let tails = |sup: TermId| -> Vec<TermId> {
-            if pred == ID_RDFS_SUBCLASSOF {
-                self.closure.subclasses_of(sup).collect()
-            } else {
-                self.closure.subproperties_of(sup).collect()
-            }
+    fn rewrite_hierarchy_atom(&self, atom: &Atom, h: Hierarchy, out: &mut Vec<Rewrite>) {
+        let (pred, rule) = match h {
+            Hierarchy::Class => (ID_RDFS_SUBCLASSOF, RuleId::R5),
+            Hierarchy::Property => (ID_RDFS_SUBPROPERTYOF, RuleId::R6),
         };
+        let below = self.descendants(h);
         match &atom.o {
             PTerm::Const(c) => {
-                for mid in tails(*c) {
+                for &mid in below.get(c).into_iter().flatten() {
                     out.push(Rewrite {
                         atom: Atom::new(atom.s.clone(), pred, mid),
                         bindings: vec![],
@@ -334,17 +346,14 @@ impl<'a> RewriteContext<'a> {
             // there is nothing to unfold here.
             PTerm::Range(..) => {}
             PTerm::Var(x) => {
-                let pairs = if pred == ID_RDFS_SUBCLASSOF {
-                    self.closure.all_subclass_pairs()
-                } else {
-                    self.closure.all_subproperty_pairs()
-                };
-                for (mid, sup) in pairs {
-                    out.push(Rewrite {
-                        atom: Atom::new(atom.s.clone(), pred, mid),
-                        bindings: vec![(x.clone(), sup)],
-                        rule,
-                    });
+                for (&sup, mids) in below {
+                    for &mid in mids {
+                        out.push(Rewrite {
+                            atom: Atom::new(atom.s.clone(), pred, mid),
+                            bindings: vec![(x.clone(), sup)],
+                            rule,
+                        });
+                    }
                 }
             }
         }
@@ -418,31 +427,19 @@ impl<'a> RewriteContext<'a> {
 
     /// Rules 12/13: variable in property position.
     fn rewrite_var_property_atom(&self, atom: &Atom, x: &Var, out: &mut Vec<Rewrite>) {
-        // Rule 12: bind to each super-property with an explicit sub-hop.
-        // For a covered sup the per-sub enumeration compresses to a single
-        // interval rewrite (the interval also matches sup itself, which
-        // duplicates answers of the pre-rewrite CQ — harmless under set
-        // semantics).
-        let mut covered_sups: FxHashSet<TermId> = FxHashSet::default();
-        for (sub, sup) in self.closure.all_subproperty_pairs() {
-            if let Some((lo, hi)) = self.encoder.and_then(|e| e.prop_range(sup)) {
-                if covered_sups.insert(sup) {
-                    out.push(Rewrite {
-                        atom: Atom::new(atom.s.clone(), PTerm::Range(lo, hi), atom.o.clone()),
-                        bindings: vec![(x.clone(), sup)],
-                        rule: RuleId::R12,
-                    });
-                }
-                continue;
-            }
-            out.push(Rewrite {
-                atom: Atom::new(atom.s.clone(), sub, atom.o.clone()),
-                bindings: vec![(x.clone(), sup)],
-                rule: RuleId::R12,
+        // Rule 12: bind to each super-property and rewrite as rule 4 would
+        // rewrite `s p o`.
+        for &sup in self.closure.subproperties.keys() {
+            self.emit_descendants(Hierarchy::Property, sup, |p| {
+                out.push(Rewrite {
+                    atom: Atom::new(atom.s.clone(), p, atom.o.clone()),
+                    bindings: vec![(x.clone(), sup)],
+                    rule: RuleId::R12,
+                })
             });
         }
         // Rule 13: bind to built-ins with non-trivial entailments; the
-        // fixpoint then expands the bound atom with rules 1–11. The unbound
+        // bound atom is then rewritten once more by rules 1–11. The unbound
         // original atom already matches all *explicit* triples, so only
         // built-ins that can entail something are worth binding.
         let mut candidates: Vec<TermId> = Vec::new();
@@ -504,8 +501,8 @@ mod tests {
         let (_, s, _) = setup();
         let cl = s.closure();
         let ctx = RewriteContext::new(&s, &cl);
-        let mut fresh = FreshVars::new();
-        ctx.rewrite_atom(&atom, &mut fresh)
+        let fresh = Var::fresh(0);
+        ctx.rewrite_atom(&atom, &fresh)
     }
 
     #[test]
@@ -513,10 +510,10 @@ mod tests {
         let (_, s, ids) = setup();
         let cl = s.closure();
         let ctx = RewriteContext::new(&s, &cl);
-        let mut fresh = FreshVars::new();
+        let fresh = Var::fresh(0);
         // (x τ Publication): R1 → (x τ Book); R2 → (x writtenBy f)
         // (domain of writtenBy is Book ⊑ Publication, so effective).
-        let rws = ctx.rewrite_atom(&Atom::new(v("x"), ID_RDF_TYPE, ids[1]), &mut fresh);
+        let rws = ctx.rewrite_atom(&Atom::new(v("x"), ID_RDF_TYPE, ids[1]), &fresh);
         assert!(rws
             .iter()
             .any(|r| r.rule == RuleId::R1 && r.atom == Atom::new(v("x"), ID_RDF_TYPE, ids[0])));
@@ -524,7 +521,7 @@ mod tests {
             .iter()
             .any(|r| r.rule == RuleId::R2 && r.atom.p == PTerm::Const(ids[2])));
         // (x τ Person): R3 → (f writtenBy x).
-        let rws = ctx.rewrite_atom(&Atom::new(v("x"), ID_RDF_TYPE, ids[4]), &mut fresh);
+        let rws = ctx.rewrite_atom(&Atom::new(v("x"), ID_RDF_TYPE, ids[4]), &fresh);
         assert!(rws
             .iter()
             .any(|r| r.rule == RuleId::R3 && r.atom.o == PTerm::Var(v("x"))));
@@ -587,14 +584,14 @@ mod tests {
         s.add_subclass(b, c);
         let cl = s.closure();
         let ctx = RewriteContext::new(&s, &cl);
-        let mut fresh = FreshVars::new();
+        let fresh = Var::fresh(0);
         // (x ≺sc C): rewrites to (x ≺sc A) and (x ≺sc B).
-        let rws = ctx.rewrite_atom(&Atom::new(v("x"), ID_RDFS_SUBCLASSOF, c), &mut fresh);
+        let rws = ctx.rewrite_atom(&Atom::new(v("x"), ID_RDFS_SUBCLASSOF, c), &fresh);
         let mids: Vec<TermId> = rws.iter().map(|r| r.atom.o.as_const().unwrap()).collect();
         assert!(mids.contains(&a) && mids.contains(&b));
         assert!(rws.iter().all(|r| r.rule == RuleId::R5));
         // (x ≺sc y): binds y over closure pairs.
-        let rws = ctx.rewrite_atom(&Atom::new(v("x"), ID_RDFS_SUBCLASSOF, v("y")), &mut fresh);
+        let rws = ctx.rewrite_atom(&Atom::new(v("x"), ID_RDFS_SUBCLASSOF, v("y")), &fresh);
         assert_eq!(rws.iter().filter(|r| r.rule == RuleId::R5).count(), 3); // (A,B),(A,C),(B,C)
     }
 
@@ -603,11 +600,11 @@ mod tests {
         let (_, s, ids) = setup();
         let cl = s.closure();
         let ctx = RewriteContext::new(&s, &cl);
-        let mut fresh = FreshVars::new();
+        let fresh = Var::fresh(0);
         // (p ←d c) with both vars: entailed pairs are
         // (writtenBy, Book) [declared — skipped as identity],
         // (writtenBy, Publication).
-        let rws = ctx.rewrite_atom(&Atom::new(v("p"), ID_RDFS_DOMAIN, v("c")), &mut fresh);
+        let rws = ctx.rewrite_atom(&Atom::new(v("p"), ID_RDFS_DOMAIN, v("c")), &fresh);
         assert_eq!(rws.len(), 1);
         let r = &rws[0];
         assert_eq!(r.rule, RuleId::R7);
@@ -627,18 +624,15 @@ mod tests {
         s.add_subproperty(p2, p3);
         let cl = s.closure();
         let ctx = RewriteContext::new(&s, &cl);
-        let mut fresh = FreshVars::new();
+        let fresh = Var::fresh(0);
         // (x ≺sp p3): rewrites to (x ≺sp p1) and (x ≺sp p2).
-        let rws = ctx.rewrite_atom(&Atom::new(v("x"), ID_RDFS_SUBPROPERTYOF, p3), &mut fresh);
+        let rws = ctx.rewrite_atom(&Atom::new(v("x"), ID_RDFS_SUBPROPERTYOF, p3), &fresh);
         assert_eq!(rws.len(), 2);
         assert!(rws.iter().all(|r| r.rule == RuleId::R6));
         let mids: Vec<TermId> = rws.iter().map(|r| r.atom.o.as_const().unwrap()).collect();
         assert!(mids.contains(&p1) && mids.contains(&p2));
         // Variable object binds over the closure pairs: (p1,p2),(p1,p3),(p2,p3).
-        let rws = ctx.rewrite_atom(
-            &Atom::new(v("x"), ID_RDFS_SUBPROPERTYOF, v("y")),
-            &mut fresh,
-        );
+        let rws = ctx.rewrite_atom(&Atom::new(v("x"), ID_RDFS_SUBPROPERTYOF, v("y")), &fresh);
         assert_eq!(rws.iter().filter(|r| r.rule == RuleId::R6).count(), 3);
     }
 
@@ -647,11 +641,11 @@ mod tests {
         let (_, s, ids) = setup();
         let cl = s.closure();
         let ctx = RewriteContext::new(&s, &cl);
-        let mut fresh = FreshVars::new();
+        let fresh = Var::fresh(0);
         // Declared: range(writtenBy) = Person; Person has no superclass, so
         // the only closure pair is the declared one — no non-identity
         // rewrites.
-        let rws = ctx.rewrite_atom(&Atom::new(v("p"), ID_RDFS_RANGE, v("c")), &mut fresh);
+        let rws = ctx.rewrite_atom(&Atom::new(v("p"), ID_RDFS_RANGE, v("c")), &fresh);
         assert!(rws.is_empty());
         // Add Person ⊑ Agent: now (writtenBy, Agent) is entailed, with the
         // declared triple as witness.
@@ -664,7 +658,7 @@ mod tests {
         s2.add_subclass(ids[4], agent);
         let cl2 = s2.closure();
         let ctx2 = RewriteContext::new(&s2, &cl2);
-        let rws = ctx2.rewrite_atom(&Atom::new(v("p"), ID_RDFS_RANGE, v("c")), &mut fresh);
+        let rws = ctx2.rewrite_atom(&Atom::new(v("p"), ID_RDFS_RANGE, v("c")), &fresh);
         assert_eq!(rws.len(), 1);
         assert_eq!(rws[0].rule, RuleId::R8);
         assert_eq!(rws[0].bindings, vec![(v("p"), ids[2]), (v("c"), agent)]);
@@ -672,18 +666,50 @@ mod tests {
     }
 
     #[test]
+    fn an_encoder_turns_each_maximal_covered_subtree_into_one_interval() {
+        // C ⊑ D and C ⊑ F, C's children K1, K2. C's subtree is an interval;
+        // F's is not (C hangs under D, its smaller parent).
+        let mut d = Dictionary::new();
+        let [dd, f, c, k1, k2] = ["D", "F", "C", "K1", "K2"].map(|n| d.intern(&Term::iri(n)));
+        let mut s = Schema::new();
+        for (sub, sup) in [(c, dd), (c, f), (k1, c), (k2, c)] {
+            s.add_subclass(sub, sup);
+        }
+        let cl = s.closure();
+        let enc = HierarchyEncoder::build(&s, &cl, d.len());
+        let c_range = enc.class_range(c).unwrap();
+        assert!(enc.class_range(f).is_none());
+        let bound_to_f = |ctx: &RewriteContext<'_>| -> Vec<PTerm> {
+            let rws = ctx.rewrite_atom(&Atom::new(v("x"), ID_RDF_TYPE, v("u")), &Var::fresh(0));
+            let to_f = rws.into_iter().filter(|r| r.bindings == vec![(v("u"), f)]);
+            to_f.map(|r| r.atom.o).collect()
+        };
+        let classic = RewriteContext::new(&s, &cl);
+        assert_eq!(bound_to_f(&classic).len(), 3);
+        let interval = RewriteContext::new(&s, &cl).with_encoder(&enc);
+        assert_eq!(
+            bound_to_f(&interval),
+            vec![PTerm::Range(c_range.0, c_range.1)]
+        );
+        // Rule 1 on the constant F is the same family.
+        let rws = interval.rewrite_atom(&Atom::new(v("x"), ID_RDF_TYPE, f), &Var::fresh(0));
+        let objects: Vec<PTerm> = rws.into_iter().map(|r| r.atom.o).collect();
+        assert_eq!(objects, vec![PTerm::Range(c_range.0, c_range.1)]);
+    }
+
+    #[test]
     fn no_rewrites_with_empty_schema() {
         let s = Schema::new();
         let cl = s.closure();
         let ctx = RewriteContext::new(&s, &cl);
-        let mut fresh = FreshVars::new();
+        let fresh = Var::fresh(0);
         for atom in [
             Atom::new(v("x"), ID_RDF_TYPE, v("u")),
             Atom::new(v("x"), v("p"), v("y")),
             Atom::new(v("x"), ID_RDFS_SUBCLASSOF, v("y")),
         ] {
             assert!(
-                ctx.rewrite_atom(&atom, &mut fresh).is_empty(),
+                ctx.rewrite_atom(&atom, &fresh).is_empty(),
                 "unexpected rewrites for {atom:?}"
             );
         }

@@ -371,50 +371,6 @@ impl SchemaClosure {
             .unwrap_or(false)
     }
 
-    /// All strict `(sub, super)` subclass pairs in the closure.
-    pub fn all_subclass_pairs(&self) -> Vec<(TermId, TermId)> {
-        let mut v: Vec<_> = self
-            .superclasses
-            .iter()
-            .flat_map(|(&sub, sups)| sups.iter().map(move |&sup| (sub, sup)))
-            .collect();
-        v.sort_unstable();
-        v
-    }
-
-    /// All strict `(sub, super)` subproperty pairs in the closure.
-    pub fn all_subproperty_pairs(&self) -> Vec<(TermId, TermId)> {
-        let mut v: Vec<_> = self
-            .superproperties
-            .iter()
-            .flat_map(|(&sub, sups)| sups.iter().map(move |&sup| (sub, sup)))
-            .collect();
-        v.sort_unstable();
-        v
-    }
-
-    /// All effective `(property, class)` domain pairs.
-    pub fn all_domain_pairs(&self) -> Vec<(TermId, TermId)> {
-        let mut v: Vec<_> = self
-            .domains
-            .iter()
-            .flat_map(|(&p, cs)| cs.iter().map(move |&c| (p, c)))
-            .collect();
-        v.sort_unstable();
-        v
-    }
-
-    /// All effective `(property, class)` range pairs.
-    pub fn all_range_pairs(&self) -> Vec<(TermId, TermId)> {
-        let mut v: Vec<_> = self
-            .ranges
-            .iter()
-            .flat_map(|(&p, cs)| cs.iter().map(move |&c| (p, c)))
-            .collect();
-        v.sort_unstable();
-        v
-    }
-
     /// Total number of closure entries (a size measure for experiment
     /// reports: the reformulation blow-up is driven by this).
     pub fn len(&self) -> usize {
@@ -549,19 +505,6 @@ mod tests {
             assert!(s2.add_encoded(t));
         }
         assert_eq!(s, s2);
-    }
-
-    #[test]
-    fn closure_pair_enumeration_sorted_and_complete() {
-        let mut d = Dictionary::new();
-        let v = ids(&mut d, &["A", "B", "C"]);
-        let mut s = Schema::new();
-        s.add_subclass(v[0], v[1]);
-        s.add_subclass(v[1], v[2]);
-        let cl = s.closure();
-        let pairs = cl.all_subclass_pairs();
-        assert_eq!(pairs.len(), 3); // A<B, A<C, B<C
-        assert!(pairs.windows(2).all(|w| w[0] <= w[1]));
     }
 
     #[test]
