@@ -24,7 +24,7 @@ use crate::explain::{CacheReport, Explain};
 use crate::gcov::{gcov_with_obs, GcovOptions, GcovResult};
 use crate::incomplete::IncompletenessProfile;
 use crate::reformulate::jucq::FragmentCache;
-use crate::reformulate::rules::RewriteContext;
+use crate::reformulate::rules::{identity_encoder, RewriteContext};
 use crate::reformulate::ucq::{reformulate_ucq, ReformulationLimits};
 use rdfref_model::{DictEncoding, Graph, HierarchyEncoder, Schema, SchemaClosure, TermId};
 use rdfref_obs::Obs;
@@ -35,6 +35,7 @@ use rdfref_reasoning::saturate_in_place_obs;
 use rdfref_storage::evaluator::{head_names, Evaluator};
 use rdfref_storage::{ExecMetrics, JoinAlgorithm, Parallelism, Relation, Stats, Store};
 use rdfref_sync::{Arc, OnceLock};
+use std::borrow::Cow;
 use std::time::Instant;
 
 /// A query answering strategy.
@@ -235,37 +236,35 @@ impl QueryAnswer {
     }
 }
 
-/// The interval encoder for `encoding` over a schema closure and a dictionary
-/// of `universe` terms; `None` for the classic encoding.
+// Base ↔ store transport. Graphs, the reasoner, the dictionary and the
+// Datalog paths speak base ids; stores and the plans evaluated over them
+// speak the encoder's. These helpers, `Database::{encode_cq, encode_ucq,
+// decode}` and `HierarchyEncoder::encode_triples` are where ids cross over;
+// under the identity encoder (classic) each hands its input back untouched.
+
+/// The encoder for `encoding` over a schema closure and a dictionary of
+/// `universe` terms: the shared identity for the classic encoding.
 pub(crate) fn build_encoder(
     encoding: DictEncoding,
     schema: &Schema,
     closure: &SchemaClosure,
     universe: usize,
-) -> Option<Arc<HierarchyEncoder>> {
+) -> Arc<HierarchyEncoder> {
     match encoding {
-        DictEncoding::Classic => None,
-        DictEncoding::Interval => {
-            Some(Arc::new(HierarchyEncoder::build(schema, closure, universe)))
-        }
+        DictEncoding::Classic => Arc::clone(identity_encoder()),
+        DictEncoding::Interval => Arc::new(HierarchyEncoder::build(schema, closure, universe)),
     }
 }
 
-/// A store over `graph`'s triples, transported into `encoder`'s id space
-/// when there is one. Graphs (and the reasoner, dictionary and Datalog
-/// paths) stay in base space; this is the one place triples cross over.
-pub(crate) fn encode_store(graph: &Graph, encoder: Option<&HierarchyEncoder>) -> Store {
-    match encoder {
-        Some(enc) => {
-            let triples: Vec<rdfref_model::EncodedTriple> = graph
-                .triples()
-                .iter()
-                .map(|t| enc.encode_triple(t))
-                .collect();
-            Store::from_triples(&triples)
-        }
-        None => Store::from_graph(graph),
-    }
+/// A store over `graph`'s triples in `encoder`'s id space.
+pub(crate) fn encode_store(graph: &Graph, encoder: &HierarchyEncoder) -> Store {
+    Store::from_triples(&encoder.encode_triples(graph.triples()))
+}
+
+/// `ucq` with its constants in `encoder`'s id space; `None` under the
+/// identity, where they already are.
+pub(crate) fn encoded_ucq(encoder: &HierarchyEncoder, ucq: &Ucq) -> Option<Ucq> {
+    (!encoder.is_identity()).then(|| ucq.map_consts(&mut |c| encoder.encode(c)))
 }
 
 /// The evaluator every Sat/Ref arm runs: `store` and its statistics under
@@ -323,11 +322,12 @@ pub struct Database {
     /// Database-wide observability sink (disabled by default); a request
     /// can override it via [`AnswerOptions::with_obs`].
     obs: Obs,
-    /// The interval encoder ([`DictEncoding::Interval`] only): bijection
-    /// between base dictionary ids and hierarchy-clustered store ids. The
-    /// dictionary, parser, reasoner and Datalog paths stay in base space;
-    /// only the store — and the plans evaluated over it — are remapped.
-    encoder: Option<Arc<HierarchyEncoder>>,
+    /// The store's encoder: bijection between base dictionary ids and
+    /// store ids, hierarchy-clustered under [`DictEncoding::Interval`] and
+    /// the identity under [`DictEncoding::Classic`]. The dictionary, parser,
+    /// reasoner and Datalog paths stay in base space; only the store — and
+    /// the plans evaluated over it — are remapped.
+    encoder: Arc<HierarchyEncoder>,
     /// Engine-level default parallelism policy, set by the builder. The
     /// request builder starts from it; explicit [`AnswerOptions`] passed to
     /// [`Database::run_query`] are used as given.
@@ -359,7 +359,7 @@ impl Database {
         let schema = Schema::from_graph(&graph);
         let closure = schema.closure();
         let encoder = build_encoder(encoding, &schema, &closure, graph.dictionary().len());
-        let store = encode_store(&graph, encoder.as_deref());
+        let store = encode_store(&graph, &encoder);
         let stats = Stats::compute(&store);
         Database::from_parts(
             Arc::clone(graph.shared_dictionary()),
@@ -392,7 +392,7 @@ impl Database {
         cache: Arc<PlanCache>,
         epochs: Option<(u64, u64)>,
         obs: Obs,
-        encoder: Option<Arc<HierarchyEncoder>>,
+        encoder: Arc<HierarchyEncoder>,
         parallelism: Parallelism,
         join_algorithm: JoinAlgorithm,
     ) -> Database {
@@ -437,14 +437,10 @@ impl Database {
         self.graph.get_or_init(|| self.materialize_graph())
     }
 
-    /// A fresh graph over the store's triples, in base id space (interval-
-    /// encoded store triples are decoded on the way out).
+    /// A fresh graph over the store's triples, decoded to base id space.
     fn materialize_graph(&self) -> Graph {
-        let triples: Vec<rdfref_model::EncodedTriple> = match &self.encoder {
-            Some(enc) => self.store.iter().map(|t| enc.decode_triple(&t)).collect(),
-            None => self.store.iter().collect(),
-        };
-        Graph::from_encoded(Arc::clone(&self.dict), triples)
+        let triples = self.store.iter().map(|t| self.encoder.decode_triple(&t));
+        Graph::from_encoded(Arc::clone(&self.dict), triples.collect())
     }
 
     /// The dictionary the database's triples are encoded against.
@@ -489,18 +485,10 @@ impl Database {
         &self.stats
     }
 
-    /// Which id space the store lives in.
-    pub fn encoding(&self) -> DictEncoding {
-        if self.encoder.is_some() {
-            DictEncoding::Interval
-        } else {
-            DictEncoding::Classic
-        }
-    }
-
-    /// The interval encoder, when [`DictEncoding::Interval`] is active.
+    /// The store's encoder when it remaps ids ([`DictEncoding::Interval`]);
+    /// `None` for the identity, where store ids are dictionary ids.
     pub fn encoder(&self) -> Option<&Arc<HierarchyEncoder>> {
-        self.encoder.as_ref()
+        (!self.encoder.is_identity()).then_some(&self.encoder)
     }
 
     /// The saturation, if it has been built or installed.
@@ -516,7 +504,7 @@ impl Database {
             let added = saturate_in_place_obs(&mut g, obs);
             // Saturation runs in base space (the graph's); the saturated
             // store must live in the same id space as the explicit one.
-            let store = encode_store(&g, self.encoder.as_deref());
+            let store = encode_store(&g, &self.encoder);
             let stats = Stats::compute(&store);
             SaturatedPart {
                 store,
@@ -526,20 +514,25 @@ impl Database {
         })
     }
 
-    /// `cq` with constants remapped into store id space (no-op for classic).
-    fn encode_cq(&self, cq: &Cq) -> Cq {
-        match &self.encoder {
-            Some(enc) => cq.map_consts(&mut |c| enc.encode(c)),
-            None => cq.clone(),
+    /// `cq` with constants remapped into store id space.
+    fn encode_cq<'q>(&self, cq: &'q Cq) -> Cow<'q, Cq> {
+        if self.encoder.is_identity() {
+            return Cow::Borrowed(cq);
         }
+        Cow::Owned(cq.map_consts(&mut |c| self.encoder.encode(c)))
     }
 
-    /// `ucq` with constants remapped into store id space (no-op for classic).
+    /// `ucq` with constants remapped into store id space.
     fn encode_ucq(&self, ucq: Ucq) -> Ucq {
-        match &self.encoder {
-            Some(enc) => ucq.map_consts(&mut |c| enc.encode(c)),
-            None => ucq,
+        encoded_ucq(&self.encoder, &ucq).unwrap_or(ucq)
+    }
+
+    /// An answer computed over the store, decoded back to base ids.
+    fn decode(&self, relation: Relation) -> Relation {
+        if self.encoder.is_identity() {
+            return relation;
         }
+        relation.map_values(&mut |id| self.encoder.decode(id))
     }
 
     /// Force saturation now (otherwise lazy on the first `Saturation`
@@ -570,7 +563,18 @@ impl Database {
             ..Explain::default()
         };
         let mut metrics = ExecMetrics::default();
+        let finish = |relation: Relation, mut explain: Explain, metrics: ExecMetrics| {
+            // What the evaluator dispatched, not what the user's CQ alone
+            // would have: under Ref strategies it arbitrates per CQ.
+            explain.physical = crate::explain::PhysicalPlan::from_dispatched(&metrics.dispatched);
+            explain.metrics = metrics;
+            explain.answers = relation.len();
+            let mut answer = QueryAnswer::from_parts(relation, explain);
+            answer.explain.wall = start.elapsed();
+            answer
+        };
 
+        // Sat/Ref evaluate in store id space.
         let relation = match strategy {
             Strategy::Saturation => {
                 let sat = self.saturated_with(&obs);
@@ -674,26 +678,12 @@ impl Database {
                 for row in rows {
                     rel.push_row(&row)?;
                 }
-                rel
+                // Datalog runs over the base-space graph: its answer never
+                // was in store space, so it skips the decode.
+                return Ok(finish(rel, explain, metrics));
             }
         };
-
-        // Sat/Ref evaluate in store id space: decode the answers back to
-        // base ids. Datalog answers are already in base space (the graph's).
-        let relation = match (&self.encoder, strategy) {
-            (Some(_), Strategy::Datalog) => relation,
-            (Some(enc), _) => relation.map_values(&mut |id| enc.decode(id)),
-            (None, _) => relation,
-        };
-
-        // What the evaluator dispatched, not what the user's CQ alone would
-        // have: under Ref strategies it arbitrates per reformulated CQ.
-        explain.physical = crate::explain::PhysicalPlan::from_dispatched(&metrics.dispatched);
-        explain.metrics = metrics;
-        explain.answers = relation.len();
-        let mut answer = QueryAnswer::from_parts(relation, explain);
-        answer.explain.wall = start.elapsed();
-        Ok(answer)
+        Ok(finish(self.decode(relation), explain, metrics))
     }
 
     /// Produce the Ref plan for `cq`, through the plan cache when enabled.
@@ -785,14 +775,9 @@ impl Database {
         self.cache.lookup_at(key, schema_epoch, data_epoch)
     }
 
-    /// The rewriting context of this database's schema (and interval
-    /// encoder, if it has one).
+    /// The rewriting context of this database's schema and encoder.
     fn rewrite_context(&self) -> RewriteContext<'_> {
-        let ctx = RewriteContext::new(&self.schema, &self.closure);
-        match &self.encoder {
-            Some(enc) => ctx.with_encoder(enc),
-            None => ctx,
-        }
+        RewriteContext::new(&self.schema, &self.closure).with_encoder(&self.encoder)
     }
 
     /// Plan `cq` from scratch (no cache involvement).
@@ -1069,6 +1054,30 @@ ex:bioy ex:hasName "A. Bioy Casares" .
         }
         let snap = Database::builder().build_serving(g.clone()).snapshot();
         assert!(std::ptr::eq(g.dictionary(), snap.dictionary()));
+    }
+
+    /// `encoder()` is `None` exactly when store ids are dictionary ids: the
+    /// benchmark's replay encodes plans and decodes answers only when it is
+    /// `Some`.
+    #[test]
+    fn the_encoder_is_exposed_only_when_it_remaps_ids() {
+        let g = parse_turtle(DOC).unwrap();
+        assert!(Database::builder().build(g.clone()).encoder().is_none());
+        let serving = Database::builder().build_serving(g.clone());
+        assert!(serving.snapshot().database().encoder().is_none());
+        let ex = |n: &str| rdfref_model::Term::iri(format!("http://example.org/{n}"));
+        let subclass = rdfref_model::Term::iri(rdfref_model::vocab::RDFS_SUBCLASSOF);
+        let essay = rdfref_model::Triple::new(ex("Essay"), subclass, ex("Publication")).unwrap();
+        let report = serving.insert(vec![essay]).unwrap().wait().unwrap();
+        assert!(report.schema_changed());
+        assert!(serving.snapshot().database().encoder().is_none());
+
+        let interval = Database::builder()
+            .encoding(DictEncoding::Interval)
+            .build(g.clone());
+        let enc = interval.encoder().expect("interval ids are remapped");
+        let publication = g.dictionary().id_of(&ex("Publication")).unwrap();
+        assert!(enc.class_range(publication).is_some());
     }
 
     #[test]

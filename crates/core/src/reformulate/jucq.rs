@@ -16,10 +16,12 @@
 //! fragment extends the cached union of a sub-fragment when one keeps the
 //! variables the rest of it needs.
 
+use crate::answer::encoded_ucq;
 use crate::error::Result;
-use crate::reformulate::rules::RewriteContext;
+use crate::reformulate::rules::{identity_encoder, RewriteContext};
 use crate::reformulate::ucq::{join, AtomUnion, Factor, ReformulationLimits};
 use rdfref_model::fxhash::FxHashMap;
+use rdfref_model::HierarchyEncoder;
 use rdfref_query::ast::{Cq, Fragment, Jucq, PTerm, Ucq};
 use rdfref_query::{Cover, Var};
 
@@ -52,16 +54,17 @@ pub(crate) struct FragmentCache<'q, 'c> {
     cq: &'q Cq,
     ctx: &'q RewriteContext<'c>,
     limits: ReformulationLimits,
-    /// Serve fragments in store id space (what the cost model prices).
-    encoded: bool,
+    /// The id space fragments are served in: base ids (the identity), or
+    /// the context's store ids, which the cost model prices.
+    served_in: &'c HierarchyEncoder,
     atoms: Vec<Option<AtomUnion>>,
     /// Fragment unions by atom set and columns (or the error of one over the
     /// limit).
     fragments: FxHashMap<(Vec<usize>, Vec<Var>), Result<Union>>,
 }
 
-/// A fragment's union, and the same in store id space when the cache serves
-/// it encoded (transported once, when it enters the cache).
+/// A fragment's union, and the same in the id space it is served in when
+/// the ids differ there (transported once, when it enters the cache).
 struct Union {
     plain: Ucq,
     encoded: Option<Ucq>,
@@ -77,7 +80,7 @@ impl<'q, 'c> FragmentCache<'q, 'c> {
             cq,
             ctx,
             limits,
-            encoded: false,
+            served_in: identity_encoder(),
             atoms: (0..cq.size()).map(|_| None).collect(),
             fragments: FxHashMap::default(),
         }
@@ -85,7 +88,7 @@ impl<'q, 'c> FragmentCache<'q, 'c> {
 
     /// Serve fragments with their constants in store id space.
     pub(crate) fn encoded(mut self) -> Self {
-        self.encoded = true;
+        self.served_in = self.ctx.encoder;
         self
     }
 
@@ -192,10 +195,7 @@ impl<'q, 'c> FragmentCache<'q, 'c> {
             .collect();
         let head: Vec<PTerm> = columns.iter().cloned().map(PTerm::Var).collect();
         let plain = join(self.ctx, &factors, &head);
-        let encoded = match self.ctx.encoder {
-            Some(enc) if self.encoded => Some(plain.map_consts(&mut |c| enc.encode(c))),
-            _ => None,
-        };
+        let encoded = encoded_ucq(self.served_in, &plain);
         Ok(Union { plain, encoded })
     }
 }

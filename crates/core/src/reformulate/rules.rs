@@ -51,6 +51,7 @@ use rdfref_model::intervals::IdRange;
 use rdfref_model::{HierarchyEncoder, Schema, SchemaClosure, TermId};
 use rdfref_query::ast::{Atom, PTerm};
 use rdfref_query::Var;
+use rdfref_sync::{Arc, OnceLock};
 
 /// Which rule produced a rewrite (for explanation and tests).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -102,10 +103,17 @@ pub struct RewriteContext<'a> {
     pub schema: &'a Schema,
     /// The closure (all other rules).
     pub closure: &'a SchemaClosure,
-    /// Interval encoder: when set, rewrites that would enumerate a fully
-    /// covered subtree emit a single id-interval atom instead of one CQ
-    /// per descendant. `None` keeps classic (enumerating) reformulation.
-    pub encoder: Option<&'a HierarchyEncoder>,
+    /// The store's encoder: rewrites that would enumerate a subtree it
+    /// covers emit a single id-interval atom instead of one CQ per
+    /// descendant. The identity covers nothing.
+    pub encoder: &'a HierarchyEncoder,
+}
+
+/// The classic encoding's encoder, one per process (see
+/// [`HierarchyEncoder::is_identity`]).
+pub(crate) fn identity_encoder() -> &'static Arc<HierarchyEncoder> {
+    static IDENTITY: OnceLock<Arc<HierarchyEncoder>> = OnceLock::new();
+    IDENTITY.get_or_init(Arc::default)
 }
 
 /// A hierarchy as the closure stores it: element → strict descendants.
@@ -119,18 +127,18 @@ enum Hierarchy {
 }
 
 impl<'a> RewriteContext<'a> {
-    /// Build a context.
+    /// Build a context over the identity encoder.
     pub fn new(schema: &'a Schema, closure: &'a SchemaClosure) -> Self {
         RewriteContext {
             schema,
             closure,
-            encoder: None,
+            encoder: identity_encoder(),
         }
     }
 
     /// Enable interval compression with `encoder`.
     pub fn with_encoder(mut self, encoder: &'a HierarchyEncoder) -> Self {
-        self.encoder = Some(encoder);
+        self.encoder = encoder;
         self
     }
 
@@ -179,10 +187,17 @@ impl<'a> RewriteContext<'a> {
 
     /// The interval of `top`'s subtree, when the encoder covers it.
     fn covered(&self, h: Hierarchy, top: TermId) -> Option<IdRange> {
-        let enc = self.encoder?;
         match h {
-            Hierarchy::Class => enc.class_range(top),
-            Hierarchy::Property => enc.prop_range(top),
+            Hierarchy::Class => self.encoder.class_range(top),
+            Hierarchy::Property => self.encoder.prop_range(top),
+        }
+    }
+
+    /// Does the encoder cover any subtree of `h`?
+    fn covers_any(&self, h: Hierarchy) -> bool {
+        match h {
+            Hierarchy::Class => self.encoder.class_range_count() > 0,
+            Hierarchy::Property => self.encoder.prop_range_count() > 0,
         }
     }
 
@@ -201,14 +216,15 @@ impl<'a> RewriteContext<'a> {
     /// Emit one term per member of `members`, compressing maximal covered
     /// subtrees (greedy, widest first) into id-interval terms. The emitted
     /// terms cover exactly the input set: an interval replaces an element and
-    /// its descendants only when all of them are members.
+    /// its descendants only when all of them are members. Without a covered
+    /// subtree in `h` (always, under the identity) every member is its own.
     fn emit_family(
         &self,
         h: Hierarchy,
         members: impl Iterator<Item = TermId>,
         mut emit: impl FnMut(PTerm),
     ) {
-        if self.encoder.is_none() {
+        if !self.covers_any(h) {
             members.for_each(|m| emit(PTerm::Const(m)));
             return;
         }
@@ -256,7 +272,7 @@ impl<'a> RewriteContext<'a> {
             // of C (pwd/pwr are downward-closed under ⊑), so unfolding via
             // C alone is sound, and it is complete for C itself.
             PTerm::Range(lo, hi) => {
-                if let Some(c) = self.encoder.and_then(|e| e.class_of_range((*lo, *hi))) {
+                if let Some(c) = self.encoder.class_of_range((*lo, *hi)) {
                     self.emit_typing(atom, c, true, None, fresh, out);
                     self.emit_typing(atom, c, false, None, fresh, out);
                 }

@@ -39,7 +39,7 @@ use rdfref_model::fxhash::{FxHashSet, FxHasher};
 use rdfref_model::{HierarchyEncoder, TermId};
 use rdfref_query::ast::{Atom, Cq, PTerm, Substitution, Ucq};
 use rdfref_query::canonical::CanonicalSet;
-use rdfref_query::containment::{minimize_union, minimize_union_with};
+use rdfref_query::containment::minimize_union_with;
 use rdfref_query::Var;
 use std::hash::{BuildHasher, BuildHasherDefault};
 
@@ -155,13 +155,8 @@ pub fn reformulate_ucq_raw(
     ctx: &RewriteContext<'_>,
     limits: ReformulationLimits,
 ) -> Result<Ucq> {
-    let cq = match ctx.encoder {
-        Some(enc) => Cq::new_unchecked(
-            cq.head.clone(),
-            cq.body.iter().map(|a| compress(a, enc)).collect(),
-        ),
-        None => cq.clone(),
-    };
+    let body = cq.body.iter().map(|a| compress(a, ctx.encoder)).collect();
+    let cq = Cq::new_unchecked(cq.head.clone(), body);
     // A rewrite holds at most one fresh variable, so each atom position has
     // one of its own.
     let fresh: Vec<Var> = (0..cq.size()).map(Var::fresh).collect();
@@ -252,10 +247,7 @@ impl AtomUnion {
 /// atom's variables. Atom `i` names its fresh variable after its position,
 /// so the unions of a query's atoms never share one.
 fn atom_image(ctx: &RewriteContext<'_>, cq: &Cq, i: usize) -> (Vec<Var>, Vec<Cq>) {
-    let atom = match ctx.encoder {
-        Some(enc) => compress(&cq.body[i], enc),
-        None => cq.body[i].clone(),
-    };
+    let atom = compress(&cq.body[i], ctx.encoder);
     let fresh = Var::fresh(i);
     let mut vars: Vec<Var> = Vec::new();
     for v in atom.vars() {
@@ -327,11 +319,7 @@ fn bind(atom: &Atom, bindings: &[(Var, TermId)]) -> Atom {
 /// The minimisation every evaluated union goes through: constants are
 /// compared with intervals where the intervals live.
 pub(crate) fn minimize(ctx: &RewriteContext<'_>, cqs: Vec<Cq>) -> Ucq {
-    let ucq = Ucq { cqs };
-    match ctx.encoder {
-        Some(enc) => minimize_union_with(ucq, &|c| enc.encode(c)),
-        None => minimize_union(ucq),
-    }
+    minimize_union_with(Ucq { cqs }, &|c| ctx.encoder.encode(c))
 }
 
 /// A factor of a product: a minimised union whose members' heads line up
@@ -741,7 +729,7 @@ mod tests {
     fn assert_product_is_the_fixpoint(q: &Cq, ctx: &RewriteContext<'_>) {
         let product = reformulate_ucq(q, ctx, ReformulationLimits::default()).unwrap();
         let raw = reformulate_ucq_raw(q, ctx, ReformulationLimits::default()).unwrap();
-        let fixpoint = minimize_union(raw);
+        let fixpoint = minimize(ctx, raw.cqs);
         assert_eq!(product.len(), fixpoint.len(), "{q:?}");
         let covered = |by: &Ucq, of: &Ucq| {
             of.cqs.iter().all(|cq| {

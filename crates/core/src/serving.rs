@@ -276,25 +276,11 @@ struct Partition {
 
 impl Partition {
     /// Encode the reasoner's (base-space) graphs into fresh working stores.
-    fn encode(reasoner: &IncrementalReasoner, encoder: Option<&HierarchyEncoder>) -> Partition {
+    fn encode(reasoner: &IncrementalReasoner, encoder: &HierarchyEncoder) -> Partition {
         Partition {
             explicit: MaintainedStore::from_store(encode_store(reasoner.explicit(), encoder)),
             sat: MaintainedStore::from_store(encode_store(reasoner.saturated(), encoder)),
         }
-    }
-}
-
-/// A delta's triples transported into store id space (no-op slices stay
-/// borrowed for the classic path).
-fn encode_triples<'t>(
-    encoder: Option<&HierarchyEncoder>,
-    triples: &'t [EncodedTriple],
-) -> std::borrow::Cow<'t, [EncodedTriple]> {
-    match encoder {
-        Some(enc) => {
-            std::borrow::Cow::Owned(triples.iter().map(|t| enc.encode_triple(t)).collect())
-        }
-        None => std::borrow::Cow::Borrowed(triples),
     }
 }
 
@@ -316,11 +302,13 @@ struct WriterCore {
     seq: u64,
     cache: Arc<PlanCache>,
     obs: Obs,
-    /// The interval encoder, when the working stores live in interval id
-    /// space. The reasoner, dictionary and deltas always speak base ids;
-    /// interval mode remaps deltas on the way into the stores and
-    /// re-encodes wholesale on schema changes.
-    encoder: Option<Arc<HierarchyEncoder>>,
+    /// The encoding the engine was built with: `reencode` rebuilds the
+    /// encoder on a schema change only for [`DictEncoding::Interval`].
+    encoding: DictEncoding,
+    /// The working stores' encoder. The reasoner, dictionary and deltas
+    /// always speak base ids; deltas are remapped on the way into the
+    /// stores (a no-op under the classic identity).
+    encoder: Arc<HierarchyEncoder>,
     /// Engine-default intra-query parallelism, stamped onto every snapshot
     /// database this writer assembles.
     parallelism: Parallelism,
@@ -338,7 +326,7 @@ impl WriterCore {
         let closure = Arc::new(schema.closure());
         let universe = reasoner.explicit().dictionary().len();
         let encoder = build_encoder(b.encoding, &schema, &closure, universe);
-        let stores = Partition::encode(&reasoner, encoder.as_deref());
+        let stores = Partition::encode(&reasoner, &encoder);
         let last_delta = stores
             .sat
             .store
@@ -353,6 +341,7 @@ impl WriterCore {
             seq: 0,
             cache,
             obs: b.obs.clone(),
+            encoding: b.encoding,
             encoder,
             parallelism: b.parallelism,
             join_algorithm: b.join_algorithm,
@@ -404,17 +393,17 @@ impl WriterCore {
             self.reasoner.delete_batch(deletes)
         };
 
-        // Deltas arrive in base id space (the reasoner's); interval mode
-        // remaps them here, at the store boundary.
-        let enc = self.encoder.as_deref();
+        // Deltas arrive in base id space (the reasoner's) and are remapped
+        // here, at the store boundary.
+        let enc = &self.encoder;
         for delta in [&ins_delta, &del_delta] {
             self.stores.explicit.apply(
-                &encode_triples(enc, &delta.explicit_added),
-                &encode_triples(enc, &delta.explicit_removed),
+                &enc.encode_triples(&delta.explicit_added),
+                &enc.encode_triples(&delta.explicit_removed),
             );
             self.stores.sat.apply(
-                &encode_triples(enc, &delta.saturation_added),
-                &encode_triples(enc, &delta.saturation_removed),
+                &enc.encode_triples(&delta.saturation_added),
+                &enc.encode_triples(&delta.saturation_removed),
             );
         }
         if schema_changed {
@@ -473,19 +462,14 @@ impl WriterCore {
 
     /// Interval mode only: rebuild the encoder against the current schema
     /// closure and re-encode the working stores from the reasoner's
-    /// base-space graphs. Classic mode is a no-op.
+    /// base-space graphs. The classic identity needs neither.
     fn reencode(&mut self) {
-        if self.encoder.is_none() {
+        if self.encoding == DictEncoding::Classic {
             return;
         }
         let universe = self.reasoner.explicit().dictionary().len();
-        self.encoder = build_encoder(
-            DictEncoding::Interval,
-            &self.schema,
-            &self.closure,
-            universe,
-        );
-        self.stores = Partition::encode(&self.reasoner, self.encoder.as_deref());
+        self.encoder = build_encoder(self.encoding, &self.schema, &self.closure, universe);
+        self.stores = Partition::encode(&self.reasoner, &self.encoder);
     }
 
     /// A snapshot of the working stores at the current seq/epochs: a few
@@ -507,7 +491,7 @@ impl WriterCore {
             Arc::clone(&self.cache),
             Some((self.cache.schema_epoch(), self.cache.data_epoch())),
             self.obs.clone(),
-            self.encoder.clone(),
+            Arc::clone(&self.encoder),
             self.parallelism,
             self.join_algorithm,
         );

@@ -27,11 +27,18 @@
 //! ancestors' spans miss it and fail the size check — those subtrees simply
 //! get no interval and reformulation falls back to the classic union. Nodes
 //! on subclass cycles are excluded from the forest entirely.
+//!
+//! **The identity.** [`DictEncoding::Classic`] is the degenerate case where
+//! no subtree earns an interval: [`HierarchyEncoder::default`] has an empty
+//! bijection, so every id maps to itself and nothing is covered. It costs no
+//! per-term memory, and [`HierarchyEncoder::encode_triples`] hands its input
+//! back borrowed.
 
 use crate::dictionary::{TermId, BUILTIN_COUNT};
 use crate::fxhash::{FxHashMap, FxHashSet};
 use crate::schema::{Schema, SchemaClosure};
 use crate::triple::EncodedTriple;
+use std::borrow::Cow;
 
 /// Which dictionary encoding the storage layer uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -47,10 +54,11 @@ pub enum DictEncoding {
 pub type IdRange = (TermId, TermId);
 
 /// The interval encoder: a bijection between base and encoded id space plus
-/// the subtree intervals it makes contiguous.
+/// the subtree intervals it makes contiguous. The default is the identity.
 #[derive(Debug, Clone, Default)]
 pub struct HierarchyEncoder {
-    /// `perm[base] = encoded`; a permutation of `[0, universe)`.
+    /// `perm[base] = encoded`; a permutation of `[0, universe)`, empty for
+    /// the identity.
     perm: Vec<TermId>,
     /// `inv[encoded] = base`; the inverse permutation.
     inv: Vec<TermId>,
@@ -131,6 +139,12 @@ impl HierarchyEncoder {
         self.perm.len()
     }
 
+    /// True for the identity ([`HierarchyEncoder::default`]): base and
+    /// encoded ids coincide, so nothing needs transporting.
+    pub fn is_identity(&self) -> bool {
+        self.perm.is_empty()
+    }
+
     /// Base → encoded id.
     #[inline]
     pub fn encode(&self, id: TermId) -> TermId {
@@ -147,6 +161,15 @@ impl HierarchyEncoder {
     #[inline]
     pub fn encode_triple(&self, t: &EncodedTriple) -> EncodedTriple {
         EncodedTriple::new(self.encode(t.s), self.encode(t.p), self.encode(t.o))
+    }
+
+    /// Remap triples into encoded space: the slice itself, borrowed, under
+    /// the identity.
+    pub fn encode_triples<'t>(&self, triples: &'t [EncodedTriple]) -> Cow<'t, [EncodedTriple]> {
+        if self.is_identity() {
+            return Cow::Borrowed(triples);
+        }
+        Cow::Owned(triples.iter().map(|t| self.encode_triple(t)).collect())
     }
 
     /// Remap a triple back into base space.
@@ -418,6 +441,32 @@ mod tests {
             assert_eq!(e.decode(n), n);
         }
         assert_eq!(e.class_range_count(), 0);
+    }
+
+    /// The classic encoding's encoder maps every id to itself, below and
+    /// above any universe, covers nothing, and transports triples without a
+    /// copy.
+    #[test]
+    fn the_default_encoder_is_the_identity_and_copies_nothing() {
+        let e = HierarchyEncoder::default();
+        assert!(e.is_identity());
+        for id in [0, 1, BUILTIN_COUNT, 7, 1000, u32::MAX - 1].map(TermId) {
+            assert_eq!(e.encode(id), id);
+            assert_eq!(e.decode(id), id);
+            assert_eq!(e.class_range(id), None);
+            assert_eq!(e.prop_range(id), None);
+        }
+        assert_eq!(e.class_range_count(), 0);
+        assert_eq!(e.prop_range_count(), 0);
+        let triples = [EncodedTriple::new(TermId(9), TermId(0), TermId(1000))];
+        let Cow::Borrowed(same) = e.encode_triples(&triples) else {
+            panic!("the identity copied the triples");
+        };
+        assert!(std::ptr::eq(same, &triples[..]));
+        // A built encoder, even over an empty schema, does transport.
+        let built = build(&Dictionary::new(), &Schema::new());
+        assert!(!built.is_identity());
+        assert!(matches!(built.encode_triples(&triples), Cow::Owned(_)));
     }
 
     #[test]
