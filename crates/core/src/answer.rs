@@ -12,7 +12,7 @@
 //! | `RefJucq(cover)` | **Ref** with a user-chosen cover (demo GUI) |
 //! | `RefGCov` | **Ref** with the greedy cost-selected cover (the paper) |
 //! | `RefIncomplete(profile)` | Virtuoso/AllegroGraph-style partial Ref |
-//! | `Datalog` | **Dat**: LogicBlox-style bottom-up evaluation |
+//! | `Datalog` | **Dat**: the Datalog encoding evaluated bottom-up on the store |
 //!
 //! All complete strategies return identical answers (the workspace-wide
 //! invariant); they differ — dramatically, on the paper's workloads — in
@@ -53,7 +53,10 @@ pub enum Strategy {
     RefGCov,
     /// Deliberately incomplete Ref (deployed-system model).
     RefIncomplete(IncompletenessProfile),
-    /// Dat: Datalog encoding evaluated bottom-up.
+    /// Dat: the Datalog encoding evaluated bottom-up on the store. The RDFS
+    /// closure of the explicit triples is derived at query time, in
+    /// semi-naive rounds of the evaluator's joins; the query then runs over
+    /// it once.
     Datalog,
 }
 
@@ -236,8 +239,8 @@ impl QueryAnswer {
     }
 }
 
-// Base ↔ store transport. Graphs, the reasoner, the dictionary and the
-// Datalog paths speak base ids; stores and the plans evaluated over them
+// Base ↔ store transport. Graphs, the reasoner and the dictionary speak
+// base ids; stores, Dat's closure and the plans evaluated over them
 // speak the encoder's. These helpers, `Database::{encode_cq, encode_ucq,
 // decode}` and `HierarchyEncoder::encode_triples` are where ids cross over;
 // under the identity encoder (classic) each hands its input back untouched.
@@ -267,7 +270,7 @@ pub(crate) fn encoded_ucq(encoder: &HierarchyEncoder, ucq: &Ucq) -> Option<Ucq> 
     (!encoder.is_identity()).then(|| ucq.map_consts(&mut |c| encoder.encode(c)))
 }
 
-/// The evaluator every Sat/Ref arm runs: `store` and its statistics under
+/// The evaluator every Sat/Ref/Dat arm runs: `store` and its statistics under
 /// the request's row budget, parallelism and join-algorithm policy.
 fn evaluator<'a>(
     store: &'a Store,
@@ -299,14 +302,10 @@ pub(crate) struct SaturatedPart {
 /// All heavyweight parts are `Arc`-shared (and the store's indexes are
 /// `Arc`-shared buckets), so a database assembled by the serving layer from
 /// an existing snapshot costs a handful of reference bumps. The dictionary
-/// is the input graph's own; the triple-level graph is only materialized
-/// if a Datalog strategy asks for it.
+/// is the input graph's own; no triple-level graph is kept.
 #[derive(Debug)]
 pub struct Database {
     dict: Arc<rdfref_model::Dictionary>,
-    /// The triple-level graph, materialized from the store on first use
-    /// (Datalog only).
-    graph: OnceLock<Graph>,
     schema: Arc<Schema>,
     closure: Arc<SchemaClosure>,
     store: Store,
@@ -324,9 +323,9 @@ pub struct Database {
     obs: Obs,
     /// The store's encoder: bijection between base dictionary ids and
     /// store ids, hierarchy-clustered under [`DictEncoding::Interval`] and
-    /// the identity under [`DictEncoding::Classic`]. The dictionary, parser,
-    /// reasoner and Datalog paths stay in base space; only the store — and
-    /// the plans evaluated over it — are remapped.
+    /// the identity under [`DictEncoding::Classic`]. The dictionary, parser
+    /// and reasoner stay in base space; only the store — and the plans and
+    /// Dat closures evaluated over it — are remapped.
     encoder: Arc<HierarchyEncoder>,
     /// Engine-level default parallelism policy, set by the builder. The
     /// request builder starts from it; explicit [`AnswerOptions`] passed to
@@ -398,7 +397,6 @@ impl Database {
     ) -> Database {
         Database {
             dict,
-            graph: OnceLock::new(),
             schema,
             closure,
             store,
@@ -427,14 +425,6 @@ impl Database {
     /// The plan cache (shared handle).
     pub fn plan_cache(&self) -> &Arc<PlanCache> {
         &self.cache
-    }
-
-    /// The underlying graph, materialized from the store on first use (one
-    /// pass over the store; the dictionary is shared, not copied). Only the
-    /// Datalog strategy needs it: read the dictionary through
-    /// [`Database::dictionary`].
-    pub fn graph(&self) -> &Graph {
-        self.graph.get_or_init(|| self.materialize_graph())
     }
 
     /// A fresh graph over the store's triples, decoded to base id space.
@@ -574,7 +564,7 @@ impl Database {
             answer
         };
 
-        // Sat/Ref evaluate in store id space.
+        // Every strategy evaluates in store id space.
         let relation = match strategy {
             Strategy::Saturation => {
                 let sat = self.saturated_with(&obs);
@@ -672,15 +662,22 @@ impl Database {
                 )?
             }
             Strategy::Datalog => {
-                let (rows, engine) = rdfref_datalog::answer_datalog_obs(self.graph(), cq, &obs)?;
-                explain.datalog_derived = engine.derived_count;
-                let mut rel = Relation::empty(out.clone());
-                for row in rows {
-                    rel.push_row(&row)?;
-                }
-                // Datalog runs over the base-space graph: its answer never
-                // was in store space, so it skips the decode.
-                return Ok(finish(rel, explain, metrics));
+                let _span = obs.span("datalog.run");
+                // The rules' constants are built-ins, which every encoder
+                // pins: they are in store id space as they stand.
+                let rules = rdfref_datalog::closure_rules();
+                let tc = crate::dat::closure(&self.store, &self.stats, &rules, &obs)?;
+                let stats = Stats::compute(&tc);
+                let relation = evaluator(&tc, &stats, opts, &obs).eval_cq(
+                    &self.encode_cq(cq),
+                    &out,
+                    &mut metrics,
+                )?;
+                // Every `tc` fact, the explicit ones included (the copy
+                // rule derives them), plus every `q` fact.
+                explain.datalog_derived = tc.len() + relation.len();
+                obs.add("datalog.facts_derived", explain.datalog_derived as u64);
+                relation
             }
         };
         Ok(finish(self.decode(relation), explain, metrics))
@@ -1029,23 +1026,6 @@ ex:bioy ex:hasName "A. Bioy Casares" .
     }
 
     #[test]
-    fn only_a_datalog_answer_materializes_the_graph() {
-        let (db, q) = setup(PUBLICATIONS);
-        let opts = AnswerOptions::default();
-        assert!(db.graph.get().is_none(), "build left a graph resident");
-        let sat = db.run_query(&q, &Strategy::Saturation, &opts).unwrap();
-        assert_eq!(sat.len(), 3);
-        assert!(db.graph.get().is_none(), "Sat left its graph resident");
-        let dat = db.run_query(&q, &Strategy::Datalog, &opts).unwrap();
-        assert!(db.graph.get().is_some(), "Datalog runs over the graph");
-        assert_eq!(dat.rows(), sat.rows());
-        for strategy in all_complete_strategies() {
-            let got = db.run_query(&q, &strategy, &opts).unwrap();
-            assert_eq!(got.rows(), sat.rows(), "strategy {}", strategy.name());
-        }
-    }
-
-    #[test]
     fn every_engine_shares_the_input_graph_s_dictionary() {
         let g = parse_turtle(DOC).unwrap();
         for encoding in [DictEncoding::Classic, DictEncoding::Interval] {
@@ -1162,9 +1142,6 @@ ex:bioy ex:hasName "A. Bioy Casares" .
 
         let sat = db.run_query(&q, &Strategy::Saturation, &opts).unwrap();
         assert!(sat.explain.saturation_added > 0);
-
-        let dat = db.run_query(&q, &Strategy::Datalog, &opts).unwrap();
-        assert!(dat.explain.datalog_derived > 0);
     }
 
     #[test]

@@ -228,13 +228,18 @@ ex:doi1 a ex:Book .
 ex:doi2 ex:writtenBy ex:someone .
 "#;
 
-    fn setup() -> (Database, Cq) {
+    fn graph_and_query() -> (rdfref_model::Graph, Cq) {
         let mut g = parse_turtle(DOC).unwrap();
         let q = parse_select(
             "PREFIX ex: <http://example.org/> SELECT ?x WHERE { ?x a ex:Publication }",
             g.dictionary_mut(),
         )
         .unwrap();
+        (g, q)
+    }
+
+    fn setup() -> (Database, Cq) {
+        let (g, q) = graph_and_query();
         (Database::builder().build(g), q)
     }
 
@@ -275,10 +280,11 @@ ex:doi2 ex:writtenBy ex:someone .
                 .unwrap()
                 .len()
         }
-        let (db, q) = setup();
+        let (g, q) = graph_and_query();
+        let db = Database::builder().build(g.clone());
         assert_eq!(harness(&db, &q), 2);
         assert_eq!(harness(&&db, &q), 2, "&Database is an engine too");
-        let serving = Database::builder().build_serving(db.graph().clone());
+        let serving = Database::builder().build_serving(g);
         assert_eq!(harness(&serving, &q), 2);
         assert_eq!(harness(&*serving.snapshot(), &q), 2);
         // The trait's own request builder agrees with the inherent ones.

@@ -1,6 +1,5 @@
 //! Error type of the core crate.
 
-use rdfref_datalog::DatalogError;
 use rdfref_query::QueryError;
 use rdfref_storage::StorageError;
 use std::fmt;
@@ -24,8 +23,6 @@ pub enum CoreError {
     Query(QueryError),
     /// A storage-layer error (row budget exceeded, …).
     Storage(StorageError),
-    /// A Datalog-layer error.
-    Datalog(DatalogError),
     /// A cached plan's shape did not match its request — an internal
     /// planner/cache defect, reported instead of aborting the process.
     PlanShapeMismatch {
@@ -46,7 +43,6 @@ impl fmt::Display for CoreError {
             ),
             CoreError::Query(e) => write!(f, "query error: {e}"),
             CoreError::Storage(e) => write!(f, "storage error: {e}"),
-            CoreError::Datalog(e) => write!(f, "datalog error: {e}"),
             CoreError::PlanShapeMismatch { expected } => write!(
                 f,
                 "internal error: cached plan does not have the expected {expected} shape"
@@ -69,12 +65,6 @@ impl From<QueryError> for CoreError {
 impl From<StorageError> for CoreError {
     fn from(e: StorageError) -> Self {
         CoreError::Storage(e)
-    }
-}
-
-impl From<DatalogError> for CoreError {
-    fn from(e: DatalogError) -> Self {
-        CoreError::Datalog(e)
     }
 }
 

@@ -53,7 +53,8 @@ pub struct Explain {
     /// For Sat: triples added by saturation (0 otherwise). Counted once per
     /// database, not per query; reported for the first Sat run.
     pub saturation_added: usize,
-    /// For Dat: facts derived by the Datalog engine.
+    /// For Dat: the facts of the closure `tc`, explicit triples included
+    /// (the copy rule derives them), plus the query's answer facts.
     pub datalog_derived: usize,
     /// Plan-cache outcome, for Ref strategies with the cache enabled
     /// (`None` when the run bypassed the cache).
@@ -66,8 +67,7 @@ pub struct Explain {
     /// every CQ body it ran (under Ref strategies those are the CQs of the
     /// reformulation, not the user's query), with the arbitration — reason,
     /// and for WCOJ the global variable order and the trie permutation each
-    /// atom binds — of a representative CQ. `None` for body-less queries
-    /// and Datalog strategies.
+    /// atom binds — of a representative CQ. `None` for body-less queries.
     pub physical: Option<PhysicalPlan>,
 }
 

@@ -71,6 +71,7 @@
 pub mod answer;
 pub mod builder;
 pub mod cache;
+mod dat;
 pub mod engine;
 pub mod error;
 pub mod explain;

@@ -81,11 +81,6 @@ impl GraphBuilder {
     pub fn finish(self) -> Graph {
         self.graph
     }
-
-    /// Peek at the graph under construction.
-    pub fn graph(&self) -> &Graph {
-        &self.graph
-    }
 }
 
 #[cfg(test)]

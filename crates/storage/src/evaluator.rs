@@ -23,7 +23,7 @@ use crate::stats::Stats;
 use crate::store::{IdPattern, Store};
 use rdfref_model::TermId;
 use rdfref_obs::Obs;
-use rdfref_query::ast::{Cq, Jucq, PTerm, Ucq};
+use rdfref_query::ast::{Atom, Cq, Jucq, PTerm, Ucq};
 use rdfref_query::Var;
 
 /// Default morsel size for [`Parallelism::Morsels`]: large enough to
@@ -216,29 +216,11 @@ impl<'a> Evaluator<'a> {
                 let sw = self.obs.stopwatch();
                 acc = morsel::scan_atom_morsels(self.store, atom, size, &self.obs)?;
                 self.record_scan(atom, idx, acc.len(), sw.elapsed(), metrics);
+                self.check_budget(acc.len())?;
                 first = false;
             } else {
-                let atom_card = model.atom_cardinality(atom);
-                let shares = atom.vars().any(|v| acc.column_index(v).is_some());
-                if shares && (acc.len() as f64) * model.params.probe_cost_per_row < atom_card {
-                    let sw = self.obs.stopwatch();
-                    acc = morsel::bind_join_morsels(self.store, &acc, atom, size, &self.obs)?;
-                    metrics.record_timed(StepLabel::BindJoin(idx + 1), acc.len(), sw.elapsed());
-                    self.obs.add("op.bind_join.count", 1);
-                    self.obs.add("op.bind_join.rows", acc.len() as u64);
-                } else {
-                    let sw = self.obs.stopwatch();
-                    let scanned = morsel::scan_atom_morsels(self.store, atom, size, &self.obs)?;
-                    self.record_scan(atom, idx, scanned.len(), sw.elapsed(), metrics);
-                    self.check_budget(scanned.len())?;
-                    let sw = self.obs.stopwatch();
-                    acc = acc.natural_join(&scanned);
-                    metrics.record_timed(StepLabel::Join, acc.len(), sw.elapsed());
-                    self.obs.add("op.join.count", 1);
-                    self.obs.add("op.join.rows", acc.len() as u64);
-                }
+                acc = self.join_atom(&acc, atom, idx, metrics)?;
             }
-            self.check_budget(acc.len())?;
             if acc.is_empty() {
                 // Annihilated: the result is empty regardless of the
                 // remaining atoms (whose columns were never materialized).
@@ -275,6 +257,47 @@ impl<'a> Evaluator<'a> {
         result.dedup();
         metrics.record(StepLabel::ProjectDedup, result.len());
         Ok(result)
+    }
+
+    /// One step of a CQ's join chain: `acc` joined with `atom` over the
+    /// store, checked against the row budget. When `acc` shares a variable
+    /// with `atom` and is small next to the atom's estimated cardinality,
+    /// this is a *bind join* that probes the store once per `acc` row;
+    /// otherwise the atom is scanned and hash-joined. `idx` is the atom's
+    /// position in its body, for the step labels.
+    pub fn join_atom(
+        &self,
+        acc: &Relation,
+        atom: &Atom,
+        idx: usize,
+        metrics: &mut ExecMetrics,
+    ) -> Result<Relation> {
+        let model = CostModel::new(self.stats);
+        let size = self.parallelism.morsel_size();
+        let shares = atom.vars().any(|v| acc.column_index(v).is_some());
+        let joined = if shares
+            && (acc.len() as f64) * model.params.probe_cost_per_row < model.atom_cardinality(atom)
+        {
+            let sw = self.obs.stopwatch();
+            let joined = morsel::bind_join_morsels(self.store, acc, atom, size, &self.obs)?;
+            metrics.record_timed(StepLabel::BindJoin(idx + 1), joined.len(), sw.elapsed());
+            self.obs.add("op.bind_join.count", 1);
+            self.obs.add("op.bind_join.rows", joined.len() as u64);
+            joined
+        } else {
+            let sw = self.obs.stopwatch();
+            let scanned = morsel::scan_atom_morsels(self.store, atom, size, &self.obs)?;
+            self.record_scan(atom, idx, scanned.len(), sw.elapsed(), metrics);
+            self.check_budget(scanned.len())?;
+            let sw = self.obs.stopwatch();
+            let joined = acc.natural_join(&scanned);
+            metrics.record_timed(StepLabel::Join, joined.len(), sw.elapsed());
+            self.obs.add("op.join.count", 1);
+            self.obs.add("op.join.rows", joined.len() as u64);
+            joined
+        };
+        self.check_budget(joined.len())?;
+        Ok(joined)
     }
 
     /// Evaluate a UCQ as the deduplicated union of its disjuncts.

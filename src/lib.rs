@@ -13,7 +13,7 @@
 //! | [`query`] | BGP/CQ queries, UCQ/SCQ/JUCQ algebra, query covers, SPARQL-subset parser |
 //! | [`storage`] | RDBMS-style triple store: indexes, statistics, executor, textbook cost model |
 //! | [`reasoning`] | Saturation (Sat): one-step RDFS saturation against the closed schema, incremental maintenance |
-//! | [`datalog`] | The Dat technique: semi-naive Datalog engine + RDF encoding |
+//! | [`datalog`] | The Dat encoding: the RDFS closure rules as two-atom CQs over `tc`; `core` evaluates them in semi-naive rounds on the store |
 //! | [`core`] | **The paper's contribution**: 13-rule CQ→UCQ reformulation, SCQ, cover-induced JUCQs, greedy cost-based cover selection (GCov), the answering facade |
 //! | [`datagen`] | LUBM-like / DBLP-like / INSEE-like / IGN-like synthetic workloads |
 //!

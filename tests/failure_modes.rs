@@ -100,10 +100,17 @@ ex:x ex:p ex:y .
     )
     .unwrap();
     let db = Database::builder().build(g);
-    let a = db
-        .run_query(&q, &Strategy::RefUcq, &AnswerOptions::default())
-        .unwrap();
-    assert_eq!(a.len(), 1);
+    let opts = AnswerOptions::default();
+    for strategy in [
+        Strategy::Saturation,
+        Strategy::RefUcq,
+        Strategy::RefScq,
+        Strategy::RefGCov,
+        Strategy::Datalog,
+    ] {
+        let a = db.run_query(&q, &strategy, &opts).unwrap();
+        assert_eq!(a.len(), 1, "{}", strategy.name());
+    }
 }
 
 #[test]
@@ -127,9 +134,15 @@ fn row_budget_applies_to_every_strategy() {
     let mix = rdfref::datagen::queries::lubm_mix(&ds).unwrap();
     let db = Database::builder().build(ds.graph.clone());
     let opts = AnswerOptions::new().with_row_budget(Some(3));
-    // Q06 (all students) overflows a budget of 3 under Sat and Ref alike.
+    // Q06 (all students) overflows a budget of 3 under Sat, Ref and Dat
+    // alike; Dat's budget bounds the query over its closure.
     let q6 = &mix.iter().find(|q| q.name == "Q06").unwrap().cq;
-    for strategy in [Strategy::Saturation, Strategy::RefUcq, Strategy::RefScq] {
+    for strategy in [
+        Strategy::Saturation,
+        Strategy::RefUcq,
+        Strategy::RefScq,
+        Strategy::Datalog,
+    ] {
         let err = db.run_query(q6, &strategy, &opts).unwrap_err();
         assert!(
             matches!(

@@ -3,7 +3,8 @@
 //!
 //! * `answer(q, G, S) = q(G∞)` for every complete strategy `S` — the
 //!   correctness contract of reformulation (§3.1 of the paper);
-//! * saturation equals a raw-rule oracle and is idempotent;
+//! * saturation equals a raw-rule oracle and is idempotent, and so does
+//!   Dat's closure;
 //! * incremental maintenance (one-step insert and delete) equals the same
 //!   oracle after every batch, with exact deltas;
 //! * any valid cover yields equivalent answers;
@@ -371,6 +372,38 @@ proptest! {
         prop_assert_eq!(&saturate(&once), &once);
     }
 
+    /// Dat's closure is `G∞`: its answer to `SELECT ?s ?p ?o WHERE { ?s ?p
+    /// ?o }` equals the raw-rule oracle as a set, under both encodings, with
+    /// and without a schema constraining the RDFS vocabulary.
+    #[test]
+    fn dat_closure_equals_the_saturation_oracle(
+        scenario in scenario_strategy(),
+        pathological in any::<bool>(),
+    ) {
+        let (mut graph, _) = build(&scenario);
+        if pathological {
+            constrain_rdfs_vocabulary(&mut graph);
+        }
+        let (s, p, o) = (var_name(0), var_name(1), var_name(2));
+        let everything = Cq::new_unchecked(
+            vec![PTerm::Var(s.clone()), PTerm::Var(p.clone()), PTerm::Var(o.clone())],
+            vec![Atom::new(s, p, o)],
+        );
+        let oracle = oracle_saturation(&graph);
+        for encoding in [DictEncoding::Classic, DictEncoding::Interval] {
+            let db = Database::builder().encoding(encoding).build(graph.clone());
+            let answer = db
+                .run_query(&everything, &AnswerStrategy::Datalog, &AnswerOptions::default())
+                .unwrap();
+            let closure: FxHashSet<EncodedTriple> = answer
+                .rows()
+                .iter()
+                .map(|r| EncodedTriple::new(r[0], r[1], r[2]))
+                .collect();
+            prop_assert_eq!(&closure, &oracle, "{:?}", encoding);
+        }
+    }
+
     /// Plan-cache invalidation is sound under updates: interleave random
     /// insert/delete batches (data *and* schema triples) with cached and
     /// uncached answering — after every mutation the cached plans, the
@@ -386,6 +419,8 @@ proptest! {
     ) {
         let (graph, cq) = build(&scenario);
         let all: Vec<Triple> = graph.iter_decoded().collect();
+        // The explicit triples after each batch, kept beside the engine.
+        let mut explicit = all.clone();
         let db = Database::builder().build_serving(graph);
         let cached = AnswerOptions::default();
         let uncached = AnswerOptions::new().with_use_cache(false);
@@ -397,17 +432,19 @@ proptest! {
         }
 
         for (is_insert, sel) in &ops {
-            let pool: Vec<Triple> = if *is_insert {
-                all.clone()
-            } else {
-                db.snapshot().database().graph().iter_decoded().collect()
-            };
+            let pool = if *is_insert { &all } else { &explicit };
             let batch: Vec<Triple> = pool
-                .into_iter()
+                .iter()
                 .zip(sel.iter().cycle())
                 .filter(|(_, &pick)| pick)
-                .map(|(t, _)| t)
+                .map(|(t, _)| t.clone())
                 .collect();
+            if *is_insert {
+                let new: Vec<Triple> = batch.iter().filter(|t| !explicit.contains(t)).cloned().collect();
+                explicit.extend(new);
+            } else {
+                explicit.retain(|t| !batch.contains(t));
+            }
             // Waiting on the ticket makes the write synchronous.
             let ticket = if *is_insert { db.insert(batch) } else { db.delete(batch) };
             ticket.unwrap().wait().unwrap();
