@@ -7,7 +7,7 @@ use rdfref_core::reformulate::{ReformulationLimits, RewriteContext};
 use rdfref_core::MetricsRegistry;
 use rdfref_datagen::{biblio, geo, insee, lubm, wcoj};
 use rdfref_model::parser::{parse_ntriples_into, parse_turtle_into};
-use rdfref_model::{Graph, Schema};
+use rdfref_model::{sorted_run, Graph, Schema};
 use rdfref_query::{parse_select, Cover, Cq};
 use rdfref_storage::stats::ValueDistribution;
 use rdfref_storage::{CostModel, JoinAlgorithm};
@@ -694,12 +694,13 @@ impl Shell {
 
     fn cmd_assert(&mut self, rest: &str) -> Result<Response, String> {
         let additions = self.parse_update_triple(rest)?;
-        let mut added = 0;
-        for t in additions.iter_decoded() {
-            if self.graph.insert_triple(&t) {
-                added += 1;
-            }
-        }
+        let batch = additions
+            .iter_decoded()
+            .map(|t| self.graph.encode(&t))
+            .collect();
+        let before = self.graph.len();
+        self.graph.apply_delta(&sorted_run(batch), &[]);
+        let added = self.graph.len() - before;
         self.invalidate();
         Ok(Response::text(format!(
             "asserted {added} triple(s) — graph now {} triples (database rebuilt on next command)",
@@ -720,7 +721,9 @@ impl Shell {
                 ))
             })
             .collect();
-        let removed = self.graph.remove_all(&doomed);
+        let before = self.graph.len();
+        self.graph.apply_delta(&[], &sorted_run(doomed));
+        let removed = before - self.graph.len();
         self.invalidate();
         Ok(Response::text(format!(
             "retracted {removed} triple(s) — graph now {} triples",

@@ -327,13 +327,6 @@ pub struct Database {
     /// and reasoner stay in base space; only the store — and the plans and
     /// Dat closures evaluated over it — are remapped.
     encoder: Arc<HierarchyEncoder>,
-    /// Engine-level default parallelism policy, set by the builder. The
-    /// request builder starts from it; explicit [`AnswerOptions`] passed to
-    /// [`Database::run_query`] are used as given.
-    default_parallelism: Parallelism,
-    /// Engine-level default physical join algorithm, set by the builder;
-    /// inherited per-request exactly like `default_parallelism`.
-    default_join_algorithm: JoinAlgorithm,
 }
 
 impl Database {
@@ -348,13 +341,7 @@ impl Database {
     /// Prepare a database from a graph (schema triples are recognized
     /// in-line, as in the DB fragment). Builder terminal. The graph is
     /// dropped once its store is built; its dictionary is kept, not copied.
-    pub(crate) fn build(
-        graph: Graph,
-        cache: Arc<PlanCache>,
-        encoding: DictEncoding,
-        parallelism: Parallelism,
-        join_algorithm: JoinAlgorithm,
-    ) -> Database {
+    pub(crate) fn build(graph: Graph, cache: Arc<PlanCache>, encoding: DictEncoding) -> Database {
         let schema = Schema::from_graph(&graph);
         let closure = schema.closure();
         let encoder = build_encoder(encoding, &schema, &closure, graph.dictionary().len());
@@ -371,8 +358,6 @@ impl Database {
             None,
             Obs::disabled(),
             encoder,
-            parallelism,
-            join_algorithm,
         )
     }
 
@@ -392,8 +377,6 @@ impl Database {
         epochs: Option<(u64, u64)>,
         obs: Obs,
         encoder: Arc<HierarchyEncoder>,
-        parallelism: Parallelism,
-        join_algorithm: JoinAlgorithm,
     ) -> Database {
         Database {
             dict,
@@ -406,8 +389,6 @@ impl Database {
             epochs,
             obs,
             encoder,
-            default_parallelism: parallelism,
-            default_join_algorithm: join_algorithm,
         }
     }
 
@@ -457,17 +438,6 @@ impl Database {
     /// [`Database::store`] under the name the benchmark replay calls.
     pub fn source(&self) -> &Store {
         &self.store
-    }
-
-    /// The engine-level default parallelism policy (set by the builder).
-    pub fn default_parallelism(&self) -> Parallelism {
-        self.default_parallelism
-    }
-
-    /// The engine-level default physical join algorithm (set by the
-    /// builder).
-    pub fn default_join_algorithm(&self) -> JoinAlgorithm {
-        self.default_join_algorithm
     }
 
     /// Statistics over explicit triples.

@@ -2,8 +2,8 @@
 //! engines.
 //!
 //! [`EngineBuilder`] is one `#[non_exhaustive]` builder carrying the
-//! dictionary encoding, plan-cache capacity, intra-query parallelism
-//! policy and join algorithm, with one terminal per side:
+//! dictionary encoding, plan-cache capacity and observability sink, with
+//! one terminal per side:
 //! [`EngineBuilder::build`] for the static read side ([`Database`]) and
 //! [`EngineBuilder::build_serving`] for the maintained, concurrently
 //! servable write side ([`ServingDatabase`]).
@@ -29,14 +29,14 @@
 //! assert_eq!(db.query(&q).run().unwrap().len(), 1);
 //! ```
 //!
-//! Knobs compose freely with both terminals.
+//! Knobs compose freely with both terminals. Parallelism and the join
+//! algorithm are per request ([`crate::engine::QueryRequest`]).
 
 use crate::answer::Database;
 use crate::cache::PlanCache;
 use crate::serving::ServingDatabase;
 use rdfref_model::{DictEncoding, Graph};
 use rdfref_obs::Obs;
-use rdfref_storage::{JoinAlgorithm, Parallelism};
 use rdfref_sync::Arc;
 
 /// Configures and constructs an engine. Obtain one via
@@ -48,8 +48,6 @@ use rdfref_sync::Arc;
 pub struct EngineBuilder {
     pub(crate) encoding: DictEncoding,
     pub(crate) plan_cache_capacity: usize,
-    pub(crate) parallelism: Parallelism,
-    pub(crate) join_algorithm: JoinAlgorithm,
     pub(crate) obs: Obs,
 }
 
@@ -58,8 +56,6 @@ impl Default for EngineBuilder {
         EngineBuilder {
             encoding: DictEncoding::Classic,
             plan_cache_capacity: 1024,
-            parallelism: Parallelism::Off,
-            join_algorithm: JoinAlgorithm::BindJoin,
             obs: Obs::disabled(),
         }
     }
@@ -67,7 +63,7 @@ impl Default for EngineBuilder {
 
 impl EngineBuilder {
     /// A builder with the defaults: classic encoding, a 1024-plan cache,
-    /// no intra-query parallelism, observability disabled.
+    /// observability disabled.
     pub fn new() -> EngineBuilder {
         EngineBuilder::default()
     }
@@ -86,21 +82,6 @@ impl EngineBuilder {
         self
     }
 
-    /// Engine-default intra-query parallelism policy. The request builder
-    /// ([`crate::engine::QueryRequest`]) starts from this value.
-    pub fn parallelism(mut self, parallelism: Parallelism) -> Self {
-        self.parallelism = parallelism;
-        self
-    }
-
-    /// Engine-default physical join algorithm. The request builder
-    /// ([`crate::engine::QueryRequest`]) starts from this value; per-request
-    /// overrides win.
-    pub fn join_algorithm(mut self, algorithm: JoinAlgorithm) -> Self {
-        self.join_algorithm = algorithm;
-        self
-    }
-
     /// Engine-wide observability sink.
     pub fn obs(mut self, obs: Obs) -> Self {
         self.obs = obs;
@@ -114,14 +95,7 @@ impl EngineBuilder {
     /// Build an in-memory [`Database`] over `graph`.
     pub fn build(self, graph: Graph) -> Database {
         let cache = self.plan_cache();
-        Database::build(
-            graph,
-            cache,
-            self.encoding,
-            self.parallelism,
-            self.join_algorithm,
-        )
-        .with_obs(self.obs)
+        Database::build(graph, cache, self.encoding).with_obs(self.obs)
     }
 
     /// Build a [`ServingDatabase`]: the saturation is maintained
@@ -167,8 +141,7 @@ ex:doi2 a ex:Publication .
 
         let configured = Database::builder()
             .encoding(DictEncoding::Interval)
-            .plan_cache_capacity(16)
-            .parallelism(Parallelism::morsels());
+            .plan_cache_capacity(16);
         let got = configured.clone().build(g.clone());
         assert_eq!(got.query(&q).run().unwrap().rows(), &reference[..]);
         let serving = configured.build_serving(g.clone());
@@ -177,47 +150,6 @@ ex:doi2 a ex:Publication .
         let serving = Database::builder().build_serving(g);
         let snap = serving.snapshot();
         assert_eq!(snap.query(&q).run().unwrap().rows(), &reference[..]);
-    }
-
-    /// The builder's parallelism knob becomes the engine default the
-    /// request builder starts from, and requests can still override it.
-    #[test]
-    fn builder_parallelism_is_the_request_default() {
-        let mut g = parse_turtle(DOC).unwrap();
-        let q = parse_select(QUERY, g.dictionary_mut()).unwrap();
-        let db = Database::builder()
-            .parallelism(Parallelism::morsels())
-            .build(g);
-        assert_eq!(db.default_parallelism(), Parallelism::morsels());
-        let a = db.query(&q).run().unwrap();
-        let b = db.query(&q).parallelism(Parallelism::Off).run().unwrap();
-        assert_eq!(a.rows(), b.rows());
-    }
-
-    /// The builder's join-algorithm knob becomes the engine default the
-    /// request builder starts from, and requests can still override it —
-    /// mirroring `builder_parallelism_is_the_request_default`.
-    #[test]
-    fn builder_join_algorithm_is_the_request_default() {
-        let mut g = parse_turtle(DOC).unwrap();
-        let q = parse_select(QUERY, g.dictionary_mut()).unwrap();
-        let db = Database::builder()
-            .join_algorithm(JoinAlgorithm::Auto)
-            .build(g);
-        assert_eq!(db.default_join_algorithm(), JoinAlgorithm::Auto);
-        let a = db.query(&q).run().unwrap();
-        let b = db
-            .query(&q)
-            .join_algorithm(JoinAlgorithm::BindJoin)
-            .run()
-            .unwrap();
-        let c = db
-            .query(&q)
-            .join_algorithm(JoinAlgorithm::Wcoj)
-            .run()
-            .unwrap();
-        assert_eq!(a.rows(), b.rows());
-        assert_eq!(a.rows(), c.rows());
     }
 
     /// Builder equivalence with the removed constructor zoo: every old

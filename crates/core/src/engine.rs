@@ -68,14 +68,6 @@ pub trait QueryEngine {
     /// Answer `cq` with `strategy` under `opts`.
     fn run_query(&self, cq: &Cq, strategy: &Strategy, opts: &AnswerOptions) -> Result<QueryAnswer>;
 
-    /// The options a fresh [`QueryRequest`] starts from. Engines built with
-    /// a non-default parallelism policy (see
-    /// [`crate::EngineBuilder::parallelism`]) override this so requests
-    /// inherit the engine default; explicit request knobs still win.
-    fn default_options(&self) -> AnswerOptions {
-        AnswerOptions::default()
-    }
-
     /// Start a request for `cq` against this engine (builder style).
     fn query<'q>(&self, cq: &'q Cq) -> QueryRequest<'q, &Self>
     where
@@ -89,21 +81,11 @@ impl QueryEngine for Database {
     fn run_query(&self, cq: &Cq, strategy: &Strategy, opts: &AnswerOptions) -> Result<QueryAnswer> {
         Database::run_query(self, cq, strategy, opts)
     }
-
-    fn default_options(&self) -> AnswerOptions {
-        AnswerOptions::default()
-            .with_parallelism(self.default_parallelism())
-            .with_join_algorithm(self.default_join_algorithm())
-    }
 }
 
 impl<E: QueryEngine> QueryEngine for &E {
     fn run_query(&self, cq: &Cq, strategy: &Strategy, opts: &AnswerOptions) -> Result<QueryAnswer> {
         (**self).run_query(cq, strategy, opts)
-    }
-
-    fn default_options(&self) -> AnswerOptions {
-        (**self).default_options()
     }
 }
 
@@ -124,15 +106,14 @@ pub struct QueryRequest<'q, E> {
 }
 
 impl<'q, E: QueryEngine> QueryRequest<'q, E> {
-    /// Start a request with the default strategy and the engine's default
-    /// options (which carry the engine-level parallelism policy).
+    /// Start a request with the default strategy and
+    /// [`AnswerOptions::default`].
     pub fn new(engine: E, cq: &'q Cq) -> Self {
-        let opts = engine.default_options();
         QueryRequest {
             engine,
             cq,
             strategy: Strategy::RefGCov,
-            opts,
+            opts: AnswerOptions::default(),
         }
     }
 

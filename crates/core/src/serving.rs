@@ -60,7 +60,7 @@ use rdfref_model::{
 use rdfref_obs::Obs;
 use rdfref_query::Cq;
 use rdfref_reasoning::{IncrementalReasoner, MaintenanceDelta};
-use rdfref_storage::{JoinAlgorithm, Parallelism, Stats, StatsMaintainer, Store};
+use rdfref_storage::{Stats, StatsMaintainer, Store};
 use rdfref_sync::{mpsc, thread, Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -153,10 +153,6 @@ impl Snapshot {
 impl QueryEngine for Snapshot {
     fn run_query(&self, cq: &Cq, strategy: &Strategy, opts: &AnswerOptions) -> Result<QueryAnswer> {
         Snapshot::run_query(self, cq, strategy, opts)
-    }
-
-    fn default_options(&self) -> AnswerOptions {
-        self.db.default_options()
     }
 }
 
@@ -309,12 +305,6 @@ struct WriterCore {
     /// always speak base ids; deltas are remapped on the way into the
     /// stores (a no-op under the classic identity).
     encoder: Arc<HierarchyEncoder>,
-    /// Engine-default intra-query parallelism, stamped onto every snapshot
-    /// database this writer assembles.
-    parallelism: Parallelism,
-    /// Engine-default physical join algorithm, stamped onto every snapshot
-    /// database this writer assembles.
-    join_algorithm: JoinAlgorithm,
 }
 
 impl WriterCore {
@@ -343,8 +333,6 @@ impl WriterCore {
             obs: b.obs.clone(),
             encoding: b.encoding,
             encoder,
-            parallelism: b.parallelism,
-            join_algorithm: b.join_algorithm,
         }
     }
 
@@ -492,8 +480,6 @@ impl WriterCore {
             Some((self.cache.schema_epoch(), self.cache.data_epoch())),
             self.obs.clone(),
             Arc::clone(&self.encoder),
-            self.parallelism,
-            self.join_algorithm,
         );
         Arc::new(Snapshot {
             seq: self.seq,
@@ -650,10 +636,6 @@ pub struct ServingDatabase {
     worker: Option<thread::JoinHandle<()>>,
     cache: Arc<PlanCache>,
     obs: Obs,
-    /// Engine-default intra-query parallelism (request-builder default).
-    parallelism: Parallelism,
-    /// Engine-default physical join algorithm (request-builder default).
-    join_algorithm: JoinAlgorithm,
 }
 
 impl ServingDatabase {
@@ -687,8 +669,6 @@ impl ServingDatabase {
             worker: Some(worker),
             cache,
             obs,
-            parallelism: b.parallelism,
-            join_algorithm: b.join_algorithm,
         }
     }
 
@@ -753,12 +733,6 @@ impl ServingDatabase {
 impl QueryEngine for ServingDatabase {
     fn run_query(&self, cq: &Cq, strategy: &Strategy, opts: &AnswerOptions) -> Result<QueryAnswer> {
         self.snapshot().run_query(cq, strategy, opts)
-    }
-
-    fn default_options(&self) -> AnswerOptions {
-        AnswerOptions::default()
-            .with_parallelism(self.parallelism)
-            .with_join_algorithm(self.join_algorithm)
     }
 }
 

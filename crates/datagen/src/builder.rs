@@ -2,25 +2,27 @@
 
 use rdfref_model::dictionary::ID_RDF_TYPE;
 use rdfref_model::vocab;
-use rdfref_model::{EncodedTriple, Graph, Term, TermId};
+use rdfref_model::{Dictionary, EncodedTriple, Graph, Term, TermId};
+use std::sync::Arc;
 
-/// A graph under construction: interning helpers + typed insertion.
+/// A graph under construction: interning helpers + typed insertion. The
+/// triples are collected as generated and sorted once by
+/// [`GraphBuilder::finish`].
 #[derive(Debug, Default)]
 pub struct GraphBuilder {
-    graph: Graph,
+    dict: Dictionary,
+    triples: Vec<EncodedTriple>,
 }
 
 impl GraphBuilder {
     /// Start an empty graph.
     pub fn new() -> Self {
-        GraphBuilder {
-            graph: Graph::new(),
-        }
+        GraphBuilder::default()
     }
 
     /// Intern an IRI.
     pub fn iri(&mut self, iri: &str) -> TermId {
-        self.graph.dictionary_mut().intern(&Term::iri(iri))
+        self.dict.intern(&Term::iri(iri))
     }
 
     /// Intern an IRI assembled from a namespace and local name.
@@ -30,17 +32,17 @@ impl GraphBuilder {
 
     /// Intern a plain literal.
     pub fn literal(&mut self, lexical: &str) -> TermId {
-        self.graph.dictionary_mut().intern(&Term::literal(lexical))
+        self.dict.intern(&Term::literal(lexical))
     }
 
-    /// Insert a triple by ids. Returns `true` if new.
-    pub fn triple(&mut self, s: TermId, p: TermId, o: TermId) -> bool {
-        self.graph.insert_encoded(EncodedTriple::new(s, p, o))
+    /// Insert a triple by ids (a duplicate is dropped by `finish`).
+    pub fn triple(&mut self, s: TermId, p: TermId, o: TermId) {
+        self.triples.push(EncodedTriple::new(s, p, o));
     }
 
     /// Insert `s rdf:type c`.
-    pub fn a(&mut self, s: TermId, c: TermId) -> bool {
-        self.triple(s, ID_RDF_TYPE, c)
+    pub fn a(&mut self, s: TermId, c: TermId) {
+        self.triple(s, ID_RDF_TYPE, c);
     }
 
     /// Insert `sub rdfs:subClassOf sup`.
@@ -67,19 +69,9 @@ impl GraphBuilder {
         self.triple(prop, p, class);
     }
 
-    /// Current triple count.
-    pub fn len(&self) -> usize {
-        self.graph.len()
-    }
-
-    /// True iff no triples yet.
-    pub fn is_empty(&self) -> bool {
-        self.graph.is_empty()
-    }
-
-    /// Finish, returning the graph.
+    /// Finish, returning the graph: one sort of the collected triples.
     pub fn finish(self) -> Graph {
-        self.graph
+        Graph::from_encoded(Arc::new(self.dict), self.triples)
     }
 }
 
@@ -94,8 +86,8 @@ mod tests {
         let publication = b.iri("http://e/Publication");
         let doi = b.iri("http://e/doi1");
         b.subclass(book, publication);
-        assert!(b.a(doi, book));
-        assert!(!b.a(doi, book)); // duplicate
+        b.a(doi, book);
+        b.a(doi, book); // duplicate
         let title = b.iri("http://e/title");
         let lit = b.literal("El Aleph");
         b.triple(doi, title, lit);

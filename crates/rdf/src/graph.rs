@@ -1,8 +1,7 @@
-//! RDF graphs: a set of triples together with their dictionary.
+//! RDF graphs: a sorted set of triples together with their dictionary.
 
 use crate::dictionary::Dictionary;
 use crate::error::Result;
-use crate::fxhash::FxHashSet;
 use crate::schema::Schema;
 use crate::term::Term;
 use crate::triple::{EncodedTriple, Triple};
@@ -12,9 +11,11 @@ use std::sync::Arc;
 ///
 /// The graph holds its [`Dictionary`] behind an `Arc`: clones of a graph
 /// (and the engines built from it) share one dictionary until one of them
-/// interns a term, which copies it first. Triples are stored encoded, both in a
-/// hash set (O(1) membership, deduplication) and in an insertion-ordered
-/// vector (deterministic iteration, cheap snapshots for the storage layer).
+/// interns a term, which copies it first. Triples are stored encoded, once,
+/// in one strictly ascending vector (SPO id order): membership is a binary
+/// search, iteration is in id order, and a batch edit
+/// ([`Graph::apply_delta`]) is one [`merge_sorted`] of the graph with the
+/// batch's sorted runs — the merge a store index applies to its buckets.
 ///
 /// A graph freely mixes *data* triples (class and property assertions) and
 /// *schema* triples (the four RDFS constraints); [`Graph::schema`] extracts
@@ -37,32 +38,23 @@ use std::sync::Arc;
 pub struct Graph {
     dict: Arc<Dictionary>,
     triples: Vec<EncodedTriple>,
-    set: FxHashSet<EncodedTriple>,
 }
 
 impl Graph {
     /// An empty graph.
     pub fn new() -> Self {
-        Graph {
-            dict: Arc::new(Dictionary::new()),
-            triples: Vec::new(),
-            set: FxHashSet::default(),
-        }
+        Graph::default()
     }
 
-    /// Assemble a graph from a shared dictionary and encoded triples
-    /// (deduplicating while preserving first-occurrence order). Used by a
-    /// database to materialize a graph from its store; the ids in `triples`
-    /// must come from `dict`.
+    /// Assemble a graph from a shared dictionary and encoded triples in any
+    /// order, with duplicates: one sort. The ids in `triples` must come from
+    /// `dict`.
     pub fn from_encoded(dict: Arc<Dictionary>, triples: Vec<EncodedTriple>) -> Graph {
-        let mut g = Graph {
+        let g = Graph {
             dict,
-            triples: Vec::with_capacity(triples.len()),
-            set: FxHashSet::default(),
+            triples: sorted_run(triples),
         };
-        for t in triples {
-            g.insert_encoded(t);
-        }
+        g.check_ascending();
         g
     }
 
@@ -100,25 +92,32 @@ impl Graph {
     }
 
     /// Insert a term-level triple (validating well-formedness). Returns
-    /// `true` if the triple was new.
+    /// `true` if the triple was new. O(|G|), like every single-triple
+    /// insert: batches go through [`Graph::apply_delta`].
     pub fn insert(&mut self, subject: Term, property: Term, object: Term) -> Result<bool> {
         let t = Triple::new(subject, property, object)?;
         Ok(self.insert_triple(&t))
     }
 
-    /// Insert an already-validated triple. Returns `true` if new.
+    /// Insert an already-validated triple. Returns `true` if new. O(|G|).
     pub fn insert_triple(&mut self, triple: &Triple) -> bool {
-        let dict = self.dictionary_mut();
-        let enc = EncodedTriple::new(
-            dict.intern(&triple.subject),
-            dict.intern(&triple.property),
-            dict.intern(&triple.object),
-        );
+        let enc = self.encode(triple);
         self.insert_encoded(enc)
     }
 
+    /// Intern a triple's terms into this graph's dictionary, without
+    /// inserting it.
+    pub fn encode(&mut self, triple: &Triple) -> EncodedTriple {
+        let dict = self.dictionary_mut();
+        EncodedTriple::new(
+            dict.intern(&triple.subject),
+            dict.intern(&triple.property),
+            dict.intern(&triple.object),
+        )
+    }
+
     /// Insert an encoded triple whose ids come from this graph's dictionary.
-    /// Returns `true` if new.
+    /// Returns `true` if new. O(|G|): the tail shifts to keep the order.
     pub fn insert_encoded(&mut self, t: EncodedTriple) -> bool {
         debug_assert!(
             t.s.index() < self.dict.len()
@@ -126,33 +125,37 @@ impl Graph {
                 && t.o.index() < self.dict.len(),
             "encoded triple uses foreign term ids"
         );
-        if self.set.insert(t) {
-            self.triples.push(t);
-            true
-        } else {
-            false
-        }
+        let Err(at) = self.triples.binary_search(&t) else {
+            return false;
+        };
+        self.triples.insert(at, t);
+        self.check_ascending();
+        true
     }
 
-    /// Remove every triple of `doomed`; returns how many were present. One
-    /// `retain` over the ordered vector (skipped when none was present), so
-    /// the survivors keep their order.
-    pub fn remove_all(&mut self, doomed: &FxHashSet<EncodedTriple>) -> usize {
-        let present = doomed.iter().filter(|t| self.set.remove(t)).count();
-        if present > 0 {
-            self.triples.retain(|t| !doomed.contains(t));
+    /// The batch edit: the graph becomes `(G ∪ inserts) ∖ removes`, by one
+    /// [`merge_sorted`]. Both runs must be strictly ascending (see
+    /// [`sorted_run`]); a triple in both ends up removed.
+    pub fn apply_delta(&mut self, inserts: &[EncodedTriple], removes: &[EncodedTriple]) {
+        if inserts.is_empty() && removes.is_empty() {
+            return;
         }
-        debug_assert_eq!(
-            self.set.len(),
-            self.triples.len(),
-            "set and vec out of sync"
+        self.triples = merge_sorted(&self.triples, inserts, removes);
+        self.check_ascending();
+    }
+
+    /// `strict-invariants`: the triples are one strictly ascending run.
+    fn check_ascending(&self) {
+        #[cfg(feature = "strict-invariants")]
+        assert!(
+            self.triples.is_sorted_by(|a, b| a < b),
+            "graph triples are not strictly ascending"
         );
-        present
     }
 
-    /// Membership test on encoded triples.
+    /// Membership test on encoded triples: a binary search.
     pub fn contains_encoded(&self, t: &EncodedTriple) -> bool {
-        self.set.contains(t)
+        self.triples.binary_search(t).is_ok()
     }
 
     /// Membership test on term-level triples (false if any term is unknown).
@@ -162,17 +165,17 @@ impl Graph {
             self.dict.id_of(&triple.property),
             self.dict.id_of(&triple.object),
         ) {
-            (Some(s), Some(p), Some(o)) => self.set.contains(&EncodedTriple::new(s, p, o)),
+            (Some(s), Some(p), Some(o)) => self.contains_encoded(&EncodedTriple::new(s, p, o)),
             _ => false,
         }
     }
 
-    /// Iterate over encoded triples in insertion order.
+    /// Iterate over encoded triples in ascending (SPO id) order.
     pub fn iter(&self) -> impl Iterator<Item = &EncodedTriple> {
         self.triples.iter()
     }
 
-    /// The encoded triples as a slice.
+    /// The encoded triples as a strictly ascending slice.
     pub fn triples(&self) -> &[EncodedTriple] {
         &self.triples
     }
@@ -211,6 +214,56 @@ impl PartialEq for Graph {
 
 impl Eq for Graph {}
 
+/// `v` sorted and deduplicated: a strictly ascending run.
+pub fn sorted_run<T: Ord>(mut v: Vec<T>) -> Vec<T> {
+    v.sort_unstable();
+    v.dedup();
+    v
+}
+
+/// `(base ∪ ins) ∖ rem` for strictly ascending runs, itself strictly
+/// ascending: the one batch edit of a sorted set, shared by [`Graph`] and
+/// the store's index buckets. The stretch of `base` before each edited key
+/// is found by galloping and copied whole, so a small batch against a large
+/// run costs O(batch · log |base|) comparisons and one copy.
+pub fn merge_sorted<T: Ord + Copy>(base: &[T], ins: &[T], rem: &[T]) -> Vec<T> {
+    let mut out = Vec::with_capacity(base.len() + ins.len());
+    let (mut base, mut ins, mut rem) = (base, ins, rem);
+    loop {
+        // The next edited key: the lesser head of `ins` and `rem`.
+        let key = match (ins.first(), rem.first()) {
+            (Some(&i), Some(&r)) => i.min(r),
+            (Some(&k), None) | (None, Some(&k)) => k,
+            (None, None) => break,
+        };
+        let below = count_below(base, &key);
+        out.extend_from_slice(&base[..below]);
+        base = &base[below..];
+        for run in [&mut base, &mut ins] {
+            if run.first() == Some(&key) {
+                *run = &run[1..];
+            }
+        }
+        match rem.split_first() {
+            Some((r, rest)) if *r == key => rem = rest,
+            _ => out.push(key),
+        }
+    }
+    out.extend_from_slice(base);
+    out
+}
+
+/// How many leading keys of the ascending `s` are below `key`: a galloping
+/// search, O(log answer).
+fn count_below<T: Ord>(s: &[T], key: &T) -> usize {
+    let mut end = 1;
+    while end <= s.len() && s[end - 1] < *key {
+        end *= 2;
+    }
+    let lo = end / 2;
+    lo + s[lo..end.min(s.len())].partition_point(|k| k < key)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -233,18 +286,40 @@ mod tests {
     }
 
     #[test]
-    fn remove_keeps_set_and_vec_in_sync() {
+    fn batch_edits_keep_one_ascending_run() {
         let mut g = Graph::new();
-        g.insert(iri("a"), iri("p"), iri("b")).unwrap();
-        g.insert(iri("c"), iri("p"), iri("d")).unwrap();
-        g.insert(iri("e"), iri("p"), iri("f")).unwrap();
-        let (first, middle, last) = (g.triples()[0], g.triples()[1], g.triples()[2]);
-        let doomed: FxHashSet<EncodedTriple> = [middle].into_iter().collect();
-        assert_eq!(g.remove_all(&doomed), 1);
-        assert_eq!(g.remove_all(&doomed), 0);
-        assert_eq!(g.triples(), &[first, last], "survivors keep their order");
-        assert!(!g.contains_encoded(&middle));
-        assert_eq!(g.remove_all(&FxHashSet::default()), 0);
+        for s in ["e", "a", "c"] {
+            g.insert(iri(s), iri("p"), iri("o")).unwrap();
+        }
+        let t = g.triples().to_vec();
+        assert!(
+            t.is_sorted_by(|a, b| a < b),
+            "single inserts keep the order"
+        );
+        g.apply_delta(&[], &[t[1]]);
+        assert_eq!(g.triples(), &[t[0], t[2]]);
+        assert!(!g.contains_encoded(&t[1]));
+        g.apply_delta(&[t[1], t[2]], &[t[0]]);
+        assert_eq!(g.triples(), &[t[1], t[2]]);
+        let dict = Arc::clone(g.shared_dictionary());
+        let rebuilt = Graph::from_encoded(dict, vec![t[2], t[1], t[2]]);
+        assert_eq!(rebuilt.triples(), g.triples());
+    }
+
+    #[test]
+    fn merge_sorted_is_union_minus_removals() {
+        let base: Vec<u32> = (0..100).map(|i| 2 * i).collect();
+        let ins = [1, 4, 99, 198, 500];
+        let rem = [0, 4, 7, 150, 500];
+        let mut want: Vec<u32> = base.iter().chain(&ins).copied().collect();
+        want.retain(|k| !rem.contains(k));
+        assert_eq!(merge_sorted(&base, &ins, &rem), sorted_run(want));
+        assert_eq!(merge_sorted(&base, &[], &[]), base);
+        assert_eq!(merge_sorted(&[], &ins, &[]), ins);
+        assert!(merge_sorted(&[], &[], &rem).is_empty());
+        for k in [0, 1, 77, 198, 199, 1000] {
+            assert_eq!(count_below(&base, &k), base.partition_point(|b| *b < k));
+        }
     }
 
     #[test]

@@ -10,7 +10,9 @@
 //! * [`dictionary::Dictionary`] — interning of terms into dense [`TermId`]s,
 //!   so that the storage and reasoning layers work on `u32` triples;
 //! * [`triple::Triple`] / [`triple::EncodedTriple`] — well-formed RDF triples;
-//! * [`graph::Graph`] — an RDF graph: a set of triples plus its dictionary;
+//! * [`graph::Graph`] — an RDF graph: its dictionary plus one strictly
+//!   ascending run of encoded triples, edited in batches by
+//!   [`graph::merge_sorted`] (the merge the store's indexes share);
 //! * [`schema::Schema`] — the four RDFS constraints (subclass, subproperty,
 //!   domain, range) and their closure, the input of both saturation and
 //!   reformulation;
@@ -49,7 +51,7 @@ pub mod writer;
 
 pub use dictionary::{Dictionary, TermId};
 pub use error::{ModelError, Result};
-pub use graph::Graph;
+pub use graph::{merge_sorted, sorted_run, Graph};
 pub use intervals::{DictEncoding, HierarchyEncoder, IdRange};
 pub use schema::{ConstraintKind, Schema, SchemaClosure};
 pub use term::Term;

@@ -7,8 +7,9 @@
 //! typed [`ModelError::Syntax`].
 
 use crate::error::{ModelError, Result};
-use crate::graph::Graph;
+use crate::graph::{sorted_run, Graph};
 use crate::term::{Literal, Term};
+use crate::triple::Triple;
 
 /// Parse an N-Triples document into a fresh [`Graph`].
 pub fn parse_ntriples(input: &str) -> Result<Graph> {
@@ -17,8 +18,10 @@ pub fn parse_ntriples(input: &str) -> Result<Graph> {
     Ok(graph)
 }
 
-/// Parse an N-Triples document, inserting into an existing graph.
+/// Parse an N-Triples document, inserting into an existing graph: one
+/// sort and one merge. On a syntax error the graph keeps its triples.
 pub fn parse_ntriples_into(input: &str, graph: &mut Graph) -> Result<()> {
+    let mut batch = Vec::new();
     for (lineno, raw) in input.lines().enumerate() {
         let line = lineno + 1;
         let text = raw.trim();
@@ -37,13 +40,13 @@ pub fn parse_ntriples_into(input: &str, graph: &mut Graph) -> Result<()> {
         if !cursor.at_end() {
             return Err(cursor.error("trailing content after '.'"));
         }
-        graph
-            .insert(subject, property, object)
-            .map_err(|e| ModelError::Syntax {
-                line,
-                message: e.to_string(),
-            })?;
+        let t = Triple::new(subject, property, object).map_err(|e| ModelError::Syntax {
+            line,
+            message: e.to_string(),
+        })?;
+        batch.push(graph.encode(&t));
     }
+    graph.apply_delta(&sorted_run(batch), &[]);
     Ok(())
 }
 

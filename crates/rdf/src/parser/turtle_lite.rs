@@ -18,8 +18,9 @@
 //! typed [`ModelError`] whose message carries line and column.
 
 use crate::error::{ModelError, Result};
-use crate::graph::Graph;
+use crate::graph::{sorted_run, Graph};
 use crate::term::Term;
+use crate::triple::{EncodedTriple, Triple};
 use crate::vocab;
 use std::collections::HashMap;
 
@@ -38,7 +39,8 @@ pub fn parse_turtle(input: &str) -> Result<Graph> {
     Ok(g)
 }
 
-/// Parse a turtle-lite document into an existing graph.
+/// Parse a turtle-lite document into an existing graph: one sort and one
+/// merge. On a syntax error the graph keeps its triples.
 pub fn parse_turtle_into(input: &str, graph: &mut Graph) -> Result<()> {
     let tokens = tokenize(input)?;
     let mut parser = Parser {
@@ -46,7 +48,10 @@ pub fn parse_turtle_into(input: &str, graph: &mut Graph) -> Result<()> {
         pos: 0,
         prefixes: HashMap::new(),
     };
-    parser.document(graph)
+    let mut batch = Vec::new();
+    parser.document(graph, &mut batch)?;
+    graph.apply_delta(&sorted_run(batch), &[]);
+    Ok(())
 }
 
 /// A literal's datatype annotation as written — resolved to an IRI by the
@@ -392,12 +397,12 @@ impl Parser {
         }
     }
 
-    fn document(&mut self, graph: &mut Graph) -> Result<()> {
+    fn document(&mut self, graph: &mut Graph, batch: &mut Vec<EncodedTriple>) -> Result<()> {
         while self.peek().is_some() {
             if matches!(self.peek().map(|t| &t.tok), Some(Tok::PrefixDecl)) {
                 self.prefix_decl()?;
             } else {
-                self.statement(graph)?;
+                self.statement(graph, batch)?;
             }
         }
         Ok(())
@@ -424,15 +429,15 @@ impl Parser {
         Ok(())
     }
 
-    fn statement(&mut self, graph: &mut Graph) -> Result<()> {
+    fn statement(&mut self, graph: &mut Graph, batch: &mut Vec<EncodedTriple>) -> Result<()> {
         let subject = self.term()?;
         loop {
             let property = self.property_term()?;
             loop {
                 let object = self.term()?;
-                graph
-                    .insert(subject.clone(), property.clone(), object)
+                let t = Triple::new(subject.clone(), property.clone(), object)
                     .map_err(|e| self.err(&e.to_string()))?;
+                batch.push(graph.encode(&t));
                 match self.peek().map(|t| &t.tok) {
                     Some(Tok::Comma) => {
                         self.next();

@@ -5,7 +5,8 @@ use crate::term::Term;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-/// Serialize a graph as N-Triples, one triple per line, in insertion order.
+/// Serialize a graph as N-Triples, one triple per line, in the graph's
+/// (SPO id) order.
 pub fn to_ntriples(graph: &Graph) -> String {
     let mut out = String::with_capacity(graph.len() * 64);
     for t in graph.iter_decoded() {

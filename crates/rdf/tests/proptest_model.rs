@@ -1,10 +1,15 @@
-//! Property tests of the model layer: dictionary interning, serialization
-//! round trips, schema closure laws.
+//! Property tests of the model layer: dictionary interning, the graph as a
+//! sorted set, serialization round trips, schema closure laws.
 
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::seq::SliceRandom;
+use rand::SeedableRng;
 use rdfref_model::parser::parse_ntriples;
 use rdfref_model::writer::to_ntriples;
-use rdfref_model::{Dictionary, Graph, Schema, Term, TermId, Triple};
+use rdfref_model::{sorted_run, Dictionary, EncodedTriple, Graph, Schema, Term, TermId, Triple};
+use std::collections::BTreeSet;
+use std::sync::Arc;
 
 /// Random RDF terms: IRIs, blanks, plain/typed/lang literals with
 /// deliberately awkward lexical forms (quotes, backslashes, newlines).
@@ -58,6 +63,55 @@ proptest! {
                 let _ = j;
             }
         }
+    }
+
+    /// Random insert, remove and mixed batches keep a graph one strictly
+    /// ascending run that agrees with a `BTreeSet` model on `len` and
+    /// `contains`; `from_encoded` of the model, shuffled and duplicated,
+    /// equals it too.
+    #[test]
+    fn graph_batch_edits_match_a_sorted_set_model(
+        batches in proptest::collection::vec(
+            (0u8..3, proptest::collection::vec((0usize..5, 0usize..3, 0usize..5), 0..12)),
+            1..12,
+        ),
+        seed in any::<u64>(),
+    ) {
+        let mut dict = Dictionary::new();
+        let ids: Vec<TermId> = (0..5)
+            .map(|i| dict.intern(&Term::iri(format!("http://example.org/{i}"))))
+            .collect();
+        let dict = Arc::new(dict);
+        let universe: Vec<EncodedTriple> = (0..5 * 3 * 5)
+            .map(|i| EncodedTriple::new(ids[i / 15], ids[i / 5 % 3], ids[i % 5]))
+            .collect();
+        let mut g = Graph::from_encoded(Arc::clone(&dict), Vec::new());
+        let mut model = BTreeSet::new();
+        for (op, batch) in &batches {
+            let batch: Vec<EncodedTriple> = batch
+                .iter()
+                .map(|&(s, p, o)| EncodedTriple::new(ids[s], ids[p], ids[o]))
+                .collect();
+            // 0 inserts, 1 removes, 2 inserts the first half and removes
+            // the second (a triple in both ends up removed).
+            let cut = if *op == 2 { batch.len() / 2 } else if *op == 0 { batch.len() } else { 0 };
+            let ins = sorted_run(batch[..cut].to_vec());
+            let rem = sorted_run(batch[cut..].to_vec());
+            g.apply_delta(&ins, &rem);
+            model.extend(ins.iter().copied());
+            for t in &rem {
+                model.remove(t);
+            }
+            prop_assert!(g.triples().is_sorted_by(|a, b| a < b), "not strictly ascending");
+            prop_assert_eq!(g.len(), model.len());
+            for t in &universe {
+                prop_assert_eq!(g.contains_encoded(t), model.contains(t));
+            }
+        }
+        let mut shuffled: Vec<EncodedTriple> = model.iter().chain(&model).copied().collect();
+        shuffled.shuffle(&mut StdRng::seed_from_u64(seed));
+        let rebuilt = Graph::from_encoded(dict, shuffled);
+        prop_assert!(rebuilt.triples().iter().eq(model.iter()));
     }
 
     /// Graph → N-Triples → Graph is the identity (modulo triple order).

@@ -23,7 +23,7 @@ use crate::rules::RuleTables;
 use crate::saturate::saturate_with_tables;
 use rdfref_model::fxhash::FxHashSet;
 use rdfref_model::schema::ConstraintKind;
-use rdfref_model::{EncodedTriple, Graph, TermId};
+use rdfref_model::{merge_sorted, sorted_run, EncodedTriple, Graph, TermId};
 use rdfref_obs::Obs;
 
 /// The exact triple-level effect of one maintenance batch.
@@ -31,10 +31,11 @@ use rdfref_obs::Obs;
 /// All four triple lists are *net* deltas: `explicit_added` holds only
 /// triples that were genuinely absent from the explicit graph before the
 /// batch, `saturation_removed` only triples genuinely present in the old
-/// saturation, and added/removed lists are disjoint. This is precisely the
-/// contract `Store::apply_delta` and `StatsMaintainer::apply` need, so the
-/// serving layer can evolve its immutable snapshots copy-on-write straight
-/// from a [`MaintenanceDelta`].
+/// saturation, and added/removed lists are disjoint. Each list is strictly
+/// ascending: the runs the reasoner merged into its graphs. This is
+/// precisely the contract `Store::apply_delta` and `StatsMaintainer::apply`
+/// need, so the serving layer can evolve its immutable snapshots
+/// copy-on-write straight from a [`MaintenanceDelta`].
 #[derive(Debug, Clone, Default)]
 pub struct MaintenanceDelta {
     /// Triples newly added to the explicit graph.
@@ -142,29 +143,24 @@ impl IncrementalReasoner {
         let obs = self.obs.clone();
         let _span = obs.span("maintain.insert");
         self.saturated.share_dictionary(&self.explicit);
-        let mut out = MaintenanceDelta::default();
-        for &t in triples {
-            if self.explicit.insert_encoded(t) {
-                out.explicit_added.push(t);
-            }
-        }
+        let mut out = MaintenanceDelta {
+            explicit_added: filtered_run(triples.to_vec(), &self.explicit, false),
+            ..MaintenanceDelta::default()
+        };
         if out.explicit_added.is_empty() {
             return out;
         }
+        self.explicit.apply_delta(&out.explicit_added, &[]);
         if self.needs_resaturation(&out.explicit_added) {
             self.resaturate_and_diff(&mut out);
         } else {
             // The one derivation step, over the batch.
-            for &t in &out.explicit_added {
-                if self.saturated.insert_encoded(t) {
-                    out.saturation_added.push(t);
-                }
-                self.tables.derive_from(&t, &mut |nt| {
-                    if self.saturated.insert_encoded(nt) {
-                        out.saturation_added.push(nt);
-                    }
-                });
+            let mut image = out.explicit_added.clone();
+            for t in &out.explicit_added {
+                self.tables.derive_from(t, &mut |nt| image.push(nt));
             }
+            out.saturation_added = filtered_run(image, &self.saturated, false);
+            self.saturated.apply_delta(&out.saturation_added, &[]);
             obs.add("maintain.insert.rounds", 1);
         }
         obs.add("maintain.insert.added", out.saturation_added.len() as u64);
@@ -190,28 +186,30 @@ impl IncrementalReasoner {
         let obs = self.obs.clone();
         let _span = obs.span("maintain.delete");
         self.saturated.share_dictionary(&self.explicit);
-        let mut out = MaintenanceDelta::default();
-        let mut candidates: FxHashSet<EncodedTriple> = FxHashSet::default();
-        for &t in triples {
-            if self.explicit.contains_encoded(&t) && candidates.insert(t) {
-                out.explicit_removed.push(t);
-            }
-        }
+        let mut out = MaintenanceDelta {
+            explicit_removed: filtered_run(triples.to_vec(), &self.explicit, true),
+            ..MaintenanceDelta::default()
+        };
         if out.explicit_removed.is_empty() {
             return out;
         }
-        self.explicit.remove_all(&candidates);
+        self.explicit.apply_delta(&[], &out.explicit_removed);
         if self.needs_resaturation(&out.explicit_removed) {
             self.resaturate_and_diff(&mut out);
             return out;
         }
 
+        let mut image = out.explicit_removed.clone();
         for t in &out.explicit_removed {
-            self.tables.derive_from(t, &mut |nt| {
-                candidates.insert(nt);
-            });
+            self.tables.derive_from(t, &mut |nt| image.push(nt));
         }
-        let examined = candidates.len();
+        let candidates = sorted_run(image);
+        let mut supported = vec![false; candidates.len()];
+        let mut support = |t: EncodedTriple| {
+            if let Ok(i) = candidates.binary_search(&t) {
+                supported[i] = true;
+            }
+        };
         // A remaining explicit triple `e` derives a candidate only if the
         // candidate's subject is `e`'s subject, or `e`'s object under a range.
         let subjects: FxHashSet<TermId> = candidates.iter().map(|c| c.s).collect();
@@ -219,18 +217,29 @@ impl IncrementalReasoner {
             if subjects.contains(&e.s)
                 || (self.tables.rng.contains_key(&e.p) && subjects.contains(&e.o))
             {
-                candidates.remove(e);
-                self.tables.derive_from(e, &mut |nt| {
-                    candidates.remove(&nt);
-                });
+                support(*e);
+                self.tables.derive_from(e, &mut support);
             }
         }
+        out.saturation_removed = candidates
+            .iter()
+            .zip(&supported)
+            .filter(|(_, &kept)| !kept)
+            .map(|(c, _)| *c)
+            .collect();
+        let examined = candidates.len();
         obs.add("dred.overdeleted", examined as u64);
-        obs.add("dred.rederived", (examined - candidates.len()) as u64);
-        let removed = self.saturated.remove_all(&candidates);
-        debug_assert_eq!(removed, candidates.len(), "a candidate was not saturated");
-        out.saturation_removed = candidates.into_iter().collect();
-        out.saturation_removed.sort_unstable();
+        obs.add(
+            "dred.rederived",
+            (examined - out.saturation_removed.len()) as u64,
+        );
+        let before = self.saturated.len();
+        self.saturated.apply_delta(&[], &out.saturation_removed);
+        debug_assert_eq!(
+            before - self.saturated.len(),
+            out.saturation_removed.len(),
+            "a candidate was not saturated"
+        );
         #[cfg(feature = "strict-invariants")]
         self.assert_one_step();
         out
@@ -245,45 +254,48 @@ impl IncrementalReasoner {
 
     /// Rebuild the saturation and the rule tables from the explicit graph
     /// and record the exact triple-level difference between old and new
-    /// saturations in `out`.
+    /// saturations in `out`: one merge walk each way.
     fn resaturate_and_diff(&mut self, out: &mut MaintenanceDelta) {
         self.obs.add("maintain.resaturate", 1);
         out.resaturated = true;
-        let old: FxHashSet<EncodedTriple> = self.saturated.triples().iter().copied().collect();
-        self.saturated = self.explicit.clone();
+        let old = std::mem::replace(&mut self.saturated, self.explicit.clone());
         self.tables = saturate_with_tables(&mut self.saturated, &self.obs);
-        let new: FxHashSet<EncodedTriple> = self.saturated.triples().iter().copied().collect();
-        out.saturation_added = new.difference(&old).copied().collect();
-        out.saturation_removed = old.difference(&new).copied().collect();
-        out.saturation_added.sort_unstable();
-        out.saturation_removed.sort_unstable();
+        let new = self.saturated.triples();
+        out.saturation_added = merge_sorted(new, &[], old.triples());
+        out.saturation_removed = merge_sorted(old.triples(), &[], new);
     }
 
     /// `strict-invariants`: the maintained saturation is exactly the explicit
     /// graph, the closed schema's triples and the explicit graph's one-step
-    /// image. Set equality checks soundness and completeness at once.
+    /// image. One run comparison checks soundness and completeness at once.
     /// O(|G∞|); skipped under a schema that constrains the RDFS vocabulary.
     #[cfg(feature = "strict-invariants")]
     fn assert_one_step(&self) {
         if self.tables.constrains_rdfs_vocabulary() {
             return;
         }
-        let mut expected: FxHashSet<EncodedTriple> =
-            self.explicit.triples().iter().copied().collect();
+        let mut expected = self.explicit.triples().to_vec();
         expected.extend(self.tables.schema_triples());
         for t in self.explicit.triples() {
-            self.tables.derive_from(t, &mut |nt| {
-                expected.insert(nt);
-            });
+            self.tables.derive_from(t, &mut |nt| expected.push(nt));
         }
-        let actual: FxHashSet<EncodedTriple> = self.saturated.triples().iter().copied().collect();
+        let expected = sorted_run(expected);
+        let actual = self.saturated.triples();
         assert!(
             expected == actual,
             "maintained saturation is not G ∪ closure ∪ one-step image: {} missing, {} unsupported",
-            expected.difference(&actual).count(),
-            actual.difference(&expected).count()
+            merge_sorted(&expected, &[], actual).len(),
+            merge_sorted(actual, &[], &expected).len()
         );
     }
+}
+
+/// The batch as a strictly ascending run, keeping the triples whose
+/// membership in `g` is `member`.
+fn filtered_run(batch: Vec<EncodedTriple>, g: &Graph, member: bool) -> Vec<EncodedTriple> {
+    let mut run = sorted_run(batch);
+    run.retain(|t| g.contains_encoded(t) == member);
+    run
 }
 
 #[cfg(test)]

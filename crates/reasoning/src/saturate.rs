@@ -3,13 +3,14 @@
 //! Against the closed schema, every entailed triple follows in one step from
 //! one triple of `G` (see [`crate::rules`]). So `G∞` is `G`, plus the closed
 //! schema as triples, plus the one-step image of `G`: one
-//! [`RuleTables::derive_from`] pass (design decision D5). A schema that
+//! [`RuleTables::derive_from`] pass, sorted once and merged into `G` (design
+//! decision D5). A schema that
 //! constrains the RDFS vocabulary itself is detected up front
 //! ([`RuleTables::constrains_rdfs_vocabulary`]). Only then is the step
 //! repeated, re-closing the schema each round, until nothing changes.
 
 use crate::rules::RuleTables;
-use rdfref_model::{Graph, Schema};
+use rdfref_model::{sorted_run, EncodedTriple, Graph, Schema};
 use rdfref_obs::Obs;
 
 /// Saturate a graph in place; returns the number of triples added.
@@ -38,15 +39,11 @@ pub(crate) fn saturate_with_tables(graph: &mut Graph, obs: &Obs) -> RuleTables {
     let tables = loop {
         let tables = RuleTables::from_closure(&Schema::from_graph(graph).closure());
         let len = graph.len();
-        for t in tables.schema_triples() {
-            graph.insert_encoded(t);
+        let mut derived: Vec<EncodedTriple> = tables.schema_triples().collect();
+        for t in graph.triples() {
+            tables.derive_from(t, &mut |nt| derived.push(nt));
         }
-        for i in 0..graph.len() {
-            let t = graph.triples()[i];
-            tables.derive_from(&t, &mut |nt| {
-                graph.insert_encoded(nt);
-            });
-        }
+        graph.apply_delta(&sorted_run(derived), &[]);
         obs.add("saturate.rounds", 1);
         if !tables.constrains_rdfs_vocabulary() || graph.len() == len {
             break tables;

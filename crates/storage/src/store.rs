@@ -27,7 +27,7 @@
 //! store per maintenance batch without ever rebuilding, or blocking readers
 //! of, the previous one.
 
-use rdfref_model::{EncodedTriple, Graph, TermId};
+use rdfref_model::{merge_sorted, sorted_run, EncodedTriple, Graph, TermId};
 use rdfref_sync::Arc;
 use std::cmp::Ordering;
 
@@ -115,9 +115,7 @@ pub(crate) struct SortedIndex {
 
 impl SortedIndex {
     fn build(order: Order, triples: &[EncodedTriple], bucket_target: usize) -> SortedIndex {
-        let mut keys: Vec<[TermId; 3]> = triples.iter().map(|t| order.key(t)).collect();
-        keys.sort_unstable();
-        keys.dedup();
+        let keys = sorted_run(triples.iter().map(|t| order.key(t)).collect());
         SortedIndex::from_sorted_keys(keys, bucket_target)
     }
 
@@ -244,19 +242,13 @@ impl SortedIndex {
         inserts: &[EncodedTriple],
         removes: &[EncodedTriple],
     ) -> SortedIndex {
-        let mut ins: Vec<[TermId; 3]> = inserts.iter().map(|t| order.key(t)).collect();
-        ins.sort_unstable();
-        ins.dedup();
-        let mut rem: Vec<[TermId; 3]> = removes.iter().map(|t| order.key(t)).collect();
-        rem.sort_unstable();
-        rem.dedup();
+        let ins = sorted_run(inserts.iter().map(|t| order.key(t)).collect());
+        let rem = sorted_run(removes.iter().map(|t| order.key(t)).collect());
         if ins.is_empty() && rem.is_empty() {
             return self.clone();
         }
         if self.buckets.is_empty() {
-            // Removes can only be no-ops on an empty index.
-            let mut keys = ins;
-            keys.retain(|k| rem.binary_search(k).is_err());
+            let keys = merge_sorted(&[], &ins, &rem);
             return SortedIndex::from_sorted_keys(keys, self.bucket_target);
         }
 
@@ -281,7 +273,7 @@ impl SortedIndex {
                 buckets.push(Arc::clone(b));
                 continue;
             }
-            let merged = merge_keys(b, &ins[ii..ins_end], &rem[ri..rem_end]);
+            let merged = merge_sorted(b, &ins[ii..ins_end], &rem[ri..rem_end]);
             ii = ins_end;
             ri = rem_end;
             len += merged.len();
@@ -299,45 +291,6 @@ impl SortedIndex {
             bucket_target: self.bucket_target,
         }
     }
-}
-
-/// `(base ∪ ins) ∖ rem` for sorted, deduplicated key runs.
-fn merge_keys(base: &[[TermId; 3]], ins: &[[TermId; 3]], rem: &[[TermId; 3]]) -> Vec<[TermId; 3]> {
-    let mut out = Vec::with_capacity(base.len() + ins.len());
-    let (mut i, mut j, mut r) = (0usize, 0usize, 0usize);
-    while i < base.len() || j < ins.len() {
-        let k = match (base.get(i), ins.get(j)) {
-            (Some(a), Some(b)) => {
-                if a <= b {
-                    if a == b {
-                        j += 1;
-                    }
-                    i += 1;
-                    *a
-                } else {
-                    j += 1;
-                    *b
-                }
-            }
-            (Some(a), None) => {
-                i += 1;
-                *a
-            }
-            (None, Some(b)) => {
-                j += 1;
-                *b
-            }
-            (None, None) => break,
-        };
-        while r < rem.len() && rem[r] < k {
-            r += 1;
-        }
-        if r < rem.len() && rem[r] == k {
-            continue;
-        }
-        out.push(k);
-    }
-    out
 }
 
 /// A triple pattern over ids: `None` = wildcard. (The query layer translates

@@ -410,37 +410,6 @@ fn lfj_counters_are_exact_for_a_fixed_triangle() {
     assert_eq!(snap.span_count("eval.cq"), 1);
 }
 
-#[test]
-fn lfj_is_inherited_from_the_engine_default() {
-    // The builder-level knob is the request default, exactly like
-    // `Parallelism`: a Wcoj engine default makes a plain request leapfrog.
-    let doc = "@prefix ex: <http://example.org/> .\n\
-               ex:a ex:knows ex:b .\n\
-               ex:b ex:knows ex:c .\n\
-               ex:a ex:knows ex:c .\n";
-    let mut g = parse_turtle(doc).unwrap();
-    let q = parse_select(
-        "PREFIX ex: <http://example.org/> SELECT ?x ?y ?z WHERE { \
-         ?x ex:knows ?y . ?y ex:knows ?z . ?x ex:knows ?z }",
-        g.dictionary_mut(),
-    )
-    .unwrap();
-    let db = EngineBuilder::new()
-        .join_algorithm(JoinAlgorithm::Wcoj)
-        .build(g);
-    let registry = Arc::new(MetricsRegistry::new());
-    let answer = db
-        .query(&q)
-        .strategy(Strategy::RefUcq)
-        .collect_metrics(&registry)
-        .run()
-        .unwrap();
-    assert_eq!(answer.len(), 1);
-    let snap = registry.snapshot();
-    assert_eq!(snap.counter("op.lfj.atoms"), 3, "engine default applied");
-    assert_eq!(snap.counter("op.join.count"), 0);
-}
-
 /// The `Auto` × `RangeScan` interaction: on an interval-encoded chain the
 /// type atom reformulates to a single `type ∈ [lo,hi)` range atom, which
 /// the leapfrog plan consumes as ONE range-bounded trie level inside ONE
