@@ -22,7 +22,7 @@ use rdfref_query::containment::minimize_union;
 use rdfref_query::Cover;
 use rdfref_reasoning::saturate_in_place_obs;
 use rdfref_storage::cost::CostParams;
-use rdfref_storage::{CostModel, Store};
+use rdfref_storage::{Bound, CostModel, Pattern, Store};
 use std::sync::Arc;
 
 fn main() {
@@ -43,10 +43,10 @@ fn main() {
         let (n1, t_encoded) = time(|| {
             let mut n = 0;
             for _ in 0..50 {
-                n += store.count(rdfref_storage::store::IdPattern {
-                    s: None,
-                    p: Some(type_id),
-                    o: Some(target),
+                n += store.count(Pattern {
+                    p: Bound::Const(type_id),
+                    o: Bound::Const(target),
+                    ..Pattern::ALL
                 });
             }
             n

@@ -312,7 +312,7 @@ mod tests {
             answers: 7,
             ..Explain::default()
         };
-        e.metrics.record_scan_timed(
+        e.metrics.record(
             rdfref_storage::exec::StepLabel::Scan(1),
             100,
             std::time::Duration::ZERO,

@@ -16,15 +16,16 @@
 
 use crate::cost::CostModel;
 use crate::error::{Result, StorageError};
-use crate::exec::{ExecMetrics, KeyEmit, StepLabel};
+use crate::exec::{ExecMetrics, StepLabel};
 use crate::morsel;
 use crate::relation::{ColumnSource, Relation};
 use crate::stats::Stats;
-use crate::store::{IdPattern, Store};
+use crate::store::Store;
 use rdfref_model::TermId;
 use rdfref_obs::Obs;
 use rdfref_query::ast::{Atom, Cq, Jucq, PTerm, Ucq};
 use rdfref_query::Var;
+use std::time::Duration;
 
 /// Default morsel size for [`Parallelism::Morsels`]: large enough to
 /// amortize scheduling, small enough that skewed scans still split into
@@ -129,25 +130,33 @@ impl<'a> Evaluator<'a> {
         self
     }
 
-    /// Record a leaf scan, distinguishing interval range scans from exact
-    /// scans (separate `op.range_scan.*` counters and trace labels).
-    fn record_scan(
-        &self,
-        atom: &rdfref_query::ast::Atom,
-        idx: usize,
-        rows: usize,
-        wall: std::time::Duration,
-        metrics: &mut ExecMetrics,
-    ) {
-        if atom.has_range() {
-            metrics.record_scan_timed(StepLabel::RangeScan(idx + 1), rows, wall);
-            self.obs.add("op.range_scan.count", 1);
-            self.obs.add("op.range_scan.rows", rows as u64);
-        } else {
-            metrics.record_scan_timed(StepLabel::Scan(idx + 1), rows, wall);
-            self.obs.add("op.scan.count", 1);
-            self.obs.add("op.scan.rows", rows as u64);
+    /// Record one operator step: into `metrics`, and into the `op.*`
+    /// counters its label names.
+    fn step(&self, metrics: &mut ExecMetrics, label: StepLabel, rows: usize, wall: Duration) {
+        metrics.record(label, rows, wall);
+        let (count, rows_counter) = label.counters();
+        if let Some(name) = count {
+            self.obs.add(name, 1);
         }
+        if let Some(name) = rows_counter {
+            self.obs.add(name, rows as u64);
+        }
+    }
+
+    /// Scan atom `idx` of a body: an interval atom is a range scan (its own
+    /// `op.range_scan.*` counters and trace label).
+    fn scan(&self, atom: &Atom, idx: usize, metrics: &mut ExecMetrics) -> Result<Relation> {
+        let size = self.parallelism.morsel_size();
+        let sw = self.obs.stopwatch();
+        let scanned = morsel::scan_atom_morsels(self.store, atom, size, &self.obs)?;
+        let label = if atom.has_range() {
+            StepLabel::RangeScan(idx + 1)
+        } else {
+            StepLabel::Scan(idx + 1)
+        };
+        self.step(metrics, label, scanned.len(), sw.elapsed());
+        self.check_budget(scanned.len())?;
+        Ok(scanned)
     }
 
     fn check_budget(&self, rows: usize) -> Result<()> {
@@ -181,7 +190,6 @@ impl<'a> Evaluator<'a> {
         }
         let _span = self.obs.span("eval.cq");
         let model = CostModel::new(self.stats);
-        let size = self.parallelism.morsel_size();
         let mut acc = Relation::unit();
         // Physical dispatch: the arbitration in `wcoj::physical_choice`
         // decides, and what actually ran is tallied in
@@ -193,17 +201,22 @@ impl<'a> Evaluator<'a> {
             let choice = (self.join_algorithm != JoinAlgorithm::BindJoin)
                 .then(|| crate::wcoj::physical_choice(self.stats, self.join_algorithm, &cq.body));
             if let Some(plan) = choice.as_ref().and_then(|c| c.plan.as_ref()) {
-                let tries = crate::wcoj::tries(self.store, plan);
                 let sw = self.obs.stopwatch();
-                acc =
-                    crate::wcoj::eval(&tries, plan, self.parallelism, self.row_budget, &self.obs)?;
-                metrics.record_timed(StepLabel::Lfj(plan.atom_count()), acc.len(), sw.elapsed());
+                acc = crate::wcoj::eval(
+                    self.store,
+                    plan,
+                    self.parallelism,
+                    self.row_budget,
+                    &self.obs,
+                )?;
+                let label = StepLabel::Lfj(plan.atom_count());
+                self.step(metrics, label, acc.len(), sw.elapsed());
                 wcoj_done = true;
             }
             metrics.record_dispatch(wcoj_done, choice);
         }
         if wcoj_done && acc.is_empty() {
-            metrics.record(StepLabel::ProjectDedup, 0);
+            self.step(metrics, StepLabel::ProjectDedup, 0, Duration::ZERO);
             return Ok(Relation::empty(out.to_vec()));
         }
         let mut first = true;
@@ -213,10 +226,7 @@ impl<'a> Evaluator<'a> {
             }
             let atom = &cq.body[idx];
             if first {
-                let sw = self.obs.stopwatch();
-                acc = morsel::scan_atom_morsels(self.store, atom, size, &self.obs)?;
-                self.record_scan(atom, idx, acc.len(), sw.elapsed(), metrics);
-                self.check_budget(acc.len())?;
+                acc = self.scan(atom, idx, metrics)?;
                 first = false;
             } else {
                 acc = self.join_atom(&acc, atom, idx, metrics)?;
@@ -224,7 +234,7 @@ impl<'a> Evaluator<'a> {
             if acc.is_empty() {
                 // Annihilated: the result is empty regardless of the
                 // remaining atoms (whose columns were never materialized).
-                metrics.record(StepLabel::ProjectDedup, 0);
+                self.step(metrics, StepLabel::ProjectDedup, 0, Duration::ZERO);
                 return Ok(Relation::empty(out.to_vec()));
             }
         }
@@ -255,7 +265,12 @@ impl<'a> Evaluator<'a> {
             .collect::<Result<_>>()?;
         let mut result = acc.select(out.to_vec(), &sources);
         result.dedup();
-        metrics.record(StepLabel::ProjectDedup, result.len());
+        self.step(
+            metrics,
+            StepLabel::ProjectDedup,
+            result.len(),
+            Duration::ZERO,
+        );
         Ok(result)
     }
 
@@ -280,20 +295,18 @@ impl<'a> Evaluator<'a> {
         {
             let sw = self.obs.stopwatch();
             let joined = morsel::bind_join_morsels(self.store, acc, atom, size, &self.obs)?;
-            metrics.record_timed(StepLabel::BindJoin(idx + 1), joined.len(), sw.elapsed());
-            self.obs.add("op.bind_join.count", 1);
-            self.obs.add("op.bind_join.rows", joined.len() as u64);
+            self.step(
+                metrics,
+                StepLabel::BindJoin(idx + 1),
+                joined.len(),
+                sw.elapsed(),
+            );
             joined
         } else {
-            let sw = self.obs.stopwatch();
-            let scanned = morsel::scan_atom_morsels(self.store, atom, size, &self.obs)?;
-            self.record_scan(atom, idx, scanned.len(), sw.elapsed(), metrics);
-            self.check_budget(scanned.len())?;
+            let scanned = self.scan(atom, idx, metrics)?;
             let sw = self.obs.stopwatch();
             let joined = acc.natural_join(&scanned);
-            metrics.record_timed(StepLabel::Join, joined.len(), sw.elapsed());
-            self.obs.add("op.join.count", 1);
-            self.obs.add("op.join.rows", joined.len() as u64);
+            self.step(metrics, StepLabel::Join, joined.len(), sw.elapsed());
             joined
         };
         self.check_budget(joined.len())?;
@@ -317,8 +330,7 @@ impl<'a> Evaluator<'a> {
         if ucq.cqs.len() > 1 {
             union.dedup();
         }
-        metrics.record(StepLabel::UnionDedup, union.len());
-        self.obs.add("op.union.rows", union.len() as u64);
+        self.step(metrics, StepLabel::UnionDedup, union.len(), Duration::ZERO);
         Ok(union)
     }
 
@@ -329,8 +341,7 @@ impl<'a> Evaluator<'a> {
         let mut frag_rels: Vec<Relation> = Vec::with_capacity(jucq.fragments.len());
         for (i, frag) in jucq.fragments.iter().enumerate() {
             let rel = self.eval_ucq(&frag.ucq, &frag.columns, metrics)?;
-            metrics.record(StepLabel::Fragment(i), rel.len());
-            self.obs.add("op.fragment.rows", rel.len() as u64);
+            self.step(metrics, StepLabel::Fragment(i), rel.len(), Duration::ZERO);
             frag_rels.push(rel);
         }
         if frag_rels.is_empty() {
@@ -356,10 +367,10 @@ impl<'a> Evaluator<'a> {
                 .unwrap_or(0);
             let idx = remaining.remove(pos);
             acc = acc.natural_join(&frag_rels[idx]);
-            metrics.record(StepLabel::FragmentJoin, acc.len());
+            self.step(metrics, StepLabel::FragmentJoin, acc.len(), Duration::ZERO);
             self.check_budget(acc.len())?;
             if acc.is_empty() {
-                metrics.record(StepLabel::ProjectDedup, 0);
+                self.step(metrics, StepLabel::ProjectDedup, 0, Duration::ZERO);
                 return Ok(Relation::empty(jucq.head.clone()));
             }
         }
@@ -379,100 +390,13 @@ impl<'a> Evaluator<'a> {
         if drops_a_column {
             result.dedup();
         }
-        metrics.record(StepLabel::ProjectDedup, result.len());
+        self.step(
+            metrics,
+            StepLabel::ProjectDedup,
+            result.len(),
+            Duration::ZERO,
+        );
         Ok(result)
-    }
-}
-
-/// How a bind join fixes one triple position of its probe pattern.
-#[derive(Debug, Clone, Copy)]
-enum Fixed {
-    Const(TermId),
-    Bound(usize), // index into the acc row
-    Free,         // new variable or interval: filtered/emitted per key
-}
-
-/// The compiled shape of one bind join: the probe pattern's fixed
-/// positions, how matching keys extend an acc row, and the output schema.
-/// Compiled once per atom and shared by every morsel of the join.
-#[derive(Debug, Clone)]
-pub(crate) struct BindShape {
-    spo: [Fixed; 3],
-    emit: KeyEmit,
-    out_columns: Vec<Var>,
-}
-
-impl BindShape {
-    pub(crate) fn of(acc: &Relation, atom: &rdfref_query::ast::Atom) -> BindShape {
-        let mut new_cols: Vec<Var> = Vec::new();
-        let mut emit = KeyEmit::default();
-        let mut spo = [Fixed::Free; 3];
-        for (pos, t) in atom.positions().into_iter().enumerate() {
-            match t {
-                PTerm::Const(c) => spo[pos] = Fixed::Const(*c),
-                // Residual interval filter on the probe.
-                PTerm::Range(lo, hi) => emit.ranges.push((pos, *lo, *hi)),
-                PTerm::Var(v) => {
-                    if let Some(i) = acc.column_index(v) {
-                        spo[pos] = Fixed::Bound(i);
-                    } else if let Some(j) = new_cols.iter().position(|c| c == v) {
-                        emit.eq.push((emit.cols[j], pos));
-                    } else {
-                        new_cols.push(v.clone());
-                        emit.cols.push(pos);
-                    }
-                }
-            }
-        }
-        let mut out_columns = acc.columns().to_vec();
-        out_columns.extend(new_cols);
-        BindShape {
-            spo,
-            emit,
-            out_columns,
-        }
-    }
-
-    /// Output columns: `acc`'s columns followed by the atom's new variables
-    /// (position order).
-    pub(crate) fn out_columns(&self) -> &[Var] {
-        &self.out_columns
-    }
-
-    /// Probe the store with the bindings of each of `acc`'s `rows`,
-    /// appending every match (acc row ++ new values) to `out`. A row that
-    /// carries the same bound key as the one before it copies that probe's
-    /// matches instead of searching the index again.
-    pub(crate) fn probe(
-        &self,
-        store: &Store,
-        acc: &Relation,
-        rows: std::ops::Range<usize>,
-        out: &mut Relation,
-    ) {
-        let mut last: Option<(IdPattern, std::ops::Range<usize>)> = None;
-        for row in rows.map(|i| acc.row(i)) {
-            let fixed = |pos: Fixed| match pos {
-                Fixed::Const(c) => Some(c),
-                Fixed::Bound(i) => Some(row[i]),
-                Fixed::Free => None,
-            };
-            let pattern = IdPattern {
-                s: fixed(self.spo[0]),
-                p: fixed(self.spo[1]),
-                o: fixed(self.spo[2]),
-            };
-            match &last {
-                Some((same, matches)) if *same == pattern => out.repeat_rows(matches.clone(), row),
-                _ => {
-                    let start = out.len();
-                    store.scan_into(pattern, &mut |order, run| {
-                        self.emit.append(order, run, row, out)
-                    });
-                    last = Some((pattern, start..out.len()));
-                }
-            }
-        }
     }
 }
 
@@ -757,7 +681,7 @@ mod tests {
         assert_set(&union);
         assert_eq!(union, alone);
         assert_eq!(union.to_rows(), vec![vec![ids[0]], vec![ids[1]]]);
-        cq_metrics.record(StepLabel::UnionDedup, union.len());
+        cq_metrics.record(StepLabel::UnionDedup, union.len(), Duration::ZERO);
         assert_eq!(metrics.steps, cq_metrics.steps);
     }
 

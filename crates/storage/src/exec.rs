@@ -9,12 +9,10 @@ use crate::error::Result;
 use crate::evaluator::JoinAlgorithm;
 use crate::morsel;
 use crate::relation::Relation;
-use crate::store::{Bound, Order, RangePattern, Store};
+use crate::store::Store;
 use crate::wcoj::PhysicalChoice;
-use rdfref_model::TermId;
 use rdfref_obs::Obs;
-use rdfref_query::ast::{Atom, PTerm};
-use rdfref_query::Var;
+use rdfref_query::ast::Atom;
 use std::fmt;
 use std::time::Duration;
 
@@ -40,6 +38,22 @@ pub enum StepLabel {
     Fragment(usize),
     /// `fragment-join`: hash join of two fragment results.
     FragmentJoin,
+}
+
+impl StepLabel {
+    /// The `op.*` counters the step adds to: its operator's run count, and
+    /// its output rows. The leapfrog counts its own (`op.lfj.*`).
+    pub(crate) fn counters(self) -> (Option<&'static str>, Option<&'static str>) {
+        match self {
+            StepLabel::Scan(_) => (Some("op.scan.count"), Some("op.scan.rows")),
+            StepLabel::RangeScan(_) => (Some("op.range_scan.count"), Some("op.range_scan.rows")),
+            StepLabel::BindJoin(_) => (Some("op.bind_join.count"), Some("op.bind_join.rows")),
+            StepLabel::Join => (Some("op.join.count"), Some("op.join.rows")),
+            StepLabel::UnionDedup => (None, Some("op.union.rows")),
+            StepLabel::Fragment(_) => (None, Some("op.fragment.rows")),
+            StepLabel::Lfj(_) | StepLabel::ProjectDedup | StepLabel::FragmentJoin => (None, None),
+        }
+    }
 }
 
 impl fmt::Display for StepLabel {
@@ -100,21 +114,14 @@ pub struct ExecMetrics {
 }
 
 impl ExecMetrics {
-    /// Record an operator's output size.
-    pub fn record(&mut self, label: StepLabel, rows: usize) {
-        self.record_timed(label, rows, Duration::ZERO);
-    }
-
-    /// Record an operator's output size together with its wall time.
-    pub fn record_timed(&mut self, label: StepLabel, rows: usize, wall: Duration) {
+    /// Record an operator's output size and wall time; a scan's rows also
+    /// count in `rows_scanned`.
+    pub fn record(&mut self, label: StepLabel, rows: usize, wall: Duration) {
+        if let StepLabel::Scan(_) | StepLabel::RangeScan(_) = label {
+            self.rows_scanned += rows;
+        }
         self.steps.push(ExecStep { label, rows, wall });
         self.peak_intermediate = self.peak_intermediate.max(rows);
-    }
-
-    /// Record a timed scan (also counted in `rows_scanned`).
-    pub fn record_scan_timed(&mut self, label: StepLabel, rows: usize, wall: Duration) {
-        self.rows_scanned += rows;
-        self.record_timed(label, rows, wall);
     }
 
     /// Record which operator ran one CQ body (`choice` = its arbitration,
@@ -145,98 +152,6 @@ impl Dispatched {
     }
 }
 
-/// Translate one pattern position into a scan bound.
-fn bound_of(t: &PTerm) -> Bound {
-    match t {
-        PTerm::Var(_) => Bound::Any,
-        PTerm::Const(c) => Bound::Const(*c),
-        PTerm::Range(lo, hi) => Bound::Range(*lo, *hi),
-    }
-}
-
-/// How the consumer of a scan turns a run of matching index keys into
-/// output rows: which triple positions (0 = s, 1 = p, 2 = o) become
-/// columns, and the per-key filters the index did not apply.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct KeyEmit {
-    /// Triple position of each emitted column.
-    pub(crate) cols: Vec<usize>,
-    /// Pairs of triple positions that must hold the same id (a repeated
-    /// variable).
-    pub(crate) eq: Vec<(usize, usize)>,
-    /// Triple positions that must lie in `[lo, hi)`.
-    pub(crate) ranges: Vec<(usize, TermId, TermId)>,
-}
-
-impl KeyEmit {
-    /// Append `prefix ++ key[cols]` to `out` for every key of `run` (laid
-    /// out in `order`) that passes the filters.
-    pub(crate) fn append(
-        &self,
-        order: Order,
-        run: &[[TermId; 3]],
-        prefix: &[TermId],
-        out: &mut Relation,
-    ) {
-        let mut idx = [0usize; 3];
-        for (slot, &pos) in idx.iter_mut().zip(&self.cols) {
-            *slot = order.key_position(pos);
-        }
-        let idx = &idx[..self.cols.len()];
-        if self.eq.is_empty() && self.ranges.is_empty() {
-            return out.extend_from_keys(prefix, run.iter(), idx);
-        }
-        let at = |k: &[TermId; 3], pos: usize| k[order.key_position(pos)];
-        let keep = |k: &&[TermId; 3]| {
-            self.eq.iter().all(|&(a, b)| at(k, a) == at(k, b))
-                && self
-                    .ranges
-                    .iter()
-                    .all(|&(pos, lo, hi)| lo <= at(k, pos) && at(k, pos) < hi)
-        };
-        out.extend_from_keys(prefix, run.iter().filter(keep), idx);
-    }
-}
-
-/// The compiled shape of one pattern scan: the index pattern, the output
-/// columns (the atom's distinct variables in `s, p, o` position order) and
-/// how matching keys project onto them (repeated variables become equality
-/// filters). Compiled once per atom and shared by every morsel of the scan.
-#[derive(Debug, Clone)]
-pub(crate) struct ScanShape {
-    pub(crate) pattern: RangePattern,
-    pub(crate) columns: Vec<Var>,
-    pub(crate) emit: KeyEmit,
-}
-
-impl ScanShape {
-    pub(crate) fn of(atom: &Atom) -> ScanShape {
-        let pattern = RangePattern {
-            s: bound_of(&atom.s),
-            p: bound_of(&atom.p),
-            o: bound_of(&atom.o),
-        };
-        let mut columns: Vec<Var> = Vec::new();
-        let mut emit = KeyEmit::default();
-        for (pos, t) in atom.positions().into_iter().enumerate() {
-            if let PTerm::Var(v) = t {
-                match columns.iter().position(|c| c == v) {
-                    Some(existing) => emit.eq.push((emit.cols[existing], pos)),
-                    None => {
-                        columns.push(v.clone());
-                        emit.cols.push(pos);
-                    }
-                }
-            }
-        }
-        ScanShape {
-            pattern,
-            columns,
-            emit,
-        }
-    }
-}
-
 /// Scan one triple pattern into a relation whose columns are the atom's
 /// distinct variables in `s, p, o` position order. Constants and id
 /// intervals constrain the index scan (intervals bind no column); repeated
@@ -249,7 +164,8 @@ pub fn scan_atom(store: &Store, atom: &Atom) -> Result<Relation> {
 mod tests {
     use super::*;
     use crate::store::Store;
-    use rdfref_model::{Dictionary, EncodedTriple, Term};
+    use rdfref_model::{Dictionary, EncodedTriple, Term, TermId};
+    use rdfref_query::Var;
 
     fn v(n: &str) -> Var {
         Var::new(n)
@@ -317,10 +233,10 @@ mod tests {
     #[test]
     fn metrics_aggregate() {
         let mut m = ExecMetrics::default();
-        m.record_scan_timed(StepLabel::Scan(1), 10, Duration::ZERO);
-        m.record(StepLabel::Join, 50);
-        m.record_scan_timed(StepLabel::Scan(2), 7, Duration::ZERO);
-        m.record(StepLabel::Join, 100);
+        m.record(StepLabel::Scan(1), 10, Duration::ZERO);
+        m.record(StepLabel::Join, 50, Duration::ZERO);
+        m.record(StepLabel::RangeScan(2), 7, Duration::ZERO);
+        m.record(StepLabel::Join, 100, Duration::ZERO);
         assert_eq!(m.rows_scanned, 17);
         assert_eq!(m.peak_intermediate, 100);
         assert_eq!(m.steps.len(), 4);

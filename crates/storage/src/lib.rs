@@ -9,12 +9,13 @@
 //!
 //! * [`store::Store`] — immutable snapshot of a graph's triples with three
 //!   sorted permutation indexes (SPO, POS, OSP) answering any triple-pattern
-//!   shape with binary-search ranges;
+//!   shape with binary-search ranges, through the one per-atom access path
+//!   that scans, bind joins and the leapfrog share;
 //! * [`stats::Stats`] — per-property and per-class cardinalities, distinct
 //!   counts and value distributions (the demo's "dataset statistics"
 //!   screen, experiment E7);
-//! * [`relation::Relation`] — a flat, columnar-named materialized relation,
-//!   the unit of data flow between operators;
+//! * [`relation::Relation`] — a flat, row-major materialized relation with
+//!   named columns, the unit of data flow between operators;
 //! * [`exec`] — operators: pattern scan, hash join, union-distinct,
 //!   projection; plus greedy join ordering for CQ bodies;
 //! * [`evaluator`] — entry points `eval_cq` / `eval_ucq` / `eval_jucq`, with
@@ -40,6 +41,7 @@
     clippy::dbg_macro
 )]
 
+mod access;
 pub mod cost;
 pub mod error;
 pub mod evaluator;
@@ -58,5 +60,5 @@ pub use evaluator::{
 pub use exec::ExecMetrics;
 pub use relation::Relation;
 pub use stats::{Stats, StatsMaintainer};
-pub use store::{Bound, RangePattern, Store};
+pub use store::{Bound, Pattern, Store};
 pub use wcoj::{physical_choice, PhysicalChoice, WcojPlan};

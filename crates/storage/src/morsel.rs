@@ -8,11 +8,11 @@
 //! `Morsels { size }` one morsel still runs inline; two or more are claimed
 //! off a shared atomic counter by a scoped worker pool (self-scheduling:
 //! fast workers take more morsels, so skewed morsels never straggle a static
-//! partition). Each worker materializes its morsel into a private columnar
-//! [`Relation`]; partials are stitched back **in morsel order** with
-//! [`Relation::absorb_rows`], so the output is byte-identical to the
-//! one-morsel run — parallelism is observable only through the
-//! `op.morsel.*` counters and wall time.
+//! partition). Each worker materializes its morsel into a private
+//! [`Relation`] — the same flat row-major buffer as any other; partials are
+//! stitched back **in morsel order** with [`Relation::absorb_rows`], so the
+//! output is byte-identical to the one-morsel run — parallelism is
+//! observable only through the `op.morsel.*` counters and wall time.
 //!
 //! Counters (none under `Off`):
 //! * `op.morsel.count`   — morsels claimed (⌈input/size⌉, min 1; exact and
@@ -22,11 +22,10 @@
 //!   count), and 1 when the core count is unknown (hardware-dependent, so
 //!   never pinned exactly in tests).
 
+use crate::access::Access;
 use crate::error::{Result, StorageError};
-use crate::evaluator::BindShape;
-use crate::exec::ScanShape;
 use crate::relation::Relation;
-use crate::store::{Order, Store};
+use crate::store::Store;
 use rdfref_model::TermId;
 use rdfref_obs::Obs;
 use rdfref_query::ast::Atom;
@@ -108,26 +107,26 @@ where
     Ok(out)
 }
 
-/// Pattern scan: the matching index runs, borrowed from the store, are
-/// filtered and projected in `size`-key morsels (each a range of positions
-/// in the runs' concatenation). [`crate::exec::scan_atom`] is the
-/// [`UNSPLIT`] case.
+/// Pattern scan: the atom's access reads its matching index runs, borrowed
+/// from the store, and they are projected in `size`-key morsels (each a
+/// range of positions in the runs' concatenation). [`crate::exec::scan_atom`]
+/// is the [`UNSPLIT`] case.
 pub(crate) fn scan_atom_morsels(
     store: &Store,
     atom: &Atom,
     size: usize,
     obs: &Obs,
 ) -> Result<Relation> {
-    let shape = ScanShape::of(atom);
-    let mut runs: Vec<(Order, &[[TermId; 3]])> = Vec::new();
+    let (access, columns) = Access::bind(&[], atom);
+    let mut runs: Vec<&[[TermId; 3]]> = Vec::new();
     let mut len = 0;
-    store.scan_range_into(&shape.pattern, &mut |order, run| {
+    access.runs(store, &access.key(&[]), &mut |run| {
         len += run.len();
-        runs.push((order, run));
+        runs.push(run);
     });
-    run(len, size, &shape.columns, obs, |keys, out| {
+    run(len, size, &columns, obs, |keys, out| {
         let mut start = 0;
-        for &(order, run) in runs.iter() {
+        for run in runs.iter() {
             if start >= keys.end {
                 break;
             }
@@ -135,7 +134,7 @@ pub(crate) fn scan_atom_morsels(
             if end > keys.start {
                 let lo = keys.start.saturating_sub(start);
                 let hi = (keys.end - start).min(run.len());
-                shape.emit.append(order, &run[lo..hi], &[], out);
+                access.emit(&run[lo..hi], &[], out);
             }
             start = end;
         }
@@ -143,8 +142,10 @@ pub(crate) fn scan_atom_morsels(
     })
 }
 
-/// Bind join: the accumulated rows are probed in `size`-row morsels; each
-/// row of a morsel probes the store with its bindings.
+/// Bind join: the accumulated rows are probed in `size`-row morsels. Each
+/// row fills the atom's probe key from its bound columns and appends every
+/// match (acc row ++ new values); a row whose key equals the previous row's
+/// copies that probe's matches instead of reading the index again.
 pub(crate) fn bind_join_morsels(
     store: &Store,
     acc: &Relation,
@@ -152,9 +153,22 @@ pub(crate) fn bind_join_morsels(
     size: usize,
     obs: &Obs,
 ) -> Result<Relation> {
-    let shape = BindShape::of(acc, atom);
-    run(acc.len(), size, shape.out_columns(), obs, |rows, out| {
-        shape.probe(store, acc, rows, out);
+    let (access, new_columns) = Access::bind(acc.columns(), atom);
+    let mut columns = acc.columns().to_vec();
+    columns.extend(new_columns);
+    run(acc.len(), size, &columns, obs, |rows, out| {
+        let mut last: Option<([TermId; 3], Range<usize>)> = None;
+        for row in rows.map(|i| acc.row(i)) {
+            let key = access.key(row);
+            match &last {
+                Some((same, matches)) if *same == key => out.repeat_rows(matches.clone(), row),
+                _ => {
+                    let start = out.len();
+                    access.runs(store, &key, &mut |run| access.emit(run, row, out));
+                    last = Some((key, start..out.len()));
+                }
+            }
+        }
         Ok(())
     })
 }
@@ -234,12 +248,7 @@ mod tests {
         let first = Atom::new(v("x"), ids[0], v("y"));
         let second = Atom::new(v("y"), ids[1], v("z"));
         let acc = scan_atom(&store, &first).unwrap();
-        let expected = {
-            let shape = BindShape::of(&acc, &second);
-            let mut out = Relation::empty(shape.out_columns().to_vec());
-            shape.probe(&store, &acc, 0..acc.len(), &mut out);
-            out
-        };
+        let expected = bind_join_morsels(&store, &acc, &second, UNSPLIT, &Obs::disabled()).unwrap();
         for size in [1, 7, 64, 4096] {
             let got = bind_join_morsels(&store, &acc, &second, size, &Obs::disabled()).unwrap();
             assert_eq!(expected.to_rows(), got.to_rows(), "size={size}");

@@ -162,9 +162,9 @@ impl Relation {
     }
 
     /// Append every row of `other` (columns must match exactly, in order) —
-    /// one columnar `memcpy`, no per-row work. This is how morsel workers'
-    /// partial buffers are stitched back together in morsel order, and how
-    /// a union absorbs its disjuncts.
+    /// one `memcpy` of its flat row-major buffer, no per-row work. This is
+    /// how morsel workers' partial relations are stitched back together in
+    /// morsel order, and how a union absorbs its disjuncts.
     pub fn absorb_rows(&mut self, other: &Relation) -> Result<()> {
         if self.columns != other.columns {
             return Err(StorageError::ArityMismatch {

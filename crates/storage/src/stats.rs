@@ -9,7 +9,7 @@
 //! 2. the demo's step 1 ("visualize its statistics: value distributions for
 //!    subject, property and object"), regenerated by experiment E7.
 
-use crate::store::{IdPattern, Store};
+use crate::store::{Pattern, Store};
 use rdfref_model::dictionary::ID_RDF_TYPE;
 use rdfref_model::fxhash::{FxHashMap, FxHashSet};
 use rdfref_model::{EncodedTriple, TermId};
@@ -61,26 +61,17 @@ impl Stats {
             let mut subjects: FxHashSet<TermId> = FxHashSet::default();
             let mut distinct_objects = 0usize;
             let mut prev_object: Option<TermId> = None;
-            store.scan_into(
-                IdPattern {
-                    s: None,
-                    p: Some(p),
-                    o: None,
-                },
-                &mut |order, run| {
-                    for t in run.iter().map(|k| order.unkey(k)) {
-                        subjects.insert(t.s);
-                        if prev_object != Some(t.o) {
-                            distinct_objects += 1;
-                            prev_object = Some(t.o);
-                            all_objects.insert(t.o);
-                        }
-                        if p == ID_RDF_TYPE {
-                            *stats.classes.entry(t.o).or_default() += 1;
-                        }
-                    }
-                },
-            );
+            for t in store.scan(Pattern::property(p)) {
+                subjects.insert(t.s);
+                if prev_object != Some(t.o) {
+                    distinct_objects += 1;
+                    prev_object = Some(t.o);
+                    all_objects.insert(t.o);
+                }
+                if p == ID_RDF_TYPE {
+                    *stats.classes.entry(t.o).or_default() += 1;
+                }
+            }
             all_subjects.extend(subjects.iter().copied());
             if p == ID_RDF_TYPE {
                 stats.type_triples = count;
@@ -236,23 +227,14 @@ impl StatsMaintainer {
             let mut count = 0usize;
             let mut distinct_objects = 0usize;
             let mut prev_object: Option<TermId> = None;
-            store_after.scan_into(
-                IdPattern {
-                    s: None,
-                    p: Some(p),
-                    o: None,
-                },
-                &mut |order, run| {
-                    count += run.len();
-                    for t in run.iter().map(|k| order.unkey(k)) {
-                        subjects.insert(t.s);
-                        if prev_object != Some(t.o) {
-                            distinct_objects += 1;
-                            prev_object = Some(t.o);
-                        }
-                    }
-                },
-            );
+            for t in store_after.scan(Pattern::property(p)) {
+                count += 1;
+                subjects.insert(t.s);
+                if prev_object != Some(t.o) {
+                    distinct_objects += 1;
+                    prev_object = Some(t.o);
+                }
+            }
             if count == 0 {
                 stats.properties.remove(&p);
             } else {
@@ -350,18 +332,7 @@ impl PairStats {
         // Subject sets per property.
         let subject_sets: Vec<FxHashSet<TermId>> = top
             .iter()
-            .map(|&p| {
-                let mut set = FxHashSet::default();
-                store.scan_into(
-                    IdPattern {
-                        s: None,
-                        p: Some(p),
-                        o: None,
-                    },
-                    &mut |order, run| set.extend(run.iter().map(|k| order.unkey(k).s)),
-                );
-                set
-            })
+            .map(|&p| store.scan(Pattern::property(p)).map(|t| t.s).collect())
             .collect();
         let mut pairs = Vec::new();
         for i in 0..top.len() {

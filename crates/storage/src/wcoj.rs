@@ -1,10 +1,11 @@
 //! Worst-case-optimal join: a leapfrog-triejoin driver over the existing
 //! sorted permutation indexes.
 //!
-//! No new storage format: each atom of a CQ body binds one of the SPO / POS
-//! / OSP permutations whose key order lists the atom's variables compatibly
-//! with one *global* variable order, and the sorted bucket runs of that
-//! permutation are read as a trie (each key position = one trie level).
+//! No new storage format: each atom of a CQ body compiles the same access a
+//! scan or bind join reads (one permutation index, what fixes each key
+//! level), restricted to indexes whose key order lists the atom's variables
+//! compatibly with one *global* variable order; the sorted bucket runs of
+//! that index are read as a trie (each key level = one trie level).
 //! [`plan`] performs the binding; `eval` runs the leapfrog driver over the
 //! bound tries, optionally morsel-parallel; [`physical_choice`] is the
 //! single arbitration point — evaluator dispatch and `Explain` both go
@@ -12,22 +13,22 @@
 //!
 //! ## Trie levels
 //!
-//! For an atom bound to permutation `order`, each of the three key
-//! positions is classified:
+//! Every key level of a bound atom is a constant or a slot:
 //!
-//! * **Fixed** — a constant; the driver pins it in the probe key.
-//! * **Named** — a variable shared with the global order; it joins the
-//!   leapfrog intersection at that variable's slot.
-//! * **Range** — an interval-dictionary `[lo, hi)` position (produced by
-//!   the `RangeScan` reformulation); it becomes an *anonymous* slot the
-//!   driver iterates over the contiguous run, clamped to the interval —
-//!   one range-bounded trie level instead of a union of point lookups.
+//! * **constant** — the driver pins it in the probe key;
+//! * **named slot** — a variable of the global order; it joins the
+//!   leapfrog intersection at that variable's slot;
+//! * **range slot** — an interval-dictionary `[lo, hi)` position (produced
+//!   by the `RangeScan` reformulation); an *anonymous* slot the driver
+//!   iterates over the contiguous run, clamped to the interval — one
+//!   range-bounded trie level instead of a union of point lookups.
 //!
-//! An (atom, order) pair is feasible iff the atom's named variables appear
-//! in key order compatibly with the global order (strictly increasing
-//! slot ranks). Fixed positions *below* an open level are folded into the
-//! seek probe when contiguous, and deferred to the next open level's seek
-//! otherwise — both are sound; the fold just prunes earlier.
+//! An (atom, index) pair is feasible iff the atom's variables appear in key
+//! order compatibly with the global order (strictly increasing ranks); of
+//! the feasible indexes the access rule picks one. Constants *below* an
+//! open level are folded into the seek probe when contiguous, and deferred
+//! to the next open level's seek otherwise — both are sound; the fold just
+//! prunes earlier.
 //!
 //! ## Counters
 //!
@@ -40,18 +41,20 @@
 //! identical to the sequential run — parallelism is observable only through
 //! `op.morsel.*` and wall time.
 
+use crate::access::{Access, Level};
 use crate::cost::CostModel;
 use crate::error::{Result, StorageError};
 use crate::evaluator::JoinAlgorithm;
 use crate::morsel::{self, UNSPLIT};
 use crate::relation::Relation;
 use crate::stats::Stats;
-use crate::store::{Order, SortedIndex, Store};
+use crate::store::{SortedIndex, Store};
 use crate::Parallelism;
 use rdfref_model::TermId;
 use rdfref_obs::Obs;
-use rdfref_query::ast::{Atom, PTerm};
-use rdfref_query::{varorder, Var};
+use rdfref_query::ast::Atom;
+use rdfref_query::varorder::candidate_orders;
+use rdfref_query::Var;
 use rdfref_sync::Mutex;
 
 /// What a leapfrog slot binds: a query variable, or an anonymous
@@ -70,38 +73,22 @@ pub enum SlotKind {
     },
 }
 
-/// One slot of the global leapfrog order and the (atom, key position)
-/// pairs that intersect at it.
+/// One slot of the global leapfrog order and the (atom, key level) pairs
+/// that intersect at it.
 #[derive(Debug, Clone)]
 pub(crate) struct Slot {
     kind: SlotKind,
-    /// `(atom index, key position)` pairs participating in this slot's
+    /// `(atom index, key level)` pairs participating in this slot's
     /// intersection. Never empty by construction.
     participants: Vec<(usize, usize)>,
-}
-
-/// How one key position of a bound atom behaves in the trie.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum LevelBinding {
-    /// Constant, pinned into the probe key.
-    Fixed(TermId),
-    /// Open level, bound at this slot of the global order.
-    Slot(usize),
-}
-
-/// One atom's binding: the permutation it reads and what each of the three
-/// key positions does.
-#[derive(Debug, Clone)]
-pub struct AtomPlan {
-    order: Order,
-    levels: [LevelBinding; 3],
 }
 
 /// A complete leapfrog-triejoin physical plan for a CQ body.
 #[derive(Debug, Clone)]
 pub struct WcojPlan {
     slots: Vec<Slot>,
-    atoms: Vec<AtomPlan>,
+    /// Each atom's access: every level a constant or `Bound` to a slot.
+    atoms: Vec<Access>,
     var_order: Vec<Var>,
     /// Slot index of each variable in `var_order` (same length/order).
     named_slots: Vec<usize>,
@@ -123,57 +110,24 @@ impl WcojPlan {
     pub fn atom_renderings(&self) -> Vec<String> {
         self.atoms
             .iter()
-            .map(|ap| {
-                let mut parts: Vec<String> = Vec::with_capacity(3);
+            .map(|access| {
                 // Render in SPO position order (what the query author wrote),
                 // not key order.
-                for pos in 0..3 {
-                    let kp = ap.order.key_position(pos);
-                    let s = match ap.levels[kp] {
-                        LevelBinding::Fixed(c) => format!("#{}", c.0),
-                        LevelBinding::Slot(s) => match self.slots.get(s).map(|sl| &sl.kind) {
+                let parts: Vec<String> = (0..3)
+                    .map(|pos| match access.levels[access.order.key_position(pos)] {
+                        Level::Const(c) => format!("#{}", c.0),
+                        Level::Bound(s) => match self.slots.get(s).map(|sl| &sl.kind) {
                             Some(SlotKind::Named(v)) => format!("?{}", v.name()),
                             Some(SlotKind::Range { lo, hi }) => format!("[{},{})", lo.0, hi.0),
                             None => "?".to_string(),
                         },
-                    };
-                    parts.push(s);
-                }
-                format!("{} [{}]", ap.order.name(), parts.join(" "))
+                        Level::Range(..) | Level::Free(_) => "?".to_string(),
+                    })
+                    .collect();
+                format!("{} [{}]", access.order.name(), parts.join(" "))
             })
             .collect()
     }
-}
-
-/// Per-position classification of an atom under a candidate permutation,
-/// ordered by key position.
-enum KeyInfo {
-    Fixed(TermId),
-    /// Rank of the variable in the global order.
-    Named(usize),
-    Range(TermId, TermId),
-}
-
-/// Classify `atom` under `order` against `rank(var)`; `None` if the atom
-/// repeats a variable (bind join handles those).
-fn classify(atom: &Atom, order: Order, rank: &[(Var, usize)]) -> Option<[KeyInfo; 3]> {
-    let positions = atom.positions();
-    let mut out: [Option<KeyInfo>; 3] = [None, None, None];
-    for (pos, term) in positions.iter().enumerate() {
-        let kp = order.key_position(pos);
-        let info = match term {
-            PTerm::Const(c) => KeyInfo::Fixed(*c),
-            PTerm::Range(lo, hi) => KeyInfo::Range(*lo, *hi),
-            PTerm::Var(v) => {
-                let (_, r) = rank.iter().find(|(u, _)| u == v)?;
-                KeyInfo::Named(*r)
-            }
-        };
-        out[kp] = Some(info);
-    }
-    // All three filled by construction (key_position is a permutation).
-    let [a, b, c] = out;
-    Some([a?, b?, c?])
 }
 
 /// Does the atom repeat a variable? Those atoms carry an intra-atom equality
@@ -191,175 +145,85 @@ fn repeats_var(atom: &Atom) -> bool {
     false
 }
 
-/// Pick the best feasible permutation for `atom` under the global order
-/// described by `rank`. Feasible = named ranks strictly increase in key
-/// order. Best = most leading Fixed positions (cheapest probes); ties break
-/// by [`Order::ALL`] position.
-fn bind_atom(atom: &Atom, rank: &[(Var, usize)]) -> Option<(Order, [KeyInfo; 3])> {
-    let mut best: Option<(usize, Order, [KeyInfo; 3])> = None;
-    for order in Order::ALL {
-        let Some(infos) = classify(atom, order, rank) else {
-            continue;
-        };
-        let mut last_rank: Option<usize> = None;
-        let mut feasible = true;
-        for info in &infos {
-            if let KeyInfo::Named(r) = info {
-                if last_rank.is_some_and(|l| l >= *r) {
-                    feasible = false;
-                    break;
-                }
-                last_rank = Some(*r);
-            }
-        }
-        if !feasible {
-            continue;
-        }
-        let leading_fixed = infos
-            .iter()
-            .take_while(|i| matches!(i, KeyInfo::Fixed(_)))
-            .count();
-        let better = match &best {
-            None => true,
-            Some((score, _, _)) => leading_fixed > *score,
-        };
-        if better {
-            best = Some((leading_fixed, order, infos));
-        }
-    }
-    best.map(|(_, order, infos)| (order, infos))
-}
-
 /// Build a leapfrog-triejoin plan for `body`, or `None` when no global
-/// variable order admits a feasible permutation binding for every atom
-/// (the caller falls back to bind join). Rejects empty bodies, bodies with
-/// no variables, and bodies containing repeated-variable atoms.
+/// variable order admits a feasible access for every atom (the caller falls
+/// back to bind join). Rejects empty bodies, bodies with no variables, and
+/// bodies containing repeated-variable atoms.
 pub fn plan(body: &[Atom]) -> Option<WcojPlan> {
     if body.is_empty() || body.iter().any(repeats_var) {
         return None;
     }
-    for var_order in varorder::candidate_orders(body) {
-        let rank: Vec<(Var, usize)> = var_order
+    candidate_orders(body).into_iter().find_map(|var_order| {
+        let atoms = body
             .iter()
-            .cloned()
-            .enumerate()
-            .map(|(i, v)| (v, i))
-            .collect();
-        let mut bindings: Vec<(Order, [KeyInfo; 3])> = Vec::with_capacity(body.len());
-        let mut ok = true;
-        for atom in body {
-            match bind_atom(atom, &rank) {
-                Some(b) => bindings.push(b),
-                None => {
-                    ok = false;
-                    break;
-                }
-            }
-        }
-        if ok {
-            return Some(assemble(body, var_order, bindings));
-        }
-    }
-    None
+            .map(|atom| Access::rank(atom, &var_order))
+            .collect::<Option<Vec<_>>>()?;
+        Some(assemble(var_order, atoms))
+    })
 }
 
-/// Assemble the plan structures from per-atom feasible bindings.
-fn assemble(body: &[Atom], var_order: Vec<Var>, bindings: Vec<(Order, [KeyInfo; 3])>) -> WcojPlan {
-    let n_named = var_order.len();
+/// Lay out the plan's slots and bind every variable (`Free` at its rank)
+/// and interval level of `atoms` to one of them.
+fn assemble(var_order: Vec<Var>, mut atoms: Vec<Access>) -> WcojPlan {
     // Anonymous range levels are placed as *late* as possible: immediately
     // before the atom's next named level (so the range iteration nests
     // inside every prefix constraint it depends on), or at the very end if
-    // the atom has no later named level.
-    //   anon_before[r] — anon slots to insert just before named rank r;
-    //   anon_end      — anon slots appended after every named slot.
-    // Each entry: (atom, key position, lo, hi).
-    let mut anon_before: Vec<Vec<(usize, usize, TermId, TermId)>> = vec![Vec::new(); n_named];
-    let mut anon_end: Vec<(usize, usize, TermId, TermId)> = Vec::new();
-    for (a, (_, infos)) in bindings.iter().enumerate() {
-        for (kp, info) in infos.iter().enumerate() {
-            if let KeyInfo::Range(lo, hi) = info {
-                let next_named = infos[kp + 1..].iter().find_map(|i| match i {
-                    KeyInfo::Named(r) => Some(*r),
+    // the atom has no later named level. `anon[r]` lists the (atom, key
+    // level) pairs placed just before named rank `r`; `anon[n]` the end.
+    let n = var_order.len();
+    let mut anon: Vec<Vec<(usize, usize)>> = vec![Vec::new(); n + 1];
+    for (a, access) in atoms.iter().enumerate() {
+        for kp in 0..3 {
+            if let Level::Range(..) = access.levels[kp] {
+                let next_named = access.levels[kp + 1..].iter().find_map(|l| match l {
+                    Level::Free(r) => Some(*r),
                     _ => None,
                 });
-                match next_named {
-                    Some(r) => anon_before[r].push((a, kp, *lo, *hi)),
-                    None => anon_end.push((a, kp, *lo, *hi)),
-                }
+                anon[next_named.unwrap_or(n)].push((a, kp));
             }
         }
     }
-    // Lay out slots: for each named rank, first its pending anon slots,
-    // then the named slot itself; trailing anons last.
-    let mut slots: Vec<Slot> = Vec::new();
-    let mut named_slots: Vec<usize> = Vec::with_capacity(n_named);
-    // level_slot[atom][kp] = slot index of that open level.
-    let mut level_slot: Vec<[Option<usize>; 3]> = vec![[None; 3]; body.len()];
-    let push_anon = |entries: &[(usize, usize, TermId, TermId)],
-                     slots: &mut Vec<Slot>,
-                     level_slot: &mut Vec<[Option<usize>; 3]>| {
-        for &(a, kp, lo, hi) in entries {
-            level_slot[a][kp] = Some(slots.len());
-            slots.push(Slot {
-                kind: SlotKind::Range { lo, hi },
-                participants: vec![(a, kp)],
-            });
-        }
-    };
-    for (r, v) in var_order.iter().enumerate() {
-        push_anon(&anon_before[r], &mut slots, &mut level_slot);
-        let mut participants: Vec<(usize, usize)> = Vec::new();
-        for (a, (_, infos)) in bindings.iter().enumerate() {
-            for (kp, info) in infos.iter().enumerate() {
-                if matches!(info, KeyInfo::Named(rr) if *rr == r) {
-                    participants.push((a, kp));
-                }
-            }
-        }
-        named_slots.push(slots.len());
+    fn push_slot(
+        slots: &mut Vec<Slot>,
+        atoms: &mut [Access],
+        kind: SlotKind,
+        participants: Vec<(usize, usize)>,
+    ) {
         for &(a, kp) in &participants {
-            level_slot[a][kp] = Some(slots.len());
+            atoms[a].levels[kp] = Level::Bound(slots.len());
         }
-        slots.push(Slot {
-            kind: SlotKind::Named(v.clone()),
-            participants,
-        });
+        slots.push(Slot { kind, participants });
     }
-    push_anon(&anon_end, &mut slots, &mut level_slot);
-
-    let atoms: Vec<AtomPlan> = bindings
-        .iter()
-        .enumerate()
-        .map(|(a, (order, infos))| {
-            let mut levels = [LevelBinding::Fixed(TermId(0)); 3];
-            for (kp, info) in infos.iter().enumerate() {
-                levels[kp] = match info {
-                    KeyInfo::Fixed(c) => LevelBinding::Fixed(*c),
-                    KeyInfo::Named(_) | KeyInfo::Range(..) => match level_slot[a][kp] {
-                        Some(s) => LevelBinding::Slot(s),
-                        None => {
-                            debug_assert!(false, "open level without a slot");
-                            LevelBinding::Fixed(TermId(0))
-                        }
-                    },
-                };
+    let mut slots: Vec<Slot> = Vec::new();
+    let mut named_slots: Vec<usize> = Vec::with_capacity(n);
+    for (r, pending) in anon.into_iter().enumerate() {
+        for (a, kp) in pending {
+            if let Level::Range(lo, hi) = atoms[a].levels[kp] {
+                let kind = SlotKind::Range { lo, hi };
+                push_slot(&mut slots, &mut atoms, kind, vec![(a, kp)]);
             }
-            AtomPlan {
-                order: *order,
-                levels,
-            }
-        })
-        .collect();
-    debug_assert!(atoms.iter().all(|ap| {
-        // Per-atom slot indexes strictly increase with key position.
+        }
+        let Some(v) = var_order.get(r) else { break };
+        let participants: Vec<(usize, usize)> = atoms
+            .iter()
+            .enumerate()
+            .flat_map(|(a, access)| {
+                (0..3)
+                    .filter(move |&kp| access.levels[kp] == Level::Free(r))
+                    .map(move |kp| (a, kp))
+            })
+            .collect();
+        named_slots.push(slots.len());
+        let kind = SlotKind::Named(v.clone());
+        push_slot(&mut slots, &mut atoms, kind, participants);
+    }
+    debug_assert!(atoms.iter().all(|access| {
+        // Every open level has a slot, and slots ascend in key order.
         let mut last: Option<usize> = None;
-        ap.levels.iter().all(|l| match l {
-            LevelBinding::Fixed(_) => true,
-            LevelBinding::Slot(s) => {
-                let ok = last.is_none_or(|l| l < *s);
-                last = Some(*s);
-                ok
-            }
+        access.levels.iter().all(|l| match *l {
+            Level::Const(_) => true,
+            Level::Bound(s) => last.replace(s).is_none_or(|l| l < s),
+            Level::Range(..) | Level::Free(_) => false,
         })
     }));
     WcojPlan {
@@ -368,11 +232,6 @@ fn assemble(body: &[Atom], var_order: Vec<Var>, bindings: Vec<(Order, [KeyInfo; 
         var_order,
         named_slots,
     }
-}
-
-/// The trie view (sorted permutation index) each atom reads.
-pub(crate) fn tries<'a>(store: &'a Store, plan: &WcojPlan) -> Vec<&'a SortedIndex> {
-    plan.atoms.iter().map(|ap| store.index(ap.order)).collect()
 }
 
 /// Exact `op.lfj.*` counters, accumulated locally and flushed once —
@@ -403,7 +262,7 @@ impl LfjCounters {
 struct Driver<'a> {
     plan: &'a WcojPlan,
     tries: &'a [&'a SortedIndex],
-    /// Probe key per atom; Fixed positions prefilled, open positions
+    /// Probe key per atom; constants prefilled, open levels
     /// written when their slot binds.
     keys: Vec<[TermId; 3]>,
     /// Bound value per slot (valid for slots above the recursion point).
@@ -413,19 +272,7 @@ struct Driver<'a> {
 
 impl<'a> Driver<'a> {
     fn new(plan: &'a WcojPlan, tries: &'a [&'a SortedIndex]) -> Driver<'a> {
-        let keys = plan
-            .atoms
-            .iter()
-            .map(|ap| {
-                let mut k = [TermId(0); 3];
-                for (kp, l) in ap.levels.iter().enumerate() {
-                    if let LevelBinding::Fixed(c) = l {
-                        k[kp] = *c;
-                    }
-                }
-                k
-            })
-            .collect();
+        let keys = plan.atoms.iter().map(|access| access.key(&[])).collect();
         Driver {
             plan,
             tries,
@@ -437,18 +284,18 @@ impl<'a> Driver<'a> {
 
     /// Least value `m ≥ v` at key position `kp` of atom `a` such that some
     /// key matches the atom's probe prefix, `m` at `kp`, and every
-    /// contiguous Fixed position directly after `kp`. `None` when exhausted.
+    /// contiguous constant level directly after `kp`. `None` when exhausted.
     ///
     /// This is a probe-and-bump loop over the sorted run: each probe is one
     /// `seek_from`; a returned key either matches (hit), disagrees at `kp`
-    /// (jump `v` forward to it), or matches `kp` but disagrees in the Fixed
+    /// (jump `v` forward to it), or matches `kp` but disagrees in the constant
     /// suffix (bump `v` by one).
     fn seek_match(&mut self, a: usize, kp: usize, mut v: TermId) -> Option<TermId> {
-        let ap = &self.plan.atoms[a];
-        // Contiguous Fixed suffix directly after kp, foldable into the probe.
-        let suffix_len = ap.levels[kp + 1..]
+        // Contiguous constant suffix directly after kp, foldable into the
+        // probe.
+        let suffix_len = self.plan.atoms[a].levels[kp + 1..]
             .iter()
-            .take_while(|l| matches!(l, LevelBinding::Fixed(_)))
+            .take_while(|l| matches!(l, Level::Const(_)))
             .count();
         loop {
             let mut probe = [TermId(0); 3];
@@ -466,7 +313,7 @@ impl<'a> Driver<'a> {
                 return Some(v);
             }
             if r[kp] == v {
-                // Right value, wrong Fixed suffix: bump to the next value.
+                // Right value, wrong constant suffix: bump to the next value.
                 v = TermId(v.0.checked_add(1)?);
             } else {
                 // seek_from never goes backward within the prefix.
@@ -582,25 +429,16 @@ impl<'a> Driver<'a> {
     }
 }
 
-/// Fully-Fixed atoms (no open levels) are existence filters: one probe
+/// All-constant atoms (no open levels) are existence filters: one probe
 /// each; any miss empties the result.
 fn fixed_atoms_present(
     plan: &WcojPlan,
     tries: &[&SortedIndex],
     counters: &mut LfjCounters,
 ) -> bool {
-    for (a, ap) in plan.atoms.iter().enumerate() {
-        if ap
-            .levels
-            .iter()
-            .all(|l| matches!(l, LevelBinding::Fixed(_)))
-        {
-            let mut probe = [TermId(0); 3];
-            for (kp, l) in ap.levels.iter().enumerate() {
-                if let LevelBinding::Fixed(c) = l {
-                    probe[kp] = *c;
-                }
-            }
+    for (a, access) in plan.atoms.iter().enumerate() {
+        if access.levels.iter().all(|l| matches!(l, Level::Const(_))) {
+            let probe = access.key(&[]);
             counters.seeks += 1;
             match tries[a].seek_from(&probe) {
                 Some(k) if k == probe => {}
@@ -623,13 +461,15 @@ fn fixed_atoms_present(
 /// seeks the driver would, so output and `op.lfj.*` counters are identical
 /// under both policies.
 pub(crate) fn eval(
-    tries: &[&SortedIndex],
+    store: &Store,
     plan: &WcojPlan,
     parallelism: Parallelism,
     row_budget: Option<usize>,
     obs: &Obs,
 ) -> Result<Relation> {
     obs.add("op.lfj.atoms", plan.atoms.len() as u64);
+    let tries: Vec<&SortedIndex> = plan.atoms.iter().map(|a| store.index(a.order)).collect();
+    let tries = &tries[..];
     let mut driver = Driver::new(plan, tries);
     let size = parallelism.morsel_size();
     // `plan()` rejects var-free bodies, so `slots` is never empty; stay total.
@@ -724,6 +564,7 @@ mod tests {
     use super::*;
     use crate::evaluator::Evaluator;
     use rdfref_model::EncodedTriple;
+    use rdfref_query::ast::PTerm;
 
     fn v(n: &str) -> Var {
         Var::new(n)
@@ -740,8 +581,7 @@ mod tests {
 
     fn run_wcoj(store: &Store, body: &[Atom], parallelism: Parallelism) -> (Relation, WcojPlan) {
         let p = plan(body).expect("plan");
-        let t = tries(store, &p);
-        let rel = eval(&t, &p, parallelism, None, &Obs::disabled()).expect("eval");
+        let rel = eval(store, &p, parallelism, None, &Obs::disabled()).expect("eval");
         (rel, p)
     }
 
@@ -835,10 +675,9 @@ mod tests {
             Atom::new(v("x"), TermId(7), v("y")),
         ];
         let p = plan(&body).expect("range body plans");
-        let tr = tries(&store, &p);
         let registry = std::sync::Arc::new(rdfref_obs::MetricsRegistry::default());
         let obs = Obs::collecting(registry.clone());
-        let rel = eval(&tr, &p, Parallelism::Off, None, &obs).unwrap();
+        let rel = eval(&store, &p, Parallelism::Off, None, &obs).unwrap();
         // Classes 52..55 are i%8 in {2,3,4}: instances 100+{2,3,4,10,11,12,18,19}
         // minus none → 8 x-bindings, each with exactly one outgoing edge.
         assert_eq!(rel.len(), 8);
@@ -865,8 +704,7 @@ mod tests {
             let registry = std::sync::Arc::new(rdfref_obs::MetricsRegistry::default());
             let obs = Obs::collecting(registry.clone());
             let pl = plan(&body).unwrap();
-            let tr = tries(&store, &pl);
-            let rel = eval(&tr, &pl, par, None, &obs).unwrap();
+            let rel = eval(&store, &pl, par, None, &obs).unwrap();
             let snap = registry.snapshot();
             (
                 rel.to_rows(),
@@ -915,11 +753,10 @@ mod tests {
         let p = TermId(7);
         let body = vec![Atom::new(v("x"), p, v("y")), Atom::new(v("y"), p, v("z"))];
         let pl = plan(&body).unwrap();
-        let tr = tries(&store, &pl);
         for par in [Parallelism::Off, Parallelism::Morsels { size: 1 }] {
             let registry = std::sync::Arc::new(rdfref_obs::MetricsRegistry::default());
             let obs = Obs::collecting(registry.clone());
-            let err = eval(&tr, &pl, par, Some(3), &obs).unwrap_err();
+            let err = eval(&store, &pl, par, Some(3), &obs).unwrap_err();
             assert_eq!(
                 err,
                 StorageError::RowBudgetExceeded { budget: 3 },
