@@ -239,26 +239,26 @@ impl BatchReport {
 struct MaintainedStore {
     store: Store,
     stats: Arc<Stats>,
-    maintainer: StatsMaintainer,
 }
 
 impl MaintainedStore {
     fn from_store(store: Store) -> MaintainedStore {
         MaintainedStore {
             stats: Arc::new(Stats::compute(&store)),
-            maintainer: StatsMaintainer::from_store(&store),
             store,
         }
     }
 
-    /// Fold an exact delta (already in store id space) into the store and
-    /// its statistics.
-    fn apply(&mut self, added: &[EncodedTriple], removed: &[EncodedTriple]) {
-        if added.is_empty() && removed.is_empty() {
-            return;
-        }
-        let next = self.store.apply_delta(added, removed);
-        self.stats = Arc::new(self.maintainer.apply(&self.stats, &next, added, removed));
+    /// Install `next`, the store after an exact delta (in store id space),
+    /// and fold the delta into the statistics.
+    fn apply(&mut self, next: Store, added: &[EncodedTriple], removed: &[EncodedTriple]) {
+        self.stats = Arc::new(StatsMaintainer.apply(&self.stats, &next, added, removed));
+        #[cfg(feature = "strict-invariants")]
+        assert_eq!(
+            *self.stats,
+            Stats::compute(&next),
+            "maintained statistics diverged from a recompute"
+        );
         self.store = next;
     }
 }
@@ -276,6 +276,28 @@ impl Partition {
         Partition {
             explicit: MaintainedStore::from_store(encode_store(reasoner.explicit(), encoder)),
             sat: MaintainedStore::from_store(encode_store(reasoner.saturated(), encoder)),
+        }
+    }
+
+    /// Fold a batch's net delta (in base id space) into both working
+    /// stores: first the stores' copy-on-write edits, then their
+    /// statistics, timed as `maintain.store_delta` and `maintain.stats`.
+    fn apply(&mut self, obs: &Obs, encoder: &HierarchyEncoder, delta: &MaintenanceDelta) {
+        if delta.is_empty() {
+            return;
+        }
+        let store_delta = obs.span("maintain.store_delta");
+        let explicit = [&delta.explicit_added, &delta.explicit_removed];
+        let sat = [&delta.saturation_added, &delta.saturation_removed];
+        let parts = [(&mut self.explicit, explicit), (&mut self.sat, sat)]
+            .map(|(part, lists)| (part, lists.map(|l| encoder.encode_triples(l))));
+        let next = parts
+            .each_ref()
+            .map(|(part, [added, removed])| part.store.apply_delta(added, removed));
+        drop(store_delta);
+        let _span = obs.span("maintain.stats");
+        for ((part, [added, removed]), next) in parts.into_iter().zip(next) {
+            part.apply(next, &added, &removed);
         }
     }
 }
@@ -381,19 +403,10 @@ impl WriterCore {
             self.reasoner.delete_batch(deletes)
         };
 
-        // Deltas arrive in base id space (the reasoner's) and are remapped
-        // here, at the store boundary.
-        let enc = &self.encoder;
-        for delta in [&ins_delta, &del_delta] {
-            self.stores.explicit.apply(
-                &enc.encode_triples(&delta.explicit_added),
-                &enc.encode_triples(&delta.explicit_removed),
-            );
-            self.stores.sat.apply(
-                &enc.encode_triples(&delta.saturation_added),
-                &enc.encode_triples(&delta.saturation_removed),
-            );
-        }
+        // The reasoner's deltas arrive in base id space and are remapped at
+        // the store boundary, as one net delta for the batch.
+        self.stores
+            .apply(&obs, &self.encoder, &ins_delta.then(&del_delta));
         if schema_changed {
             // Constraints changed: the Ref strategies' rewrite context must
             // be rebuilt (the data-path artifacts were still maintained
@@ -993,6 +1006,31 @@ ex:doi1 a ex:Book .
         assert_eq!(report.explicit_added(), 0);
         assert_eq!(report.saturation_added(), 0);
         assert!(!report.schema_changed());
+    }
+
+    /// The write path's split is visible from the engine's own registry:
+    /// one `maintain.store_delta` and one `maintain.stats` span per batch
+    /// that changes the stores, beside the reasoner's spans.
+    #[test]
+    fn each_applied_batch_records_one_store_delta_and_one_stats_span() {
+        let registry = Arc::new(rdfref_obs::MetricsRegistry::new());
+        let builder = Database::builder().obs(Obs::collecting(registry.clone()));
+        let (db, _q) = setup_with(builder);
+        let rdf_type = Term::iri(rdfref_model::vocab::RDF_TYPE);
+        let t = triple("doi3", &rdf_type, "Book");
+        db.insert(vec![t.clone()]).unwrap().wait().unwrap();
+        let mixed = UpdateBatch::new()
+            .insert(triple("doi4", &rdf_type, "Book"))
+            .delete(t);
+        db.submit(mixed).unwrap().wait().unwrap();
+        db.submit(UpdateBatch::new()).unwrap().wait().unwrap();
+        let snap = registry.snapshot();
+        assert_eq!(snap.span_count("maintain.batch"), 3);
+        assert_eq!(snap.span_count("maintain.insert"), 2);
+        assert_eq!(snap.span_count("maintain.delete"), 1);
+        for span in ["maintain.store_delta", "maintain.stats"] {
+            assert_eq!(snap.span_count(span), 2, "{span}");
+        }
     }
 
     /// Interval ids are re-clustered on every schema change: the working

@@ -60,6 +60,37 @@ impl MaintenanceDelta {
             && self.saturation_added.is_empty()
             && self.saturation_removed.is_empty()
     }
+
+    /// This delta followed by `next`, as one net delta: a triple one of
+    /// them adds and the other removes cancels out.
+    pub fn then(&self, next: &MaintenanceDelta) -> MaintenanceDelta {
+        let net = |a1: &[EncodedTriple], r1: &[EncodedTriple], a2, r2| {
+            let (added, removed) = (merge_sorted(a1, a2, &[]), merge_sorted(r1, r2, &[]));
+            (
+                merge_sorted(&added, &[], &removed),
+                merge_sorted(&removed, &[], &added),
+            )
+        };
+        let (explicit_added, explicit_removed) = net(
+            &self.explicit_added,
+            &self.explicit_removed,
+            &next.explicit_added,
+            &next.explicit_removed,
+        );
+        let (saturation_added, saturation_removed) = net(
+            &self.saturation_added,
+            &self.saturation_removed,
+            &next.saturation_added,
+            &next.saturation_removed,
+        );
+        MaintenanceDelta {
+            explicit_added,
+            explicit_removed,
+            saturation_added,
+            saturation_removed,
+            resaturated: self.resaturated || next.resaturated,
+        }
+    }
 }
 
 /// A saturated graph maintained under updates.
@@ -346,6 +377,31 @@ ex:doi1 rdf:type ex:Book .
         assert!(typed(&r, "doi2", "Publication"));
         // Invariant: equals from-scratch saturation.
         assert_eq!(r.saturated(), &saturate(r.explicit()));
+    }
+
+    /// An insert batch then a delete batch, composed, is the net delta
+    /// from the first saturation to the last: a triple the insert adds and
+    /// the delete removes (and the reverse) cancels out.
+    #[test]
+    fn composed_deltas_are_the_net_delta_of_both_batches() {
+        let g = parse_turtle(BASE).unwrap();
+        let mut r = IncrementalReasoner::new(g);
+        let before = r.saturated().triples().to_vec();
+        let doi1 = r.intern_triple(&iri("doi1"), &rdf_type(), &iri("Book"));
+        let doi2 = r.intern_triple(&iri("doi2"), &rdf_type(), &iri("Book"));
+        let doi3 = r.intern_triple(&iri("doi3"), &rdf_type(), &iri("Book"));
+        let ins = r.insert_batch(&[doi2, doi3]);
+        let del = r.delete_batch(&[doi1, doi2]);
+        let net = ins.then(&del);
+        let after = r.saturated().triples();
+        assert_eq!(
+            merge_sorted(&before, &net.saturation_added, &net.saturation_removed),
+            after
+        );
+        assert!(net.saturation_added.iter().all(|t| !before.contains(t)));
+        assert!(net.saturation_removed.iter().all(|t| !after.contains(t)));
+        assert_eq!(net.explicit_added, vec![doi3]);
+        assert_eq!(net.explicit_removed, vec![doi1]);
     }
 
     #[test]

@@ -2,14 +2,19 @@
 //!
 //! Exact statistics computed in one pass over the store's indexes:
 //! per-property cardinalities and distinct subject/object counts, per-class
-//! instance counts, and overall value distributions. They serve two roles in
-//! the demonstrated system:
+//! instance counts, and overall value distributions. After a write batch
+//! [`StatsMaintainer`] moves them by index probes on the updated store:
+//! O(|Δ| log n), with no rescan of a touched property. They serve two roles
+//! in the demonstrated system:
 //!
 //! 1. input to the [cost model](crate::cost) (the function `c` of §4);
 //! 2. the demo's step 1 ("visualize its statistics: value distributions for
 //!    subject, property and object"), regenerated by experiment E7.
 
-use crate::store::{Pattern, Store};
+use crate::store::{
+    Bound::{Any, Const},
+    Pattern, Store,
+};
 use rdfref_model::dictionary::ID_RDF_TYPE;
 use rdfref_model::fxhash::{FxHashMap, FxHashSet};
 use rdfref_model::{EncodedTriple, TermId};
@@ -26,7 +31,7 @@ pub struct PropStats {
 }
 
 /// Exact dataset statistics.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Stats {
     /// Total triples.
     pub total: usize,
@@ -158,38 +163,33 @@ impl Stats {
 ///
 /// [`Stats::compute`] is a full pass over the store — fine at load time,
 /// too slow to run per maintenance batch in the serving layer. The
-/// maintainer keeps global subject/object occurrence counts (the only
-/// quantities that cannot be recovered from a delta alone) and produces an
-/// updated `Stats` in time proportional to the delta plus the sizes of the
-/// *touched properties*, never the whole store. The result is exact: it
-/// equals `Stats::compute(store_after)` for every field.
+/// maintainer keeps no state and never rescans a property: for each key a
+/// delta touches — a subject `s`, an object `o`, a pair `(p, s)` or
+/// `(p, o)` — the count before the delta is
+/// `before(k) = after(k) − added(k) + removed(k)`, and `after(k)` is one
+/// prefix count on the permutation index that has `k` as a prefix (SPO for
+/// `s` and `(p, s)`, OSP for `o`, POS for `(p, o)`). A distinct count moves
+/// by ±1 exactly when one of `before(k)` and `after(k)` is zero. Triple,
+/// class and `rdf:type` counts move by the delta's multiplicities, and a
+/// property whose count reaches 0 is dropped. One
+/// [`apply`](StatsMaintainer::apply) costs O(|Δ| log n) index probes, and
+/// its result equals `Stats::compute(store_after)` in every field.
 ///
 /// Contract: `added` must contain only triples genuinely absent before the
 /// delta and `removed` only triples genuinely present (and the two must be
 /// disjoint) — i.e. the *net* delta, which is exactly what the incremental
-/// reasoner reports per batch.
+/// reasoner reports per batch. Debug builds check it against `store_after`.
 #[derive(Debug, Clone, Default)]
-pub struct StatsMaintainer {
-    /// Triples per subject, over the whole store.
-    subject_occurrences: FxHashMap<TermId, usize>,
-    /// Triples per object, over the whole store.
-    object_occurrences: FxHashMap<TermId, usize>,
-}
+pub struct StatsMaintainer;
 
 impl StatsMaintainer {
-    /// Seed the occurrence maps with one pass over a store.
-    pub fn from_store(store: &Store) -> StatsMaintainer {
-        let mut m = StatsMaintainer::default();
-        for t in store.iter() {
-            *m.subject_occurrences.entry(t.s).or_insert(0) += 1;
-            *m.object_occurrences.entry(t.o).or_insert(0) += 1;
-        }
-        m
+    /// A maintainer for `store`: it keeps no state, so this is O(1).
+    pub fn from_store(_store: &Store) -> StatsMaintainer {
+        StatsMaintainer
     }
 
-    /// Advance the occurrence maps past a delta and return the exact
-    /// statistics of `store_after` (the store with the delta applied).
-    /// `base` is the statistics of the store *before* the delta.
+    /// The exact statistics of `store_after` (the store with the delta
+    /// applied). `base` is the statistics of the store *before* the delta.
     pub fn apply(
         &mut self,
         base: &Stats,
@@ -197,81 +197,72 @@ impl StatsMaintainer {
         added: &[EncodedTriple],
         removed: &[EncodedTriple],
     ) -> Stats {
-        let mut touched: FxHashSet<TermId> = FxHashSet::default();
-        for t in added {
-            touched.insert(t.p);
-            *self.subject_occurrences.entry(t.s).or_insert(0) += 1;
-            *self.object_occurrences.entry(t.o).or_insert(0) += 1;
-        }
-        for t in removed {
-            touched.insert(t.p);
-            decrement(&mut self.subject_occurrences, t.s);
-            decrement(&mut self.object_occurrences, t.o);
-        }
-
+        debug_assert!(
+            added.iter().all(|t| store_after.contains(t))
+                && !removed.iter().any(|t| store_after.contains(t)),
+            "StatsMaintainer::apply needs the net delta that produced `store_after`"
+        );
+        let delta: Vec<(EncodedTriple, isize)> = (added.iter().map(|&t| (t, 1)))
+            .chain(removed.iter().map(|&t| (t, -1)))
+            .collect();
         let mut stats = Stats {
             total: store_after.len(),
-            distinct_subjects: self.subject_occurrences.len(),
-            distinct_objects: self.object_occurrences.len(),
-            distinct_properties: 0,
-            properties: base.properties.clone(),
-            classes: base.classes.clone(),
-            type_triples: base.type_triples,
+            ..base.clone()
         };
-
-        // Touched properties: re-derive PropStats from the new store. The
-        // POS index groups a property's triples by object, so distinct
-        // objects are run-length counted; subjects need a set.
-        for &p in &touched {
-            let mut subjects: FxHashSet<TermId> = FxHashSet::default();
-            let mut count = 0usize;
-            let mut distinct_objects = 0usize;
-            let mut prev_object: Option<TermId> = None;
-            for t in store_after.scan(Pattern::property(p)) {
-                count += 1;
-                subjects.insert(t.s);
-                if prev_object != Some(t.o) {
-                    distinct_objects += 1;
-                    prev_object = Some(t.o);
-                }
-            }
-            if count == 0 {
-                stats.properties.remove(&p);
-            } else {
-                stats.properties.insert(
-                    p,
-                    PropStats {
-                        count,
-                        distinct_subjects: subjects.len(),
-                        distinct_objects,
-                    },
-                );
+        for &(t, n) in &delta {
+            bump(&mut stats.properties.entry(t.p).or_default().count, n);
+            if t.p == ID_RDF_TYPE {
+                bump(&mut stats.type_triples, n);
+                bump(stats.classes.entry(t.o).or_default(), n);
             }
         }
+        let props = &mut stats.properties;
+        for (key, m) in presence_moves(&delta, store_after) {
+            match key {
+                [_, None, None] => bump(&mut stats.distinct_subjects, m),
+                [_, None, Some(_)] => bump(&mut stats.distinct_objects, m),
+                [_, Some(p), None] => bump(&mut props.entry(p).or_default().distinct_subjects, m),
+                [_, Some(p), Some(_)] => bump(&mut props.entry(p).or_default().distinct_objects, m),
+            }
+        }
+        stats.properties.retain(|_, ps| ps.count > 0);
+        stats.classes.retain(|_, n| *n > 0);
         stats.distinct_properties = stats.properties.len();
-
-        // Class counts are a pure function of the rdf:type delta.
-        if touched.contains(&ID_RDF_TYPE) {
-            for t in added.iter().filter(|t| t.p == ID_RDF_TYPE) {
-                stats.type_triples += 1;
-                *stats.classes.entry(t.o).or_insert(0) += 1;
-            }
-            for t in removed.iter().filter(|t| t.p == ID_RDF_TYPE) {
-                stats.type_triples -= 1;
-                decrement(&mut stats.classes, t.o);
-            }
-        }
         stats
     }
 }
 
-fn decrement(map: &mut FxHashMap<TermId, usize>, key: TermId) {
-    if let Some(n) = map.get_mut(&key) {
-        *n -= 1;
-        if *n == 0 {
-            map.remove(&key);
-        }
+/// A statistics key: the positions it fixes, in `s, p, o` order. A triple
+/// touches four — its subject, its object, and its property with either.
+type Key = [Option<TermId>; 3];
+
+/// Each key a signed delta (one `(triple, ±1)` per triple) touches, with its
+/// presence move: `+1` if the key appears, `−1` if it vanishes, `0`
+/// otherwise. Its count after the delta is one prefix count on
+/// `store_after`, and its count before is that minus its net multiplicity.
+fn presence_moves(delta: &[(EncodedTriple, isize)], store_after: &Store) -> Vec<(Key, isize)> {
+    let mut keyed: Vec<(Key, isize)> = Vec::with_capacity(4 * delta.len());
+    for &(t, n) in delta {
+        let (s, p, o) = (Some(t.s), Some(t.p), Some(t.o));
+        keyed
+            .extend([[s, None, None], [None, None, o], [s, p, None], [None, p, o]].map(|k| (k, n)));
     }
+    keyed.sort_unstable_by_key(|e| e.0);
+    let bound = |x: Option<TermId>| x.map_or(Any, Const);
+    keyed
+        .chunk_by(|a, b| a.0 == b.0)
+        .map(|run| {
+            let [s, p, o] = run[0].0.map(bound);
+            let after = store_after.count(Pattern { s, p, o }) as isize;
+            let before = after - run.iter().map(|e| e.1).sum::<isize>();
+            (run[0].0, isize::from(after > 0) - isize::from(before > 0))
+        })
+        .collect()
+}
+
+/// Move a count by a signed amount (a net delta never drives one below 0).
+fn bump(count: &mut usize, by: isize) {
+    *count = count.saturating_add_signed(by);
 }
 
 /// Value-distribution histograms for the demo's statistics screen (E7):
@@ -465,17 +456,6 @@ mod tests {
         assert!(pairs.pairs.windows(2).all(|w| w[0].2 >= w[1].2));
     }
 
-    /// Assert every Stats field matches between incremental and full paths.
-    fn assert_stats_eq(inc: &Stats, full: &Stats) {
-        assert_eq!(inc.total, full.total);
-        assert_eq!(inc.distinct_subjects, full.distinct_subjects);
-        assert_eq!(inc.distinct_properties, full.distinct_properties);
-        assert_eq!(inc.distinct_objects, full.distinct_objects);
-        assert_eq!(inc.properties, full.properties);
-        assert_eq!(inc.classes, full.classes);
-        assert_eq!(inc.type_triples, full.type_triples);
-    }
-
     #[test]
     fn maintainer_matches_full_recompute() {
         let (store, ids) = fixture();
@@ -491,7 +471,7 @@ mod tests {
         let removed = vec![EncodedTriple::new(b, p, c)];
         let store2 = store.apply_delta(&added, &removed);
         let inc2 = maintainer.apply(&base, &store2, &added, &removed);
-        assert_stats_eq(&inc2, &Stats::compute(&store2));
+        assert_eq!(inc2, Stats::compute(&store2));
 
         // Batch 2: remove the last q-triple (property disappears) and the
         // only C2 instance (class disappears).
@@ -502,7 +482,7 @@ mod tests {
         ];
         let store3 = store2.apply_delta(&added2, &removed2);
         let inc3 = maintainer.apply(&inc2, &store3, &added2, &removed2);
-        assert_stats_eq(&inc3, &Stats::compute(&store3));
+        assert_eq!(inc3, Stats::compute(&store3));
         assert_eq!(inc3.class_count(ids[6]), 0);
     }
 
@@ -514,9 +494,21 @@ mod tests {
         let all: Vec<EncodedTriple> = store.iter().collect();
         let empty = store.apply_delta(&[], &all);
         let inc = maintainer.apply(&base, &empty, &[], &all);
-        assert_stats_eq(&inc, &Stats::compute(&empty));
+        assert_eq!(inc, Stats::compute(&empty));
         assert_eq!(inc.total, 0);
         assert_eq!(inc.distinct_subjects, 0);
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "net delta")]
+    fn maintainer_rejects_a_delta_that_is_not_net() {
+        let (store, ids) = fixture();
+        let base = Stats::compute(&store);
+        // One triple both added and removed: the lists are not disjoint.
+        let both = vec![EncodedTriple::new(ids[2], ids[4], ids[0])];
+        let after = store.apply_delta(&both, &both);
+        StatsMaintainer::from_store(&store).apply(&base, &after, &both, &both);
     }
 
     #[test]

@@ -24,6 +24,20 @@ fn triples_strategy() -> impl Strategy<Value = Vec<EncodedTriple>> {
     )
 }
 
+/// The property and the class the chained statistics test drives to zero.
+const GONE_P: TermId = TermId(103);
+const GONE_C: TermId = TermId(9);
+
+/// A triple over small id pools, so triples drawn together share keys:
+/// subjects 5..9, objects 5..10 (classes under `rdf:type`), and the
+/// properties `rdf:type`, 101, 102 and [`GONE_P`].
+fn small_triple() -> impl Strategy<Value = EncodedTriple> {
+    (5u32..9, 0u32..4, 5u32..10).prop_map(|(s, p, o)| {
+        let prop = if p == 0 { ID_RDF_TYPE } else { TermId(100 + p) };
+        EncodedTriple::new(TermId(s), prop, TermId(o))
+    })
+}
+
 /// Pattern positions over the ids `triples_strategy` draws from, intervals
 /// included; `pool` picks subject/object ids or property ids.
 fn position(pool: std::ops::Range<u32>) -> impl Strategy<Value = PTerm> {
@@ -302,16 +316,52 @@ proptest! {
         let base_stats = Stats::compute(&store);
         let mut maintainer = StatsMaintainer::from_store(&store);
         let inc = maintainer.apply(&base_stats, &updated, &net_inserts, &removes);
-        let full = Stats::compute(&updated);
-        prop_assert_eq!(inc.total, full.total);
-        prop_assert_eq!(inc.distinct_subjects, full.distinct_subjects);
-        prop_assert_eq!(inc.distinct_properties, full.distinct_properties);
-        prop_assert_eq!(inc.distinct_objects, full.distinct_objects);
-        prop_assert_eq!(inc.properties, full.properties);
-        prop_assert_eq!(inc.classes, full.classes);
-        prop_assert_eq!(inc.type_triples, full.type_triples);
+        prop_assert_eq!(inc, Stats::compute(&updated));
         // The pre-delta snapshot still answers as before (immutability).
         prop_assert_eq!(store.len(), Store::from_triples(&base).len());
+    }
+
+    /// One maintainer follows a chain of deltas exactly. Each delta toggles
+    /// triples drawn from small pools, so its inserts and removes share
+    /// subjects, objects and properties within one `apply`; step 1 drives
+    /// one property and one class to zero and step 3 brings both back.
+    #[test]
+    fn stats_maintenance_is_exact_over_chained_mixed_deltas(
+        base in proptest::collection::vec(small_triple(), 0..30),
+        toggles in proptest::collection::vec(proptest::collection::vec(small_triple(), 1..12), 4..7),
+        bucket in 1usize..9,
+    ) {
+        let doomed = |t: &EncodedTriple| t.p == GONE_P || (t.p == ID_RDF_TYPE && t.o == GONE_C);
+        let revived = [
+            EncodedTriple::new(TermId(8), GONE_P, TermId(5)),
+            EncodedTriple::new(TermId(8), ID_RDF_TYPE, GONE_C),
+        ];
+        let mut store = Store::from_triples_with_bucket_target(&[&base[..], &revived[..]].concat(), bucket);
+        let mut stats = Stats::compute(&store);
+        let mut maintainer = StatsMaintainer::from_store(&store);
+        for (step, toggle) in toggles.into_iter().enumerate() {
+            let mut toggle = toggle;
+            if step == 1 || step == 3 {
+                toggle.retain(|t| !doomed(t));
+            }
+            match step {
+                1 => toggle.extend(store.iter().filter(|t| doomed(t))),
+                3 => toggle.extend(revived.into_iter().filter(|t| !store.contains(t))),
+                _ => {}
+            }
+            toggle.sort_unstable();
+            toggle.dedup();
+            let (removed, added): (Vec<_>, Vec<_>) = toggle.into_iter().partition(|t| store.contains(t));
+            let next = store.apply_delta(&added, &removed);
+            stats = maintainer.apply(&stats, &next, &added, &removed);
+            prop_assert_eq!(&stats, &Stats::compute(&next), "after step {}", step);
+            store = next;
+            match step {
+                1 => prop_assert!(stats.property(GONE_P).count == 0 && stats.class_count(GONE_C) == 0),
+                3 => prop_assert!(stats.property(GONE_P).count > 0 && stats.class_count(GONE_C) > 0),
+                _ => {}
+            }
+        }
     }
 
     /// Natural join is commutative up to column order, and joining a
