@@ -470,13 +470,16 @@ impl<'a> RewriteContext<'a> {
         }
         if !self.closure.subproperties.is_empty() {
             candidates.push(ID_RDFS_SUBPROPERTYOF);
-            // Entailed domain/range pairs exist only with declared ones.
-            if !self.schema.domain.is_empty() {
-                candidates.push(ID_RDFS_DOMAIN);
-            }
-            if !self.schema.range.is_empty() {
-                candidates.push(ID_RDFS_RANGE);
-            }
+        }
+        // An entailed domain/range pair is a declared one widened up the
+        // class hierarchy or narrowed down the property hierarchy.
+        let hierarchies =
+            !self.closure.subclasses.is_empty() || !self.closure.subproperties.is_empty();
+        if hierarchies && !self.schema.domain.is_empty() {
+            candidates.push(ID_RDFS_DOMAIN);
+        }
+        if hierarchies && !self.schema.range.is_empty() {
+            candidates.push(ID_RDFS_RANGE);
         }
         for builtin in candidates {
             out.push(Rewrite {
@@ -587,6 +590,33 @@ mod tests {
         assert!(rws
             .iter()
             .any(|r| r.rule == RuleId::R13 && r.bindings[0].1 == ID_RDF_TYPE));
+    }
+
+    #[test]
+    fn rule_13_binds_domain_and_range_under_a_class_hierarchy_alone() {
+        // Book ⊑ Publication, Person ⊑ Agent, domain(writtenBy) = Book,
+        // range(writtenBy) = Person and no subproperty: (writtenBy ←d
+        // Publication) and (writtenBy ↪r Agent) are entailed, so a property
+        // variable binds to both built-ins.
+        let mut d = Dictionary::new();
+        let [book, publication, written_by, person, agent] =
+            ["Book", "Publication", "writtenBy", "Person", "Agent"]
+                .map(|n| d.intern(&Term::iri(n)));
+        let mut s = Schema::new();
+        s.add_subclass(book, publication);
+        s.add_subclass(person, agent);
+        s.add_domain(written_by, book);
+        s.add_range(written_by, person);
+        let cl = s.closure();
+        let ctx = RewriteContext::new(&s, &cl);
+        let rws = ctx.rewrite_atom(&Atom::new(v("x"), v("p"), v("y")), &Var::fresh(0));
+        let bound: Vec<TermId> = rws
+            .iter()
+            .filter(|r| r.rule == RuleId::R13)
+            .map(|r| r.bindings[0].1)
+            .collect();
+        assert!(bound.contains(&ID_RDFS_DOMAIN), "{bound:?}");
+        assert!(bound.contains(&ID_RDFS_RANGE), "{bound:?}");
     }
 
     #[test]

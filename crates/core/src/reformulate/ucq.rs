@@ -155,7 +155,15 @@ pub fn reformulate_ucq_raw(
     ctx: &RewriteContext<'_>,
     limits: ReformulationLimits,
 ) -> Result<Ucq> {
-    let body = cq.body.iter().map(|a| compress(a, ctx.encoder)).collect();
+    // A body is a set: `seen` compares canonical forms, which merge repeated
+    // atoms, so a copy kept as its own position would prune the CQs that
+    // only rewriting every copy reaches.
+    let mut body: Vec<Atom> = Vec::with_capacity(cq.size());
+    for atom in cq.body.iter().map(|a| compress(a, ctx.encoder)) {
+        if !body.contains(&atom) {
+            body.push(atom);
+        }
+    }
     let cq = Cq::new_unchecked(cq.head.clone(), body);
     // A rewrite holds at most one fresh variable, so each atom position has
     // one of its own.
@@ -774,6 +782,17 @@ mod tests {
                     Atom::new(v("x"), ID_RDF_TYPE, v("u")),
                     Atom::new(v("x"), v("p"), v("y")),
                     Atom::new(v("y"), ID_RDF_TYPE, ids[4]),
+                ],
+            ),
+            // A repeated atom whose class variable a hierarchy atom reuses:
+            // both copies bind together, as one atom.
+            (
+                vec![v("x"), v("u")],
+                vec![
+                    Atom::new(v("x"), ID_RDF_TYPE, v("u")),
+                    Atom::new(v("u"), rdfref_model::dictionary::ID_RDFS_SUBCLASSOF, ids[1]),
+                    Atom::new(v("x"), ID_RDF_TYPE, v("u")),
+                    Atom::new(v("x"), ID_RDF_TYPE, ids[1]),
                 ],
             ),
         ];

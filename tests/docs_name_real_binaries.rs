@@ -1,6 +1,6 @@
 //! Pins that the docs, the CI workflow and the verify skill only name
-//! experiment binaries that exist, and that no single-shot `BENCH_*.json`
-//! artifact comes back to the repository root.
+//! experiment binaries and test targets that exist, and that no single-shot
+//! `BENCH_*.json` artifact comes back to the repository root.
 //!
 //! The `benchmark` binary is the one harness whose numbers may appear in
 //! EXPERIMENTS.md for E9–E14; the four `exp_*` binaries and four root
@@ -11,7 +11,8 @@
 use std::fs;
 use std::path::PathBuf;
 
-/// Files whose `exp_*` and `--bin <name>` tokens must resolve.
+/// Files whose `exp_*`, `--bin <name>`, `tests/<name>.rs` and
+/// `--test <name>` tokens must resolve.
 const SCANNED: &[&str] = &[
     "README.md",
     "DESIGN.md",
@@ -54,6 +55,51 @@ fn named_binaries(text: &str) -> Vec<String> {
     names
 }
 
+/// Test targets a text refers to: every `tests/<name>.rs` path and every
+/// identifier after `--test `. Placeholders and paths that are no target's
+/// (`tests/<name>.rs`, `tests/{a,b}.rs`, `tests/common/mod.rs`) name nothing.
+fn named_test_targets(text: &str) -> Vec<String> {
+    let mut names = Vec::new();
+    for (at, dir) in text.match_indices("tests/") {
+        let rest = &text[at + dir.len()..];
+        let name = identifier(rest);
+        if !name.is_empty() && rest[name.len()..].starts_with(".rs") {
+            names.push(name.to_string());
+        }
+    }
+    for (at, flag) in text.match_indices("--test ") {
+        let name = identifier(&text[at + flag.len()..]);
+        if !name.is_empty() {
+            names.push(name.to_string());
+        }
+    }
+    names
+}
+
+#[test]
+fn every_named_test_target_exists() {
+    let crates = fs::read_dir(root().join("crates")).expect("read crates/");
+    let mut dirs: Vec<PathBuf> = crates
+        .map(|entry| entry.expect("dir entry").path().join("tests"))
+        .collect();
+    dirs.push(root().join("tests"));
+    let mut scanned_names = 0;
+    for file in SCANNED {
+        let text = fs::read_to_string(root().join(file)).unwrap_or_else(|e| panic!("{file}: {e}"));
+        for name in named_test_targets(&text) {
+            scanned_names += 1;
+            assert!(
+                dirs.iter().any(|d| d.join(format!("{name}.rs")).is_file()),
+                "{file} names test target `{name}`, which is no `tests/{name}.rs` of the workspace"
+            );
+        }
+    }
+    assert!(
+        scanned_names > 20,
+        "the scan found only {scanned_names} names"
+    );
+}
+
 #[test]
 fn every_named_experiment_binary_exists() {
     let bins = root().join("crates/bench/src/bin");
@@ -93,4 +139,7 @@ fn placeholders_and_real_names_are_told_apart() {
     let text = "run `--bin exp_<name>`, any `exp_*`, `--bin <name>`, \
                 `--bin benchmark --` or `exp_dataset_stats# E7`";
     assert_eq!(named_binaries(text), ["exp_dataset_stats", "benchmark"]);
+    let text = "`tests/<name>.rs`, `tests/{a,b}.rs`, `tests/common/mod.rs`, \
+                `crates/storage/tests/alloc_budget.rs` and `--test properties`";
+    assert_eq!(named_test_targets(text), ["alloc_budget", "properties"]);
 }

@@ -1,224 +1,48 @@
-//! Property-based tests of the workspace-wide invariants, on random graphs,
-//! random RDFS schemas and random BGP queries:
+//! Property-based tests of the workspace-wide invariants. One generator
+//! (`tests/common`) draws every scenario: a schema whose class hierarchy is
+//! empty, a chain, a tree or a DAG (diamonds and cycles), subproperty,
+//! domain and range edges, type and property facts, a CQ, and a schedule of
+//! update batches.
 //!
-//! * `answer(q, G, S) = q(G∞)` for every complete strategy `S` — the
-//!   correctness contract of reformulation (§3.1 of the paper);
-//! * saturation equals a raw-rule oracle and is idempotent, and so does
+//! * three slices of the differential lattice (the others live in
+//!   `interval_equivalence`, `wcoj_equivalence` and `serving_proptest`):
+//!   static classic engines, every partition cover, and the plan cache on
+//!   serving engines before and after every batch each return `q(G∞)` — the
+//!   correctness contract of reformulation (§3.1 of the paper) — as a
+//!   nested-loop evaluation over a raw-rule saturation computes it, with no
+//!   engine code on the reference side;
+//! * saturation equals the raw-rule oracle and is idempotent, and so does
 //!   Dat's closure;
 //! * incremental maintenance (one-step insert and delete) equals the same
 //!   oracle after every batch, with exact deltas;
-//! * any valid cover yields equivalent answers;
 //! * a CQ's union, built as the product of its atoms' one-step unions, is
 //!   the rule fixpoint minimised, on both encodings.
+//!
+//! Run with `--features strict-invariants` to also arm the engines' own
+//! store, encoder and raw-fixpoint cross-checks on every case.
 
+mod common;
+
+use common::{
+    build, check_covers, check_scenario, check_serving, check_static, oracle_saturation,
+    scenario_strategy, triple_set, var_name, var_name_index, Fact, Op, QAtom, Scenario, ENCODINGS,
+    LATTICE_CASES,
+};
 use proptest::prelude::*;
 use rdfref::core::answer::{AnswerOptions, Database, Strategy as AnswerStrategy};
-use rdfref::core::engine::QueryEngine;
 use rdfref::core::reformulate::{
     reformulate_ucq, reformulate_ucq_raw, ucq_size_product, ReformulationLimits, RewriteContext,
 };
+use rdfref::core::JoinAlgorithm;
 use rdfref::model::dictionary::{
-    ID_RDFS_DOMAIN, ID_RDFS_RANGE, ID_RDFS_SUBCLASSOF, ID_RDFS_SUBPROPERTYOF, ID_RDF_TYPE,
+    ID_RDFS_DOMAIN, ID_RDFS_SUBCLASSOF, ID_RDFS_SUBPROPERTYOF, ID_RDF_TYPE,
 };
 use rdfref::model::fxhash::FxHashSet;
-use rdfref::model::{DictEncoding, EncodedTriple, Graph, Term, TermId, Triple};
+use rdfref::model::{DictEncoding, EncodedTriple, Graph, Term, TermId};
 use rdfref::query::ast::{Atom, Cq, PTerm, Ucq};
 use rdfref::query::canonical::canonicalize;
 use rdfref::query::containment::{minimize_union_with, subsumes};
-use rdfref::query::{Cover, Var};
 use rdfref::reasoning::{saturate, IncrementalReasoner};
-
-/// The fixed pools the generators draw from.
-struct Pools {
-    graph: Graph,
-    classes: Vec<TermId>,
-    properties: Vec<TermId>,
-    individuals: Vec<TermId>,
-}
-
-fn pools() -> Pools {
-    let mut graph = Graph::new();
-    let d = graph.dictionary_mut();
-    let classes: Vec<TermId> = (0..5)
-        .map(|i| d.intern(&Term::iri(format!("http://t/C{i}"))))
-        .collect();
-    let properties: Vec<TermId> = (0..3)
-        .map(|i| d.intern(&Term::iri(format!("http://t/p{i}"))))
-        .collect();
-    let individuals: Vec<TermId> = (0..6)
-        .map(|i| d.intern(&Term::iri(format!("http://t/i{i}"))))
-        .collect();
-    Pools {
-        graph,
-        classes,
-        properties,
-        individuals,
-    }
-}
-
-/// A compact, shrinkable description of a test scenario.
-#[derive(Debug, Clone)]
-struct Scenario {
-    subclass: Vec<(usize, usize)>,          // class idx pairs
-    subprop: Vec<(usize, usize)>,           // property idx pairs
-    domains: Vec<(usize, usize)>,           // (property, class)
-    ranges: Vec<(usize, usize)>,            // (property, class)
-    type_facts: Vec<(usize, usize)>,        // (individual, class)
-    prop_facts: Vec<(usize, usize, usize)>, // (ind, property, ind)
-    query_atoms: Vec<QAtom>,
-}
-
-#[derive(Debug, Clone)]
-enum QAtom {
-    /// (subject var id, class idx or var)
-    Type(u8, Result<usize, u8>),
-    /// (subject var-or-ind, property idx or var, object var-or-ind)
-    Prop(Result<usize, u8>, Result<usize, u8>, Result<usize, u8>),
-}
-
-fn scenario_strategy() -> impl Strategy<Value = Scenario> {
-    let pair5 = (0usize..5, 0usize..5);
-    let pair3 = (0usize..3, 0usize..3);
-    let pc = (0usize..3, 0usize..5);
-    let pc2 = pc.clone();
-    let type_fact = (0usize..6, 0usize..5);
-    let prop_fact = (0usize..6, 0usize..3, 0usize..6);
-    let var = 0u8..4;
-    let type_atom =
-        (0u8..4, prop_or_var(0..5usize, var.clone())).prop_map(|(s, c)| QAtom::Type(s, c));
-    let prop_atom = (
-        prop_or_var(0..6usize, var.clone()),
-        prop_or_var(0..3usize, var.clone()),
-        prop_or_var(0..6usize, var),
-    )
-        .prop_map(|(s, p, o)| QAtom::Prop(s, p, o));
-    let atom = prop_oneof![3 => type_atom, 2 => prop_atom];
-    (
-        proptest::collection::vec(pair5, 0..4),
-        proptest::collection::vec(pair3, 0..3),
-        proptest::collection::vec(pc, 0..3),
-        proptest::collection::vec(pc2, 0..3),
-        proptest::collection::vec(type_fact, 0..6),
-        proptest::collection::vec(prop_fact, 0..8),
-        proptest::collection::vec(atom, 1..3),
-    )
-        .prop_map(
-            |(subclass, subprop, domains, ranges, type_facts, prop_facts, query_atoms)| Scenario {
-                subclass,
-                subprop,
-                domains,
-                ranges,
-                type_facts,
-                prop_facts,
-                query_atoms,
-            },
-        )
-}
-
-fn prop_or_var(
-    consts: std::ops::Range<usize>,
-    vars: std::ops::Range<u8>,
-) -> impl Strategy<Value = Result<usize, u8>> {
-    prop_oneof![
-        2 => consts.prop_map(Ok::<usize, u8>),
-        1 => vars.prop_map(Err::<usize, u8>),
-    ]
-}
-
-fn var_name(v: u8) -> Var {
-    Var::new(format!("v{v}"))
-}
-
-/// The number `var_name` was given.
-fn var_name_index(v: &Var) -> usize {
-    v.name()[1..].parse().unwrap()
-}
-
-/// Materialize the scenario into a graph and a query.
-fn build(scenario: &Scenario) -> (Graph, Cq) {
-    let Pools {
-        mut graph,
-        classes,
-        properties,
-        individuals,
-    } = pools();
-    let sc = graph
-        .dictionary_mut()
-        .intern(&Term::iri(rdfref::model::vocab::RDFS_SUBCLASSOF));
-    let sp = graph
-        .dictionary_mut()
-        .intern(&Term::iri(rdfref::model::vocab::RDFS_SUBPROPERTYOF));
-    let dom = graph
-        .dictionary_mut()
-        .intern(&Term::iri(rdfref::model::vocab::RDFS_DOMAIN));
-    let rng = graph
-        .dictionary_mut()
-        .intern(&Term::iri(rdfref::model::vocab::RDFS_RANGE));
-    for &(a, b) in &scenario.subclass {
-        graph.insert_encoded(EncodedTriple::new(classes[a], sc, classes[b]));
-    }
-    for &(a, b) in &scenario.subprop {
-        graph.insert_encoded(EncodedTriple::new(properties[a], sp, properties[b]));
-    }
-    for &(p, c) in &scenario.domains {
-        graph.insert_encoded(EncodedTriple::new(properties[p], dom, classes[c]));
-    }
-    for &(p, c) in &scenario.ranges {
-        graph.insert_encoded(EncodedTriple::new(properties[p], rng, classes[c]));
-    }
-    for &(i, c) in &scenario.type_facts {
-        graph.insert_encoded(EncodedTriple::new(individuals[i], ID_RDF_TYPE, classes[c]));
-    }
-    for &(s, p, o) in &scenario.prop_facts {
-        graph.insert_encoded(EncodedTriple::new(
-            individuals[s],
-            properties[p],
-            individuals[o],
-        ));
-    }
-
-    let to_pterm_ind = |t: &Result<usize, u8>| match t {
-        Ok(i) => PTerm::Const(individuals[*i]),
-        Err(v) => PTerm::Var(var_name(*v)),
-    };
-    let to_pterm_class = |t: &Result<usize, u8>| match t {
-        Ok(i) => PTerm::Const(classes[*i]),
-        Err(v) => PTerm::Var(var_name(*v)),
-    };
-    let to_pterm_prop = |t: &Result<usize, u8>| match t {
-        Ok(i) => PTerm::Const(properties[*i]),
-        Err(v) => PTerm::Var(var_name(*v)),
-    };
-    let body: Vec<Atom> = scenario
-        .query_atoms
-        .iter()
-        .map(|a| match a {
-            QAtom::Type(s, c) => Atom {
-                s: PTerm::Var(var_name(*s)),
-                p: PTerm::Const(ID_RDF_TYPE),
-                o: to_pterm_class(c),
-            },
-            QAtom::Prop(s, p, o) => Atom {
-                s: to_pterm_ind(s),
-                p: to_pterm_prop(p),
-                o: to_pterm_ind(o),
-            },
-        })
-        .collect();
-    // Head: every variable of the body (maximal projection exercises all
-    // bindings; projections are covered by the cover-based tests).
-    let mut head: Vec<Var> = Vec::new();
-    for atom in &body {
-        for v in atom.vars() {
-            if !head.contains(v) {
-                head.push(v.clone());
-            }
-        }
-    }
-    // A query with no variables at all is legal (boolean); keep it.
-    let cq = Cq::new_unchecked(head.into_iter().map(PTerm::Var).collect(), body);
-    (graph, cq)
-}
 
 /// Constrain the RDFS vocabulary itself: `p0 ⊑ rdfs:subClassOf` and a domain
 /// on `rdf:type`. Derived triples then feed further rules and grow the
@@ -233,54 +57,6 @@ fn constrain_rdfs_vocabulary(graph: &mut Graph) {
         ID_RDFS_SUBCLASSOF,
     ));
     graph.insert_encoded(EncodedTriple::new(ID_RDF_TYPE, ID_RDFS_DOMAIN, c0));
-}
-
-fn triple_set(graph: &Graph) -> FxHashSet<EncodedTriple> {
-    graph.triples().iter().copied().collect()
-}
-
-/// The saturation oracle, independent of `rdfref-reasoning`. It applies the
-/// DB fragment's raw RDFS rules naively, every rule to every pair of triples,
-/// until nothing changes. The schema rules are rdfs5/11 and the domain/range
-/// propagations; the instance rules are rdfs2/3/7/9. Quadratic per round,
-/// and the generated graphs are tiny.
-fn oracle_saturation(graph: &Graph) -> FxHashSet<EncodedTriple> {
-    const SC: TermId = ID_RDFS_SUBCLASSOF;
-    const SP: TermId = ID_RDFS_SUBPROPERTYOF;
-    const DOM: TermId = ID_RDFS_DOMAIN;
-    const RNG: TermId = ID_RDFS_RANGE;
-    const TY: TermId = ID_RDF_TYPE;
-    let mut g = triple_set(graph);
-    loop {
-        let mut new = Vec::new();
-        for a in &g {
-            for b in &g {
-                if a.o == b.s {
-                    let p = match (a.p, b.p) {
-                        // rdfs11, domain/range up ≺sc, rdfs9.
-                        (SC | DOM | RNG | TY, SC) => Some(a.p),
-                        // rdfs5, domain/range down ≺sp.
-                        (SP, SP | DOM | RNG) => Some(b.p),
-                        _ => None,
-                    };
-                    new.extend(p.map(|p| EncodedTriple::new(a.s, p, b.o)));
-                }
-                if a.p == b.s {
-                    match b.p {
-                        SP => new.push(EncodedTriple::new(a.s, b.o, a.o)),
-                        DOM => new.push(EncodedTriple::new(a.s, TY, b.o)),
-                        RNG => new.push(EncodedTriple::new(a.o, TY, b.o)),
-                        _ => {}
-                    }
-                }
-            }
-        }
-        let before = g.len();
-        g.extend(new);
-        if g.len() == before {
-            return g;
-        }
-    }
 }
 
 /// Atoms whose variables the rules bind across atoms, over `build`'s
@@ -317,45 +93,33 @@ fn same_union(a: &Ucq, b: &Ucq, encode: &dyn Fn(TermId) -> TermId) -> bool {
 
 proptest! {
     #![proptest_config(ProptestConfig {
-        cases: 48,
+        cases: LATTICE_CASES,
         ..ProptestConfig::default()
     })]
 
-    /// The central invariant: every complete strategy equals Sat.
+    /// The central invariant on static classic engines: every strategy ×
+    /// {BindJoin, Auto} × parallelism × cache point returns `q(G∞)`.
     #[test]
     fn all_strategies_compute_certain_answers(scenario in scenario_strategy()) {
         let (graph, cq) = build(&scenario);
-        let db = Database::builder().build(graph);
-        let opts = AnswerOptions::default();
-        let reference = db.run_query(&cq, &AnswerStrategy::Saturation, &opts).unwrap().rows().to_vec();
-        for strategy in [
-            AnswerStrategy::RefUcq,
-            AnswerStrategy::RefScq,
-            AnswerStrategy::RefGCov,
-            AnswerStrategy::Datalog,
-        ] {
-            let got = db.run_query(&cq, &strategy, &opts).unwrap().rows().to_vec();
-            prop_assert_eq!(
-                &got, &reference,
-                "{} diverged on {:?}", strategy.name(), scenario
-            );
-        }
+        let joins = [JoinAlgorithm::BindJoin, JoinAlgorithm::Auto];
+        check_static(&graph, &cq, "build", &[DictEncoding::Classic], &joins)?;
     }
 
-    /// Any set-partition cover yields the same answers.
+    /// Every partition cover's JUCQ returns `q(G∞)`.
     #[test]
     fn all_partition_covers_agree(scenario in scenario_strategy()) {
         let (graph, cq) = build(&scenario);
-        let db = Database::builder().build(graph);
-        let opts = AnswerOptions::default();
-        let reference = db.run_query(&cq, &AnswerStrategy::Saturation, &opts).unwrap().rows().to_vec();
-        for cover in Cover::enumerate_partitions(cq.size()) {
-            let got = db
-                .run_query(&cq, &AnswerStrategy::RefJucq(cover.clone()), &opts)
-                .unwrap()
-                .rows().to_vec();
-            prop_assert_eq!(&got, &reference, "cover {} diverged", cover);
-        }
+        check_covers(&graph, &cq)?;
+    }
+
+    /// A plan served from the cache stays sound across data and schema
+    /// batches: serving engines of both encodings, cache on and on again (a
+    /// hit) at every strategy × join × parallelism point, before the first
+    /// batch and after every batch.
+    #[test]
+    fn cache_invalidation_is_sound_under_updates(scenario in scenario_strategy()) {
+        check_serving(&scenario, 1..3)?;
     }
 
     /// Saturation equals the raw-rule oracle (so it is monotone) and is
@@ -390,7 +154,7 @@ proptest! {
             vec![Atom::new(s, p, o)],
         );
         let oracle = oracle_saturation(&graph);
-        for encoding in [DictEncoding::Classic, DictEncoding::Interval] {
+        for encoding in ENCODINGS {
             let db = Database::builder().encoding(encoding).build(graph.clone());
             let answer = db
                 .run_query(&everything, &AnswerStrategy::Datalog, &AnswerOptions::default())
@@ -401,66 +165,6 @@ proptest! {
                 .map(|r| EncodedTriple::new(r[0], r[1], r[2]))
                 .collect();
             prop_assert_eq!(&closure, &oracle, "{:?}", encoding);
-        }
-    }
-
-    /// Plan-cache invalidation is sound under updates: interleave random
-    /// insert/delete batches (data *and* schema triples) with cached and
-    /// uncached answering — after every mutation the cached plans, the
-    /// freshly planned answers and Sat must all agree. A stale plan
-    /// surviving an epoch bump would show up as a divergence here.
-    #[test]
-    fn cache_invalidation_is_sound_under_updates(
-        scenario in scenario_strategy(),
-        ops in proptest::collection::vec(
-            (any::<bool>(), proptest::collection::vec(any::<bool>(), 12)),
-            1..4,
-        ),
-    ) {
-        let (graph, cq) = build(&scenario);
-        let all: Vec<Triple> = graph.iter_decoded().collect();
-        // The explicit triples after each batch, kept beside the engine.
-        let mut explicit = all.clone();
-        let db = Database::builder().build_serving(graph);
-        let cached = AnswerOptions::default();
-        let uncached = AnswerOptions::new().with_use_cache(false);
-        let strategies = [AnswerStrategy::RefUcq, AnswerStrategy::RefGCov];
-
-        // Prime the cache so the mutations below invalidate real entries.
-        for strategy in &strategies {
-            db.run_query(&cq, strategy, &cached).unwrap();
-        }
-
-        for (is_insert, sel) in &ops {
-            let pool = if *is_insert { &all } else { &explicit };
-            let batch: Vec<Triple> = pool
-                .iter()
-                .zip(sel.iter().cycle())
-                .filter(|(_, &pick)| pick)
-                .map(|(t, _)| t.clone())
-                .collect();
-            if *is_insert {
-                let new: Vec<Triple> = batch.iter().filter(|t| !explicit.contains(t)).cloned().collect();
-                explicit.extend(new);
-            } else {
-                explicit.retain(|t| !batch.contains(t));
-            }
-            // Waiting on the ticket makes the write synchronous.
-            let ticket = if *is_insert { db.insert(batch) } else { db.delete(batch) };
-            ticket.unwrap().wait().unwrap();
-            let reference = db.run_query(&cq, &AnswerStrategy::Saturation, &cached).unwrap().rows().to_vec();
-            for strategy in &strategies {
-                // Twice cached (miss-then-hit path) plus once uncached.
-                let first = db.run_query(&cq, strategy, &cached).unwrap().rows().to_vec();
-                let second = db.run_query(&cq, strategy, &cached).unwrap().rows().to_vec();
-                let fresh = db.run_query(&cq, strategy, &uncached).unwrap().rows().to_vec();
-                prop_assert_eq!(
-                    &first, &reference,
-                    "{} cached diverged after update", strategy.name()
-                );
-                prop_assert_eq!(&second, &first, "{} hit path diverged", strategy.name());
-                prop_assert_eq!(&fresh, &first, "{} uncached diverged", strategy.name());
-            }
         }
     }
 
@@ -489,7 +193,7 @@ proptest! {
             }
         }
         let cq = Cq::new_unchecked(head, body);
-        for encoding in [DictEncoding::Classic, DictEncoding::Interval] {
+        for encoding in ENCODINGS {
             let db = Database::builder().encoding(encoding).build(graph.clone());
             let mut ctx = RewriteContext::new(db.schema(), db.closure());
             if let Some(enc) = db.encoder() {
@@ -519,10 +223,7 @@ proptest! {
         scenario in scenario_strategy(),
     ) {
         let mut s = scenario;
-        s.subclass.clear();
-        s.subprop.clear();
-        s.domains.clear();
-        s.ranges.clear();
+        s.facts.retain(Fact::is_data);
         let (graph, cq) = build(&s);
         let db = Database::builder().build(graph);
         let ctx = RewriteContext::new(db.schema(), db.closure());
@@ -598,4 +299,43 @@ proptest! {
             prop_assert_eq!(replayed, after);
         }
     }
+}
+
+/// A drawn case: `SELECT ?v0 ?v2 WHERE { ?v0 ?v1 ?v2 }` over a class tree
+/// with ranges but no subproperty. Rule 13 bound a property variable to
+/// `rdfs:range` only when some subproperty existed, so every Ref strategy
+/// missed the ranges `rdfs:range` widens up the class tree.
+#[test]
+fn a_property_variable_reaches_ranges_widened_by_subclasses() {
+    use Fact::*;
+    let facts = vec![
+        Subclass(1, 0),
+        Subclass(2, 0),
+        Subclass(3, 1),
+        Subclass(4, 0),
+        Range(0, 2),
+        Range(1, 3),
+        Range(2, 1),
+        Type(0, 1),
+        Type(1, 0),
+        Prop(3, 1, 0),
+        Type(5, 1),
+        Type(2, 2),
+        Prop(3, 2, 5),
+        Type(3, 4),
+        Type(2, 0),
+        Prop(5, 1, 4),
+        Prop(4, 0, 1),
+        Type(1, 3),
+        Prop(3, 1, 5),
+        Type(2, 4),
+        Type(0, 4),
+    ];
+    check_scenario(&Scenario {
+        facts,
+        query_atoms: vec![QAtom::Prop(Err(0), Err(1), Err(2))],
+        keep: vec![true, false, true, false],
+        batches: vec![vec![Op::Insert(Type(3, 0))]],
+    })
+    .unwrap();
 }

@@ -12,9 +12,15 @@
 //!   coalesces them freely, and each read's stamp names whatever prefix got
 //!   published, which the reference must reproduce.
 //!
+//! The serving slice of the differential lattice (`tests/common`) checks
+//! maintained answers against a rebuilt oracle after every batch.
+//!
 //! Run with `--features strict-invariants` to add the store/saturation
 //! length cross-checks inside the maintenance pipeline itself.
 
+mod common;
+
+use common::{check_serving, scenario_strategy, LATTICE_CASES};
 use proptest::prelude::*;
 use proptest::strategy::Strategy;
 use rdfref::core::answer::Strategy as AnswerStrategy;
@@ -161,70 +167,6 @@ fn churn_batches_strategy() -> impl proptest::strategy::Strategy<Value = Vec<Vec
         .prop_map(|(ins, a, b)| ChurnOp::Subclass(ins, a, b));
     let op = prop_oneof![2 => type_op, 1 => schema_op];
     proptest::collection::vec(proptest::collection::vec(op, 0..4), 1..6)
-}
-
-/// Plain data predicates: no RDFS constraint mentions them, so these
-/// triples churn the stores and statistics without touching the saturation
-/// rules.
-const DATA_PREDS: usize = 5;
-
-fn data_pred(j: usize) -> Term {
-    Term::iri(format!("http://t/p{j}"))
-}
-
-fn data_triple(i: usize, j: usize, o: usize) -> Triple {
-    Triple::new(ind(i), data_pred(j), ind(o)).unwrap()
-}
-
-/// One mixed-churn update: a type fact, a subclass edge, or a plain data
-/// fact under one of [`DATA_PREDS`] predicates; inserted (`true`) or deleted.
-#[derive(Debug, Clone)]
-enum MixedOp {
-    Type(bool, usize, usize),
-    Subclass(bool, usize, usize),
-    Data(bool, usize, usize, usize),
-}
-
-impl MixedOp {
-    fn triple(&self) -> Triple {
-        match self {
-            MixedOp::Type(_, i, c) => type_triple(*i, *c),
-            MixedOp::Subclass(_, a, b) => subclass_triple(*a, *b),
-            MixedOp::Data(_, i, j, o) => data_triple(*i, *j, *o),
-        }
-    }
-
-    fn is_insert(&self) -> bool {
-        matches!(
-            self,
-            MixedOp::Type(true, ..) | MixedOp::Subclass(true, ..) | MixedOp::Data(true, ..)
-        )
-    }
-}
-
-fn mixed_batches_strategy() -> impl proptest::strategy::Strategy<Value = Vec<Vec<MixedOp>>> {
-    let type_op = (any::<bool>(), 0..INDIVIDUALS, 0..CHURN_CLASSES)
-        .prop_map(|(ins, i, c)| MixedOp::Type(ins, i, c));
-    let schema_op = (any::<bool>(), 0..CHURN_CLASSES, 0..CHURN_CLASSES)
-        .prop_filter("no self-loop", |(_, a, b)| a != b)
-        .prop_map(|(ins, a, b)| MixedOp::Subclass(ins, a, b));
-    let data_op = (any::<bool>(), 0..INDIVIDUALS, 0..DATA_PREDS, 0..INDIVIDUALS)
-        .prop_map(|(ins, i, j, o)| MixedOp::Data(ins, i, j, o));
-    let op = prop_oneof![2 => type_op, 1 => schema_op, 2 => data_op];
-    proptest::collection::vec(proptest::collection::vec(op, 0..4), 1..6)
-}
-
-const TYPED_QUERY: &str = "PREFIX t: <http://t/> SELECT ?x WHERE { ?x a t:C3 }";
-const WILDCARD_QUERY: &str = "SELECT ?s ?o WHERE { ?s ?p ?o }";
-
-/// All head columns of an answer, decoded to strings so databases with
-/// separate dictionaries compare value-wise.
-fn full_rows(dict: &Dictionary, answer: &QueryAnswer) -> BTreeSet<Vec<String>> {
-    answer
-        .decoded(dict)
-        .into_iter()
-        .map(|row| row.iter().map(|t| t.to_string()).collect())
-        .collect()
 }
 
 proptest! {
@@ -378,79 +320,22 @@ proptest! {
             t.wait().unwrap();
         }
     }
+}
 
-    /// Differential: a serving database fed a random churn schedule (type
-    /// facts, data facts under several predicates, and schema-epoch-bumping
-    /// subclass edges) answers, after every acknowledged batch, like a
-    /// database freshly built over the same triples — for every complete
-    /// strategy, on both a reformulation-heavy query and the full wildcard.
-    /// The oracle shares nothing with the maintenance pipeline: it
-    /// saturates from scratch over a set the test maintains by hand. Run
-    /// with `--features strict-invariants` to additionally assert the
-    /// store/reasoner length cross-checks inside the pipeline.
+proptest! {
+    #![proptest_config(ProptestConfig {
+        cases: LATTICE_CASES,
+        ..ProptestConfig::default()
+    })]
+
+    /// Differential: serving engines of both encodings, fed a generated
+    /// schedule of data and schema batches, answer like a rebuilt database
+    /// — the oracle's `q(G∞)` over a model that takes the same batches —
+    /// before the first batch and after every batch, at every strategy ×
+    /// join × parallelism point with the cache off. The query shapes include
+    /// the `?s ?p ?o` wildcard.
     #[test]
-    fn maintained_answers_equal_a_rebuilt_database_under_churn(
-        batches in mixed_batches_strategy(),
-    ) {
-        let mut graph = churn_base_graph();
-        let typed = parse_select(TYPED_QUERY, graph.dictionary_mut()).unwrap();
-        let wildcard = parse_select(WILDCARD_QUERY, graph.dictionary_mut()).unwrap();
-        let mut triples: BTreeSet<Triple> = graph.iter_decoded().collect();
-        let serving = Database::builder().build_serving(graph);
-
-        for (k, batch) in batches.iter().enumerate() {
-            let mut update = UpdateBatch::new();
-            for op in batch {
-                update = if op.is_insert() {
-                    update.insert(op.triple())
-                } else {
-                    update.delete(op.triple())
-                };
-            }
-            // A batch applies all inserts before all deletes.
-            triples.extend(update.inserts().iter().cloned());
-            for t in update.deletes() {
-                triples.remove(t);
-            }
-            let report = serving.submit(update).unwrap().wait().unwrap();
-            prop_assert_eq!(report.seq(), (k + 1) as u64);
-            let snap = serving.snapshot();
-            prop_assert_eq!(snap.explicit_len(), triples.len());
-
-            let mut rebuilt_graph = Graph::new();
-            for t in &triples {
-                rebuilt_graph.insert_triple(t);
-            }
-            let rebuilt_queries = [TYPED_QUERY, WILDCARD_QUERY]
-                .map(|text| parse_select(text, rebuilt_graph.dictionary_mut()).unwrap());
-            let rebuilt = Database::builder().build(rebuilt_graph);
-
-            for ((qname, q), rebuilt_q) in
-                [("typed", &typed), ("wildcard", &wildcard)].into_iter().zip(&rebuilt_queries)
-            {
-                let reference = full_rows(
-                    rebuilt.dictionary(),
-                    &rebuilt.query(rebuilt_q).strategy(AnswerStrategy::Saturation).run().unwrap(),
-                );
-                for strategy in [
-                    AnswerStrategy::Saturation,
-                    AnswerStrategy::RefUcq,
-                    AnswerStrategy::RefScq,
-                    AnswerStrategy::RefGCov,
-                ] {
-                    let ans = snap.query(q).strategy(strategy.clone()).run().unwrap();
-                    let got = full_rows(snap.dictionary(), &ans);
-                    prop_assert_eq!(
-                        &got,
-                        &reference,
-                        "{}/{} diverged from the rebuilt database after batch {} ({:?})",
-                        qname,
-                        strategy.name(),
-                        k + 1,
-                        batch
-                    );
-                }
-            }
-        }
+    fn maintained_answers_equal_a_rebuilt_database_under_churn(scenario in scenario_strategy()) {
+        check_serving(&scenario, 0..1)?;
     }
 }
