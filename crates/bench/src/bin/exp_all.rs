@@ -1,52 +1,47 @@
-//! Run every experiment binary in sequence (the full EXPERIMENTS.md
-//! regeneration). Each experiment is spawned as a child process so a
-//! pathological configuration cannot take the whole sweep down.
+//! Run every row family of `EXPERIMENTS.md` (E1–E8, A1–A6) in-process,
+//! print one plain line per record, and write the JSON document to the
+//! given path.
 //!
 //! ```sh
-//! cargo run --release -p rdfref-bench --bin exp_all
+//! cargo run --release -p rdfref-bench --bin exp_all -- crates/bench/experiments.json
 //! ```
 
+use rdfref_bench::{families, render, to_json, Header, Run};
 use std::process::Command;
 use std::time::Instant;
 
-const EXPERIMENTS: &[&str] = &[
-    "exp_example1",
-    "exp_strategies",
-    "exp_cover_space",
-    "exp_constraints",
-    "exp_data_sweep",
-    "exp_maintenance",
-    "exp_dataset_stats",
-    "exp_completeness",
-    "exp_ablations",
-];
+/// The trimmed stdout of a command, if it ran and succeeded.
+fn output(program: &str, args: &[&str]) -> Option<String> {
+    let out = Command::new(program).args(args).output().ok()?;
+    out.status
+        .success()
+        .then(|| String::from_utf8_lossy(&out.stdout).trim().to_string())
+}
 
 fn main() {
-    let exe_dir = std::env::current_exe()
-        .ok()
-        .and_then(|p| p.parent().map(|d| d.to_path_buf()))
-        .expect("current exe has a directory");
-    let mut failures = 0;
-    for name in EXPERIMENTS {
-        println!("\n================ {name} ================");
-        let start = Instant::now();
-        let status = Command::new(exe_dir.join(name)).status();
-        match status {
-            Ok(s) if s.success() => {
-                println!("---- {name} done in {:?}", start.elapsed());
-            }
-            Ok(s) => {
-                eprintln!("---- {name} FAILED with {s}");
-                failures += 1;
-            }
-            Err(e) => {
-                eprintln!("---- {name} could not start: {e} (build with --bins first)");
-                failures += 1;
-            }
-        }
+    let Some(path) = std::env::args().nth(1) else {
+        eprintln!("usage: exp_all <out.json>");
+        std::process::exit(2);
+    };
+    let start = Instant::now();
+    let mut run = Run::full();
+    for family in families::ALL {
+        family(&mut run);
     }
-    println!("\n{} experiments, {failures} failure(s)", EXPERIMENTS.len());
-    if failures > 0 {
+    print!("{}", render(&run.records));
+    let header = Header {
+        nproc: std::thread::available_parallelism().map_or(1, |n| n.get()),
+        commit: output("git", &["rev-parse", "HEAD"]).unwrap_or_else(|| "unknown".into()),
+        dirty: output("git", &["status", "--porcelain"]).is_none_or(|s| !s.is_empty()),
+        rustc: output("rustc", &["--version"]).unwrap_or_else(|| "unknown".into()),
+    };
+    if let Err(e) = std::fs::write(&path, to_json(&header, &run.records)) {
+        eprintln!("{path}: {e}");
         std::process::exit(1);
     }
+    println!(
+        "\n{} records in {:.1} s → {path}",
+        run.records.len(),
+        start.elapsed().as_secs_f64()
+    );
 }

@@ -1,87 +1,205 @@
 //! # rdfref-bench — the experiment harness
 //!
-//! One binary per experiment of `DESIGN.md` §4 (run them with
-//! `cargo run -p rdfref-bench --release --bin exp_<name>`, or all of the
-//! `EXPERIMENTS.md` rows at once with `--bin exp_all`), plus the reference
-//! benchmark (`src/bin/benchmark/`, declared by `BENCHMARK.json`), which is
-//! the one harness behind E9–E14. `EXPERIMENTS.md` records the outputs
-//! against the numbers the paper reports.
+//! The paper's tables (E1–E8 of `DESIGN.md` §4) and the design ablations
+//! (A1–A6) are row families of this library ([`families`]); one binary,
+//! `exp_all <out.json>`, runs them all in-process
+//! (`cargo run --release -p rdfref-bench --bin exp_all -- <out.json>`). Every
+//! measured cell is sampled [`SAMPLES`] times and becomes one [`Record`]:
+//! `{row, cell, metric, unit, samples, median, q1, q3}`. Counts take the same
+//! shape, so a count that differs between samples is visible. The run that
+//! `EXPERIMENTS.md` quotes is committed as `crates/bench/experiments.json`.
 //!
-//! | binary | experiment |
-//! |--------|------------|
-//! | `exp_example1` | E1 — §4 Example 1: UCQ vs SCQ vs JUCQ vs GCov |
-//! | `exp_strategies` | E2 — all techniques over the LUBM query mix |
-//! | `exp_cover_space` | E3 — explored covers: estimated vs actual cost |
-//! | `exp_constraints` | E4 — ontology depth/fan-out sweeps |
-//! | `exp_data_sweep` | E5 — data scale sweeps |
-//! | `exp_maintenance` | E6 — Sat maintenance vs Ref |
-//! | `exp_dataset_stats` | E7 — dataset statistics screens |
-//! | `exp_completeness` | E8 — incomplete Ref profiles |
-//! | `exp_ablations` | A1–A6 — design-decision ablations |
-//! | `benchmark` | E9–E14 — plan cache, serving under churn, interval encoding, WCOJ, and every before/after claim |
+//! The reference benchmark (`src/bin/benchmark/`, declared by
+//! `BENCHMARK.json`) is a package of its own and the one harness behind
+//! E9–E18.
 
-pub mod report;
+pub mod families;
 
 use rdfref_core::answer::{AnswerOptions, Database, Strategy};
 use rdfref_core::CoreError;
-use rdfref_obs::{MetricsRegistry, Obs, Recorder};
-use std::path::PathBuf;
-use std::sync::Arc;
+use rdfref_storage::StorageError;
+use std::fmt::Write as _;
 use std::time::{Duration, Instant};
 
-/// The metrics sink shared by the `exp_*` binaries: `--metrics-out <path>`
-/// selects a JSON destination; a Prometheus text rendering goes to the
-/// sibling `<path>.prom` file. When the flag is absent the registry stays
-/// unused and answering runs with observability disabled (the no-op path).
-pub struct MetricsSink {
-    /// Aggregates recorded by every instrumented call.
-    pub registry: Arc<MetricsRegistry>,
-    /// Destination from `--metrics-out`, if given.
-    pub out: Option<PathBuf>,
+/// Samples per measured cell: a constant, so every record's spread is over
+/// the same number of runs.
+pub const SAMPLES: usize = 7;
+
+/// What a record measures, and so whether its samples may differ.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Unit {
+    /// Wall-clock microseconds.
+    Us,
+    /// A ratio of two timings taken in the same sample.
+    Ratio,
+    /// An exact count: every sample must agree.
+    Count,
+    /// A value every sample must agree on that is no count: a cost-model
+    /// estimate, a share of counts, a statistic over other records' medians.
+    Exact,
 }
 
-impl MetricsSink {
-    /// Build from the process arguments (scans for `--metrics-out <path>`).
-    pub fn from_args() -> MetricsSink {
-        let mut out = None;
-        let mut args = std::env::args().skip(1);
-        while let Some(arg) = args.next() {
-            if arg == "--metrics-out" {
-                out = args.next().map(PathBuf::from);
-            } else if let Some(path) = arg.strip_prefix("--metrics-out=") {
-                out = Some(PathBuf::from(path));
-            }
-        }
-        MetricsSink {
-            registry: Arc::new(MetricsRegistry::new()),
-            out,
+impl Unit {
+    /// The name written to the record.
+    pub fn name(self) -> &'static str {
+        match self {
+            Unit::Us => "us",
+            Unit::Ratio => "ratio",
+            Unit::Count => "count",
+            Unit::Exact => "exact",
         }
     }
 
-    /// The observability handle to install on the database: collecting when
-    /// `--metrics-out` was given, disabled (one never-taken branch) otherwise.
-    pub fn obs(&self) -> Obs {
-        match self.out {
-            Some(_) => {
-                let recorder: Arc<dyn Recorder> = Arc::clone(&self.registry) as _;
-                Obs::collecting(recorder)
-            }
-            None => Obs::disabled(),
+    /// Whether every sample must carry the same value.
+    pub fn exact(self) -> bool {
+        matches!(self, Unit::Count | Unit::Exact)
+    }
+}
+
+/// One measured quantity of one cell, over every sample.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Record {
+    /// The table row, e.g. `E1 scale=4`.
+    pub row: String,
+    /// The cell within the row, e.g. `Ref/SCQ`.
+    pub cell: String,
+    /// What was measured, e.g. `wall`.
+    pub metric: &'static str,
+    /// Its unit.
+    pub unit: Unit,
+    /// One value per sample, in sampling order.
+    pub samples: Vec<f64>,
+}
+
+impl Record {
+    /// The median of the samples.
+    pub fn median(&self) -> f64 {
+        self.quantile(2)
+    }
+
+    /// The first and third quartiles: positions `k(n+1)/4` of the sorted
+    /// samples, linearly interpolated and clamped to the sample range
+    /// (Python's `statistics.quantiles(n=4)`, the benchmark's rule).
+    pub fn quartiles(&self) -> (f64, f64) {
+        (self.quantile(1), self.quantile(3))
+    }
+
+    fn quantile(&self, k: usize) -> f64 {
+        let mut v = self.samples.clone();
+        v.sort_by(f64::total_cmp);
+        let pos = (k * (v.len() + 1)) as f64 / 4.0;
+        let lo = (pos.floor() as usize).clamp(1, v.len());
+        let hi = (lo + 1).min(v.len());
+        v[lo - 1] + (v[hi - 1] - v[lo - 1]) * (pos - lo as f64).clamp(0.0, 1.0)
+    }
+}
+
+/// The observations of one sample: `(row, cell, metric, unit, value)`.
+#[derive(Debug, Default)]
+pub struct Sample(Vec<(String, String, &'static str, Unit, f64)>);
+
+impl Sample {
+    /// Record one value.
+    pub fn put(&mut self, row: &str, cell: &str, metric: &'static str, unit: Unit, value: f64) {
+        self.0
+            .push((row.to_string(), cell.to_string(), metric, unit, value));
+    }
+
+    /// Record a wall-clock time, in microseconds.
+    pub fn time(&mut self, row: &str, cell: &str, metric: &'static str, d: Duration) {
+        self.put(row, cell, metric, Unit::Us, d.as_secs_f64() * 1e6);
+    }
+
+    /// Record an exact count.
+    pub fn count(&mut self, row: &str, cell: &str, metric: &'static str, n: usize) {
+        self.put(row, cell, metric, Unit::Count, n as f64);
+    }
+}
+
+/// A run of row families: how many samples each cell takes, which of a
+/// family's configured points it visits, and the records so far.
+#[derive(Debug)]
+pub struct Run {
+    samples: usize,
+    smallest: bool,
+    /// Every record, in the order the families produced them.
+    pub records: Vec<Record>,
+}
+
+impl Run {
+    /// [`SAMPLES`] samples per cell at every configured point: the run
+    /// `EXPERIMENTS.md` quotes.
+    pub fn full() -> Run {
+        Run {
+            samples: SAMPLES,
+            smallest: false,
+            records: Vec::new(),
         }
     }
 
-    /// Write the JSON and Prometheus renderings if a destination was chosen.
-    /// Returns the `(json, prom)` paths written.
-    pub fn flush(&self) -> std::io::Result<Option<(PathBuf, PathBuf)>> {
-        let Some(json_path) = &self.out else {
-            return Ok(None);
-        };
-        std::fs::write(json_path, self.registry.to_json())?;
-        let mut prom_path = json_path.as_os_str().to_owned();
-        prom_path.push(".prom");
-        let prom_path = PathBuf::from(prom_path);
-        std::fs::write(&prom_path, self.registry.to_prometheus_text())?;
-        Ok(Some((json_path.clone(), prom_path)))
+    /// `samples` per cell at each family's smallest configured point only:
+    /// the shape and the exact counts of a full run in a fraction of its time.
+    pub fn smallest(samples: usize) -> Run {
+        Run {
+            samples,
+            smallest: true,
+            records: Vec::new(),
+        }
+    }
+
+    /// The configured points this run visits.
+    pub fn points<'a, T>(&self, all: &'a [T]) -> &'a [T] {
+        if self.smallest {
+            &all[..1]
+        } else {
+            all
+        }
+    }
+
+    /// Call `f` once per sample and append one record per observation.
+    /// Every call must make the same observations in the same order.
+    pub fn sample(&mut self, mut f: impl FnMut(&mut Sample)) {
+        let start = self.records.len();
+        for i in 0..self.samples {
+            let mut sample = Sample::default();
+            f(&mut sample);
+            if i == 0 {
+                for (row, cell, metric, unit, _) in &sample.0 {
+                    self.records.push(Record {
+                        row: row.clone(),
+                        cell: cell.clone(),
+                        metric,
+                        unit: *unit,
+                        samples: Vec::with_capacity(self.samples),
+                    });
+                }
+            }
+            let records = &mut self.records[start..];
+            assert_eq!(sample.0.len(), records.len(), "samples differ");
+            for (record, (row, cell, metric, _, value)) in records.iter_mut().zip(sample.0) {
+                assert!(record.row == row && record.cell == cell && record.metric == metric);
+                record.samples.push(value);
+            }
+        }
+    }
+
+    /// Append a record derived from other records: its one value stands for
+    /// every sample.
+    pub fn derive(&mut self, row: &str, cell: &str, metric: &'static str, value: f64) {
+        self.records.push(Record {
+            row: row.to_string(),
+            cell: cell.to_string(),
+            metric,
+            unit: Unit::Exact,
+            samples: vec![value; self.samples],
+        });
+    }
+
+    /// The record of `(row, cell, metric)`.
+    pub fn get(&self, row: &str, cell: &str, metric: &str) -> Option<&Record> {
+        self.records
+            .iter()
+            .find(|r| r.row == row && r.cell == cell && r.metric == metric)
     }
 }
 
@@ -92,141 +210,217 @@ pub fn time<T>(f: impl FnOnce() -> T) -> (T, Duration) {
     (value, start.elapsed())
 }
 
-/// The outcome of running one strategy on one query.
-#[derive(Debug, Clone)]
-pub struct Outcome {
-    /// Strategy display name.
-    pub strategy: String,
-    /// `Ok(answer count)` or the failure message.
-    pub answers: Result<usize, String>,
-    /// Wall-clock of the whole answering call.
-    pub wall: Duration,
-    /// Reformulation size (CQ disjuncts), if applicable.
-    pub reformulation_cqs: usize,
-    /// Peak intermediate relation size.
-    pub peak_rows: usize,
+/// The outcome of one answering call. A typed refusal is a result of these
+/// experiments, not an error.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Outcome {
+    /// Answered.
+    Answered {
+        /// Wall-clock of the whole call (`Explain.wall`).
+        wall: Duration,
+        /// Answer count.
+        answers: usize,
+        /// CQ disjuncts evaluated.
+        cqs: usize,
+        /// Peak intermediate relation size.
+        peak_rows: usize,
+    },
+    /// Refused by the reformulation size limit, at `size` CQs.
+    TooLarge {
+        /// The size that was refused.
+        size: usize,
+    },
+    /// Refused by the row budget.
+    OverBudget {
+        /// The budget that was exceeded.
+        budget: usize,
+    },
 }
 
-/// Run one strategy, tolerating typed failures (reformulation blow-ups and
-/// row budgets are *results* in these experiments, not errors).
+impl Outcome {
+    /// Record this outcome as cell `cell` of `row`: wall-clock and answer
+    /// count, or the size that was refused.
+    pub fn put(&self, s: &mut Sample, row: &str, cell: &str) {
+        match *self {
+            Outcome::Answered { wall, answers, .. } => {
+                s.time(row, cell, "wall", wall);
+                s.count(row, cell, "answers", answers);
+            }
+            Outcome::TooLarge { size } => s.count(row, cell, "refused_cqs", size),
+            Outcome::OverBudget { budget } => s.count(row, cell, "refused_rows", budget),
+        }
+    }
+}
+
+/// Answer `cq` with `strategy`. Refusals by the size limit or the row
+/// budget are outcomes; any other error is a defect and panics.
 pub fn run_strategy(
     db: &Database,
     cq: &rdfref_query::Cq,
-    strategy: Strategy,
+    strategy: &Strategy,
     opts: &AnswerOptions,
 ) -> Outcome {
-    let name = strategy.name().to_string();
-    let start = Instant::now();
-    match db.run_query(cq, &strategy, opts) {
-        Ok(answer) => Outcome {
-            strategy: name,
-            answers: Ok(answer.len()),
+    match db.run_query(cq, strategy, opts) {
+        Ok(answer) => Outcome::Answered {
             wall: answer.explain.wall,
-            reformulation_cqs: answer.explain.reformulation_cqs,
+            answers: answer.len(),
+            cqs: answer.explain.reformulation_cqs,
             peak_rows: answer.explain.metrics.peak_intermediate,
         },
-        Err(CoreError::ReformulationTooLarge { size, limit }) => Outcome {
-            strategy: name,
-            answers: Err(format!("reformulation > {limit} CQs (≥{size})")),
-            wall: start.elapsed(),
-            reformulation_cqs: size,
-            peak_rows: 0,
-        },
-        Err(e) => Outcome {
-            strategy: name,
-            answers: Err(e.to_string()),
-            wall: start.elapsed(),
-            reformulation_cqs: 0,
-            peak_rows: 0,
-        },
+        Err(CoreError::ReformulationTooLarge { size, .. }) => Outcome::TooLarge { size },
+        Err(CoreError::Storage(StorageError::RowBudgetExceeded { budget })) => {
+            Outcome::OverBudget { budget }
+        }
+        Err(e) => panic!("{}: {e}", strategy.name()),
     }
 }
 
-/// Render a duration compactly (µs/ms/s).
-pub fn fmt_duration(d: Duration) -> String {
-    let us = d.as_micros();
-    if us < 1_000 {
-        format!("{us}µs")
-    } else if us < 1_000_000 {
-        format!("{:.2}ms", us as f64 / 1_000.0)
-    } else {
-        format!("{:.2}s", us as f64 / 1_000_000.0)
+/// Where a run was made: written as the document's header.
+#[derive(Debug, Clone)]
+pub struct Header {
+    /// `std::thread::available_parallelism`.
+    pub nproc: usize,
+    /// The commit the harness was built from.
+    pub commit: String,
+    /// Whether the working tree had uncommitted changes.
+    pub dirty: bool,
+    /// `rustc --version`.
+    pub rustc: String,
+}
+
+fn json_string(s: &str) -> String {
+    let mut out = String::from("\"");
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
+            c => out.push(c),
+        }
     }
+    out.push('"');
+    out
+}
+
+/// `v` to `digits` significant figures, integers whole.
+fn significant(v: f64, digits: i32) -> String {
+    if v.fract() == 0.0 || !v.is_finite() {
+        return format!("{v}");
+    }
+    let decimals = (digits - 1 - v.abs().log10().floor() as i32).max(0) as usize;
+    format!("{v:.decimals$}")
+}
+
+/// The JSON document: the header, then one record per line, in run order.
+pub fn to_json(header: &Header, records: &[Record]) -> String {
+    let mut out = format!(
+        "{{\"header\": {{\"nproc\": {}, \"commit\": {}, \"dirty\": {}, \"rustc\": {}}},\n\"records\": [",
+        header.nproc,
+        json_string(&header.commit),
+        header.dirty,
+        json_string(&header.rustc)
+    );
+    for (i, r) in records.iter().enumerate() {
+        let samples: Vec<String> = r.samples.iter().map(|&v| significant(v, 6)).collect();
+        let (q1, q3) = r.quartiles();
+        let _ = write!(
+            out,
+            "{}\n{{\"row\": {}, \"cell\": {}, \"metric\": {}, \"unit\": {}, \"samples\": [{}], \"median\": {}, \"q1\": {}, \"q3\": {}}}",
+            if i == 0 { "" } else { "," },
+            json_string(&r.row),
+            json_string(&r.cell),
+            json_string(r.metric),
+            json_string(r.unit.name()),
+            samples.join(", "),
+            significant(r.median(), 6),
+            significant(q1, 6),
+            significant(q3, 6),
+        );
+    }
+    out.push_str("\n]}\n");
+    out
+}
+
+/// One plain line per record, grouped under its row: median [q1–q3] unit (n).
+pub fn render(records: &[Record]) -> String {
+    let mut out = String::new();
+    let mut row = "";
+    for r in records {
+        if r.row != row {
+            row = &r.row;
+            let _ = writeln!(out, "\n## {row}");
+        }
+        let (q1, q3) = r.quartiles();
+        let value = if r.unit.exact() {
+            significant(r.median(), 3)
+        } else {
+            format!(
+                "{} [{}–{}]",
+                significant(r.median(), 3),
+                significant(q1, 3),
+                significant(q3, 3)
+            )
+        };
+        let _ = writeln!(
+            out,
+            "  {:<44} {:<14} {value} {} (n={})",
+            r.cell,
+            r.metric,
+            r.unit.name(),
+            r.samples.len()
+        );
+    }
+    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rdfref_datagen::lubm::{generate, LubmConfig};
 
     #[test]
-    fn run_strategy_reports_failures_as_outcomes() {
-        let ds = generate(&LubmConfig::default());
-        let q = rdfref_datagen::queries::example1(&ds, 0).expect("workload is well-formed");
-        let db = Database::builder().build(ds.graph.clone());
-        let opts = AnswerOptions::new()
-            .with_limits(rdfref_core::ReformulationLimits::new().with_max_cqs(10));
-        let outcome = run_strategy(&db, &q, Strategy::RefUcq, &opts);
-        assert!(outcome.answers.is_err());
-        let ok = run_strategy(&db, &q, Strategy::RefScq, &opts);
-        assert!(ok.answers.is_err() || ok.answers.is_ok()); // SCQ may hit the tiny limit too
-    }
-
-    #[test]
-    fn metrics_out_round_trips_through_both_exporters() {
-        let ds = generate(&LubmConfig::default());
-        let nq = rdfref_datagen::queries::lubm_mix(&ds)
-            .expect("workload is well-formed")
-            .into_iter()
-            .next()
-            .expect("mix is non-empty");
-        let sink = MetricsSink {
-            registry: Arc::new(MetricsRegistry::new()),
-            out: Some(std::env::temp_dir().join("rdfref_bench_metrics_roundtrip.json")),
+    fn quartiles_match_python_exclusive_method() {
+        let record = |samples: Vec<f64>| Record {
+            row: "r".into(),
+            cell: "c".into(),
+            metric: "m",
+            unit: Unit::Us,
+            samples,
         };
-        let db = Database::builder()
-            .build(ds.graph.clone())
-            .with_obs(sink.obs());
-        db.run_query(&nq.cq, &Strategy::RefGCov, &AnswerOptions::default())
-            .expect("GCov answers");
-
-        let (json_path, prom_path) = sink.flush().expect("write").expect("destination set");
-        let json_text = std::fs::read_to_string(&json_path).expect("read json");
-        let value = rdfref_obs::json::parse(&json_text).expect("emitted JSON parses");
-        let calls = value
-            .get("counters")
-            .and_then(|c| c.get("answer.calls"))
-            .and_then(|v| v.as_f64());
-        assert_eq!(calls, Some(1.0));
-        assert!(value.get("spans").and_then(|s| s.get("answer")).is_some());
-
-        let prom_text = std::fs::read_to_string(&prom_path).expect("read prom");
-        let samples =
-            rdfref_obs::export::parse_prometheus_text(&prom_text).expect("emitted text parses");
-        assert!(samples
-            .iter()
-            .any(|s| s.name == "rdfref_answer_calls_total" && s.value == 1.0));
-        assert!(samples.iter().any(|s| s.name.contains("span_seconds")
-            && s.labels.iter().any(|(k, v)| k == "span" && v == "answer")));
-
-        let _ = std::fs::remove_file(&json_path);
-        let _ = std::fs::remove_file(&prom_path);
+        // statistics.quantiles(range(1, 11), n=4) == [2.75, 5.5, 8.25]
+        let r = record((1..=10).map(f64::from).collect());
+        assert_eq!((r.quartiles(), r.median()), ((2.75, 8.25), 5.5));
+        // statistics.quantiles([1, 2, 3, 4, 5, 6, 7], n=4) == [2.0, 4.0, 6.0]
+        let r = record(vec![7.0, 1.0, 6.0, 2.0, 5.0, 3.0, 4.0]);
+        assert_eq!((r.quartiles(), r.median()), ((2.0, 6.0), 4.0));
+        let r = record(vec![3.0]);
+        assert_eq!((r.quartiles(), r.median()), ((3.0, 3.0), 3.0));
     }
 
     #[test]
-    fn metrics_sink_is_disabled_without_the_flag() {
-        let sink = MetricsSink {
-            registry: Arc::new(MetricsRegistry::new()),
-            out: None,
+    fn cells_with_quotes_and_backslashes_round_trip_through_the_document() {
+        let header = Header {
+            nproc: 1,
+            commit: "c".into(),
+            dirty: true,
+            rustc: "r".into(),
         };
-        assert!(!sink.obs().enabled());
-        assert!(sink.flush().expect("no-op flush").is_none());
-    }
-
-    #[test]
-    fn duration_formatting() {
-        assert_eq!(fmt_duration(Duration::from_micros(12)), "12µs");
-        assert_eq!(fmt_duration(Duration::from_millis(12)), "12.00ms");
-        assert_eq!(fmt_duration(Duration::from_secs(2)), "2.00s");
+        let cell = "literal \"a\\b\"\n";
+        let record = Record {
+            row: "r".into(),
+            cell: cell.into(),
+            metric: "m",
+            unit: Unit::Ratio,
+            samples: vec![0.0668498, 2.0],
+        };
+        let doc = rdfref_obs::json::parse(&to_json(&header, &[record])).expect("parses");
+        let records = doc
+            .get("records")
+            .and_then(|r| r.as_array())
+            .expect("records");
+        assert_eq!(records[0].get("cell").and_then(|c| c.as_str()), Some(cell));
+        let median = records[0].get("median").and_then(|m| m.as_f64());
+        assert_eq!(median, Some(1.03342));
     }
 }

@@ -5,7 +5,7 @@
 //! [`Snapshot`](crate::Snapshot) and the live
 //! [`ServingDatabase`](crate::ServingDatabase) — does so through `&self`,
 //! so [`QueryEngine`] is the one surface harness code (the CLI shell, the
-//! `exp_*` binaries, the cross-strategy completeness tests) is generic
+//! experiment harness, the cross-strategy completeness tests) is generic
 //! over, and any engine can be shared across threads by reference:
 //!
 //! ```

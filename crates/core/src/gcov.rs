@@ -129,49 +129,34 @@ fn gcov_search(
     let mut explored: Vec<(Cover, Option<CostEstimate>)> = Vec::new();
     let mut seen: FxHashMap<Cover, Option<f64>> = FxHashMap::default();
 
+    // A cover whose reformulation exceeds the size limit is recorded as
+    // explored and infeasible; every error is returned to the caller.
     let evaluate = |cover: &Cover,
                     cache: &mut FragmentCache,
                     explored: &mut Vec<(Cover, Option<CostEstimate>)>,
                     seen: &mut FxHashMap<Cover, Option<f64>>|
-     -> Option<(Jucq, CostEstimate)> {
-        if let Some(known) = seen.get(cover) {
-            // Already explored; rebuild only if it was feasible and is
-            // needed again (callers only re-request the winner).
-            known.as_ref()?;
+     -> Result<(Jucq, CostEstimate)> {
+        let result = cache.jucq(cover).map(|jucq| {
+            let est = model.jucq_estimate(&jucq);
+            (jucq, est)
+        });
+        let est = match &result {
+            Ok((_, est)) => Some(*est),
+            Err(CoreError::ReformulationTooLarge { .. }) => None,
+            Err(_) => return result,
+        };
+        if seen.insert(cover.clone(), est.map(|e| e.cost)).is_none() {
+            explored.push((cover.clone(), est));
         }
-        match cache.jucq(cover) {
-            Ok(jucq) => {
-                let est = model.jucq_estimate(&jucq);
-                if seen.insert(cover.clone(), Some(est.cost)).is_none() {
-                    explored.push((cover.clone(), Some(est)));
-                }
-                Some((jucq, est))
-            }
-            Err(CoreError::ReformulationTooLarge { .. }) => {
-                if seen.insert(cover.clone(), None).is_none() {
-                    explored.push((cover.clone(), None));
-                }
-                None
-            }
-            Err(_) => None,
-        }
+        result
     };
 
-    // Start from the singleton (SCQ) cover.
+    // Start from the singleton (SCQ) cover. If even it fails (a fragment's
+    // own reformulation too large — only possible with an extreme limit),
+    // its error, with the size that was refused, is the search's.
     let mut current_cover = Cover::singletons(n);
-    let mut current = evaluate(&current_cover, &mut cache, &mut explored, &mut seen);
-
-    // If even singletons fail (a fragment's own reformulation too large —
-    // only possible with an extreme limit), report the failure.
-    let (mut current_jucq, mut current_est) = match current.take() {
-        Some(x) => x,
-        None => {
-            return Err(CoreError::ReformulationTooLarge {
-                size: 0,
-                limit: opts.limits.max_cqs,
-            })
-        }
-    };
+    let (mut current_jucq, mut current_est) =
+        evaluate(&current_cover, &mut cache, &mut explored, &mut seen)?;
 
     for _step in 0..MAX_STEPS {
         // Generate candidate moves.
@@ -206,14 +191,17 @@ fn gcov_search(
             if seen.contains_key(&cand) {
                 continue;
             }
-            if let Some((jucq, est)) = evaluate(&cand, &mut cache, &mut explored, &mut seen) {
-                if best
-                    .as_ref()
-                    .map(|(_, _, b)| est.cost < b.cost)
-                    .unwrap_or(true)
-                {
-                    best = Some((cand, jucq, est));
-                }
+            let (jucq, est) = match evaluate(&cand, &mut cache, &mut explored, &mut seen) {
+                Ok(priced) => priced,
+                Err(CoreError::ReformulationTooLarge { .. }) => continue,
+                Err(e) => return Err(e),
+            };
+            if best
+                .as_ref()
+                .map(|(_, _, b)| est.cost < b.cost)
+                .unwrap_or(true)
+            {
+                best = Some((cand, jucq, est));
             }
         }
         match best {
@@ -372,5 +360,33 @@ mod tests {
             .explored
             .iter()
             .all(|(c, est)| est.is_some() || !c.is_scq()));
+    }
+
+    #[test]
+    fn a_refused_singleton_cover_reports_its_own_size() {
+        let (schema, store, ids) = fixture();
+        let cl = schema.closure();
+        let ctx = RewriteContext::new(&schema, &cl);
+        let stats = Stats::compute(&store);
+        let model = CostModel::new(&stats);
+        let q = Cq::new(
+            vec![v("x"), v("u")],
+            vec![
+                Atom::new(v("x"), ID_RDF_TYPE, v("u")),
+                Atom::new(v("x"), ids[4], v("z")),
+            ],
+        )
+        .unwrap();
+        // The type atom alone unions more than one CQ, so even SCQ fails.
+        let limits = ReformulationLimits::new().with_max_cqs(1);
+        let scq = FragmentCache::new(&q, &ctx, limits)
+            .jucq(&Cover::singletons(2))
+            .unwrap_err();
+        let err = gcov(&q, &ctx, &model, &GcovOptions::new().with_limits(limits)).unwrap_err();
+        assert!(
+            matches!(err, CoreError::ReformulationTooLarge { size, limit: 1 } if size > 1),
+            "{err:?}"
+        );
+        assert_eq!(err.to_string(), scq.to_string());
     }
 }

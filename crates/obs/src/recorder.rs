@@ -30,7 +30,7 @@ pub trait Recorder: Send + Sync {
 ///
 /// Every instrumentation method starts with a branch on the `Option`; when
 /// disabled nothing else happens — no clock reads, no locks — which is what
-/// keeps the no-op overhead under the 2% budget on `exp_strategies`.
+/// keeps the no-op overhead under the 2% budget (DESIGN §3d).
 #[derive(Clone, Default)]
 pub struct Obs {
     recorder: Option<Arc<dyn Recorder>>,
