@@ -6,7 +6,7 @@ use rdfref_core::incomplete::IncompletenessProfile;
 use rdfref_core::reformulate::{ReformulationLimits, RewriteContext};
 use rdfref_core::MetricsRegistry;
 use rdfref_datagen::{biblio, geo, insee, lubm, wcoj};
-use rdfref_model::parser::{parse_ntriples_into, parse_turtle_into};
+use rdfref_model::parser::{parse_turtle, parse_turtle_into};
 use rdfref_model::{sorted_run, Graph, Schema};
 use rdfref_query::{parse_select, Cover, Cq};
 use rdfref_storage::stats::ValueDistribution;
@@ -210,13 +210,7 @@ impl Shell {
                 let path = parts.next().ok_or("usage: load file <path>")?;
                 let content = std::fs::read_to_string(path)
                     .map_err(|e| format!("cannot read {path}: {e}"))?;
-                let mut g = Graph::new();
-                let result = if path.ends_with(".nt") {
-                    parse_ntriples_into(&content, &mut g)
-                } else {
-                    parse_turtle_into(&content, &mut g)
-                };
-                result.map_err(|e| e.to_string())?;
+                let g = parse_turtle(&content).map_err(|e| e.to_string())?;
                 self.dataset_label = path.to_string();
                 g
             }

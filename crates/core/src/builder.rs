@@ -2,7 +2,7 @@
 //! engines.
 //!
 //! [`EngineBuilder`] is one `#[non_exhaustive]` builder carrying the
-//! dictionary encoding, plan-cache capacity and observability sink, with
+//! dictionary encoding and the observability sink, with
 //! one terminal per side:
 //! [`EngineBuilder::build`] for the static read side ([`Database`]) and
 //! [`EngineBuilder::build_serving`] for the maintained, concurrently
@@ -47,7 +47,6 @@ use rdfref_sync::Arc;
 #[non_exhaustive]
 pub struct EngineBuilder {
     pub(crate) encoding: DictEncoding,
-    pub(crate) plan_cache_capacity: usize,
     pub(crate) obs: Obs,
 }
 
@@ -55,15 +54,14 @@ impl Default for EngineBuilder {
     fn default() -> Self {
         EngineBuilder {
             encoding: DictEncoding::Classic,
-            plan_cache_capacity: 1024,
             obs: Obs::disabled(),
         }
     }
 }
 
 impl EngineBuilder {
-    /// A builder with the defaults: classic encoding, a 1024-plan cache,
-    /// observability disabled.
+    /// A builder with the defaults: classic encoding, observability
+    /// disabled. Every engine gets a [`PlanCache::default`].
     pub fn new() -> EngineBuilder {
         EngineBuilder::default()
     }
@@ -76,25 +74,15 @@ impl EngineBuilder {
         self
     }
 
-    /// Plan-cache capacity (total cached plans across all cache shards).
-    pub fn plan_cache_capacity(mut self, capacity: usize) -> Self {
-        self.plan_cache_capacity = capacity;
-        self
-    }
-
     /// Engine-wide observability sink.
     pub fn obs(mut self, obs: Obs) -> Self {
         self.obs = obs;
         self
     }
 
-    pub(crate) fn plan_cache(&self) -> Arc<PlanCache> {
-        Arc::new(PlanCache::new(self.plan_cache_capacity))
-    }
-
     /// Build an in-memory [`Database`] over `graph`.
     pub fn build(self, graph: Graph) -> Database {
-        let cache = self.plan_cache();
+        let cache = Arc::new(PlanCache::default());
         Database::build(graph, cache, self.encoding).with_obs(self.obs)
     }
 
@@ -139,9 +127,7 @@ ex:doi2 a ex:Publication .
             .to_vec();
         assert_eq!(reference.len(), 2);
 
-        let configured = Database::builder()
-            .encoding(DictEncoding::Interval)
-            .plan_cache_capacity(16);
+        let configured = Database::builder().encoding(DictEncoding::Interval);
         let got = configured.clone().build(g.clone());
         assert_eq!(got.query(&q).run().unwrap().rows(), &reference[..]);
         let serving = configured.build_serving(g.clone());

@@ -18,9 +18,9 @@
 //!   α-canonicalization means two queries differing only in variable names
 //!   or atom order share one entry; the cached plan is transported back
 //!   through the inverse renaming.
-//! * **Sharding.** The key space is split across `N` shards, each a
-//!   `parking_lot::Mutex` around a small hash map, so concurrent answering
-//!   threads rarely contend on the same lock.
+//! * **Locking.** One `parking_lot::Mutex` around one hash map. Every
+//!   lookup and insert holds it for one map operation (and an insert into
+//!   a full cache for one LRU scan).
 //! * **Invalidation.** The cache carries two monotonic epochs. The *schema
 //!   epoch* versions the RDFS constraints: every cached plan is a
 //!   reformulation against a specific schema, so a schema change strands all
@@ -29,8 +29,7 @@
 //!   decisions (the chosen cover and its estimates come from data
 //!   statistics), so they are additionally pinned to the data epoch at
 //!   insertion. Stale entries are detected lazily at lookup and removed.
-//! * **Eviction.** Per-shard LRU by a global logical tick, bounded by a
-//!   fixed total capacity.
+//! * **Eviction.** LRU by a logical tick, bounded by a fixed capacity.
 //! * **Observability.** Hit/miss/eviction/invalidation counters, surfaced
 //!   per-run through [`Explain`](crate::explain::Explain) and in aggregate
 //!   through [`PlanCache::counters`].
@@ -43,7 +42,6 @@ use rdfref_query::Cover;
 use rdfref_sync::atomic::{AtomicU64, Ordering};
 use rdfref_sync::Arc;
 use rdfref_sync::Mutex;
-use std::hash::{Hash, Hasher};
 
 /// The non-query part of a cache key: which planner produced the plan, and
 /// every option that changes its output.
@@ -130,11 +128,6 @@ struct Entry {
     last_used: u64,
 }
 
-#[derive(Debug, Default)]
-struct Shard {
-    map: FxHashMap<CacheKey, Entry>,
-}
-
 /// Aggregate cache counters (monotonic since cache creation).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheCounters {
@@ -152,12 +145,12 @@ pub struct CacheCounters {
 /// `&self` and are safe to call from many threads.
 #[derive(Debug)]
 pub struct PlanCache {
-    shards: Vec<Mutex<Shard>>,
-    /// Maximum entries per shard (total capacity / shard count).
-    shard_capacity: usize,
+    entries: Mutex<FxHashMap<CacheKey, Entry>>,
+    /// Maximum resident entries.
+    capacity: usize,
     schema_epoch: AtomicU64,
     data_epoch: AtomicU64,
-    /// Global logical clock for LRU ordering.
+    /// Logical clock for LRU ordering.
     tick: AtomicU64,
     hits: AtomicU64,
     misses: AtomicU64,
@@ -168,29 +161,19 @@ pub struct PlanCache {
 /// Default total capacity: generous for any workload in this repository
 /// (the paper's query mixes are tens of queries).
 const DEFAULT_CAPACITY: usize = 1024;
-/// Default shard count: enough to keep lock contention negligible at the
-/// thread counts the experiments use.
-const DEFAULT_SHARDS: usize = 8;
 
 impl Default for PlanCache {
     fn default() -> Self {
-        PlanCache::with_shards(DEFAULT_CAPACITY, DEFAULT_SHARDS)
+        PlanCache::new(DEFAULT_CAPACITY)
     }
 }
 
 impl PlanCache {
-    /// A cache holding at most `capacity` plans, with the default sharding.
+    /// A cache holding at most `capacity` plans (at least one).
     pub fn new(capacity: usize) -> PlanCache {
-        PlanCache::with_shards(capacity, DEFAULT_SHARDS)
-    }
-
-    /// A cache holding at most `capacity` plans across `shards` shards.
-    /// Use a single shard for deterministic whole-cache LRU order (tests).
-    pub fn with_shards(capacity: usize, shards: usize) -> PlanCache {
-        let shards = shards.max(1).min(capacity.max(1));
         PlanCache {
-            shard_capacity: capacity.max(1).div_ceil(shards),
-            shards: (0..shards).map(|_| Mutex::new(Shard::default())).collect(),
+            entries: Mutex::new(FxHashMap::default()),
+            capacity: capacity.max(1),
             schema_epoch: AtomicU64::new(0),
             data_epoch: AtomicU64::new(0),
             tick: AtomicU64::new(0),
@@ -199,12 +182,6 @@ impl PlanCache {
             evictions: AtomicU64::new(0),
             invalidations: AtomicU64::new(0),
         }
-    }
-
-    fn shard_of(&self, key: &CacheKey) -> &Mutex<Shard> {
-        let mut h = std::hash::DefaultHasher::new();
-        key.hash(&mut h);
-        &self.shards[(h.finish() as usize) % self.shards.len()]
     }
 
     /// The current schema epoch (bumped when RDFS constraints change).
@@ -242,13 +219,13 @@ impl PlanCache {
     /// are stale relative to the *current* epochs (stale for everyone), not
     /// merely mismatched with a lagging reader's pinned epochs.
     pub fn lookup_at(&self, key: &CacheKey, schema: u64, data: u64) -> Option<Arc<CachedPlan>> {
-        let mut shard = self.shard_of(key).lock();
-        // Read the epochs under the shard lock: an entry of this shard was
-        // inserted under the same lock at epochs that were current then, so
-        // it can never be ahead of what is read here.
+        let mut entries = self.entries.lock();
+        // Read the epochs under the lock: every entry was inserted under the
+        // same lock at epochs that were current then, so it can never be
+        // ahead of what is read here.
         let cur_schema = self.schema_epoch();
         let cur_data = self.data_epoch();
-        if let Some(entry) = shard.map.get_mut(key) {
+        if let Some(entry) = entries.get_mut(key) {
             #[cfg(feature = "strict-invariants")]
             {
                 // Epoch monotonicity: counters only grow, so no cached entry
@@ -276,7 +253,7 @@ impl PlanCache {
                 return Some(Arc::clone(&entry.plan));
             }
             if entry.schema_epoch < cur_schema || entry.data_epoch.is_some_and(|d| d < cur_data) {
-                shard.map.remove(key);
+                entries.remove(key);
                 self.invalidations.fetch_add(1, Ordering::Relaxed);
             }
         }
@@ -285,7 +262,7 @@ impl PlanCache {
     }
 
     /// Insert a plan computed under the *current* epochs, evicting the
-    /// shard's least recently used entry if the shard is full. Returns the
+    /// least recently used entry if the cache is full. Returns the
     /// shared handle to the stored plan.
     pub fn insert(&self, key: CacheKey, plan: CachedPlan) -> Arc<CachedPlan> {
         self.insert_at(key, plan, self.schema_epoch(), self.data_epoch())
@@ -309,19 +286,18 @@ impl PlanCache {
             last_used: self.tick.fetch_add(1, Ordering::Relaxed),
         };
         let handle = Arc::clone(&entry.plan);
-        let mut shard = self.shard_of(&key).lock();
-        if shard.map.len() >= self.shard_capacity && !shard.map.contains_key(&key) {
-            if let Some(lru) = shard
-                .map
+        let mut entries = self.entries.lock();
+        if entries.len() >= self.capacity && !entries.contains_key(&key) {
+            if let Some(lru) = entries
                 .iter()
                 .min_by_key(|(_, e)| e.last_used)
                 .map(|(k, _)| k.clone())
             {
-                shard.map.remove(&lru);
+                entries.remove(&lru);
                 self.evictions.fetch_add(1, Ordering::Relaxed);
             }
         }
-        shard.map.insert(key, entry);
+        entries.insert(key, entry);
         handle
     }
 
@@ -337,19 +313,12 @@ impl PlanCache {
 
     /// Number of resident entries (valid or not-yet-noticed stale).
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().map.len()).sum()
+        self.entries.lock().len()
     }
 
     /// True iff no entries are resident.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Drop every entry (counters and epochs are kept).
-    pub fn clear(&self) {
-        for s in &self.shards {
-            s.lock().map.clear();
-        }
     }
 }
 
@@ -413,8 +382,7 @@ mod tests {
 
     #[test]
     fn lru_eviction_order() {
-        // Single shard ⟹ deterministic whole-cache LRU.
-        let cache = PlanCache::with_shards(2, 1);
+        let cache = PlanCache::new(2);
         cache.insert(key(1), plan());
         cache.insert(key(2), plan());
         // Touch 1 so 2 becomes the LRU victim.
@@ -429,7 +397,7 @@ mod tests {
 
     #[test]
     fn reinserting_resident_key_does_not_evict() {
-        let cache = PlanCache::with_shards(2, 1);
+        let cache = PlanCache::new(2);
         cache.insert(key(1), plan());
         cache.insert(key(2), plan());
         cache.insert(key(2), plan());
@@ -438,9 +406,20 @@ mod tests {
     }
 
     #[test]
+    fn the_capacity_bounds_the_whole_cache() {
+        let cache = PlanCache::new(16);
+        for n in 0..16 {
+            cache.insert(key(n), plan());
+        }
+        assert_eq!((cache.len(), cache.counters().evictions), (16, 0));
+        cache.insert(key(16), plan());
+        assert_eq!((cache.len(), cache.counters().evictions), (16, 1));
+        assert!(cache.lookup(&key(0)).is_none(), "the oldest entry went");
+    }
+
+    #[test]
     fn data_epoch_invalidates_exactly_gcov_entries() {
-        // One shard: both keys must be resident whichever shard they hash to.
-        let cache = PlanCache::with_shards(8, 1);
+        let cache = PlanCache::new(8);
         cache.insert(key(1), plan());
         cache.insert(gcov_key(1), CachedPlan::Ucq(Ucq { cqs: vec![] }));
         cache.bump_data_epoch();
@@ -453,7 +432,7 @@ mod tests {
 
     #[test]
     fn schema_epoch_invalidates_everything() {
-        let cache = PlanCache::with_shards(8, 1);
+        let cache = PlanCache::new(8);
         cache.insert(key(1), plan());
         cache.insert(gcov_key(1), plan());
         cache.bump_schema_epoch();
@@ -475,7 +454,7 @@ mod tests {
 
     #[test]
     fn lookup_at_serves_only_the_exact_stamped_epoch_pair() {
-        let cache = PlanCache::with_shards(8, 1);
+        let cache = PlanCache::new(8);
         cache.bump_schema_epoch();
         cache.bump_data_epoch();
         cache.insert_at(gcov_key(1), plan(), 1, 1);
@@ -496,7 +475,7 @@ mod tests {
 
     #[test]
     fn a_lagging_reader_s_miss_never_evicts_a_current_entry() {
-        let cache = PlanCache::with_shards(8, 1);
+        let cache = PlanCache::new(8);
         cache.bump_schema_epoch();
         cache.bump_data_epoch();
         cache.insert(key(1), plan());

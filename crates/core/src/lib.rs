@@ -18,7 +18,8 @@
 //!   the [`answer::Strategy`] enum covering Sat, all Ref variants, and Dat;
 //! * [`cache`] — the shared plan cache: α-canonicalized keys, epoch-based
 //!   invalidation (schema epoch for every plan, data epoch for cost-based
-//!   GCov plans), sharded LRU safe under concurrent `answer` calls;
+//!   GCov plans), one LRU behind one lock, safe under concurrent `answer`
+//!   calls;
 //! * [`explain`] — what the demo GUI shows: reformulation sizes, chosen and
 //!   explored covers with estimated costs, intermediate cardinalities,
 //!   wall-clock.
@@ -51,9 +52,8 @@
 //!
 //! Observability: hand a [`rdfref_obs::MetricsRegistry`] to a request via
 //! [`engine::QueryRequest::collect_metrics`] (or database-wide with
-//! [`answer::Database::with_obs`]) and export with
-//! [`rdfref_obs::MetricsRegistry::to_prometheus_text`] /
-//! [`rdfref_obs::MetricsRegistry::to_json`].
+//! [`answer::Database::with_obs`]) and read it back with
+//! [`rdfref_obs::MetricsRegistry::snapshot`].
 
 #![forbid(unsafe_code)]
 #![deny(

@@ -579,11 +579,6 @@ impl BatchTicket {
     pub fn wait(self) -> Result<BatchReport> {
         self.reply.recv().map_err(|_| CoreError::ServingStopped)
     }
-
-    /// Non-blocking poll: the report if the batch has been published.
-    pub fn try_wait(&self) -> Option<BatchReport> {
-        self.reply.try_recv().ok()
-    }
 }
 
 /// A pending write and where to send its report.
@@ -656,7 +651,7 @@ impl ServingDatabase {
     /// initial snapshot and start the background maintenance thread.
     /// Reached via [`Database::builder`]`().build_serving(graph)`.
     pub(crate) fn from_builder(graph: Graph, b: &EngineBuilder) -> ServingDatabase {
-        let cache = b.plan_cache();
+        let cache = Arc::new(PlanCache::default());
         let writer = WriterCore::new(graph, Arc::clone(&cache), b);
         let obs = b.obs.clone();
         let cell = Arc::new(SnapshotCell::new(writer.snapshot()));

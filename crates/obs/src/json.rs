@@ -1,9 +1,9 @@
 //! Minimal JSON value and parser.
 //!
-//! Exists so the registry's JSON export, the benchmark's result files and
-//! the experiment harness's record document can be validated and
-//! round-tripped in tests without a serde dependency. Supports the full JSON grammar with `f64` numbers and BMP
-//! `\uXXXX` escapes, which covers everything this workspace emits.
+//! Exists so the benchmark's result files and the experiment harness's
+//! record document can be read and validated without a serde dependency.
+//! Supports the full JSON grammar with `f64` numbers and BMP `\uXXXX`
+//! escapes, which covers everything this workspace emits.
 
 use std::collections::BTreeMap;
 

@@ -12,11 +12,9 @@
 //!   on a `None`; no clock reads, no locks.
 //! * [`MetricsRegistry`] — the standard recorder: thread-safe aggregation
 //!   into counters, last-write-wins gauges, span statistics and log₂-bucket
-//!   histograms, exported as Prometheus text
-//!   ([`MetricsRegistry::to_prometheus_text`]) or JSON
-//!   ([`MetricsRegistry::to_json`]).
-//! * [`json`] — a minimal JSON value/parser used to round-trip exported
-//!   profiles in tests and to read the benchmark's result files.
+//!   histograms, read through an immutable [`Snapshot`].
+//! * [`json`] — a minimal JSON value/parser that reads the benchmark's
+//!   result files and the experiment harness's record document.
 //!
 //! Span names are dotted paths (`answer.plan.gcov`); consumers such as the
 //! CLI `EXPLAIN ANALYZE` command rebuild the stage tree from the dots.
@@ -49,7 +47,6 @@
     clippy::dbg_macro
 )]
 
-pub mod export;
 pub mod json;
 mod recorder;
 mod registry;

@@ -240,11 +240,6 @@ impl Snapshot {
         self.spans.get(path).map(|s| s.count).unwrap_or(0)
     }
 
-    /// Total wall time spent in the span at `path`.
-    pub fn span_total(&self, path: &str) -> Duration {
-        self.spans.get(path).map(|s| s.total()).unwrap_or_default()
-    }
-
     /// Histogram aggregate, if any value was observed.
     pub fn histogram(&self, name: &str) -> Option<&HistogramSnapshot> {
         self.histograms.get(name)

@@ -36,14 +36,6 @@ impl PTerm {
         }
     }
 
-    /// The id interval, if this position holds one.
-    pub fn as_range(&self) -> Option<(TermId, TermId)> {
-        match self {
-            PTerm::Range(lo, hi) => Some((*lo, *hi)),
-            PTerm::Var(_) | PTerm::Const(_) => None,
-        }
-    }
-
     /// Is this position a variable?
     pub fn is_var(&self) -> bool {
         matches!(self, PTerm::Var(_))

@@ -16,9 +16,9 @@
 //! * [`schema::Schema`] — the four RDFS constraints (subclass, subproperty,
 //!   domain, range) and their closure, the input of both saturation and
 //!   reformulation;
-//! * [`parser`] — N-Triples and a pragmatic Turtle subset ("turtle-lite":
-//!   prefixes, `a`, `;`/`,` abbreviations);
-//! * [`writer`] — serialization back to N-Triples.
+//! * [`parser`] — a pragmatic Turtle subset ("turtle-lite": prefixes, `a`,
+//!   `;`/`,` abbreviations) that also reads N-Triples;
+//! * [`writer`] — serialization back to N-Triples and Turtle.
 //!
 //! The model deliberately supports *any* triple allowed by the RDF
 //! specification (the DB fragment places no restriction on graphs), including

@@ -1,14 +1,9 @@
-//! Parsers for RDF serializations.
-//!
-//! Two formats are supported:
-//! * [`ntriples`] — the line-oriented W3C N-Triples format;
-//! * [`turtle_lite`] — a pragmatic Turtle subset: `@prefix` declarations,
-//!   prefixed names, the `a` keyword for `rdf:type`, and `;`/`,`
-//!   predicate/object list abbreviations. Enough to write readable test
-//!   fixtures and ontologies by hand.
+//! The RDF reader: [`turtle_lite`], a pragmatic Turtle subset with
+//! `@prefix` declarations, prefixed names, the `a` keyword for `rdf:type`,
+//! and `;`/`,` predicate/object list abbreviations. Every N-Triples
+//! document the workspace writes is also a Turtle-lite document, so the
+//! one parser reads both.
 
-pub mod ntriples;
 pub mod turtle_lite;
 
-pub use ntriples::{parse_ntriples, parse_ntriples_into};
 pub use turtle_lite::{parse_turtle, parse_turtle_into};

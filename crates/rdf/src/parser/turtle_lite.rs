@@ -127,9 +127,25 @@ impl<'a> Scanner<'a> {
     }
 
     fn error(&self, message: &str) -> ModelError {
-        ModelError::Syntax {
-            line: self.line,
-            message: format!("column {}: {message}", self.col),
+        syntax_error(self.line, self.col, message)
+    }
+
+    /// The body of an `<iri>` whose `<` was just consumed, through its `>`.
+    /// An IRI ends on its line.
+    fn read_iri(&mut self) -> Result<String> {
+        let mut iri = String::new();
+        loop {
+            match self.peek() {
+                Some('>') => {
+                    self.next();
+                    return Ok(iri);
+                }
+                Some('\n') | None => return Err(self.error("unterminated IRI")),
+                Some(c) => {
+                    iri.push(c);
+                    self.next();
+                }
+            }
         }
     }
 
@@ -144,6 +160,13 @@ impl<'a> Scanner<'a> {
             }
         }
         s
+    }
+}
+
+fn syntax_error(line: usize, col: usize, message: &str) -> ModelError {
+    ModelError::Syntax {
+        line,
+        message: format!("column {col}: {message}"),
     }
 }
 
@@ -167,20 +190,7 @@ fn tokenize(input: &str) -> Result<Vec<Located>> {
             }
             '<' => {
                 sc.next();
-                let mut iri = String::new();
-                loop {
-                    match sc.peek() {
-                        Some('>') => {
-                            sc.next();
-                            break;
-                        }
-                        Some('\n') | None => return Err(sc.error("unterminated IRI")),
-                        Some(c) => {
-                            iri.push(c);
-                            sc.next();
-                        }
-                    }
-                }
+                let iri = sc.read_iri()?;
                 push(&mut out, Tok::Iri(iri));
             }
             '"' => {
@@ -198,9 +208,12 @@ fn tokenize(input: &str) -> Result<Vec<Located>> {
                             Some(c) => return Err(sc.error(&format!("bad escape '\\{c}'"))),
                             None => return Err(sc.error("unterminated escape")),
                         },
-                        Some('\n') => return Err(sc.error("multi-line literals not supported")),
+                        // Reported where the literal opens: a literal ends
+                        // on its line.
+                        Some('\n') | None => {
+                            return Err(syntax_error(line, col, "unterminated literal"))
+                        }
                         Some(c) => lex.push(c),
-                        None => return Err(sc.error("unterminated literal")),
                     }
                 }
                 // Optional ^^datatype or @lang.
@@ -212,17 +225,7 @@ fn tokenize(input: &str) -> Result<Vec<Located>> {
                     let datatype = match sc.peek() {
                         Some('<') => {
                             sc.next();
-                            let mut iri = String::new();
-                            loop {
-                                match sc.next() {
-                                    Some('>') => break,
-                                    Some(c) => iri.push(c),
-                                    None => {
-                                        return Err(sc.error("unterminated datatype IRI"));
-                                    }
-                                }
-                            }
-                            DtTok::Iri(iri)
+                            DtTok::Iri(sc.read_iri()?)
                         }
                         _ => {
                             let name = sc.read_name();
@@ -391,10 +394,12 @@ impl Parser {
 
     fn err(&self, m: &str) -> ModelError {
         let (line, col) = self.position();
-        ModelError::Syntax {
-            line,
-            message: format!("column {col}: {m}"),
-        }
+        syntax_error(line, col, m)
+    }
+
+    /// `iri` as a term, or a positioned error naming it.
+    fn iri(&self, iri: &str) -> Result<Term> {
+        Term::iri_checked(iri).map_err(|_| self.err(&format!("invalid IRI <{iri}>")))
     }
 
     fn document(&mut self, graph: &mut Graph, batch: &mut Vec<EncodedTriple>) -> Result<()> {
@@ -476,13 +481,8 @@ impl Parser {
             .map(|t| t.tok.clone())
             .ok_or_else(|| self.err("unexpected end of document, expected a term"))?;
         match tok {
-            Tok::Iri(iri) => {
-                Term::iri_checked(&iri).map_err(|_| self.err(&format!("invalid IRI <{iri}>")))
-            }
-            Tok::Prefixed(pfx, local) => {
-                let iri = self.resolve(&pfx, &local)?;
-                Term::iri_checked(&iri).map_err(|_| self.err(&format!("invalid IRI <{iri}>")))
-            }
+            Tok::Iri(iri) => self.iri(&iri),
+            Tok::Prefixed(pfx, local) => self.iri(&self.resolve(&pfx, &local)?),
             Tok::Blank(label) => Ok(Term::blank(label)),
             Tok::Integer(n) => Ok(Term::typed_literal(n, vocab::XSD_INTEGER)),
             Tok::Literal {
@@ -495,6 +495,9 @@ impl Parser {
                     Some(DtTok::Prefixed(pfx, local)) => Some(self.resolve(&pfx, &local)?),
                     None => None,
                 };
+                if let Some(iri) = &datatype {
+                    self.iri(iri)?;
+                }
                 Ok(Term::Literal(crate::term::Literal {
                     lexical: lexical.into(),
                     datatype: datatype.map(Into::into),
@@ -510,6 +513,7 @@ impl Parser {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::term::Literal;
     use crate::triple::Triple;
 
     #[test]
@@ -602,6 +606,87 @@ _:b1 ex:hasName "J. L. Borges" .
         let doc = "@prefix e: <http://e/> .\ne:s e:p e:a , e:b ; e:q e:c .";
         let g = parse_turtle(doc).unwrap();
         assert_eq!(g.len(), 3);
+    }
+
+    /// N-Triples documents (no prefixes, full IRIs, escapes, typed and
+    /// language literals, comments, duplicates) read as Turtle-lite.
+    #[test]
+    fn reads_n_triples() {
+        let doc = r#"
+# G: a book described in RDF
+<http://doi1> <http://www.w3.org/1999/02/22-rdf-syntax-ns#type> <http://Book> .
+<http://doi1> <http://writtenBy> _:b1 .
+<http://doi1> <http://hasTitle> "El Aleph" .
+_:b1 <http://hasName> "J. L. Borges" .
+<http://doi1> <http://publishedIn> "1949"^^<http://www.w3.org/2001/XMLSchema#integer> .
+<http://doi1> <http://hasTitle> "El Aleph" .
+<http://doi1> <http://hasTitle> "hola"@ES .
+<http://doi1> <http://quote> "say \"hi\"\n" .
+"#;
+        let g = parse_turtle(doc).unwrap();
+        assert_eq!(g.len(), 7);
+        let s = || Term::iri("http://doi1");
+        for (p, o) in [
+            (vocab::RDF_TYPE, Term::iri("http://Book")),
+            (
+                "http://publishedIn",
+                Term::typed_literal("1949", vocab::XSD_INTEGER),
+            ),
+            (
+                "http://hasTitle",
+                Term::Literal(Literal::lang("hola", "es")),
+            ),
+            ("http://quote", Term::literal("say \"hi\"\n")),
+        ] {
+            assert!(g.contains(&Triple::new(s(), Term::iri(p), o).unwrap()));
+        }
+        assert!(parse_turtle("\n# only a comment\n\n").unwrap().is_empty());
+    }
+
+    fn syntax_line(doc: &str) -> (usize, String) {
+        match parse_turtle(doc) {
+            Err(ModelError::Syntax { line, message }) => (line, message),
+            other => panic!("expected a syntax error for {doc:?}, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn malformed_n_triples_are_reported_at_their_line() {
+        let (line, _) = syntax_line("<http://s> <http://p> <http://o> .\nbroken line\n");
+        assert_eq!(line, 2);
+        let (line, message) = syntax_line("<http://s> <http://p> \"ab\\x\" .\n");
+        assert_eq!(line, 1);
+        assert!(
+            message.contains("column") && message.contains("bad escape"),
+            "{message}"
+        );
+        for doc in [
+            "<http://s> <http://p> <http://o>\n",         // missing dot
+            "<http://s> <http://p> <http://o> . extra\n", // trailing garbage
+            "\"lit\" <http://p> <http://o> .\n",          // literal subject
+            "<http://s <http://p> <http://o> .",          // whitespace in an IRI
+        ] {
+            assert_eq!(syntax_line(doc).0, 1, "{doc:?}");
+        }
+    }
+
+    #[test]
+    fn an_unterminated_literal_is_reported_where_it_opens() {
+        let (line, message) =
+            syntax_line("<http://s> <http://p>\n  \"open .\n<http://s> <http://p> <http://o> .\n");
+        assert_eq!(line, 2);
+        assert_eq!(message, "column 3: unterminated literal");
+        assert_eq!(syntax_line("<http://s> <http://p> \"open .").0, 1);
+    }
+
+    #[test]
+    fn datatype_iris_are_checked() {
+        for dt in ["<not iri>", "<>", "<http://dt"] {
+            let (line, _) = syntax_line(&format!("<http://s> <http://p> \"x\"^^{dt} .\n"));
+            assert_eq!(line, 1, "{dt}");
+        }
+        let doc = "@prefix d: <http://d t/> .\n<http://s> <http://p> \"x\"^^d:int .";
+        assert_eq!(syntax_line(doc).0, 2);
     }
 
     #[test]

@@ -38,16 +38,6 @@ pub enum ConstraintKind {
 }
 
 impl ConstraintKind {
-    /// The dictionary id of the constraint's property.
-    pub fn property_id(self) -> TermId {
-        match self {
-            ConstraintKind::SubClass => ID_RDFS_SUBCLASSOF,
-            ConstraintKind::SubProperty => ID_RDFS_SUBPROPERTYOF,
-            ConstraintKind::Domain => ID_RDFS_DOMAIN,
-            ConstraintKind::Range => ID_RDFS_RANGE,
-        }
-    }
-
     /// Classify a property id, if it is a constraint property.
     pub fn from_property_id(p: TermId) -> Option<ConstraintKind> {
         match p {
@@ -328,11 +318,6 @@ impl SchemaClosure {
     /// Strict subproperties of `p`.
     pub fn subproperties_of(&self, p: TermId) -> impl Iterator<Item = TermId> + '_ {
         self.subproperties.get(&p).into_iter().flatten().copied()
-    }
-
-    /// Strict superproperties of `p`.
-    pub fn superproperties_of(&self, p: TermId) -> impl Iterator<Item = TermId> + '_ {
-        self.superproperties.get(&p).into_iter().flatten().copied()
     }
 
     /// Properties whose effective domain includes class `c`.

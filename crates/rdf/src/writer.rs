@@ -15,15 +15,6 @@ pub fn to_ntriples(graph: &Graph) -> String {
     out
 }
 
-/// Write a graph as N-Triples to any `io::Write` sink (e.g. a file), without
-/// materializing the whole document in memory.
-pub fn write_ntriples<W: std::io::Write>(graph: &Graph, mut sink: W) -> std::io::Result<()> {
-    for t in graph.iter_decoded() {
-        writeln!(sink, "{t}")?;
-    }
-    Ok(())
-}
-
 /// Serialize a graph as Turtle with prefix compression: namespaces are
 /// inferred from the IRIs in use (the text up to the last `#` or `/`), the
 /// most frequent ones get `@prefix` declarations, and `rdf:type` is written
@@ -130,7 +121,6 @@ pub fn to_turtle(graph: &Graph) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::parser::parse_ntriples;
     use crate::parser::parse_turtle;
     use crate::term::Term;
 
@@ -156,7 +146,7 @@ mod tests {
         )
         .unwrap();
         let doc = to_ntriples(&g);
-        let g2 = parse_ntriples(&doc).unwrap();
+        let g2 = parse_turtle(&doc).unwrap();
         assert_eq!(g, g2);
     }
 
@@ -224,19 +214,5 @@ _:b1 ex:hasName "J. L. Borges" .
         let rendered = to_turtle(&g);
         assert_eq!(rendered.matches(';').count(), 1, "{rendered}");
         assert_eq!(parse_turtle(&rendered).unwrap().len(), 2);
-    }
-
-    #[test]
-    fn write_to_sink_matches_string() {
-        let mut g = Graph::new();
-        g.insert(
-            Term::iri("http://s"),
-            Term::iri("http://p"),
-            Term::iri("http://o"),
-        )
-        .unwrap();
-        let mut buf = Vec::new();
-        write_ntriples(&g, &mut buf).unwrap();
-        assert_eq!(String::from_utf8(buf).unwrap(), to_ntriples(&g));
     }
 }

@@ -1,18 +1,13 @@
-//! Robustness: the parsers must never panic, whatever bytes arrive — they
-//! either produce a graph or a typed error with a line number.
+//! Robustness: the parser must never panic, whatever bytes arrive — it
+//! either produces a graph or a typed error with a line number.
 
 use proptest::prelude::*;
-use rdfref_model::parser::{parse_ntriples, parse_turtle};
+use rdfref_model::parser::parse_turtle;
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
 
     /// Totally random printable input.
-    #[test]
-    fn ntriples_never_panics(input in "[ -~\n\t]{0,200}") {
-        let _ = parse_ntriples(&input);
-    }
-
     #[test]
     fn turtle_never_panics(input in "[ -~\n\t]{0,200}") {
         let _ = parse_turtle(&input);
@@ -54,7 +49,6 @@ proptest! {
                 doc.push_str(s);
             }
         }
-        let _ = parse_ntriples(&doc);
         let _ = parse_turtle(&doc);
     }
 
@@ -64,7 +58,6 @@ proptest! {
     #[test]
     fn parsers_never_panic_on_bytes(bytes in proptest::collection::vec(any::<u8>(), 0..256)) {
         let input = String::from_utf8_lossy(&bytes);
-        prop_assert!(parse_ntriples(&input).is_ok() || parse_ntriples(&input).is_err());
         let _ = parse_turtle(&input);
     }
 
@@ -86,7 +79,6 @@ proptest! {
             noise.clone(),
         ];
         let doc = &templates[pick % templates.len()];
-        let _ = parse_ntriples(doc);
         let _ = parse_turtle(doc);
     }
 }

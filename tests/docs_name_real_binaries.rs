@@ -1,6 +1,8 @@
 //! Pins that the docs, the CI workflow and the verify skill only name
-//! experiment binaries and test targets that exist, and that no single-shot
-//! `BENCH_*.json` artifact comes back to the repository root.
+//! experiment binaries and test targets that exist, that no single-shot
+//! `BENCH_*.json` artifact comes back to the repository root, and that
+//! DESIGN.md's knob tables list exactly the `EngineBuilder` knobs and
+//! `AnswerOptions` fields of the source.
 //!
 //! The crate has two binaries: `exp_all`, whose committed run is the only
 //! source of EXPERIMENTS.md's E1–E8 and A1–A6 numbers, and `benchmark`, the
@@ -148,4 +150,85 @@ fn placeholders_and_real_names_are_told_apart() {
     let text = "`tests/<name>.rs`, `tests/{a,b}.rs`, `tests/common/mod.rs`, \
                 `crates/storage/tests/alloc_budget.rs` and `--test properties`";
     assert_eq!(named_test_targets(text), ["alloc_budget", "properties"]);
+}
+
+/// Rows of the first markdown table after `marker` in `text`, as trimmed
+/// cells, without the header and separator rows.
+fn table_after(text: &str, marker: &str) -> Vec<Vec<String>> {
+    let at = text
+        .find(marker)
+        .unwrap_or_else(|| panic!("no `{marker}` in the text"));
+    text[at..]
+        .lines()
+        .skip_while(|line| !line.starts_with('|'))
+        .take_while(|line| line.starts_with('|'))
+        .skip(2)
+        .map(|line| {
+            let cells = line.trim().trim_matches('|').split('|');
+            cells.map(|cell| cell.trim().to_string()).collect()
+        })
+        .collect()
+}
+
+/// The sorted identifiers in `names`, each the leading identifier of a
+/// markdown cell such as `` `encoding(DictEncoding)` `` or `` `limits` ``.
+fn cell_identifiers<'a>(names: impl Iterator<Item = &'a String>) -> Vec<String> {
+    let mut ids: Vec<String> = names
+        .map(|cell| identifier(cell.trim_start_matches('`')).to_string())
+        .collect();
+    ids.sort();
+    ids
+}
+
+/// The sorted names that the lines of `source`'s block opened by the line
+/// `start` introduce with `prefix`, keeping the lines `keep` accepts.
+fn block_items(source: &str, start: &str, prefix: &str, keep: fn(&str) -> bool) -> Vec<String> {
+    let mut names: Vec<String> = source
+        .lines()
+        .skip_while(|line| *line != start)
+        .skip(1)
+        .take_while(|line| *line != "}")
+        .filter(|line| keep(line))
+        .filter_map(|line| line.trim().strip_prefix(prefix))
+        .map(|rest| identifier(rest).to_string())
+        .collect();
+    names.sort();
+    names
+}
+
+#[test]
+fn design_knob_tables_match_the_builder_and_the_answer_options() {
+    let read = |file: &str| {
+        fs::read_to_string(root().join(file)).unwrap_or_else(|e| panic!("{file}: {e}"))
+    };
+    let design = read("DESIGN.md");
+
+    // §3f: every `EngineBuilder` method that takes the builder by `mut self`.
+    let builder = block_items(
+        &read("crates/core/src/builder.rs"),
+        "impl EngineBuilder {",
+        "pub fn ",
+        |line| line.contains("(mut self"),
+    );
+    let table = table_after(&design, "\nKnobs:\n");
+    assert_eq!(
+        cell_identifiers(table.iter().map(|row| &row[0])),
+        builder,
+        "DESIGN §3f's knob table against `EngineBuilder`'s knobs"
+    );
+
+    // §3d: every field of `AnswerOptions`.
+    let fields = block_items(
+        &read("crates/core/src/answer.rs"),
+        "pub struct AnswerOptions {",
+        "pub ",
+        |_| true,
+    );
+    let table = table_after(&design, "### Configuration knobs");
+    let rows = table.iter().filter(|row| row[0] == "`AnswerOptions`");
+    assert_eq!(
+        cell_identifiers(rows.map(|row| &row[1])),
+        fields,
+        "DESIGN §3d's knob table against `AnswerOptions`' fields"
+    );
 }

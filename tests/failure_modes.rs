@@ -2,11 +2,13 @@
 //! limits — everything must fail *gracefully* with a typed error (or
 //! terminate correctly), never hang or panic.
 
-use rdfref::model::parser::{parse_ntriples, parse_turtle};
+use rdfref::model::parser::parse_turtle;
 use rdfref::model::ModelError;
 use rdfref::prelude::*;
 use rdfref::query::QueryError;
 
+/// Malformed N-Triples documents fail, through the one RDF reader, at the
+/// line of the fault.
 #[test]
 fn malformed_ntriples_report_lines() {
     for (doc, expect_line) in [
@@ -16,8 +18,13 @@ fn malformed_ntriples_report_lines() {
             2,
         ),
         ("<http://s> <http://p> \"unterminated .\n", 1),
+        ("<http://s> <http://p> \"x\"^^<not iri> .\n", 1),
+        (
+            "<http://s> <http://p> <http://o> .\n<http://s> <http://p> \"x\"^^<> .\n",
+            2,
+        ),
     ] {
-        match parse_ntriples(doc) {
+        match parse_turtle(doc) {
             Err(ModelError::Syntax { line, .. }) => assert_eq!(line, expect_line, "{doc:?}"),
             other => panic!("expected syntax error for {doc:?}, got {other:?}"),
         }
