@@ -12,9 +12,17 @@
 //! fragments. Each candidate is reformulated through one per-search
 //! `FragmentCache`: every atom's union is computed once, every fragment's
 //! once (in store id space, as the cost model prices it), and a fragment a
-//! move grows extends the cached union of the fragment it grew from. Each
-//! candidate is priced with the storage cost model; the cheapest replaces
-//! the current cover while it improves on it.
+//! move grows extends the cached union of the fragment it grew from.
+//!
+//! A candidate is priced by fragment: the cache keeps each fragment's
+//! estimate (cost, cardinality, distinct values per column) beside its
+//! union, computed the first time a cover needs it, and a cover's price is
+//! the storage cost model's join over its fragments' estimates. A move
+//! grows one fragment or merges two; the others keep their estimates unless
+//! the move changes the columns they export. The price is bit-for-bit the
+//! cost model's estimate of the cover's whole JUCQ. The cheapest candidate
+//! replaces the current cover while it improves on it, and only the cover
+//! the search ends on is built as a JUCQ.
 //!
 //! Covers whose reformulation exceeds the size limit get infinite cost —
 //! this is how GCov "makes Ref feasible in cases when the reformulated
@@ -24,7 +32,7 @@ use crate::error::{CoreError, Result};
 use crate::reformulate::jucq::FragmentCache;
 use crate::reformulate::rules::RewriteContext;
 use crate::reformulate::ucq::ReformulationLimits;
-use rdfref_model::fxhash::FxHashMap;
+use rdfref_model::fxhash::FxHashSet;
 use rdfref_obs::Obs;
 use rdfref_query::ast::{Cq, Jucq};
 use rdfref_query::Cover;
@@ -127,25 +135,22 @@ fn gcov_search(
     // store, so both the estimates and the returned plan speak its ids.
     let mut cache = FragmentCache::new(cq, ctx, opts.limits).encoded();
     let mut explored: Vec<(Cover, Option<CostEstimate>)> = Vec::new();
-    let mut seen: FxHashMap<Cover, Option<f64>> = FxHashMap::default();
+    let mut seen: FxHashSet<Cover> = FxHashSet::default();
 
     // A cover whose reformulation exceeds the size limit is recorded as
     // explored and infeasible; every error is returned to the caller.
     let evaluate = |cover: &Cover,
                     cache: &mut FragmentCache,
                     explored: &mut Vec<(Cover, Option<CostEstimate>)>,
-                    seen: &mut FxHashMap<Cover, Option<f64>>|
-     -> Result<(Jucq, CostEstimate)> {
-        let result = cache.jucq(cover).map(|jucq| {
-            let est = model.jucq_estimate(&jucq);
-            (jucq, est)
-        });
+                    seen: &mut FxHashSet<Cover>|
+     -> Result<CostEstimate> {
+        let result = cache.price(cover, model);
         let est = match &result {
-            Ok((_, est)) => Some(*est),
+            Ok(est) => Some(*est),
             Err(CoreError::ReformulationTooLarge { .. }) => None,
             Err(_) => return result,
         };
-        if seen.insert(cover.clone(), est.map(|e| e.cost)).is_none() {
+        if seen.insert(cover.clone()) {
             explored.push((cover.clone(), est));
         }
         result
@@ -155,8 +160,7 @@ fn gcov_search(
     // own reformulation too large — only possible with an extreme limit),
     // its error, with the size that was refused, is the search's.
     let mut current_cover = Cover::singletons(n);
-    let (mut current_jucq, mut current_est) =
-        evaluate(&current_cover, &mut cache, &mut explored, &mut seen)?;
+    let mut current_est = evaluate(&current_cover, &mut cache, &mut explored, &mut seen)?;
 
     for _step in 0..MAX_STEPS {
         // Generate candidate moves.
@@ -183,40 +187,42 @@ fn gcov_search(
                 }
             }
         }
-        candidates.sort_by_key(|c| c.to_string());
+        candidates.sort_by_cached_key(|c| c.to_string());
         candidates.dedup();
 
-        let mut best: Option<(Cover, Jucq, CostEstimate)> = None;
+        let mut best: Option<(Cover, CostEstimate)> = None;
         for cand in candidates {
-            if seen.contains_key(&cand) {
+            if seen.contains(&cand) {
                 continue;
             }
-            let (jucq, est) = match evaluate(&cand, &mut cache, &mut explored, &mut seen) {
-                Ok(priced) => priced,
+            let est = match evaluate(&cand, &mut cache, &mut explored, &mut seen) {
+                Ok(est) => est,
                 Err(CoreError::ReformulationTooLarge { .. }) => continue,
                 Err(e) => return Err(e),
             };
             if best
                 .as_ref()
-                .map(|(_, _, b)| est.cost < b.cost)
+                .map(|(_, b)| est.cost < b.cost)
                 .unwrap_or(true)
             {
-                best = Some((cand, jucq, est));
+                best = Some((cand, est));
             }
         }
         match best {
-            Some((cover, jucq, est)) if est.cost * MIN_IMPROVEMENT < current_est.cost => {
+            Some((cover, est)) if est.cost * MIN_IMPROVEMENT < current_est.cost => {
                 current_cover = cover;
-                current_jucq = jucq;
                 current_est = est;
             }
             _ => break, // local optimum
         }
     }
 
+    // Every fragment of the winner is cached: building its JUCQ computes
+    // none anew.
+    let jucq = cache.jucq(&current_cover)?;
     Ok(GcovResult {
         cover: current_cover,
-        jucq: current_jucq,
+        jucq,
         estimate: current_est,
         explored,
     })
@@ -242,7 +248,7 @@ fn fragments_connected(cq: &Cq, cover: &Cover, a: usize, b: usize) -> bool {
 mod tests {
     use super::*;
     use rdfref_model::dictionary::ID_RDF_TYPE;
-    use rdfref_model::{Dictionary, EncodedTriple, Schema, Term, TermId};
+    use rdfref_model::{Dictionary, EncodedTriple, HierarchyEncoder, Schema, Term, TermId};
     use rdfref_query::ast::Atom;
     use rdfref_query::Var;
     use rdfref_storage::{Stats, Store};
@@ -254,6 +260,12 @@ mod tests {
     /// A miniature Example-1 setting: a wide type relation and a highly
     /// selective degree property.
     fn fixture() -> (Schema, Store, Vec<TermId>) {
+        let (schema, triples, _, ids) = example1();
+        (schema, Store::from_triples(&triples), ids)
+    }
+
+    /// The Example-1 fixture's schema, triples, dictionary size and ids.
+    fn example1() -> (Schema, Vec<EncodedTriple>, usize, Vec<TermId>) {
         let mut d = Dictionary::new();
         let person = d.intern(&Term::iri("Person"));
         let student = d.intern(&Term::iri("Student"));
@@ -280,12 +292,72 @@ mod tests {
                 triples.push(EncodedTriple::new(x, masters, univ));
             }
         }
-        let store = Store::from_triples(&triples);
         (
             s,
-            store,
+            triples,
+            d.len(),
             vec![person, student, degree, masters, member, univ],
         )
+    }
+
+    /// q(x, u, z) :- (x τ u), (x mastersDegreeFrom Univ532), (x memberOf z)
+    fn example1_query(ids: &[TermId]) -> Cq {
+        Cq::new(
+            vec![v("x"), v("u"), v("z")],
+            vec![
+                Atom::new(v("x"), ID_RDF_TYPE, v("u")),
+                Atom::new(v("x"), ids[3], ids[5]),
+                Atom::new(v("x"), ids[4], v("z")),
+            ],
+        )
+        .unwrap()
+    }
+
+    /// A 5-atom chain over a sub-class and a sub-property hierarchy, three
+    /// levels each, and irregular data it runs on. The hierarchies are
+    /// interned leaves first, so the interval encoder renumbers every one of
+    /// their terms.
+    fn chain() -> (Schema, Vec<EncodedTriple>, usize, Cq) {
+        let mut d = Dictionary::new();
+        let mut iri = |n: String| d.intern(&Term::iri(n));
+        let mut classes: Vec<TermId> = (0..4).rev().map(|i| iri(format!("C{i}"))).collect();
+        let mut props: Vec<TermId> = (0..4).rev().map(|i| iri(format!("p{i}"))).collect();
+        classes.reverse();
+        props.reverse();
+        let mut s = Schema::new();
+        for i in 1..4 {
+            s.add_subclass(classes[i], classes[i / 2]);
+            s.add_subproperty(props[i], props[i / 2]);
+        }
+        s.add_domain(props[1], classes[0]);
+        let mut triples = Vec::new();
+        for i in 0..97usize {
+            let x = iri(format!("n{i}"));
+            let y = iri(format!("n{}", (i * 7 + 3) % 97));
+            triples.push(EncodedTriple::new(x, props[i % 4], y));
+            if i % 5 == 0 {
+                let z = iri(format!("n{}", (i * 11 + 1) % 97));
+                triples.push(EncodedTriple::new(x, props[(i / 5) % 4], z));
+            }
+            if i % 3 == 0 {
+                triples.push(EncodedTriple::new(x, ID_RDF_TYPE, classes[i % 4]));
+            }
+            if i % 7 == 0 {
+                triples.push(EncodedTriple::new(x, ID_RDF_TYPE, classes[(i / 7) % 4]));
+            }
+        }
+        let q = Cq::new(
+            vec![v("a"), v("e")],
+            vec![
+                Atom::new(v("a"), ID_RDF_TYPE, classes[0]),
+                Atom::new(v("a"), props[0], v("b")),
+                Atom::new(v("b"), props[1], v("c")),
+                Atom::new(v("c"), props[0], v("e")),
+                Atom::new(v("e"), ID_RDF_TYPE, classes[2]),
+            ],
+        )
+        .unwrap();
+        (s, triples, d.len(), q)
     }
 
     #[test]
@@ -295,16 +367,7 @@ mod tests {
         let ctx = RewriteContext::new(&schema, &cl);
         let stats = Stats::compute(&store);
         let model = CostModel::new(&stats);
-        // q(x, u, z) :- (x τ u), (x mastersDegreeFrom Univ532), (x memberOf z)
-        let q = Cq::new(
-            vec![v("x"), v("u"), v("z")],
-            vec![
-                Atom::new(v("x"), ID_RDF_TYPE, v("u")),
-                Atom::new(v("x"), ids[3], ids[5]),
-                Atom::new(v("x"), ids[4], v("z")),
-            ],
-        )
-        .unwrap();
+        let q = example1_query(&ids);
         let result = gcov(&q, &ctx, &model, &GcovOptions::default()).unwrap();
         // The selected cover must group the unselective type atom with a
         // selective one, i.e. not stay at singletons.
@@ -320,6 +383,45 @@ mod tests {
         assert!(result.estimate.cost < model.jucq_estimate(&scq).cost);
         // The search recorded its exploration.
         assert!(result.explored.len() >= 2);
+    }
+
+    /// Pricing a cover from cached fragment estimates is bit-for-bit the
+    /// cost model's estimate of the whole JUCQ, for every cover the search
+    /// explores and for the one it returns, in both id spaces.
+    #[test]
+    fn explored_estimates_equal_whole_jucq_estimates_bit_for_bit() {
+        let (schema, triples, universe, ids) = example1();
+        let chain = chain();
+        let cases = [(schema, triples, universe, example1_query(&ids)), chain];
+        for (schema, triples, universe, q) in cases {
+            let closure = schema.closure();
+            let interval = HierarchyEncoder::build(&schema, &closure, universe);
+            assert!(!interval.is_identity());
+            for encoder in [HierarchyEncoder::default(), interval] {
+                let store = Store::from_triples(&encoder.encode_triples(&triples));
+                let stats = Stats::compute(&store);
+                let model = CostModel::new(&stats);
+                let ctx = RewriteContext::new(&schema, &closure).with_encoder(&encoder);
+                let opts = GcovOptions::default();
+                let result = gcov(&q, &ctx, &model, &opts).unwrap();
+                assert!(result.explored.len() > 2, "{}", result.explored.len());
+                let bits = |e: CostEstimate| (e.cost.to_bits(), e.cardinality.to_bits());
+                // A fragment's union lists its members in the order of the
+                // path it was built by (directly, or extending a cached
+                // sub-fragment), and the float sums follow that order. So
+                // the reference builds each explored cover's JUCQ in the
+                // order the search explored them, in one fresh cache.
+                let mut reference = FragmentCache::new(&q, &ctx, opts.limits).encoded();
+                for (cover, est) in &result.explored {
+                    let whole = model.jucq_estimate(&reference.jucq(cover).unwrap());
+                    assert_eq!(est.map(bits), Some(bits(whole)), "{cover}");
+                }
+                assert_eq!(
+                    bits(result.estimate),
+                    bits(model.jucq_estimate(&result.jucq))
+                );
+            }
+        }
     }
 
     #[test]

@@ -14,7 +14,9 @@
 //! Both go through `FragmentCache`, the per-request state GCov's search
 //! shares: every atom's union is computed once, every fragment's once, and a
 //! fragment extends the cached union of a sub-fragment when one keeps the
-//! variables the rest of it needs.
+//! variables the rest of it needs. The search prices a cover by joining its
+//! fragments' cached estimates, each computed once, and builds a JUCQ only
+//! for the cover it picks.
 
 use crate::answer::encoded_ucq;
 use crate::error::Result;
@@ -24,6 +26,7 @@ use rdfref_model::fxhash::FxHashMap;
 use rdfref_model::HierarchyEncoder;
 use rdfref_query::ast::{Cq, Fragment, Jucq, PTerm, Ucq};
 use rdfref_query::{Cover, Var};
+use rdfref_storage::{CostEstimate, CostModel, FragmentEstimate};
 
 /// Reformulate `cq` along `cover` into a JUCQ.
 ///
@@ -58,16 +61,33 @@ pub(crate) struct FragmentCache<'q, 'c> {
     /// the context's store ids, which the cost model prices.
     served_in: &'c HierarchyEncoder,
     atoms: Vec<Option<AtomUnion>>,
-    /// Fragment unions by atom set and columns (or the error of one over the
-    /// limit).
-    fragments: FxHashMap<(Vec<usize>, Vec<Var>), Result<Union>>,
+    /// Fragment unions by atom set and columns: the index of each in
+    /// `unions`.
+    fragments: FxHashMap<FragmentKey, usize>,
+    /// The fragment unions (or the error of one over the limit), in the
+    /// order they were computed.
+    unions: Vec<Result<Union>>,
 }
+
+/// A fragment: its atoms (sorted) and the columns it exports.
+type FragmentKey = (Vec<usize>, Vec<Var>);
 
 /// A fragment's union, and the same in the id space it is served in when
 /// the ids differ there (transported once, when it enters the cache).
 struct Union {
+    columns: Vec<Var>,
     plain: Ucq,
     encoded: Option<Ucq>,
+    /// The cost model's estimate of the served union, once a search has
+    /// priced it.
+    estimate: Option<FragmentEstimate>,
+}
+
+impl Union {
+    /// The union in the id space it is served in.
+    fn served(&self) -> &Ucq {
+        self.encoded.as_ref().unwrap_or(&self.plain)
+    }
 }
 
 impl<'q, 'c> FragmentCache<'q, 'c> {
@@ -83,6 +103,7 @@ impl<'q, 'c> FragmentCache<'q, 'c> {
             served_in: identity_encoder(),
             atoms: (0..cq.size()).map(|_| None).collect(),
             fragments: FxHashMap::default(),
+            unions: Vec::new(),
         }
     }
 
@@ -135,19 +156,47 @@ impl<'q, 'c> FragmentCache<'q, 'c> {
         Ok(Jucq::new(self.cq.head_vars(), fragments)?)
     }
 
+    /// The estimate of the JUCQ `cover` slices the query into, joined from
+    /// its fragments' cached estimates. Fails, without pricing, with the
+    /// error [`FragmentCache::jucq`] would return.
+    pub(crate) fn price(&mut self, cover: &Cover, model: &CostModel<'_>) -> Result<CostEstimate> {
+        let columns = cover.fragment_columns(self.cq);
+        let mut slots = Vec::with_capacity(cover.len());
+        for (atoms, cols) in cover.fragments().iter().zip(columns) {
+            let slot = self.slot((atoms.clone(), cols));
+            let union = self.unions[slot].as_mut().map_err(|e| e.clone())?;
+            if union.estimate.is_none() {
+                let columns = &union.columns;
+                union.estimate = Some(model.fragment_estimate(union.served(), columns));
+            }
+            slots.push(slot);
+        }
+        let estimates: Vec<&FragmentEstimate> = slots
+            .iter()
+            .filter_map(|&slot| self.unions[slot].as_ref().ok()?.estimate.as_ref())
+            .collect();
+        Ok(model.join_estimate(&estimates))
+    }
+
     /// The union of the fragment `atoms` (sorted) exporting `columns`.
     fn fragment(&mut self, atoms: &[usize], columns: &[Var]) -> Result<Fragment> {
-        let key = (atoms.to_vec(), columns.to_vec());
-        let union = match self.fragments.get(&key) {
-            Some(union) => served(union),
-            None => {
-                let union = self.compute(atoms, columns);
-                let served = served(&union);
-                self.fragments.insert(key, union);
-                served
-            }
-        };
-        Ok(Fragment::new(columns.to_vec(), union?)?)
+        let slot = self.slot((atoms.to_vec(), columns.to_vec()));
+        let union = self.unions[slot].as_ref().map_err(|e| e.clone())?;
+        Ok(Fragment::new(
+            union.columns.clone(),
+            union.served().clone(),
+        )?)
+    }
+
+    /// The index in `unions` of the fragment `key`, computed on first use.
+    fn slot(&mut self, key: FragmentKey) -> usize {
+        if let Some(&slot) = self.fragments.get(&key) {
+            return slot;
+        }
+        let union = self.compute(&key.0, &key.1);
+        self.unions.push(union);
+        self.fragments.insert(key, self.unions.len() - 1);
+        self.unions.len() - 1
     }
 
     fn compute(&mut self, atoms: &[usize], columns: &[Var]) -> Result<Union> {
@@ -169,10 +218,12 @@ impl<'q, 'c> FragmentCache<'q, 'c> {
                     .any(|i| !sub.contains(i) && self.cq.body[*i].vars().any(|w| w == v))
         };
         let mut base: Option<(&[usize], Factor<'_>)> = None;
-        for ((sub, cols), union) in &self.fragments {
+        for ((sub, cols), &slot) in &self.fragments {
             let proper = sub.len() < atoms.len() && sub.iter().all(|i| atoms.contains(i));
             let wider = base.is_none_or(|(b, _)| b.len() < sub.len());
-            let Ok(union) = union else { continue };
+            let Ok(union) = &self.unions[slot] else {
+                continue;
+            };
             if !proper || !wider {
                 continue;
             }
@@ -196,16 +247,13 @@ impl<'q, 'c> FragmentCache<'q, 'c> {
         let head: Vec<PTerm> = columns.iter().cloned().map(PTerm::Var).collect();
         let plain = join(self.ctx, &factors, &head);
         let encoded = encoded_ucq(self.served_in, &plain);
-        Ok(Union { plain, encoded })
+        Ok(Union {
+            columns: columns.to_vec(),
+            plain,
+            encoded,
+            estimate: None,
+        })
     }
-}
-
-/// A copy of a cached union, in store id space when it was encoded.
-fn served(union: &Result<Union>) -> Result<Ucq> {
-    union
-        .as_ref()
-        .map(|u| u.encoded.as_ref().unwrap_or(&u.plain).clone())
-        .map_err(Clone::clone)
 }
 
 #[cfg(test)]

@@ -110,11 +110,7 @@ impl Atom {
 
     /// Iterate over the variables of this atom (with duplicates).
     pub fn vars(&self) -> impl Iterator<Item = &Var> {
-        self.positions()
-            .into_iter()
-            .filter_map(|t| t.as_var())
-            .collect::<Vec<_>>()
-            .into_iter()
+        self.positions().into_iter().filter_map(|t| t.as_var())
     }
 
     /// The set of variables of this atom.
@@ -144,8 +140,7 @@ impl Atom {
     /// Do two atoms share at least one variable? (The connectivity relation
     /// used by covers and by the greedy search.)
     pub fn shares_var(&self, other: &Atom) -> bool {
-        let mine = self.var_set();
-        other.vars().any(|v| mine.contains(v))
+        self.vars().any(|v| other.vars().any(|w| w == v))
     }
 
     /// Map every constant position through `f` (see [`PTerm::map_consts`]).

@@ -19,7 +19,6 @@
 
 use crate::stats::Stats;
 use rdfref_model::dictionary::ID_RDF_TYPE;
-use rdfref_model::fxhash::FxHashMap;
 use rdfref_query::ast::{Atom, Cq, Jucq, PTerm, Ucq};
 use rdfref_query::Var;
 
@@ -66,9 +65,6 @@ pub struct CostEstimate {
     /// Estimated total evaluation cost (abstract units).
     pub cost: f64,
 }
-
-/// Per-variable distinct-value estimates, propagated through joins.
-type VMap = FxHashMap<Var, f64>;
 
 /// The cost model's `Auto` verdict for a CQ body's physical join algorithm.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -169,18 +165,23 @@ impl<'a> CostModel<'a> {
                 base
             }
         };
-        // Repeated variable inside one atom: an equality filter.
-        let mut vars: Vec<&Var> = atom.vars().collect();
-        vars.sort();
-        let dups = vars.windows(2).filter(|w| w[0] == w[1]).count();
+        // Repeated variable inside one atom: an equality filter per position
+        // repeating an earlier one.
+        let positions = atom.positions();
+        let dups = (1..3)
+            .filter(|&j| {
+                let v = positions[j].as_var();
+                v.is_some() && positions[..j].iter().any(|t| t.as_var() == v)
+            })
+            .count();
         let sel = (1.0 / (self.stats.distinct_subjects.max(2) as f64)).powi(dups as i32);
         (card * sel).max(0.0)
     }
 
-    /// Estimated distinct values of `var` in the scan of `atom`.
-    fn atom_var_distinct(&self, atom: &Atom, var: &Var) -> f64 {
+    /// Estimated distinct values of `var` in the scan of `atom`, whose
+    /// cardinality is `card`.
+    fn atom_var_distinct(&self, atom: &Atom, card: f64, var: &Var) -> f64 {
         let s = self.stats;
-        let card = self.atom_cardinality(atom);
         let mut v = card;
         if atom.s.as_var() == Some(var) {
             v = match &atom.p {
@@ -209,61 +210,9 @@ impl<'a> CostModel<'a> {
     /// indices. Shared by the estimator and the executor so the estimate
     /// models the plan that actually runs.
     pub fn order_atoms(&self, body: &[Atom]) -> Vec<usize> {
-        let n = body.len();
-        if n == 0 {
-            return Vec::new();
-        }
-        let cards: Vec<f64> = body.iter().map(|a| self.atom_cardinality(a)).collect();
-        let mut remaining: Vec<usize> = (0..n).collect();
-        let mut order = Vec::with_capacity(n);
-        let mut bound: Vec<Var> = Vec::new();
-
-        let Some(first) = remaining
-            .iter()
-            .min_by(|&&a, &&b| cards[a].total_cmp(&cards[b]))
-            .copied()
-        else {
-            debug_assert!(false, "remaining starts non-empty when n > 0");
-            return Vec::new();
-        };
-        remaining.retain(|&i| i != first);
-        order.push(first);
-        bound.extend(body[first].vars().cloned());
-
-        while !remaining.is_empty() {
-            let connected: Vec<usize> = remaining
-                .iter()
-                .copied()
-                .filter(|&i| body[i].vars().any(|v| bound.contains(v)))
-                .collect();
-            let pool = if connected.is_empty() {
-                &remaining
-            } else {
-                &connected
-            };
-            // On a cardinality tie the atom sharing more variables with what
-            // is joined so far: it filters where the other one fans out.
-            let joined = |i: usize| body[i].vars().filter(|v| bound.contains(v)).count();
-            let Some(next) = pool
-                .iter()
-                .min_by(|&&a, &&b| {
-                    let by_card = cards[a].total_cmp(&cards[b]);
-                    by_card.then_with(|| joined(b).cmp(&joined(a)))
-                })
-                .copied()
-            else {
-                debug_assert!(false, "pool falls back to non-empty remaining");
-                break;
-            };
-            remaining.retain(|&i| i != next);
-            order.push(next);
-            for v in body[next].vars() {
-                if !bound.contains(v) {
-                    bound.push(v.clone());
-                }
-            }
-        }
-        order
+        let mut state = CqState::default();
+        state.load(self, body);
+        state.order
     }
 
     /// The `Auto` physical-join verdict for a CQ body. Purely structural +
@@ -311,53 +260,47 @@ impl<'a> CostModel<'a> {
         }
     }
 
-    /// Estimate a CQ: cardinality + cost, and the distinct-value map of its
-    /// variables at the output (used by the JUCQ estimator).
-    fn cq_estimate_full(&self, cq: &Cq) -> (CostEstimate, VMap) {
+    /// Estimate a CQ body: cardinality + cost. Leaves the distinct values of
+    /// its variables at the output in `state` (read by the union
+    /// estimator).
+    fn cq_estimate_full<'q>(&self, body: &'q [Atom], state: &mut CqState<'q>) -> CostEstimate {
         let p = &self.params;
-        if cq.body.is_empty() {
-            return (
-                CostEstimate {
-                    cardinality: 1.0,
-                    cost: 0.0,
-                },
-                VMap::default(),
-            );
-        }
-        let order = self.order_atoms(&cq.body);
-        let mut iter = order.iter();
-        let Some(&first_idx) = iter.next() else {
-            // order_atoms returns one index per atom and the body is
-            // non-empty (checked above) — treat a broken order as empty.
-            debug_assert!(false, "order_atoms covers every atom");
-            return (
-                CostEstimate {
-                    cardinality: 1.0,
-                    cost: 0.0,
-                },
-                VMap::default(),
-            );
+        state.load(self, body);
+        let CqState {
+            vars,
+            slots,
+            cards,
+            distinct,
+            order,
+            ..
+        } = state;
+        let Some(&first_idx) = order.first() else {
+            return CostEstimate {
+                cardinality: 1.0,
+                cost: 0.0,
+            };
         };
-        let first = &cq.body[first_idx];
-        let mut card = self.atom_cardinality(first);
+        let first = &body[first_idx];
+        let mut card = cards[first_idx];
         let mut cost = p.scan_cost_per_row * card;
-        let mut vmap: VMap = VMap::default();
-        for v in first.vars() {
-            vmap.insert(v.clone(), self.atom_var_distinct(first, v));
+        for slot in slots[first_idx].into_iter().flatten() {
+            distinct[slot] = Some(self.atom_var_distinct(first, card, vars[slot]));
         }
-        for &idx in iter {
-            let atom = &cq.body[idx];
-            let a_card = self.atom_cardinality(atom);
+        for &idx in &order[1..] {
+            let atom = &body[idx];
+            let a_card = cards[idx];
             let mut selectivity = 1.0;
             let mut shares = false;
-            let mut atom_vs: Vec<(Var, f64)> = Vec::new();
-            for v in atom.vars() {
-                let av = self.atom_var_distinct(atom, v);
-                if let Some(&rv) = vmap.get(v) {
+            let mut atom_vs = [(0, 0.0); 3];
+            let mut n_vs = 0;
+            for slot in slots[idx].into_iter().flatten() {
+                let av = self.atom_var_distinct(atom, a_card, vars[slot]);
+                if let Some(rv) = distinct[slot] {
                     selectivity /= rv.max(av).max(1.0);
                     shares = true;
                 }
-                atom_vs.push((v.clone(), av));
+                atom_vs[n_vs] = (slot, av);
+                n_vs += 1;
             }
             let out = card * a_card * selectivity;
             // The executor picks scan+hash or index nested-loop (bind) join
@@ -371,125 +314,149 @@ impl<'a> CostModel<'a> {
                 cost += hash_cost;
             }
             card = out;
-            for (v, av) in atom_vs {
-                let merged = match vmap.get(&v) {
-                    Some(&rv) => rv.min(av),
+            for &(slot, av) in &atom_vs[..n_vs] {
+                let merged = match distinct[slot] {
+                    Some(rv) => rv.min(av),
                     None => av,
                 };
-                vmap.insert(v, merged.min(card).max(if card > 0.0 { 1.0 } else { 0.0 }));
+                distinct[slot] = Some(merged.min(card).max(if card > 0.0 { 1.0 } else { 0.0 }));
             }
-            for val in vmap.values_mut() {
+            for val in distinct.iter_mut().flatten() {
                 *val = val.min(card).max(if card > 0.0 { 1.0 } else { 0.0 });
             }
         }
-        (
-            CostEstimate {
-                cardinality: card,
-                cost,
-            },
-            vmap,
-        )
+        CostEstimate {
+            cardinality: card,
+            cost,
+        }
     }
 
     /// Estimate one CQ.
     pub fn cq_estimate(&self, cq: &Cq) -> CostEstimate {
-        self.cq_estimate_full(cq).0
+        self.cq_estimate_full(&cq.body, &mut CqState::default())
     }
 
     /// Estimate a UCQ evaluated as union-distinct of its disjuncts, with the
     /// per-disjunct compile overhead included.
     pub fn ucq_estimate(&self, ucq: &Ucq) -> CostEstimate {
-        self.ucq_estimate_full(ucq, &[]).0
+        self.fragment_estimate(ucq, &[]).estimate
     }
 
-    /// UCQ estimate plus distinct-value estimates for named output columns.
-    fn ucq_estimate_full(&self, ucq: &Ucq, columns: &[Var]) -> (CostEstimate, VMap) {
+    /// Estimate one JUCQ fragment: its union `ucq` (see
+    /// [`CostModel::ucq_estimate`]) and the distinct values of each of its
+    /// `columns`, which [`CostModel::join_estimate`] joins on.
+    pub fn fragment_estimate(&self, ucq: &Ucq, columns: &[Var]) -> FragmentEstimate {
         let p = &self.params;
         let mut card = 0.0;
         let mut cost = 0.0;
-        let mut col_vs: VMap = VMap::default();
+        // A column name repeated in `columns` sums into its first position.
+        let first_of: Vec<usize> = columns
+            .iter()
+            .enumerate()
+            .map(|(pos, col)| columns[..pos].iter().position(|c| c == col).unwrap_or(pos))
+            .collect();
+        let mut col_vs = vec![0.0; columns.len()];
+        let mut state = CqState::default();
         for cq in &ucq.cqs {
-            let (est, vmap) = self.cq_estimate_full(cq);
+            let est = self.cq_estimate_full(&cq.body, &mut state);
             card += est.cardinality;
             cost += est.cost;
-            for (pos, col) in columns.iter().enumerate() {
+            for (pos, &first) in first_of.iter().enumerate() {
                 let member_v = match cq.head.get(pos) {
-                    Some(PTerm::Var(v)) => vmap.get(v).copied().unwrap_or(est.cardinality),
+                    Some(PTerm::Var(v)) => state.distinct_of(v).unwrap_or(est.cardinality),
                     Some(PTerm::Const(_) | PTerm::Range(..)) => 1.0_f64.min(est.cardinality),
                     None => 0.0,
                 };
-                *col_vs.entry(col.clone()).or_insert(0.0) += member_v;
+                col_vs[first] += member_v;
             }
         }
         cost += p.dedup_cost_per_row * card;
         cost += p.parse_cost_per_cq * ucq.len() as f64;
         cost += p.parse_cost_per_atom * ucq.total_atoms() as f64;
-        for v in col_vs.values_mut() {
+        for v in &mut col_vs {
             *v = v.min(card).max(if card > 0.0 { 1.0 } else { 0.0 });
         }
-        (
-            CostEstimate {
+        FragmentEstimate {
+            estimate: CostEstimate {
                 cardinality: card,
                 cost,
             },
-            col_vs,
-        )
+            columns: columns
+                .iter()
+                .zip(first_of)
+                .map(|(col, first)| (col.clone(), col_vs[first]))
+                .collect(),
+        }
     }
 
     /// Estimate a JUCQ: fragment estimates plus the join of fragment
     /// results, ordered smallest-first preferring shared columns (mirroring
     /// the executor).
     pub fn jucq_estimate(&self, jucq: &Jucq) -> CostEstimate {
+        let frags: Vec<FragmentEstimate> = jucq
+            .fragments
+            .iter()
+            .map(|f| self.fragment_estimate(&f.ucq, &f.columns))
+            .collect();
+        self.join_estimate(&frags.iter().collect::<Vec<_>>())
+    }
+
+    /// Join fragment estimates, in JUCQ fragment order: the fragments' own
+    /// costs plus a greedy join of their results, smallest first, preferring
+    /// a fragment that shares a column with what is joined so far.
+    pub fn join_estimate(&self, frags: &[&FragmentEstimate]) -> CostEstimate {
         let p = &self.params;
-        let mut card_total_cost = 0.0;
-        let mut frags: Vec<(f64, VMap, Vec<Var>)> = Vec::new();
-        for frag in &jucq.fragments {
-            let (est, vs) = self.ucq_estimate_full(&frag.ucq, &frag.columns);
-            card_total_cost += est.cost;
-            frags.push((est.cardinality, vs, frag.columns.clone()));
+        let mut cost = 0.0;
+        for frag in frags {
+            cost += frag.estimate.cost;
         }
-        if frags.is_empty() {
+        let mut remaining: Vec<usize> = (0..frags.len()).collect();
+        remaining.sort_by(|&a, &b| {
+            let card = |i: usize| frags[i].estimate.cardinality;
+            card(a).total_cmp(&card(b))
+        });
+        let Some(first) = remaining.first().map(|&i| frags[i]) else {
             return CostEstimate {
                 cardinality: 0.0,
-                cost: card_total_cost,
+                cost,
             };
-        }
-        // Greedy join order over fragments.
-        let mut remaining: Vec<usize> = (0..frags.len()).collect();
-        remaining.sort_by(|&a, &b| frags[a].0.total_cmp(&frags[b].0));
-        let first = remaining.remove(0);
-        let (mut card, mut vmap, mut cols) = frags[first].clone();
-        let mut cost = card_total_cost;
+        };
+        remaining.remove(0);
+        let mut card = first.estimate.cardinality;
+        // The distinct values of every column joined so far; a name's first
+        // entry is the one read and updated.
+        let mut joined: Vec<(&Var, f64)> = first.columns.iter().map(|(c, v)| (c, *v)).collect();
+        let lookup = |joined: &[(&Var, f64)], col: &Var| {
+            joined.iter().find(|(c, _)| *c == col).map(|&(_, v)| v)
+        };
         while !remaining.is_empty() {
             let pos = remaining
                 .iter()
-                .position(|&i| frags[i].2.iter().any(|c| cols.contains(c)))
+                .position(|&i| {
+                    frags[i]
+                        .columns
+                        .iter()
+                        .any(|(c, _)| lookup(&joined, c).is_some())
+                })
                 .unwrap_or(0);
-            let idx = remaining.remove(pos);
-            let (f_card, f_vs, f_cols) = frags[idx].clone();
+            let frag = frags[remaining.remove(pos)];
+            let f_card = frag.estimate.cardinality;
             let mut selectivity = 1.0;
-            for c in &f_cols {
-                if cols.contains(c) {
-                    let lv = vmap.get(c).copied().unwrap_or(card);
-                    let rv = f_vs.get(c).copied().unwrap_or(f_card);
-                    selectivity /= lv.max(rv).max(1.0);
+            for (col, rv) in &frag.columns {
+                if let Some(lv) = lookup(&joined, col) {
+                    selectivity /= lv.max(*rv).max(1.0);
                 }
             }
             let out = card * f_card * selectivity;
             cost += p.join_cost_per_row * (card + f_card + out);
             card = out;
-            for c in &f_cols {
-                let fv = f_vs.get(c).copied().unwrap_or(f_card);
-                let merged = match vmap.get(c) {
-                    Some(&lv) => lv.min(fv),
-                    None => fv,
-                };
-                vmap.insert(c.clone(), merged);
-                if !cols.contains(c) {
-                    cols.push(c.clone());
+            for (col, fv) in &frag.columns {
+                match joined.iter_mut().find(|(c, _)| *c == col) {
+                    Some((_, lv)) => *lv = lv.min(*fv),
+                    None => joined.push((col, *fv)),
                 }
             }
-            for v in vmap.values_mut() {
+            for (_, v) in &mut joined {
                 *v = v.min(card).max(if card > 0.0 { 1.0 } else { 0.0 });
             }
         }
@@ -499,6 +466,112 @@ impl<'a> CostModel<'a> {
             cardinality: card,
             cost,
         }
+    }
+}
+
+/// One JUCQ fragment's estimate (see [`CostModel::fragment_estimate`]).
+#[derive(Debug, Clone, PartialEq)]
+pub struct FragmentEstimate {
+    /// The fragment union's cardinality and cost.
+    pub estimate: CostEstimate,
+    /// Each column, in column order, with its estimated distinct values.
+    columns: Vec<(Var, f64)>,
+}
+
+/// The estimator's per-CQ state, reused across the members of a union: the
+/// body's variables as dense slots, and per atom its cardinality and the
+/// slot of each of its `s`, `p`, `o` positions.
+#[derive(Default)]
+struct CqState<'q> {
+    /// The body's distinct variables; a variable's slot is its index.
+    vars: Vec<&'q Var>,
+    /// Per atom, the slot of each variable position.
+    slots: Vec<[Option<usize>; 3]>,
+    /// Per atom, its estimated cardinality.
+    cards: Vec<f64>,
+    /// Per slot, the running distinct-value estimate (`None` until an atom
+    /// holding the variable is joined).
+    distinct: Vec<Option<f64>>,
+    /// The greedy join order ([`CostModel::order_atoms`]).
+    order: Vec<usize>,
+    remaining: Vec<usize>,
+    bound: Vec<bool>,
+}
+
+impl<'q> CqState<'q> {
+    /// Take `body`: its variable slots, atom cardinalities and join order.
+    fn load(&mut self, model: &CostModel<'_>, body: &'q [Atom]) {
+        self.vars.clear();
+        self.slots.clear();
+        self.cards.clear();
+        for atom in body {
+            let mut at = [None; 3];
+            for (slot, term) in at.iter_mut().zip(atom.positions()) {
+                if let Some(v) = term.as_var() {
+                    *slot = Some(match self.vars.iter().position(|w| *w == v) {
+                        Some(i) => i,
+                        None => {
+                            self.vars.push(v);
+                            self.vars.len() - 1
+                        }
+                    });
+                }
+            }
+            self.slots.push(at);
+            self.cards.push(model.atom_cardinality(atom));
+        }
+        self.distinct.clear();
+        self.distinct.resize(self.vars.len(), None);
+        self.order_atoms();
+    }
+
+    /// The greedy join order of the loaded body into `order` (see
+    /// [`CostModel::order_atoms`]).
+    fn order_atoms(&mut self) {
+        let CqState {
+            slots,
+            cards,
+            order,
+            remaining,
+            bound,
+            vars,
+            ..
+        } = self;
+        order.clear();
+        remaining.clear();
+        remaining.extend(0..cards.len());
+        bound.clear();
+        bound.resize(vars.len(), false);
+        while !remaining.is_empty() {
+            let connected = |i: usize| slots[i].into_iter().flatten().any(|s| bound[s]);
+            // On a cardinality tie the atom sharing more variables with what
+            // is joined so far: it filters where the other one fans out.
+            let joined = |i: usize| slots[i].into_iter().flatten().filter(|&s| bound[s]).count();
+            let any_connected = remaining.iter().any(|&i| connected(i));
+            let Some(next) = remaining
+                .iter()
+                .copied()
+                .filter(|&i| !any_connected || connected(i))
+                .min_by(|&a, &b| {
+                    let by_card = cards[a].total_cmp(&cards[b]);
+                    by_card.then_with(|| joined(b).cmp(&joined(a)))
+                })
+            else {
+                debug_assert!(false, "the pool falls back to the non-empty remainder");
+                break;
+            };
+            remaining.retain(|&i| i != next);
+            order.push(next);
+            for s in slots[next].into_iter().flatten() {
+                bound[s] = true;
+            }
+        }
+    }
+
+    /// The distinct-value estimate of `var` after the loaded CQ's last join.
+    fn distinct_of(&self, var: &Var) -> Option<f64> {
+        let slot = self.vars.iter().position(|w| *w == var)?;
+        self.distinct[slot]
     }
 }
 
@@ -760,6 +833,51 @@ mod tests {
             est_grouped.cost,
             est_scq.cost
         );
+
+        // GCov prices a cover by joining per-fragment estimates: the same
+        // numbers, bit for bit, in any fragment order.
+        let bits = |e: CostEstimate| (e.cost.to_bits(), e.cardinality.to_bits());
+        for jucq in [&scq, &grouped] {
+            let frags: Vec<FragmentEstimate> = jucq
+                .fragments
+                .iter()
+                .map(|f| m.fragment_estimate(&f.ucq, &f.columns))
+                .collect();
+            let joined = m.join_estimate(&frags.iter().collect::<Vec<_>>());
+            assert_eq!(bits(joined), bits(m.jucq_estimate(jucq)));
+            let reversed = Jucq::new(
+                jucq.head.clone(),
+                jucq.fragments.iter().rev().cloned().collect(),
+            )
+            .unwrap();
+            let joined = m.join_estimate(&frags.iter().rev().collect::<Vec<_>>());
+            assert_eq!(bits(joined), bits(m.jucq_estimate(&reversed)));
+            for (frag, est) in jucq.fragments.iter().zip(&frags) {
+                assert_eq!(bits(est.estimate), bits(m.ucq_estimate(&frag.ucq)));
+            }
+        }
+        assert_eq!(
+            m.join_estimate(&[]),
+            m.jucq_estimate(&Jucq::new(vec![], vec![]).unwrap())
+        );
+    }
+
+    #[test]
+    fn a_repeated_variable_filters_once_per_repeat() {
+        let (stats, ids) = fixture();
+        let m = CostModel::new(&stats);
+        // 10 distinct subjects: each repeat keeps a tenth.
+        assert_eq!(stats.distinct_subjects, 10);
+        // (?x p ?x): the 100 p-triples, filtered once.
+        let xpx = Atom::new(v("x"), ids[0], v("x"));
+        assert_eq!(m.atom_cardinality(&xpx), 10.0);
+        // (?x ?x ?x): all 112 triples, filtered twice.
+        let xxx = Atom::new(v("x"), v("x"), v("x"));
+        assert_eq!(stats.total, 112);
+        assert_eq!(m.atom_cardinality(&xxx), 1.12);
+        // (?x ?y ?x): one repeat, whatever its positions.
+        let xyx = Atom::new(v("x"), v("y"), v("x"));
+        assert_eq!(m.atom_cardinality(&xyx), 11.200000000000001);
     }
 
     #[test]

@@ -52,7 +52,7 @@ pub mod stats;
 pub mod store;
 pub mod wcoj;
 
-pub use cost::{CostEstimate, CostModel, JoinChoice};
+pub use cost::{CostEstimate, CostModel, FragmentEstimate, JoinChoice};
 pub use error::{Result, StorageError};
 pub use evaluator::{
     eval_cq, eval_jucq, eval_ucq, JoinAlgorithm, Parallelism, DEFAULT_MORSEL_SIZE,
