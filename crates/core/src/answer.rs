@@ -19,7 +19,7 @@
 //! how they get there, which [`Explain`] exposes.
 
 use crate::cache::{CacheKey, CachedPlan, PlanCache, StrategyTag};
-use crate::error::{CoreError, Result};
+use crate::error::Result;
 use crate::explain::{CacheReport, Explain};
 use crate::gcov::{gcov_with_obs, GcovOptions, GcovResult};
 use crate::incomplete::IncompletenessProfile;
@@ -28,9 +28,9 @@ use crate::reformulate::rules::{identity_encoder, RewriteContext};
 use crate::reformulate::ucq::{reformulate_ucq, ReformulationLimits};
 use rdfref_model::{DictEncoding, Graph, HierarchyEncoder, Schema, SchemaClosure, TermId};
 use rdfref_obs::Obs;
-use rdfref_query::ast::{Cq, Fragment, Jucq, PTerm, Substitution, Ucq};
-use rdfref_query::canonical::{alpha_canonicalize, AlphaCanonical};
-use rdfref_query::{Cover, Var};
+use rdfref_query::ast::{Cq, Ucq};
+use rdfref_query::canonical::alpha_canonicalize;
+use rdfref_query::Cover;
 use rdfref_reasoning::saturate_in_place_obs;
 use rdfref_storage::evaluator::{head_names, Evaluator};
 use rdfref_storage::{ExecMetrics, JoinAlgorithm, Parallelism, Relation, Stats, Store};
@@ -545,91 +545,72 @@ impl Database {
                     &mut metrics,
                 )?
             }
-            Strategy::RefUcq => {
-                let plan = self.ref_plan(cq, PlanRequest::Ucq, opts, &mut explain, &obs)?;
-                let CachedPlan::Ucq(ucq) = plan else {
-                    debug_assert!(false, "UCQ request yields a UCQ plan");
-                    return Err(CoreError::PlanShapeMismatch { expected: "UCQ" });
+            Strategy::RefUcq
+            | Strategy::RefScq
+            | Strategy::RefJucq(_)
+            | Strategy::RefGCov
+            | Strategy::RefIncomplete(_) => {
+                let (plan, atom_map) = match strategy {
+                    Strategy::RefIncomplete(profile) => {
+                        let filtered = profile.filter_schema(&self.schema);
+                        let closure = filtered.closure();
+                        let ctx = RewriteContext::new(&filtered, &closure);
+                        let _span = obs.span("answer.plan.incomplete");
+                        // Incomplete profiles reformulate classically (their
+                        // filtered closure need not match the encoder's), then
+                        // the UCQ is transported into store id space.
+                        let ucq = self.encode_ucq(reformulate_ucq(cq, &ctx, opts.limits)?);
+                        (Arc::new(CachedPlan::Ucq(ucq)), (0..cq.size()).collect())
+                    }
+                    _ => self.ref_plan(cq, strategy, opts, &mut explain, &obs)?,
                 };
-                explain.reformulation_cqs = ucq.len();
-                explain.reformulation_atoms = ucq.total_atoms();
                 let model = rdfref_storage::CostModel::new(&self.stats);
-                explain.estimate = Some(model.ucq_estimate(&ucq));
-                let relation = evaluator(&self.store, &self.stats, opts, &obs).eval_ucq(
-                    &ucq,
-                    &out,
-                    &mut metrics,
-                )?;
-                #[cfg(feature = "strict-invariants")]
-                self.check_against_raw_fixpoint(cq, opts, &out, &relation);
-                relation
-            }
-            Strategy::RefScq => {
-                let plan = self.ref_plan(cq, PlanRequest::Scq, opts, &mut explain, &obs)?;
-                let CachedPlan::Jucq(jucq) = plan else {
-                    debug_assert!(false, "SCQ request yields a JUCQ plan");
-                    return Err(CoreError::PlanShapeMismatch { expected: "JUCQ" });
+                let ev = evaluator(&self.store, &self.stats, opts, &obs);
+                // The plan is evaluated as it is stored, in the variables of
+                // the query it was planned for (α-canonical through the cache).
+                let relation = match &*plan {
+                    // Each CQ's head is the caller's head up to renaming, and
+                    // `out` names the columns by position.
+                    CachedPlan::Ucq(ucq) => {
+                        explain.reformulation_cqs = ucq.len();
+                        explain.reformulation_atoms = ucq.total_atoms();
+                        explain.estimate = Some(model.ucq_estimate(ucq));
+                        ev.eval_ucq(ucq, &out, &mut metrics)?
+                    }
+                    CachedPlan::Jucq(jucq) | CachedPlan::Gcov(GcovResult { jucq, .. }) => {
+                        explain.reformulation_cqs = jucq.total_cqs();
+                        explain.reformulation_atoms =
+                            jucq.fragments.iter().map(|f| f.ucq.total_atoms()).sum();
+                        explain.estimate = Some(match &*plan {
+                            // GCov carries the estimate its search computed.
+                            CachedPlan::Gcov(result) => result.estimate,
+                            _ => model.jucq_estimate(jucq),
+                        });
+                        // The JUCQ's head is the planned query's head
+                        // variables: its columns take the caller's, by position.
+                        ev.eval_jucq(jucq, &mut metrics)?
+                            .with_columns(cq.head_vars())?
+                    }
                 };
-                explain.cover = Some(Cover::singletons(cq.size()));
-                let relation =
-                    self.eval_jucq_explained(&jucq, opts, &mut explain, &mut metrics, &obs)?;
-                #[cfg(feature = "strict-invariants")]
-                self.check_against_raw_fixpoint(cq, opts, &out, &relation);
-                relation
-            }
-            Strategy::RefJucq(cover) => {
-                let plan = self.ref_plan(cq, PlanRequest::Jucq(cover), opts, &mut explain, &obs)?;
-                let CachedPlan::Jucq(jucq) = plan else {
-                    debug_assert!(false, "JUCQ request yields a JUCQ plan");
-                    return Err(CoreError::PlanShapeMismatch { expected: "JUCQ" });
+                explain.cover = match (&*plan, strategy) {
+                    (CachedPlan::Gcov(result), _) => {
+                        explain.explored = result
+                            .explored
+                            .iter()
+                            .map(|(cover, est)| Ok((cover_from_plan(cover, &atom_map)?, *est)))
+                            .collect::<Result<_>>()?;
+                        Some(cover_from_plan(&result.cover, &atom_map)?)
+                    }
+                    (_, Strategy::RefScq) => Some(Cover::singletons(cq.size())),
+                    (_, Strategy::RefJucq(cover)) => Some(cover.clone()),
+                    _ => None,
                 };
-                explain.cover = Some(cover.clone());
-                let relation =
-                    self.eval_jucq_explained(&jucq, opts, &mut explain, &mut metrics, &obs)?;
+                // An incomplete profile misses answers by design.
                 #[cfg(feature = "strict-invariants")]
-                self.check_against_raw_fixpoint(cq, opts, &out, &relation);
+                if !matches!(strategy, Strategy::RefIncomplete(_)) {
+                    self.check_against_raw_fixpoint(cq, opts, &out, &relation);
+                }
                 relation
-            }
-            Strategy::RefGCov => {
-                let plan = self.ref_plan(cq, PlanRequest::Gcov, opts, &mut explain, &obs)?;
-                let CachedPlan::Gcov(result) = plan else {
-                    debug_assert!(false, "GCov request yields a GCov plan");
-                    return Err(CoreError::PlanShapeMismatch { expected: "GCov" });
-                };
-                explain.cover = Some(result.cover.clone());
-                explain.estimate = Some(result.estimate);
-                explain.explored = result.explored.clone();
-                explain.reformulation_cqs = result.jucq.total_cqs();
-                explain.reformulation_atoms = result
-                    .jucq
-                    .fragments
-                    .iter()
-                    .map(|f| f.ucq.total_atoms())
-                    .sum();
-                let relation = evaluator(&self.store, &self.stats, opts, &obs)
-                    .eval_jucq(&result.jucq, &mut metrics)?;
-                #[cfg(feature = "strict-invariants")]
-                self.check_against_raw_fixpoint(cq, opts, &out, &relation);
-                relation
-            }
-            Strategy::RefIncomplete(profile) => {
-                let filtered = profile.filter_schema(&self.schema);
-                let closure = filtered.closure();
-                let ctx = RewriteContext::new(&filtered, &closure);
-                // Incomplete profiles reformulate classically (their filtered
-                // closure need not match the encoder's), then the UCQ is
-                // transported into store id space for evaluation.
-                let ucq = {
-                    let _span = obs.span("answer.plan.incomplete");
-                    self.encode_ucq(reformulate_ucq(cq, &ctx, opts.limits)?)
-                };
-                explain.reformulation_cqs = ucq.len();
-                explain.reformulation_atoms = ucq.total_atoms();
-                evaluator(&self.store, &self.stats, opts, &obs).eval_ucq(
-                    &ucq,
-                    &out,
-                    &mut metrics,
-                )?
             }
             Strategy::Datalog => {
                 let _span = obs.span("datalog.run");
@@ -653,42 +634,37 @@ impl Database {
         Ok(finish(self.decode(relation), explain, metrics))
     }
 
-    /// Produce the Ref plan for `cq`, through the plan cache when enabled.
+    /// The plan of `cq` under one of the four complete Ref strategies,
+    /// through the plan cache when enabled, with the map from `cq`'s atoms
+    /// to the atoms of the query it was planned for.
     ///
-    /// Cached planning always runs against the α-canonical query, so the
-    /// hit and miss paths return structurally identical plans (transported
-    /// back to the caller's variables via the inverse renaming); the
-    /// uncached path plans the original query directly, preserving the
-    /// pre-cache behaviour bit for bit.
+    /// Through the cache that query is `cq`'s α-canonical form, and a hit
+    /// and a miss return the one stored plan: in the canonical variables,
+    /// with GCov's covers over the canonical atoms. With the cache off it is
+    /// `cq` itself, under the identity map.
     fn ref_plan(
         &self,
         cq: &Cq,
-        req: PlanRequest<'_>,
+        strategy: &Strategy,
         opts: &AnswerOptions,
         explain: &mut Explain,
         obs: &Obs,
-    ) -> Result<CachedPlan> {
+    ) -> Result<(Arc<CachedPlan>, Vec<usize>)> {
+        if let Strategy::RefJucq(cover) = strategy {
+            // A cover is built for an atom count, not for a query.
+            cover.check(cq.size())?;
+        }
         let _span = obs.span("answer.plan");
         if !opts.use_cache {
-            return self.compute_plan(cq, &req, opts, obs);
+            let identity: Vec<usize> = (0..cq.size()).collect();
+            let (tag, span) = plan_tag(strategy, cq, &identity, &opts.limits)?;
+            let plan = self.compute_plan(cq, &tag, span, opts, obs)?;
+            return Ok((Arc::new(plan), identity));
         }
         let canon = alpha_canonicalize(cq);
-        let tag = match &req {
-            PlanRequest::Ucq => StrategyTag::ucq(&opts.limits),
-            PlanRequest::Scq => {
-                StrategyTag::jucq(Cover::singletons(canon.query.size()), &opts.limits)
-            }
-            PlanRequest::Jucq(cover) => match transport_cover(cover, &canon) {
-                Some(c) => StrategyTag::jucq(c, &opts.limits),
-                // A cover we cannot transport (e.g. mismatched with the
-                // query's atom count) bypasses the cache; planning the
-                // original query reports the precise error.
-                None => return self.compute_plan(cq, &req, opts, obs),
-            },
-            PlanRequest::Gcov => StrategyTag::gcov(&GcovOptions::new().with_limits(opts.limits)),
-        };
+        let (tag, span) = plan_tag(strategy, &canon.query, &canon.atom_map, &opts.limits)?;
         let key = CacheKey {
-            query: canon.query.clone(),
+            query: canon.query,
             tag,
             algo: opts.join_algorithm,
         };
@@ -696,25 +672,15 @@ impl Database {
         if let Some(plan) = self.pinned_cache_lookup(&key) {
             obs.add("plan_cache.hit", 1);
             explain.cache = Some(self.cache_report(true));
-            return Ok(rename_plan(&plan, &canon.inverse));
+            return Ok((plan, canon.atom_map));
         }
         obs.add("plan_cache.miss", 1);
-        let computed = {
-            // The SCQ/JUCQ requests must plan the canonical query under the
-            // canonical (transported) cover recorded in the key.
-            let canon_req = match &key.tag {
-                StrategyTag::Jucq { cover, .. } if matches!(req, PlanRequest::Jucq(_)) => {
-                    PlanRequest::Jucq(cover)
-                }
-                _ => req,
-            };
-            self.compute_plan(&canon.query, &canon_req, opts, obs)?
-        };
+        let computed = self.compute_plan(&key.query, &key.tag, span, opts, obs)?;
         let stored = self
             .cache
             .insert_at(key, computed, schema_epoch, data_epoch);
         explain.cache = Some(self.cache_report(false));
-        Ok(rename_plan(&stored, &canon.inverse))
+        Ok((stored, canon.atom_map))
     }
 
     /// Pin this database to an epoch pair as the serving layer does when
@@ -747,36 +713,31 @@ impl Database {
         RewriteContext::new(&self.schema, &self.closure).with_encoder(&self.encoder)
     }
 
-    /// Plan `cq` from scratch (no cache involvement).
+    /// Plan `cq` from scratch (no cache involvement) for `tag`, inside the
+    /// span named `span`.
     fn compute_plan(
         &self,
         cq: &Cq,
-        req: &PlanRequest<'_>,
+        tag: &StrategyTag,
+        span: &'static str,
         opts: &AnswerOptions,
         obs: &Obs,
     ) -> Result<CachedPlan> {
+        let _span = obs.span(span);
         let ctx = self.rewrite_context();
         // Plans are transported into store id space *here*, so the cache
         // holds encoded plans. That is safe: re-encoding only happens on a
         // schema change, which bumps the cache's schema epoch and strands
         // every stale plan.
-        Ok(match req {
-            PlanRequest::Ucq => {
-                let _span = obs.span("answer.plan.ucq");
+        Ok(match tag {
+            StrategyTag::Ucq { .. } => {
                 CachedPlan::Ucq(self.encode_ucq(reformulate_ucq(cq, &ctx, opts.limits)?))
             }
-            PlanRequest::Scq => {
-                let _span = obs.span("answer.plan.scq");
-                let mut fragments = FragmentCache::new(cq, &ctx, opts.limits).encoded();
-                CachedPlan::Jucq(fragments.jucq(&Cover::singletons(cq.size()))?)
-            }
-            PlanRequest::Jucq(cover) => {
-                let _span = obs.span("answer.plan.jucq");
+            StrategyTag::Jucq { cover, .. } => {
                 let mut fragments = FragmentCache::new(cq, &ctx, opts.limits).encoded();
                 CachedPlan::Jucq(fragments.jucq(cover)?)
             }
-            PlanRequest::Gcov => {
-                let _span = obs.span("answer.plan.gcov");
+            StrategyTag::Gcov { .. } => {
                 let model = rdfref_storage::CostModel::new(&self.stats);
                 let gcov_opts = GcovOptions::new().with_limits(opts.limits);
                 // GCov prices candidate covers against the (encoded) store
@@ -797,7 +758,7 @@ impl Database {
         &self,
         cq: &Cq,
         opts: &AnswerOptions,
-        out: &[Var],
+        out: &[rdfref_query::Var],
         minimised: &Relation,
     ) {
         if minimised.columns() != out {
@@ -834,92 +795,52 @@ impl Database {
             entries: self.cache.len(),
         }
     }
-
-    fn eval_jucq_explained(
-        &self,
-        jucq: &Jucq,
-        opts: &AnswerOptions,
-        explain: &mut Explain,
-        metrics: &mut ExecMetrics,
-        obs: &Obs,
-    ) -> Result<Relation> {
-        explain.reformulation_cqs = jucq.total_cqs();
-        explain.reformulation_atoms = jucq.fragments.iter().map(|f| f.ucq.total_atoms()).sum();
-        let model = rdfref_storage::CostModel::new(&self.stats);
-        explain.estimate = Some(model.jucq_estimate(jucq));
-        Ok(evaluator(&self.store, &self.stats, opts, obs).eval_jucq(jucq, metrics)?)
-    }
 }
 
-/// What kind of Ref plan a strategy arm needs.
-enum PlanRequest<'a> {
-    Ucq,
-    Scq,
-    Jucq(&'a Cover),
-    Gcov,
+/// The cache tag of `strategy`'s plan for `query`, whose atoms `atom_map`
+/// numbers the caller's by, and the name of the span that plans it.
+fn plan_tag(
+    strategy: &Strategy,
+    query: &Cq,
+    atom_map: &[usize],
+    limits: &ReformulationLimits,
+) -> Result<(StrategyTag, &'static str)> {
+    Ok(match strategy {
+        Strategy::RefUcq => (StrategyTag::ucq(limits), "answer.plan.ucq"),
+        Strategy::RefScq => (
+            StrategyTag::jucq(Cover::singletons(query.size()), limits),
+            "answer.plan.scq",
+        ),
+        Strategy::RefJucq(cover) => {
+            let fragments = cover
+                .fragments()
+                .iter()
+                .map(|f| f.iter().map(|&i| atom_map[i]).collect())
+                .collect();
+            let cover = Cover::new(fragments, query.size())?;
+            (StrategyTag::jucq(cover, limits), "answer.plan.jucq")
+        }
+        _ => (
+            StrategyTag::gcov(&GcovOptions::new().with_limits(*limits)),
+            "answer.plan.gcov",
+        ),
+    })
 }
 
-/// Re-index a cover over the original query's atoms to the canonical
-/// query's atoms. Returns `None` when the cover does not fit the query.
-fn transport_cover(cover: &Cover, canon: &AlphaCanonical) -> Option<Cover> {
-    let fragments: Option<Vec<Vec<usize>>> = cover
+/// `cover`, over the atoms of the planned query, over the caller's atoms:
+/// a planned atom that stands for several repeated caller atoms maps back
+/// to all of them.
+fn cover_from_plan(cover: &Cover, atom_map: &[usize]) -> Result<Cover> {
+    let fragments = cover
         .fragments()
         .iter()
         .map(|f| {
-            let mut g = f
-                .iter()
-                .map(|&i| canon.atom_map.get(i).copied())
-                .collect::<Option<Vec<usize>>>()?;
-            g.sort_unstable();
-            g.dedup();
-            Some(g)
+            (0..atom_map.len())
+                .filter(|&i| f.binary_search(&atom_map[i]).is_ok())
+                .collect()
         })
         .collect();
-    Cover::new(fragments?, canon.query.size()).ok()
-}
-
-/// Rename a variable through a variable-to-variable substitution.
-fn rename_var(v: &Var, subst: &Substitution) -> Var {
-    match subst.get(v) {
-        Some(PTerm::Var(w)) => w.clone(),
-        _ => v.clone(),
-    }
-}
-
-fn rename_ucq(ucq: &Ucq, subst: &Substitution) -> Ucq {
-    Ucq {
-        cqs: ucq.cqs.iter().map(|c| c.apply(subst)).collect(),
-    }
-}
-
-fn rename_jucq(jucq: &Jucq, subst: &Substitution) -> Jucq {
-    Jucq {
-        head: jucq.head.iter().map(|v| rename_var(v, subst)).collect(),
-        fragments: jucq
-            .fragments
-            .iter()
-            .map(|f| Fragment {
-                columns: f.columns.iter().map(|v| rename_var(v, subst)).collect(),
-                ucq: rename_ucq(&f.ucq, subst),
-            })
-            .collect(),
-    }
-}
-
-/// Transport a cached plan (in canonical variables) back to the caller's
-/// variables. The substitution is a bijective renaming, so the plan's
-/// structure — covers, estimates, fragment boundaries — is unchanged.
-fn rename_plan(plan: &CachedPlan, subst: &Substitution) -> CachedPlan {
-    match plan {
-        CachedPlan::Ucq(u) => CachedPlan::Ucq(rename_ucq(u, subst)),
-        CachedPlan::Jucq(j) => CachedPlan::Jucq(rename_jucq(j, subst)),
-        CachedPlan::Gcov(g) => CachedPlan::Gcov(GcovResult {
-            cover: g.cover.clone(),
-            jucq: rename_jucq(&g.jucq, subst),
-            estimate: g.estimate,
-            explored: g.explored.clone(),
-        }),
-    }
+    Ok(Cover::new(fragments, atom_map.len())?)
 }
 
 /// Convenience: answer a query on a graph with a one-shot database.
@@ -1185,6 +1106,13 @@ ex:bioy ex:hasName "A. Bioy Casares" .
         let hit = db.run_query(&renamed, &Strategy::RefUcq, &opts).unwrap();
         assert_eq!(hit.explain.cache.map(|c| c.hit), Some(true));
         assert_eq!(hit.rows(), first.rows());
+        // The stored plan answers in the caller's column names, a JUCQ too.
+        let y = [rdfref_query::Var::new("y")];
+        assert_eq!(hit.relation().columns(), y);
+        db.run_query(&q, &Strategy::RefScq, &opts).unwrap();
+        let scq = db.run_query(&renamed, &Strategy::RefScq, &opts).unwrap();
+        assert_eq!(scq.explain.cache.map(|c| c.hit), Some(true));
+        assert_eq!(scq.relation().columns(), y);
     }
 
     #[test]

@@ -16,8 +16,10 @@
 //!   `max_cqs` of its [`ReformulationLimits`], and the cover for JUCQ plans
 //!   (GCov has no other option that changes its output).
 //!   α-canonicalization means two queries differing only in variable names
-//!   or atom order share one entry; the cached plan is transported back
-//!   through the inverse renaming.
+//!   or atom order share one entry. The cached plan is evaluated as it is
+//!   stored: its answer columns are the caller's by position, and GCov's
+//!   covers are mapped back to the caller's atoms through
+//!   [`AlphaCanonical::atom_map`](rdfref_query::canonical::AlphaCanonical::atom_map).
 //! * **Locking.** One `parking_lot::Mutex` around one hash map. Every
 //!   lookup and insert holds it for one map operation (and an insert into
 //!   a full cache for one LRU scan).

@@ -23,12 +23,6 @@ pub enum CoreError {
     Query(QueryError),
     /// A storage-layer error (row budget exceeded, …).
     Storage(StorageError),
-    /// A cached plan's shape did not match its request — an internal
-    /// planner/cache defect, reported instead of aborting the process.
-    PlanShapeMismatch {
-        /// The plan shape the request should have produced, e.g. `"UCQ"`.
-        expected: &'static str,
-    },
     /// The serving database's maintenance pipeline has shut down, so a
     /// submitted write batch can never be applied (or its report was lost).
     ServingStopped,
@@ -43,10 +37,6 @@ impl fmt::Display for CoreError {
             ),
             CoreError::Query(e) => write!(f, "query error: {e}"),
             CoreError::Storage(e) => write!(f, "storage error: {e}"),
-            CoreError::PlanShapeMismatch { expected } => write!(
-                f,
-                "internal error: cached plan does not have the expected {expected} shape"
-            ),
             CoreError::ServingStopped => {
                 write!(f, "serving maintenance pipeline has stopped")
             }

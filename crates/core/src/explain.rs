@@ -50,8 +50,11 @@ pub struct Explain {
     pub wall: Duration,
     /// Number of answer tuples.
     pub answers: usize,
-    /// For Sat: triples added by saturation (0 otherwise). Counted once per
-    /// database, not per query; reported for the first Sat run.
+    /// For Sat (0 otherwise), set on every Sat answer. On a plain database:
+    /// the triples saturation added to it, counted once per database. On a
+    /// serving snapshot: the saturation triples the last maintenance batch
+    /// added plus removed (`WriterCore::last_delta`), or the derived triples
+    /// before the first batch.
     pub saturation_added: usize,
     /// For Dat: the facts of the closure `tc`, explicit triples included
     /// (the copy rule derives them), plus the query's answer facts.

@@ -38,14 +38,8 @@ use rdfref_query::ast::{Cq, Jucq};
 use rdfref_query::Cover;
 use rdfref_storage::{CostEstimate, CostModel};
 
-/// A candidate cover replaces the current one when it is cheaper by at least
-/// this factor (1.0 = any improvement).
-const MIN_IMPROVEMENT: f64 = 1.0;
 /// Cap on search steps (each step evaluates all moves from the current cover).
 const MAX_STEPS: usize = 32;
-/// Only add an atom to a fragment it shares a variable with, and only merge
-/// fragments that share one — the moves that can change join behaviour.
-const CONNECTED_MOVES_ONLY: bool = true;
 
 /// Options controlling the greedy search.
 ///
@@ -168,7 +162,10 @@ fn gcov_search(
         for fi in 0..current_cover.len() {
             for atom in 0..n {
                 if let Some(next) = current_cover.with_atom_in_fragment(fi, atom) {
-                    if CONNECTED_MOVES_ONLY && !move_is_connected(cq, &current_cover, fi, atom) {
+                    // Only add an atom to a fragment it shares a variable
+                    // with (and below, only merge fragments that share one):
+                    // the moves that can change join behaviour.
+                    if !move_is_connected(cq, &current_cover, fi, atom) {
                         continue;
                     }
                     candidates.push(next);
@@ -177,7 +174,7 @@ fn gcov_search(
         }
         for a in 0..current_cover.len() {
             for b in (a + 1)..current_cover.len() {
-                if CONNECTED_MOVES_ONLY && !fragments_connected(cq, &current_cover, a, b) {
+                if !fragments_connected(cq, &current_cover, a, b) {
                     // Merging variable-disjoint fragments only turns a join
                     // into a cross product inside a union — never cheaper.
                     continue;
@@ -209,7 +206,8 @@ fn gcov_search(
             }
         }
         match best {
-            Some((cover, est)) if est.cost * MIN_IMPROVEMENT < current_est.cost => {
+            // Any improvement is taken.
+            Some((cover, est)) if est.cost < current_est.cost => {
                 current_cover = cover;
                 current_est = est;
             }

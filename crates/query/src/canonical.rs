@@ -84,25 +84,22 @@ pub fn canonicalize(cq: &Cq) -> Cq {
     Cq::new_unchecked(head, body)
 }
 
-/// An α-canonical form: the fully variable-renamed query plus what is
-/// needed to transport plans computed for it back to the original query.
+/// An α-canonical form: the fully variable-renamed query, and where each
+/// of the original query's atoms went.
 ///
 /// Produced by [`alpha_canonicalize`]; consumed by the plan cache in
-/// `rdfref-core`.
+/// `rdfref-core`, which plans `query` and evaluates that plan as it is: its
+/// head lists the original head's terms in order, renamed, so its answer
+/// columns are the original's by position.
 #[derive(Debug, Clone)]
 pub struct AlphaCanonical {
     /// The canonical query: atoms shape-sorted, *every* variable renamed
     /// positionally (named variables to `cv0, cv1, …`; fresh variables to
     /// `_f0, _f1, …`), duplicate atoms removed.
     pub query: Cq,
-    /// Maps each canonical variable back to the original term it replaced.
-    /// Applying it to a plan computed for `query` (whose variables are the
-    /// canonical ones, plus any fresh variables minted during planning)
-    /// yields the equivalent plan for the original query.
-    pub inverse: Substitution,
     /// For each atom position in the *original* body, its position in the
-    /// canonical body (after sorting and deduplication). Used to transport
-    /// atom-indexed structures such as covers.
+    /// canonical body (after sorting and deduplication); repeated atoms
+    /// share one. Carries covers between the two numberings.
     pub atom_map: Vec<usize>,
 }
 
@@ -138,7 +135,7 @@ fn anon_atom_shape(a: &Atom) -> [AnonKey; 3] {
 ///
 /// Soundness: the renaming is a bijection on the query's variables, so equal
 /// canonical forms imply the queries are isomorphic, and a plan for one
-/// becomes a plan for the other by applying `inverse`. Like `canonicalize`,
+/// answers the other, column for column. Like `canonicalize`,
 /// this is not a *complete* isomorphism test: atoms with identical
 /// anonymous shapes are tie-broken by input order, so some isomorphic pairs
 /// canonicalize differently — costing a missed cache hit, never a wrong
@@ -153,7 +150,6 @@ pub fn alpha_canonicalize(cq: &Cq) -> AlphaCanonical {
     //    reformulation rules treat them as existential); named variables
     //    become cv0, cv1, …
     let mut renaming = Substitution::default();
-    let mut inverse = Substitution::default();
     let mut gen = FreshVars::new();
     let mut named = 0usize;
     let mut visit = |t: &PTerm| {
@@ -166,8 +162,7 @@ pub fn alpha_canonicalize(cq: &Cq) -> AlphaCanonical {
                     named += 1;
                     c
                 };
-                renaming.insert(v.clone(), PTerm::Var(canonical.clone()));
-                inverse.insert(canonical, PTerm::Var(v.clone()));
+                renaming.insert(v.clone(), PTerm::Var(canonical));
             }
         }
     };
@@ -203,7 +198,6 @@ pub fn alpha_canonicalize(cq: &Cq) -> AlphaCanonical {
 
     AlphaCanonical {
         query: Cq::new_unchecked(head, body),
-        inverse,
         atom_map,
     }
 }
@@ -354,7 +348,7 @@ mod tests {
     }
 
     #[test]
-    fn alpha_inverse_restores_original_vars() {
+    fn alpha_renaming_is_positional_in_the_head_and_the_atom_map() {
         let q = Cq::new_unchecked(
             vec![v("x").into(), v("n").into()],
             vec![
@@ -363,19 +357,27 @@ mod tests {
             ],
         );
         let canon = alpha_canonicalize(&q);
-        // Head round-trips exactly.
-        let restored_head: Vec<PTerm> = canon
-            .query
-            .head
-            .iter()
-            .map(|t| crate::ast::substitute(t, &canon.inverse))
-            .collect();
-        assert_eq!(restored_head, q.head);
-        // Each original atom is found at its mapped canonical position.
-        for (i, a) in q.body.iter().enumerate() {
-            let there = canon.query.body[canon.atom_map[i]].apply(&canon.inverse);
-            assert_eq!(&there, a);
+        // One renaming, read off position by position, takes the canonical
+        // head to the original head and each original atom's canonical
+        // image back to it.
+        let mut back = Substitution::default();
+        let mut pair = |canonical: &PTerm, original: &PTerm| match (canonical, original) {
+            (PTerm::Var(cv), PTerm::Var(_)) => {
+                let seen = back.entry(cv.clone()).or_insert_with(|| original.clone());
+                assert_eq!(seen, original, "{cv} renamed two ways");
+            }
+            _ => assert_eq!(canonical, original),
+        };
+        for (t, u) in canon.query.head.iter().zip(&q.head) {
+            pair(t, u);
         }
+        for (i, a) in q.body.iter().enumerate() {
+            let there = &canon.query.body[canon.atom_map[i]];
+            for (t, u) in [(&there.s, &a.s), (&there.p, &a.p), (&there.o, &a.o)] {
+                pair(t, u);
+            }
+        }
+        assert_eq!(back.len(), 3, "x, a and n each get one canonical name");
     }
 
     #[test]

@@ -39,38 +39,49 @@ impl Cover {
     /// Build a cover over a query with `n_atoms` atoms, validating:
     /// fragments non-empty, indices in range, union = all atoms.
     pub fn new(mut fragments: Vec<Vec<usize>>, n_atoms: usize) -> Result<Cover> {
+        for frag in &mut fragments {
+            frag.sort_unstable();
+            frag.dedup();
+        }
+        fragments.sort();
+        fragments.dedup();
+        let cover = Cover { fragments };
+        cover.check(n_atoms)?;
+        Ok(cover)
+    }
+
+    /// Does this cover fit a query with `n_atoms` atoms: fragments
+    /// non-empty, and their union exactly atoms `0..n_atoms`? A cover
+    /// records no atom count, so one built for another query fails here.
+    pub fn check(&self, n_atoms: usize) -> Result<()> {
         if n_atoms == 0 {
             return Err(QueryError::InvalidCover {
                 reason: "cannot cover an empty query".into(),
             });
         }
-        let mut seen: FxHashSet<usize> = FxHashSet::default();
-        for frag in &mut fragments {
+        let mut covered = vec![false; n_atoms];
+        for frag in &self.fragments {
             if frag.is_empty() {
                 return Err(QueryError::InvalidCover {
                     reason: "empty fragment".into(),
                 });
             }
-            frag.sort_unstable();
-            frag.dedup();
-            for &i in frag.iter() {
-                if i >= n_atoms {
+            for &i in frag {
+                let Some(slot) = covered.get_mut(i) else {
                     return Err(QueryError::InvalidCover {
                         reason: format!("atom index {i} out of range (query has {n_atoms} atoms)"),
                     });
-                }
-                seen.insert(i);
+                };
+                *slot = true;
             }
         }
-        if seen.len() != n_atoms {
-            let missing: Vec<usize> = (0..n_atoms).filter(|i| !seen.contains(i)).collect();
+        let missing: Vec<usize> = (0..n_atoms).filter(|&i| !covered[i]).collect();
+        if !missing.is_empty() {
             return Err(QueryError::InvalidCover {
                 reason: format!("atoms {missing:?} not covered"),
             });
         }
-        fragments.sort();
-        fragments.dedup();
-        Ok(Cover { fragments })
+        Ok(())
     }
 
     /// The singleton cover `{{t1}, …, {tn}}` (⇒ SCQ reformulation). This is

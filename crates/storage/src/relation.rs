@@ -111,6 +111,18 @@ impl Relation {
         &self.columns
     }
 
+    /// The same rows under `columns`, named position by position.
+    pub fn with_columns(mut self, columns: Vec<Var>) -> Result<Relation> {
+        if columns.len() != self.columns.len() {
+            return Err(StorageError::HeadMismatch {
+                head: self.columns.len(),
+                columns: columns.len(),
+            });
+        }
+        self.columns = columns;
+        Ok(self)
+    }
+
     /// Arity (number of columns).
     pub fn arity(&self) -> usize {
         self.columns.len()

@@ -199,4 +199,39 @@ fn invalid_covers_are_rejected_before_evaluation() {
         Cover::new(vec![vec![0, 7]], 2),
         Err(QueryError::InvalidCover { .. })
     ));
+
+    // A valid cover of another atom count, handed to a query it does not
+    // fit, is refused before planning, with the plan cache on and off.
+    let ds = rdfref::datagen::lubm::generate(&Default::default());
+    let db = Database::builder().build(ds.graph.clone());
+    let mix = rdfref::datagen::queries::lubm_mix(&ds).unwrap();
+    // Q04 rotated so that its selective `(?x ub:worksFor dept0)` comes last:
+    // a 2-atom cover over it would drop that atom (41 rows where Sat has 13).
+    let mut q04 = mix.iter().find(|q| q.name == "Q04").unwrap().cq.clone();
+    q04.body.rotate_left(2);
+    let two_atoms = mix.iter().find(|q| q.cq.size() == 2).unwrap().cq.clone();
+    for use_cache in [true, false] {
+        let opts = AnswerOptions::new().with_use_cache(use_cache);
+        for (cq, cover) in [
+            (&q04, Cover::new(vec![vec![0, 1]], 2).unwrap()),
+            // Indexes an atom the query does not have.
+            (
+                &two_atoms,
+                Cover::new(vec![vec![0, 1], vec![2]], 3).unwrap(),
+            ),
+        ] {
+            let got = db.run_query(cq, &Strategy::RefJucq(cover.clone()), &opts);
+            assert!(
+                matches!(
+                    got,
+                    Err(rdfref::core::CoreError::Query(
+                        QueryError::InvalidCover { .. }
+                    ))
+                ),
+                "cover {cover} on {} atoms (cache {use_cache}): {:?}",
+                cq.size(),
+                got.map(|a| a.len())
+            );
+        }
+    }
 }

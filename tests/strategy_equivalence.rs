@@ -3,6 +3,7 @@
 
 use rdfref::datagen::{biblio, geo, insee, lubm, queries};
 use rdfref::model::dictionary::{ID_RDFS_SUBCLASSOF, ID_RDF_TYPE};
+use rdfref::model::DictEncoding;
 use rdfref::prelude::*;
 use rdfref::query::ast::Atom;
 
@@ -269,5 +270,46 @@ fn incomplete_profiles_are_monotone() {
             .unwrap()
             .len();
         assert_eq!(counts[3], complete, "{}", nq.name);
+    }
+}
+
+/// GCov reports its cover, and the covers it explored, in the caller's atom
+/// numbering: the same with the plan cache off, on a miss and on a hit, for
+/// Example 1 and the whole LUBM mix under both encodings. (The cache plans
+/// the α-canonical query, whose atoms are numbered differently.)
+#[test]
+fn gcov_reports_covers_in_the_callers_atom_numbering() {
+    use std::collections::HashSet;
+    let ds = lubm::generate(&lubm::LubmConfig::scale(4));
+    let mut cqs = vec![("Example 1", queries::example1(&ds, 0).unwrap())];
+    cqs.extend(
+        queries::lubm_mix(&ds)
+            .unwrap()
+            .into_iter()
+            .map(|q| (q.name, q.cq)),
+    );
+    for encoding in [DictEncoding::Classic, DictEncoding::Interval] {
+        let db = Database::builder()
+            .encoding(encoding)
+            .build(ds.graph.clone());
+        for (name, cq) in &cqs {
+            let run = |use_cache: bool| {
+                let opts = AnswerOptions::new().with_use_cache(use_cache);
+                let explain = db.run_query(cq, &Strategy::RefGCov, &opts).unwrap().explain;
+                let explored: HashSet<Cover> =
+                    explain.explored.into_iter().map(|(c, _)| c).collect();
+                (
+                    explain.cover.unwrap(),
+                    explored,
+                    explain.cache.map(|c| c.hit),
+                )
+            };
+            let (off, miss, hit) = (run(false), run(true), run(true));
+            assert_eq!((miss.2, hit.2), (Some(false), Some(true)), "{name}");
+            for (label, got) in [("miss", miss), ("hit", hit)] {
+                assert_eq!(got.0, off.0, "{name} ({encoding:?}): cover on a {label}");
+                assert_eq!(got.1, off.1, "{name} ({encoding:?}): explored on a {label}");
+            }
+        }
     }
 }
