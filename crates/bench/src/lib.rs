@@ -30,12 +30,13 @@ pub const SAMPLES: usize = 7;
 pub enum Unit {
     /// Wall-clock microseconds.
     Us,
-    /// A ratio of two timings taken in the same sample.
+    /// A statistic of the timings taken in one sample: a ratio of two, or
+    /// the rank correlation of a sample's times with exact estimates.
     Ratio,
     /// An exact count: every sample must agree.
     Count,
     /// A value every sample must agree on that is no count: a cost-model
-    /// estimate, a share of counts, a statistic over other records' medians.
+    /// estimate or a share of counts.
     Exact,
 }
 
@@ -181,18 +182,6 @@ impl Run {
                 record.samples.push(value);
             }
         }
-    }
-
-    /// Append a record derived from other records: its one value stands for
-    /// every sample.
-    pub fn derive(&mut self, row: &str, cell: &str, metric: &'static str, value: f64) {
-        self.records.push(Record {
-            row: row.to_string(),
-            cell: cell.to_string(),
-            metric,
-            unit: Unit::Exact,
-            samples: vec![value; self.samples],
-        });
     }
 
     /// The record of `(row, cell, metric)`.

@@ -156,10 +156,12 @@ impl Shell {
     }
 
     fn opts(&self) -> AnswerOptions {
-        AnswerOptions::new()
-            .with_limits(self.limits)
-            .with_row_budget(self.row_budget)
-            .with_join_algorithm(self.join_algorithm)
+        AnswerOptions {
+            limits: self.limits,
+            row_budget: self.row_budget,
+            join_algorithm: self.join_algorithm,
+            ..AnswerOptions::default()
+        }
     }
 
     fn parse_current_query(&mut self) -> Result<Cq, String> {
@@ -233,7 +235,7 @@ impl Shell {
         let label = self.dataset_label.clone();
         let db = self.db();
         let stats = db.stats();
-        let dist = ValueDistribution::compute(db.store(), 5);
+        let dist = ValueDistribution::compute(db.source(), 5);
         let dict = db.dictionary();
         let mut out = String::new();
         let _ = writeln!(out, "dataset          : {label}");
@@ -384,8 +386,8 @@ impl Shell {
             .map_err(|e| e.to_string())?;
         let dict = db.dictionary();
         let mut out = String::new();
-        let shown = answer.rows().len().min(20);
-        for row in answer.rows().iter().take(20) {
+        let shown = answer.len().min(20);
+        for row in answer.relation().rows().take(20) {
             let rendered: Vec<String> = row.iter().map(|id| dict.term(*id).to_string()).collect();
             let _ = writeln!(out, "  {}", rendered.join("  "));
         }

@@ -20,7 +20,7 @@
 
 use crate::cache::{CacheKey, CachedPlan, PlanCache, StrategyTag};
 use crate::error::Result;
-use crate::explain::{CacheReport, Explain};
+use crate::explain::{CacheReport, Explain, SnapshotInfo};
 use crate::gcov::{gcov_with_obs, GcovOptions, GcovResult};
 use crate::incomplete::IncompletenessProfile;
 use crate::reformulate::jucq::FragmentCache;
@@ -75,13 +75,10 @@ impl Strategy {
     }
 }
 
-/// Options shared by all strategies.
-///
-/// Non-exhaustive: construct via [`AnswerOptions::new`] (or `default()`)
-/// and the `with_*` builder methods — or, better, use the request builder
-/// ([`crate::engine::QueryRequest`]) which wraps these options entirely.
+/// Options shared by all strategies: plain data, built with struct-update
+/// syntax (`AnswerOptions { use_cache: false, ..Default::default() }`) or
+/// through the request builder ([`crate::engine::QueryRequest`]).
 #[derive(Debug, Clone)]
-#[non_exhaustive]
 pub struct AnswerOptions {
     /// Reformulation size limits.
     pub limits: ReformulationLimits,
@@ -97,7 +94,7 @@ pub struct AnswerOptions {
     /// On by default; disable to force fresh planning on every call.
     pub use_cache: bool,
     /// Per-request observability sink; when enabled it overrides the
-    /// database-wide one for this request.
+    /// engine-wide one for this request.
     pub obs: Obs,
 }
 
@@ -114,73 +111,14 @@ impl Default for AnswerOptions {
     }
 }
 
-impl AnswerOptions {
-    /// The default options (cache on, no budget, sequential unions).
-    pub fn new() -> Self {
-        AnswerOptions::default()
-    }
-
-    /// Set the reformulation size limits.
-    pub fn with_limits(mut self, limits: ReformulationLimits) -> Self {
-        self.limits = limits;
-        self
-    }
-
-    /// Set (or clear) the intermediate-result row budget.
-    pub fn with_row_budget(mut self, budget: Option<usize>) -> Self {
-        self.row_budget = budget;
-        self
-    }
-
-    /// Set the intra-query parallelism policy.
-    pub fn with_parallelism(mut self, parallelism: Parallelism) -> Self {
-        self.parallelism = parallelism;
-        self
-    }
-
-    /// Set the physical join algorithm policy.
-    pub fn with_join_algorithm(mut self, algorithm: JoinAlgorithm) -> Self {
-        self.join_algorithm = algorithm;
-        self
-    }
-
-    /// Enable or disable the plan cache for this request.
-    pub fn with_use_cache(mut self, on: bool) -> Self {
-        self.use_cache = on;
-        self
-    }
-
-    /// Install a per-request observability sink.
-    pub fn with_obs(mut self, obs: Obs) -> Self {
-        self.obs = obs;
-        self
-    }
-}
-
 /// The answer to a query plus its explanation.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct QueryAnswer {
     /// The answer rows in base id space, sorted once at construction;
     /// afterwards only read.
     relation: Relation,
-    /// `relation`'s rows as vectors (already in order), materialized on the
-    /// first [`QueryAnswer::rows`] call and kept for the next.
-    sorted: OnceLock<Vec<Vec<TermId>>>,
     /// How the answer was computed.
     pub explain: Explain,
-}
-
-impl Clone for QueryAnswer {
-    fn clone(&self) -> QueryAnswer {
-        QueryAnswer {
-            relation: self.relation.clone(),
-            // The clone recomputes its sorted view lazily; cloning the
-            // `OnceLock` contents would be correct too, but a fresh lock
-            // keeps `Clone` independent of whether `rows()` ran.
-            sorted: OnceLock::new(),
-            explain: self.explain.clone(),
-        }
-    }
 }
 
 impl QueryAnswer {
@@ -198,19 +136,14 @@ impl QueryAnswer {
             (1..relation.len()).all(|i| relation.row(i - 1) < relation.row(i)),
             "an answer holds a duplicate row"
         );
-        QueryAnswer {
-            relation,
-            sorted: OnceLock::new(),
-            explain,
-        }
+        QueryAnswer { relation, explain }
     }
 
-    /// The answer tuples, sorted (canonical for cross-strategy comparison).
-    ///
-    /// Built on the first call by copying the already sorted relation, and
-    /// cached; repeated calls return the same slice.
-    pub fn rows(&self) -> &[Vec<TermId>] {
-        self.sorted.get_or_init(|| self.relation.to_rows())
+    /// The answer tuples, sorted (canonical for cross-strategy comparison):
+    /// a copy of the sorted relation, made on every call. Code that only
+    /// iterates reads [`QueryAnswer::relation`] instead.
+    pub fn rows(&self) -> Vec<Vec<TermId>> {
+        self.relation.to_rows()
     }
 
     /// The answer relation, rows sorted.
@@ -313,13 +246,13 @@ pub struct Database {
     saturated: OnceLock<SaturatedPart>,
     /// Shared reformulation/plan cache (see [`crate::cache`]).
     cache: Arc<PlanCache>,
-    /// Cache epochs this database is pinned to: `Some((schema, data))` for
-    /// snapshot-assembled databases (their plans must match the snapshot's
-    /// schema/statistics, not whatever the cache's live epochs have moved
-    /// to), `None` for live databases.
-    epochs: Option<(u64, u64)>,
-    /// Database-wide observability sink (disabled by default); a request
-    /// can override it via [`AnswerOptions::with_obs`].
+    /// The serving snapshot this database is, `None` for a static one. Its
+    /// cache epochs pin every plan lookup (a snapshot's plans must match its
+    /// schema and statistics, not whatever the cache's live epochs have
+    /// moved to), and every answer carries it as [`Explain::snapshot`].
+    pub(crate) snapshot: Option<SnapshotInfo>,
+    /// Engine-wide observability sink, set by the builder's `.obs(…)`
+    /// (disabled by default); a request's [`AnswerOptions::obs`] overrides it.
     obs: Obs,
     /// The store's encoder: bijection between base dictionary ids and
     /// store ids, hierarchy-clustered under [`DictEncoding::Interval`] and
@@ -335,13 +268,18 @@ impl Database {
     /// ([`crate::EngineBuilder::build`]) and the maintained, concurrently
     /// servable write side ([`crate::EngineBuilder::build_serving`]).
     pub fn builder() -> crate::builder::EngineBuilder {
-        crate::builder::EngineBuilder::new()
+        crate::builder::EngineBuilder::default()
     }
 
     /// Prepare a database from a graph (schema triples are recognized
     /// in-line, as in the DB fragment). Builder terminal. The graph is
     /// dropped once its store is built; its dictionary is kept, not copied.
-    pub(crate) fn build(graph: Graph, cache: Arc<PlanCache>, encoding: DictEncoding) -> Database {
+    pub(crate) fn build(
+        graph: Graph,
+        cache: Arc<PlanCache>,
+        encoding: DictEncoding,
+        obs: Obs,
+    ) -> Database {
         let schema = Schema::from_graph(&graph);
         let closure = schema.closure();
         let encoder = build_encoder(encoding, &schema, &closure, graph.dictionary().len());
@@ -356,15 +294,15 @@ impl Database {
             None,
             cache,
             None,
-            Obs::disabled(),
+            obs,
             encoder,
         )
     }
 
     /// Assemble a database from pre-built, `Arc`-shared parts — the one
     /// constructor. No triple is copied: a serving snapshot's store shares
-    /// its index buckets with the writer's working copy. `epochs` is `None`
-    /// for a live database and the snapshot's pair for a pinned one.
+    /// its index buckets with the writer's working copy. `snapshot` is `None`
+    /// for a static database and the serving snapshot's identity otherwise.
     #[allow(clippy::too_many_arguments)] // crate-internal; one arg per Database field
     pub(crate) fn from_parts(
         dict: Arc<rdfref_model::Dictionary>,
@@ -374,7 +312,7 @@ impl Database {
         stats: Arc<Stats>,
         saturated: Option<SaturatedPart>,
         cache: Arc<PlanCache>,
-        epochs: Option<(u64, u64)>,
+        snapshot: Option<SnapshotInfo>,
         obs: Obs,
         encoder: Arc<HierarchyEncoder>,
     ) -> Database {
@@ -386,21 +324,10 @@ impl Database {
             stats,
             saturated: saturated.map_or_else(OnceLock::new, OnceLock::from),
             cache,
-            epochs,
+            snapshot,
             obs,
             encoder,
         }
-    }
-
-    /// Install a database-wide observability sink (builder style).
-    pub fn with_obs(mut self, obs: Obs) -> Database {
-        self.obs = obs;
-        self
-    }
-
-    /// The database-wide observability sink.
-    pub fn obs(&self) -> &Obs {
-        &self.obs
     }
 
     /// The plan cache (shared handle).
@@ -429,13 +356,7 @@ impl Database {
         &self.closure
     }
 
-    /// The store over explicit triples.
-    pub fn store(&self) -> &Store {
-        &self.store
-    }
-
-    /// The store over explicit triples, as handed to an [`Evaluator`] —
-    /// [`Database::store`] under the name the benchmark replay calls.
+    /// The store over explicit triples, as handed to an [`Evaluator`].
     pub fn source(&self) -> &Store {
         &self.store
     }
@@ -520,6 +441,7 @@ impl Database {
         let out = head_names(cq);
         let mut explain = Explain {
             strategy: strategy.name().to_string(),
+            snapshot: self.snapshot,
             ..Explain::default()
         };
         let mut metrics = ExecMetrics::default();
@@ -687,17 +609,19 @@ impl Database {
     /// assembling a snapshot-owned database; tests use it to stage a
     /// lagging reader against a live cache.
     #[cfg(test)]
-    fn with_pinned_epochs(mut self, epochs: (u64, u64)) -> Database {
-        self.epochs = Some(epochs);
+    fn with_pinned_epochs(mut self, (schema_epoch, data_epoch): (u64, u64)) -> Database {
+        self.snapshot = Some(SnapshotInfo::new(0, schema_epoch, data_epoch));
         self
     }
 
     /// The epochs plans are validated and tagged against: the pinned
     /// snapshot epochs for serving-layer databases, the cache's live epochs
     /// otherwise.
-    pub(crate) fn cache_epochs(&self) -> (u64, u64) {
-        self.epochs
-            .unwrap_or_else(|| (self.cache.schema_epoch(), self.cache.data_epoch()))
+    fn cache_epochs(&self) -> (u64, u64) {
+        match self.snapshot {
+            Some(info) => (info.schema_epoch(), info.data_epoch()),
+            None => (self.cache.schema_epoch(), self.cache.data_epoch()),
+        }
     }
 
     /// Cache lookup pinned at this database's epochs: a snapshot-owned
@@ -843,18 +767,6 @@ fn cover_from_plan(cover: &Cover, atom_map: &[usize]) -> Result<Cover> {
     Ok(Cover::new(fragments, atom_map.len())?)
 }
 
-/// Convenience: answer a query on a graph with a one-shot database.
-pub fn answer(
-    graph: &Graph,
-    cq: &Cq,
-    strategy: Strategy,
-    opts: &AnswerOptions,
-) -> Result<QueryAnswer> {
-    Database::builder()
-        .build(graph.clone())
-        .run_query(cq, &strategy, opts)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -905,13 +817,12 @@ ex:bioy ex:hasName "A. Bioy Casares" .
         let reference = db
             .run_query(&q, &Strategy::Saturation, &opts)
             .unwrap()
-            .rows()
-            .to_vec();
+            .rows();
         // doi1 (explicit Book), doi2 (Novel ⊑ Book ⊑ Publication),
         // doi3 (domain of writtenBy).
         assert_eq!(reference.len(), 3);
         for strategy in all_complete_strategies() {
-            let got = db.run_query(&q, &strategy, &opts).unwrap().rows().to_vec();
+            let got = db.run_query(&q, &strategy, &opts).unwrap().rows();
             assert_eq!(got, reference, "strategy {} diverged", strategy.name());
         }
     }
@@ -961,8 +872,7 @@ ex:bioy ex:hasName "A. Bioy Casares" .
         let reference = db
             .run_query(&q, &Strategy::Saturation, &opts)
             .unwrap()
-            .rows()
-            .to_vec();
+            .rows();
         assert_eq!(reference.len(), 2); // doi1/Borges, doi3/Bioy
         for cover in [
             Cover::singletons(3),
@@ -973,8 +883,7 @@ ex:bioy ex:hasName "A. Bioy Casares" .
             let got = db
                 .run_query(&q, &Strategy::RefJucq(cover.clone()), &opts)
                 .unwrap_or_else(|e| panic!("cover {cover} failed: {e}"))
-                .rows()
-                .to_vec();
+                .rows();
             assert_eq!(got, reference, "cover {cover} diverged");
         }
     }
@@ -1045,13 +954,12 @@ ex:bioy ex:hasName "A. Bioy Casares" .
         let reference = db
             .run_query(&q, &Strategy::Saturation, &opts)
             .unwrap()
-            .rows()
-            .to_vec();
+            .rows();
         // doi1 and doi3 have writtenBy; types: doi1 ∈ {Book, Publication},
         // doi3 ∈ {Book, Publication} — 4 rows.
         assert_eq!(reference.len(), 4);
         for strategy in all_complete_strategies() {
-            let got = db.run_query(&q, &strategy, &opts).unwrap().rows().to_vec();
+            let got = db.run_query(&q, &strategy, &opts).unwrap().rows();
             assert_eq!(got, reference, "strategy {} diverged", strategy.name());
         }
     }
@@ -1172,38 +1080,16 @@ ex:bioy ex:hasName "A. Bioy Casares" .
             Strategy::RefGCov,
             Strategy::RefJucq(Cover::new(vec![vec![0, 1], vec![2]], 3).unwrap()),
         ] {
-            let cold = db
-                .run_query(&q, &strategy, &cached)
-                .unwrap()
-                .rows()
-                .to_vec();
-            let warm = db
-                .run_query(&q, &strategy, &cached)
-                .unwrap()
-                .rows()
-                .to_vec();
-            let off = db
-                .run_query(&q, &strategy, &uncached)
-                .unwrap()
-                .rows()
-                .to_vec();
+            let cold = db.run_query(&q, &strategy, &cached).unwrap().rows();
+            let warm = db.run_query(&q, &strategy, &cached).unwrap().rows();
+            let off = db.run_query(&q, &strategy, &uncached).unwrap().rows();
             assert_eq!(cold, warm, "warm diverged for {}", strategy.name());
             assert_eq!(cold, off, "uncached diverged for {}", strategy.name());
         }
     }
 
-    #[test]
-    fn one_shot_answer_helper() {
-        let mut g = parse_turtle(DOC).unwrap();
-        let q = parse_select(PUBLICATIONS, g.dictionary_mut()).unwrap();
-        let a = answer(&g, &q, Strategy::RefGCov, &AnswerOptions::default()).unwrap();
-        assert_eq!(a.len(), 3);
-    }
-
-    /// The request builder is the sole public entry point; it must return
-    /// exactly what the core `run_query` surface returns, for every
-    /// strategy (the old positional-`answer` equivalence, kept against the
-    /// builder path after the shims' removal).
+    /// The request builder ends in `run_query`: for every strategy it
+    /// returns exactly what `run_query` returns.
     #[test]
     fn builder_path_matches_run_query() {
         let (db, q) = setup(PUBLICATIONS);
@@ -1220,46 +1106,6 @@ ex:bioy ex:hasName "A. Bioy Casares" .
             assert_eq!(built.explain.strategy, core.explain.strategy);
             assert_eq!(built.explain.answers, core.explain.answers);
         }
-    }
-
-    /// `rows()` materializes once; the second call returns the same cached
-    /// allocation (pointer-stable), so comparison-heavy callers pay for the
-    /// per-row vectors once.
-    #[test]
-    fn rows_are_cached_after_first_call() {
-        let (db, q) = setup(PUBLICATIONS);
-        let a = db
-            .run_query(&q, &Strategy::Saturation, &AnswerOptions::default())
-            .unwrap();
-        let first = a.rows();
-        let second = a.rows();
-        assert_eq!(first.len(), 3);
-        assert!(
-            std::ptr::eq(first.as_ptr(), second.as_ptr()),
-            "rows() re-materialized instead of returning the cached sort"
-        );
-        // A clone starts with a fresh (lazily filled) cache but equal rows.
-        let b = a.clone();
-        assert_eq!(b.rows(), a.rows());
-    }
-
-    /// Options builder methods cover every field.
-    #[test]
-    fn answer_options_builder_roundtrip() {
-        let opts = AnswerOptions::new()
-            .with_row_budget(Some(7))
-            .with_parallelism(Parallelism::morsels())
-            .with_use_cache(false)
-            .with_limits(ReformulationLimits {
-                max_cqs: 9,
-                ..Default::default()
-            })
-            .with_obs(Obs::disabled());
-        assert_eq!(opts.row_budget, Some(7));
-        assert_eq!(opts.parallelism, Parallelism::morsels());
-        assert!(!opts.use_cache);
-        assert_eq!(opts.limits.max_cqs, 9);
-        assert!(!opts.obs.enabled());
     }
 
     /// A snapshot-owned database pinned at `(0, 0)` keeps seeing the plan

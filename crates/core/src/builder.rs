@@ -40,7 +40,8 @@ use rdfref_obs::Obs;
 use rdfref_sync::Arc;
 
 /// Configures and constructs an engine. Obtain one via
-/// [`Database::builder`]; finish with [`EngineBuilder::build`] (static,
+/// [`Database::builder`] (or `EngineBuilder::default()`, the same defaults:
+/// classic encoding, observability disabled); finish with [`EngineBuilder::build`] (static,
 /// in-memory) or [`EngineBuilder::build_serving`] (incrementally maintained,
 /// snapshot-isolated serving).
 #[derive(Debug, Clone)]
@@ -60,12 +61,6 @@ impl Default for EngineBuilder {
 }
 
 impl EngineBuilder {
-    /// A builder with the defaults: classic encoding, observability
-    /// disabled. Every engine gets a [`PlanCache::default`].
-    pub fn new() -> EngineBuilder {
-        EngineBuilder::default()
-    }
-
     /// Dictionary encoding for the store. [`DictEncoding::Interval`]
     /// clusters each class/property hierarchy's ids into contiguous ranges
     /// so covered reformulations execute as single range scans.
@@ -74,16 +69,18 @@ impl EngineBuilder {
         self
     }
 
-    /// Engine-wide observability sink.
+    /// Engine-wide observability sink, handed to the engine at build time;
+    /// a request's own sink overrides it.
     pub fn obs(mut self, obs: Obs) -> Self {
         self.obs = obs;
         self
     }
 
-    /// Build an in-memory [`Database`] over `graph`.
+    /// Build an in-memory [`Database`] over `graph`, with a fresh
+    /// [`PlanCache::default`].
     pub fn build(self, graph: Graph) -> Database {
         let cache = Arc::new(PlanCache::default());
-        Database::build(graph, cache, self.encoding).with_obs(self.obs)
+        Database::build(graph, cache, self.encoding, self.obs)
     }
 
     /// Build a [`ServingDatabase`]: the saturation is maintained
@@ -123,8 +120,7 @@ ex:doi2 a ex:Publication .
         let reference = plain
             .run_query(&q, &Strategy::RefGCov, &Default::default())
             .unwrap()
-            .rows()
-            .to_vec();
+            .rows();
         assert_eq!(reference.len(), 2);
 
         let configured = Database::builder().encoding(DictEncoding::Interval);
@@ -155,7 +151,7 @@ ex:doi2 a ex:Publication .
         let serving = Database::builder()
             .encoding(DictEncoding::Interval)
             .build_serving(g);
-        let reference = plain.query(&q).run().unwrap().rows().to_vec();
+        let reference = plain.query(&q).run().unwrap().rows();
         assert_eq!(interval.query(&q).run().unwrap().rows(), &reference[..]);
         let snap = serving.snapshot();
         assert_eq!(snap.query(&q).run().unwrap().rows(), &reference[..]);

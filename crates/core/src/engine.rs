@@ -6,7 +6,11 @@
 //! [`ServingDatabase`](crate::ServingDatabase) — does so through `&self`,
 //! so [`QueryEngine`] is the one surface harness code (the CLI shell, the
 //! experiment harness, the cross-strategy completeness tests) is generic
-//! over, and any engine can be shared across threads by reference:
+//! over, and any engine can be shared across threads by reference. Every
+//! path ends in [`Database::run_query`]: a snapshot and the serving engine
+//! hand the request to the snapshot's database, which stamps its answers
+//! with the snapshot's identity ([`crate::Explain::snapshot`]; `None` on a
+//! static database).
 //!
 //! ```
 //! use rdfref_core::answer::{AnswerOptions, Database, Strategy};
@@ -95,7 +99,9 @@ impl<E: QueryEngine> QueryEngine for &E {
 /// serving database — [`QueryEngine::query`] generically); finish with
 /// [`QueryRequest::run`]. Defaults:
 /// `Strategy::RefGCov` (the paper's recommended strategy) and
-/// [`AnswerOptions::default`].
+/// [`AnswerOptions::default`]. Besides `strategy`, every setter writes
+/// [`AnswerOptions`] fields (`options` replaces them all); the options have
+/// no builder of their own.
 #[must_use = "a QueryRequest does nothing until .run()"]
 #[derive(Debug)]
 pub struct QueryRequest<'q, E> {

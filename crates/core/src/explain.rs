@@ -25,8 +25,8 @@ pub struct CacheReport {
 /// Everything observable about one query answering run.
 ///
 /// Non-exhaustive: new observability fields may be added without a major
-/// version bump; out-of-crate code reads fields directly (they stay `pub`)
-/// or through the accessor methods, and constructs values via `Default`.
+/// version bump. Out-of-crate code reads the `pub` fields, which are the
+/// one way to read an answer's facts, and constructs values via `Default`.
 #[derive(Debug, Clone, Default)]
 #[non_exhaustive]
 pub struct Explain {
@@ -62,9 +62,8 @@ pub struct Explain {
     /// Plan-cache outcome, for Ref strategies with the cache enabled
     /// (`None` when the run bypassed the cache).
     pub cache: Option<CacheReport>,
-    /// The immutable snapshot this run was served from (`None` when the
-    /// run went against a plain [`crate::Database`] rather than the
-    /// serving layer).
+    /// The immutable snapshot this run was served from, on every read path
+    /// of the serving layer (`None` for a static [`crate::Database`]).
     pub snapshot: Option<SnapshotInfo>,
     /// The join operator(s) the evaluator actually dispatched, tallied over
     /// every CQ body it ran (under Ref strategies those are the CQs of the
@@ -170,48 +169,6 @@ impl SnapshotInfo {
     /// Plan-cache data epoch at snapshot construction.
     pub fn data_epoch(&self) -> u64 {
         self.data_epoch
-    }
-}
-
-impl Explain {
-    /// Human-readable strategy name.
-    pub fn strategy(&self) -> &str {
-        &self.strategy
-    }
-
-    /// Number of answer tuples.
-    pub fn answers(&self) -> usize {
-        self.answers
-    }
-
-    /// Wall-clock time of the complete answering run.
-    pub fn wall(&self) -> Duration {
-        self.wall
-    }
-
-    /// Plan-cache outcome (`None` when the run bypassed the cache).
-    pub fn cache(&self) -> Option<&CacheReport> {
-        self.cache.as_ref()
-    }
-
-    /// Operator-level metrics (scans, joins, intermediate sizes).
-    pub fn metrics(&self) -> &ExecMetrics {
-        &self.metrics
-    }
-
-    /// The cost model's estimate for the executed query, if Ref.
-    pub fn estimate(&self) -> Option<&CostEstimate> {
-        self.estimate.as_ref()
-    }
-
-    /// The cover used, if the strategy is cover-based.
-    pub fn cover(&self) -> Option<&Cover> {
-        self.cover.as_ref()
-    }
-
-    /// The join operator(s) the evaluator dispatched.
-    pub fn physical(&self) -> Option<&PhysicalPlan> {
-        self.physical.as_ref()
     }
 }
 

@@ -65,11 +65,6 @@ impl GcovOptions {
         self.limits = limits;
         self
     }
-
-    /// The per-fragment reformulation limits.
-    pub fn limits(&self) -> &ReformulationLimits {
-        &self.limits
-    }
 }
 
 /// The outcome of a GCov search.

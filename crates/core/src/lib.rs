@@ -18,8 +18,8 @@
 //!   the [`answer::Strategy`] enum covering Sat, all Ref variants, and Dat;
 //! * [`cache`] — the shared plan cache: α-canonicalized keys, epoch-based
 //!   invalidation (schema epoch for every plan, data epoch for cost-based
-//!   GCov plans), one LRU behind one lock, safe under concurrent `answer`
-//!   calls;
+//!   GCov plans), one LRU behind one lock, safe under concurrent
+//!   requests;
 //! * [`explain`] — what the demo GUI shows: reformulation sizes, chosen and
 //!   explored covers with estimated costs, intermediate cardinalities,
 //!   wall-clock.
@@ -51,8 +51,8 @@
 //! ```
 //!
 //! Observability: hand a [`rdfref_obs::MetricsRegistry`] to a request via
-//! [`engine::QueryRequest::collect_metrics`] (or database-wide with
-//! [`answer::Database::with_obs`]) and read it back with
+//! [`engine::QueryRequest::collect_metrics`] (or engine-wide with
+//! [`EngineBuilder::obs`]) and read it back with
 //! [`rdfref_obs::MetricsRegistry::snapshot`].
 
 #![forbid(unsafe_code)]

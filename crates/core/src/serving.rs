@@ -77,12 +77,11 @@ use std::time::{Duration, Instant};
 /// regardless of concurrent maintenance. Queries run with `&self`.
 #[derive(Debug)]
 pub struct Snapshot {
-    /// Monotonic publication sequence number (0 = the initial snapshot).
-    seq: u64,
     /// Pre-assembled database over the snapshot's parts: explicit store,
     /// stats, schema closure, the maintained saturation installed as
     /// [`SaturatedPart`] so `Sat` never saturates from scratch, and the
-    /// plan-cache epochs it is pinned to.
+    /// snapshot's identity ([`SnapshotInfo`]: publication sequence number
+    /// and the plan-cache epochs it is pinned to), which stamps its answers.
     db: Database,
     /// When this snapshot was built (snapshot-age metrics).
     created: Instant,
@@ -91,13 +90,14 @@ pub struct Snapshot {
 impl Snapshot {
     /// Monotonic publication sequence number (0 = initial snapshot).
     pub fn seq(&self) -> u64 {
-        self.seq
+        self.info().map_or(0, |info| info.seq())
     }
 
-    /// Identity of this snapshot for [`crate::Explain::snapshot`].
-    pub fn info(&self) -> SnapshotInfo {
-        let (schema_epoch, data_epoch) = self.db.cache_epochs();
-        SnapshotInfo::new(self.seq, schema_epoch, data_epoch)
+    /// Identity of this snapshot, as every answer it gives carries it in
+    /// [`crate::Explain::snapshot`]. Always `Some`: the serving layer
+    /// assembles a snapshot's database with its identity.
+    pub fn info(&self) -> Option<SnapshotInfo> {
+        self.db.snapshot
     }
 
     /// The underlying prepared database (store, stats, schema accessors).
@@ -115,7 +115,7 @@ impl Snapshot {
 
     /// Number of explicit triples.
     pub fn explicit_len(&self) -> usize {
-        self.db.store().len()
+        self.db.source().len()
     }
 
     /// Number of triples in the maintained saturation.
@@ -130,20 +130,6 @@ impl Snapshot {
         self.created.elapsed()
     }
 
-    /// Answer `cq` with `strategy` against this snapshot. Identical to
-    /// [`Database::run_query`] but stamps [`crate::Explain::snapshot`] so
-    /// callers can correlate answers with publication sequence numbers.
-    pub fn run_query(
-        &self,
-        cq: &Cq,
-        strategy: &Strategy,
-        opts: &AnswerOptions,
-    ) -> Result<QueryAnswer> {
-        let mut ans = self.db.run_query(cq, strategy, opts)?;
-        ans.explain.snapshot = Some(self.info());
-        Ok(ans)
-    }
-
     /// Start building a query request against this snapshot.
     pub fn query<'q>(&self, cq: &'q Cq) -> QueryRequest<'q, &Snapshot> {
         QueryRequest::new(self, cq)
@@ -152,7 +138,7 @@ impl Snapshot {
 
 impl QueryEngine for Snapshot {
     fn run_query(&self, cq: &Cq, strategy: &Strategy, opts: &AnswerOptions) -> Result<QueryAnswer> {
-        Snapshot::run_query(self, cq, strategy, opts)
+        self.db.run_query(cq, strategy, opts)
     }
 }
 
@@ -490,12 +476,15 @@ impl WriterCore {
                 added: self.last_delta,
             }),
             Arc::clone(&self.cache),
-            Some((self.cache.schema_epoch(), self.cache.data_epoch())),
+            Some(SnapshotInfo::new(
+                self.seq,
+                self.cache.schema_epoch(),
+                self.cache.data_epoch(),
+            )),
             self.obs.clone(),
             Arc::clone(&self.encoder),
         );
         Arc::new(Snapshot {
-            seq: self.seq,
             db,
             created: Instant::now(),
         })
@@ -643,7 +632,6 @@ pub struct ServingDatabase {
     queue: Option<mpsc::Sender<PendingBatch>>,
     worker: Option<thread::JoinHandle<()>>,
     cache: Arc<PlanCache>,
-    obs: Obs,
 }
 
 impl ServingDatabase {
@@ -653,7 +641,6 @@ impl ServingDatabase {
     pub(crate) fn from_builder(graph: Graph, b: &EngineBuilder) -> ServingDatabase {
         let cache = Arc::new(PlanCache::default());
         let writer = WriterCore::new(graph, Arc::clone(&cache), b);
-        let obs = b.obs.clone();
         let cell = Arc::new(SnapshotCell::new(writer.snapshot()));
         let (queue, rx) = mpsc::channel::<PendingBatch>();
         let worker = {
@@ -676,7 +663,6 @@ impl ServingDatabase {
             queue: Some(queue),
             worker: Some(worker),
             cache,
-            obs,
         }
     }
 
@@ -688,18 +674,13 @@ impl ServingDatabase {
 
     /// Sequence number of the latest published snapshot.
     pub fn published_seq(&self) -> u64 {
-        self.cell.lock().seq
+        self.cell.lock().seq()
     }
 
     /// The plan cache every snapshot shares (snapshot-pinned lookups, see
     /// [`crate::cache`]).
     pub fn plan_cache(&self) -> &Arc<PlanCache> {
         &self.cache
-    }
-
-    /// The observability sink.
-    pub fn obs(&self) -> &Obs {
-        &self.obs
     }
 
     /// Enqueue a write batch for the maintenance pipeline. Returns
@@ -740,7 +721,7 @@ impl ServingDatabase {
 
 impl QueryEngine for ServingDatabase {
     fn run_query(&self, cq: &Cq, strategy: &Strategy, opts: &AnswerOptions) -> Result<QueryAnswer> {
-        self.snapshot().run_query(cq, strategy, opts)
+        self.snapshot().database().run_query(cq, strategy, opts)
     }
 }
 
@@ -786,13 +767,16 @@ fn writer_loop(mut writer: WriterCore, rx: mpsc::Receiver<PendingBatch>, cell: A
             std::ptr::eq(snap.dictionary(), writer.reasoner.explicit().dictionary()),
             "the published dictionary is not the reasoner's"
         );
-        let seq = snap.seq;
+        let seq = snap.seq();
         let retired = {
             let mut current = cell.lock();
             // This loop is the only publisher and `WriterCore::apply` bumps
             // `seq` once per batch, so publication is monotonic.
             #[cfg(feature = "strict-invariants")]
-            assert!(seq > current.seq, "snapshot publication must be monotonic");
+            assert!(
+                seq > current.seq(),
+                "snapshot publication must be monotonic"
+            );
             std::mem::replace(&mut *current, snap)
         };
         obs.add("serving.publish", 1);

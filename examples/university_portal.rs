@@ -23,7 +23,10 @@ fn main() {
     let db = Database::builder().build(ds.graph.clone());
     // Keep the UCQ attempt from consuming the machine: the point of
     // Example 1 is that it is infeasible.
-    let opts = AnswerOptions::new().with_limits(ReformulationLimits::new().with_max_cqs(50_000));
+    let opts = AnswerOptions {
+        limits: ReformulationLimits::new().with_max_cqs(50_000),
+        ..AnswerOptions::default()
+    };
 
     println!("=== the paper's Example 1 query ===");
     println!(

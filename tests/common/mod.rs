@@ -457,13 +457,16 @@ pub fn check_points(
         };
         for &join in joins {
             for parallelism in [Parallelism::Off, Parallelism::Morsels { size: 1 }] {
-                let opts = AnswerOptions::new()
-                    .with_join_algorithm(join)
-                    .with_parallelism(parallelism);
                 for run in runs.clone() {
                     let point = format!("{label} {name} {join:?} {parallelism:?} cache run {run}");
+                    let opts = AnswerOptions {
+                        join_algorithm: join,
+                        parallelism,
+                        use_cache: run > 0,
+                        ..AnswerOptions::default()
+                    };
                     let answer = engine
-                        .run_query(cq, &strategy, &opts.clone().with_use_cache(run > 0))
+                        .run_query(cq, &strategy, &opts)
                         .map_err(|e| TestCaseError::fail(format!("{point}: {e}")))?;
                     prop_assert_eq!(answer.rows(), want, "{}", point);
                     let hit = answer.explain.cache.as_ref().is_some_and(|c| c.hit);
@@ -502,7 +505,10 @@ pub fn check_static(
 pub fn check_covers(graph: &Graph, cq: &Cq) -> TestCaseResult {
     let want = oracle_answer(cq, graph);
     let db = Database::builder().build(graph.clone());
-    let opts = AnswerOptions::new().with_use_cache(false);
+    let opts = AnswerOptions {
+        use_cache: false,
+        ..AnswerOptions::default()
+    };
     for cover in Cover::enumerate_partitions(cq.size()) {
         let strategy = AnswerStrategy::RefJucq(cover.clone());
         let got = db.run_query(cq, &strategy, &opts).unwrap();

@@ -29,8 +29,7 @@ fn reference_workload(
             let reference = db
                 .run_query(&nq.cq, &Strategy::Saturation, &opts)
                 .unwrap_or_else(|e| panic!("{}: Sat reference failed: {e}", nq.name))
-                .rows()
-                .to_vec();
+                .rows();
             (nq.name.to_string(), nq.cq, reference)
         })
         .collect()
@@ -55,8 +54,7 @@ fn hammer(db: Arc<Database>, workload: Arc<Workload>) {
                             .unwrap_or_else(|e| {
                                 panic!("thread {t}: {name}/{}: {e}", strategy.name())
                             })
-                            .rows()
-                            .to_vec();
+                            .rows();
                         assert_eq!(
                             &got,
                             reference,

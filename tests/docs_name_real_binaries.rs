@@ -1,8 +1,10 @@
 //! Pins that the docs, the CI workflow and the verify skill only name
-//! experiment binaries and test targets that exist, that no single-shot
-//! `BENCH_*.json` artifact comes back to the repository root, and that
-//! DESIGN.md's knob tables list exactly the `EngineBuilder` knobs and
-//! `AnswerOptions` fields of the source.
+//! experiment binaries and test targets that exist, that every binary is
+//! named in one of them and every test target in README, DESIGN or the CI
+//! workflow, that no single-shot `BENCH_*.json` artifact comes back to the
+//! repository root, and that the knob tables list exactly the source's
+//! knobs: DESIGN.md's the `EngineBuilder` setters and `AnswerOptions`
+//! fields, README's the setters of `QueryRequest` and `EngineBuilder`.
 //!
 //! The crate has two binaries: `exp_all`, whose committed run is the only
 //! source of EXPERIMENTS.md's E1–E8 and A1–A6 numbers, and `benchmark`, the
@@ -79,6 +81,9 @@ fn named_test_targets(text: &str) -> Vec<String> {
     names
 }
 
+/// Files of which one must name each test target, so none is unaccounted.
+const TEST_INDEX: &[&str] = &["README.md", "DESIGN.md", ".github/workflows/ci.yml"];
+
 #[test]
 fn every_named_test_target_exists() {
     let crates = fs::read_dir(root().join("crates")).expect("read crates/");
@@ -86,21 +91,33 @@ fn every_named_test_target_exists() {
         .map(|entry| entry.expect("dir entry").path().join("tests"))
         .collect();
     dirs.push(root().join("tests"));
-    let mut scanned_names = 0;
+    let mut indexed = Vec::new();
     for file in SCANNED {
         let text = fs::read_to_string(root().join(file)).unwrap_or_else(|e| panic!("{file}: {e}"));
         for name in named_test_targets(&text) {
-            scanned_names += 1;
             assert!(
                 dirs.iter().any(|d| d.join(format!("{name}.rs")).is_file()),
                 "{file} names test target `{name}`, which is no `tests/{name}.rs` of the workspace"
             );
+            if TEST_INDEX.contains(file) {
+                indexed.push(name);
+            }
         }
     }
-    assert!(
-        scanned_names > 20,
-        "the scan found only {scanned_names} names"
-    );
+    for dir in dirs.iter().filter(|d| d.is_dir()) {
+        for entry in fs::read_dir(dir).expect("read a tests/ directory") {
+            let path = entry.expect("dir entry").path();
+            if path.extension().is_none_or(|ext| ext != "rs") {
+                continue;
+            }
+            let stem = path.file_stem().expect("a file name").to_string_lossy();
+            assert!(
+                indexed.iter().any(|name| *name == stem),
+                "none of {TEST_INDEX:?} names the test target `{}`",
+                path.strip_prefix(root()).unwrap_or(&path).display()
+            );
+        }
+    }
 }
 
 #[test]
@@ -171,10 +188,11 @@ fn table_after(text: &str, marker: &str) -> Vec<Vec<String>> {
 }
 
 /// The sorted identifiers in `names`, each the leading identifier of a
-/// markdown cell such as `` `encoding(DictEncoding)` `` or `` `limits` ``.
+/// markdown cell such as `` `encoding(DictEncoding)` ``, `` `limits` `` or
+/// `` `.row_budget(…)` ``.
 fn cell_identifiers<'a>(names: impl Iterator<Item = &'a String>) -> Vec<String> {
     let mut ids: Vec<String> = names
-        .map(|cell| identifier(cell.trim_start_matches('`')).to_string())
+        .map(|cell| identifier(cell.trim_start_matches(['`', '.'])).to_string())
         .collect();
     ids.sort();
     ids
@@ -202,14 +220,14 @@ fn design_knob_tables_match_the_builder_and_the_answer_options() {
         fs::read_to_string(root().join(file)).unwrap_or_else(|e| panic!("{file}: {e}"))
     };
     let design = read("DESIGN.md");
+    let setters = |file: &str, start: &str| {
+        block_items(&read(file), start, "pub fn ", |line| {
+            line.contains("(mut self")
+        })
+    };
 
     // §3f: every `EngineBuilder` method that takes the builder by `mut self`.
-    let builder = block_items(
-        &read("crates/core/src/builder.rs"),
-        "impl EngineBuilder {",
-        "pub fn ",
-        |line| line.contains("(mut self"),
-    );
+    let builder = setters("crates/core/src/builder.rs", "impl EngineBuilder {");
     let table = table_after(&design, "\nKnobs:\n");
     assert_eq!(
         cell_identifiers(table.iter().map(|row| &row[0])),
@@ -231,4 +249,28 @@ fn design_knob_tables_match_the_builder_and_the_answer_options() {
         fields,
         "DESIGN §3d's knob table against `AnswerOptions`' fields"
     );
+
+    // README: every `mut self` setter of `QueryRequest` and `EngineBuilder`,
+    // each in the row of its type.
+    let request = setters(
+        "crates/core/src/engine.rs",
+        "impl<'q, E: QueryEngine> QueryRequest<'q, E> {",
+    );
+    let table = table_after(&read("README.md"), "| Knob | Where |");
+    for (ty, setters) in [("QueryRequest", request), ("EngineBuilder", builder)] {
+        let rows = table.iter().filter(|row| row[1] == format!("`{ty}`"));
+        assert_eq!(
+            cell_identifiers(rows.map(|row| &row[0])),
+            setters,
+            "README's knob table against `{ty}`'s setters"
+        );
+    }
+    for row in &table {
+        assert!(
+            ["`QueryRequest`", "`EngineBuilder`"].contains(&row[1].as_str()),
+            "README's knob table sets {} through {}, neither builder",
+            row[0],
+            row[1]
+        );
+    }
 }

@@ -125,7 +125,10 @@ fn reformulation_size_limit_is_exact_and_typed() {
     let ds = rdfref::datagen::lubm::generate(&rdfref::datagen::lubm::LubmConfig::default());
     let q = rdfref::datagen::queries::example1(&ds, 0).unwrap();
     let db = Database::builder().build(ds.graph.clone());
-    let opts = AnswerOptions::new().with_limits(ReformulationLimits::new().with_max_cqs(100));
+    let opts = AnswerOptions {
+        limits: ReformulationLimits::new().with_max_cqs(100),
+        ..AnswerOptions::default()
+    };
     match db.run_query(&q, &Strategy::RefUcq, &opts) {
         Err(rdfref::core::CoreError::ReformulationTooLarge { size, limit }) => {
             assert_eq!(limit, 100);
@@ -140,7 +143,10 @@ fn row_budget_applies_to_every_strategy() {
     let ds = rdfref::datagen::lubm::generate(&rdfref::datagen::lubm::LubmConfig::default());
     let mix = rdfref::datagen::queries::lubm_mix(&ds).unwrap();
     let db = Database::builder().build(ds.graph.clone());
-    let opts = AnswerOptions::new().with_row_budget(Some(3));
+    let opts = AnswerOptions {
+        row_budget: Some(3),
+        ..AnswerOptions::default()
+    };
     // Q06 (all students) overflows a budget of 3 under Sat, Ref and Dat
     // alike; Dat's budget bounds the query over its closure.
     let q6 = &mix.iter().find(|q| q.name == "Q06").unwrap().cq;
@@ -211,7 +217,10 @@ fn invalid_covers_are_rejected_before_evaluation() {
     q04.body.rotate_left(2);
     let two_atoms = mix.iter().find(|q| q.cq.size() == 2).unwrap().cq.clone();
     for use_cache in [true, false] {
-        let opts = AnswerOptions::new().with_use_cache(use_cache);
+        let opts = AnswerOptions {
+            use_cache,
+            ..AnswerOptions::default()
+        };
         for (cq, cover) in [
             (&q04, Cover::new(vec![vec![0, 1]], 2).unwrap()),
             // Indexes an atom the query does not have.

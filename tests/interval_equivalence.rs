@@ -257,7 +257,7 @@ fn minimisation_compares_intervals_and_constants_in_one_id_space() {
         let opts = AnswerOptions::default();
         let rows = |strategy: &QStrategy| {
             let answer = interval.run_query(&cq, strategy, &opts).unwrap();
-            answer.rows().to_vec()
+            answer.rows()
         };
         let want = rows(&QStrategy::Saturation);
         assert_eq!(want.len(), 5, "{order:?}");

@@ -111,7 +111,10 @@ fn example_1_shape() {
     let ds = generate(&LubmConfig::scale(3));
     let q = queries::example1(&ds, 0).unwrap();
     let db = Database::builder().build(ds.graph.clone());
-    let opts = AnswerOptions::new().with_limits(ReformulationLimits::new().with_max_cqs(20_000));
+    let opts = AnswerOptions {
+        limits: ReformulationLimits::new().with_max_cqs(20_000),
+        ..AnswerOptions::default()
+    };
 
     // (i) UCQ fails by size.
     let ucq_err = db.run_query(&q, &Strategy::RefUcq, &opts).unwrap_err();

@@ -401,9 +401,11 @@ fn plan_cold_reformulation_sizes_are_pinned() {
     for (graph, named) in workloads() {
         for encoding in [DictEncoding::Classic, DictEncoding::Interval] {
             let db = Database::builder().encoding(encoding).build(graph.clone());
-            let opts = AnswerOptions::new()
-                .with_use_cache(false)
-                .with_limits(ReformulationLimits::new().with_max_cqs(50_000));
+            let opts = AnswerOptions {
+                use_cache: false,
+                limits: ReformulationLimits::new().with_max_cqs(50_000),
+                ..AnswerOptions::default()
+            };
             for (name, cq) in &named {
                 if !["ex1", "Sroot", "Svar", "G02"].contains(&name.as_str()) {
                     continue;

@@ -113,8 +113,10 @@ fn readers_see_prefix_consistent_snapshots_under_churn() {
                     iteration += 1;
 
                     // Both answers are stamped with the snapshot they ran on.
-                    assert_eq!(sat.explain.snapshot, Some(snap.info()));
-                    assert_eq!(alt.explain.snapshot, Some(snap.info()));
+                    let stamp = snap.info();
+                    assert!(stamp.is_some_and(|info| info.seq() == seq));
+                    assert_eq!(sat.explain.snapshot, stamp);
+                    assert_eq!(alt.explain.snapshot, stamp);
 
                     // And both equal the reference for exactly that prefix.
                     let sat_rows = answer_set(&snap, &sat);
@@ -193,5 +195,68 @@ fn ticket_wait_gives_read_your_writes() {
         let ans = snap.query(&q).strategy(Strategy::RefUcq).run().unwrap();
         // doi1 + rw1..=rwi are all Books ⟹ Publications.
         assert_eq!(ans.len(), 1 + i as usize);
+    }
+}
+
+/// Every read path of the serving layer stamps its answer with the snapshot
+/// it ran on — the request builders of both serving types, `QueryEngine` on
+/// both, and the snapshot's own database — and a static database leaves the
+/// stamp empty.
+#[test]
+fn every_read_path_stamps_its_snapshot() {
+    let mut graph = rdfref::model::parser::parse_turtle(BASE).unwrap();
+    let q = parse_select(
+        "PREFIX ex: <http://example.org/> SELECT ?x WHERE { ?x a ex:Publication }",
+        graph.dictionary_mut(),
+    )
+    .unwrap();
+    let static_db = Database::builder().build(graph.clone());
+    let db = Database::builder().build_serving(graph);
+    db.insert(vec![type_triple("stamped")])
+        .unwrap()
+        .wait()
+        .unwrap();
+    let snap = db.snapshot();
+    let stamp = snap.info();
+    assert!(stamp.is_some_and(|info| info.seq() == 1), "{stamp:?}");
+    let opts = AnswerOptions::default();
+    for strategy in [Strategy::Saturation, Strategy::RefUcq, Strategy::RefGCov] {
+        let name = strategy.name();
+        // No write is in flight, so the serving engine's current snapshot
+        // is `snap`.
+        let paths = [
+            (
+                "ServingDatabase::query",
+                db.query(&q).strategy(strategy.clone()).run(),
+            ),
+            (
+                "Snapshot::query",
+                snap.query(&q).strategy(strategy.clone()).run(),
+            ),
+            (
+                "QueryEngine on ServingDatabase",
+                db.run_query(&q, &strategy, &opts),
+            ),
+            (
+                "QueryEngine on Snapshot",
+                snap.run_query(&q, &strategy, &opts),
+            ),
+            (
+                "Snapshot::database",
+                snap.database().run_query(&q, &strategy, &opts),
+            ),
+        ];
+        for (path, answer) in paths {
+            let answer = answer.unwrap();
+            assert_eq!(answer.len(), 2, "{path} {name}");
+            assert_eq!(answer.explain.snapshot, stamp, "{path} {name}");
+        }
+        let unstamped = [
+            static_db.query(&q).strategy(strategy.clone()).run(),
+            QueryEngine::run_query(&static_db, &q, &strategy, &opts),
+        ];
+        for answer in unstamped {
+            assert_eq!(answer.unwrap().explain.snapshot, None, "static {name}");
+        }
     }
 }

@@ -23,14 +23,12 @@ fn check_equivalence(db: &Database, cq: &Cq, label: &str) {
     let reference = db
         .run_query(cq, &Strategy::Saturation, &opts)
         .unwrap_or_else(|e| panic!("{label}: Sat failed: {e}"))
-        .rows()
-        .to_vec();
+        .rows();
     for strategy in complete_strategies() {
         let got = db
             .run_query(cq, &strategy, &opts)
             .unwrap_or_else(|e| panic!("{label}/{}: failed: {e}", strategy.name()))
-            .rows()
-            .to_vec();
+            .rows();
         assert_eq!(got, reference, "{label}: {} diverged", strategy.name());
     }
     // Plus a couple of non-trivial covers when the query is big enough.
@@ -40,8 +38,7 @@ fn check_equivalence(db: &Database, cq: &Cq, label: &str) {
         let got = db
             .run_query(cq, &Strategy::RefJucq(halves.clone()), &opts)
             .unwrap_or_else(|e| panic!("{label}/cover {halves}: {e}"))
-            .rows()
-            .to_vec();
+            .rows();
         assert_eq!(got, reference, "{label}: cover {halves} diverged");
     }
 }
@@ -72,15 +69,14 @@ fn lubm_example1_equivalence_small() {
     let reference = db
         .run_query(&q, &Strategy::Saturation, &opts)
         .unwrap()
-        .rows()
-        .to_vec();
+        .rows();
     for strategy in [
         Strategy::RefScq,
         Strategy::RefGCov,
         Strategy::RefJucq(queries::example1_paper_cover().unwrap()),
         Strategy::Datalog,
     ] {
-        let got = db.run_query(&q, &strategy, &opts).unwrap().rows().to_vec();
+        let got = db.run_query(&q, &strategy, &opts).unwrap().rows();
         assert_eq!(got, reference, "{} diverged", strategy.name());
     }
 }
@@ -225,7 +221,10 @@ fn parallel_morsels_match_sequential() {
     let ds = lubm::generate(&lubm::LubmConfig::default());
     let db = Database::builder().build(ds.graph.clone());
     let sequential = AnswerOptions::default();
-    let parallel = AnswerOptions::new().with_parallelism(Parallelism::Morsels { size: 8 });
+    let parallel = AnswerOptions {
+        parallelism: Parallelism::Morsels { size: 8 },
+        ..AnswerOptions::default()
+    };
     for nq in queries::lubm_mix(&ds).unwrap() {
         if nq.name == "Q09" {
             continue; // large UCQ; covered by the others
@@ -294,7 +293,10 @@ fn gcov_reports_covers_in_the_callers_atom_numbering() {
             .build(ds.graph.clone());
         for (name, cq) in &cqs {
             let run = |use_cache: bool| {
-                let opts = AnswerOptions::new().with_use_cache(use_cache);
+                let opts = AnswerOptions {
+                    use_cache,
+                    ..AnswerOptions::default()
+                };
                 let explain = db.run_query(cq, &Strategy::RefGCov, &opts).unwrap().explain;
                 let explored: HashSet<Cover> =
                     explain.explored.into_iter().map(|(c, _)| c).collect();

@@ -44,7 +44,10 @@ fn stressor_triangle_and_auto_verdicts() {
     });
     let mix = wcoj_mix(&ds).unwrap();
     let db = Database::builder().build(ds.graph.clone());
-    let opts = AnswerOptions::default().with_join_algorithm(JoinAlgorithm::Auto);
+    let opts = AnswerOptions {
+        join_algorithm: JoinAlgorithm::Auto,
+        ..AnswerOptions::default()
+    };
 
     let triangle = db.run_query(&mix[0].cq, &QStrategy::RefUcq, &opts).unwrap();
     assert_eq!(
@@ -74,21 +77,25 @@ fn stressor_triangle_and_auto_verdicts() {
                 .run_query(
                     &nq.cq,
                     &strategy,
-                    &AnswerOptions::default().with_join_algorithm(JoinAlgorithm::BindJoin),
+                    &AnswerOptions {
+                        join_algorithm: JoinAlgorithm::BindJoin,
+                        ..AnswerOptions::default()
+                    },
                 )
                 .unwrap()
-                .rows()
-                .to_vec();
+                .rows();
             want.sort();
             let mut got = db
                 .run_query(
                     &nq.cq,
                     &strategy,
-                    &AnswerOptions::default().with_join_algorithm(JoinAlgorithm::Wcoj),
+                    &AnswerOptions {
+                        join_algorithm: JoinAlgorithm::Wcoj,
+                        ..AnswerOptions::default()
+                    },
                 )
                 .unwrap()
-                .rows()
-                .to_vec();
+                .rows();
             got.sort();
             assert_eq!(got, want, "{}/{}", nq.name, strategy.name());
         }
@@ -121,9 +128,11 @@ fn explain_physical_reports_what_ran_under_jucq() {
 
     for strategy in [QStrategy::RefGCov, QStrategy::RefScq, QStrategy::RefUcq] {
         let registry = std::sync::Arc::new(MetricsRegistry::default());
-        let opts = AnswerOptions::default()
-            .with_join_algorithm(JoinAlgorithm::Auto)
-            .with_obs(Obs::collecting(registry.clone()));
+        let opts = AnswerOptions {
+            join_algorithm: JoinAlgorithm::Auto,
+            obs: Obs::collecting(registry.clone()),
+            ..AnswerOptions::default()
+        };
         let answer = db.run_query(&w02.cq, &strategy, &opts).unwrap();
         let phys = answer.explain.physical.as_ref().expect("physical plan");
         let leapfrogged = registry.snapshot().counter("op.lfj.seeks") > 0;
@@ -171,11 +180,13 @@ fn plan_cache_keys_are_algorithm_tagged() {
                 .run_query(
                     &mix[0].cq,
                     &QStrategy::RefUcq,
-                    &AnswerOptions::default().with_join_algorithm(algo),
+                    &AnswerOptions {
+                        join_algorithm: algo,
+                        ..AnswerOptions::default()
+                    },
                 )
                 .unwrap()
-                .rows()
-                .to_vec();
+                .rows();
             rows.sort();
             match &reference {
                 Some(want) => assert_eq!(&rows, want, "{algo:?}"),
