@@ -254,7 +254,7 @@ pub fn run_strategy(
             wall: answer.explain.wall,
             answers: answer.len(),
             cqs: answer.explain.reformulation_cqs,
-            peak_rows: answer.explain.metrics.peak_intermediate,
+            peak_rows: answer.explain.metrics.peak_intermediate(),
         },
         Err(CoreError::ReformulationTooLarge { size, .. }) => Outcome::TooLarge { size },
         Err(CoreError::Storage(StorageError::RowBudgetExceeded { budget })) => {

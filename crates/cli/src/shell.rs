@@ -445,14 +445,9 @@ impl Shell {
                 let _ = writeln!(out, "plan cache : not consulted");
             }
         }
-        if let Some(phys) = &answer.explain.physical {
-            let _ = writeln!(out, "physical   : {} ({})", phys.algorithm, phys.reason);
-            if !phys.var_order.is_empty() {
-                let _ = writeln!(out, "  var order : {}", phys.var_order.join(" "));
-            }
-            for (i, atom) in phys.atoms.iter().enumerate() {
-                let _ = writeln!(out, "  t{:<8} : {}", i + 1, atom);
-            }
+        let dispatched = &answer.explain.metrics.dispatched;
+        if dispatched.choice.is_some() {
+            let _ = writeln!(out, "physical   : {dispatched:12}");
         }
         let _ = writeln!(out, "spans:");
         for (path, stats) in &snap.spans {
@@ -586,7 +581,8 @@ impl Shell {
         let _ = write!(
             out,
             "peak intermediate {} rows, {} rows scanned in total",
-            explain.metrics.peak_intermediate, explain.metrics.rows_scanned
+            explain.metrics.peak_intermediate(),
+            explain.metrics.rows_scanned()
         );
         Ok(Response::text(out))
     }

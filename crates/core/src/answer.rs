@@ -33,7 +33,7 @@ use rdfref_query::canonical::alpha_canonicalize;
 use rdfref_query::Cover;
 use rdfref_reasoning::saturate_in_place_obs;
 use rdfref_storage::evaluator::{head_names, Evaluator};
-use rdfref_storage::{ExecMetrics, JoinAlgorithm, Parallelism, Relation, Stats, Store};
+use rdfref_storage::{JoinAlgorithm, Parallelism, Relation, Stats, Store};
 use rdfref_sync::{Arc, OnceLock};
 use std::borrow::Cow;
 use std::time::Instant;
@@ -444,18 +444,6 @@ impl Database {
             snapshot: self.snapshot,
             ..Explain::default()
         };
-        let mut metrics = ExecMetrics::default();
-        let finish = |relation: Relation, mut explain: Explain, metrics: ExecMetrics| {
-            // What the evaluator dispatched, not what the user's CQ alone
-            // would have: under Ref strategies it arbitrates per CQ.
-            explain.physical = crate::explain::PhysicalPlan::from_dispatched(&metrics.dispatched);
-            explain.metrics = metrics;
-            explain.answers = relation.len();
-            let mut answer = QueryAnswer::from_parts(relation, explain);
-            answer.explain.wall = start.elapsed();
-            answer
-        };
-
         // Every strategy evaluates in store id space.
         let relation = match strategy {
             Strategy::Saturation => {
@@ -464,7 +452,7 @@ impl Database {
                 evaluator(&sat.store, &sat.stats, opts, &obs).eval_cq(
                     &self.encode_cq(cq),
                     &out,
-                    &mut metrics,
+                    &mut explain.metrics,
                 )?
             }
             Strategy::RefUcq
@@ -497,7 +485,7 @@ impl Database {
                         explain.reformulation_cqs = ucq.len();
                         explain.reformulation_atoms = ucq.total_atoms();
                         explain.estimate = Some(model.ucq_estimate(ucq));
-                        ev.eval_ucq(ucq, &out, &mut metrics)?
+                        ev.eval_ucq(ucq, &out, &mut explain.metrics)?
                     }
                     CachedPlan::Jucq(jucq) | CachedPlan::Gcov(GcovResult { jucq, .. }) => {
                         explain.reformulation_cqs = jucq.total_cqs();
@@ -510,7 +498,7 @@ impl Database {
                         });
                         // The JUCQ's head is the planned query's head
                         // variables: its columns take the caller's, by position.
-                        ev.eval_jucq(jucq, &mut metrics)?
+                        ev.eval_jucq(jucq, &mut explain.metrics)?
                             .with_columns(cq.head_vars())?
                     }
                 };
@@ -544,7 +532,7 @@ impl Database {
                 let relation = evaluator(&tc, &stats, opts, &obs).eval_cq(
                     &self.encode_cq(cq),
                     &out,
-                    &mut metrics,
+                    &mut explain.metrics,
                 )?;
                 // Every `tc` fact, the explicit ones included (the copy
                 // rule derives them), plus every `q` fact.
@@ -553,7 +541,11 @@ impl Database {
                 relation
             }
         };
-        Ok(finish(self.decode(relation), explain, metrics))
+        let relation = self.decode(relation);
+        explain.answers = relation.len();
+        let mut answer = QueryAnswer::from_parts(relation, explain);
+        answer.explain.wall = start.elapsed();
+        Ok(answer)
     }
 
     /// The plan of `cq` under one of the four complete Ref strategies,
@@ -696,7 +688,7 @@ impl Database {
         let fixpoint = Evaluator::new(&self.store, &self.stats).eval_ucq(
             &raw,
             out,
-            &mut ExecMetrics::default(),
+            &mut rdfref_storage::ExecMetrics::default(),
         );
         let Ok(mut fixpoint) = fixpoint else { return };
         let mut minimised = minimised.clone();

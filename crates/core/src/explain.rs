@@ -44,7 +44,10 @@ pub struct Explain {
     /// Covers explored by GCov with their estimates (`None` = reformulation
     /// exceeded the size limit).
     pub explored: Vec<(Cover, Option<CostEstimate>)>,
-    /// Operator-level metrics (scans, joins, intermediate sizes).
+    /// Operator-level metrics (scans, joins, intermediate sizes), and the
+    /// join operator(s) the evaluator dispatched, tallied over every CQ
+    /// body it ran (under Ref strategies those are the CQs of the
+    /// reformulation, not the user's query).
     pub metrics: ExecMetrics,
     /// Wall-clock time of the complete answering run.
     pub wall: Duration,
@@ -65,70 +68,6 @@ pub struct Explain {
     /// The immutable snapshot this run was served from, on every read path
     /// of the serving layer (`None` for a static [`crate::Database`]).
     pub snapshot: Option<SnapshotInfo>,
-    /// The join operator(s) the evaluator actually dispatched, tallied over
-    /// every CQ body it ran (under Ref strategies those are the CQs of the
-    /// reformulation, not the user's query), with the arbitration — reason,
-    /// and for WCOJ the global variable order and the trie permutation each
-    /// atom binds — of a representative CQ. `None` for body-less queries.
-    pub physical: Option<PhysicalPlan>,
-}
-
-/// The rendered physical dispatch (see [`Explain::physical`]).
-///
-/// Non-exhaustive, built by the engine from the evaluator's
-/// [`rdfref_storage::exec::Dispatched`] tally; readers use the public
-/// fields.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-#[non_exhaustive]
-pub struct PhysicalPlan {
-    /// The algorithm that ran: `"bind join"` or `"wcoj"`, or both with
-    /// their CQ counts (`"wcoj ×2, bind join ×5"`) when a plan's CQs split.
-    pub algorithm: String,
-    /// Why: the arbitration (cost-model verdict, explicit request,
-    /// fallback) of the first CQ run by WCOJ if any was, else of the first
-    /// CQ evaluated.
-    pub reason: String,
-    /// CQ bodies run by the leapfrog triejoin.
-    pub wcoj_cqs: usize,
-    /// CQ bodies run as bind-join / hash-join chains.
-    pub bind_join_cqs: usize,
-    /// WCOJ only: that CQ's global variable order, outermost first.
-    pub var_order: Vec<String>,
-    /// WCOJ only: per body atom of that CQ, the bound trie permutation and
-    /// level layout, e.g. `"SPO [?x #7 ?y]"`.
-    pub atoms: Vec<String>,
-}
-
-impl PhysicalPlan {
-    /// Render what the evaluator dispatched; `None` if it ran no CQ body.
-    pub fn from_dispatched(ran: &rdfref_storage::exec::Dispatched) -> Option<PhysicalPlan> {
-        let algorithm = match (ran.wcoj_cqs, ran.bind_join_cqs) {
-            (0, 0) => return None,
-            (_, 0) => "wcoj".to_string(),
-            (0, _) => "bind join".to_string(),
-            (w, b) => format!("wcoj ×{w}, bind join ×{b}"),
-        };
-        let plan = ran.choice.as_ref().and_then(|c| c.plan.as_ref());
-        Some(PhysicalPlan {
-            algorithm,
-            reason: match &ran.choice {
-                Some(choice) => choice.reason.clone(),
-                // Nothing is arbitrated when bind join is requested outright.
-                None => "bind join requested".to_string(),
-            },
-            wcoj_cqs: ran.wcoj_cqs,
-            bind_join_cqs: ran.bind_join_cqs,
-            var_order: plan
-                .map(|p| {
-                    p.var_order()
-                        .iter()
-                        .map(|v| format!("?{}", v.name()))
-                        .collect()
-                })
-                .unwrap_or_default(),
-            atoms: plan.map(|p| p.atom_renderings()).unwrap_or_default(),
-        })
-    }
 }
 
 /// Identity of the immutable snapshot a query ran against: its publication
@@ -214,14 +153,8 @@ impl fmt::Display for Explain {
                 snap.seq, snap.schema_epoch, snap.data_epoch
             )?;
         }
-        if let Some(phys) = &self.physical {
-            writeln!(f, "physical        : {} ({})", phys.algorithm, phys.reason)?;
-            if !phys.var_order.is_empty() {
-                writeln!(f, "  var order     : {}", phys.var_order.join(" "))?;
-            }
-            for (i, atom) in phys.atoms.iter().enumerate() {
-                writeln!(f, "  t{:<12} : {}", i + 1, atom)?;
-            }
+        if self.metrics.dispatched.choice.is_some() {
+            writeln!(f, "physical        : {:16}", self.metrics.dispatched)?;
         }
         if self.saturation_added > 0 {
             writeln!(f, "saturation added: {} triples", self.saturation_added)?;
@@ -246,8 +179,8 @@ impl fmt::Display for Explain {
                 f,
                 "operators       : {} steps, peak intermediate {} rows, {} rows scanned",
                 self.metrics.steps.len(),
-                self.metrics.peak_intermediate,
-                self.metrics.rows_scanned
+                self.metrics.peak_intermediate(),
+                self.metrics.rows_scanned()
             )?;
         }
         Ok(())

@@ -85,7 +85,7 @@ pub use builder::EngineBuilder;
 pub use cache::{CacheCounters, CacheKey, CachedPlan, PlanCache, StrategyTag};
 pub use engine::{QueryEngine, QueryRequest};
 pub use error::{CoreError, Result};
-pub use explain::{Explain, PhysicalPlan, SnapshotInfo};
+pub use explain::{Explain, SnapshotInfo};
 pub use gcov::{gcov, gcov_with_obs, GcovOptions, GcovResult};
 pub use incomplete::IncompletenessProfile;
 pub use rdfref_obs::{MetricsRegistry, Obs};

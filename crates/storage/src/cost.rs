@@ -18,6 +18,7 @@
 //!   outright.
 
 use crate::stats::Stats;
+use crate::wcoj::JoinReason;
 use rdfref_model::dictionary::ID_RDF_TYPE;
 use rdfref_query::ast::{Atom, Cq, Jucq, PTerm, Ucq};
 use rdfref_query::Var;
@@ -37,11 +38,12 @@ pub struct CostParams {
     pub parse_cost_per_cq: f64,
     /// Compile overhead per atom of the query text.
     pub parse_cost_per_atom: f64,
-    /// Minimum second-smallest atom cardinality of a star body before the
-    /// `Auto` join policy prefers WCOJ over chained bind joins: below this,
-    /// intermediate results are too small for the leapfrog setup to pay off.
-    pub wcoj_star_min_card: f64,
 }
+
+/// Minimum second-smallest atom cardinality of a star body before `Auto`
+/// prefers WCOJ ([`JoinReason::Star`]): below this, intermediate results are
+/// too small for the leapfrog setup to pay off.
+const WCOJ_STAR_MIN_CARD: f64 = 64.0;
 
 impl Default for CostParams {
     fn default() -> Self {
@@ -52,7 +54,6 @@ impl Default for CostParams {
             probe_cost_per_row: 4.0,
             parse_cost_per_cq: 25.0,
             parse_cost_per_atom: 5.0,
-            wcoj_star_min_card: 64.0,
         }
     }
 }
@@ -64,15 +65,6 @@ pub struct CostEstimate {
     pub cardinality: f64,
     /// Estimated total evaluation cost (abstract units).
     pub cost: f64,
-}
-
-/// The cost model's `Auto` verdict for a CQ body's physical join algorithm.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct JoinChoice {
-    /// The chosen algorithm (`BindJoin` or `Wcoj`, never `Auto`).
-    pub algorithm: crate::evaluator::JoinAlgorithm,
-    /// Human-readable rationale, rendered by `explain analyze`.
-    pub reason: String,
 }
 
 /// The cost model: statistics + parameters.
@@ -215,49 +207,25 @@ impl<'a> CostModel<'a> {
         state.order
     }
 
-    /// The `Auto` physical-join verdict for a CQ body. Purely structural +
-    /// statistical, never data-touching:
-    ///
-    /// * fewer than 3 atoms — bind join (a single binary join cannot lose
-    ///   asymptotically);
-    /// * cyclic variable hypergraph (GYO) — WCOJ: binary plans on cyclic
-    ///   bodies materialize intermediates a worst-case-optimal join never
-    ///   builds (the triangle's `O(N^{3/2})` vs `O(N²)`);
-    /// * star body (a hub variable in ≥ 3 atoms) whose second-smallest atom
-    ///   is estimated above [`CostParams::wcoj_star_min_card`] — WCOJ: the
-    ///   leapfrog intersects the hub's adjacency lists instead of chaining
-    ///   bind joins through them;
-    /// * otherwise — bind join.
-    pub fn choose_join_algorithm(&self, body: &[Atom]) -> JoinChoice {
-        use crate::evaluator::JoinAlgorithm;
+    /// The `Auto` physical-join verdict for a CQ body: the first of
+    /// [`JoinReason`]'s `FewAtoms`, `Cyclic`, `Star` and `Acyclic` whose
+    /// condition holds. Purely structural + statistical, never data-touching.
+    pub fn choose_join_algorithm(&self, body: &[Atom]) -> JoinReason {
         use rdfref_query::varorder;
         if body.len() < 3 {
-            return JoinChoice {
-                algorithm: JoinAlgorithm::BindJoin,
-                reason: "auto: fewer than 3 atoms".to_string(),
-            };
+            return JoinReason::FewAtoms;
         }
         if varorder::is_cyclic(body) {
-            return JoinChoice {
-                algorithm: JoinAlgorithm::Wcoj,
-                reason: "auto: cyclic join graph".to_string(),
-            };
+            return JoinReason::Cyclic;
         }
-        if let Some((hub, n)) = varorder::hub(body) {
+        if let Some((hub, atoms)) = varorder::hub(body) {
             let mut cards: Vec<f64> = body.iter().map(|a| self.atom_cardinality(a)).collect();
             cards.sort_by(f64::total_cmp);
-            let second_smallest = cards.get(1).copied().unwrap_or(0.0);
-            if second_smallest >= self.params.wcoj_star_min_card {
-                return JoinChoice {
-                    algorithm: JoinAlgorithm::Wcoj,
-                    reason: format!("auto: star join (?{} in {} atoms)", hub.name(), n),
-                };
+            if cards.get(1).is_some_and(|&card| card >= WCOJ_STAR_MIN_CARD) {
+                return JoinReason::Star { hub, atoms };
             }
         }
-        JoinChoice {
-            algorithm: JoinAlgorithm::BindJoin,
-            reason: "auto: acyclic, bind-join chain is cheap".to_string(),
-        }
+        JoinReason::Acyclic
     }
 
     /// Estimate a CQ body: cardinality + cost. Leaves the distinct values of
@@ -618,7 +586,6 @@ mod tests {
 
     #[test]
     fn auto_join_choice_triangle_star_chain() {
-        use crate::evaluator::JoinAlgorithm;
         let (stats, ids) = fixture();
         let m = CostModel::new(&stats);
         let p = ids[0];
@@ -638,35 +605,38 @@ mod tests {
             Atom::new(v("h"), p, v("c")),
         ];
         let two = vec![Atom::new(v("x"), p, v("y")), Atom::new(v("y"), p, v("z"))];
-        let c = m.choose_join_algorithm(&triangle);
-        assert_eq!(c.algorithm, JoinAlgorithm::Wcoj);
-        assert!(c.reason.contains("cyclic"), "{}", c.reason);
-        let c = m.choose_join_algorithm(&chain);
-        assert_eq!(c.algorithm, JoinAlgorithm::BindJoin, "{}", c.reason);
+        assert_eq!(m.choose_join_algorithm(&triangle), JoinReason::Cyclic);
+        assert_eq!(m.choose_join_algorithm(&chain), JoinReason::Acyclic);
         // Star over the 100-row p-relation: every atom card = 100 ≥ 64.
         let c = m.choose_join_algorithm(&star);
-        assert_eq!(c.algorithm, JoinAlgorithm::Wcoj);
-        assert!(c.reason.contains("star"), "{}", c.reason);
-        let c = m.choose_join_algorithm(&two);
-        assert_eq!(c.algorithm, JoinAlgorithm::BindJoin);
-        assert!(c.reason.contains("fewer than 3"), "{}", c.reason);
+        assert_eq!(
+            c,
+            JoinReason::Star {
+                hub: v("h"),
+                atoms: 3
+            }
+        );
+        assert_eq!(c.to_string(), "auto: star join (?h in 3 atoms)");
+        assert_eq!(m.choose_join_algorithm(&two), JoinReason::FewAtoms);
     }
 
     #[test]
     fn small_star_stays_bind_join() {
         use crate::evaluator::JoinAlgorithm;
         let (stats, ids) = fixture();
-        let mut m = CostModel::new(&stats);
-        // Raise the gate above the 100-row atoms: the star falls back.
-        m.params.wcoj_star_min_card = 1_000.0;
-        let p = ids[0];
+        let m = CostModel::new(&stats);
+        let (p, c1, c2) = (ids[0], ids[1], ids[2]);
+        // A hub in 3 atoms whose second-smallest atom is C1's 10 members,
+        // below the 64-row gate: the star stays on bind join.
         let star = vec![
             Atom::new(v("h"), p, v("a")),
-            Atom::new(v("h"), p, v("b")),
-            Atom::new(v("h"), p, v("c")),
+            Atom::new(v("h"), ID_RDF_TYPE, c1),
+            Atom::new(v("h"), ID_RDF_TYPE, c2),
         ];
+        assert!(m.atom_cardinality(&star[1]) < WCOJ_STAR_MIN_CARD);
         let c = m.choose_join_algorithm(&star);
-        assert_eq!(c.algorithm, JoinAlgorithm::BindJoin, "{}", c.reason);
+        assert_eq!(c, JoinReason::Acyclic);
+        assert_eq!(c.algorithm(), JoinAlgorithm::BindJoin);
     }
 
     #[test]

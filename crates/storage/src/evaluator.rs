@@ -72,25 +72,20 @@ impl Parallelism {
     }
 }
 
-/// Physical join algorithm policy for CQ bodies.
-///
-/// * `BindJoin` — the classic left-deep chain of index-nested-loop /
-///   hash joins (the default; what the paper's RDBMS back-ends run).
-/// * `Wcoj` — the worst-case-optimal leapfrog triejoin of
-///   [`crate::wcoj`]; falls back to bind join per-CQ when no feasible
-///   trie binding exists (repeated-variable atoms).
-/// * `Auto` — the cost model picks per CQ: WCOJ for cyclic and big-star
-///   bodies, bind join otherwise
-///   ([`crate::cost::CostModel::choose_join_algorithm`]).
+/// Physical join algorithm policy for CQ bodies, resolved per CQ by
+/// [`crate::wcoj::physical_choice`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 #[non_exhaustive]
 pub enum JoinAlgorithm {
-    /// Left-deep bind-join / hash-join chains (the classic evaluator).
+    /// Left-deep index-nested-loop / hash-join chains: the classic evaluator,
+    /// what the paper's RDBMS back-ends run.
     #[default]
     BindJoin,
-    /// Worst-case-optimal leapfrog triejoin over the permutation indexes.
+    /// The worst-case-optimal leapfrog triejoin of [`crate::wcoj`]; a CQ with
+    /// no feasible trie binding (a repeated-variable atom) falls back to bind
+    /// join.
     Wcoj,
-    /// Cost-model choice per CQ body.
+    /// The cost model's verdict per CQ body ([`crate::wcoj::JoinReason`]).
     Auto,
 }
 
@@ -189,18 +184,13 @@ impl<'a> Evaluator<'a> {
             });
         }
         let _span = self.obs.span("eval.cq");
-        let model = CostModel::new(self.stats);
-        let mut acc = Relation::unit();
         // Physical dispatch: the arbitration in `wcoj::physical_choice`
-        // decides, and what actually ran is tallied in
-        // `metrics.dispatched` for `Explain` to render. A `BindJoin`
-        // verdict (requested, cost-model, or fallback) takes the classic
-        // chain below.
-        let mut wcoj_done = false;
-        if !cq.body.is_empty() {
-            let choice = (self.join_algorithm != JoinAlgorithm::BindJoin)
-                .then(|| crate::wcoj::physical_choice(self.stats, self.join_algorithm, &cq.body));
-            if let Some(plan) = choice.as_ref().and_then(|c| c.plan.as_ref()) {
+        // decides, and is recorded in `metrics.dispatched` for `Explain`.
+        let mut acc = Relation::unit();
+        let choice = (!cq.body.is_empty())
+            .then(|| crate::wcoj::physical_choice(self.stats, self.join_algorithm, &cq.body));
+        match choice.as_ref().and_then(|c| c.plan.as_ref()) {
+            Some(plan) => {
                 let sw = self.obs.stopwatch();
                 acc = crate::wcoj::eval(
                     self.store,
@@ -211,32 +201,29 @@ impl<'a> Evaluator<'a> {
                 )?;
                 let label = StepLabel::Lfj(plan.atom_count());
                 self.step(metrics, label, acc.len(), sw.elapsed());
-                wcoj_done = true;
             }
-            metrics.record_dispatch(wcoj_done, choice);
+            None => {
+                let model = CostModel::new(self.stats);
+                for (i, &idx) in model.order_atoms(&cq.body).iter().enumerate() {
+                    let atom = &cq.body[idx];
+                    acc = match i {
+                        0 => self.scan(atom, idx, metrics)?,
+                        _ => self.join_atom(&acc, atom, idx, metrics)?,
+                    };
+                    if acc.is_empty() {
+                        break;
+                    }
+                }
+            }
         }
-        if wcoj_done && acc.is_empty() {
+        if let Some(choice) = choice {
+            metrics.dispatched.record(choice);
+        }
+        if acc.is_empty() {
+            // Annihilated: the result is empty regardless of the remaining
+            // atoms (whose columns were never materialized).
             self.step(metrics, StepLabel::ProjectDedup, 0, Duration::ZERO);
             return Ok(Relation::empty(out.to_vec()));
-        }
-        let mut first = true;
-        for &idx in &model.order_atoms(&cq.body) {
-            if wcoj_done {
-                break;
-            }
-            let atom = &cq.body[idx];
-            if first {
-                acc = self.scan(atom, idx, metrics)?;
-                first = false;
-            } else {
-                acc = self.join_atom(&acc, atom, idx, metrics)?;
-            }
-            if acc.is_empty() {
-                // Annihilated: the result is empty regardless of the
-                // remaining atoms (whose columns were never materialized).
-                self.step(metrics, StepLabel::ProjectDedup, 0, Duration::ZERO);
-                return Ok(Relation::empty(out.to_vec()));
-            }
         }
 
         // Build the output relation from the head.
@@ -479,7 +466,7 @@ mod tests {
         .unwrap();
         let (rel, metrics) = eval_cq(&store, &stats, &cq).unwrap();
         assert_eq!(rel.len(), 3);
-        assert_eq!(metrics.rows_scanned, 3);
+        assert_eq!(metrics.rows_scanned(), 3);
     }
 
     #[test]
@@ -577,6 +564,50 @@ mod tests {
         assert_eq!(snap.counter("op.lfj.atoms"), 3);
         assert!(snap.counter("op.lfj.seeks") > 0);
         assert_eq!(snap.counter("op.lfj.rows"), 1);
+    }
+
+    /// Under `Wcoj`, a UCQ whose CQs split: `(?x knows ?x)` repeats a
+    /// variable, so no trie binding exists and its CQ falls back to bind
+    /// join, while the triangle is leapfrogged. The tally counts both and
+    /// reports the leapfrogged CQ's arbitration.
+    #[test]
+    fn split_dispatch_tallies_both_operators() {
+        let (store, stats, ids) = fixture();
+        let knows = ids[3];
+        let self_loop = Cq::new(vec![v("x")], vec![Atom::new(v("x"), knows, v("x"))]).unwrap();
+        let triangle = Cq::new(
+            vec![v("x")],
+            vec![
+                Atom::new(v("x"), knows, v("y")),
+                Atom::new(v("y"), knows, v("z")),
+                Atom::new(v("x"), knows, v("z")),
+            ],
+        )
+        .unwrap();
+        let fallback = crate::wcoj::physical_choice(&stats, JoinAlgorithm::Wcoj, &self_loop.body);
+        assert!(fallback.plan.is_none());
+        assert_eq!(
+            fallback.to_string(),
+            "wcoj requested; fell back to bind join (no feasible trie binding)"
+        );
+        let mut ev = Evaluator::new(&store, &stats);
+        ev.join_algorithm = JoinAlgorithm::Wcoj;
+        let mut m = ExecMetrics::default();
+        let ucq = Ucq::new(vec![self_loop, triangle]).unwrap();
+        let rel = ev.eval_ucq(&ucq, &[v("x")], &mut m).unwrap();
+        assert_eq!(rel.to_rows(), vec![vec![ids[0]]]);
+        let ran = &m.dispatched;
+        assert_eq!((ran.wcoj_cqs, ran.bind_join_cqs), (1, 1));
+        let choice = ran.choice.as_ref().expect("a CQ body ran");
+        assert_eq!(choice.reason, crate::wcoj::JoinReason::WcojRequested);
+        assert!(choice.plan.is_some());
+        let rendered = format!("{ran:5}");
+        assert!(
+            rendered.starts_with("wcoj ×1, bind join ×1 (wcoj requested)\n"),
+            "{rendered}"
+        );
+        assert_eq!(rendered.lines().count(), 5, "{rendered}");
+        assert!(rendered.contains("\n  t3 : "), "{rendered}");
     }
 
     #[test]

@@ -6,7 +6,6 @@
 //! paper quotes for Example 1, e.g. "33,328,108 results each").
 
 use crate::error::Result;
-use crate::evaluator::JoinAlgorithm;
 use crate::morsel;
 use crate::relation::Relation;
 use crate::store::Store;
@@ -95,60 +94,74 @@ pub struct Dispatched {
     /// CQ bodies run by the leapfrog triejoin.
     pub wcoj_cqs: usize,
     /// The arbitration behind the tally: that of the first CQ run by WCOJ
-    /// if any was, else of the first CQ arbitrated at all. `None` when bind
-    /// join was requested outright (nothing is arbitrated).
+    /// if any was, else of the first CQ run. `None` iff no CQ body ran.
     pub choice: Option<PhysicalChoice>,
 }
 
-/// Execution metrics: per-operator row counts and aggregates.
+impl Dispatched {
+    /// Record the arbitration of one CQ body that ran.
+    pub(crate) fn record(&mut self, choice: PhysicalChoice) {
+        let wcoj = choice.plan.is_some();
+        if wcoj {
+            self.wcoj_cqs += 1;
+        } else {
+            self.bind_join_cqs += 1;
+        }
+        let first_wcoj = |old: &PhysicalChoice| wcoj && old.plan.is_none();
+        if self.choice.as_ref().is_none_or(first_wcoj) {
+            self.choice = Some(choice);
+        }
+    }
+}
+
+/// `wcoj (auto: cyclic join graph)`, or `wcoj ×2, bind join ×5 (…)` when
+/// the CQs split; when the reported CQ was leapfrogged, its plan's lines
+/// follow, their labels padded to the formatter's width. Empty when no CQ
+/// body ran.
+impl fmt::Display for Dispatched {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let Some(choice) = &self.choice else {
+            return Ok(());
+        };
+        match (self.wcoj_cqs, self.bind_join_cqs) {
+            (_, 0) => write!(f, "wcoj ({choice})")?,
+            (0, _) => write!(f, "bind join ({choice})")?,
+            (w, b) => write!(f, "wcoj ×{w}, bind join ×{b} ({choice})")?,
+        }
+        match &choice.plan {
+            Some(plan) => fmt::Display::fmt(plan, f),
+            None => Ok(()),
+        }
+    }
+}
+
+/// Execution metrics: the operator trace and the join operators that ran.
 #[derive(Debug, Clone, Default)]
 pub struct ExecMetrics {
     /// Ordered operator trace.
     pub steps: Vec<ExecStep>,
-    /// Total rows emitted by scans.
-    pub rows_scanned: usize,
-    /// Largest intermediate relation observed.
-    pub peak_intermediate: usize,
     /// The join operators that actually ran.
     pub dispatched: Dispatched,
 }
 
 impl ExecMetrics {
-    /// Record an operator's output size and wall time; a scan's rows also
-    /// count in `rows_scanned`.
+    /// Record an operator's output size and wall time.
     pub fn record(&mut self, label: StepLabel, rows: usize, wall: Duration) {
-        if let StepLabel::Scan(_) | StepLabel::RangeScan(_) = label {
-            self.rows_scanned += rows;
-        }
         self.steps.push(ExecStep { label, rows, wall });
-        self.peak_intermediate = self.peak_intermediate.max(rows);
     }
 
-    /// Record which operator ran one CQ body (`choice` = its arbitration,
-    /// if one took place).
-    pub(crate) fn record_dispatch(&mut self, wcoj: bool, choice: Option<PhysicalChoice>) {
-        if wcoj {
-            self.dispatched.wcoj_cqs += 1;
-        } else {
-            self.dispatched.bind_join_cqs += 1;
-        }
-        self.dispatched.prefer(choice);
+    /// Total rows emitted by scans.
+    pub fn rows_scanned(&self) -> usize {
+        self.steps
+            .iter()
+            .filter(|step| matches!(step.label, StepLabel::Scan(_) | StepLabel::RangeScan(_)))
+            .map(|step| step.rows)
+            .sum()
     }
-}
 
-impl Dispatched {
-    /// Keep the first WCOJ arbitration seen, else the first of any kind.
-    fn prefer(&mut self, choice: Option<PhysicalChoice>) {
-        let is_wcoj = |c: &PhysicalChoice| c.algorithm == JoinAlgorithm::Wcoj;
-        if let Some(new) = choice {
-            if self
-                .choice
-                .as_ref()
-                .is_none_or(|old| is_wcoj(&new) && !is_wcoj(old))
-            {
-                self.choice = Some(new);
-            }
-        }
+    /// Largest intermediate relation observed.
+    pub fn peak_intermediate(&self) -> usize {
+        self.steps.iter().map(|step| step.rows).max().unwrap_or(0)
     }
 }
 
@@ -237,8 +250,8 @@ mod tests {
         m.record(StepLabel::Join, 50, Duration::ZERO);
         m.record(StepLabel::RangeScan(2), 7, Duration::ZERO);
         m.record(StepLabel::Join, 100, Duration::ZERO);
-        assert_eq!(m.rows_scanned, 17);
-        assert_eq!(m.peak_intermediate, 100);
+        assert_eq!(m.rows_scanned(), 17);
+        assert_eq!(m.peak_intermediate(), 100);
         assert_eq!(m.steps.len(), 4);
     }
 }

@@ -52,7 +52,7 @@ pub mod stats;
 pub mod store;
 pub mod wcoj;
 
-pub use cost::{CostEstimate, CostModel, FragmentEstimate, JoinChoice};
+pub use cost::{CostEstimate, CostModel, FragmentEstimate};
 pub use error::{Result, StorageError};
 pub use evaluator::{
     eval_cq, eval_jucq, eval_ucq, JoinAlgorithm, Parallelism, DEFAULT_MORSEL_SIZE,
@@ -61,4 +61,4 @@ pub use exec::ExecMetrics;
 pub use relation::Relation;
 pub use stats::{Stats, StatsMaintainer};
 pub use store::{Bound, Pattern, Store};
-pub use wcoj::{physical_choice, PhysicalChoice, WcojPlan};
+pub use wcoj::{physical_choice, JoinReason, PhysicalChoice, WcojPlan};

@@ -8,8 +8,9 @@
 //! that index are read as a trie (each key level = one trie level).
 //! [`plan`] performs the binding; `eval` runs the leapfrog driver over the
 //! bound tries, optionally morsel-parallel; [`physical_choice`] is the
-//! single arbitration point — evaluator dispatch and `Explain` both go
-//! through it so the executed plan and the rendered plan can never drift.
+//! single arbitration point — the evaluator dispatches on its verdict and
+//! records that same value for `Explain`, so the executed plan and the
+//! rendered plan can never drift.
 //!
 //! ## Trie levels
 //!
@@ -56,6 +57,7 @@ use rdfref_query::ast::Atom;
 use rdfref_query::varorder::candidate_orders;
 use rdfref_query::Var;
 use rdfref_sync::Mutex;
+use std::fmt;
 
 /// What a leapfrog slot binds: a query variable, or an anonymous
 /// interval-dictionary range some atom iterates without exporting.
@@ -104,29 +106,36 @@ impl WcojPlan {
     pub fn atom_count(&self) -> usize {
         self.atoms.len()
     }
+}
 
-    /// Human-readable rendering of each atom's trie binding, in body order:
-    /// `"SPO [?x #7 ?y]"` — constants as `#id`, ranges as `[lo,hi)`.
-    pub fn atom_renderings(&self) -> Vec<String> {
-        self.atoms
-            .iter()
-            .map(|access| {
-                // Render in SPO position order (what the query author wrote),
-                // not key order.
-                let parts: Vec<String> = (0..3)
-                    .map(|pos| match access.levels[access.order.key_position(pos)] {
-                        Level::Const(c) => format!("#{}", c.0),
-                        Level::Bound(s) => match self.slots.get(s).map(|sl| &sl.kind) {
-                            Some(SlotKind::Named(v)) => format!("?{}", v.name()),
-                            Some(SlotKind::Range { lo, hi }) => format!("[{},{})", lo.0, hi.0),
-                            None => "?".to_string(),
-                        },
-                        Level::Range(..) | Level::Free(_) => "?".to_string(),
-                    })
-                    .collect();
-                format!("{} [{}]", access.order.name(), parts.join(" "))
-            })
-            .collect()
+/// The global variable order and each atom's trie binding in body order,
+/// one line each, every line after a newline: `  var order : ?x ?y`, then
+/// `  t1 : SPO [?x #7 ?y]` with atom positions in SPO order, constants as
+/// `#id` and ranges as `[lo,hi)`. Labels are padded to the formatter's width.
+impl fmt::Display for WcojPlan {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let width = f.width().unwrap_or(0);
+        write!(f, "\n{:<width$}:", "  var order")?;
+        for var in &self.var_order {
+            write!(f, " ?{}", var.name())?;
+        }
+        for (i, access) in self.atoms.iter().enumerate() {
+            let label = format!("  t{}", i + 1);
+            write!(f, "\n{label:<width$}: {} [", access.order.name())?;
+            for pos in 0..3 {
+                f.write_str(if pos == 0 { "" } else { " " })?;
+                match access.levels[access.order.key_position(pos)] {
+                    Level::Const(c) => write!(f, "#{}", c.0)?,
+                    Level::Bound(s) => match &self.slots[s].kind {
+                        SlotKind::Named(v) => write!(f, "?{}", v.name())?,
+                        SlotKind::Range { lo, hi } => write!(f, "[{},{})", lo.0, hi.0)?,
+                    },
+                    Level::Range(..) | Level::Free(_) => f.write_str("?")?,
+                }
+            }
+            f.write_str("]")?;
+        }
+        Ok(())
     }
 }
 
@@ -505,58 +514,91 @@ pub(crate) fn eval(
     res
 }
 
-/// The arbitrated physical choice for a CQ body: the algorithm that will
-/// actually run (never `Auto`), a human-readable reason, and the bound plan
-/// when WCOJ was chosen.
+/// Why a CQ body runs on the operator it does: the request, or the cost
+/// model's `Auto` verdict ([`CostModel::choose_join_algorithm`]). `Display`
+/// prints it as `Explain` shows it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum JoinReason {
+    /// `BindJoin` was requested.
+    BindJoinRequested,
+    /// `Wcoj` was requested.
+    WcojRequested,
+    /// `Auto`, fewer than 3 atoms — bind join: a single binary join cannot
+    /// lose asymptotically.
+    FewAtoms,
+    /// `Auto`, a cyclic variable hypergraph (GYO) — WCOJ: binary plans
+    /// materialize intermediates a worst-case-optimal join never builds (the
+    /// triangle's `O(N²)` wedges for an `O(N^{3/2})` answer).
+    Cyclic,
+    /// `Auto`, a star: `hub` in `atoms` ≥ 3 atoms, the second-smallest
+    /// estimated at 64 rows or more — WCOJ: the leapfrog intersects the hub's
+    /// adjacency lists instead of chaining bind joins through them.
+    Star { hub: Var, atoms: usize },
+    /// `Auto`, otherwise (acyclic, no large star) — bind join.
+    Acyclic,
+}
+
+impl JoinReason {
+    /// The operator this reason asks for (`BindJoin` or `Wcoj`).
+    pub fn algorithm(&self) -> JoinAlgorithm {
+        match self {
+            Self::BindJoinRequested | Self::FewAtoms | Self::Acyclic => JoinAlgorithm::BindJoin,
+            Self::WcojRequested | Self::Cyclic | Self::Star { .. } => JoinAlgorithm::Wcoj,
+        }
+    }
+}
+
+impl fmt::Display for JoinReason {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Self::BindJoinRequested => f.write_str("bind join requested"),
+            Self::WcojRequested => f.write_str("wcoj requested"),
+            Self::FewAtoms => f.write_str("auto: fewer than 3 atoms"),
+            Self::Cyclic => f.write_str("auto: cyclic join graph"),
+            Self::Star { hub, atoms } => {
+                write!(f, "auto: star join (?{} in {atoms} atoms)", hub.name())
+            }
+            Self::Acyclic => f.write_str("auto: acyclic, bind-join chain is cheap"),
+        }
+    }
+}
+
+/// The arbitrated physical choice for a CQ body: why, and the bound
+/// leapfrog plan iff WCOJ runs. A reason that asks for WCOJ without a plan
+/// is the fallback to bind join when no feasible trie binding exists.
 #[derive(Debug, Clone)]
 pub struct PhysicalChoice {
-    /// The resolved algorithm (`BindJoin` or `Wcoj`, never `Auto`).
-    pub algorithm: JoinAlgorithm,
-    /// Why — cost-model verdict plus any fallback suffix.
-    pub reason: String,
-    /// The leapfrog plan, present iff `algorithm == Wcoj`.
+    /// The request or the cost model's verdict.
+    pub reason: JoinReason,
+    /// The leapfrog plan; `None` runs the bind-join chain.
     pub plan: Option<WcojPlan>,
 }
 
-/// Resolve the physical join algorithm for `body`: the single source of
-/// truth shared by evaluator dispatch and `Explain`, so the rendered plan
-/// always matches the executed one. `requested == Auto` consults the cost
-/// model; a WCOJ verdict (requested or auto) still falls back to bind join
-/// when no feasible trie binding exists.
+impl fmt::Display for PhysicalChoice {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{}", self.reason)?;
+        if self.plan.is_none() && self.reason.algorithm() == JoinAlgorithm::Wcoj {
+            f.write_str("; fell back to bind join (no feasible trie binding)")?;
+        }
+        Ok(())
+    }
+}
+
+/// Resolve the physical join algorithm for `body`: the one arbitration the
+/// evaluator dispatches on and records for `Explain`. `requested == Auto`
+/// consults the cost model; a WCOJ verdict (requested or auto) still falls
+/// back to bind join when no feasible trie binding exists.
 pub fn physical_choice(stats: &Stats, requested: JoinAlgorithm, body: &[Atom]) -> PhysicalChoice {
-    let (want_wcoj, reason) = match requested {
-        JoinAlgorithm::BindJoin => {
-            return PhysicalChoice {
-                algorithm: JoinAlgorithm::BindJoin,
-                reason: "bind join requested".to_string(),
-                plan: None,
-            }
-        }
-        JoinAlgorithm::Wcoj => (true, "wcoj requested".to_string()),
-        JoinAlgorithm::Auto => {
-            let choice = CostModel::new(stats).choose_join_algorithm(body);
-            (choice.algorithm == JoinAlgorithm::Wcoj, choice.reason)
-        }
+    let reason = match requested {
+        JoinAlgorithm::BindJoin => JoinReason::BindJoinRequested,
+        JoinAlgorithm::Wcoj => JoinReason::WcojRequested,
+        JoinAlgorithm::Auto => CostModel::new(stats).choose_join_algorithm(body),
     };
-    if !want_wcoj {
-        return PhysicalChoice {
-            algorithm: JoinAlgorithm::BindJoin,
-            reason,
-            plan: None,
-        };
-    }
-    let Some(p) = plan(body) else {
-        return PhysicalChoice {
-            algorithm: JoinAlgorithm::BindJoin,
-            reason: format!("{reason}; fell back to bind join (no feasible trie binding)"),
-            plan: None,
-        };
+    let plan = match reason.algorithm() {
+        JoinAlgorithm::Wcoj => plan(body),
+        _ => None,
     };
-    PhysicalChoice {
-        algorithm: JoinAlgorithm::Wcoj,
-        reason,
-        plan: Some(p),
-    }
+    PhysicalChoice { reason, plan }
 }
 
 #[cfg(test)]
@@ -777,12 +819,12 @@ mod tests {
             Atom::new(v("x"), TermId(3), PTerm::Range(TermId(10), TermId(20))),
         ];
         let pl = plan(&body).expect("plan");
-        let rendered = pl.atom_renderings();
-        assert_eq!(rendered.len(), 2);
-        assert!(
-            rendered[0].contains("?x") && rendered[0].contains("#7"),
-            "{rendered:?}"
-        );
-        assert!(rendered[1].contains("[10,20)"), "{rendered:?}");
+        let lines = [
+            "",
+            "  var order : ?x ?y",
+            "  t1        : SPO [?x #7 ?y]",
+            "  t2        : POS [?x #3 [10,20)]",
+        ];
+        assert_eq!(format!("{pl:12}"), lines.join("\n"));
     }
 }

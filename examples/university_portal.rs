@@ -77,7 +77,7 @@ fn main() {
         "Ref/SCQ          : {:>6} answers in {:?} (peak intermediate {} rows)",
         scq.len(),
         scq.explain.wall,
-        scq.explain.metrics.peak_intermediate
+        scq.explain.metrics.peak_intermediate()
     );
 
     // (iii) The paper's hand-picked cover {{t1,t3},{t3,t5},{t2,t4},{t4,t6}}.
@@ -93,7 +93,7 @@ fn main() {
         "Ref/JUCQ {paper_cover}: {:>6} answers in {:?} (peak {} rows)",
         jucq.len(),
         jucq.explain.wall,
-        jucq.explain.metrics.peak_intermediate
+        jucq.explain.metrics.peak_intermediate()
     );
 
     // (iv) GCov finds a good cover automatically.

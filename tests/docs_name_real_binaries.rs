@@ -226,13 +226,26 @@ fn design_knob_tables_match_the_builder_and_the_answer_options() {
         })
     };
 
-    // §3f: every `EngineBuilder` method that takes the builder by `mut self`.
+    // §3f: every `EngineBuilder` method that takes the builder by `mut self`,
+    // and every terminal, which takes it by `self`.
     let builder = setters("crates/core/src/builder.rs", "impl EngineBuilder {");
     let table = table_after(&design, "\nKnobs:\n");
     assert_eq!(
         cell_identifiers(table.iter().map(|row| &row[0])),
         builder,
         "DESIGN §3f's knob table against `EngineBuilder`'s knobs"
+    );
+    let terminals = block_items(
+        &read("crates/core/src/builder.rs"),
+        "impl EngineBuilder {",
+        "pub fn ",
+        |line| line.contains("(self"),
+    );
+    let table = table_after(&design, "| Terminal |");
+    assert_eq!(
+        cell_identifiers(table.iter().map(|row| &row[0])),
+        terminals,
+        "DESIGN §3f's terminal table against `EngineBuilder`'s terminals"
     );
 
     // §3d: every field of `AnswerOptions`.

@@ -11,6 +11,7 @@ use proptest::prelude::*;
 use rdfref::core::answer::{AnswerOptions, Database, Strategy as QStrategy};
 use rdfref::core::JoinAlgorithm;
 use rdfref::model::TermId;
+use rdfref::storage::JoinReason;
 
 proptest! {
     #![proptest_config(ProptestConfig {
@@ -55,20 +56,19 @@ fn stressor_triangle_and_auto_verdicts() {
         5,
         "answers are exactly the planted triangles"
     );
-    let phys = triangle.explain.physical.as_ref().expect("physical plan");
-    assert_eq!(phys.algorithm, "wcoj");
-    assert!(phys.reason.contains("cyclic"), "{}", phys.reason);
-    assert_eq!(phys.var_order.len(), 3);
-    assert_eq!(phys.atoms.len(), 3);
+    let ran = &triangle.explain.metrics.dispatched;
+    assert!(ran.wcoj_cqs > 0 && ran.bind_join_cqs == 0, "{ran}");
+    let choice = ran.choice.as_ref().expect("a CQ body ran");
+    assert_eq!(choice.reason, JoinReason::Cyclic);
+    let plan = choice.plan.as_ref().expect("leapfrog plan");
+    assert_eq!(plan.var_order().len(), 3);
+    assert_eq!(plan.atom_count(), 3);
 
     let path = db.run_query(&mix[2].cq, &QStrategy::RefUcq, &opts).unwrap();
-    let phys = path.explain.physical.as_ref().expect("physical plan");
-    assert_eq!(phys.algorithm, "bind join");
-    assert!(
-        phys.reason.contains("fewer than 3 atoms"),
-        "{}",
-        phys.reason
-    );
+    let ran = &path.explain.metrics.dispatched;
+    assert!(ran.wcoj_cqs == 0 && ran.bind_join_cqs > 0, "{ran}");
+    let choice = ran.choice.as_ref().expect("a CQ body ran");
+    assert_eq!(choice.reason, JoinReason::FewAtoms);
 
     // Forced WCOJ matches forced bind join on the whole mix.
     for nq in &mix {
@@ -102,14 +102,14 @@ fn stressor_triangle_and_auto_verdicts() {
     }
 }
 
-/// `Explain::physical` reports the operator the evaluator dispatched, not
+/// `Explain`'s dispatch tally reports the operator the evaluator ran, not
 /// the one the user's CQ alone would get: under Ref/GCov the evaluator
 /// arbitrates per CQ of the chosen JUCQ. The W02 hub star is cyclic-free
 /// but big enough for `Auto` to want WCOJ on the whole body, while every
 /// fragment CQ of its cover is bind-joined — `Explain` used to say "wcoj"
 /// there with `op.lfj.seeks` at zero.
 #[test]
-fn explain_physical_reports_what_ran_under_jucq() {
+fn dispatch_tally_reports_what_ran_under_jucq() {
     use rdfref::core::{MetricsRegistry, Obs};
     use rdfref::datagen::wcoj::{generate, wcoj_mix, WcojConfig};
     let ds = generate(&WcojConfig {
@@ -124,7 +124,7 @@ fn explain_physical_reports_what_ran_under_jucq() {
     let db = Database::builder().build(ds.graph.clone());
     // The premise: on the user's CQ alone, `Auto` picks WCOJ.
     let whole = rdfref::storage::physical_choice(db.stats(), JoinAlgorithm::Auto, &w02.cq.body);
-    assert_eq!(whole.algorithm, JoinAlgorithm::Wcoj, "{}", whole.reason);
+    assert!(whole.plan.is_some(), "{whole}");
 
     for strategy in [QStrategy::RefGCov, QStrategy::RefScq, QStrategy::RefUcq] {
         let registry = std::sync::Arc::new(MetricsRegistry::default());
@@ -134,21 +134,20 @@ fn explain_physical_reports_what_ran_under_jucq() {
             ..AnswerOptions::default()
         };
         let answer = db.run_query(&w02.cq, &strategy, &opts).unwrap();
-        let phys = answer.explain.physical.as_ref().expect("physical plan");
+        let ran = &answer.explain.metrics.dispatched;
         let leapfrogged = registry.snapshot().counter("op.lfj.seeks") > 0;
-        assert_eq!(phys.wcoj_cqs > 0, leapfrogged, "{}", strategy.name());
+        assert_eq!(ran.wcoj_cqs > 0, leapfrogged, "{}", strategy.name());
         assert_eq!(
-            phys.algorithm.contains("wcoj"),
+            ran.to_string().contains("wcoj"),
             leapfrogged,
-            "{}: {}",
-            strategy.name(),
-            phys.algorithm
+            "{}: {ran}",
+            strategy.name()
         );
-        assert!(phys.wcoj_cqs + phys.bind_join_cqs >= 1);
+        assert!(ran.wcoj_cqs + ran.bind_join_cqs >= 1);
         if strategy == QStrategy::RefGCov {
             // The recorded case: every fragment CQ is bind-joined.
-            assert_eq!(phys.algorithm, "bind join");
-            assert!(phys.var_order.is_empty() && phys.atoms.is_empty());
+            assert_eq!(ran.wcoj_cqs, 0);
+            assert!(ran.choice.as_ref().is_some_and(|c| c.plan.is_none()));
         }
     }
 }
