@@ -28,12 +28,12 @@ use crate::reformulate::rules::{identity_encoder, RewriteContext};
 use crate::reformulate::ucq::{reformulate_ucq, ReformulationLimits};
 use rdfref_model::{DictEncoding, Graph, HierarchyEncoder, Schema, SchemaClosure, TermId};
 use rdfref_obs::Obs;
-use rdfref_query::ast::{Cq, Ucq};
-use rdfref_query::canonical::alpha_canonicalize;
-use rdfref_query::Cover;
+use rdfref_query::ast::{Atom, Cq, PTerm, Ucq};
+use rdfref_query::canonical::{alpha_canonicalize, AlphaCanonical};
+use rdfref_query::{Cover, Var};
 use rdfref_reasoning::saturate_in_place_obs;
 use rdfref_storage::evaluator::{head_names, Evaluator};
-use rdfref_storage::{JoinAlgorithm, Parallelism, Relation, Stats, Store};
+use rdfref_storage::{JoinAlgorithm, Relation, Stats, Store};
 use rdfref_sync::{Arc, OnceLock};
 use std::borrow::Cow;
 use std::time::Instant;
@@ -84,9 +84,6 @@ pub struct AnswerOptions {
     pub limits: ReformulationLimits,
     /// Abort evaluation when an intermediate relation exceeds this many rows.
     pub row_budget: Option<usize>,
-    /// Intra-query parallelism policy: off, or morsel-driven scans and
-    /// bind-joins (see [`Parallelism`]).
-    pub parallelism: Parallelism,
     /// Physical join algorithm for CQ bodies: bind join, worst-case-optimal
     /// leapfrog triejoin, or cost-model choice (see [`JoinAlgorithm`]).
     pub join_algorithm: JoinAlgorithm,
@@ -103,7 +100,6 @@ impl Default for AnswerOptions {
         AnswerOptions {
             limits: ReformulationLimits::default(),
             row_budget: None,
-            parallelism: Parallelism::Off,
             join_algorithm: JoinAlgorithm::BindJoin,
             use_cache: true,
             obs: Obs::disabled(),
@@ -204,7 +200,7 @@ pub(crate) fn encoded_ucq(encoder: &HierarchyEncoder, ucq: &Ucq) -> Option<Ucq> 
 }
 
 /// The evaluator every Sat/Ref/Dat arm runs: `store` and its statistics under
-/// the request's row budget, parallelism and join-algorithm policy.
+/// the request's row budget and join-algorithm policy.
 fn evaluator<'a>(
     store: &'a Store,
     stats: &'a Stats,
@@ -213,7 +209,6 @@ fn evaluator<'a>(
 ) -> Evaluator<'a> {
     let mut ev = Evaluator::new(store, stats).with_obs(obs.clone());
     ev.row_budget = opts.row_budget;
-    ev.parallelism = opts.parallelism;
     ev.join_algorithm = opts.join_algorithm;
     ev
 }
@@ -460,7 +455,7 @@ impl Database {
             | Strategy::RefJucq(_)
             | Strategy::RefGCov
             | Strategy::RefIncomplete(_) => {
-                let (plan, atom_map) = match strategy {
+                let (plan, canon) = match strategy {
                     Strategy::RefIncomplete(profile) => {
                         let filtered = profile.filter_schema(&self.schema);
                         let closure = filtered.closure();
@@ -470,7 +465,7 @@ impl Database {
                         // filtered closure need not match the encoder's), then
                         // the UCQ is transported into store id space.
                         let ucq = self.encode_ucq(reformulate_ucq(cq, &ctx, opts.limits)?);
-                        (Arc::new(CachedPlan::Ucq(ucq)), (0..cq.size()).collect())
+                        (Arc::new(CachedPlan::Ucq(ucq)), None)
                     }
                     _ => self.ref_plan(cq, strategy, opts, &mut explain, &obs)?,
                 };
@@ -502,14 +497,31 @@ impl Database {
                             .with_columns(cq.head_vars())?
                     }
                 };
+                // GCov's covers and the leapfrog's variables are the planned
+                // query's: report them as the caller numbers and names them.
+                let to_caller = |cover: &Cover| match &canon {
+                    Some(canon) => cover_from_plan(cover, &canon.atom_map),
+                    None => Ok(cover.clone()),
+                };
+                if let (Some(canon), Some(choice)) =
+                    (&canon, &mut explain.metrics.dispatched.choice)
+                {
+                    // A UCQ's CQs take one rewriting per planned atom, in
+                    // order; a JUCQ fragment's CQs list theirs as they like.
+                    let order: &[usize] = match &*plan {
+                        CachedPlan::Ucq(_) => &canon.atom_map,
+                        _ => &[],
+                    };
+                    choice.restate(|v| caller_var(cq, canon, v), order);
+                }
                 explain.cover = match (&*plan, strategy) {
                     (CachedPlan::Gcov(result), _) => {
                         explain.explored = result
                             .explored
                             .iter()
-                            .map(|(cover, est)| Ok((cover_from_plan(cover, &atom_map)?, *est)))
+                            .map(|(cover, est)| Ok((to_caller(cover)?, *est)))
                             .collect::<Result<_>>()?;
-                        Some(cover_from_plan(&result.cover, &atom_map)?)
+                        Some(to_caller(&result.cover)?)
                     }
                     (_, Strategy::RefScq) => Some(Cover::singletons(cq.size())),
                     (_, Strategy::RefJucq(cover)) => Some(cover.clone()),
@@ -549,13 +561,13 @@ impl Database {
     }
 
     /// The plan of `cq` under one of the four complete Ref strategies,
-    /// through the plan cache when enabled, with the map from `cq`'s atoms
-    /// to the atoms of the query it was planned for.
+    /// through the plan cache when enabled, with the query it was planned
+    /// for when that is not `cq`.
     ///
     /// Through the cache that query is `cq`'s α-canonical form, and a hit
     /// and a miss return the one stored plan: in the canonical variables,
     /// with GCov's covers over the canonical atoms. With the cache off it is
-    /// `cq` itself, under the identity map.
+    /// `cq` itself (`None`).
     fn ref_plan(
         &self,
         cq: &Cq,
@@ -563,7 +575,7 @@ impl Database {
         opts: &AnswerOptions,
         explain: &mut Explain,
         obs: &Obs,
-    ) -> Result<(Arc<CachedPlan>, Vec<usize>)> {
+    ) -> Result<(Arc<CachedPlan>, Option<AlphaCanonical>)> {
         if let Strategy::RefJucq(cover) = strategy {
             // A cover is built for an atom count, not for a query.
             cover.check(cq.size())?;
@@ -573,12 +585,12 @@ impl Database {
             let identity: Vec<usize> = (0..cq.size()).collect();
             let (tag, span) = plan_tag(strategy, cq, &identity, &opts.limits)?;
             let plan = self.compute_plan(cq, &tag, span, opts, obs)?;
-            return Ok((Arc::new(plan), identity));
+            return Ok((Arc::new(plan), None));
         }
         let canon = alpha_canonicalize(cq);
         let (tag, span) = plan_tag(strategy, &canon.query, &canon.atom_map, &opts.limits)?;
         let key = CacheKey {
-            query: canon.query,
+            query: canon.query.clone(),
             tag,
             algo: opts.join_algorithm,
         };
@@ -586,7 +598,7 @@ impl Database {
         if let Some(plan) = self.pinned_cache_lookup(&key) {
             obs.add("plan_cache.hit", 1);
             explain.cache = Some(self.cache_report(true));
-            return Ok((plan, canon.atom_map));
+            return Ok((plan, Some(canon)));
         }
         obs.add("plan_cache.miss", 1);
         let computed = self.compute_plan(&key.query, &key.tag, span, opts, obs)?;
@@ -594,7 +606,7 @@ impl Database {
             .cache
             .insert_at(key, computed, schema_epoch, data_epoch);
         explain.cache = Some(self.cache_report(false));
-        Ok((stored, canon.atom_map))
+        Ok((stored, Some(canon)))
     }
 
     /// Pin this database to an epoch pair as the serving layer does when
@@ -741,6 +753,28 @@ fn plan_tag(
             "answer.plan.gcov",
         ),
     })
+}
+
+/// `cq`'s name for `v`, a variable of `canon.query`, found at the position
+/// `canon.atom_map` pairs with one of `cq`'s. A variable the reformulation
+/// introduced has no such position and keeps its name.
+fn caller_var(cq: &Cq, canon: &AlphaCanonical, v: &Var) -> Var {
+    fn terms(atom: &Atom) -> [&PTerm; 3] {
+        [&atom.s, &atom.p, &atom.o]
+    }
+    let heads = cq.head.iter().zip(&canon.query.head);
+    let atoms = cq
+        .body
+        .iter()
+        .zip(&canon.atom_map)
+        .flat_map(|(atom, &j)| terms(atom).into_iter().zip(terms(&canon.query.body[j])));
+    heads
+        .chain(atoms)
+        .find_map(|pair| match pair {
+            (PTerm::Var(mine), PTerm::Var(planned)) if planned == v => Some(mine.clone()),
+            _ => None,
+        })
+        .unwrap_or_else(|| v.clone())
 }
 
 /// `cover`, over the atoms of the planned query, over the caller's atoms:

@@ -29,8 +29,8 @@
 //! assert_eq!(db.query(&q).run().unwrap().len(), 1);
 //! ```
 //!
-//! Knobs compose freely with both terminals. Parallelism and the join
-//! algorithm are per request ([`crate::engine::QueryRequest`]).
+//! Knobs compose freely with both terminals. The join algorithm is per
+//! request ([`crate::engine::QueryRequest`]).
 
 use crate::answer::Database;
 use crate::cache::PlanCache;

@@ -34,7 +34,7 @@ pub(crate) fn closure(explicit: &Store, stats: &Stats, rules: &[Cq], obs: &Obs) 
         let mut derived: Vec<EncodedTriple> = Vec::new();
         for rule in rules {
             for (d, atom) in rule.body.iter().enumerate() {
-                let mut joined = scan_atom(&delta, atom)?;
+                let mut joined = scan_atom(&delta, atom);
                 for (i, other) in rule.body.iter().enumerate() {
                     if i != d && !joined.is_empty() {
                         // The rounds' operator trace is not the query's.

@@ -49,7 +49,6 @@
 //!     .query(&cq)
 //!     .strategy(Strategy::RefGCov)
 //!     .row_budget(1_000_000)
-//!     .parallelism(Parallelism::morsels())
 //!     .collect_metrics(&registry)
 //!     .run()?;
 //! ```
@@ -141,11 +140,10 @@ impl<'q, E: QueryEngine> QueryRequest<'q, E> {
         self
     }
 
-    /// Set the intra-query parallelism policy: `Parallelism::Off` or
-    /// `Parallelism::Morsels { size }` (scans and bind-joins split into
-    /// fixed-size morsels claimed by a self-scheduling worker pool).
-    pub fn parallelism(mut self, parallelism: Parallelism) -> Self {
-        self.opts.parallelism = parallelism;
+    /// Changes nothing: every request is evaluated sequentially on the
+    /// calling thread. Kept because the reference benchmark's replay
+    /// (`crates/bench/src/bin/benchmark/`) calls it.
+    pub fn parallelism(self, _: Parallelism) -> Self {
         self
     }
 
@@ -246,7 +244,6 @@ ex:doi2 ex:writtenBy ex:someone .
             .query(&q)
             .strategy(Strategy::RefUcq)
             .row_budget(1_000_000)
-            .parallelism(Parallelism::morsels())
             .limits(ReformulationLimits::default())
             .use_cache(false)
             .collect_metrics(&registry)

@@ -89,7 +89,7 @@ pub use explain::{Explain, SnapshotInfo};
 pub use gcov::{gcov, gcov_with_obs, GcovOptions, GcovResult};
 pub use incomplete::IncompletenessProfile;
 pub use rdfref_obs::{MetricsRegistry, Obs};
-pub use rdfref_storage::{JoinAlgorithm, Parallelism, DEFAULT_MORSEL_SIZE};
+pub use rdfref_storage::{JoinAlgorithm, Parallelism};
 pub use reformulate::{
     reformulate_jucq, reformulate_scq, reformulate_ucq, reformulate_ucq_raw, ReformulationLimits,
     RewriteContext,

@@ -292,6 +292,12 @@ pub fn ontology(b: &mut GraphBuilder) -> LubmVocab {
     vocab
 }
 
+/// Degree universities are drawn from the first `DEGREE_POOL` universities
+/// only, so Univ0's graduates, Example 1's answers, do not thin out as the
+/// scale grows past it. Up to this many universities the pool is all of
+/// them, so those datasets do not depend on it.
+pub const DEGREE_POOL: usize = 1_000;
+
 /// Generate a dataset.
 pub fn generate(config: &LubmConfig) -> LubmDataset {
     let mut b = GraphBuilder::new();
@@ -307,7 +313,8 @@ pub fn generate(config: &LubmConfig) -> LubmDataset {
             id
         })
         .collect();
-    let any_univ = |rng: &mut StdRng| univ_ids[rng.gen_range(0..n_univ)];
+    let degree_univs = n_univ.min(DEGREE_POOL);
+    let any_univ = |rng: &mut StdRng| univ_ids[rng.gen_range(0..degree_univs)];
 
     for u in 0..n_univ {
         for d in 0..config.departments_per_university {
@@ -352,17 +359,17 @@ pub fn generate(config: &LubmConfig) -> LubmDataset {
                 b.triple(
                     id,
                     v.undergraduate_degree_from,
-                    univ_ids[rng.gen_range(0..n_univ)],
+                    univ_ids[rng.gen_range(0..degree_univs)],
                 );
                 b.triple(
                     id,
                     v.masters_degree_from,
-                    univ_ids[rng.gen_range(0..n_univ)],
+                    univ_ids[rng.gen_range(0..degree_univs)],
                 );
                 b.triple(
                     id,
                     v.doctoral_degree_from,
-                    univ_ids[rng.gen_range(0..n_univ)],
+                    univ_ids[rng.gen_range(0..degree_univs)],
                 );
                 let name = b.literal(&format!("{kind}{i} of {dept_iri}"));
                 b.triple(id, v.name, name);
@@ -462,6 +469,7 @@ pub fn generate(config: &LubmConfig) -> LubmDataset {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rdfref_model::fxhash::FxHashSet;
     use rdfref_model::Schema;
 
     #[test]
@@ -530,6 +538,41 @@ mod tests {
         let masters = ds.vocab.masters_degree_from;
         let has_masters_from_univ0 = ds.graph.iter().any(|t| t.p == masters && t.o == univ0);
         assert!(has_masters_from_univ0);
+    }
+
+    #[test]
+    fn degree_universities_come_from_the_pool() {
+        let n = DEGREE_POOL + 100;
+        let ds = generate(&LubmConfig {
+            universities: n,
+            departments_per_university: 1,
+            full_professors: 1,
+            associate_professors: 1,
+            assistant_professors: 1,
+            lecturers: 1,
+            undergraduate_students: 2,
+            graduate_students: 2,
+            courses: 1,
+            graduate_courses: 1,
+            research_groups: 0,
+            publications_per_faculty: 0,
+            ..LubmConfig::default()
+        });
+        let pool: FxHashSet<TermId> = (0..DEGREE_POOL)
+            .map(|u| ds.id_of(&LubmDataset::university_iri(u)).unwrap())
+            .collect();
+        let v = &ds.vocab;
+        let degrees = [
+            v.undergraduate_degree_from,
+            v.masters_degree_from,
+            v.doctoral_degree_from,
+        ];
+        let mut seen = 0;
+        for t in ds.graph.iter().filter(|t| degrees.contains(&t.p)) {
+            assert!(pool.contains(&t.o), "a degree from outside the pool");
+            seen += 1;
+        }
+        assert!(seen >= n, "{seen} degrees");
     }
 
     #[test]

@@ -31,8 +31,6 @@ pub enum StorageError {
         /// The configured budget.
         budget: usize,
     },
-    /// A morsel worker thread panicked; its results are lost.
-    WorkerPanicked,
 }
 
 impl fmt::Display for StorageError {
@@ -51,9 +49,6 @@ impl fmt::Display for StorageError {
             ),
             StorageError::RowBudgetExceeded { budget } => {
                 write!(f, "evaluation exceeded the row budget of {budget} rows")
-            }
-            StorageError::WorkerPanicked => {
-                write!(f, "a morsel worker thread panicked")
             }
         }
     }

@@ -14,10 +14,10 @@
 //! "could not be evaluated in our experimental setting" outcome for
 //! pathological reformulations.
 
+use crate::access::Access;
 use crate::cost::CostModel;
 use crate::error::{Result, StorageError};
-use crate::exec::{ExecMetrics, StepLabel};
-use crate::morsel;
+use crate::exec::{scan_atom, ExecMetrics, StepLabel};
 use crate::relation::{ColumnSource, Relation};
 use crate::stats::Stats;
 use crate::store::Store;
@@ -25,50 +25,30 @@ use rdfref_model::TermId;
 use rdfref_obs::Obs;
 use rdfref_query::ast::{Atom, Cq, Jucq, PTerm, Ucq};
 use rdfref_query::Var;
+use std::ops::Range;
 use std::time::Duration;
 
-/// Default morsel size for [`Parallelism::Morsels`]: large enough to
-/// amortize scheduling, small enough that skewed scans still split into
-/// many work units.
-pub const DEFAULT_MORSEL_SIZE: usize = 4096;
-
-/// Intra-query parallelism policy: how scans, bind joins and leapfrog
-/// joins cut their input into morsels.
-///
-/// * `Off` — the whole input is one morsel, run on the calling thread (the
-///   default); no `op.morsel.*` counter is reported.
-/// * `Morsels { size }` — `size`-row morsels; two or more are claimed off a
-///   shared counter by a worker pool (work-stealing self-scheduling), and
-///   output order is preserved by stitching partial buffers back in morsel
-///   order.
+/// Kept for the reference benchmark's replay, which compiles against
+/// `Parallelism::{Off, morsels()}` and passes it to
+/// `QueryRequest::parallelism`. It changes nothing: every scan, bind join
+/// and leapfrog join runs sequentially on the calling thread.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 #[non_exhaustive]
 pub enum Parallelism {
-    /// One morsel per operator, run sequentially.
+    /// Sequential evaluation.
     #[default]
     Off,
-    /// Morsel-driven parallel scans, bind joins and leapfrog joins.
+    /// Sequential evaluation too; `size` is not read.
     Morsels {
-        /// Rows per morsel (clamped to at least 1).
+        /// Unused.
         size: usize,
     },
 }
 
 impl Parallelism {
-    /// Morsel-driven parallelism with the default morsel size.
+    /// `Morsels { size: 4096 }`, the value the replay passes.
     pub fn morsels() -> Self {
-        Parallelism::Morsels {
-            size: DEFAULT_MORSEL_SIZE,
-        }
-    }
-
-    /// The morsel size operators run with: [`morsel::UNSPLIT`] (one
-    /// morsel) for `Off`, `size` clamped to at least 1 for `Morsels`.
-    pub(crate) fn morsel_size(self) -> usize {
-        match self {
-            Parallelism::Off => morsel::UNSPLIT,
-            Parallelism::Morsels { size } => size.max(1),
-        }
+        Parallelism::Morsels { size: 4096 }
     }
 }
 
@@ -98,8 +78,6 @@ pub struct Evaluator<'a> {
     pub stats: &'a Stats,
     /// Abort when any intermediate relation exceeds this many rows.
     pub row_budget: Option<usize>,
-    /// Intra-query parallelism policy.
-    pub parallelism: Parallelism,
     /// Physical join algorithm policy.
     pub join_algorithm: JoinAlgorithm,
     /// Observability sink; disabled by default (one branch per event).
@@ -113,7 +91,6 @@ impl<'a> Evaluator<'a> {
             store,
             stats,
             row_budget: None,
-            parallelism: Parallelism::Off,
             join_algorithm: JoinAlgorithm::BindJoin,
             obs: Obs::disabled(),
         }
@@ -141,9 +118,8 @@ impl<'a> Evaluator<'a> {
     /// Scan atom `idx` of a body: an interval atom is a range scan (its own
     /// `op.range_scan.*` counters and trace label).
     fn scan(&self, atom: &Atom, idx: usize, metrics: &mut ExecMetrics) -> Result<Relation> {
-        let size = self.parallelism.morsel_size();
         let sw = self.obs.stopwatch();
-        let scanned = morsel::scan_atom_morsels(self.store, atom, size, &self.obs)?;
+        let scanned = scan_atom(self.store, atom);
         let label = if atom.has_range() {
             StepLabel::RangeScan(idx + 1)
         } else {
@@ -192,13 +168,7 @@ impl<'a> Evaluator<'a> {
         match choice.as_ref().and_then(|c| c.plan.as_ref()) {
             Some(plan) => {
                 let sw = self.obs.stopwatch();
-                acc = crate::wcoj::eval(
-                    self.store,
-                    plan,
-                    self.parallelism,
-                    self.row_budget,
-                    &self.obs,
-                )?;
+                acc = crate::wcoj::eval(self.store, plan, self.row_budget, &self.obs)?;
                 let label = StepLabel::Lfj(plan.atom_count());
                 self.step(metrics, label, acc.len(), sw.elapsed());
             }
@@ -275,13 +245,12 @@ impl<'a> Evaluator<'a> {
         metrics: &mut ExecMetrics,
     ) -> Result<Relation> {
         let model = CostModel::new(self.stats);
-        let size = self.parallelism.morsel_size();
         let shares = atom.vars().any(|v| acc.column_index(v).is_some());
         let joined = if shares
             && (acc.len() as f64) * model.params.probe_cost_per_row < model.atom_cardinality(atom)
         {
             let sw = self.obs.stopwatch();
-            let joined = morsel::bind_join_morsels(self.store, acc, atom, size, &self.obs)?;
+            let joined = bind_join(self.store, acc, atom);
             self.step(
                 metrics,
                 StepLabel::BindJoin(idx + 1),
@@ -385,6 +354,30 @@ impl<'a> Evaluator<'a> {
         );
         Ok(result)
     }
+}
+
+/// Bind join ([`Evaluator::join_atom`]'s probe side): each `acc` row fills
+/// the atom's probe key from its bound columns and appends every match
+/// (acc row ++ new values); a row whose key equals the previous row's copies
+/// that probe's matches instead of reading the index again.
+fn bind_join(store: &Store, acc: &Relation, atom: &Atom) -> Relation {
+    let (access, new_columns) = Access::bind(acc.columns(), atom);
+    let mut columns = acc.columns().to_vec();
+    columns.extend(new_columns);
+    let mut out = Relation::empty(columns);
+    let mut last: Option<([TermId; 3], Range<usize>)> = None;
+    for row in acc.rows() {
+        let key = access.key(row);
+        match &last {
+            Some((same, matches)) if *same == key => out.repeat_rows(matches.clone(), row),
+            _ => {
+                let start = out.len();
+                access.runs(store, &key, &mut |run| access.emit(run, row, &mut out));
+                last = Some((key, start..out.len()));
+            }
+        }
+    }
+    out
 }
 
 /// Convenience: evaluate a CQ whose head is all variables.
@@ -818,65 +811,9 @@ mod tests {
     }
 
     #[test]
-    fn morsel_evaluation_matches_sequential() {
-        // Tiny morsels (size 1) force the maximum number of work units;
-        // results and row order must be identical to sequential evaluation
-        // for scans, joins, and bind-joins alike.
-        let (store, stats, ids) = fixture();
-        let queries = vec![
-            // Single-atom scan.
-            Cq::new(
-                vec![v("x"), v("y")],
-                vec![Atom::new(v("x"), ids[3], v("y"))],
-            )
-            .unwrap(),
-            // Two-atom join (bind-join or hash-join per cost model).
-            Cq::new(
-                vec![v("x"), v("y")],
-                vec![
-                    Atom::new(v("x"), ids[3], v("y")),
-                    Atom::new(v("x"), ID_RDF_TYPE, ids[4]),
-                ],
-            )
-            .unwrap(),
-            // Triangle: exercises repeated probes.
-            Cq::new(
-                vec![v("x")],
-                vec![
-                    Atom::new(v("x"), ids[3], v("y")),
-                    Atom::new(v("y"), ids[3], v("z")),
-                    Atom::new(v("x"), ids[3], v("z")),
-                ],
-            )
-            .unwrap(),
-        ];
-        for (size, cq) in [1usize, 2, 4096].iter().flat_map(|s| {
-            let qs = &queries;
-            qs.iter().map(move |q| (*s, q))
-        }) {
-            let seq_ev = Evaluator::new(&store, &stats);
-            let mut mor_ev = Evaluator::new(&store, &stats);
-            mor_ev.parallelism = Parallelism::Morsels { size };
-            let out = head_names(cq);
-            let mut m1 = ExecMetrics::default();
-            let mut m2 = ExecMetrics::default();
-            let a = seq_ev.eval_cq(cq, &out, &mut m1).unwrap();
-            let b = mor_ev.eval_cq(cq, &out, &mut m2).unwrap();
-            // Exact row order must match, not just the set: morsel output
-            // is stitched back in morsel order.
-            assert_eq!(a.to_rows(), b.to_rows(), "size={size}");
-        }
-    }
-
-    #[test]
     fn parallelism_default_is_off() {
         assert_eq!(Parallelism::default(), Parallelism::Off);
-        assert_eq!(
-            Parallelism::morsels(),
-            Parallelism::Morsels {
-                size: DEFAULT_MORSEL_SIZE
-            }
-        );
+        assert_eq!(Parallelism::morsels(), Parallelism::Morsels { size: 4096 });
     }
 
     #[test]
@@ -931,13 +868,5 @@ mod tests {
         );
         let err = eval_cq(&store, &stats, &cq).unwrap_err();
         assert!(matches!(err, StorageError::UnknownColumn(ref c) if c == "z"));
-    }
-
-    #[test]
-    fn worker_panic_error_displays() {
-        // Morsel dispatch maps a panicked worker to a typed error rather
-        // than propagating the panic; pin the variant and its message.
-        let err = StorageError::WorkerPanicked;
-        assert!(err.to_string().contains("worker thread panicked"));
     }
 }

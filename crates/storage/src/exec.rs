@@ -5,12 +5,10 @@
 //! the experiments report (intermediate result sizes — the quantities the
 //! paper quotes for Example 1, e.g. "33,328,108 results each").
 
-use crate::error::Result;
-use crate::morsel;
+use crate::access::Access;
 use crate::relation::Relation;
 use crate::store::Store;
 use crate::wcoj::PhysicalChoice;
-use rdfref_obs::Obs;
 use rdfref_query::ast::Atom;
 use std::fmt;
 use std::time::Duration;
@@ -168,9 +166,15 @@ impl ExecMetrics {
 /// Scan one triple pattern into a relation whose columns are the atom's
 /// distinct variables in `s, p, o` position order. Constants and id
 /// intervals constrain the index scan (intervals bind no column); repeated
-/// variables become equality filters. One morsel: the whole scan.
-pub fn scan_atom(store: &Store, atom: &Atom) -> Result<Relation> {
-    morsel::scan_atom_morsels(store, atom, morsel::UNSPLIT, &Obs::disabled())
+/// variables become equality filters. The atom's access reads its matching
+/// index runs, borrowed from the store, and projects them in order.
+pub fn scan_atom(store: &Store, atom: &Atom) -> Relation {
+    let (access, columns) = Access::bind(&[], atom);
+    let mut out = Relation::empty(columns);
+    access.runs(store, &access.key(&[]), &mut |run| {
+        access.emit(run, &[], &mut out)
+    });
+    out
 }
 
 #[cfg(test)]
@@ -202,7 +206,7 @@ mod tests {
     #[test]
     fn scan_binds_variables_in_position_order() {
         let (store, ids) = fixture();
-        let rel = scan_atom(&store, &Atom::new(v("x"), ids[2], v("y"))).unwrap();
+        let rel = scan_atom(&store, &Atom::new(v("x"), ids[2], v("y")));
         assert_eq!(rel.columns(), &[v("x"), v("y")]);
         assert_eq!(rel.len(), 3);
     }
@@ -210,7 +214,7 @@ mod tests {
     #[test]
     fn scan_with_constant_filters() {
         let (store, ids) = fixture();
-        let rel = scan_atom(&store, &Atom::new(ids[0], ids[2], v("y"))).unwrap();
+        let rel = scan_atom(&store, &Atom::new(ids[0], ids[2], v("y")));
         assert_eq!(rel.columns(), &[v("y")]);
         assert_eq!(rel.len(), 2);
     }
@@ -219,7 +223,7 @@ mod tests {
     fn repeated_variable_is_equality_filter() {
         let (store, ids) = fixture();
         // (?x p ?x) matches only the self-loop.
-        let rel = scan_atom(&store, &Atom::new(v("x"), ids[2], v("x"))).unwrap();
+        let rel = scan_atom(&store, &Atom::new(v("x"), ids[2], v("x")));
         assert_eq!(rel.columns(), &[v("x")]);
         assert_eq!(rel.len(), 1);
         assert_eq!(rel.row(0), &[ids[0]]);
@@ -228,17 +232,17 @@ mod tests {
     #[test]
     fn all_constant_atom_yields_zero_column_rows() {
         let (store, ids) = fixture();
-        let rel = scan_atom(&store, &Atom::new(ids[0], ids[2], ids[1])).unwrap();
+        let rel = scan_atom(&store, &Atom::new(ids[0], ids[2], ids[1]));
         assert_eq!(rel.arity(), 0);
         assert_eq!(rel.len(), 1); // matched: acts as a "true" unit row
-        let rel2 = scan_atom(&store, &Atom::new(ids[1], ids[2], ids[1])).unwrap();
+        let rel2 = scan_atom(&store, &Atom::new(ids[1], ids[2], ids[1]));
         assert!(rel2.is_empty()); // no match: "false"
     }
 
     #[test]
     fn variable_property_scans_everything() {
         let (store, _) = fixture();
-        let rel = scan_atom(&store, &Atom::new(v("s"), v("p"), v("o"))).unwrap();
+        let rel = scan_atom(&store, &Atom::new(v("s"), v("p"), v("o")));
         assert_eq!(rel.arity(), 3);
         assert_eq!(rel.len(), 3);
     }

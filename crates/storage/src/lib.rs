@@ -46,7 +46,6 @@ pub mod cost;
 pub mod error;
 pub mod evaluator;
 pub mod exec;
-mod morsel;
 pub mod relation;
 pub mod stats;
 pub mod store;
@@ -54,9 +53,7 @@ pub mod wcoj;
 
 pub use cost::{CostEstimate, CostModel, FragmentEstimate};
 pub use error::{Result, StorageError};
-pub use evaluator::{
-    eval_cq, eval_jucq, eval_ucq, JoinAlgorithm, Parallelism, DEFAULT_MORSEL_SIZE,
-};
+pub use evaluator::{eval_cq, eval_jucq, eval_ucq, JoinAlgorithm, Parallelism};
 pub use exec::ExecMetrics;
 pub use relation::Relation;
 pub use stats::{Stats, StatsMaintainer};

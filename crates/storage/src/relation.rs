@@ -175,8 +175,7 @@ impl Relation {
 
     /// Append every row of `other` (columns must match exactly, in order) —
     /// one `memcpy` of its flat row-major buffer, no per-row work. This is
-    /// how morsel workers' partial relations are stitched back together in
-    /// morsel order, and how a union absorbs its disjuncts.
+    /// how a union absorbs its disjuncts.
     pub fn absorb_rows(&mut self, other: &Relation) -> Result<()> {
         if self.columns != other.columns {
             return Err(StorageError::ArityMismatch {

@@ -7,10 +7,9 @@
 //! compatibly with one *global* variable order; the sorted bucket runs of
 //! that index are read as a trie (each key level = one trie level).
 //! [`plan`] performs the binding; `eval` runs the leapfrog driver over the
-//! bound tries, optionally morsel-parallel; [`physical_choice`] is the
-//! single arbitration point — the evaluator dispatches on its verdict and
-//! records that same value for `Explain`, so the executed plan and the
-//! rendered plan can never drift.
+//! bound tries; [`physical_choice`] is the single arbitration point — the
+//! evaluator dispatches on its verdict and records that same value for
+//! `Explain`, so the executed plan and the rendered plan can never drift.
 //!
 //! ## Trie levels
 //!
@@ -37,26 +36,19 @@
 //! * `op.lfj.next`  — successful binds that descended a trie level, exact;
 //! * `op.lfj.rows`  — rows emitted before final dedup, exact;
 //! * `op.lfj.atoms` — atoms participating per evaluation, exact.
-//!
-//! Morsel-parallel runs split by slot-0 *value*, so every counter is
-//! identical to the sequential run — parallelism is observable only through
-//! `op.morsel.*` and wall time.
 
 use crate::access::{Access, Level};
 use crate::cost::CostModel;
 use crate::error::{Result, StorageError};
 use crate::evaluator::JoinAlgorithm;
-use crate::morsel::{self, UNSPLIT};
 use crate::relation::Relation;
 use crate::stats::Stats;
 use crate::store::{SortedIndex, Store};
-use crate::Parallelism;
 use rdfref_model::TermId;
 use rdfref_obs::Obs;
 use rdfref_query::ast::Atom;
 use rdfref_query::varorder::candidate_orders;
 use rdfref_query::Var;
-use rdfref_sync::Mutex;
 use std::fmt;
 
 /// What a leapfrog slot binds: a query variable, or an anonymous
@@ -253,12 +245,6 @@ struct LfjCounters {
 }
 
 impl LfjCounters {
-    fn add(&mut self, other: LfjCounters) {
-        self.seeks += other.seeks;
-        self.next += other.next;
-        self.rows += other.rows;
-    }
-
     fn flush(self, obs: &Obs) {
         obs.add("op.lfj.seeks", self.seeks);
         obs.add("op.lfj.next", self.next);
@@ -363,22 +349,6 @@ impl<'a> Driver<'a> {
         }
     }
 
-    /// Bind `m` at `slot` (write probe keys + binding) and descend.
-    fn bind_and_descend(
-        &mut self,
-        slot: usize,
-        m: TermId,
-        out: &mut Relation,
-        budget: Option<usize>,
-    ) -> Result<()> {
-        for pi in 0..self.plan.slots[slot].participants.len() {
-            let (a, kp) = self.plan.slots[slot].participants[pi];
-            self.keys[a][kp] = m;
-        }
-        self.bindings[slot] = m;
-        self.recurse(slot + 1, out, budget)
-    }
-
     /// Enumerate all bindings for slots `s..`, emitting rows at full depth.
     fn recurse(&mut self, s: usize, out: &mut Relation, budget: Option<usize>) -> Result<()> {
         if s == self.plan.slots.len() {
@@ -406,32 +376,16 @@ impl<'a> Driver<'a> {
             if clamp.is_some_and(|hi| m >= hi) {
                 return Ok(());
             }
-            self.bind_and_descend(s, m, out, budget)?;
+            // Bind `m` at `s` (probe keys + binding) and descend.
+            for pi in 0..self.plan.slots[s].participants.len() {
+                let (a, kp) = self.plan.slots[s].participants[pi];
+                self.keys[a][kp] = m;
+            }
+            self.bindings[s] = m;
+            self.recurse(s + 1, out, budget)?;
             self.counters.next += 1;
             let Some(nv) = m.0.checked_add(1) else {
                 return Ok(());
-            };
-            v = TermId(nv);
-        }
-    }
-
-    /// All matching values of `slot`, for morsel staging. Counts the same
-    /// seeks `recurse` would spend finding them; the caller adds the one
-    /// `next` per value that `recurse` counts when it descends.
-    fn slot_values(&mut self, slot: usize) -> Vec<TermId> {
-        let (start, clamp) = self.slot_bounds(slot);
-        let mut out = Vec::new();
-        let mut v = start;
-        loop {
-            let Some(m) = self.leapfrog(slot, v) else {
-                return out;
-            };
-            if clamp.is_some_and(|hi| m >= hi) {
-                return out;
-            }
-            out.push(m);
-            let Some(nv) = m.0.checked_add(1) else {
-                return out;
             };
             v = TermId(nv);
         }
@@ -458,60 +412,31 @@ fn fixed_atoms_present(
     true
 }
 
-/// Evaluate a leapfrog-triejoin plan over its bound tries. Output columns
-/// are the plan's variable order; rows come out in lexicographic binding
-/// order (sorted, duplicate-free per binding, but a final [`Relation::dedup`]
-/// upstream still collapses projection duplicates).
-///
-/// `Off` runs the driver from slot 0. `Morsels` stages the slot-0 values
-/// first, then gives each morsel of them a private driver that re-binds
-/// each value and descends. Value-based splitting makes morsel outputs
-/// disjoint and order-stitchable, and staging spends exactly the slot-0
-/// seeks the driver would, so output and `op.lfj.*` counters are identical
-/// under both policies.
+/// Evaluate a leapfrog-triejoin plan over its bound tries, descending from
+/// slot 0. Output columns are the plan's variable order; rows come out
+/// in lexicographic binding order (sorted, duplicate-free per binding, but a
+/// final [`Relation::dedup`] upstream still collapses projection duplicates).
 pub(crate) fn eval(
     store: &Store,
     plan: &WcojPlan,
-    parallelism: Parallelism,
     row_budget: Option<usize>,
     obs: &Obs,
 ) -> Result<Relation> {
     obs.add("op.lfj.atoms", plan.atoms.len() as u64);
     let tries: Vec<&SortedIndex> = plan.atoms.iter().map(|a| store.index(a.order)).collect();
-    let tries = &tries[..];
-    let mut driver = Driver::new(plan, tries);
-    let size = parallelism.morsel_size();
+    let mut driver = Driver::new(plan, &tries);
+    let mut out = Relation::empty(plan.var_order.clone());
     // `plan()` rejects var-free bodies, so `slots` is never empty; stay total.
-    let res = if !fixed_atoms_present(plan, tries, &mut driver.counters) || plan.slots.is_empty() {
-        Ok(Relation::empty(plan.var_order.clone()))
-    } else if size == UNSPLIT {
-        let mut out = Relation::empty(plan.var_order.clone());
-        driver.recurse(0, &mut out, row_budget).map(|()| out)
+    let res = if fixed_atoms_present(plan, &tries, &mut driver.counters) && !plan.slots.is_empty() {
+        driver.recurse(0, &mut out, row_budget)
     } else {
-        let values = driver.slot_values(0);
-        driver.counters.next += values.len() as u64;
-        let descended = Mutex::new(LfjCounters::default());
-        let res = morsel::run(values.len(), size, &plan.var_order, obs, |range, out| {
-            let mut worker = Driver::new(plan, tries);
-            let res = values[range]
-                .iter()
-                .try_for_each(|&v| worker.bind_and_descend(0, v, out, row_budget));
-            descended.lock().add(worker.counters);
-            res
-        });
-        driver.counters.add(descended.into_inner());
-        res
+        Ok(())
     };
-    // Each morsel checks the budget against its own rows; check the union.
-    let res = res.and_then(|out| match row_budget {
-        Some(budget) if out.len() > budget => Err(StorageError::RowBudgetExceeded { budget }),
-        _ => Ok(out),
-    });
     driver.counters.flush(obs);
     if let Err(StorageError::RowBudgetExceeded { .. }) = &res {
         obs.add("op.budget_abort", 1);
     }
-    res
+    res.map(|()| out)
 }
 
 /// Why a CQ body runs on the operator it does: the request, or the cost
@@ -574,6 +499,46 @@ pub struct PhysicalChoice {
     pub plan: Option<WcojPlan>,
 }
 
+impl PhysicalChoice {
+    /// Restate the choice in the terms of the query its CQ was planned
+    /// from: every variable it names (a star's hub, the plan's variables)
+    /// through `rename`, and, when `order` is a permutation of the plan's
+    /// atoms, those atoms renumbered so that `t{i+1}` is the atom that was
+    /// `order[i]`. A choice that names no variable is left as it is.
+    pub fn restate(&mut self, rename: impl Fn(&Var) -> Var, order: &[usize]) {
+        if let JoinReason::Star { hub, .. } = &mut self.reason {
+            *hub = rename(hub);
+        }
+        let Some(plan) = &mut self.plan else {
+            return;
+        };
+        for var in &mut plan.var_order {
+            *var = rename(var);
+        }
+        for slot in &mut plan.slots {
+            if let SlotKind::Named(var) = &mut slot.kind {
+                *var = rename(var);
+            }
+        }
+        let n = plan.atoms.len();
+        let mut position = vec![n; n];
+        for (i, &j) in order.iter().enumerate() {
+            if let Some(p) = position.get_mut(j) {
+                *p = i;
+            }
+        }
+        if order.len() != n || position.contains(&n) {
+            return;
+        }
+        plan.atoms = order.iter().map(|&j| plan.atoms[j].clone()).collect();
+        for slot in &mut plan.slots {
+            for (a, _) in &mut slot.participants {
+                *a = position[*a];
+            }
+        }
+    }
+}
+
 impl fmt::Display for PhysicalChoice {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{}", self.reason)?;
@@ -621,9 +586,9 @@ mod tests {
         Store::from_triples(&triples)
     }
 
-    fn run_wcoj(store: &Store, body: &[Atom], parallelism: Parallelism) -> (Relation, WcojPlan) {
+    fn run_wcoj(store: &Store, body: &[Atom]) -> (Relation, WcojPlan) {
         let p = plan(body).expect("plan");
-        let rel = eval(store, &p, parallelism, None, &Obs::disabled()).expect("eval");
+        let rel = eval(store, &p, None, &Obs::disabled()).expect("eval");
         (rel, p)
     }
 
@@ -665,7 +630,7 @@ mod tests {
             Atom::new(v("y"), p, v("z")),
             Atom::new(v("x"), p, v("z")),
         ];
-        let (rel, pl) = run_wcoj(&store, &body, Parallelism::Off);
+        let (rel, pl) = run_wcoj(&store, &body);
         let mut want = oracle(&store, &body, pl.var_order());
         want.dedup();
         assert_eq!(sorted_rows(&rel), want);
@@ -684,7 +649,7 @@ mod tests {
             Atom::new(v("h"), p, v("c")),
         ];
         for body in [chain, star] {
-            let (rel, pl) = run_wcoj(&store, &body, Parallelism::Off);
+            let (rel, pl) = run_wcoj(&store, &body);
             let mut want = oracle(&store, &body, pl.var_order());
             want.dedup();
             assert_eq!(sorted_rows(&rel), want);
@@ -719,7 +684,7 @@ mod tests {
         let p = plan(&body).expect("range body plans");
         let registry = std::sync::Arc::new(rdfref_obs::MetricsRegistry::default());
         let obs = Obs::collecting(registry.clone());
-        let rel = eval(&store, &p, Parallelism::Off, None, &obs).unwrap();
+        let rel = eval(&store, &p, None, &obs).unwrap();
         // Classes 52..55 are i%8 in {2,3,4}: instances 100+{2,3,4,10,11,12,18,19}
         // minus none → 8 x-bindings, each with exactly one outgoing edge.
         assert_eq!(rel.len(), 8);
@@ -728,38 +693,6 @@ mod tests {
         assert!(snap.counter("op.lfj.seeks") > 0);
         // One anonymous slot + x + y.
         assert_eq!(p.var_order().len(), 2);
-    }
-
-    #[test]
-    fn morsel_output_and_counters_match_sequential() {
-        let edges: Vec<(u32, u32)> = (0..60u32)
-            .flat_map(|i| [(i % 9, (i * 5 + 2) % 13), ((i * 3) % 13, i % 9)])
-            .collect();
-        let store = edge_store(&edges, 7);
-        let p = TermId(7);
-        let body = vec![
-            Atom::new(v("x"), p, v("y")),
-            Atom::new(v("y"), p, v("z")),
-            Atom::new(v("x"), p, v("z")),
-        ];
-        let run = |par: Parallelism| {
-            let registry = std::sync::Arc::new(rdfref_obs::MetricsRegistry::default());
-            let obs = Obs::collecting(registry.clone());
-            let pl = plan(&body).unwrap();
-            let rel = eval(&store, &pl, par, None, &obs).unwrap();
-            let snap = registry.snapshot();
-            (
-                rel.to_rows(),
-                snap.counter("op.lfj.seeks"),
-                snap.counter("op.lfj.next"),
-                snap.counter("op.lfj.rows"),
-            )
-        };
-        let seq = run(Parallelism::Off);
-        for size in [1, 3, 64] {
-            let par = run(Parallelism::Morsels { size });
-            assert_eq!(seq, par, "morsel size {size}");
-        }
     }
 
     #[test]
@@ -774,9 +707,9 @@ mod tests {
             Atom::new(v("x"), p, v("y")),
             Atom::new(TermId(1000), p, TermId(1002)), // missing edge
         ];
-        let (rel, _) = run_wcoj(&store, &present, Parallelism::Off);
+        let (rel, _) = run_wcoj(&store, &present);
         assert_eq!(rel.len(), 2);
-        let (rel, _) = run_wcoj(&store, &absent, Parallelism::Off);
+        let (rel, _) = run_wcoj(&store, &absent);
         assert!(rel.is_empty());
     }
 
@@ -795,20 +728,53 @@ mod tests {
         let p = TermId(7);
         let body = vec![Atom::new(v("x"), p, v("y")), Atom::new(v("y"), p, v("z"))];
         let pl = plan(&body).unwrap();
-        for par in [Parallelism::Off, Parallelism::Morsels { size: 1 }] {
-            let registry = std::sync::Arc::new(rdfref_obs::MetricsRegistry::default());
-            let obs = Obs::collecting(registry.clone());
-            let err = eval(&store, &pl, par, Some(3), &obs).unwrap_err();
-            assert_eq!(
-                err,
-                StorageError::RowBudgetExceeded { budget: 3 },
-                "{par:?}"
-            );
-            let snap = registry.snapshot();
-            assert_eq!(snap.counter("op.budget_abort"), 1, "{par:?}");
-            assert!(snap.counter("op.lfj.rows") >= 4, "{par:?}");
-            assert!(snap.counter("op.lfj.seeks") > 0, "{par:?}");
-        }
+        let registry = std::sync::Arc::new(rdfref_obs::MetricsRegistry::default());
+        let obs = Obs::collecting(registry.clone());
+        let err = eval(&store, &pl, Some(3), &obs).unwrap_err();
+        assert_eq!(err, StorageError::RowBudgetExceeded { budget: 3 });
+        let snap = registry.snapshot();
+        assert_eq!(snap.counter("op.budget_abort"), 1);
+        assert!(snap.counter("op.lfj.rows") >= 4);
+        assert!(snap.counter("op.lfj.seeks") > 0);
+    }
+
+    #[test]
+    fn restate_renames_and_renumbers_and_still_runs() {
+        let (p, q) = (TermId(7), TermId(8));
+        let triples: Vec<EncodedTriple> = (0..60u32)
+            .flat_map(|i| {
+                let (s, o) = (TermId(1000 + i % 9), TermId(1000 + (i * 5 + 2) % 13));
+                [EncodedTriple::new(s, p, o), EncodedTriple::new(o, q, s)]
+            })
+            .collect();
+        let store = Store::from_triples(&triples);
+        let body = vec![
+            Atom::new(v("a"), p, v("b")),
+            Atom::new(v("a"), q, v("c")),
+            Atom::new(v("b"), p, v("c")),
+        ];
+        let mut choice = PhysicalChoice {
+            reason: JoinReason::Star {
+                hub: v("a"),
+                atoms: 3,
+            },
+            plan: plan(&body),
+        };
+        let before = run_wcoj(&store, &body).0.to_rows();
+        choice.restate(|var| Var::new(var.name().to_uppercase()), &[0, 2, 1]);
+        assert_eq!(choice.to_string(), "auto: star join (?A in 3 atoms)");
+        let pl = choice.plan.expect("plan");
+        let lines = [
+            "",
+            "  var order : ?A ?B ?C",
+            "  t1        : SPO [?A #7 ?B]",
+            "  t2        : SPO [?B #7 ?C]",
+            "  t3        : SPO [?A #8 ?C]",
+        ];
+        assert_eq!(format!("{pl:12}"), lines.join("\n"));
+        let after = eval(&store, &pl, None, &Obs::disabled()).unwrap();
+        assert_eq!(after.columns(), &[v("A"), v("B"), v("C")]);
+        assert_eq!(after.to_rows(), before);
     }
 
     #[test]

@@ -162,7 +162,7 @@ fn scan_of_50k_rows() {
         .collect();
     let store = Store::from_triples(&triples);
     let atom = Atom::new(v("x"), P, v("y"));
-    let (rel, n) = allocations(|| scan_atom(&store, &atom).unwrap());
+    let (rel, n) = allocations(|| scan_atom(&store, &atom));
     assert_eq!(rel.len(), 50_000);
     assert!(n < BUDGET, "scan made {n} allocations");
 }

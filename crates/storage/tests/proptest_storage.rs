@@ -11,7 +11,7 @@ use rdfref_query::Var;
 use rdfref_storage::evaluator::Evaluator;
 use rdfref_storage::relation::Relation;
 use rdfref_storage::store::{Bound, Pattern, Store};
-use rdfref_storage::{ExecMetrics, JoinAlgorithm, Parallelism, Stats, StatsMaintainer};
+use rdfref_storage::{ExecMetrics, JoinAlgorithm, Stats, StatsMaintainer};
 
 fn triples_strategy() -> impl Strategy<Value = Vec<EncodedTriple>> {
     proptest::collection::vec(
@@ -573,8 +573,7 @@ fn oracle_cq() -> impl Strategy<Value = Cq> {
 proptest! {
     #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
 
-    /// `Evaluator::eval_cq` under every join algorithm, sequential and in
-    /// 3-row morsels, returns exactly the rows of a nested-loop evaluation
+    /// `Evaluator::eval_cq` under every join algorithm returns exactly the rows of a nested-loop evaluation
     /// over `Store::iter()`: constants, intervals and repeated variables in
     /// any position.
     #[test]
@@ -588,16 +587,11 @@ proptest! {
         let expected = nested_loop_cq(&all, &cq);
         let out = rdfref_storage::evaluator::head_names(&cq);
         for algo in [JoinAlgorithm::BindJoin, JoinAlgorithm::Wcoj, JoinAlgorithm::Auto] {
-            for parallelism in [Parallelism::Off, Parallelism::Morsels { size: 3 }] {
-                let mut ev = Evaluator::new(&store, &stats);
-                ev.join_algorithm = algo;
-                ev.parallelism = parallelism;
-                let mut rel = ev.eval_cq(&cq, &out, &mut ExecMetrics::default()).unwrap();
-                rel.sort();
-                prop_assert_eq!(
-                    rel.to_rows(), expected.clone(), "{:?} {:?} on {:?}", algo, parallelism, cq
-                );
-            }
+            let mut ev = Evaluator::new(&store, &stats);
+            ev.join_algorithm = algo;
+            let mut rel = ev.eval_cq(&cq, &out, &mut ExecMetrics::default()).unwrap();
+            rel.sort();
+            prop_assert_eq!(rel.to_rows(), expected.clone(), "{:?} on {:?}", algo, cq);
         }
     }
 }

@@ -95,5 +95,5 @@ pub mod prelude {
     pub use rdfref_model::{Dictionary, Graph, Schema, Term, TermId, Triple};
     pub use rdfref_query::{parse_select, Cover, Cq, Var};
     pub use rdfref_reasoning::{saturate, IncrementalReasoner};
-    pub use rdfref_storage::{JoinAlgorithm, Parallelism, DEFAULT_MORSEL_SIZE};
+    pub use rdfref_storage::JoinAlgorithm;
 }

@@ -2,7 +2,7 @@
 //! one slice of it: one scenario generator, an engine-independent
 //! reference (a raw-rule saturation and a nested-loop evaluation over it),
 //! and the point loops that ask an engine every strategy × join algorithm ×
-//! parallelism × plan-cache state. Each slice draws `LATTICE_CASES`
+//! plan-cache state. Each slice draws `LATTICE_CASES`
 //! scenarios; together they cover every point once:
 //!
 //! * `properties::all_strategies_compute_certain_answers`: static Classic
@@ -27,7 +27,7 @@ use proptest::prelude::*;
 use rdfref::core::answer::{AnswerOptions, Database, Strategy as AnswerStrategy};
 use rdfref::core::engine::QueryEngine;
 use rdfref::core::incomplete::IncompletenessProfile;
-use rdfref::core::{JoinAlgorithm, Parallelism, UpdateBatch};
+use rdfref::core::{JoinAlgorithm, UpdateBatch};
 use rdfref::model::dictionary::{
     ID_RDFS_DOMAIN, ID_RDFS_RANGE, ID_RDFS_SUBCLASSOF, ID_RDFS_SUBPROPERTYOF, ID_RDF_TYPE,
 };
@@ -431,8 +431,8 @@ fn strategies(cq: &Cq) -> Vec<AnswerStrategy> {
     out
 }
 
-/// The knob points of one engine against `want`: strategy × `joins` ×
-/// parallelism, and for the strategies that plan through the plan cache
+/// The knob points of one engine against `want`: strategy × `joins`, and
+/// for the strategies that plan through the plan cache
 /// (every Ref but the incomplete one) × the `cache_runs` of off (0), on (1)
 /// and on again (2), which must hit. The others never read the cache and
 /// run only at 0.
@@ -456,26 +456,23 @@ pub fn check_points(
             cache_runs.clone()
         };
         for &join in joins {
-            for parallelism in [Parallelism::Off, Parallelism::Morsels { size: 1 }] {
-                for run in runs.clone() {
-                    let point = format!("{label} {name} {join:?} {parallelism:?} cache run {run}");
-                    let opts = AnswerOptions {
-                        join_algorithm: join,
-                        parallelism,
-                        use_cache: run > 0,
-                        ..AnswerOptions::default()
-                    };
-                    let answer = engine
-                        .run_query(cq, &strategy, &opts)
-                        .map_err(|e| TestCaseError::fail(format!("{point}: {e}")))?;
-                    prop_assert_eq!(answer.rows(), want, "{}", point);
-                    let hit = answer.explain.cache.as_ref().is_some_and(|c| c.hit);
-                    prop_assert!(
-                        run < 2 || hit,
-                        "{}: the repeated run missed the cache",
-                        point
-                    );
-                }
+            for run in runs.clone() {
+                let point = format!("{label} {name} {join:?} cache run {run}");
+                let opts = AnswerOptions {
+                    join_algorithm: join,
+                    use_cache: run > 0,
+                    ..AnswerOptions::default()
+                };
+                let answer = engine
+                    .run_query(cq, &strategy, &opts)
+                    .map_err(|e| TestCaseError::fail(format!("{point}: {e}")))?;
+                prop_assert_eq!(answer.rows(), want, "{}", point);
+                let hit = answer.explain.cache.as_ref().is_some_and(|c| c.hit);
+                prop_assert!(
+                    run < 2 || hit,
+                    "{}: the repeated run missed the cache",
+                    point
+                );
             }
         }
     }
@@ -538,7 +535,7 @@ fn in_ids_of(
 }
 
 /// A serving engine per encoding, checked at every strategy × join ×
-/// parallelism × `cache_runs` point before its first batch (so its plan
+/// `cache_runs` point before its first batch (so its plan
 /// cache is warm when the schedule starts) and after every batch, against
 /// the oracle over a model graph that takes the same batches. The engines
 /// start from a graph that interns only the initial triples and the query's

@@ -287,3 +287,50 @@ fn design_knob_tables_match_the_builder_and_the_answer_options() {
         );
     }
 }
+
+/// The median of the committed `exp_all` record of `row` and `cell`, read
+/// from `crates/bench/experiments.json`, which writes one record per line.
+fn committed_median(row: &str, cell: &str) -> f64 {
+    let path = root().join("crates/bench/experiments.json");
+    let json = fs::read_to_string(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+    let wanted = [
+        format!("\"row\": \"{row}\","),
+        format!("\"cell\": \"{cell}\","),
+    ];
+    let line = json
+        .lines()
+        .find(|line| wanted.iter().all(|w| line.contains(w.as_str())))
+        .unwrap_or_else(|| panic!("no {row} / {cell} record"));
+    let at = line.find("\"median\": ").expect("a median") + "\"median\": ".len();
+    let end = line[at..].find(',').expect("a field after the median");
+    line[at..at + end].parse().expect("a number")
+}
+
+/// `x` to three significant figures, as the docs quote a ratio.
+fn three_figures(x: f64) -> String {
+    let decimals = (2 - x.abs().log10().floor() as i32).max(0) as usize;
+    format!("{x:.decimals$}")
+}
+
+/// README's headline table quotes E1's committed SCQ / paper-cover ratios,
+/// the median of the per-sample ratios at scale 8 and at density 20.
+#[test]
+fn readme_headline_ratios_are_the_committed_e1_records() {
+    let readme = fs::read_to_string(root().join("README.md")).expect("README.md");
+    let table = table_after(&readme, "Headline reproduction");
+    let row = table
+        .iter()
+        .find(|row| row[0] == "Ref/JUCQ, paper's cover")
+        .expect("the paper cover's row");
+    for (col, record, quoted) in [
+        (2, "E1 scale=8", "× vs SCQ)"),
+        (3, "E1 scale=16 density=20", "×)"),
+    ] {
+        let ratio = three_figures(committed_median(record, "SCQ/paper cover"));
+        assert!(
+            row[col].contains(&format!("({ratio}{quoted}")),
+            "README's headline `{}` against {record}'s SCQ/paper cover median {ratio}",
+            row[col]
+        );
+    }
+}

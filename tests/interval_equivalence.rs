@@ -29,7 +29,7 @@ proptest! {
     })]
 
     /// Generated chains, trees and DAGs on static interval engines: every
-    /// strategy × {BindJoin, Auto} × parallelism × cache point returns the
+    /// strategy × {BindJoin, Auto} × cache point returns the
     /// oracle's `q(G∞)`, which classic engines return in `properties`.
     #[test]
     fn interval_equals_classic(scenario in scenario_strategy()) {

@@ -252,33 +252,6 @@ fn interval_dag_fallback_still_unions() {
 }
 
 #[test]
-fn morsel_scan_counters_are_exact_for_saturation() {
-    let (db, q) = setup();
-    db.prepare_saturation();
-    let registry = Arc::new(MetricsRegistry::new());
-    let answer = db
-        .query(&q)
-        .strategy(Strategy::Saturation)
-        .parallelism(Parallelism::Morsels { size: 2 })
-        .collect_metrics(&registry)
-        .run()
-        .unwrap();
-    assert_eq!(answer.len(), 3);
-    let snap = registry.snapshot();
-    // One scan over the saturated store stages its 3 matching rows and, at
-    // morsel size 2, claims exactly ⌈3/2⌉ = 2 morsels.
-    assert_eq!(snap.counter("op.scan.count"), 1);
-    assert_eq!(snap.counter("op.scan.rows"), 3);
-    assert_eq!(snap.counter("op.morsel.count"), 2);
-    assert_eq!(snap.counter("op.morsel.rows"), 3);
-    let workers = snap.counter("op.morsel.workers");
-    assert!(
-        (1..=2).contains(&workers),
-        "workers {workers} not in 1..=morsel count"
-    );
-}
-
-#[test]
 fn a_sequential_answer_runs_one_unreported_morsel_per_operator() {
     let (db, q) = setup();
     for strategy in [Strategy::Saturation, Strategy::RefUcq, Strategy::RefGCov] {
@@ -291,31 +264,6 @@ fn a_sequential_answer_runs_one_unreported_morsel_per_operator() {
             assert_eq!(snap.counter(counter), 0, "{name}: {counter}");
         }
     }
-}
-
-#[test]
-fn morsel_ref_ucq_counters_account_every_scan_without_row_loss() {
-    let (db, q) = setup();
-    let sequential = db.query(&q).strategy(Strategy::RefUcq).run().unwrap();
-    let registry = Arc::new(MetricsRegistry::new());
-    let answer = db
-        .query(&q)
-        .strategy(Strategy::RefUcq)
-        .parallelism(Parallelism::Morsels { size: 1 })
-        .collect_metrics(&registry)
-        .run()
-        .unwrap();
-    assert_eq!(answer.rows(), sequential.rows(), "morsels change no rows");
-    let snap = registry.snapshot();
-    // Every disjunct of the UCQ is a single-atom CQ scanning ≤1 explicit
-    // row, so at morsel size 1 each scan claims exactly one morsel (empty
-    // scans still claim their mandatory empty morsel) and the staged rows
-    // are exactly the scanned rows.
-    let scans = snap.counter("op.scan.count");
-    assert!(scans >= 3, "at least one scan per subclass disjunct");
-    assert_eq!(snap.counter("op.morsel.count"), scans);
-    assert_eq!(snap.counter("op.morsel.rows"), snap.counter("op.scan.rows"));
-    assert_eq!(snap.counter("op.union.rows"), 3);
 }
 
 /// Q09 in miniature: the three type atoms are implied by the domains and

@@ -98,7 +98,7 @@ proptest! {
     })]
 
     /// The central invariant on static classic engines: every strategy ×
-    /// {BindJoin, Auto} × parallelism × cache point returns `q(G∞)`.
+    /// {BindJoin, Auto} × cache point returns `q(G∞)`.
     #[test]
     fn all_strategies_compute_certain_answers(scenario in scenario_strategy()) {
         let (graph, cq) = build(&scenario);
@@ -115,7 +115,7 @@ proptest! {
 
     /// A plan served from the cache stays sound across data and schema
     /// batches: serving engines of both encodings, cache on and on again (a
-    /// hit) at every strategy × join × parallelism point, before the first
+    /// hit) at every strategy × join point, before the first
     /// batch and after every batch.
     #[test]
     fn cache_invalidation_is_sound_under_updates(scenario in scenario_strategy()) {

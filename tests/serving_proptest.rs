@@ -331,7 +331,7 @@ proptest! {
     /// schedule of data and schema batches, answer like a rebuilt database
     /// — the oracle's `q(G∞)` over a model that takes the same batches —
     /// before the first batch and after every batch, at every strategy ×
-    /// join × parallelism point with the cache off. The query shapes include
+    /// join point with the cache off. The query shapes include
     /// the `?s ?p ?o` wildcard.
     #[test]
     fn maintained_answers_equal_a_rebuilt_database_under_churn(scenario in scenario_strategy()) {

@@ -214,29 +214,6 @@ fn insee_wide_hierarchy_equivalence() {
     }
 }
 
-/// Morsel-parallel evaluation returns exactly the sequential answers; tiny
-/// morsels so every scan and probe splits into several work units.
-#[test]
-fn parallel_morsels_match_sequential() {
-    let ds = lubm::generate(&lubm::LubmConfig::default());
-    let db = Database::builder().build(ds.graph.clone());
-    let sequential = AnswerOptions::default();
-    let parallel = AnswerOptions {
-        parallelism: Parallelism::Morsels { size: 8 },
-        ..AnswerOptions::default()
-    };
-    for nq in queries::lubm_mix(&ds).unwrap() {
-        if nq.name == "Q09" {
-            continue; // large UCQ; covered by the others
-        }
-        let a = db
-            .run_query(&nq.cq, &Strategy::RefUcq, &sequential)
-            .unwrap();
-        let b = db.run_query(&nq.cq, &Strategy::RefUcq, &parallel).unwrap();
-        assert_eq!(a.rows(), b.rows(), "{}", nq.name);
-    }
-}
-
 /// The incomplete profiles form a monotone lattice of answer sets:
 /// none ⊆ subclass-only ⊆ hierarchies-only ⊆ complete.
 #[test]

@@ -21,7 +21,7 @@ proptest! {
 
     /// Generated queries (random atoms, chains, stars, triangles, the
     /// wildcard) under the leapfrog triejoin on static engines of both
-    /// encodings: every strategy × parallelism × cache point returns the
+    /// encodings: every strategy × cache point returns the
     /// oracle's `q(G∞)`, which bind join returns in `properties` and
     /// `interval_equivalence`.
     #[test]
@@ -100,6 +100,39 @@ fn stressor_triangle_and_auto_verdicts() {
             assert_eq!(got, want, "{}/{}", nq.name, strategy.name());
         }
     }
+}
+
+/// A leapfrogged CQ is reported in the caller's variables: through the plan
+/// cache the plan is the α-canonical query's (`?cv0 ?cv1 ?cv2`), and
+/// `Explain` names them back, so the cached and the uncached run render
+/// alike.
+#[test]
+fn a_cached_leapfrog_plan_names_the_callers_variables() {
+    use rdfref::datagen::wcoj::{generate, wcoj_mix, WcojConfig};
+    let ds = generate(&WcojConfig {
+        hubs: 4,
+        spokes: 12,
+        likes_per_hub: 3,
+        triangles: 5,
+    });
+    let triangle = &wcoj_mix(&ds).unwrap()[0];
+    let db = Database::builder().build(ds.graph.clone());
+    let render = |use_cache: bool| {
+        let opts = AnswerOptions {
+            join_algorithm: JoinAlgorithm::Wcoj,
+            use_cache,
+            ..AnswerOptions::default()
+        };
+        let answer = db
+            .run_query(&triangle.cq, &QStrategy::RefUcq, &opts)
+            .unwrap();
+        assert_eq!(answer.explain.cache.is_some(), use_cache);
+        format!("{:12}", answer.explain.metrics.dispatched)
+    };
+    let uncached = render(false);
+    assert!(uncached.contains("var order : ?x ?y ?z"), "{uncached}");
+    assert_eq!(render(true), uncached, "a miss");
+    assert_eq!(render(true), uncached, "a hit");
 }
 
 /// `Explain`'s dispatch tally reports the operator the evaluator ran, not
