@@ -364,9 +364,184 @@ pub fn render(records: &[Record]) -> String {
     out
 }
 
+/// One record of a written document, as [`against`] reads it back.
+#[derive(Debug, Clone, PartialEq)]
+struct Written {
+    row: String,
+    cell: String,
+    metric: String,
+    unit: String,
+    median: f64,
+    q1: f64,
+    q3: f64,
+}
+
+impl Written {
+    fn key(&self) -> (&str, &str, &str) {
+        (&self.row, &self.cell, &self.metric)
+    }
+
+    fn find<'a>(records: &'a [Written], key: (&str, &str, &str)) -> Option<&'a Written> {
+        records.iter().find(|r| r.key() == key)
+    }
+}
+
+/// The records of a document [`to_json`] wrote, in document order.
+fn read_records(text: &str) -> Result<Vec<Written>, String> {
+    let doc = rdfref_obs::json::parse(text)?;
+    let records = doc
+        .get("records")
+        .and_then(|r| r.as_array())
+        .ok_or("no records")?;
+    records
+        .iter()
+        .map(|r| {
+            let text = |k: &str| {
+                r.get(k)
+                    .and_then(|v| v.as_str())
+                    .map(str::to_string)
+                    .ok_or(format!("a record without {k}"))
+            };
+            let number = |k: &str| {
+                r.get(k)
+                    .and_then(|v| v.as_f64())
+                    .ok_or(format!("a record without {k}"))
+            };
+            Ok(Written {
+                row: text("row")?,
+                cell: text("cell")?,
+                metric: text("metric")?,
+                unit: text("unit")?,
+                median: number("median")?,
+                q1: number("q1")?,
+                q3: number("q3")?,
+            })
+        })
+        .collect()
+}
+
+/// The records of document `new` against those of `old` (two documents
+/// [`to_json`] wrote), one line per record both hold: the ratio of medians,
+/// new over old, flagged `IQRs apart` when the two interquartile ranges do
+/// not overlap — the frozen benchmark's `compare` rule of reading a shift
+/// against the spread of both sides, here with the spread as the bound.
+/// Then every `count`/`exact` record whose value changed, and the records
+/// only one side holds.
+pub fn against(old: &str, new: &str) -> Result<String, String> {
+    let old = read_records(old).map_err(|e| format!("old document: {e}"))?;
+    let new = read_records(new).map_err(|e| format!("new document: {e}"))?;
+    let mut out = String::new();
+    let mut changed = Vec::new();
+    let (mut shared, mut apart) = (0, 0);
+    for n in &new {
+        let Some(o) = Written::find(&old, n.key()) else {
+            continue;
+        };
+        shared += 1;
+        let (row, cell, metric) = n.key();
+        if matches!(n.unit.as_str(), "count" | "exact") {
+            if o.median != n.median || o.unit != n.unit {
+                changed.push(format!(
+                    "  {row} | {cell} | {metric}: {} → {}",
+                    significant(o.median, 6),
+                    significant(n.median, 6)
+                ));
+            }
+            continue;
+        }
+        let flag = if n.q3 < o.q1 || o.q3 < n.q1 {
+            apart += 1;
+            "  IQRs apart"
+        } else {
+            ""
+        };
+        let _ = writeln!(
+            out,
+            "{row} | {cell} | {metric}: {} [{}–{}] → {} [{}–{}] {} ×{}{flag}",
+            significant(o.median, 3),
+            significant(o.q1, 3),
+            significant(o.q3, 3),
+            significant(n.median, 3),
+            significant(n.q1, 3),
+            significant(n.q3, 3),
+            n.unit,
+            significant(n.median / o.median, 3),
+        );
+    }
+    let _ = writeln!(
+        out,
+        "\n{shared} shared records, {apart} with IQRs apart; {} count/exact records changed:",
+        changed.len()
+    );
+    for line in &changed {
+        let _ = writeln!(out, "{line}");
+    }
+    for (side, mine, theirs) in [("old", &old, &new), ("new", &new, &old)] {
+        for r in mine.iter() {
+            if Written::find(theirs, r.key()).is_none() {
+                let (row, cell, metric) = r.key();
+                let _ = writeln!(out, "only in {side}: {row} | {cell} | {metric}");
+            }
+        }
+    }
+    Ok(out)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn against_reads_ratios_flags_apart_iqrs_and_lists_changed_counts() {
+        let header = Header {
+            nproc: 2,
+            commit: "c".into(),
+            dirty: false,
+            rustc: "r".into(),
+        };
+        let record = |cell: &str, metric: &'static str, unit: Unit, samples: Vec<f64>| Record {
+            row: "E1 scale=1".into(),
+            cell: cell.into(),
+            metric,
+            unit,
+            samples,
+        };
+        let old = to_json(
+            &header,
+            &[
+                record("Ref/SCQ", "wall", Unit::Us, vec![90.0, 100.0, 110.0]),
+                record("paper cover", "wall", Unit::Us, vec![10.0, 11.0, 12.0]),
+                record("Ref/SCQ", "answers", Unit::Count, vec![5.0; 3]),
+                record("Ref/UCQ", "refused_cqs", Unit::Count, vec![7.0; 3]),
+                record("gone", "wall", Unit::Us, vec![1.0; 3]),
+            ],
+        );
+        let new = to_json(
+            &header,
+            &[
+                record("Ref/SCQ", "wall", Unit::Us, vec![9.0, 10.0, 11.0]),
+                record("paper cover", "wall", Unit::Us, vec![11.0, 12.0, 13.0]),
+                record("Ref/SCQ", "answers", Unit::Count, vec![5.0; 3]),
+                record("Ref/UCQ", "refused_cqs", Unit::Count, vec![8.0; 3]),
+                record("new", "wall", Unit::Us, vec![1.0; 3]),
+            ],
+        );
+        let report = against(&old, &new).expect("both documents parse");
+        let lines: Vec<&str> = report.lines().collect();
+        assert_eq!(
+            lines,
+            [
+                "E1 scale=1 | Ref/SCQ | wall: 100 [90–110] → 10 [9–11] us ×0.100  IQRs apart",
+                "E1 scale=1 | paper cover | wall: 11 [10–12] → 12 [11–13] us ×1.09",
+                "",
+                "4 shared records, 1 with IQRs apart; 1 count/exact records changed:",
+                "  E1 scale=1 | Ref/UCQ | refused_cqs: 7 → 8",
+                "only in old: E1 scale=1 | gone | wall",
+                "only in new: E1 scale=1 | new | wall",
+            ]
+        );
+        assert!(against("{}", &new).is_err());
+    }
 
     #[test]
     fn quartiles_match_python_exclusive_method() {

@@ -494,6 +494,8 @@ impl Shell {
             "op.lfj.atoms",
             "op.union.rows",
             "op.fragment.rows",
+            "op.seeded_fragment.count",
+            "op.seeded_fragment.rows",
             "saturate.rounds",
             "saturate.derived",
             "datalog.rounds",

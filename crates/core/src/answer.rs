@@ -497,8 +497,9 @@ impl Database {
                             .with_columns(cq.head_vars())?
                     }
                 };
-                // GCov's covers and the leapfrog's variables are the planned
-                // query's: report them as the caller numbers and names them.
+                // GCov's covers, the leapfrog's variables and the operator
+                // trace's atoms are the planned query's: report them as the
+                // caller numbers and names them.
                 let to_caller = |cover: &Cover| match &canon {
                     Some(canon) => cover_from_plan(cover, &canon.atom_map),
                     None => Ok(cover.clone()),
@@ -513,6 +514,21 @@ impl Database {
                         _ => &[],
                     };
                     choice.restate(|v| caller_var(cq, canon, v), order);
+                }
+                // The operator trace's atoms too, and SCQ's fragments, one
+                // per planned atom.
+                match (&canon, &*plan, strategy) {
+                    (Some(canon), CachedPlan::Ucq(ucq), _) => {
+                        let planned = |k: usize| &ucq.cqs[k];
+                        explain
+                            .metrics
+                            .renumber(ucq.len(), |k, j| caller_position(planned(k), canon, j));
+                    }
+                    (Some(canon), _, Strategy::RefScq) => {
+                        let caller = |j: usize| canon.atom_map.iter().position(|&m| m == j);
+                        explain.metrics.renumber_fragments(caller);
+                    }
+                    _ => {}
                 }
                 explain.cover = match (&*plan, strategy) {
                     (CachedPlan::Gcov(result), _) => {
@@ -775,6 +791,33 @@ fn caller_var(cq: &Cq, canon: &AlphaCanonical, v: &Var) -> Var {
             _ => None,
         })
         .unwrap_or_else(|| v.clone())
+}
+
+/// The position atom `j` of `planned`, a CQ of the UCQ planned for
+/// `canon.query`, takes in the CQ planned for the caller's query: the rank of
+/// the caller's atom it rewrites among those that `planned`'s atoms rewrite.
+/// An atom rewrites the planned atom at its own position when `planned`
+/// keeps one atom per planned atom; in a CQ minimisation shortened, the
+/// planned atom it equals (`None` when there is none).
+fn caller_position(planned: &Cq, canon: &AlphaCanonical, j: usize) -> Option<usize> {
+    let full = planned.body.len() == canon.atom_map.len();
+    let rewrites = |j: usize| {
+        let at = match full {
+            true => j,
+            false => canon
+                .query
+                .body
+                .iter()
+                .position(|a| *a == planned.body[j])?,
+        };
+        canon.atom_map.iter().position(|&m| m == at)
+    };
+    let mine = rewrites(j)?;
+    let mut rank = 0;
+    for k in 0..planned.body.len() {
+        rank += usize::from(rewrites(k)? < mine);
+    }
+    Some(rank)
 }
 
 /// `cover`, over the atoms of the planned query, over the caller's atoms:

@@ -15,7 +15,10 @@
 //!   row, and — crucially for the paper's Example 1 — each CQ disjunct pays
 //!   a fixed *compilation* overhead (`parse_cost_per_cq`/`_atom`), modeling
 //!   the RDBMS's parse/optimize time that made the 318,096-CQ UCQ fail
-//!   outright.
+//!   outright;
+//! * **the bind-or-materialise rule** (`CostModel::binds`) the evaluator
+//!   applies at both of its join levels: an atom joined into a CQ's chain,
+//!   and a fragment joined into a JUCQ (`CostModel::seeds_fragment`).
 
 use crate::stats::Stats;
 use crate::wcoj::JoinReason;
@@ -201,9 +204,14 @@ impl<'a> CostModel<'a> {
     /// cross product only when the remainder is disconnected. Returns atom
     /// indices. Shared by the estimator and the executor so the estimate
     /// models the plan that actually runs.
-    pub fn order_atoms(&self, body: &[Atom]) -> Vec<usize> {
+    ///
+    /// A chain seeded by rows that already bind the variables `bound` (see
+    /// `CostModel::seeds_fragment`) starts from those rows: its first atom
+    /// is one connected to them.
+    pub fn order_atoms(&self, body: &[Atom], bound: &[&Var]) -> Vec<usize> {
         let mut state = CqState::default();
-        state.load(self, body);
+        let seed: Vec<(&Var, f64)> = bound.iter().map(|&v| (v, 1.0)).collect();
+        state.load(self, body, &seed);
         state.order
     }
 
@@ -230,10 +238,17 @@ impl<'a> CostModel<'a> {
 
     /// Estimate a CQ body: cardinality + cost. Leaves the distinct values of
     /// its variables at the output in `state` (read by the union
-    /// estimator).
-    fn cq_estimate_full<'q>(&self, body: &'q [Atom], state: &mut CqState<'q>) -> CostEstimate {
+    /// estimator). With a `seed` the chain starts from that many bound rows
+    /// instead of from its first atom's scan: every atom is then a join step
+    /// (see `CostModel::seeds_fragment`).
+    fn cq_estimate_full<'q>(
+        &self,
+        body: &'q [Atom],
+        state: &mut CqState<'q>,
+        seed: Option<&Seed<'_>>,
+    ) -> CostEstimate {
         let p = &self.params;
-        state.load(self, body);
+        state.load(self, body, seed.map_or(&[], |s| &s.vars));
         let CqState {
             vars,
             slots,
@@ -242,19 +257,24 @@ impl<'a> CostModel<'a> {
             order,
             ..
         } = state;
-        let Some(&first_idx) = order.first() else {
-            return CostEstimate {
-                cardinality: 1.0,
-                cost: 0.0,
-            };
+        let (mut card, mut cost, joins) = match seed {
+            Some(seed) => (seed.rows, 0.0, &order[..]),
+            None => {
+                let Some(&first_idx) = order.first() else {
+                    return CostEstimate {
+                        cardinality: 1.0,
+                        cost: 0.0,
+                    };
+                };
+                let first = &body[first_idx];
+                let card = cards[first_idx];
+                for slot in slots[first_idx].into_iter().flatten() {
+                    distinct[slot] = Some(self.atom_var_distinct(first, card, vars[slot]));
+                }
+                (card, p.scan_cost_per_row * card, &order[1..])
+            }
         };
-        let first = &body[first_idx];
-        let mut card = cards[first_idx];
-        let mut cost = p.scan_cost_per_row * card;
-        for slot in slots[first_idx].into_iter().flatten() {
-            distinct[slot] = Some(self.atom_var_distinct(first, card, vars[slot]));
-        }
-        for &idx in &order[1..] {
+        for &idx in joins {
             let atom = &body[idx];
             let a_card = cards[idx];
             let mut selectivity = 1.0;
@@ -272,11 +292,11 @@ impl<'a> CostModel<'a> {
             }
             let out = card * a_card * selectivity;
             // The executor picks scan+hash or index nested-loop (bind) join
-            // by the same criterion; price whichever it will use.
+            // by the same rule; price whichever it will use.
             let hash_cost =
                 p.scan_cost_per_row * a_card + p.join_cost_per_row * (card + a_card + out);
             let bind_cost = p.probe_cost_per_row * card + p.scan_cost_per_row * out;
-            if shares && card * p.probe_cost_per_row < a_card {
+            if self.binds_atom(shares, card, a_card) {
                 cost += bind_cost;
             } else {
                 cost += hash_cost;
@@ -301,7 +321,7 @@ impl<'a> CostModel<'a> {
 
     /// Estimate one CQ.
     pub fn cq_estimate(&self, cq: &Cq) -> CostEstimate {
-        self.cq_estimate_full(&cq.body, &mut CqState::default())
+        self.cq_estimate_full(&cq.body, &mut CqState::default(), None)
     }
 
     /// Estimate a UCQ evaluated as union-distinct of its disjuncts, with the
@@ -326,7 +346,7 @@ impl<'a> CostModel<'a> {
         let mut col_vs = vec![0.0; columns.len()];
         let mut state = CqState::default();
         for cq in &ucq.cqs {
-            let est = self.cq_estimate_full(&cq.body, &mut state);
+            let est = self.cq_estimate_full(&cq.body, &mut state, None);
             card += est.cardinality;
             cost += est.cost;
             for (pos, &first) in first_of.iter().enumerate() {
@@ -358,8 +378,8 @@ impl<'a> CostModel<'a> {
     }
 
     /// Estimate a JUCQ: fragment estimates plus the join of fragment
-    /// results, ordered smallest-first preferring shared columns (mirroring
-    /// the executor).
+    /// results, in `CostModel::join_order`, each materialised and
+    /// hash-joined.
     pub fn jucq_estimate(&self, jucq: &Jucq) -> CostEstimate {
         let frags: Vec<FragmentEstimate> = jucq
             .fragments
@@ -370,63 +390,32 @@ impl<'a> CostModel<'a> {
     }
 
     /// Join fragment estimates, in JUCQ fragment order: the fragments' own
-    /// costs plus a greedy join of their results, smallest first, preferring
-    /// a fragment that shares a column with what is joined so far.
+    /// costs plus a hash join of their materialised results in
+    /// `CostModel::join_order`. This prices the materialised path only;
+    /// the evaluator seeds a fragment instead when
+    /// `CostModel::seeds_fragment` says so.
     pub fn join_estimate(&self, frags: &[&FragmentEstimate]) -> CostEstimate {
         let p = &self.params;
         let mut cost = 0.0;
         for frag in frags {
             cost += frag.estimate.cost;
         }
-        let mut remaining: Vec<usize> = (0..frags.len()).collect();
-        remaining.sort_by(|&a, &b| {
-            let card = |i: usize| frags[i].estimate.cardinality;
-            card(a).total_cmp(&card(b))
-        });
-        let Some(first) = remaining.first().map(|&i| frags[i]) else {
+        let order = Self::join_order(frags);
+        let Some((&first, rest)) = order.split_first() else {
             return CostEstimate {
                 cardinality: 0.0,
                 cost,
             };
         };
-        remaining.remove(0);
-        let mut card = first.estimate.cardinality;
-        // The distinct values of every column joined so far; a name's first
-        // entry is the one read and updated.
-        let mut joined: Vec<(&Var, f64)> = first.columns.iter().map(|(c, v)| (c, *v)).collect();
-        let lookup = |joined: &[(&Var, f64)], col: &Var| {
-            joined.iter().find(|(c, _)| *c == col).map(|&(_, v)| v)
-        };
-        while !remaining.is_empty() {
-            let pos = remaining
-                .iter()
-                .position(|&i| {
-                    frags[i]
-                        .columns
-                        .iter()
-                        .any(|(c, _)| lookup(&joined, c).is_some())
-                })
-                .unwrap_or(0);
-            let frag = frags[remaining.remove(pos)];
+        let mut card = frags[first].estimate.cardinality;
+        let mut joined = JoinedColumns::new(frags[first], card);
+        for &i in rest {
+            let frag = frags[i];
             let f_card = frag.estimate.cardinality;
-            let mut selectivity = 1.0;
-            for (col, rv) in &frag.columns {
-                if let Some(lv) = lookup(&joined, col) {
-                    selectivity /= lv.max(*rv).max(1.0);
-                }
-            }
-            let out = card * f_card * selectivity;
+            let out = card * f_card * joined.selectivity(frag).1;
             cost += p.join_cost_per_row * (card + f_card + out);
             card = out;
-            for (col, fv) in &frag.columns {
-                match joined.iter_mut().find(|(c, _)| *c == col) {
-                    Some((_, lv)) => *lv = lv.min(*fv),
-                    None => joined.push((col, *fv)),
-                }
-            }
-            for (_, v) in &mut joined {
-                *v = v.min(card).max(if card > 0.0 { 1.0 } else { 0.0 });
-            }
+            joined.absorb(frag, card);
         }
         // Final projection + dedup on the head.
         cost += p.dedup_cost_per_row * card;
@@ -435,6 +424,200 @@ impl<'a> CostModel<'a> {
             cost,
         }
     }
+
+    /// The order in which a JUCQ joins its fragments: the one of least
+    /// estimated cardinality first, then repeatedly the least of those
+    /// sharing a column with what is joined so far, a cross product only
+    /// when none does. Shared by the estimator and the evaluator.
+    pub(crate) fn join_order(frags: &[&FragmentEstimate]) -> Vec<usize> {
+        let mut remaining: Vec<usize> = (0..frags.len()).collect();
+        remaining.sort_by(|&a, &b| {
+            let card = |i: usize| frags[i].estimate.cardinality;
+            card(a).total_cmp(&card(b))
+        });
+        let mut order: Vec<usize> = Vec::with_capacity(frags.len());
+        while !remaining.is_empty() {
+            let pos = remaining
+                .iter()
+                .position(|&i| {
+                    frags[i].columns.iter().any(|(c, _)| {
+                        order
+                            .iter()
+                            .any(|&j| frags[j].columns.iter().any(|(d, _)| d == c))
+                    })
+                })
+                .unwrap_or(0);
+            order.push(remaining.remove(pos));
+        }
+        order
+    }
+
+    /// The bind-or-materialise rule of both join levels of the evaluator,
+    /// and of the estimator that prices them: bind the accumulated rows into
+    /// the next input (probe it per row) when they share a variable with it
+    /// and the bound evaluation is priced below materialising the input on
+    /// its own. See `CostModel::binds_atom` and
+    /// `CostModel::seeds_fragment` for the two prices.
+    pub(crate) fn binds(&self, shares: bool, bound: f64, materialised: f64) -> bool {
+        shares && bound < materialised
+    }
+
+    /// `CostModel::binds` for one atom of a CQ's chain: `rows` index
+    /// probes against a scan of the atom's `atom_card` rows.
+    pub(crate) fn binds_atom(&self, shares: bool, rows: f64, atom_card: f64) -> bool {
+        let p = &self.params;
+        self.binds(
+            shares,
+            rows * p.probe_cost_per_row,
+            p.scan_cost_per_row * atom_card,
+        )
+    }
+
+    /// `CostModel::binds` for one JUCQ fragment whose union is `ucq` and
+    /// whose estimate is `frag`, joined into the rows `joined` describes,
+    /// which hold `keys` distinct values on the columns they share with it.
+    ///
+    /// Seeded, every CQ of the union starts its chain from those key
+    /// values: its variables at the shared columns are bound from the
+    /// start, a head constant there filters the keys, and a head variable
+    /// repeated over two shared columns is an equality. Each chain is priced
+    /// as the executor runs it, atom by atom from the seed, and the union
+    /// this leaves is hash-joined with the rows. Materialised, the fragment
+    /// costs its own estimate plus that hash join. Both prices carry the
+    /// union's per-CQ overhead and deduplication. The seeded price must fall
+    /// below the materialised one twice: as the probes alone, one per key
+    /// and CQ of the union (`keys × probe × |CQs|`, which also spares pricing
+    /// every chain of a long union against many keys), and as the chains.
+    pub(crate) fn seeds_fragment(
+        &self,
+        joined: &JoinedColumns,
+        keys: usize,
+        ucq: &Ucq,
+        frag: &FragmentEstimate,
+    ) -> bool {
+        let p = &self.params;
+        let keys = keys as f64;
+        let (shares, selectivity) = joined.selectivity(frag);
+        let rows = joined.rows;
+        let f_card = frag.estimate.cardinality;
+        let out = rows * f_card * selectivity;
+        let materialised = frag.estimate.cost + p.join_cost_per_row * (rows + f_card + out);
+        let probes = keys * p.probe_cost_per_row * ucq.len() as f64;
+        if !self.binds(shares, probes, materialised) {
+            return false;
+        }
+        // The shared columns, each once, with its distinct values and the
+        // fragment column it meets: the first of its name, as a natural
+        // join meets it.
+        let mut shared: Vec<(usize, f64)> = Vec::new();
+        for (pos, (col, _)) in frag.columns.iter().enumerate() {
+            let first = frag.columns.iter().position(|(c, _)| c == col) == Some(pos);
+            if let Some(d) = joined.lookup(col).filter(|_| first) {
+                shared.push((pos, d.min(keys)));
+            }
+        }
+        // The union's overhead and its join's fixed part, then each CQ's
+        // chain with its rows' deduplication and share of the join: the
+        // price only grows, so pricing stops once it reaches `materialised`.
+        let mut cost = p.parse_cost_per_cq * ucq.len() as f64
+            + p.parse_cost_per_atom * ucq.total_atoms() as f64
+            + p.join_cost_per_row * (rows + out);
+        let mut state = CqState::default();
+        for cq in &ucq.cqs {
+            let mut seed = Seed {
+                rows: keys,
+                vars: Vec::new(),
+            };
+            for &(pos, d) in &shared {
+                match cq.head.get(pos) {
+                    Some(PTerm::Var(w)) => match seed.vars.iter().find(|(v, _)| *v == w) {
+                        Some(&(_, e)) => seed.rows /= d.max(e).max(1.0),
+                        None => seed.vars.push((w, d)),
+                    },
+                    Some(PTerm::Const(_)) => seed.rows /= d.max(1.0),
+                    Some(PTerm::Range(..)) | None => {}
+                }
+            }
+            for (_, d) in &mut seed.vars {
+                *d = d.min(seed.rows);
+            }
+            let est = self.cq_estimate_full(&cq.body, &mut state, Some(&seed));
+            cost += est.cost + (p.dedup_cost_per_row + p.join_cost_per_row) * est.cardinality;
+            if !self.binds(shares, cost, materialised) {
+                return false;
+            }
+        }
+        true
+    }
+}
+
+/// The columns a JUCQ has joined so far, each with its estimated distinct
+/// values, and the number of rows they hold: what
+/// [`CostModel::join_estimate`] folds over and what
+/// `CostModel::seeds_fragment` prices a seed from. A name's first entry is
+/// the one read and updated.
+#[derive(Debug, Clone)]
+pub(crate) struct JoinedColumns {
+    columns: Vec<(Var, f64)>,
+    rows: f64,
+}
+
+impl JoinedColumns {
+    /// The columns of the first fragment joined, holding `rows` rows.
+    pub(crate) fn new(first: &FragmentEstimate, rows: f64) -> JoinedColumns {
+        let mut joined = JoinedColumns {
+            columns: first.columns.clone(),
+            rows,
+        };
+        joined.clamp();
+        joined
+    }
+
+    /// Whether `frag` shares a column with these, and the selectivity of
+    /// joining it: `1 / max(V(l, c), V(r, c))` per shared column `c`.
+    fn selectivity(&self, frag: &FragmentEstimate) -> (bool, f64) {
+        let mut shares = false;
+        let mut selectivity = 1.0;
+        for (col, rv) in &frag.columns {
+            if let Some(lv) = self.lookup(col) {
+                shares = true;
+                selectivity /= lv.max(*rv).max(1.0);
+            }
+        }
+        (shares, selectivity)
+    }
+
+    fn lookup(&self, col: &Var) -> Option<f64> {
+        self.columns.iter().find(|(c, _)| c == col).map(|&(_, v)| v)
+    }
+
+    /// `frag` joined in, the result holding `rows` rows.
+    pub(crate) fn absorb(&mut self, frag: &FragmentEstimate, rows: f64) {
+        for (col, fv) in &frag.columns {
+            match self.columns.iter_mut().find(|(c, _)| c == col) {
+                Some((_, lv)) => *lv = lv.min(*fv),
+                None => self.columns.push((col.clone(), *fv)),
+            }
+        }
+        self.rows = rows;
+        self.clamp();
+    }
+
+    /// No column has more distinct values than there are rows.
+    fn clamp(&mut self) {
+        let rows = self.rows;
+        for (_, v) in &mut self.columns {
+            *v = v.min(rows).max(if rows > 0.0 { 1.0 } else { 0.0 });
+        }
+    }
+}
+
+/// The rows a seeded CQ chain starts from (see
+/// `CostModel::seeds_fragment`): how many, and the distinct values of each
+/// CQ variable they bind.
+struct Seed<'a> {
+    rows: f64,
+    vars: Vec<(&'a Var, f64)>,
 }
 
 /// One JUCQ fragment's estimate (see [`CostModel::fragment_estimate`]).
@@ -467,8 +650,10 @@ struct CqState<'q> {
 }
 
 impl<'q> CqState<'q> {
-    /// Take `body`: its variable slots, atom cardinalities and join order.
-    fn load(&mut self, model: &CostModel<'_>, body: &'q [Atom]) {
+    /// Take `body`: its variable slots, atom cardinalities and join order,
+    /// with the variables of `seed` bound from the start at their distinct
+    /// values.
+    fn load(&mut self, model: &CostModel<'_>, body: &'q [Atom], seed: &[(&Var, f64)]) {
         self.vars.clear();
         self.slots.clear();
         self.cards.clear();
@@ -490,26 +675,31 @@ impl<'q> CqState<'q> {
         }
         self.distinct.clear();
         self.distinct.resize(self.vars.len(), None);
+        for &(var, d) in seed {
+            if let Some(slot) = self.vars.iter().position(|w| *w == var) {
+                self.distinct[slot] = Some(d);
+            }
+        }
         self.order_atoms();
     }
 
     /// The greedy join order of the loaded body into `order` (see
-    /// [`CostModel::order_atoms`]).
+    /// [`CostModel::order_atoms`]), from the seeded variables.
     fn order_atoms(&mut self) {
         let CqState {
             slots,
             cards,
+            distinct,
             order,
             remaining,
             bound,
-            vars,
             ..
         } = self;
         order.clear();
         remaining.clear();
         remaining.extend(0..cards.len());
         bound.clear();
-        bound.resize(vars.len(), false);
+        bound.extend(distinct.iter().map(Option::is_some));
         while !remaining.is_empty() {
             let connected = |i: usize| slots[i].into_iter().flatten().any(|s| bound[s]);
             // On a cardinality tie the atom sharing more variables with what
@@ -691,7 +881,7 @@ mod tests {
             Atom::new(v("x"), p, v("y")),           // card 100
             Atom::new(v("x"), ID_RDF_TYPE, ids[2]), // card 2
         ];
-        let order = m.order_atoms(&body);
+        let order = m.order_atoms(&body, &[]);
         assert_eq!(order[0], 1);
     }
 
@@ -706,7 +896,7 @@ mod tests {
             Atom::new(v("x"), p, v("y")),
             Atom::new(v("x"), ID_RDF_TYPE, ids[2]),
         ];
-        let order = m.order_atoms(&body);
+        let order = m.order_atoms(&body, &[]);
         assert_eq!(order[0], 2);
         assert_eq!(order[1], 1, "connected atom joins before cross product");
     }
@@ -730,7 +920,7 @@ mod tests {
             Atom::new(v("x"), advisor, v("z")),
         ];
         assert_eq!(m.atom_cardinality(&body[0]), m.atom_cardinality(&body[1]));
-        assert_eq!(m.order_atoms(&body), vec![2, 1, 0]);
+        assert_eq!(m.order_atoms(&body, &[]), vec![2, 1, 0]);
     }
 
     #[test]

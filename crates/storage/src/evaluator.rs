@@ -1,13 +1,18 @@
 //! Evaluation of CQs, UCQs and JUCQs against a store.
 //!
-//! Mirrors how the demo's RDBMS back-ends evaluate reformulations:
-//! * a CQ runs as a left-deep chain of hash joins over index scans, in the
-//!   greedy order chosen by the cost model (so estimates model the actual
-//!   plan);
+//! * a CQ runs as a left-deep join chain in the greedy order chosen by the
+//!   cost model (so estimates model the actual plan): each atom after the
+//!   first is either bound by the rows joined so far (an index nested-loop
+//!   *bind join*) or scanned and hash-joined, by `CostModel::binds_atom`;
 //! * a UCQ is the deduplicated union of its disjuncts;
-//! * a JUCQ joins its fragments' UCQ results on shared column names and
-//!   projects the query head — the "query answering strategy" induced by a
-//!   cover (§4).
+//! * a JUCQ joins its fragments on shared column names, in the cost model's
+//!   order, and projects the query head — the "query answering strategy"
+//!   induced by a cover (§4). The same rule lifted one level
+//!   (`CostModel::seeds_fragment`) decides per fragment whether its union
+//!   is materialised, as the paper's RDBMS back-ends evaluate it, or
+//!   *seeded*: every CQ of the union starts its chain from the key values
+//!   the rows joined so far hold, so a fragment like Example 1's `(x τ u)`
+//!   is probed for a few keys instead of scanned whole.
 //!
 //! All evaluations are guarded by an optional *row budget*: exceeding it
 //! aborts with [`StorageError::RowBudgetExceeded`], reproducing the paper's
@@ -15,7 +20,7 @@
 //! pathological reformulations.
 
 use crate::access::Access;
-use crate::cost::CostModel;
+use crate::cost::{CostModel, FragmentEstimate, JoinedColumns};
 use crate::error::{Result, StorageError};
 use crate::exec::{scan_atom, ExecMetrics, StepLabel};
 use crate::relation::{ColumnSource, Relation};
@@ -23,7 +28,7 @@ use crate::stats::Stats;
 use crate::store::Store;
 use rdfref_model::TermId;
 use rdfref_obs::Obs;
-use rdfref_query::ast::{Atom, Cq, Jucq, PTerm, Ucq};
+use rdfref_query::ast::{Atom, Cq, Fragment, Jucq, PTerm, Ucq};
 use rdfref_query::Var;
 use std::ops::Range;
 use std::time::Duration;
@@ -174,7 +179,7 @@ impl<'a> Evaluator<'a> {
             }
             None => {
                 let model = CostModel::new(self.stats);
-                for (i, &idx) in model.order_atoms(&cq.body).iter().enumerate() {
+                for (i, &idx) in model.order_atoms(&cq.body, &[]).iter().enumerate() {
                     let atom = &cq.body[idx];
                     acc = match i {
                         0 => self.scan(atom, idx, metrics)?,
@@ -246,9 +251,7 @@ impl<'a> Evaluator<'a> {
     ) -> Result<Relation> {
         let model = CostModel::new(self.stats);
         let shares = atom.vars().any(|v| acc.column_index(v).is_some());
-        let joined = if shares
-            && (acc.len() as f64) * model.params.probe_cost_per_row < model.atom_cardinality(atom)
-        {
+        let joined = if model.binds_atom(shares, acc.len() as f64, model.atom_cardinality(atom)) {
             let sw = self.obs.stopwatch();
             let joined = bind_join(self.store, acc, atom);
             self.step(
@@ -292,47 +295,71 @@ impl<'a> Evaluator<'a> {
 
     /// Evaluate a JUCQ: fragments joined on shared column names, projected
     /// on the head, deduplicated.
+    ///
+    /// Fragments join in the cost model's `CostModel::join_order`. The
+    /// first is materialised. Each later one sharing a column with the rows
+    /// joined so far is either *seeded* — every CQ of its union runs its
+    /// join chain from the distinct values those rows hold on the shared
+    /// columns, leaving only the fragment rows that meet them — or
+    /// materialised, as `CostModel::seeds_fragment` decides; either way
+    /// the rows are then hash-joined with it. A fragment with a CQ the
+    /// leapfrog would run is always materialised. A seeded fragment records
+    /// `seeded fragment {i}` (`op.seeded_fragment.*`), a materialised one
+    /// `fragment {i}` (`op.fragment.rows`), and the verdict joins
+    /// [`ExecMetrics::dispatched`].
     pub fn eval_jucq(&self, jucq: &Jucq, metrics: &mut ExecMetrics) -> Result<Relation> {
         let _span = self.obs.span("eval.jucq");
-        let mut frag_rels: Vec<Relation> = Vec::with_capacity(jucq.fragments.len());
-        for (i, frag) in jucq.fragments.iter().enumerate() {
-            let rel = self.eval_ucq(&frag.ucq, &frag.columns, metrics)?;
-            self.step(metrics, StepLabel::Fragment(i), rel.len(), Duration::ZERO);
-            frag_rels.push(rel);
+        let model = CostModel::new(self.stats);
+        let estimates: Vec<FragmentEstimate> = jucq
+            .fragments
+            .iter()
+            .map(|f| model.fragment_estimate(&f.ucq, &f.columns))
+            .collect();
+        let order = CostModel::join_order(&estimates.iter().collect::<Vec<_>>());
+        let Some((&first, rest)) = order.split_first() else {
+            return Ok(Relation::empty(jucq.head.clone()));
+        };
+        let frag = &jucq.fragments[first];
+        let mut acc = self.eval_ucq(&frag.ucq, &frag.columns, metrics)?;
+        self.step(
+            metrics,
+            StepLabel::Fragment(first),
+            acc.len(),
+            Duration::ZERO,
+        );
+        let mut joined = JoinedColumns::new(&estimates[first], acc.len() as f64);
+        for &i in rest {
+            if acc.is_empty() {
+                break;
+            }
+            let frag = &jucq.fragments[i];
+            let keys = join_keys(&acc, &frag.columns)?;
+            let seeded = keys.as_ref().is_some_and(|keys| {
+                !self.leapfrogs_any(&frag.ucq)
+                    && model.seeds_fragment(&joined, keys.len(), &frag.ucq, &estimates[i])
+            });
+            metrics.dispatched.record_fragment(seeded);
+            let rel = match keys.filter(|_| seeded) {
+                Some(keys) => self.eval_seeded(keys, frag, i, metrics)?,
+                None => {
+                    let rel = self.eval_ucq(&frag.ucq, &frag.columns, metrics)?;
+                    self.step(metrics, StepLabel::Fragment(i), rel.len(), Duration::ZERO);
+                    rel
+                }
+            };
+            let sw = self.obs.stopwatch();
+            acc = acc.natural_join(&rel);
+            self.step(metrics, StepLabel::FragmentJoin, acc.len(), sw.elapsed());
+            self.check_budget(acc.len())?;
+            joined.absorb(&estimates[i], acc.len() as f64);
         }
-        if frag_rels.is_empty() {
+        if acc.is_empty() {
+            self.step(metrics, StepLabel::ProjectDedup, 0, Duration::ZERO);
             return Ok(Relation::empty(jucq.head.clone()));
         }
-
-        // Join order: smallest first, preferring fragments that share a
-        // column with the accumulated result (avoids cross products).
-        let mut order: Vec<usize> = (0..frag_rels.len()).collect();
-        order.sort_by_key(|&i| frag_rels[i].len());
-        let mut remaining = order;
-        let first = remaining.remove(0);
-        let mut acc = std::mem::replace(&mut frag_rels[first], Relation::empty(Vec::new()));
-        while !remaining.is_empty() {
-            let pos = remaining
-                .iter()
-                .position(|&i| {
-                    frag_rels[i]
-                        .columns()
-                        .iter()
-                        .any(|c| acc.column_index(c).is_some())
-                })
-                .unwrap_or(0);
-            let idx = remaining.remove(pos);
-            acc = acc.natural_join(&frag_rels[idx]);
-            self.step(metrics, StepLabel::FragmentJoin, acc.len(), Duration::ZERO);
-            self.check_budget(acc.len())?;
-            if acc.is_empty() {
-                self.step(metrics, StepLabel::ProjectDedup, 0, Duration::ZERO);
-                return Ok(Relation::empty(jucq.head.clone()));
-            }
-        }
-        // Fragments are sets, and a natural join keeps every column of both
-        // sides, so `acc` is a set: only a projection that drops a column
-        // (one no head variable selects) can make two rows equal.
+        // Fragments are sets, and a join keeps every column of both sides,
+        // so `acc` is a set: only a projection that drops a column (one no
+        // head variable selects) can make two rows equal.
         let drops_a_column = acc
             .columns()
             .iter()
@@ -354,6 +381,146 @@ impl<'a> Evaluator<'a> {
         );
         Ok(result)
     }
+
+    /// Whether some CQ of `ucq` would run on the leapfrog.
+    fn leapfrogs_any(&self, ucq: &Ucq) -> bool {
+        self.join_algorithm != JoinAlgorithm::BindJoin
+            && ucq.cqs.iter().any(|cq| {
+                crate::wcoj::physical_choice(self.stats, self.join_algorithm, &cq.body)
+                    .plan
+                    .is_some()
+            })
+    }
+
+    /// Fragment `i` evaluated bound by `keys`, the distinct values the rows
+    /// joined so far hold on the columns they share with it (see
+    /// [`join_keys`]): the fragment's rows that meet a key, in the columns
+    /// `keys`, then the fragment's others, deduplicated. Joining it with
+    /// those rows is joining them with the whole fragment.
+    ///
+    /// Each CQ of the fragment's union starts its join chain from `keys`. A
+    /// key column meets the first fragment column of its name, which is the
+    /// CQ's head term there: a variable names the column, so the chain binds
+    /// it; a constant filters the keys; a variable already naming an earlier
+    /// key column is an equality between the two.
+    fn eval_seeded(
+        &self,
+        keys: Relation,
+        frag: &Fragment,
+        i: usize,
+        metrics: &mut ExecMetrics,
+    ) -> Result<Relation> {
+        let sw = self.obs.stopwatch();
+        let mut columns = keys.columns().to_vec();
+        let key_pos: Vec<usize> = columns
+            .iter()
+            .map(|name| frag.columns.iter().position(|c| c == name))
+            .collect::<Option<_>>()
+            .ok_or_else(|| StorageError::UnknownColumn("[join key]".to_string()))?;
+        let extra: Vec<usize> = (0..frag.columns.len())
+            .filter(|j| !key_pos.contains(j))
+            .collect();
+        columns.extend(extra.iter().map(|&j| frag.columns[j].clone()));
+        let mut union = Relation::empty(columns);
+        let model = CostModel::new(self.stats);
+        let mut seed = keys;
+        for cq in &frag.ucq.cqs {
+            // The keys under this CQ's names, and the filters its head puts
+            // on them.
+            let mut names: Vec<Var> = Vec::with_capacity(key_pos.len());
+            let mut equal: Vec<(usize, usize)> = Vec::new();
+            let mut constant: Vec<(usize, TermId)> = Vec::new();
+            for (c, &k) in key_pos.iter().enumerate() {
+                match &cq.head[k] {
+                    PTerm::Var(w) => match names.iter().position(|n| n == w) {
+                        Some(first) => equal.push((first, c)),
+                        None => {
+                            names.push(w.clone());
+                            continue;
+                        }
+                    },
+                    PTerm::Const(k) => constant.push((c, *k)),
+                    PTerm::Range(..) => {
+                        return Err(StorageError::UnknownColumn("[range]".to_string()))
+                    }
+                }
+                // Not a name of any CQ: the parser admits no `#`.
+                names.push(Var::new(format!("#{c}")));
+            }
+            seed = seed.with_columns(names)?;
+            if !cq.body.is_empty() {
+                metrics.dispatched.record(crate::wcoj::physical_choice(
+                    self.stats,
+                    self.join_algorithm,
+                    &cq.body,
+                ));
+            }
+            let filtered = (!equal.is_empty() || !constant.is_empty()).then(|| {
+                seed.filtered(|row| {
+                    equal.iter().all(|&(a, b)| row[a] == row[b])
+                        && constant.iter().all(|&(c, k)| row[c] == k)
+                })
+            });
+            let start = filtered.as_ref().unwrap_or(&seed);
+            let bound: Vec<&Var> = start.columns().iter().collect();
+            let mut chain: Option<Relation> = None;
+            for idx in model.order_atoms(&cq.body, &bound) {
+                let from = chain.as_ref().unwrap_or(start);
+                if from.is_empty() {
+                    break;
+                }
+                chain = Some(self.join_atom(from, &cq.body[idx], idx, metrics)?);
+            }
+            let rows = chain.as_ref().unwrap_or(start);
+            if rows.is_empty() {
+                continue;
+            }
+            // Every step keeps its input's columns first, so the key columns
+            // stand at `0..key_pos.len()`.
+            let mut sources: Vec<ColumnSource> =
+                (0..key_pos.len()).map(ColumnSource::Column).collect();
+            for &j in &extra {
+                sources.push(match &cq.head[j] {
+                    PTerm::Const(c) => ColumnSource::Const(*c),
+                    PTerm::Range(..) => {
+                        return Err(StorageError::UnknownColumn("[range]".to_string()))
+                    }
+                    PTerm::Var(v) => rows
+                        .column_index(v)
+                        .map(ColumnSource::Column)
+                        .ok_or_else(|| StorageError::UnknownColumn(v.name().to_string()))?,
+                });
+            }
+            union.absorb_gathered(rows, &sources);
+            self.check_budget(union.len())?;
+        }
+        union.dedup();
+        self.step(
+            metrics,
+            StepLabel::SeededFragment(i),
+            union.len(),
+            sw.elapsed(),
+        );
+        Ok(union)
+    }
+}
+
+/// The distinct values `acc` holds on the columns it shares with a fragment
+/// of `columns`, each shared name once, in `acc`'s order; `None` when they
+/// share none.
+fn join_keys(acc: &Relation, columns: &[Var]) -> Result<Option<Relation>> {
+    let mut names: Vec<Var> = Vec::new();
+    for name in acc.columns() {
+        if columns.contains(name) && !names.contains(name) {
+            names.push(name.clone());
+        }
+    }
+    if names.is_empty() {
+        return Ok(None);
+    }
+    let mut keys = acc.project(&names)?;
+    keys.dedup();
+    Ok(Some(keys))
 }
 
 /// Bind join ([`Evaluator::join_atom`]'s probe side): each `acc` row fills
@@ -808,6 +975,170 @@ mod tests {
         ev.row_budget = Some(2);
         let err = ev.eval_cq(&cq, &[v("x"), v("y")], &mut m).unwrap_err();
         assert!(matches!(err, StorageError::RowBudgetExceeded { budget: 2 }));
+    }
+
+    /// Store for the seeded path: `knows` a→b, b→c, c→c; a, b and c are
+    /// persons among 300 more, d is a robot. A one-row-per-edge fragment
+    /// joined with the person fragment is seeded.
+    fn seeding_fixture() -> (Store, Stats, [TermId; 6]) {
+        let mut d = Dictionary::new();
+        let [a, b, c, dd, knows, person] =
+            ["a", "b", "c", "d", "knows", "Person"].map(|n| d.intern(&Term::iri(n)));
+        let robot = d.intern(&Term::iri("Robot"));
+        let mut triples = vec![
+            EncodedTriple::new(a, knows, b),
+            EncodedTriple::new(b, knows, c),
+            EncodedTriple::new(c, knows, c),
+            EncodedTriple::new(dd, ID_RDF_TYPE, robot),
+        ];
+        for who in [a, b, c] {
+            triples.push(EncodedTriple::new(who, ID_RDF_TYPE, person));
+        }
+        for i in 0..300 {
+            let p = d.intern(&Term::iri(format!("p{i}")));
+            triples.push(EncodedTriple::new(p, ID_RDF_TYPE, person));
+        }
+        let store = Store::from_triples(&triples);
+        let stats = Stats::compute(&store);
+        (store, stats, [a, b, c, dd, knows, person])
+    }
+
+    /// `q(x, y) :- x knows y`, over columns `[x, y]`.
+    fn edges(knows: TermId) -> Fragment {
+        let cq = Cq::new(vec![v("x"), v("y")], vec![Atom::new(v("x"), knows, v("y"))]).unwrap();
+        Fragment::new(vec![v("x"), v("y")], Ucq::single(cq)).unwrap()
+    }
+
+    /// `jucq` as the parent of the seeded path evaluated it: every fragment
+    /// materialised, joined in fragment order, projected, sorted.
+    fn materialised(store: &Store, stats: &Stats, jucq: &Jucq) -> Vec<Vec<TermId>> {
+        let ev = Evaluator::new(store, stats);
+        let mut m = ExecMetrics::default();
+        let mut acc = Relation::unit();
+        for f in &jucq.fragments {
+            acc = acc.natural_join(&ev.eval_ucq(&f.ucq, &f.columns, &mut m).unwrap());
+        }
+        let mut out = acc.project(&jucq.head).unwrap();
+        out.dedup();
+        out.sort();
+        out.to_rows()
+    }
+
+    /// `jucq` evaluated, sorted, checked to have seeded exactly one
+    /// fragment and to agree with [`materialised`].
+    fn seeded_rows(store: &Store, stats: &Stats, jucq: &Jucq) -> Vec<Vec<TermId>> {
+        let mut m = ExecMetrics::default();
+        let mut got = Evaluator::new(store, stats)
+            .eval_jucq(jucq, &mut m)
+            .unwrap();
+        got.sort();
+        assert_eq!(m.dispatched.seeded_fragments, 1, "{:?}", m.steps);
+        assert!(m
+            .steps
+            .iter()
+            .any(|s| s.label == StepLabel::SeededFragment(1)));
+        assert_eq!(got.to_rows(), materialised(store, stats, jucq));
+        got.to_rows()
+    }
+
+    #[test]
+    fn a_seeded_fragment_joins_as_the_materialised_one() {
+        let (store, stats, [a, b, c, _, knows, person]) = seeding_fixture();
+        let persons = Fragment::new(
+            vec![v("y")],
+            Ucq::single(
+                Cq::new(vec![v("p")], vec![Atom::new(v("p"), ID_RDF_TYPE, person)]).unwrap(),
+            ),
+        )
+        .unwrap();
+        let jucq = Jucq::new(vec![v("x"), v("y")], vec![edges(knows), persons]).unwrap();
+        let rows = seeded_rows(&store, &stats, &jucq);
+        assert_eq!(rows, vec![vec![a, b], vec![b, c], vec![c, c]]);
+    }
+
+    #[test]
+    fn a_head_constant_on_a_seeded_column_filters_the_rows() {
+        let (store, stats, [a, b, _, _, knows, person]) = seeding_fixture();
+        // q(x, b) :- x a Person over columns [x, y]: x binds, and only the
+        // rows whose y is b stay.
+        let to_b = Fragment::new(
+            vec![v("x"), v("y")],
+            Ucq::single(Cq::new_unchecked(
+                vec![PTerm::Var(v("x")), PTerm::Const(b)],
+                vec![Atom::new(v("x"), ID_RDF_TYPE, person)],
+            )),
+        )
+        .unwrap();
+        let jucq = Jucq::new(vec![v("x"), v("y")], vec![edges(knows), to_b]).unwrap();
+        assert_eq!(seeded_rows(&store, &stats, &jucq), vec![vec![a, b]]);
+    }
+
+    #[test]
+    fn a_head_variable_over_two_seeded_columns_is_an_equality() {
+        let (store, stats, [_, _, c, _, knows, person]) = seeding_fixture();
+        // q(w, w) :- w a Person over columns [x, y]: only the self-loop.
+        let same = Fragment::new(
+            vec![v("x"), v("y")],
+            Ucq::single(Cq::new_unchecked(
+                vec![PTerm::Var(v("w")), PTerm::Var(v("w"))],
+                vec![Atom::new(v("w"), ID_RDF_TYPE, person)],
+            )),
+        )
+        .unwrap();
+        let jucq = Jucq::new(vec![v("x"), v("y")], vec![edges(knows), same]).unwrap();
+        assert_eq!(seeded_rows(&store, &stats, &jucq), vec![vec![c, c]]);
+    }
+
+    #[test]
+    fn a_repeated_fragment_column_joins_on_its_first_occurrence() {
+        let (store, stats, [a, b, c, _, knows, person]) = seeding_fixture();
+        // Columns [y, y]: the joined rows meet the first `y`; the second
+        // (any person) rides along as a natural join carries it.
+        let twice = Fragment::new(
+            vec![v("y"), v("y")],
+            Ucq::single(Cq::new_unchecked(
+                vec![PTerm::Var(v("p")), PTerm::Var(v("q"))],
+                vec![
+                    Atom::new(v("p"), ID_RDF_TYPE, person),
+                    Atom::new(v("q"), ID_RDF_TYPE, person),
+                ],
+            )),
+        )
+        .unwrap();
+        let jucq = Jucq::new(vec![v("x"), v("y")], vec![edges(knows), twice]).unwrap();
+        let rows = seeded_rows(&store, &stats, &jucq);
+        assert_eq!(rows, vec![vec![a, b], vec![b, c], vec![c, c]]);
+    }
+
+    #[test]
+    fn a_row_budget_crossed_inside_a_seeded_fragment_is_a_typed_error() {
+        let (store, stats, [_, _, _, _, knows, person]) = seeding_fixture();
+        // Every edge fans out to all 303 persons: 909 rows inside the
+        // seeded chain, against a budget the edges and the persons fit.
+        let everyone = Fragment::new(
+            vec![v("y"), v("p")],
+            Ucq::single(
+                Cq::new(
+                    vec![v("y"), v("p")],
+                    vec![
+                        Atom::new(v("y"), ID_RDF_TYPE, person),
+                        Atom::new(v("p"), ID_RDF_TYPE, person),
+                    ],
+                )
+                .unwrap(),
+            ),
+        )
+        .unwrap();
+        let jucq = Jucq::new(vec![v("x"), v("p")], vec![edges(knows), everyone]).unwrap();
+        let mut ev = Evaluator::new(&store, &stats);
+        ev.row_budget = Some(400);
+        let mut m = ExecMetrics::default();
+        let err = ev.eval_jucq(&jucq, &mut m).unwrap_err();
+        assert!(matches!(
+            err,
+            StorageError::RowBudgetExceeded { budget: 400 }
+        ));
+        assert_eq!(m.dispatched.seeded_fragments, 1);
     }
 
     #[test]

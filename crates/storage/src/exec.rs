@@ -35,6 +35,10 @@ pub enum StepLabel {
     Fragment(usize),
     /// `fragment-join`: hash join of two fragment results.
     FragmentJoin,
+    /// `seeded fragment {i}`: the `i`-th JUCQ fragment evaluated bound by
+    /// the rows already joined, its union deduplicated: the join of those
+    /// rows with the fragment.
+    SeededFragment(usize),
 }
 
 impl StepLabel {
@@ -48,6 +52,10 @@ impl StepLabel {
             StepLabel::Join => (Some("op.join.count"), Some("op.join.rows")),
             StepLabel::UnionDedup => (None, Some("op.union.rows")),
             StepLabel::Fragment(_) => (None, Some("op.fragment.rows")),
+            StepLabel::SeededFragment(_) => (
+                Some("op.seeded_fragment.count"),
+                Some("op.seeded_fragment.rows"),
+            ),
             StepLabel::Lfj(_) | StepLabel::ProjectDedup | StepLabel::FragmentJoin => (None, None),
         }
     }
@@ -66,6 +74,7 @@ impl fmt::Display for StepLabel {
             StepLabel::UnionDedup => f.pad("union-dedup"),
             StepLabel::Fragment(i) => f.pad(&format!("fragment {i}")),
             StepLabel::FragmentJoin => f.pad("fragment-join"),
+            StepLabel::SeededFragment(i) => f.pad(&format!("seeded fragment {i}")),
         }
     }
 }
@@ -84,13 +93,18 @@ pub struct ExecStep {
 
 /// Which join operator the evaluator dispatched, tallied over every CQ body
 /// it ran — under a UCQ/JUCQ plan that is each reformulated CQ, not the
-/// user's query.
+/// user's query — and how a JUCQ joined each fragment after its first.
 #[derive(Debug, Clone, Default)]
 pub struct Dispatched {
     /// CQ bodies run as bind-join / hash-join chains.
     pub bind_join_cqs: usize,
     /// CQ bodies run by the leapfrog triejoin.
     pub wcoj_cqs: usize,
+    /// JUCQ fragments evaluated bound by the rows already joined.
+    pub seeded_fragments: usize,
+    /// JUCQ fragments materialised and hash-joined with the rows already
+    /// joined.
+    pub hash_joined_fragments: usize,
     /// The arbitration behind the tally: that of the first CQ run by WCOJ
     /// if any was, else of the first CQ run. `None` iff no CQ body ran.
     pub choice: Option<PhysicalChoice>,
@@ -110,10 +124,20 @@ impl Dispatched {
             self.choice = Some(choice);
         }
     }
+
+    /// Record how a JUCQ joined one fragment after its first.
+    pub(crate) fn record_fragment(&mut self, seeded: bool) {
+        if seeded {
+            self.seeded_fragments += 1;
+        } else {
+            self.hash_joined_fragments += 1;
+        }
+    }
 }
 
 /// `wcoj (auto: cyclic join graph)`, or `wcoj ×2, bind join ×5 (…)` when
-/// the CQs split; when the reported CQ was leapfrogged, its plan's lines
+/// the CQs split, then `; fragments seeded ×3, hash-joined ×1` when a JUCQ
+/// joined fragments; when the reported CQ was leapfrogged, its plan's lines
 /// follow, their labels padded to the formatter's width. Empty when no CQ
 /// body ran.
 impl fmt::Display for Dispatched {
@@ -125,6 +149,13 @@ impl fmt::Display for Dispatched {
             (_, 0) => write!(f, "wcoj ({choice})")?,
             (0, _) => write!(f, "bind join ({choice})")?,
             (w, b) => write!(f, "wcoj ×{w}, bind join ×{b} ({choice})")?,
+        }
+        if self.seeded_fragments + self.hash_joined_fragments > 0 {
+            write!(
+                f,
+                "; fragments seeded ×{}, hash-joined ×{}",
+                self.seeded_fragments, self.hash_joined_fragments
+            )?;
         }
         match &choice.plan {
             Some(plan) => fmt::Display::fmt(plan, f),
@@ -146,6 +177,44 @@ impl ExecMetrics {
     /// Record an operator's output size and wall time.
     pub fn record(&mut self, label: StepLabel, rows: usize, wall: Duration) {
         self.steps.push(ExecStep { label, rows, wall });
+    }
+
+    /// Renumber the atoms of a UCQ's trace, CQ by CQ: `position(k, j)` is
+    /// the position, if any, to report for atom `j` (0-based) of the `k`-th
+    /// CQ run. Each CQ's steps end with its `project+dedup`; a trace that
+    /// holds another number of those than `cqs` is left as it is.
+    pub fn renumber(&mut self, cqs: usize, position: impl Fn(usize, usize) -> Option<usize>) {
+        let ends = self
+            .steps
+            .iter()
+            .filter(|s| s.label == StepLabel::ProjectDedup);
+        if ends.count() != cqs {
+            return;
+        }
+        let mut k = 0;
+        for step in &mut self.steps {
+            match &mut step.label {
+                StepLabel::ProjectDedup => k += 1,
+                StepLabel::Scan(n) | StepLabel::RangeScan(n) | StepLabel::BindJoin(n) => {
+                    if let Some(p) = position(k, *n - 1) {
+                        *n = p + 1;
+                    }
+                }
+                _ => {}
+            }
+        }
+    }
+
+    /// Renumber the JUCQ fragments the trace names: `position(i)` is the
+    /// position, if any, to report for fragment `i`.
+    pub fn renumber_fragments(&mut self, position: impl Fn(usize) -> Option<usize>) {
+        for step in &mut self.steps {
+            if let StepLabel::Fragment(i) | StepLabel::SeededFragment(i) = &mut step.label {
+                if let Some(p) = position(*i) {
+                    *i = p;
+                }
+            }
+        }
     }
 
     /// Total rows emitted by scans.

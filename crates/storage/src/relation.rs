@@ -225,6 +225,36 @@ impl Relation {
         }
     }
 
+    /// The rows `keep` accepts, in order.
+    pub(crate) fn filtered(&self, keep: impl Fn(&[TermId]) -> bool) -> Relation {
+        let mut out = Relation::empty(self.columns.clone());
+        for row in self.rows().filter(|row| keep(row)) {
+            match row {
+                [] => out.data.push(UNIT_ROW),
+                _ => out.data.extend_from_slice(row),
+            }
+        }
+        out
+    }
+
+    /// Append every row of `from`, its values taken per column from
+    /// `sources` (one per column of `self`) — a union absorbing a disjunct
+    /// it projects on the way in.
+    pub(crate) fn absorb_gathered(&mut self, from: &Relation, sources: &[ColumnSource]) {
+        debug_assert_eq!(sources.len(), self.columns.len());
+        if self.columns.is_empty() {
+            self.data.extend(from.rows().map(|_| UNIT_ROW));
+            return;
+        }
+        self.data.reserve(from.len() * sources.len());
+        for row in from.rows() {
+            self.data.extend(sources.iter().map(|s| match *s {
+                ColumnSource::Column(i) => row[i],
+                ColumnSource::Const(c) => c,
+            }));
+        }
+    }
+
     /// Deduplicate rows in place (set semantics), keeping first occurrences
     /// in order: one pass that compacts the buffer as it goes.
     pub fn dedup(&mut self) {
@@ -294,13 +324,7 @@ impl Relation {
             }
             return out;
         }
-        out.data.reserve(self.len() * sources.len());
-        for row in self.rows() {
-            out.data.extend(sources.iter().map(|s| match *s {
-                ColumnSource::Column(i) => row[i],
-                ColumnSource::Const(c) => c,
-            }));
-        }
+        out.absorb_gathered(self, sources);
         out
     }
 

@@ -555,3 +555,87 @@ fn saturation_and_maintenance_take_one_derivation_step() {
     assert_eq!(snap.counter("dred.overdeleted"), 5);
     assert_eq!(snap.counter("dred.rederived"), 2);
 }
+
+/// LUBM scale 2 and one query of its mix, by name.
+fn lubm2(name: &str) -> (Database, Cq) {
+    use rdfref::datagen::{lubm, queries};
+    let ds = lubm::generate(&lubm::LubmConfig::scale(2));
+    let mix = queries::lubm_mix(&ds).unwrap();
+    let q = mix.into_iter().find(|nq| nq.name == name).unwrap().cq;
+    (Database::builder().build(ds.graph), q)
+}
+
+/// The operator trace of one answer, one `label → rows` line per step.
+fn operator_lines(answer: &QueryAnswer) -> Vec<String> {
+    let steps = &answer.explain.metrics.steps;
+    steps
+        .iter()
+        .map(|s| format!("{} → {}", s.label, s.rows))
+        .collect()
+}
+
+/// Q07 (students taking a course a given professor teaches) under
+/// Ref/SCQ at LUBM 2: the professor's one course is the first fragment,
+/// materialised; `takesCourse` is seeded by that course and the student
+/// fragment (a five-CQ union) by the twelve students, so neither is scanned
+/// whole.
+#[test]
+fn a_seeded_jucq_pins_its_operators() {
+    let (db, q) = lubm2("Q07");
+    let registry = Arc::new(MetricsRegistry::new());
+    let answer = db
+        .query(&q)
+        .strategy(Strategy::RefScq)
+        .collect_metrics(&registry)
+        .run()
+        .unwrap();
+    assert_eq!(answer.len(), 12);
+    let ran = &answer.explain.metrics.dispatched;
+    assert_eq!((ran.seeded_fragments, ran.hash_joined_fragments), (2, 0));
+    let snap = registry.snapshot();
+    // One materialised fragment row: the course.
+    assert_eq!(snap.counter("op.fragment.rows"), 1);
+    assert_eq!(snap.counter("op.union.rows"), 1);
+    // 12 takers of the course, then the 12 of them that are students.
+    assert_eq!(snap.counter("op.seeded_fragment.count"), 2);
+    assert_eq!(snap.counter("op.seeded_fragment.rows"), 12 + 12);
+    // One bind join finds the 12 takers; three CQs of the student union
+    // probe per taker (0, 12 and 32 rows) and two, whose class is smaller
+    // than the keys, scan it (0 and 6 rows), beside the course's one scan.
+    assert_eq!(snap.counter("op.bind_join.count"), 4);
+    assert_eq!(snap.counter("op.bind_join.rows"), 56);
+    assert_eq!(snap.counter("op.scan.count"), 3);
+    assert_eq!(snap.counter("op.scan.rows"), 7);
+}
+
+/// The operator trace numbers atoms (and SCQ's fragments) as the caller's
+/// query does, whether the plan is computed for it (cache off) or for its
+/// α-canonical form (a miss, then a hit). Q08's SCQ seeds fragments; Q09's
+/// UCQ is one CQ that minimisation cut to its three property atoms.
+#[test]
+fn the_operator_trace_numbers_atoms_as_the_query_does_through_the_cache() {
+    for name in ["Q08", "Q09"] {
+        let (db, q) = lubm2(name);
+        for strategy in [Strategy::RefUcq, Strategy::RefScq] {
+            let run = |cache: bool| {
+                let answer = db
+                    .query(&q)
+                    .strategy(strategy.clone())
+                    .use_cache(cache)
+                    .run()
+                    .unwrap();
+                operator_lines(&answer)
+            };
+            let point = format!("{name} {}", strategy.name());
+            let off = run(false);
+            assert_eq!(run(true), off, "{point}: miss against cache off");
+            assert_eq!(run(true), off, "{point}: hit against cache off");
+            if (name, &strategy) == ("Q08", &Strategy::RefScq) {
+                assert!(
+                    off.iter().any(|l| l.starts_with("seeded fragment")),
+                    "{off:?}"
+                );
+            }
+        }
+    }
+}

@@ -42,6 +42,7 @@ use rdfref::model::{DictEncoding, EncodedTriple, Graph, Term, TermId};
 use rdfref::query::ast::{Atom, Cq, PTerm, Ucq};
 use rdfref::query::canonical::canonicalize;
 use rdfref::query::containment::{minimize_union_with, subsumes};
+use rdfref::query::Cover;
 use rdfref::reasoning::{saturate, IncrementalReasoner};
 
 /// Constrain the RDFS vocabulary itself: `p0 ⊑ rdfs:subClassOf` and a domain
@@ -229,6 +230,53 @@ proptest! {
         let ctx = RewriteContext::new(db.schema(), db.closure());
         let ucq = reformulate_ucq(&cq, &ctx, ReformulationLimits::default()).unwrap();
         prop_assert_eq!(ucq.len(), 1);
+    }
+}
+
+/// The lattice's JUCQ points reach both ways `eval_jucq` joins a fragment:
+/// over the scenarios one slice draws, on engines of each encoding, the
+/// cover-based strategies seed some fragments by the rows already joined
+/// and materialise others.
+#[test]
+fn the_lattice_reaches_seeded_and_materialised_fragments() {
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    let tallies: [[AtomicUsize; 2]; 2] = Default::default();
+    let config = ProptestConfig {
+        cases: LATTICE_CASES,
+        ..ProptestConfig::default()
+    };
+    proptest::test_runner::run(
+        &config,
+        "lattice_fragments",
+        scenario_strategy(),
+        |scenario| {
+            let (graph, cq) = build(&scenario);
+            let n = cq.size();
+            let mut strategies = vec![AnswerStrategy::RefScq, AnswerStrategy::RefGCov];
+            if n >= 2 {
+                let halves = Cover::new(vec![(0..n / 2 + 1).collect(), (n / 2..n).collect()], n);
+                strategies.push(AnswerStrategy::RefJucq(halves.unwrap()));
+            }
+            for (encoding, tally) in ENCODINGS.iter().zip(&tallies) {
+                let db = Database::builder().encoding(*encoding).build(graph.clone());
+                for strategy in &strategies {
+                    let answer = db
+                        .run_query(&cq, strategy, &AnswerOptions::default())
+                        .map_err(|e| TestCaseError::fail(e.to_string()))?;
+                    let ran = &answer.explain.metrics.dispatched;
+                    tally[0].fetch_add(ran.seeded_fragments, Ordering::Relaxed);
+                    tally[1].fetch_add(ran.hash_joined_fragments, Ordering::Relaxed);
+                }
+            }
+            Ok(())
+        },
+    );
+    for (encoding, [seeded, hashed]) in ENCODINGS.iter().zip(tallies) {
+        let (seeded, hashed) = (seeded.into_inner(), hashed.into_inner());
+        assert!(
+            seeded > 0 && hashed > 0,
+            "{encoding:?}: {seeded} seeded, {hashed} hash-joined"
+        );
     }
 }
 
