@@ -489,6 +489,7 @@ impl Shell {
             "op.join.rows",
             "op.bind_join.rows",
             "op.lfj.seeks",
+            "op.lfj.steps",
             "op.lfj.next",
             "op.lfj.rows",
             "op.lfj.atoms",

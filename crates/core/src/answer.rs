@@ -504,16 +504,18 @@ impl Database {
                     Some(canon) => cover_from_plan(cover, &canon.atom_map),
                     None => Ok(cover.clone()),
                 };
-                if let (Some(canon), Some(choice)) =
-                    (&canon, &mut explain.metrics.dispatched.choice)
-                {
+                if let Some(choice) = &mut explain.metrics.dispatched.choice {
                     // A UCQ's CQs take one rewriting per planned atom, in
-                    // order; a JUCQ fragment's CQs list theirs as they like.
-                    let order: &[usize] = match &*plan {
-                        CachedPlan::Ucq(_) => &canon.atom_map,
-                        _ => &[],
-                    };
-                    choice.restate(|v| caller_var(cq, canon, v), order);
+                    // order; a JUCQ fragment's CQs list theirs as their
+                    // union was built, cached or not, so they are sorted.
+                    match (&canon, &*plan) {
+                        (Some(canon), CachedPlan::Ucq(_)) => {
+                            choice.restate(|v| caller_var(cq, canon, v), Some(&canon.atom_map))
+                        }
+                        (Some(canon), _) => choice.restate(|v| caller_var(cq, canon, v), None),
+                        (None, CachedPlan::Ucq(_)) => {}
+                        (None, _) => choice.restate(Var::clone, None),
+                    }
                 }
                 // The operator trace's atoms too, and SCQ's fragments, one
                 // per planned atom.

@@ -13,9 +13,12 @@
 //! * [`candidate_orders`] — deterministic candidate global variable orders:
 //!   frequency-ranked heuristics first, then (for small queries) every
 //!   permutation, so the planner can fall through to *any* feasible order.
+//!   Ties break on structure (where a variable sits, under which property),
+//!   so two listings of one body get one order.
 
-use crate::ast::Atom;
+use crate::ast::{Atom, PTerm};
 use crate::var::Var;
+use rdfref_model::TermId;
 
 /// Exhaustive-permutation cap: bodies with at most this many distinct
 /// variables enumerate all orders (≤ 5! = 120 candidates); larger bodies
@@ -126,26 +129,72 @@ pub fn is_cyclic(body: &[Atom]) -> bool {
     !edges.is_empty()
 }
 
+/// The property of an atom a variable occurs in, as far as the body's
+/// structure goes: a variable's name is not part of it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum Property {
+    Var,
+    Const(TermId),
+    Range(TermId, TermId),
+}
+
+/// A variable's occurrences in the body as (position, property) pairs,
+/// sorted; position 0 is the subject, 1 the property, 2 the object. Two
+/// variables have equal signatures only when they sit in the same positions
+/// of atoms with the same properties, however the atoms are listed.
+type Signature = Vec<(usize, Property)>;
+
+/// The [`Signature`] of `v` in `body`.
+fn signature(body: &[Atom], v: &Var) -> Signature {
+    let mut sig: Signature = body
+        .iter()
+        .flat_map(|atom| {
+            let property = match &atom.p {
+                PTerm::Var(_) => Property::Var,
+                PTerm::Const(c) => Property::Const(*c),
+                PTerm::Range(lo, hi) => Property::Range(*lo, *hi),
+            };
+            atom.positions()
+                .into_iter()
+                .enumerate()
+                .filter(move |(_, t)| t.as_var() == Some(v))
+                .map(move |(pos, _)| (pos, property))
+        })
+        .collect();
+    sig.sort_unstable();
+    sig
+}
+
 /// Deterministic candidate global variable orders for the body, best guess
 /// first:
 ///
-/// 1. atom-frequency descending (hub first), first occurrence breaking ties;
-/// 2. plain first-occurrence order;
+/// 1. atom-frequency descending (hub first), ties broken by each variable's
+///    sorted (position, property) signature, so subject-side variables
+///    lead object-side ones;
+/// 2. signature order alone;
 /// 3. when the body has at most [`MAX_EXHAUSTIVE_VARS`] distinct variables,
-///    every remaining permutation in lexicographic rank order.
+///    every remaining permutation in lexicographic rank order over (2).
 ///
-/// Duplicates are removed; the list is never empty unless the body has no
-/// variables at all.
+/// Only variables of equal signature fall back to first occurrence, so the
+/// orders follow the body's structure, not the order its atoms are listed
+/// in. Duplicates are removed; the list is never empty unless the body has
+/// no variables at all.
 pub fn candidate_orders(body: &[Atom]) -> Vec<Vec<Var>> {
-    let occ = occurrences(body);
+    let mut occ: Vec<(Var, usize, Signature)> = occurrences(body)
+        .into_iter()
+        .map(|(v, n)| {
+            let sig = signature(body, &v);
+            (v, n, sig)
+        })
+        .collect();
     if occ.is_empty() {
         return Vec::new();
     }
-    let first_occurrence: Vec<Var> = occ.iter().map(|(v, _)| v.clone()).collect();
-    let mut by_freq = occ.clone();
-    // Stable sort keeps first-occurrence order among equal frequencies.
-    by_freq.sort_by_key(|&(_, n)| std::cmp::Reverse(n));
-    let freq_desc: Vec<Var> = by_freq.into_iter().map(|(v, _)| v).collect();
+    // Stable sorts keep first-occurrence order among equal keys.
+    occ.sort_by(|a, b| a.2.cmp(&b.2));
+    let by_signature: Vec<Var> = occ.iter().map(|(v, ..)| v.clone()).collect();
+    occ.sort_by_key(|&(_, n, _)| std::cmp::Reverse(n));
+    let freq_desc: Vec<Var> = occ.into_iter().map(|(v, ..)| v).collect();
 
     let mut out: Vec<Vec<Var>> = Vec::new();
     let push = |order: Vec<Var>, out: &mut Vec<Vec<Var>>| {
@@ -154,9 +203,9 @@ pub fn candidate_orders(body: &[Atom]) -> Vec<Vec<Var>> {
         }
     };
     push(freq_desc, &mut out);
-    push(first_occurrence.clone(), &mut out);
-    if first_occurrence.len() <= MAX_EXHAUSTIVE_VARS {
-        permute(&first_occurrence, &mut Vec::new(), &mut out);
+    push(by_signature.clone(), &mut out);
+    if by_signature.len() <= MAX_EXHAUSTIVE_VARS {
+        permute(&by_signature, &mut Vec::new(), &mut out);
     }
     out
 }
@@ -273,6 +322,26 @@ mod tests {
         for o in &orders {
             assert_eq!(o.len(), occ.len());
         }
+    }
+
+    #[test]
+    fn candidate_orders_follow_structure_not_listing() {
+        // The triangle listed two ways: every variable is in two atoms, so
+        // frequency ties everywhere and the signatures decide — ?x is
+        // subject twice, ?y once each side, ?z object twice.
+        let mut relisted = triangle();
+        relisted.rotate_left(1);
+        relisted.swap(0, 1);
+        let want = vec![v("x"), v("y"), v("z")];
+        assert_eq!(candidate_orders(&triangle())[0], want);
+        assert_eq!(candidate_orders(&relisted)[0], want);
+        // A star's leaves tie on frequency; their properties order them.
+        let p = |n: u32| TermId(n);
+        let star = vec![
+            Atom::new(v("h"), p(9), v("a")),
+            Atom::new(v("h"), p(8), v("b")),
+        ];
+        assert_eq!(candidate_orders(&star)[0], vec![v("h"), v("b"), v("a")]);
     }
 
     #[test]

@@ -208,6 +208,17 @@ impl Relation {
         }
     }
 
+    /// Append one row: `values[i]` for each `i` of `idx` — the leapfrog
+    /// writing its named slots' bindings.
+    pub(crate) fn push_picked(&mut self, values: &[TermId], idx: &[usize]) {
+        debug_assert_eq!(idx.len(), self.columns.len());
+        if idx.is_empty() {
+            self.data.push(UNIT_ROW);
+        } else {
+            self.data.extend(idx.iter().map(|&i| values[i]));
+        }
+    }
+
     /// Append a copy of rows `from`, with their first `prefix.len()` values
     /// replaced by `prefix` — a bind join re-emitting the previous probe's
     /// matches for a row that carries the same bound key.

@@ -95,6 +95,26 @@ fn cmp_prefix(k: &[TermId; 3], prefix: &[TermId]) -> Ordering {
     k[..prefix.len()].cmp(prefix)
 }
 
+/// The index of the first element of `s` that is not `before`, where
+/// `before` holds on a prefix of `s`: probe 1, 2, 4, … elements ahead, then
+/// binary-search the last doubling.
+fn gallop<T>(s: &[T], before: impl Fn(&T) -> bool) -> usize {
+    let mut bound = 1;
+    while bound <= s.len() && before(&s[bound - 1]) {
+        bound *= 2;
+    }
+    let lo = bound / 2;
+    lo + s[lo..bound.min(s.len())].partition_point(&before)
+}
+
+/// A position in a [`SortedIndex`]: a bucket and an offset into it. Every
+/// position holds a key, except the end (past the last bucket, offset 0).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub(crate) struct Pos {
+    bucket: usize,
+    offset: usize,
+}
+
 /// One sorted permutation index: globally sorted, deduplicated keys split
 /// into `Arc`-shared buckets. Buckets are non-empty and pairwise disjoint;
 /// cloning the index clones only the bucket handles.
@@ -176,7 +196,8 @@ impl SortedIndex {
         self.buckets.iter().flat_map(|b| b.iter())
     }
 
-    fn contains(&self, key: &[TermId; 3]) -> bool {
+    /// Point membership of a key.
+    pub(crate) fn contains(&self, key: &[TermId; 3]) -> bool {
         let i = self
             .buckets
             .partition_point(|b| b.last().is_some_and(|l| l < key));
@@ -186,23 +207,80 @@ impl SortedIndex {
         }
     }
 
-    /// The least key `>= probe`, if any — the trie *seek* primitive of the
-    /// leapfrog-triejoin driver. Two binary searches: one over bucket
-    /// last-keys, one inside the landing bucket. Buckets are non-empty,
-    /// pairwise disjoint, and globally sorted, so if the in-bucket position
-    /// falls past the bucket's end the next bucket's first key is the
-    /// answer.
-    pub(crate) fn seek_from(&self, probe: &[TermId; 3]) -> Option<[TermId; 3]> {
-        let i = self
+    /// The position one past the last key.
+    pub(crate) fn end(&self) -> Pos {
+        Pos {
+            bucket: self.buckets.len(),
+            offset: 0,
+        }
+    }
+
+    /// The key at `at`; `None` at the end.
+    #[inline]
+    pub(crate) fn key_at(&self, at: Pos) -> Option<&[TermId; 3]> {
+        self.buckets.get(at.bucket).map(|b| &b[at.offset])
+    }
+
+    /// The position after `at`, which must not be the end.
+    #[inline]
+    pub(crate) fn succ(&self, at: Pos) -> Pos {
+        if at.offset + 1 < self.buckets[at.bucket].len() {
+            Pos {
+                offset: at.offset + 1,
+                ..at
+            }
+        } else {
+            Pos {
+                bucket: at.bucket + 1,
+                offset: 0,
+            }
+        }
+    }
+
+    /// The position of the least key `>= probe` (the end if none): a
+    /// binary search over bucket last-keys, then one inside the bucket.
+    pub(crate) fn lower_bound(&self, probe: &[TermId; 3]) -> Pos {
+        let bucket = self
             .buckets
             .partition_point(|b| b.last().is_some_and(|l| l < probe));
-        let b = self.buckets.get(i)?;
-        let j = b.partition_point(|k| k < probe);
-        match b.get(j) {
-            Some(k) => Some(*k),
-            // `b.last() >= probe` guarantees `j < b.len()` — defensive only.
-            None => self.buckets.get(i + 1).map(|nb| nb[0]),
+        let offset = self
+            .buckets
+            .get(bucket)
+            .map_or(0, |b| b.partition_point(|k| k < probe));
+        Pos { bucket, offset }
+    }
+
+    /// The first position in `[from, to)` whose key is not `before` (`to`
+    /// if none), where `before` holds on a prefix of that range: an
+    /// exponential search forward from `from`, so its cost grows with the
+    /// distance moved, not with the index. Whole buckets are skipped by
+    /// their last keys, galloping the same way.
+    pub(crate) fn gallop(&self, from: Pos, to: Pos, before: impl Fn(&[TermId; 3]) -> bool) -> Pos {
+        let mut at = from;
+        while at < to {
+            let b = &self.buckets[at.bucket];
+            let limit = if at.bucket == to.bucket {
+                to.offset
+            } else {
+                b.len()
+            };
+            if !before(&b[limit - 1]) {
+                let offset = at.offset + gallop(&b[at.offset..limit], &before);
+                return Pos { offset, ..at };
+            }
+            if at.bucket == to.bucket {
+                break;
+            }
+            let next = at.bucket + 1;
+            let skipped = gallop(&self.buckets[next..to.bucket], |b| {
+                b.last().is_some_and(&before)
+            });
+            at = Pos {
+                bucket: next + skipped,
+                offset: 0,
+            };
         }
+        to
     }
 
     /// Copy-on-write delta application: the result contains
@@ -736,25 +814,40 @@ mod tests {
     }
 
     #[test]
-    fn seek_from_finds_least_key_at_or_after_probe() {
+    fn lower_bound_and_gallop_find_the_least_key_at_or_after_a_probe() {
         let triples = dense_triples(3000);
         for target in [usize::MAX, 16] {
             let store = Store::from_triples_with_bucket_target(&triples, target);
             for order in Order::ALL {
                 let idx = store.index(order);
                 let keys: Vec<[TermId; 3]> = idx.iter().copied().collect();
-                // Every present key seeks to itself; its successor seeks to
-                // the next key (or None at the end).
+                let key = |at: Pos| idx.key_at(at).copied();
+                let (start, end) = (idx.lower_bound(&[TermId(0); 3]), idx.end());
+                // Every present key is found from the root and, from every
+                // earlier position, by galloping; its successor probe lands
+                // on the next key (or the end).
+                let mut at = start;
                 for (i, k) in keys.iter().enumerate() {
-                    assert_eq!(idx.seek_from(k), Some(*k), "target {target}");
+                    assert_eq!(key(idx.lower_bound(k)), Some(*k), "target {target}");
+                    assert_eq!(key(at), Some(*k), "succ walks the keys in order");
+                    for back in [0, 1, 7, 100] {
+                        let from = idx.lower_bound(&keys[i.saturating_sub(back)]);
+                        assert_eq!(key(idx.gallop(from, end, |x| x < k)), Some(*k));
+                    }
                     let mut succ = *k;
                     succ[2] = TermId(succ[2].0 + 1);
                     let expect = keys[i..].iter().find(|&&n| n >= succ).copied();
-                    assert_eq!(idx.seek_from(&succ), expect, "target {target}");
+                    assert_eq!(key(idx.lower_bound(&succ)), expect, "target {target}");
+                    assert_eq!(key(idx.gallop(start, end, |x| *x < succ)), expect);
+                    // A bound stops the search where it stands.
+                    let to = idx.lower_bound(k);
+                    assert_eq!(idx.gallop(start, to, |x| *x < succ), to);
+                    at = idx.succ(at);
                 }
+                assert_eq!(at, end);
                 // Probes below the first and above the last key.
-                assert_eq!(idx.seek_from(&[TermId(0); 3]), keys.first().copied());
-                assert_eq!(idx.seek_from(&[TermId(u32::MAX); 3]), None);
+                assert_eq!(key(idx.lower_bound(&[TermId(0); 3])), keys.first().copied());
+                assert_eq!(idx.lower_bound(&[TermId(u32::MAX); 3]), end);
             }
         }
     }

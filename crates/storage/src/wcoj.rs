@@ -25,15 +25,38 @@
 //!
 //! An (atom, index) pair is feasible iff the atom's variables appear in key
 //! order compatibly with the global order (strictly increasing ranks); of
-//! the feasible indexes the access rule picks one. Constants *below* an
-//! open level are folded into the seek probe when contiguous, and deferred
-//! to the next open level's seek otherwise — both are sound; the fold just
-//! prunes earlier.
+//! the feasible indexes the access rule picks one. The constants directly
+//! after an open level (up to the next one) are its *suffix*, computed once
+//! per plan and folded into every seek at that level.
+//!
+//! ## Cursors
+//!
+//! `eval` reads each atom's index through one trie cursor. For every open
+//! key level the cursor holds the run of keys matching all levels above it
+//! (a `[start, end)` pair of bucket-and-offset positions) and where the
+//! level's next read starts. One binary search from the root places the
+//! first level's run on the atom's constant prefix; binding a level to a
+//! value narrows the next open level's run to the keys under that value and
+//! its suffix. A seek gallops forward from where the level last read,
+//! bounded by the run, so its cost grows with the distance moved.
+//!
+//! Entering a slot *opens* each participant's level: one seek to the first
+//! value at or above the slot's lower bound. A slot with one participant
+//! then *steps*: its next value starts where the bound value's keys end,
+//! with the suffix checked as a filter and a range slot clamped to
+//! `[lo, hi)`. A slot with two or more participants leapfrogs: each seeks in
+//! turn to the candidate and raises it to what it lands on, until all agree.
+//! Rows go straight into the output relation's flat buffer.
 //!
 //! ## Counters
 //!
-//! * `op.lfj.seeks` — sorted-run seeks (`partition_point` probes), exact;
-//! * `op.lfj.next`  — successful binds that descended a trie level, exact;
+//! * `op.lfj.seeks` — level opens plus gallops: one per participant each
+//!   time its slot is entered, one per later seek of a participant of a
+//!   slot with two or more, and one per probe of an all-constant atom;
+//!   exact, and at least one per evaluation;
+//! * `op.lfj.steps` — a lone participant's moves to its next value after
+//!   the open (the last one finds its run exhausted), exact;
+//! * `op.lfj.next`  — values bound at any slot (level descents), exact;
 //! * `op.lfj.rows`  — rows emitted before final dedup, exact;
 //! * `op.lfj.atoms` — atoms participating per evaluation, exact.
 
@@ -43,12 +66,13 @@ use crate::error::{Result, StorageError};
 use crate::evaluator::JoinAlgorithm;
 use crate::relation::Relation;
 use crate::stats::Stats;
-use crate::store::{SortedIndex, Store};
+use crate::store::{Pos, SortedIndex, Store};
 use rdfref_model::TermId;
 use rdfref_obs::Obs;
-use rdfref_query::ast::Atom;
+use rdfref_query::ast::{Atom, PTerm};
 use rdfref_query::varorder::candidate_orders;
 use rdfref_query::Var;
+use std::cmp::Ordering;
 use std::fmt;
 
 /// What a leapfrog slot binds: a query variable, or an anonymous
@@ -67,14 +91,24 @@ pub enum SlotKind {
     },
 }
 
-/// One slot of the global leapfrog order and the (atom, key level) pairs
-/// that intersect at it.
+/// One slot of the global leapfrog order and the atom key levels that
+/// intersect at it.
 #[derive(Debug, Clone)]
 pub(crate) struct Slot {
     kind: SlotKind,
-    /// `(atom index, key level)` pairs participating in this slot's
-    /// intersection. Never empty by construction.
-    participants: Vec<(usize, usize)>,
+    /// The levels participating in this slot's intersection. Never empty by
+    /// construction.
+    participants: Vec<Participant>,
+}
+
+/// One atom's key level at a slot.
+#[derive(Debug, Clone, Copy)]
+struct Participant {
+    atom: usize,
+    level: usize,
+    /// How many constant levels directly follow `level`; a seek at the
+    /// level folds them into its probe.
+    suffix: usize,
 }
 
 /// A complete leapfrog-triejoin physical plan for a CQ body.
@@ -98,6 +132,22 @@ impl WcojPlan {
     pub fn atom_count(&self) -> usize {
         self.atoms.len()
     }
+
+    /// Atom `a`'s terms in `s, p, o` order, each slot as the variable or the
+    /// interval it binds. (An unplaced level, which a built plan never has,
+    /// reads as the nameless variable.)
+    fn terms(&self, a: usize) -> [PTerm; 3] {
+        let access = &self.atoms[a];
+        [0, 1, 2].map(|pos| match access.levels[access.order.key_position(pos)] {
+            Level::Const(c) => PTerm::Const(c),
+            Level::Bound(s) => match &self.slots[s].kind {
+                SlotKind::Named(v) => PTerm::Var(v.clone()),
+                SlotKind::Range { lo, hi } => PTerm::Range(*lo, *hi),
+            },
+            Level::Range(lo, hi) => PTerm::Range(lo, hi),
+            Level::Free(_) => PTerm::Var(Var::new("")),
+        })
+    }
 }
 
 /// The global variable order and each atom's trie binding in body order,
@@ -114,15 +164,12 @@ impl fmt::Display for WcojPlan {
         for (i, access) in self.atoms.iter().enumerate() {
             let label = format!("  t{}", i + 1);
             write!(f, "\n{label:<width$}: {} [", access.order.name())?;
-            for pos in 0..3 {
+            for (pos, term) in self.terms(i).iter().enumerate() {
                 f.write_str(if pos == 0 { "" } else { " " })?;
-                match access.levels[access.order.key_position(pos)] {
-                    Level::Const(c) => write!(f, "#{}", c.0)?,
-                    Level::Bound(s) => match &self.slots[s].kind {
-                        SlotKind::Named(v) => write!(f, "?{}", v.name())?,
-                        SlotKind::Range { lo, hi } => write!(f, "[{},{})", lo.0, hi.0)?,
-                    },
-                    Level::Range(..) | Level::Free(_) => f.write_str("?")?,
+                match term {
+                    PTerm::Const(c) => write!(f, "#{}", c.0)?,
+                    PTerm::Var(v) => write!(f, "?{}", v.name())?,
+                    PTerm::Range(lo, hi) => write!(f, "[{},{})", lo.0, hi.0)?,
                 }
             }
             f.write_str("]")?;
@@ -188,11 +235,24 @@ fn assemble(var_order: Vec<Var>, mut atoms: Vec<Access>) -> WcojPlan {
         slots: &mut Vec<Slot>,
         atoms: &mut [Access],
         kind: SlotKind,
-        participants: Vec<(usize, usize)>,
+        levels: Vec<(usize, usize)>,
     ) {
-        for &(a, kp) in &participants {
-            atoms[a].levels[kp] = Level::Bound(slots.len());
-        }
+        let participants = levels
+            .into_iter()
+            .map(|(atom, level)| {
+                let after = &atoms[atom].levels[level + 1..];
+                let suffix = after
+                    .iter()
+                    .take_while(|l| matches!(l, Level::Const(_)))
+                    .count();
+                atoms[atom].levels[level] = Level::Bound(slots.len());
+                Participant {
+                    atom,
+                    level,
+                    suffix,
+                }
+            })
+            .collect();
         slots.push(Slot { kind, participants });
     }
     let mut slots: Vec<Slot> = Vec::new();
@@ -239,147 +299,219 @@ fn assemble(var_order: Vec<Var>, mut atoms: Vec<Access>) -> WcojPlan {
 /// including on the error path, so budget aborts still report their work.
 #[derive(Debug, Default, Clone, Copy)]
 struct LfjCounters {
-    seeks: u64,
+    /// Participants placed on a level as its slot is entered.
+    opens: u64,
+    /// Later seeks of a participant of a slot with two or more.
+    gallops: u64,
+    /// Moves of a slot's lone participant after its open.
+    steps: u64,
     next: u64,
     rows: u64,
 }
 
 impl LfjCounters {
     fn flush(self, obs: &Obs) {
-        obs.add("op.lfj.seeks", self.seeks);
+        obs.add("op.lfj.seeks", self.opens + self.gallops);
+        obs.add("op.lfj.steps", self.steps);
         obs.add("op.lfj.next", self.next);
         obs.add("op.lfj.rows", self.rows);
     }
 }
 
-/// The leapfrog driver: per-atom probe keys + per-slot bindings over the
-/// bound tries.
+/// One atom's trie cursor: its probe key, and for each open key level the
+/// run it reads and where its next read starts. A run is the keys that
+/// match every level above: binding a level narrows the next open level's
+/// run to the keys under the bound value and its constant suffix.
+struct Cursor<'a> {
+    index: &'a SortedIndex,
+    /// Each constant level, and each open level's value once its slot binds.
+    key: [TermId; 3],
+    /// `[start, end)` of the run each open level reads.
+    runs: [(Pos, Pos); 3],
+    /// Where each open level's next read starts.
+    at: [Pos; 3],
+}
+
+impl<'a> Cursor<'a> {
+    /// The cursor of `access` over `index`, its first open level's run
+    /// placed on the keys of its constant prefix: one search from the root
+    /// per evaluation. An all-constant atom has no open level.
+    fn new(index: &'a SortedIndex, access: &Access) -> Cursor<'a> {
+        let key = access.key(&[]);
+        let fixed = access
+            .levels
+            .iter()
+            .take_while(|l| matches!(l, Level::Const(_)))
+            .count();
+        let end = index.end();
+        let mut runs = [(end, end); 3];
+        if let Some(run) = runs.get_mut(fixed) {
+            let mut probe = [TermId(0); 3];
+            probe[..fixed].copy_from_slice(&key[..fixed]);
+            let start = index.lower_bound(&probe);
+            *run = (
+                start,
+                index.gallop(start, end, |k| k[..fixed] <= key[..fixed]),
+            );
+        }
+        Cursor {
+            index,
+            key,
+            runs,
+            at: [end; 3],
+        }
+    }
+
+    /// Open `level`: its next read starts at its run's first key.
+    fn open(&mut self, level: usize) {
+        self.at[level] = self.runs[level].0;
+    }
+
+    /// The least value `m >= v` at `p`'s level, from where the level's last
+    /// read left off, such that some key of the run holds `m` and then the
+    /// level's constant suffix; `None` when the run is exhausted. Leaves
+    /// the level's read position on the first such key. Each probe
+    /// gallops forward; a key that holds the value but not the suffix
+    /// moves the probe on to the next value.
+    fn seek(&mut self, p: Participant, mut v: TermId) -> Option<TermId> {
+        let (level, last) = (p.level, p.level + p.suffix);
+        let end = self.runs[level].1;
+        let mut probe = self.key;
+        probe[last + 1..].fill(TermId(0));
+        loop {
+            probe[level] = v;
+            let at = self.index.gallop(self.at[level], end, |k| *k < probe);
+            self.at[level] = at;
+            let k = self.index.key_at(at).filter(|_| at < end)?;
+            match k[level + 1..=last].cmp(&probe[level + 1..=last]) {
+                Ordering::Equal => return Some(k[level]),
+                // No key of this value holds the suffix: try the next one.
+                Ordering::Greater => v = TermId(k[level].0.checked_add(1)?),
+                // A later value; its keys may hold the suffix further on.
+                Ordering::Less => v = k[level],
+            }
+        }
+    }
+
+    /// Bind `p`'s level to `m`, which [`Cursor::seek`] just found: narrow
+    /// the next open level's run to the keys under `m` and the suffix, and
+    /// start the level's next read after them. Under the last level that
+    /// is the next key; otherwise one gallop finds the end.
+    fn bind(&mut self, p: Participant, m: TermId) {
+        let (level, last) = (p.level, p.level + p.suffix);
+        self.key[level] = m;
+        let at = self.at[level];
+        let after = if last == 2 {
+            self.index.succ(at)
+        } else {
+            let key = self.key;
+            let run = self
+                .index
+                .gallop(at, self.runs[level].1, |k| k[..=last] <= key[..=last]);
+            self.runs[last + 1] = (at, run);
+            run
+        };
+        self.at[level] = after;
+    }
+}
+
+/// The leapfrog driver: one trie cursor per atom, and each slot's bound
+/// value (valid for slots above the recursion point).
 struct Driver<'a> {
     plan: &'a WcojPlan,
-    tries: &'a [&'a SortedIndex],
-    /// Probe key per atom; constants prefilled, open levels
-    /// written when their slot binds.
-    keys: Vec<[TermId; 3]>,
-    /// Bound value per slot (valid for slots above the recursion point).
+    cursors: Vec<Cursor<'a>>,
     bindings: Vec<TermId>,
     counters: LfjCounters,
 }
 
 impl<'a> Driver<'a> {
-    fn new(plan: &'a WcojPlan, tries: &'a [&'a SortedIndex]) -> Driver<'a> {
-        let keys = plan.atoms.iter().map(|access| access.key(&[])).collect();
+    fn new(store: &'a Store, plan: &'a WcojPlan) -> Driver<'a> {
+        let cursors = plan
+            .atoms
+            .iter()
+            .map(|access| Cursor::new(store.index(access.order), access))
+            .collect();
         Driver {
             plan,
-            tries,
-            keys,
+            cursors,
             bindings: vec![TermId(0); plan.slots.len()],
             counters: LfjCounters::default(),
         }
     }
 
-    /// Least value `m ≥ v` at key position `kp` of atom `a` such that some
-    /// key matches the atom's probe prefix, `m` at `kp`, and every
-    /// contiguous constant level directly after `kp`. `None` when exhausted.
-    ///
-    /// This is a probe-and-bump loop over the sorted run: each probe is one
-    /// `seek_from`; a returned key either matches (hit), disagrees at `kp`
-    /// (jump `v` forward to it), or matches `kp` but disagrees in the constant
-    /// suffix (bump `v` by one).
-    fn seek_match(&mut self, a: usize, kp: usize, mut v: TermId) -> Option<TermId> {
-        // Contiguous constant suffix directly after kp, foldable into the
-        // probe.
-        let suffix_len = self.plan.atoms[a].levels[kp + 1..]
+    /// All-constant atoms (no open levels) are existence filters: one probe
+    /// each (an open); any miss empties the result.
+    fn fixed_atoms_present(&mut self) -> bool {
+        let plan = self.plan;
+        plan.atoms
             .iter()
-            .take_while(|l| matches!(l, Level::Const(_)))
-            .count();
-        loop {
-            let mut probe = [TermId(0); 3];
-            probe[..kp].copy_from_slice(&self.keys[a][..kp]);
-            probe[kp] = v;
-            probe[kp + 1..kp + 1 + suffix_len]
-                .copy_from_slice(&self.keys[a][kp + 1..kp + 1 + suffix_len]);
-            self.counters.seeks += 1;
-            let r = self.tries[a].seek_from(&probe)?;
-            if r[..kp] != self.keys[a][..kp] {
-                return None; // left the bound prefix: exhausted
-            }
-            let suffix_ok = r[kp + 1..kp + 1 + suffix_len] == probe[kp + 1..kp + 1 + suffix_len];
-            if r[kp] == v && suffix_ok {
-                return Some(v);
-            }
-            if r[kp] == v {
-                // Right value, wrong constant suffix: bump to the next value.
-                v = TermId(v.0.checked_add(1)?);
-            } else {
-                // seek_from never goes backward within the prefix.
-                v = r[kp];
-                if suffix_ok {
-                    return Some(v);
+            .zip(&self.cursors)
+            .all(|(access, cursor)| {
+                if access.levels.iter().any(|l| !matches!(l, Level::Const(_))) {
+                    return true;
                 }
-            }
-        }
+                self.counters.opens += 1;
+                cursor.index.contains(&cursor.key)
+            })
     }
 
-    /// Leapfrog intersection at `slot` starting from `v`: cycle passes over
-    /// the participants until one full pass leaves `v` unchanged (all
-    /// agree) or any participant is exhausted.
-    fn leapfrog(&mut self, slot: usize, mut v: TermId) -> Option<TermId> {
-        let n = self.plan.slots[slot].participants.len();
-        debug_assert!(n > 0, "slot with no participants");
-        if n == 0 {
-            return None;
-        }
+    /// The least value `>= v` on which every participant of `slot` agrees:
+    /// each seeks in turn to the candidate, which moves up to whatever it
+    /// lands on, until all of them have landed on the same value. On
+    /// `entry` each participant's first seek opens its level.
+    fn next_value(&mut self, slot: &Slot, mut v: TermId, entry: bool) -> Option<TermId> {
+        let n = slot.participants.len();
+        let (mut agreed, mut i) = (0, 0);
+        let mut unopened = if entry { n } else { 0 };
         loop {
-            let start = v;
-            for pi in 0..n {
-                let (a, kp) = self.plan.slots[slot].participants[pi];
-                v = self.seek_match(a, kp, v)?;
+            let counter = match (unopened, n) {
+                (0, 1) => &mut self.counters.steps,
+                (0, _) => &mut self.counters.gallops,
+                _ => {
+                    unopened -= 1;
+                    &mut self.counters.opens
+                }
+            };
+            *counter += 1;
+            let p = slot.participants[i];
+            let w = self.cursors[p.atom].seek(p, v)?;
+            if w == v {
+                agreed += 1;
+            } else {
+                (v, agreed) = (w, 1);
             }
-            if v == start {
+            if agreed == n {
                 return Some(v);
             }
-        }
-    }
-
-    /// Starting value and exclusive clamp for a slot.
-    fn slot_bounds(&self, slot: usize) -> (TermId, Option<TermId>) {
-        match self.plan.slots[slot].kind {
-            SlotKind::Named(_) => (TermId(0), None),
-            SlotKind::Range { lo, hi } => (lo, Some(hi)),
+            i = (i + 1) % n;
         }
     }
 
     /// Enumerate all bindings for slots `s..`, emitting rows at full depth.
+    /// Entering a slot opens each participant's level with one seek; after
+    /// that a lone participant steps through its run, and two or more
+    /// leapfrog.
     fn recurse(&mut self, s: usize, out: &mut Relation, budget: Option<usize>) -> Result<()> {
-        if s == self.plan.slots.len() {
-            let row: Vec<TermId> = self
-                .plan
-                .named_slots
-                .iter()
-                .map(|&ns| self.bindings[ns])
-                .collect();
-            out.push_row(&row)?;
-            self.counters.rows += 1;
-            if let Some(b) = budget {
-                if out.len() > b {
-                    return Err(StorageError::RowBudgetExceeded { budget: b });
-                }
-            }
-            return Ok(());
+        let plan = self.plan;
+        let Some(slot) = plan.slots.get(s) else {
+            return self.emit(out, budget);
+        };
+        let (mut v, hi) = match slot.kind {
+            SlotKind::Named(_) => (TermId(0), None),
+            SlotKind::Range { lo, hi } => (lo, Some(hi)),
+        };
+        for p in &slot.participants {
+            self.cursors[p.atom].open(p.level);
         }
-        let (start, clamp) = self.slot_bounds(s);
-        let mut v = start;
+        let mut entry = true;
         loop {
-            let Some(m) = self.leapfrog(s, v) else {
+            let found = self.next_value(slot, v, entry);
+            let Some(m) = found.filter(|m| hi.is_none_or(|hi| *m < hi)) else {
                 return Ok(());
             };
-            if clamp.is_some_and(|hi| m >= hi) {
-                return Ok(());
-            }
-            // Bind `m` at `s` (probe keys + binding) and descend.
-            for pi in 0..self.plan.slots[s].participants.len() {
-                let (a, kp) = self.plan.slots[s].participants[pi];
-                self.keys[a][kp] = m;
+            entry = false;
+            for &p in &slot.participants {
+                self.cursors[p.atom].bind(p, m);
             }
             self.bindings[s] = m;
             self.recurse(s + 1, out, budget)?;
@@ -390,26 +522,46 @@ impl<'a> Driver<'a> {
             v = TermId(nv);
         }
     }
-}
 
-/// All-constant atoms (no open levels) are existence filters: one probe
-/// each; any miss empties the result.
-fn fixed_atoms_present(
-    plan: &WcojPlan,
-    tries: &[&SortedIndex],
-    counters: &mut LfjCounters,
-) -> bool {
-    for (a, access) in plan.atoms.iter().enumerate() {
-        if access.levels.iter().all(|l| matches!(l, Level::Const(_))) {
-            let probe = access.key(&[]);
-            counters.seeks += 1;
-            match tries[a].seek_from(&probe) {
-                Some(k) if k == probe => {}
-                _ => return false,
+    /// Write the named slots' values as one row of `out`, and check the row
+    /// budget.
+    fn emit(&mut self, out: &mut Relation, budget: Option<usize>) -> Result<()> {
+        #[cfg(feature = "strict-invariants")]
+        self.check_row();
+        out.push_picked(&self.bindings, &self.plan.named_slots);
+        self.counters.rows += 1;
+        match budget {
+            Some(b) if out.len() > b => Err(StorageError::RowBudgetExceeded { budget: b }),
+            _ => Ok(()),
+        }
+    }
+
+    /// `strict-invariants`: the row is an answer — under the slots'
+    /// bindings every atom's key is in its index, and every range slot's
+    /// value lies in its interval.
+    #[cfg(feature = "strict-invariants")]
+    fn check_row(&self) {
+        for (access, cursor) in self.plan.atoms.iter().zip(&self.cursors) {
+            let key = access.levels.map(|l| match l {
+                Level::Const(c) => c,
+                Level::Bound(s) => self.bindings[s],
+                Level::Range(..) | Level::Free(_) => TermId(0),
+            });
+            debug_assert!(
+                cursor.index.contains(&key),
+                "leapfrog row binds {key:?}, absent from {}",
+                access.order.name()
+            );
+        }
+        for (slot, &v) in self.plan.slots.iter().zip(&self.bindings) {
+            if let SlotKind::Range { lo, hi } = slot.kind {
+                debug_assert!(
+                    lo <= v && v < hi,
+                    "range slot {v:?} outside [{lo:?}, {hi:?})"
+                );
             }
         }
     }
-    true
 }
 
 /// Evaluate a leapfrog-triejoin plan over its bound tries, descending from
@@ -423,20 +575,29 @@ pub(crate) fn eval(
     obs: &Obs,
 ) -> Result<Relation> {
     obs.add("op.lfj.atoms", plan.atoms.len() as u64);
-    let tries: Vec<&SortedIndex> = plan.atoms.iter().map(|a| store.index(a.order)).collect();
-    let mut driver = Driver::new(plan, &tries);
+    let (res, counters) = run(store, plan, row_budget);
+    counters.flush(obs);
+    if let Err(StorageError::RowBudgetExceeded { .. }) = &res {
+        obs.add("op.budget_abort", 1);
+    }
+    res
+}
+
+/// [`eval`]'s result, and the driver's counters whatever it is.
+fn run(
+    store: &Store,
+    plan: &WcojPlan,
+    row_budget: Option<usize>,
+) -> (Result<Relation>, LfjCounters) {
+    let mut driver = Driver::new(store, plan);
     let mut out = Relation::empty(plan.var_order.clone());
     // `plan()` rejects var-free bodies, so `slots` is never empty; stay total.
-    let res = if fixed_atoms_present(plan, &tries, &mut driver.counters) && !plan.slots.is_empty() {
+    let res = if driver.fixed_atoms_present() && !plan.slots.is_empty() {
         driver.recurse(0, &mut out, row_budget)
     } else {
         Ok(())
     };
-    driver.counters.flush(obs);
-    if let Err(StorageError::RowBudgetExceeded { .. }) = &res {
-        obs.add("op.budget_abort", 1);
-    }
-    res.map(|()| out)
+    (res.map(|()| out), driver.counters)
 }
 
 /// Why a CQ body runs on the operator it does: the request, or the cost
@@ -502,10 +663,13 @@ pub struct PhysicalChoice {
 impl PhysicalChoice {
     /// Restate the choice in the terms of the query its CQ was planned
     /// from: every variable it names (a star's hub, the plan's variables)
-    /// through `rename`, and, when `order` is a permutation of the plan's
-    /// atoms, those atoms renumbered so that `t{i+1}` is the atom that was
-    /// `order[i]`. A choice that names no variable is left as it is.
-    pub fn restate(&mut self, rename: impl Fn(&Var) -> Var, order: &[usize]) {
+    /// through `rename`, and the plan's atoms renumbered. With an `order`
+    /// that is a permutation of them, `t{i+1}` is the atom that was
+    /// `order[i]`; with none (a JUCQ fragment's CQ, which lists its atoms
+    /// as its union was built) they are sorted by their terms, so one CQ
+    /// reads alike however it was listed. A choice that names no variable
+    /// is left as it is.
+    pub fn restate(&mut self, rename: impl Fn(&Var) -> Var, order: Option<&[usize]>) {
         if let JoinReason::Star { hub, .. } = &mut self.reason {
             *hub = rename(hub);
         }
@@ -521,6 +685,17 @@ impl PhysicalChoice {
             }
         }
         let n = plan.atoms.len();
+        let sorted: Vec<usize>;
+        let order = match order {
+            Some(order) => order,
+            None => {
+                let terms: Vec<[PTerm; 3]> = (0..n).map(|a| plan.terms(a)).collect();
+                let mut by_terms: Vec<usize> = (0..n).collect();
+                by_terms.sort_by(|&i, &j| terms[i].cmp(&terms[j]));
+                sorted = by_terms;
+                &sorted
+            }
+        };
         let mut position = vec![n; n];
         for (i, &j) in order.iter().enumerate() {
             if let Some(p) = position.get_mut(j) {
@@ -532,8 +707,8 @@ impl PhysicalChoice {
         }
         plan.atoms = order.iter().map(|&j| plan.atoms[j].clone()).collect();
         for slot in &mut plan.slots {
-            for (a, _) in &mut slot.participants {
-                *a = position[*a];
+            for p in &mut slot.participants {
+                p.atom = position[p.atom];
             }
         }
     }
@@ -571,7 +746,6 @@ mod tests {
     use super::*;
     use crate::evaluator::Evaluator;
     use rdfref_model::EncodedTriple;
-    use rdfref_query::ast::PTerm;
 
     fn v(n: &str) -> Var {
         Var::new(n)
@@ -761,7 +935,7 @@ mod tests {
             plan: plan(&body),
         };
         let before = run_wcoj(&store, &body).0.to_rows();
-        choice.restate(|var| Var::new(var.name().to_uppercase()), &[0, 2, 1]);
+        choice.restate(|var| Var::new(var.name().to_uppercase()), Some(&[0, 2, 1]));
         assert_eq!(choice.to_string(), "auto: star join (?A in 3 atoms)");
         let pl = choice.plan.expect("plan");
         let lines = [
@@ -792,5 +966,142 @@ mod tests {
             "  t2        : POS [?x #3 [10,20)]",
         ];
         assert_eq!(format!("{pl:12}"), lines.join("\n"));
+    }
+
+    /// Runs `body` under the leapfrog on `store` and checks its rows, set
+    /// for set, against the bind-join oracle; returns the driver's counters.
+    fn checked(store: &Store, body: &[Atom]) -> LfjCounters {
+        let p = plan(body).expect("plan");
+        let (rel, counters) = run(store, &p, None);
+        let mut got = sorted_rows(&rel.expect("eval"));
+        got.dedup();
+        let mut want = oracle(store, body, p.var_order());
+        want.dedup();
+        assert_eq!(got, want, "{p}");
+        counters
+    }
+
+    /// Subjects `1000 + i % 40` with keys under properties 10, 20 and 30,
+    /// some with none under 20 — so a level stepping over subjects toward
+    /// `#20` meets keys whose next level is below it, above it, or missing.
+    fn mixed_store(bucket_target: usize) -> Store {
+        let triples: Vec<EncodedTriple> = (0..240u32)
+            .map(|i| {
+                let s = 1000 + i % 40;
+                let p = match i % 7 {
+                    0 | 3 if s % 3 == 0 => 20,
+                    0 | 1 => 10,
+                    2 | 3 => 30,
+                    _ => 20 + (s % 2) * 10,
+                };
+                EncodedTriple::new(TermId(s), TermId(p), TermId(1000 + (i * 13) % 47))
+            })
+            .collect();
+        Store::from_triples_with_bucket_target(&triples, bucket_target)
+    }
+
+    #[test]
+    fn a_stepped_level_filters_the_constant_folded_after_it() {
+        // (?x #20 ?y) reads SPO [?x #20 ?y]: ?x is a lone level whose next
+        // key level is the constant, so stepping over subjects must skip
+        // those without a #20 key; (?z #30 ?w) is a second component, a
+        // lone level again at ?z.
+        let (p, q) = (TermId(20), TermId(30));
+        let bodies = [
+            vec![Atom::new(v("x"), p, v("y"))],
+            vec![Atom::new(v("x"), p, v("y")), Atom::new(v("z"), q, v("w"))],
+        ];
+        for target in [usize::MAX, 4] {
+            let store = mixed_store(target);
+            for body in &bodies {
+                let pl = plan(body).expect("plan");
+                assert!(format!("{pl}").contains("SPO [?x #20 ?y]"), "{pl}");
+                let c = checked(&store, body);
+                assert!(c.steps > 0 && c.next > 0, "{c:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_range_slot_can_be_the_last_level() {
+        // ([1005,1020) #30 ?x) reads POS [#30 ?x [1005,1020)]: the subject
+        // interval has no named level after it, so it is the last slot.
+        let body = vec![
+            Atom::new(v("x"), TermId(20), v("y")),
+            Atom::new(PTerm::Range(TermId(1005), TermId(1020)), TermId(30), v("x")),
+        ];
+        let pl = plan(&body).expect("plan");
+        assert!(format!("{pl}").contains("POS [[1005,1020) #30 ?x]"), "{pl}");
+        assert!(matches!(
+            pl.slots.last().map(|s| &s.kind),
+            Some(SlotKind::Range { .. })
+        ));
+        for target in [usize::MAX, 4] {
+            let c = checked(&mixed_store(target), &body);
+            assert!(c.rows > 0 && c.steps > 0, "{c:?}");
+        }
+    }
+
+    #[test]
+    fn a_one_atom_body_opens_each_level_once_and_steps_the_rest() {
+        // Every level is lone: one seek opens ?x, one per subject opens ?y,
+        // and every further value is a step.
+        let store = mixed_store(4);
+        let body = vec![Atom::new(v("x"), TermId(20), v("y"))];
+        let c = checked(&store, &body);
+        let subjects = store
+            .scan(crate::store::Pattern::property(TermId(20)))
+            .map(|t| t.s)
+            .collect::<std::collections::BTreeSet<_>>()
+            .len() as u64;
+        assert_eq!(c.opens, 1 + subjects);
+        assert_eq!(c.gallops, 0);
+        assert_eq!(
+            c.rows,
+            store.count(crate::store::Pattern::property(TermId(20))) as u64
+        );
+        assert_eq!(c.next, subjects + c.rows);
+        assert_eq!(c.steps, c.next);
+    }
+
+    #[test]
+    fn shared_levels_gallop_across_buckets() {
+        let edges: Vec<(u32, u32)> = (0..90u32).map(|i| (i % 13, (i * 7 + 3) % 17)).collect();
+        let p = TermId(7);
+        let triangle = vec![
+            Atom::new(v("x"), p, v("y")),
+            Atom::new(v("y"), p, v("z")),
+            Atom::new(v("x"), p, v("z")),
+        ];
+        let path = vec![Atom::new(v("x"), p, v("y")), Atom::new(v("y"), p, v("z"))];
+        for target in [usize::MAX, 3] {
+            let triples: Vec<EncodedTriple> = edges
+                .iter()
+                .map(|&(s, o)| EncodedTriple::new(TermId(1000 + s), p, TermId(1000 + o)))
+                .collect();
+            let store = Store::from_triples_with_bucket_target(&triples, target);
+            for body in [&triangle, &path] {
+                let c = checked(&store, body);
+                assert!(c.gallops > 0 && c.rows > 0, "{c:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_row_budget_crossed_while_stepping_aborts_with_counters_flushed() {
+        let store = mixed_store(4);
+        let body = vec![Atom::new(v("x"), TermId(20), v("y"))];
+        let pl = plan(&body).unwrap();
+        let registry = std::sync::Arc::new(rdfref_obs::MetricsRegistry::default());
+        let obs = Obs::collecting(registry.clone());
+        let err = eval(&store, &pl, Some(3), &obs).unwrap_err();
+        assert_eq!(err, StorageError::RowBudgetExceeded { budget: 3 });
+        let snap = registry.snapshot();
+        assert_eq!(snap.counter("op.budget_abort"), 1);
+        assert_eq!(snap.counter("op.lfj.rows"), 4);
+        // The fourth row came from a step inside the first subject's run
+        // or a later one: both levels stepped, nothing galloped.
+        assert!(snap.counter("op.lfj.steps") >= 3);
+        assert!(snap.counter("op.lfj.seeks") >= 2);
     }
 }

@@ -314,7 +314,9 @@ fn a_triangle_with_implied_type_atoms_plans_as_one_cq() {
 
 /// One planted triangle plus an open wedge. The leapfrog triejoin must
 /// report *exact* operator counters for this fixed shape.
-fn triangle_setup() -> (Database, Cq) {
+/// Five `knows` edges with one triangle (a, b, c), and `where_clause`
+/// over them.
+fn knows_setup(where_clause: &str) -> (Database, Cq) {
     let doc = "@prefix ex: <http://example.org/> .\n\
                ex:a ex:knows ex:b .\n\
                ex:b ex:knows ex:c .\n\
@@ -323,12 +325,15 @@ fn triangle_setup() -> (Database, Cq) {
                ex:d ex:knows ex:e .\n";
     let mut g = parse_turtle(doc).unwrap();
     let q = parse_select(
-        "PREFIX ex: <http://example.org/> SELECT ?x ?y ?z WHERE { \
-         ?x ex:knows ?y . ?y ex:knows ?z . ?x ex:knows ?z }",
+        &format!("PREFIX ex: <http://example.org/> SELECT ?x ?y ?z WHERE {{ {where_clause} }}"),
         g.dictionary_mut(),
     )
     .unwrap();
     (Database::builder().build(g), q)
+}
+
+fn triangle_setup() -> (Database, Cq) {
+    knows_setup("?x ex:knows ?y . ?y ex:knows ?z . ?x ex:knows ?z")
 }
 
 #[test]
@@ -350,12 +355,40 @@ fn lfj_counters_are_exact_for_a_fixed_triangle() {
     assert_eq!(snap.counter("op.lfj.rows"), 1);
     // The seek/next trace over this 5-edge graph is deterministic: sorted
     // runs are fixed by the dictionary order of a..e, so the probe counts
-    // are exact, not merely positive.
-    assert_eq!(snap.counter("op.lfj.seeks"), 36);
+    // are exact, not merely positive. Every slot is shared by two atoms, so
+    // every move is a seek (opens plus gallops) and none a step.
+    assert_eq!(snap.counter("op.lfj.seeks"), 26);
+    assert_eq!(snap.counter("op.lfj.steps"), 0);
     assert_eq!(snap.counter("op.lfj.next"), 6);
     // The classic join operators stay silent — WCOJ replaced them.
     assert_eq!(snap.counter("op.join.count"), 0);
     assert_eq!(snap.span_count("eval.cq"), 1);
+}
+
+/// The 2-path `?x knows ?y . ?y knows ?z` on the triangle's graph, forced
+/// onto the leapfrog: `?y` is shared by both atoms and leapfrogs, `?x` and
+/// `?z` have one atom each and step through their runs. Seeks: two opens at
+/// `?y`, one each at `?x` and `?z` under both `?y` values (b, d), and five
+/// gallops (three to reach d, two to exhaust); steps: one per value bound
+/// at `?x` and `?z`, the last finding the run exhausted.
+#[test]
+fn lfj_counters_are_exact_for_a_fixed_path() {
+    let (db, q) = knows_setup("?x ex:knows ?y . ?y ex:knows ?z");
+    let registry = Arc::new(MetricsRegistry::new());
+    let answer = db
+        .query(&q)
+        .strategy(Strategy::RefUcq)
+        .join_algorithm(JoinAlgorithm::Wcoj)
+        .collect_metrics(&registry)
+        .run()
+        .unwrap();
+    assert_eq!(answer.len(), 2, "a→b→c and a→d→e");
+    let snap = registry.snapshot();
+    assert_eq!(snap.counter("op.lfj.atoms"), 2);
+    assert_eq!(snap.counter("op.lfj.rows"), 2);
+    assert_eq!(snap.counter("op.lfj.seeks"), 11);
+    assert_eq!(snap.counter("op.lfj.steps"), 4);
+    assert_eq!(snap.counter("op.lfj.next"), 6);
 }
 
 /// The `Auto` × `RangeScan` interaction: on an interval-encoded chain the

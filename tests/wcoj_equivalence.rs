@@ -227,3 +227,37 @@ fn plan_cache_keys_are_algorithm_tagged() {
         }
     }
 }
+
+/// Through Ref/GCov the triangle runs as one fragment CQ of a JUCQ, whose
+/// cached copy lists its atoms in another order than a freshly planned one.
+/// The leapfrog picks its variable order from the body's structure, not
+/// from that listing, so the plan renders alike with the cache off, on a
+/// miss and on a hit.
+#[test]
+fn a_jucq_fragment_plans_the_same_trie_order_through_the_cache() {
+    use rdfref::datagen::wcoj::{generate, wcoj_mix, WcojConfig};
+    let ds = generate(&WcojConfig {
+        hubs: 4,
+        spokes: 12,
+        likes_per_hub: 3,
+        triangles: 5,
+    });
+    let triangle = &wcoj_mix(&ds).unwrap()[0];
+    let db = Database::builder().build(ds.graph.clone());
+    let render = |use_cache: bool| {
+        let opts = AnswerOptions {
+            join_algorithm: JoinAlgorithm::Wcoj,
+            use_cache,
+            ..AnswerOptions::default()
+        };
+        let answer = db
+            .run_query(&triangle.cq, &QStrategy::RefGCov, &opts)
+            .unwrap();
+        assert_eq!(answer.explain.cache.is_some(), use_cache);
+        format!("{:12}", answer.explain.metrics.dispatched)
+    };
+    let uncached = render(false);
+    assert!(uncached.contains("var order : ?x ?y ?z"), "{uncached}");
+    assert_eq!(render(true), uncached, "a miss");
+    assert_eq!(render(true), uncached, "a hit");
+}
