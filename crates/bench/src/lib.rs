@@ -11,7 +11,7 @@
 //!
 //! The reference benchmark (`src/bin/benchmark/`, declared by
 //! `BENCHMARK.json`) is a package of its own and the one harness behind
-//! E9–E18.
+//! E9–E19.
 
 pub mod families;
 

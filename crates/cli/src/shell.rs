@@ -488,6 +488,7 @@ impl Shell {
             "op.scan.rows",
             "op.join.rows",
             "op.bind_join.rows",
+            "op.bind_join.probes",
             "op.lfj.seeks",
             "op.lfj.steps",
             "op.lfj.next",

@@ -33,7 +33,7 @@ use rdfref_query::canonical::{alpha_canonicalize, AlphaCanonical};
 use rdfref_query::{Cover, Var};
 use rdfref_reasoning::saturate_in_place_obs;
 use rdfref_storage::evaluator::{head_names, Evaluator};
-use rdfref_storage::{JoinAlgorithm, Relation, Stats, Store};
+use rdfref_storage::{CostEstimate, CostModel, JoinAlgorithm, Relation, Stats, Store};
 use rdfref_sync::{Arc, OnceLock};
 use std::borrow::Cow;
 use std::time::Instant;
@@ -455,7 +455,7 @@ impl Database {
             | Strategy::RefJucq(_)
             | Strategy::RefGCov
             | Strategy::RefIncomplete(_) => {
-                let (plan, canon) = match strategy {
+                let (plan, canon, estimate) = match strategy {
                     Strategy::RefIncomplete(profile) => {
                         let filtered = profile.filter_schema(&self.schema);
                         let closure = filtered.closure();
@@ -465,11 +465,13 @@ impl Database {
                         // filtered closure need not match the encoder's), then
                         // the UCQ is transported into store id space.
                         let ucq = self.encode_ucq(reformulate_ucq(cq, &ctx, opts.limits)?);
-                        (Arc::new(CachedPlan::Ucq(ucq)), None)
+                        let plan = CachedPlan::Ucq(ucq);
+                        let estimate = self.price(&plan);
+                        (Arc::new(plan), None, estimate)
                     }
                     _ => self.ref_plan(cq, strategy, opts, &mut explain, &obs)?,
                 };
-                let model = rdfref_storage::CostModel::new(&self.stats);
+                explain.estimate = Some(estimate);
                 let ev = evaluator(&self.store, &self.stats, opts, &obs);
                 // The plan is evaluated as it is stored, in the variables of
                 // the query it was planned for (α-canonical through the cache).
@@ -479,18 +481,12 @@ impl Database {
                     CachedPlan::Ucq(ucq) => {
                         explain.reformulation_cqs = ucq.len();
                         explain.reformulation_atoms = ucq.total_atoms();
-                        explain.estimate = Some(model.ucq_estimate(ucq));
                         ev.eval_ucq(ucq, &out, &mut explain.metrics)?
                     }
                     CachedPlan::Jucq(jucq) | CachedPlan::Gcov(GcovResult { jucq, .. }) => {
                         explain.reformulation_cqs = jucq.total_cqs();
                         explain.reformulation_atoms =
                             jucq.fragments.iter().map(|f| f.ucq.total_atoms()).sum();
-                        explain.estimate = Some(match &*plan {
-                            // GCov carries the estimate its search computed.
-                            CachedPlan::Gcov(result) => result.estimate,
-                            _ => model.jucq_estimate(jucq),
-                        });
                         // The JUCQ's head is the planned query's head
                         // variables: its columns take the caller's, by position.
                         ev.eval_jucq(jucq, &mut explain.metrics)?
@@ -580,12 +576,14 @@ impl Database {
 
     /// The plan of `cq` under one of the four complete Ref strategies,
     /// through the plan cache when enabled, with the query it was planned
-    /// for when that is not `cq`.
+    /// for when that is not `cq`, and the cost model's estimate of it.
     ///
     /// Through the cache that query is `cq`'s α-canonical form, and a hit
     /// and a miss return the one stored plan: in the canonical variables,
     /// with GCov's covers over the canonical atoms. With the cache off it is
-    /// `cq` itself (`None`).
+    /// `cq` itself (`None`). The estimate is priced once, at plan time, and
+    /// cached with the plan; a hit on a plan priced against older
+    /// statistics prices it again and stores that.
     fn ref_plan(
         &self,
         cq: &Cq,
@@ -593,7 +591,7 @@ impl Database {
         opts: &AnswerOptions,
         explain: &mut Explain,
         obs: &Obs,
-    ) -> Result<(Arc<CachedPlan>, Option<AlphaCanonical>)> {
+    ) -> Result<(Arc<CachedPlan>, Option<AlphaCanonical>, CostEstimate)> {
         if let Strategy::RefJucq(cover) = strategy {
             // A cover is built for an atom count, not for a query.
             cover.check(cq.size())?;
@@ -603,7 +601,8 @@ impl Database {
             let identity: Vec<usize> = (0..cq.size()).collect();
             let (tag, span) = plan_tag(strategy, cq, &identity, &opts.limits)?;
             let plan = self.compute_plan(cq, &tag, span, opts, obs)?;
-            return Ok((Arc::new(plan), None));
+            let estimate = self.price(&plan);
+            return Ok((Arc::new(plan), None, estimate));
         }
         let canon = alpha_canonicalize(cq);
         let (tag, span) = plan_tag(strategy, &canon.query, &canon.atom_map, &opts.limits)?;
@@ -613,18 +612,35 @@ impl Database {
             algo: opts.join_algorithm,
         };
         let (schema_epoch, data_epoch) = self.cache_epochs();
-        if let Some(plan) = self.pinned_cache_lookup(&key) {
+        if let Some((plan, priced)) = self.pinned_cache_lookup(&key) {
             obs.add("plan_cache.hit", 1);
             explain.cache = Some(self.cache_report(true));
-            return Ok((plan, Some(canon)));
+            let estimate = priced.unwrap_or_else(|| {
+                let estimate = self.price(&plan);
+                self.cache.reprice(&key, estimate, data_epoch);
+                estimate
+            });
+            return Ok((plan, Some(canon), estimate));
         }
         obs.add("plan_cache.miss", 1);
         let computed = self.compute_plan(&key.query, &key.tag, span, opts, obs)?;
+        let estimate = self.price(&computed);
         let stored = self
             .cache
-            .insert_at(key, computed, schema_epoch, data_epoch);
+            .insert_at(key, computed, estimate, schema_epoch, data_epoch);
         explain.cache = Some(self.cache_report(false));
-        Ok((stored, Some(canon)))
+        Ok((stored, Some(canon), estimate))
+    }
+
+    /// The cost model's estimate of `plan` against this database's
+    /// statistics: the one GCov's search computed, else priced now.
+    fn price(&self, plan: &CachedPlan) -> CostEstimate {
+        let model = CostModel::new(&self.stats);
+        match plan {
+            CachedPlan::Ucq(ucq) => model.ucq_estimate(ucq),
+            CachedPlan::Jucq(jucq) => model.jucq_estimate(jucq),
+            CachedPlan::Gcov(result) => result.estimate,
+        }
     }
 
     /// Pin this database to an epoch pair as the serving layer does when
@@ -649,7 +665,10 @@ impl Database {
     /// Cache lookup pinned at this database's epochs: a snapshot-owned
     /// database must never see a plan tagged for a different epoch pair,
     /// no matter what the writer is doing to the shared cache concurrently.
-    fn pinned_cache_lookup(&self, key: &CacheKey) -> Option<Arc<CachedPlan>> {
+    fn pinned_cache_lookup(
+        &self,
+        key: &CacheKey,
+    ) -> Option<(Arc<CachedPlan>, Option<CostEstimate>)> {
         let (schema_epoch, data_epoch) = self.cache_epochs();
         self.cache.lookup_at(key, schema_epoch, data_epoch)
     }
@@ -684,7 +703,7 @@ impl Database {
                 CachedPlan::Jucq(fragments.jucq(cover)?)
             }
             StrategyTag::Gcov { .. } => {
-                let model = rdfref_storage::CostModel::new(&self.stats);
+                let model = CostModel::new(&self.stats);
                 let gcov_opts = GcovOptions::new().with_limits(opts.limits);
                 // GCov prices candidate covers against the (encoded) store
                 // statistics, so its JUCQs are encoded inside the search.
@@ -1205,12 +1224,17 @@ ex:bioy ex:hasName "A. Bioy Casares" .
             CachedPlan::Ucq(u) => u.cqs.len(),
             _ => usize::MAX,
         };
+        let estimate = CostEstimate {
+            cardinality: 1.0,
+            cost: 1.0,
+        };
 
-        cache.insert_at(key.clone(), plan(1), 0, 0);
-        assert_eq!(db.pinned_cache_lookup(&key).as_deref().map(mark), Some(1));
+        cache.insert_at(key.clone(), plan(1), estimate, 0, 0);
+        let pinned = db.pinned_cache_lookup(&key);
+        assert_eq!(pinned.map(|(p, _)| mark(&p)), Some(1));
 
         cache.bump_data_epoch();
-        cache.insert_at(key.clone(), plan(2), 0, 1);
+        cache.insert_at(key.clone(), plan(2), estimate, 0, 1);
         assert_eq!(cache.lookup(&key).as_deref().map(mark), Some(2));
         assert!(
             db.pinned_cache_lookup(&key).is_none(),

@@ -31,6 +31,11 @@
 //!   decisions (the chosen cover and its estimates come from data
 //!   statistics), so they are additionally pinned to the data epoch at
 //!   insertion. Stale entries are detected lazily at lookup and removed.
+//! * **Estimates.** An entry carries the cost model's estimate of its plan
+//!   (what `Explain.estimate` reports), priced once when the plan is made.
+//!   A reformulation outlives a data-only change, its estimate does not: a
+//!   lookup at a later data epoch returns no estimate, and the caller
+//!   prices the plan again and stores that ([`PlanCache::reprice`]).
 //! * **Eviction.** LRU by a logical tick, bounded by a fixed capacity.
 //! * **Observability.** Hit/miss/eviction/invalidation counters, surfaced
 //!   per-run through [`Explain`](crate::explain::Explain) and in aggregate
@@ -41,6 +46,7 @@ use crate::reformulate::ReformulationLimits;
 use rdfref_model::fxhash::FxHashMap;
 use rdfref_query::ast::{Cq, Jucq, Ucq};
 use rdfref_query::Cover;
+use rdfref_storage::CostEstimate;
 use rdfref_sync::atomic::{AtomicU64, Ordering};
 use rdfref_sync::Arc;
 use rdfref_sync::Mutex;
@@ -121,11 +127,15 @@ pub enum CachedPlan {
 #[derive(Debug)]
 struct Entry {
     plan: Arc<CachedPlan>,
+    /// The cost model's estimate of the plan, priced against the
+    /// statistics of `data_epoch`.
+    estimate: CostEstimate,
     /// Schema epoch the plan was computed under.
     schema_epoch: u64,
-    /// Data epoch the plan was computed under, for data-dependent plans
-    /// (`None` = valid across data-only updates).
-    data_epoch: Option<u64>,
+    /// Data epoch the estimate was priced at. A data-dependent plan was
+    /// computed then too and is valid at that epoch only; a reformulation
+    /// is valid at every data epoch.
+    data_epoch: u64,
     /// Logical time of last use, for LRU.
     last_used: u64,
 }
@@ -212,6 +222,7 @@ impl PlanCache {
     /// additionally counted as invalidations.
     pub fn lookup(&self, key: &CacheKey) -> Option<Arc<CachedPlan>> {
         self.lookup_at(key, self.schema_epoch(), self.data_epoch())
+            .map(|(plan, _)| plan)
     }
 
     /// Look up a plan valid under the given epoch pair — the entry point
@@ -220,7 +231,16 @@ impl PlanCache {
     /// schema/statistics nor evict one. Entries are only dropped when they
     /// are stale relative to the *current* epochs (stale for everyone), not
     /// merely mismatched with a lagging reader's pinned epochs.
-    pub fn lookup_at(&self, key: &CacheKey, schema: u64, data: u64) -> Option<Arc<CachedPlan>> {
+    ///
+    /// The plan comes with its estimate when that was priced against the
+    /// statistics of data epoch `data`; a reformulation outlives data-only
+    /// changes, its estimate does not.
+    pub fn lookup_at(
+        &self,
+        key: &CacheKey,
+        schema: u64,
+        data: u64,
+    ) -> Option<(Arc<CachedPlan>, Option<CostEstimate>)> {
         let mut entries = self.entries.lock();
         // Read the epochs under the lock: every entry was inserted under the
         // same lock at epochs that were current then, so it can never be
@@ -239,8 +259,8 @@ impl PlanCache {
                     entry.schema_epoch
                 );
                 debug_assert!(
-                    entry.data_epoch.is_none_or(|d| d <= cur_data),
-                    "cache entry data epoch {:?} ahead of current {cur_data}",
+                    entry.data_epoch <= cur_data,
+                    "cache entry data epoch {} ahead of current {cur_data}",
                     entry.data_epoch
                 );
                 debug_assert!(
@@ -249,12 +269,14 @@ impl PlanCache {
                      ({cur_schema}, {cur_data})"
                 );
             }
-            if entry.schema_epoch == schema && entry.data_epoch.is_none_or(|d| d == data) {
+            let pinned = key.tag.depends_on_data();
+            if entry.schema_epoch == schema && (!pinned || entry.data_epoch == data) {
                 entry.last_used = self.tick.fetch_add(1, Ordering::Relaxed);
                 self.hits.fetch_add(1, Ordering::Relaxed);
-                return Some(Arc::clone(&entry.plan));
+                let estimate = (entry.data_epoch == data).then_some(entry.estimate);
+                return Some((Arc::clone(&entry.plan), estimate));
             }
-            if entry.schema_epoch < cur_schema || entry.data_epoch.is_some_and(|d| d < cur_data) {
+            if entry.schema_epoch < cur_schema || (pinned && entry.data_epoch < cur_data) {
                 entries.remove(key);
                 self.invalidations.fetch_add(1, Ordering::Relaxed);
             }
@@ -263,11 +285,28 @@ impl PlanCache {
         None
     }
 
-    /// Insert a plan computed under the *current* epochs, evicting the
-    /// least recently used entry if the cache is full. Returns the
-    /// shared handle to the stored plan.
-    pub fn insert(&self, key: CacheKey, plan: CachedPlan) -> Arc<CachedPlan> {
-        self.insert_at(key, plan, self.schema_epoch(), self.data_epoch())
+    /// Store `estimate` as `key`'s, priced against the statistics of data
+    /// epoch `data`, unless the entry holds one priced at that epoch or a
+    /// later one.
+    pub fn reprice(&self, key: &CacheKey, estimate: CostEstimate, data: u64) {
+        if let Some(entry) = self.entries.lock().get_mut(key) {
+            if entry.data_epoch < data {
+                entry.estimate = estimate;
+                entry.data_epoch = data;
+            }
+        }
+    }
+
+    /// Insert a plan and its estimate computed under the *current* epochs,
+    /// evicting the least recently used entry if the cache is full. Returns
+    /// the shared handle to the stored plan.
+    pub fn insert(
+        &self,
+        key: CacheKey,
+        plan: CachedPlan,
+        estimate: CostEstimate,
+    ) -> Arc<CachedPlan> {
+        self.insert_at(key, plan, estimate, self.schema_epoch(), self.data_epoch())
     }
 
     /// Insert a plan computed under the given epoch pair (snapshot-pinned
@@ -277,14 +316,15 @@ impl PlanCache {
         &self,
         key: CacheKey,
         plan: CachedPlan,
+        estimate: CostEstimate,
         schema: u64,
         data: u64,
     ) -> Arc<CachedPlan> {
-        let data_epoch = key.tag.depends_on_data().then_some(data);
         let entry = Entry {
             plan: Arc::new(plan),
+            estimate,
             schema_epoch: schema,
-            data_epoch,
+            data_epoch: data,
             last_used: self.tick.fetch_add(1, Ordering::Relaxed),
         };
         let handle = Arc::clone(&entry.plan);
@@ -352,7 +392,7 @@ mod tests {
             algo: rdfref_storage::JoinAlgorithm::Wcoj,
             ..key(1)
         };
-        cache.insert(bind.clone(), plan());
+        cache.insert(bind.clone(), plan(), estimate());
         assert!(cache.lookup(&bind).is_some());
         assert!(
             cache.lookup(&wcoj).is_none(),
@@ -371,11 +411,18 @@ mod tests {
         CachedPlan::Ucq(Ucq { cqs: vec![] })
     }
 
+    fn estimate() -> CostEstimate {
+        CostEstimate {
+            cardinality: 1.0,
+            cost: 2.0,
+        }
+    }
+
     #[test]
     fn hit_after_insert_miss_before() {
         let cache = PlanCache::new(8);
         assert!(cache.lookup(&key(1)).is_none());
-        cache.insert(key(1), plan());
+        cache.insert(key(1), plan(), estimate());
         assert!(cache.lookup(&key(1)).is_some());
         assert!(cache.lookup(&key(2)).is_none());
         let c = cache.counters();
@@ -385,11 +432,11 @@ mod tests {
     #[test]
     fn lru_eviction_order() {
         let cache = PlanCache::new(2);
-        cache.insert(key(1), plan());
-        cache.insert(key(2), plan());
+        cache.insert(key(1), plan(), estimate());
+        cache.insert(key(2), plan(), estimate());
         // Touch 1 so 2 becomes the LRU victim.
         assert!(cache.lookup(&key(1)).is_some());
-        cache.insert(key(3), plan());
+        cache.insert(key(3), plan(), estimate());
         assert!(cache.lookup(&key(2)).is_none(), "LRU entry evicted");
         assert!(cache.lookup(&key(1)).is_some(), "recently used survives");
         assert!(cache.lookup(&key(3)).is_some());
@@ -400,9 +447,9 @@ mod tests {
     #[test]
     fn reinserting_resident_key_does_not_evict() {
         let cache = PlanCache::new(2);
-        cache.insert(key(1), plan());
-        cache.insert(key(2), plan());
-        cache.insert(key(2), plan());
+        cache.insert(key(1), plan(), estimate());
+        cache.insert(key(2), plan(), estimate());
+        cache.insert(key(2), plan(), estimate());
         assert_eq!(cache.counters().evictions, 0);
         assert!(cache.lookup(&key(1)).is_some());
     }
@@ -411,19 +458,40 @@ mod tests {
     fn the_capacity_bounds_the_whole_cache() {
         let cache = PlanCache::new(16);
         for n in 0..16 {
-            cache.insert(key(n), plan());
+            cache.insert(key(n), plan(), estimate());
         }
         assert_eq!((cache.len(), cache.counters().evictions), (16, 0));
-        cache.insert(key(16), plan());
+        cache.insert(key(16), plan(), estimate());
         assert_eq!((cache.len(), cache.counters().evictions), (16, 1));
         assert!(cache.lookup(&key(0)).is_none(), "the oldest entry went");
+    }
+
+    /// A plan comes with the estimate it was stored with while the data
+    /// epoch stands; a reformulation outlives a data bump, its estimate
+    /// does not until it is priced again, and a lagging reader's older
+    /// price never replaces a newer one.
+    #[test]
+    fn an_estimate_is_served_for_the_data_epoch_it_was_priced_at() {
+        let cache = PlanCache::new(8);
+        cache.insert(key(1), plan(), estimate());
+        let priced = |data| cache.lookup_at(&key(1), 0, data).and_then(|(_, e)| e);
+        assert_eq!(priced(0), Some(estimate()));
+        cache.bump_data_epoch();
+        assert_eq!(priced(1), None, "priced against older statistics");
+        let newer = CostEstimate {
+            cardinality: 3.0,
+            cost: 4.0,
+        };
+        cache.reprice(&key(1), newer, 1);
+        cache.reprice(&key(1), estimate(), 0);
+        assert_eq!(priced(1), Some(newer));
     }
 
     #[test]
     fn data_epoch_invalidates_exactly_gcov_entries() {
         let cache = PlanCache::new(8);
-        cache.insert(key(1), plan());
-        cache.insert(gcov_key(1), CachedPlan::Ucq(Ucq { cqs: vec![] }));
+        cache.insert(key(1), plan(), estimate());
+        cache.insert(gcov_key(1), plan(), estimate());
         cache.bump_data_epoch();
         // The pure reformulation survives a data-only change…
         assert!(cache.lookup(&key(1)).is_some());
@@ -435,8 +503,8 @@ mod tests {
     #[test]
     fn schema_epoch_invalidates_everything() {
         let cache = PlanCache::new(8);
-        cache.insert(key(1), plan());
-        cache.insert(gcov_key(1), plan());
+        cache.insert(key(1), plan(), estimate());
+        cache.insert(gcov_key(1), plan(), estimate());
         cache.bump_schema_epoch();
         assert!(cache.lookup(&key(1)).is_none());
         assert!(cache.lookup(&gcov_key(1)).is_none());
@@ -447,10 +515,10 @@ mod tests {
     #[test]
     fn insert_after_bump_is_valid_again() {
         let cache = PlanCache::new(8);
-        cache.insert(gcov_key(1), plan());
+        cache.insert(gcov_key(1), plan(), estimate());
         cache.bump_data_epoch();
         assert!(cache.lookup(&gcov_key(1)).is_none());
-        cache.insert(gcov_key(1), plan());
+        cache.insert(gcov_key(1), plan(), estimate());
         assert!(cache.lookup(&gcov_key(1)).is_some());
     }
 
@@ -459,8 +527,8 @@ mod tests {
         let cache = PlanCache::new(8);
         cache.bump_schema_epoch();
         cache.bump_data_epoch();
-        cache.insert_at(gcov_key(1), plan(), 1, 1);
-        cache.insert_at(key(1), plan(), 1, 1);
+        cache.insert_at(gcov_key(1), plan(), estimate(), 1, 1);
+        cache.insert_at(key(1), plan(), estimate(), 1, 1);
         // A cost-based plan is valid under exactly its (schema, data) pair…
         assert!(cache.lookup_at(&gcov_key(1), 1, 1).is_some());
         for (schema, data) in [(0, 0), (0, 1), (1, 0)] {
@@ -480,8 +548,8 @@ mod tests {
         let cache = PlanCache::new(8);
         cache.bump_schema_epoch();
         cache.bump_data_epoch();
-        cache.insert(key(1), plan());
-        cache.insert(gcov_key(1), plan());
+        cache.insert(key(1), plan(), estimate());
+        cache.insert(gcov_key(1), plan(), estimate());
         // Readers pinned behind the current (1, 1) miss…
         assert!(cache.lookup_at(&key(1), 0, 1).is_none());
         assert!(cache.lookup_at(&gcov_key(1), 1, 0).is_none());
@@ -503,7 +571,7 @@ mod tests {
                     for i in 0..200u32 {
                         let k = key(i % 16);
                         if cache.lookup(&k).is_none() {
-                            cache.insert(k, plan());
+                            cache.insert(k, plan(), estimate());
                         }
                         if t == 0 && i % 50 == 0 {
                             cache.bump_data_epoch();

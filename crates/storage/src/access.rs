@@ -11,10 +11,11 @@
 //! POS / OSP order.
 
 use crate::relation::Relation;
-use crate::store::{Bound, Order, Pattern, Store};
+use crate::store::{Bound, Order, Pattern, Pos, Store};
 use rdfref_model::TermId;
 use rdfref_query::ast::{Atom, PTerm};
 use rdfref_query::Var;
+use std::cmp::Ordering;
 
 /// What fixes one key level of an [`Access`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -154,6 +155,51 @@ impl Access {
         })
     }
 
+    /// The rows of `acc` in ascending order of their probe keys
+    /// ([`Access::key`]), rows with equal keys in `acc` order. Only the
+    /// bound levels differ between two rows' keys, so their values and the
+    /// row number pack into one `u64` whose integer order is that order
+    /// when they fit (else a permutation is sorted by the keys); keys that
+    /// already ascend are not sorted.
+    pub(crate) fn probe_order(&self, acc: &Relation) -> impl Iterator<Item = usize> {
+        let bound: Vec<usize> = self
+            .levels
+            .iter()
+            .filter_map(|l| match l {
+                Level::Bound(c) => Some(*c),
+                _ => None,
+            })
+            .collect();
+        let width = |v: u64| u64::BITS - v.leading_zeros();
+        let max = acc
+            .rows()
+            .flat_map(|row| bound.iter().map(move |&c| row[c].0))
+            .max()
+            .unwrap_or(0);
+        let (bits, row_bits) = (width(max.into()), width(acc.len() as u64));
+        let (order, mask) = if bound.len() as u32 * bits + row_bits <= u64::BITS {
+            let mut packed: Vec<u64> = acc
+                .rows()
+                .enumerate()
+                .map(|(i, row)| {
+                    let key = bound
+                        .iter()
+                        .fold(0u64, |k, &c| (k << bits) | u64::from(row[c].0));
+                    (key << row_bits) | i as u64
+                })
+                .collect();
+            if !packed.is_sorted() {
+                packed.sort_unstable();
+            }
+            (packed, (1u64 << row_bits) - 1)
+        } else {
+            let mut order: Vec<u64> = (0..acc.len() as u64).collect();
+            order.sort_by_key(|&i| self.key(acc.row(i as usize)));
+            (order, u64::MAX)
+        };
+        order.into_iter().map(move |k| (k & mask) as usize)
+    }
+
     /// Does `k` match levels `from..` under the probe `key`?
     fn matches(&self, from: usize, key: &[TermId; 3], k: &[TermId; 3]) -> bool {
         (from..3).all(|i| match self.levels[i] {
@@ -172,41 +218,52 @@ impl Access {
     }
 
     /// Hand `f` the keys that match every level under the probe `key`, as
-    /// borrowed runs of the access's index in index order: one
-    /// `partition_point` read of the fixed prefix (bounded by an interval
-    /// on the next level), at most one run per index bucket. Levels the
-    /// read cannot serve (a later interval, a repeated variable) split each
-    /// run into its maximal matching sub-slices. No run is empty.
+    /// borrowed runs of the access's index in index order, searching
+    /// forward from `from`: [`Pos::START`] for a scan, the position the
+    /// previous probe returned for a bind join whose keys ascend. The
+    /// fixed prefix selects one run (bounded by an interval on the next
+    /// level: it gallops to `lo` and stops at `hi`), at most one slice per
+    /// index bucket. Levels the read cannot serve (a later interval, a
+    /// repeated variable) split each slice into its maximal matching
+    /// sub-slices. No run is empty. Returns where the prefix's keys begin.
     pub(crate) fn runs<'s>(
         &self,
         store: &'s Store,
         key: &[TermId; 3],
+        from: Pos,
         f: &mut dyn FnMut(&'s [[TermId; 3]]),
-    ) {
+    ) -> Pos {
         let index = store.index(self.order);
         let fixed = self.fixed_len();
-        let mut residual = |from: usize, run: &'s [[TermId; 3]]| {
-            let unchecked =
-                |i: usize| matches!(self.levels[i], Level::Free(j) if self.first(j) == i);
-            if (from..3).all(unchecked) {
-                f(run)
-            } else {
-                run.split(|k| !self.matches(from, key, k))
+        // The keys read are those whose first `read` levels lie in
+        // `[lo, hi]` (`[lo, hi)` under an interval).
+        let (read, lo, hi, closed) = match self.levels.get(fixed) {
+            Some(&Level::Range(l, h)) => {
+                let (mut lo, mut hi) = (*key, *key);
+                lo[fixed] = l;
+                hi[fixed] = h;
+                (fixed + 1, lo, hi, false)
+            }
+            _ => (fixed, *key, *key, true),
+        };
+        let before = |k: &[TermId; 3]| k[..read] < lo[..read];
+        let within = |k: &[TermId; 3]| match k[..read].cmp(&hi[..read]) {
+            Ordering::Less => true,
+            Ordering::Equal => closed,
+            Ordering::Greater => false,
+        };
+        let (start, stop) = index.run(from, before, within);
+        let unchecked = |i: usize| matches!(self.levels[i], Level::Free(j) if self.first(j) == i);
+        if (read..3).all(unchecked) {
+            index.slices(start, stop, f);
+        } else {
+            index.slices(start, stop, &mut |run| {
+                run.split(|k| !self.matches(read, key, k))
                     .filter(|piece| !piece.is_empty())
                     .for_each(&mut *f)
-            }
-        };
-        match self.levels.get(fixed) {
-            Some(&Level::Range(lo, hi)) => {
-                let (mut from, mut to) = (*key, *key);
-                from[fixed] = lo;
-                to[fixed] = hi;
-                index.for_bounds(&from[..=fixed], &to[..=fixed], &mut |run| {
-                    residual(fixed + 1, run)
-                });
-            }
-            _ => index.for_prefix(&key[..fixed], &mut |run| residual(fixed, run)),
+            });
         }
+        start
     }
 
     /// Append `prefix ++ (k's output columns)` to `out` for every key `k` of
@@ -280,6 +337,29 @@ mod tests {
         assert_eq!(access.order, Order::Osp);
     }
 
+    /// The probe order is the rows sorted stably by their keys, whether the
+    /// keys pack into one `u64` (small ids), fit only as a permutation (two
+    /// bound levels of 32-bit ids), or already ascend.
+    #[test]
+    fn probe_order_sorts_rows_stably_by_their_keys() {
+        let (x, y, z) = (Var::new("x"), Var::new("y"), Var::new("z"));
+        let atom = Atom::new(x.clone(), TermId(7), y.clone());
+        let (access, _) = Access::bind(&[z, y, x], &atom);
+        let big = |v: u32| TermId(u32::MAX - v);
+        for id in [TermId, big] {
+            for rows in [[3, 1, 2, 1, 0, 1], [0, 1, 1, 2, 3, 3]] {
+                let mut acc = Relation::empty(vec![Var::new("z"), Var::new("y"), Var::new("x")]);
+                for (n, &r) in rows.iter().enumerate() {
+                    acc.push_row(&[TermId(n as u32), id(r % 2), id(r)]).unwrap();
+                }
+                let mut want: Vec<usize> = (0..acc.len()).collect();
+                want.sort_by_key(|&i| access.key(acc.row(i)));
+                let got: Vec<usize> = access.probe_order(&acc).collect();
+                assert_eq!(got, want, "{rows:?}");
+            }
+        }
+    }
+
     #[test]
     fn runs_filter_repeated_variables_and_later_intervals() {
         let store = Store::from_triples_with_bucket_target(
@@ -296,7 +376,7 @@ mod tests {
         ] {
             let (access, _) = Access::bind(&[], &atom);
             let mut got = Vec::new();
-            access.runs(&store, &access.key(&[]), &mut |run| {
+            access.runs(&store, &access.key(&[]), Pos::START, &mut |run| {
                 assert!(!run.is_empty());
                 got.extend(run.iter().map(|k| access.order.unkey(k)));
             });

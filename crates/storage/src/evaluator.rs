@@ -19,10 +19,9 @@
 //! "could not be evaluated in our experimental setting" outcome for
 //! pathological reformulations.
 
-use crate::access::Access;
 use crate::cost::{CostModel, FragmentEstimate, JoinedColumns};
 use crate::error::{Result, StorageError};
-use crate::exec::{scan_atom, ExecMetrics, StepLabel};
+use crate::exec::{bind_join, scan_atom, ExecMetrics, StepLabel};
 use crate::relation::{ColumnSource, Relation};
 use crate::stats::Stats;
 use crate::store::Store;
@@ -30,7 +29,6 @@ use rdfref_model::TermId;
 use rdfref_obs::Obs;
 use rdfref_query::ast::{Atom, Cq, Fragment, Jucq, PTerm, Ucq};
 use rdfref_query::Var;
-use std::ops::Range;
 use std::time::Duration;
 
 /// Kept for the reference benchmark's replay, which compiles against
@@ -153,7 +151,8 @@ impl<'a> Evaluator<'a> {
     /// either as *scan + hash join* or — when the accumulated relation is
     /// small compared to the atom's estimated cardinality and shares a
     /// variable with it — as an *index nested-loop (bind) join* that probes
-    /// the store per accumulated row. Bind joins are what make grouped
+    /// the store once per distinct key of the accumulated rows, in key
+    /// order ([`bind_join`]). Bind joins are what make grouped
     /// covers efficient: the paper's `(t1,t3)` fragment probes the huge
     /// `rdf:type` relation only for the few degree-holders instead of
     /// scanning it (33,328,108 rows in the paper's setting).
@@ -239,7 +238,8 @@ impl<'a> Evaluator<'a> {
     /// One step of a CQ's join chain: `acc` joined with `atom` over the
     /// store, checked against the row budget. When `acc` shares a variable
     /// with `atom` and is small next to the atom's estimated cardinality,
-    /// this is a *bind join* that probes the store once per `acc` row;
+    /// this is a *bind join* that probes the store once per distinct key of
+    /// `acc`'s rows;
     /// otherwise the atom is scanned and hash-joined. `idx` is the atom's
     /// position in its body, for the step labels.
     pub fn join_atom(
@@ -253,7 +253,7 @@ impl<'a> Evaluator<'a> {
         let shares = atom.vars().any(|v| acc.column_index(v).is_some());
         let joined = if model.binds_atom(shares, acc.len() as f64, model.atom_cardinality(atom)) {
             let sw = self.obs.stopwatch();
-            let joined = bind_join(self.store, acc, atom);
+            let joined = bind_join(self.store, acc, atom, &self.obs);
             self.step(
                 metrics,
                 StepLabel::BindJoin(idx + 1),
@@ -521,30 +521,6 @@ fn join_keys(acc: &Relation, columns: &[Var]) -> Result<Option<Relation>> {
     let mut keys = acc.project(&names)?;
     keys.dedup();
     Ok(Some(keys))
-}
-
-/// Bind join ([`Evaluator::join_atom`]'s probe side): each `acc` row fills
-/// the atom's probe key from its bound columns and appends every match
-/// (acc row ++ new values); a row whose key equals the previous row's copies
-/// that probe's matches instead of reading the index again.
-fn bind_join(store: &Store, acc: &Relation, atom: &Atom) -> Relation {
-    let (access, new_columns) = Access::bind(acc.columns(), atom);
-    let mut columns = acc.columns().to_vec();
-    columns.extend(new_columns);
-    let mut out = Relation::empty(columns);
-    let mut last: Option<([TermId; 3], Range<usize>)> = None;
-    for row in acc.rows() {
-        let key = access.key(row);
-        match &last {
-            Some((same, matches)) if *same == key => out.repeat_rows(matches.clone(), row),
-            _ => {
-                let start = out.len();
-                access.runs(store, &key, &mut |run| access.emit(run, row, &mut out));
-                last = Some((key, start..out.len()));
-            }
-        }
-    }
-    out
 }
 
 /// Convenience: evaluate a CQ whose head is all variables.

@@ -1,16 +1,19 @@
-//! Physical operators: pattern scans and execution metrics.
+//! Physical operators: pattern scans, bind joins and execution metrics.
 //!
-//! Joins and projections live on [`Relation`];
-//! this module contributes the store-facing scan operator and the metrics
+//! Hash joins and projections live on [`Relation`];
+//! this module contributes the store-facing operators and the metrics
 //! the experiments report (intermediate result sizes — the quantities the
 //! paper quotes for Example 1, e.g. "33,328,108 results each").
 
 use crate::access::Access;
 use crate::relation::Relation;
-use crate::store::Store;
+use crate::store::{Pos, Store};
 use crate::wcoj::PhysicalChoice;
+use rdfref_model::TermId;
+use rdfref_obs::Obs;
 use rdfref_query::ast::Atom;
 use std::fmt;
+use std::ops::Range;
 use std::time::Duration;
 
 /// What an [`ExecStep`] ran. Atom numbers are 1-based positions in the CQ
@@ -240,9 +243,62 @@ impl ExecMetrics {
 pub fn scan_atom(store: &Store, atom: &Atom) -> Relation {
     let (access, columns) = Access::bind(&[], atom);
     let mut out = Relation::empty(columns);
-    access.runs(store, &access.key(&[]), &mut |run| {
+    access.runs(store, &access.key(&[]), Pos::START, &mut |run| {
         access.emit(run, &[], &mut out)
     });
+    out
+}
+
+/// Bind join of `atom` to the rows of `acc` (an index nested-loop join):
+/// each row fills the atom's probe key from its bound columns, and gets
+/// every match appended (row ++ the atom's other variables).
+///
+/// The rows are visited in ascending key order (`Access::probe_order`),
+/// so each probe gallops forward through the index from where the previous
+/// one began instead of searching from the root, and rows with equal keys
+/// are adjacent: the first reads the index, the rest copy its matches.
+/// Output rows come in key order. Counts one `op.bind_join.probes` per
+/// index read, that is per distinct key.
+pub fn bind_join(store: &Store, acc: &Relation, atom: &Atom, obs: &Obs) -> Relation {
+    let (access, new_columns) = Access::bind(acc.columns(), atom);
+    let mut columns = acc.columns().to_vec();
+    columns.extend(new_columns);
+    let mut out = Relation::empty(columns);
+    let mut from = Pos::START;
+    let mut probes = 0u64;
+    let mut last: Option<([TermId; 3], Range<usize>)> = None;
+    for i in access.probe_order(acc) {
+        let row = acc.row(i);
+        let key = access.key(row);
+        match &last {
+            Some((same, matches)) if *same == key => out.repeat_rows(matches.clone(), row),
+            _ => {
+                let begin = out.len();
+                let start = access.runs(store, &key, from, &mut |run| {
+                    access.emit(run, row, &mut out)
+                });
+                // The forward-only contract the gallop relies on: the keys
+                // ascend, and each probe's keys begin (where a search from
+                // the root lands) at or after the previous probe's.
+                #[cfg(feature = "strict-invariants")]
+                {
+                    debug_assert!(
+                        last.as_ref().is_none_or(|(prev, _)| *prev < key),
+                        "bind-join probe keys do not ascend: {last:?} then {key:?}"
+                    );
+                    let root = access.runs(store, &key, Pos::START, &mut |_| {});
+                    debug_assert!(
+                        from <= root && start == root,
+                        "probe {key:?} searched forward from {from:?}, past its keys at {root:?}"
+                    );
+                }
+                from = start;
+                probes += 1;
+                last = Some((key, begin..out.len()));
+            }
+        }
+    }
+    obs.add("op.bind_join.probes", probes);
     out
 }
 
@@ -314,6 +370,40 @@ mod tests {
         let rel = scan_atom(&store, &Atom::new(v("s"), v("p"), v("o")));
         assert_eq!(rel.arity(), 3);
         assert_eq!(rel.len(), 3);
+    }
+
+    /// `acc` holds `b` twice, not next to each other, and a key no triple
+    /// has: the probes visit `a`, `b`, `c` once each, in key order, and the
+    /// second `b` copies the first one's matches.
+    #[test]
+    fn a_bind_join_reads_the_index_once_per_distinct_key_in_key_order() {
+        let (store, ids) = fixture();
+        let (a, b, p) = (ids[0], ids[1], ids[2]);
+        let c = TermId(a.0.max(b.0).max(p.0) + 1);
+        let mut acc = Relation::empty(vec![v("x"), v("n")]);
+        for (x, n) in [(b, 0), (c, 1), (a, 2), (b, 3)] {
+            acc.push_row(&[x, TermId(n)]).unwrap();
+        }
+        let registry = std::sync::Arc::new(rdfref_obs::MetricsRegistry::default());
+        let atom = Atom::new(v("x"), p, v("y"));
+        let joined = bind_join(&store, &acc, &atom, &Obs::collecting(registry.clone()));
+        assert_eq!(registry.snapshot().counter("op.bind_join.probes"), 3);
+        assert_eq!(joined.columns(), &[v("x"), v("n"), v("y")]);
+        let n = TermId;
+        assert_eq!(
+            joined.to_rows(),
+            vec![
+                vec![a, n(2), a],
+                vec![a, n(2), b],
+                vec![b, n(0), a],
+                vec![b, n(3), a],
+            ]
+        );
+        let mut want = acc.natural_join(&scan_atom(&store, &atom));
+        let mut got = joined;
+        want.sort();
+        got.sort();
+        assert_eq!(got, want);
     }
 
     #[test]

@@ -1,8 +1,10 @@
 //! The triple store: three sorted permutation indexes over an immutable
 //! snapshot of dictionary-encoded triples.
 //!
-//! Every triple-pattern shape is answered by a binary-search range over one
-//! of the SPO / POS / OSP orderings; the crate's one access path
+//! Every triple-pattern shape is answered by one run of one of the SPO /
+//! POS / OSP orderings, found by galloping forward from a position
+//! (`SortedIndex::run`): from the first key for a scan, from the previous
+//! probe for a bind join or a leapfrog seek. The crate's one access path
 //! (`access.rs`) picks the ordering and reads it.
 //!
 //! ## Snapshots and copy-on-write deltas
@@ -20,7 +22,6 @@
 use crate::access::Access;
 use rdfref_model::{merge_sorted, sorted_run, EncodedTriple, Graph, TermId};
 use rdfref_sync::Arc;
-use std::cmp::Ordering;
 
 /// Target keys per index bucket. Small enough that a single-triple delta
 /// copies ~one bucket, large enough that range scans stay contiguous.
@@ -89,12 +90,6 @@ impl Order {
     pub(crate) const ALL: [Order; 3] = [Order::Spo, Order::Pos, Order::Osp];
 }
 
-/// Compare a key against a search prefix (first `prefix.len()` components).
-#[inline]
-fn cmp_prefix(k: &[TermId; 3], prefix: &[TermId]) -> Ordering {
-    k[..prefix.len()].cmp(prefix)
-}
-
 /// The index of the first element of `s` that is not `before`, where
 /// `before` holds on a prefix of `s`: probe 1, 2, 4, … elements ahead, then
 /// binary-search the last doubling.
@@ -113,6 +108,14 @@ fn gallop<T>(s: &[T], before: impl Fn(&T) -> bool) -> usize {
 pub(crate) struct Pos {
     bucket: usize,
     offset: usize,
+}
+
+impl Pos {
+    /// The first position of every index (its end too, when it is empty).
+    pub(crate) const START: Pos = Pos {
+        bucket: 0,
+        offset: 0,
+    };
 }
 
 /// One sorted permutation index: globally sorted, deduplicated keys split
@@ -144,51 +147,44 @@ impl SortedIndex {
         }
     }
 
-    /// Hand `f` the keys whose first `prefix.len()` components equal
-    /// `prefix`, in sorted order, as one borrowed slice per spanned bucket.
-    pub(crate) fn for_prefix<'s>(
-        &'s self,
-        prefix: &[TermId],
-        f: &mut dyn FnMut(&'s [[TermId; 3]]),
-    ) {
-        let start = self
-            .buckets
-            .partition_point(|b| b.last().is_some_and(|l| cmp_prefix(l, prefix).is_lt()));
-        for b in &self.buckets[start..] {
-            if cmp_prefix(&b[0], prefix).is_gt() {
-                break;
-            }
-            let lo = b.partition_point(|k| cmp_prefix(k, prefix).is_lt());
-            let hi = b.partition_point(|k| !cmp_prefix(k, prefix).is_gt());
-            if lo < hi {
-                f(&b[lo..hi]);
-            }
-        }
+    /// The run `[start, stop)` of the keys between two bounds, searched
+    /// forward from `from`: `start` is the first position whose key is not
+    /// `before`, `stop` the first after it whose key is not `within`. Both
+    /// gallop ([`SortedIndex::gallop`]), so a search costs the distance it
+    /// moves; from [`Pos::START`] it is a search from the root. `from` must
+    /// not lie past the first key that is not `before`.
+    pub(crate) fn run(
+        &self,
+        from: Pos,
+        before: impl Fn(&[TermId; 3]) -> bool,
+        within: impl Fn(&[TermId; 3]) -> bool,
+    ) -> (Pos, Pos) {
+        let end = self.end();
+        let start = self.gallop(from, end, before);
+        (start, self.gallop(start, end, within))
     }
 
-    /// Hand `f` the keys `k` with `k[..lo.len()] >= lo` and
-    /// `k[..hi.len()] < hi`, in sorted order, one slice per spanned bucket —
-    /// the contiguous run an interval-encoded subtree occupies. With
-    /// `lo = [p, c_lo]`, `hi = [p, c_hi]` this is exactly `p`-triples whose
-    /// object falls in `[c_lo, c_hi)`.
-    pub(crate) fn for_bounds<'s>(
+    /// Hand `f` the keys of `[start, stop)` in sorted order, one borrowed
+    /// slice per spanned bucket; no slice is empty.
+    pub(crate) fn slices<'s>(
         &'s self,
-        lo: &[TermId],
-        hi: &[TermId],
+        start: Pos,
+        stop: Pos,
         f: &mut dyn FnMut(&'s [[TermId; 3]]),
     ) {
-        let start = self
-            .buckets
-            .partition_point(|b| b.last().is_some_and(|l| cmp_prefix(l, lo).is_lt()));
-        for b in &self.buckets[start..] {
-            if !cmp_prefix(&b[0], hi).is_lt() {
-                break;
-            }
-            let i0 = b.partition_point(|k| cmp_prefix(k, lo).is_lt());
-            let i1 = b.partition_point(|k| cmp_prefix(k, hi).is_lt());
-            if i0 < i1 {
-                f(&b[i0..i1]);
-            }
+        let mut at = start;
+        while at < stop {
+            let b = &self.buckets[at.bucket];
+            let to = if at.bucket == stop.bucket {
+                stop.offset
+            } else {
+                b.len()
+            };
+            f(&b[at.offset..to]);
+            at = Pos {
+                bucket: at.bucket + 1,
+                offset: 0,
+            };
         }
     }
 
@@ -235,19 +231,6 @@ impl SortedIndex {
                 offset: 0,
             }
         }
-    }
-
-    /// The position of the least key `>= probe` (the end if none): a
-    /// binary search over bucket last-keys, then one inside the bucket.
-    pub(crate) fn lower_bound(&self, probe: &[TermId; 3]) -> Pos {
-        let bucket = self
-            .buckets
-            .partition_point(|b| b.last().is_some_and(|l| l < probe));
-        let offset = self
-            .buckets
-            .get(bucket)
-            .map_or(0, |b| b.partition_point(|k| k < probe));
-        Pos { bucket, offset }
     }
 
     /// The first position in `[from, to)` whose key is not `before` (`to`
@@ -489,7 +472,9 @@ impl Store {
     pub fn scan(&self, pat: Pattern) -> impl Iterator<Item = EncodedTriple> + '_ {
         let access = Access::pattern(&pat);
         let mut runs = Vec::new();
-        access.runs(self, &access.key(&[]), &mut |run| runs.push(run));
+        access.runs(self, &access.key(&[]), Pos::START, &mut |run| {
+            runs.push(run)
+        });
         runs.into_iter()
             .flatten()
             .map(move |k| access.order.unkey(k))
@@ -500,7 +485,9 @@ impl Store {
     pub fn count(&self, pat: Pattern) -> usize {
         let access = Access::pattern(&pat);
         let mut n = 0;
-        access.runs(self, &access.key(&[]), &mut |run| n += run.len());
+        access.runs(self, &access.key(&[]), Pos::START, &mut |run| {
+            n += run.len()
+        });
         n
     }
 
@@ -523,14 +510,12 @@ impl Store {
     /// ascending property-id order — one grouped pass over the POS index.
     pub fn property_counts(&self) -> Vec<(TermId, usize)> {
         let mut out: Vec<(TermId, usize)> = Vec::new();
-        self.pos.for_prefix(&[], &mut |run| {
-            for k in run {
-                match out.last_mut() {
-                    Some((p, n)) if *p == k[0] => *n += 1,
-                    _ => out.push((k[0], 1)),
-                }
+        for k in self.pos.iter() {
+            match out.last_mut() {
+                Some((p, n)) if *p == k[0] => *n += 1,
+                _ => out.push((k[0], 1)),
             }
-        });
+        }
         out
     }
 }
@@ -586,7 +571,7 @@ mod tests {
     fn range_scan(store: &Store, pat: &Pattern) -> Vec<EncodedTriple> {
         let access = Access::pattern(pat);
         let mut out = Vec::new();
-        access.runs(store, &access.key(&[]), &mut |run| {
+        access.runs(store, &access.key(&[]), Pos::START, &mut |run| {
             assert!(!run.is_empty(), "empty run");
             assert!(run.windows(2).all(|w| w[0] < w[1]), "unsorted run");
             out.extend(run.iter().map(|k| access.order.unkey(k)))
@@ -814,7 +799,7 @@ mod tests {
     }
 
     #[test]
-    fn lower_bound_and_gallop_find_the_least_key_at_or_after_a_probe() {
+    fn gallop_finds_the_least_key_at_or_after_a_probe() {
         let triples = dense_triples(3000);
         for target in [usize::MAX, 16] {
             let store = Store::from_triples_with_bucket_target(&triples, target);
@@ -822,32 +807,45 @@ mod tests {
                 let idx = store.index(order);
                 let keys: Vec<[TermId; 3]> = idx.iter().copied().collect();
                 let key = |at: Pos| idx.key_at(at).copied();
-                let (start, end) = (idx.lower_bound(&[TermId(0); 3]), idx.end());
+                let (start, end) = (Pos::START, idx.end());
+                let root = |probe: &[TermId; 3]| idx.gallop(start, end, |x| x < probe);
                 // Every present key is found from the root and, from every
                 // earlier position, by galloping; its successor probe lands
                 // on the next key (or the end).
                 let mut at = start;
                 for (i, k) in keys.iter().enumerate() {
-                    assert_eq!(key(idx.lower_bound(k)), Some(*k), "target {target}");
+                    assert_eq!(key(root(k)), Some(*k), "target {target}");
                     assert_eq!(key(at), Some(*k), "succ walks the keys in order");
                     for back in [0, 1, 7, 100] {
-                        let from = idx.lower_bound(&keys[i.saturating_sub(back)]);
+                        let from = root(&keys[i.saturating_sub(back)]);
                         assert_eq!(key(idx.gallop(from, end, |x| x < k)), Some(*k));
                     }
                     let mut succ = *k;
                     succ[2] = TermId(succ[2].0 + 1);
                     let expect = keys[i..].iter().find(|&&n| n >= succ).copied();
-                    assert_eq!(key(idx.lower_bound(&succ)), expect, "target {target}");
-                    assert_eq!(key(idx.gallop(start, end, |x| *x < succ)), expect);
+                    assert_eq!(key(root(&succ)), expect, "target {target}");
                     // A bound stops the search where it stands.
-                    let to = idx.lower_bound(k);
+                    let to = root(k);
                     assert_eq!(idx.gallop(start, to, |x| *x < succ), to);
+                    // A run from any position at or before its first key
+                    // is the keys of one first component, handed out bucket
+                    // by bucket.
+                    let first = keys.iter().position(|x| x[0] == k[0]).unwrap_or(0);
+                    let from = root(&keys[first.saturating_sub(i % 7)]);
+                    let (lo, hi) = idx.run(from, |x| x[0] < k[0], |x| x[0] <= k[0]);
+                    let mut run = Vec::new();
+                    idx.slices(lo, hi, &mut |s| {
+                        assert!(!s.is_empty(), "empty slice");
+                        run.extend_from_slice(s);
+                    });
+                    let want: Vec<_> = keys.iter().filter(|x| x[0] == k[0]).copied().collect();
+                    assert_eq!(run, want, "target {target}");
                     at = idx.succ(at);
                 }
                 assert_eq!(at, end);
                 // Probes below the first and above the last key.
-                assert_eq!(key(idx.lower_bound(&[TermId(0); 3])), keys.first().copied());
-                assert_eq!(idx.lower_bound(&[TermId(u32::MAX); 3]), end);
+                assert_eq!(key(root(&[TermId(0); 3])), keys.first().copied());
+                assert_eq!(root(&[TermId(u32::MAX); 3]), end);
             }
         }
     }

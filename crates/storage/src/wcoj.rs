@@ -346,12 +346,11 @@ impl<'a> Cursor<'a> {
         let end = index.end();
         let mut runs = [(end, end); 3];
         if let Some(run) = runs.get_mut(fixed) {
-            let mut probe = [TermId(0); 3];
-            probe[..fixed].copy_from_slice(&key[..fixed]);
-            let start = index.lower_bound(&probe);
-            *run = (
-                start,
-                index.gallop(start, end, |k| k[..fixed] <= key[..fixed]),
+            let prefix = &key[..fixed];
+            *run = index.run(
+                Pos::START,
+                |k| k[..fixed] < *prefix,
+                |k| k[..fixed] <= *prefix,
             );
         }
         Cursor {

@@ -1,17 +1,20 @@
 //! Property tests of the storage layer: index scans vs a naive reference,
-//! statistics consistency, relation algebra laws, and union minimisation
-//! against evaluation.
+//! statistics consistency, relation algebra laws, the bind join against the
+//! hash join, and union minimisation against evaluation.
 
 use proptest::prelude::*;
 use rdfref_model::dictionary::ID_RDF_TYPE;
 use rdfref_model::{EncodedTriple, TermId};
+use rdfref_obs::{MetricsRegistry, Obs};
 use rdfref_query::ast::{Atom, Cq, PTerm, Substitution, Ucq};
 use rdfref_query::containment::minimize_union;
 use rdfref_query::Var;
 use rdfref_storage::evaluator::Evaluator;
+use rdfref_storage::exec::{bind_join, scan_atom};
 use rdfref_storage::relation::Relation;
 use rdfref_storage::store::{Bound, Pattern, Store};
 use rdfref_storage::{ExecMetrics, JoinAlgorithm, Stats, StatsMaintainer};
+use std::sync::Arc;
 
 fn triples_strategy() -> impl Strategy<Value = Vec<EncodedTriple>> {
     proptest::collection::vec(
@@ -618,5 +621,107 @@ proptest! {
         prop_assert!(minimal.len() <= input.len() && minimal.total_atoms() <= input.total_atoms());
         prop_assert_eq!(rows(&minimal), rows(&input), "{:?} minimised to {:?}", input, minimal);
         prop_assert_eq!(&minimize_union(minimal.clone()), &minimal);
+    }
+}
+
+/// Atoms a bind join probes: any shape of [`atom_strategy`], and the ones
+/// whose read the prefix alone cannot serve — a repeated variable, an
+/// interval on the level after a bound prefix, all constants.
+fn probed_atom() -> impl Strategy<Value = Atom> {
+    let var = |i: u8| PTerm::Var(Var::new(format!("v{i}")));
+    let prop = |p: u32| PTerm::Const(TermId(101 + p % 3));
+    prop_oneof![
+        3 => atom_strategy(),
+        1 => (0u8..2, 0u32..3).prop_map(move |(v, p)| Atom { s: var(v), p: prop(p), o: var(v) }),
+        1 => (0u8..2, 5u32..20, 1u32..8).prop_map(move |(v, lo, len)| Atom {
+            s: var(v),
+            p: prop(0),
+            o: PTerm::Range(TermId(lo), TermId(lo + len)),
+        }),
+        1 => (0u8..2, 0u32..3, 1u32..3).prop_map(move |(v, p, len)| Atom {
+            s: var(v),
+            p: PTerm::Range(TermId(101 + p), TermId(101 + p + len)),
+            o: var(2),
+        }),
+        1 => (5u32..15, 0u32..3, 5u32..20).prop_map(move |(s, p, o)| Atom {
+            s: PTerm::Const(TermId(s)),
+            p: prop(p),
+            o: PTerm::Const(TermId(o)),
+        }),
+    ]
+}
+
+/// The rows probing a bind join: columns a subset of `v0..v3` (none is the
+/// unit relation, or an empty one), values in the pools the triples use,
+/// laid out shuffled, ascending, or twice over so that equal rows are not
+/// adjacent.
+fn probing_relation() -> impl Strategy<Value = Relation> {
+    (
+        0usize..16,
+        0u8..3,
+        proptest::collection::vec(proptest::collection::vec(5u32..20, 4), 0..30),
+    )
+        .prop_map(|(mask, layout, mut rows)| {
+            let cols: Vec<Var> = (0..4)
+                .filter(|i| mask & (1 << i) != 0)
+                .map(|i| Var::new(format!("v{i}")))
+                .collect();
+            if cols.is_empty() {
+                return if rows.is_empty() {
+                    Relation::empty(cols)
+                } else {
+                    Relation::unit()
+                };
+            }
+            match layout {
+                0 => {}
+                1 => rows.sort(),
+                _ => rows.extend(rows.clone()),
+            }
+            let mut rel = Relation::empty(cols.clone());
+            for row in rows {
+                let ids: Vec<TermId> = row[..cols.len()].iter().map(|&v| TermId(v)).collect();
+                rel.push_row(&ids).unwrap();
+            }
+            rel
+        })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
+
+    /// The bind join returns the rows of the hash join of its input with
+    /// the atom's scan, over stores of 1, 4 and 1024 keys per bucket (so
+    /// runs and gallops cross buckets), and reads the index once per
+    /// distinct probe key.
+    #[test]
+    fn bind_join_matches_a_hash_join_oracle(
+        triples in proptest::collection::vec(
+            (5u32..15, 0u32..4, 5u32..20).prop_map(|(s, p, o)| {
+                EncodedTriple::new(TermId(s), TermId(101 + p), TermId(o))
+            }),
+            0..120,
+        ),
+        target in prop_oneof![Just(1usize), Just(4), Just(1024)],
+        acc in probing_relation(),
+        atom in probed_atom(),
+    ) {
+        let store = Store::from_triples_with_bucket_target(&triples, target);
+        let registry = Arc::new(MetricsRegistry::default());
+        let mut got = bind_join(&store, &acc, &atom, &Obs::collecting(registry.clone()));
+        let mut want = acc.natural_join(&scan_atom(&store, &atom));
+        prop_assert_eq!(got.columns(), want.columns());
+        got.sort();
+        want.sort();
+        prop_assert_eq!(got.to_rows(), want.to_rows(), "{:?} probed by {:?}", atom, acc);
+        let shared: Vec<Var> = acc
+            .columns()
+            .iter()
+            .filter(|c| atom.vars().any(|v| v == *c))
+            .cloned()
+            .collect();
+        let mut keys = acc.project(&shared).unwrap();
+        keys.dedup();
+        prop_assert_eq!(registry.snapshot().counter("op.bind_join.probes"), keys.len() as u64);
     }
 }

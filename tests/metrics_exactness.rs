@@ -591,8 +591,13 @@ fn saturation_and_maintenance_take_one_derivation_step() {
 
 /// LUBM scale 2 and one query of its mix, by name.
 fn lubm2(name: &str) -> (Database, Cq) {
+    lubm_at(2, name)
+}
+
+/// LUBM at `scale` and one query of its mix, by name.
+fn lubm_at(scale: usize, name: &str) -> (Database, Cq) {
     use rdfref::datagen::{lubm, queries};
-    let ds = lubm::generate(&lubm::LubmConfig::scale(2));
+    let ds = lubm::generate(&lubm::LubmConfig::scale(scale));
     let mix = queries::lubm_mix(&ds).unwrap();
     let q = mix.into_iter().find(|nq| nq.name == name).unwrap().cq;
     (Database::builder().build(ds.graph), q)
@@ -670,5 +675,36 @@ fn the_operator_trace_numbers_atoms_as_the_query_does_through_the_cache() {
                 );
             }
         }
+    }
+}
+
+/// Q09 under Sat and Ref/UCQ at LUBM 5 (at LUBM 2 every join of its plan
+/// is a hash join): the last atom, `(x takesCourse z)`, is bind-joined to
+/// the 469 rows the other five joined, which hold 469 distinct `(x, z)`
+/// keys, so it reads the index 469 times — once per distinct key, in
+/// ascending key order — and keeps 65 rows. The operator choices, and so
+/// every other count, are those of the hash-join chain before it.
+#[test]
+fn bind_join_probes_are_exact_for_q09() {
+    let (db, q) = lubm_at(5, "Q09");
+    db.prepare_saturation();
+    for strategy in [Strategy::Saturation, Strategy::RefUcq] {
+        let name = strategy.name().to_string();
+        let registry = Arc::new(MetricsRegistry::new());
+        let answer = db
+            .query(&q)
+            .strategy(strategy)
+            .collect_metrics(&registry)
+            .run()
+            .unwrap();
+        assert_eq!(answer.len(), 65, "{name}");
+        let lines = operator_lines(&answer);
+        let bind = lines.iter().position(|l| l.starts_with("bind-join"));
+        let probed = bind.map(|i| (lines[i - 1].as_str(), lines[i].ends_with("→ 65")));
+        assert_eq!(probed, Some(("join → 469", true)), "{name}: {lines:?}");
+        let snap = registry.snapshot();
+        assert_eq!(snap.counter("op.bind_join.count"), 1, "{name}");
+        assert_eq!(snap.counter("op.bind_join.rows"), 65, "{name}");
+        assert_eq!(snap.counter("op.bind_join.probes"), 469, "{name}");
     }
 }
